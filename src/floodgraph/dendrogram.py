@@ -23,48 +23,126 @@ from .ultrametric import ball, lowest_cocycle_edge
 from .weights import BOTTOM, TOP, Weight, join, meet
 
 
-@dataclass(frozen=True)
+class _Tree:
+    """Leaf names, cluster sizes and a DFS leaf order shared by one dendrogram.
+
+    Leaf ``i`` is cluster ``i``.  In the DFS order every cluster's leaves
+    fill one contiguous range, ``order[start[c] : start[c] + size[c]]``.
+    The order is laid out on first use, so building and flooding never pay
+    for it.
+    """
+
+    __slots__ = ("names", "size", "children", "_start", "_order", "_leaf_of")
+
+    def __init__(
+        self, names: tuple[str, ...], size: list[int], children: list[tuple[int, ...]]
+    ) -> None:
+        self.names = names
+        self.size = size
+        self.children = children
+        self._start: list[int] | None = None
+        self._order: list[int] = []
+        self._leaf_of: dict[str, int] | None = None
+
+    def _lay_out(self) -> list[int]:
+        if self._start is None:
+            # fathers have larger indices than their children, so walking
+            # down the indices places every father before its children
+            start = [-1] * len(self.size)
+            free = 0
+            for index in range(len(self.size) - 1, -1, -1):
+                if start[index] < 0:  # a summit
+                    start[index] = free
+                    free += self.size[index]
+                offset = start[index]
+                for child in self.children[index]:
+                    start[child] = offset
+                    offset += self.size[child]
+            order = [0] * len(self.names)
+            for leaf in range(len(self.names)):
+                order[start[leaf]] = leaf
+            self._start, self._order = start, order
+        return self._start
+
+    def span(self, index: int) -> tuple[int, int]:
+        low = self._lay_out()[index]
+        return low, low + self.size[index]
+
+    def contains(self, outer: int, inner: int) -> bool:
+        """Whether cluster ``inner`` lies inside (or is) cluster ``outer``."""
+        low, high = self.span(outer)
+        inner_low, inner_high = self.span(inner)
+        return low <= inner_low and inner_high <= high
+
+    def members(self, index: int) -> tuple[str, ...]:
+        """Leaf names under a cluster, in declaration order."""
+        if index < len(self.names):
+            return (self.names[index],)
+        low, high = self.span(index)
+        names = self.names
+        return tuple(names[leaf] for leaf in sorted(self._order[low:high]))
+
+    def leaf_of(self, name) -> int | None:
+        if self._leaf_of is None:
+            self._leaf_of = {leaf: i for i, leaf in enumerate(self.names)}
+        return self._leaf_of.get(name)
+
+
+@dataclass(frozen=True, slots=True)
 class Cluster:
     index: int
-    members: tuple[str, ...]
     diam: Weight
-    father: int | None = None
-    children: tuple[int, ...] = ()
+    father: int | None
+    children: tuple[int, ...]
+    _tree: _Tree = field(repr=False, compare=False)
+
+    @property
+    def members(self) -> tuple[str, ...]:
+        """Leaf names in declaration order, computed on each access."""
+        return self._tree.members(self.index)
 
     @property
     def is_leaf(self) -> bool:
-        return len(self.members) == 1 and self.diam == BOTTOM
+        return not self.children
 
 
 @dataclass(frozen=True)
 class Dendrogram:
     clusters: tuple[Cluster, ...]
-    _by_members: dict[frozenset, int] = field(default_factory=dict, repr=False)
+    _tree: _Tree = field(repr=False, compare=False)
 
     @property
     def leaf_names(self) -> tuple[str, ...]:
-        return tuple(c.members[0] for c in self.clusters if c.is_leaf)
+        return self._tree.names
 
     @property
     def summits(self) -> tuple[Cluster, ...]:
         return tuple(c for c in self.clusters if c.father is None)
 
     def resolve(self, target) -> Cluster:
-        """Accept a Cluster, an index, a leaf name, or a member collection."""
+        """Accept a Cluster, an index, a leaf name, or a member collection.
+
+        A member set resolves by climbing from one member's leaf to the
+        first cluster at least as large, which must hold exactly that set.
+        """
         if isinstance(target, Cluster):
             return self.clusters[target.index]
         if isinstance(target, int):
             if not 0 <= target < len(self.clusters):
                 raise PreconditionError(f"unknown cluster index: {target}")
             return self.clusters[target]
-        if isinstance(target, str):
-            key = frozenset((target,))
-        else:
-            key = frozenset(target)
-        index = self._by_members.get(key)
-        if index is None:
-            raise PreconditionError(f"unknown cluster: {sorted(key)}")
-        return self.clusters[index]
+        key = {target} if isinstance(target, str) else set(target)
+        tree = self._tree
+        leaves = [tree.leaf_of(name) for name in key]
+        if leaves and None not in leaves:
+            cluster = self.clusters[leaves[0]]
+            while tree.size[cluster.index] < len(leaves) and cluster.father is not None:
+                cluster = self.clusters[cluster.father]
+            if tree.size[cluster.index] == len(leaves) and all(
+                tree.contains(cluster.index, leaf) for leaf in leaves
+            ):
+                return cluster
+        raise PreconditionError(f"unknown cluster: {sorted(key)}")
 
 
 def is_dendrogram(family: Iterable[Iterable[str]]) -> tuple[bool, tuple | None]:
@@ -82,26 +160,23 @@ def is_dendrogram(family: Iterable[Iterable[str]]) -> tuple[bool, tuple | None]:
 
 def _assemble(
     leaf_order: Sequence[str],
-    groups: Sequence[tuple[tuple[str, ...], Weight, tuple[int, ...]]],
+    groups: Sequence[tuple[Weight, tuple[int, ...]]],
 ) -> Dendrogram:
-    """Freeze leaf singletons plus prepared groups into a Dendrogram."""
-    records: list[dict] = [
-        {"members": (name,), "diam": BOTTOM, "father": None, "children": ()}
-        for name in leaf_order
-    ]
-    for members, diam, children in groups:
-        index = len(records)
-        for child in children:
-            records[child]["father"] = index
-        records.append(
-            {"members": members, "diam": diam, "father": None, "children": children}
-        )
+    """Freeze leaf singletons plus (diam, children) groups into a Dendrogram."""
+    leaves = len(leaf_order)
+    diam = [BOTTOM] * leaves + [level for level, _ in groups]
+    children = [()] * leaves + [kids for _, kids in groups]
+    father: list[int | None] = [None] * len(children)
+    size = [1] * leaves
+    for index in range(leaves, len(children)):
+        size.append(sum(size[child] for child in children[index]))
+        for child in children[index]:
+            father[child] = index
+    tree = _Tree(tuple(leaf_order), size, children)
     clusters = tuple(
-        Cluster(index=i, members=r["members"], diam=r["diam"], father=r["father"], children=r["children"])
-        for i, r in enumerate(records)
+        Cluster(i, diam[i], father[i], children[i], tree) for i in range(len(children))
     )
-    by_members = {frozenset(c.members): c.index for c in clusters}
-    return Dendrogram(clusters=clusters, _by_members=by_members)
+    return Dendrogram(clusters=clusters, _tree=tree)
 
 
 def build_dendrogram(
@@ -140,7 +215,7 @@ def build_dendrogram(
     leaf_index = {name: i for i, name in enumerate(leaf_order)}
     normalized.sort(key=lambda item: (len(item[0]), leaf_index[item[0][0]]))
 
-    prepared: list[tuple[tuple[str, ...], Weight, tuple[int, ...]]] = []
+    prepared: list[tuple[Weight, tuple[int, ...]]] = []
     owner = {name: i for i, name in enumerate(leaf_order)}  # smallest cluster so far
     diam_of: dict[int, Weight] = {i: BOTTOM for i in range(len(leaf_order))}
     for members, diam in normalized:
@@ -152,7 +227,7 @@ def build_dendrogram(
                     f"diameter must increase strictly: {members} has {diam}, "
                     f"contained cluster has {diam_of[child]}"
                 )
-        prepared.append((members, diam, children))
+        prepared.append((diam, children))
         diam_of[index] = diam
         for name in members:
             owner[name] = index
@@ -167,10 +242,11 @@ def build_lake_dendrogram(graph: Graph) -> Dendrogram:
     disconnected graph the result is a forest with one summit per component.
     """
     weights = graph.require_edge_weights("build_lake_dendrogram")
-    leaf_order = list(graph.nodes)
-    parent: dict[str, str] = {node: node for node in leaf_order}
+    index = graph._index
+    leaves = len(graph.nodes)
+    parent = list(range(leaves))
 
-    def find(node: str) -> str:
+    def find(node: int) -> int:
         root = node
         while parent[root] != root:
             root = parent[root]
@@ -178,15 +254,14 @@ def build_lake_dendrogram(graph: Graph) -> Dendrogram:
             parent[node], node = root, parent[node]
         return root
 
-    current: dict[str, int] = {node: i for i, node in enumerate(leaf_order)}
-    prepared: list[tuple[tuple[str, ...], Weight, tuple[int, ...]]] = []
-    member_sets: dict[int, set[str]] = {i: {n} for i, n in enumerate(leaf_order)}
-    by_weight = sorted(range(len(graph.edges)), key=lambda eid: (weights[eid], eid))
-    for level, ids in groupby(by_weight, key=lambda eid: weights[eid]):
-        pending: dict[str, list[int]] = {}
+    current = list(range(leaves))  # cluster index of each union-find root's block
+    groups: list[tuple[Weight, tuple[int, ...]]] = []
+    by_weight = sorted(range(len(graph.edges)), key=weights.__getitem__)  # stable: ties by id
+    for level, ids in groupby(by_weight, key=weights.__getitem__):
+        pending: dict[int, list[int]] = {}
         for edge_id in ids:
             u, v = graph.edges[edge_id]
-            root_u, root_v = find(u), find(v)
+            root_u, root_v = find(index[u]), find(index[v])
             if root_u == root_v:
                 continue
             parts = pending.pop(root_u, None) or [current[root_u]]
@@ -194,16 +269,9 @@ def build_lake_dendrogram(graph: Graph) -> Dendrogram:
             parent[root_v] = root_u
             pending[root_u] = parts
         for root, parts in pending.items():
-            children = tuple(sorted(set(parts)))
-            merged: set[str] = set()
-            for child in children:
-                merged |= member_sets[child]
-            members = tuple(node for node in leaf_order if node in merged)
-            index = len(leaf_order) + len(prepared)
-            prepared.append((members, level, children))
-            member_sets[index] = merged
-            current[root] = index
-    return _assemble(leaf_order, prepared)
+            current[root] = leaves + len(groups)
+            groups.append((level, tuple(sorted(parts))))
+    return _assemble(graph.nodes, groups)
 
 
 _RELATIONS = (
@@ -249,9 +317,10 @@ def query(dendro: Dendrogram, relation: str, target=None) -> tuple[Cluster, ...]
     if relation == "impred":
         return () if cluster.father is None else (dendro.clusters[cluster.father],)
     if relation == "succ":
-        inside = set(cluster.members)
         return tuple(
-            c for c in dendro.clusters if c.index != cluster.index and set(c.members) < inside
+            c
+            for c in dendro.clusters
+            if c.index != cluster.index and dendro._tree.contains(cluster.index, c.index)
         )
     if relation == "imsucc":
         return tuple(dendro.clusters[i] for i in cluster.children)
@@ -278,33 +347,25 @@ def query(dendro: Dendrogram, relation: str, target=None) -> tuple[Cluster, ...]
 def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> NodeFunction:
     """Dominated flooding evaluated on the tree alone.
 
-    Work-list of (cluster, cap) pairs: a cluster floods to
-    cap ^ (omega(cluster) v diam(cluster)) where omega(cluster) is the
-    lowest ceiling among its leaves; children inherit that level as their
-    cap.  Equals the graph solvers on any graph realizing the dendrogram.
+    A cluster floods to cap ^ (omega(cluster) v diam(cluster)) where
+    omega(cluster) is the lowest ceiling among its leaves and cap is its
+    father's level (top for a summit).  Equals the graph solvers on any
+    graph realizing the dendrogram.
     """
-    leaf_names = dendro.leaf_names
-    for name in leaf_names:
+    names = dendro.leaf_names
+    for name in names:
         if name not in omega_leaf:
             raise PreconditionError(f"omega is missing leaf {name!r}")
-    lowest: list[Weight] = []
-    for cluster in dendro.clusters:
-        if cluster.is_leaf:
-            lowest.append(omega_leaf[cluster.members[0]])
-        else:
-            lowest.append(min(lowest[i] for i in cluster.children))
-    tau: NodeFunction = {}
-    work: list[tuple[int, Weight]] = [(s.index, TOP) for s in reversed(dendro.summits)]
-    while work:
-        index, cap = work.pop()
-        cluster = dendro.clusters[index]
-        level = meet(cap, join(lowest[index], cluster.diam))
-        if cluster.is_leaf:
-            tau[cluster.members[0]] = level
-        else:
-            for child in reversed(cluster.children):
-                work.append((child, level))
-    return {name: tau[name] for name in leaf_names}
+    clusters = dendro.clusters
+    lowest: list[Weight] = [omega_leaf[name] for name in names]
+    for cluster in clusters[len(names) :]:
+        lowest.append(min(lowest[i] for i in cluster.children))
+    level: list[Weight] = [TOP] * len(clusters)
+    for index in range(len(clusters) - 1, -1, -1):  # fathers before children
+        cluster = clusters[index]
+        cap = TOP if cluster.father is None else level[cluster.father]
+        level[index] = meet(cap, join(lowest[index], cluster.diam))
+    return dict(zip(names, level))
 
 
 class GrowthKind(enum.Enum):

@@ -9,7 +9,6 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -55,19 +54,6 @@ class Graph:
         """(neighbor, edge id) pairs in edge declaration order."""
         self.node_index(node)
         return self._adjacency.get(node, ())
-
-    def edge_weight(self, edge_id: int) -> Weight:
-        if self.edge_weights is None:
-            raise PreconditionError(
-                "graph has no edge weights; derive them from the ground first "
-                "(derive_edge_graph)"
-            )
-        return self.edge_weights[edge_id]
-
-    def ground_of(self, node: str) -> Weight:
-        if self.ground is None:
-            raise PreconditionError("graph has no ground values")
-        return self.ground[node]
 
     def require_ground(self, operation: str) -> NodeFunction:
         if self.ground is None:
@@ -204,23 +190,22 @@ def connected_components(
     """
     seen: set[str] = set()
     components: list[tuple[str, ...]] = []
+    adjacency, index = graph._adjacency, graph._index
     for start in graph.nodes:
         if start in seen:
             continue
         seen.add(start)
-        block = {start}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for neighbor, edge_id in graph.neighbors(node):
-                if neighbor in block:
+        block = [start]
+        for node in block:  # breadth-first: the block doubles as the queue
+            for neighbor, edge_id in adjacency[node]:
+                if neighbor in seen:
                     continue
                 if edge_filter is not None and not edge_filter(edge_id):
                     continue
-                block.add(neighbor)
                 seen.add(neighbor)
-                queue.append(neighbor)
-        components.append(tuple(node for node in graph.nodes if node in block))
+                block.append(neighbor)
+        block.sort(key=index.__getitem__)
+        components.append(tuple(block))
     return components
 
 

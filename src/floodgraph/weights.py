@@ -44,18 +44,16 @@ def weight_succ(w: Weight) -> Weight:
 
 
 def parse_weight(token: str) -> Weight:
-    """Parse ``<nonneg int> | "inf" | "-inf"`` as used by all file formats."""
+    """Parse ``[0-9]+ | "inf" | "-inf"`` (ASCII only) as used by all file formats."""
     if token == "inf":
         return TOP
     if token == "-inf":
         return BOTTOM
-    try:
-        value = int(token)
-    except ValueError:
-        raise GraphFormatError(f"not a weight: {token!r}") from None
-    if value < 0:
+    if token.isascii() and token.isdigit():
+        return int(token)
+    if token[:1] == "-" and token[1:].isascii() and token[1:].isdigit():
         raise GraphFormatError(f"negative finite weight not allowed: {token!r}")
-    return value
+    raise GraphFormatError(f"not a weight: {token!r}")
 
 
 def format_weight(w: Weight) -> str:

@@ -34,7 +34,9 @@ def test_parse_weight_accepts_the_three_forms():
     assert parse_weight("-inf") == BOTTOM
 
 
-@pytest.mark.parametrize("token", ["-1", "1.5", "nan", "", "infinity", "0x3"])
+@pytest.mark.parametrize(
+    "token", ["-1", "1.5", "nan", "", "infinity", "0x3", "1_000", "+3", " 4", "\u0663"]
+)
 def test_parse_weight_rejects_everything_else(token):
     with pytest.raises(GraphFormatError):
         parse_weight(token)
