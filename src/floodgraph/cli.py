@@ -27,7 +27,6 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import ConstructionError, GraphFormatError, PreconditionError
 from .formats import (
@@ -38,7 +37,7 @@ from .formats import (
     serialize_graph,
     write_pgm,
 )
-from .graphs import Graph, NodeFunction, grid_graph, grid_node
+from .graphs import Graph, NodeFunction, check_ceiling, grid_graph, grid_node, values_by_index
 from .hydro import derive_edge_graph, is_edge_flooding, is_node_flooding, lakes
 from .dendrogram import build_lake_dendrogram, dendrogram_flood
 from .reductions import contract_flat_zones, local_flood
@@ -52,7 +51,7 @@ from .solvers import (
     prim_flood,
 )
 from .ultrametric import flooding_distance_all, mst
-from .weights import TOP, Weight, format_weight
+from .weights import TOP, format_weight
 
 
 @dataclass(frozen=True)
@@ -161,14 +160,6 @@ def edge_view(ingested: Ingested, args: argparse.Namespace, operation: str) -> G
     return derive_edge_graph(graph)
 
 
-def _check_ceiling_above_ground(graph: Graph, omega: Mapping[str, Weight]) -> None:
-    ground = graph.ground
-    assert ground is not None
-    for node in graph.nodes:
-        if omega[node] < ground[node]:
-            raise PreconditionError(f"ceiling is below the ground at node {node!r}")
-
-
 def _emit(args: argparse.Namespace, lines: list[str]) -> None:
     text = "".join(line + "\n" for line in lines)
     output = getattr(args, "output", None)
@@ -197,13 +188,11 @@ def cmd_flood(args: argparse.Namespace) -> int:
     omega = resolve_ceiling(args, ingested)
 
     if args.algo == "core":
-        graph.require_ground("the core algorithm")
+        graph.require_ground_values("the core algorithm")
         result = core_expanding_flood(graph, omega)
         view = graph
     else:
         view = edge_view(ingested, args, f"the {args.algo} algorithm")
-        if view is not graph:
-            _check_ceiling_above_ground(view, omega)
         if args.algo == "berge":
             result = berge_flood(view, omega, schedule=_SCHEDULES[args.schedule])
         elif args.algo == "dijkstra":
@@ -215,6 +204,7 @@ def cmd_flood(args: argparse.Namespace) -> int:
             else:
                 result = SolverResult(tau={n: TOP for n in view.nodes})
         else:
+            check_ceiling(view, values_by_index(view, omega, "omega"))
             tau = dendrogram_flood(build_lake_dendrogram(view), omega)
             result = SolverResult(tau=tau)
 
@@ -309,8 +299,7 @@ def cmd_dendro(args: argparse.Namespace) -> int:
         )
     if args.flood:
         omega = resolve_ceiling(args, ingested)
-        if view is not ingested.graph:
-            _check_ceiling_above_ground(view, omega)
+        check_ceiling(view, values_by_index(view, omega, "omega"))
         tau = dendrogram_flood(dendro, omega)
         lines.extend(f"{n} {format_weight(tau[n])}" for n in view.nodes)
     _emit(args, lines)
@@ -325,7 +314,7 @@ def cmd_lakes(args: argparse.Namespace) -> int:
     lines = []
     for index, lake in enumerate(partition.lakes):
         exhaust = " ".join(
-            f"{graph.edges[eid][0]}-{graph.edges[eid][1]}"
+            f"{graph.nodes[graph.edge_u[eid]]}-{graph.nodes[graph.edge_v[eid]]}"
             for eid in lake.exhaust_edges
         )
         lines.append(
@@ -343,7 +332,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if graph.has_edge_weights:
         report = is_edge_flooding(graph, tau)
     else:
-        graph.require_ground("validate")
+        graph.require_ground_values("validate")
         report = is_node_flooding(graph, tau)
     if report:
         _emit(args, ["valid"])
@@ -355,7 +344,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_contract(args: argparse.Namespace) -> int:
     ingested = ingest_graph(args.graph, _connectivity(args))
     graph = ingested.graph
-    graph.require_ground("contract")
+    graph.require_ground_values("contract")
     omega: NodeFunction | None = None
     if args.ceiling is not None or ingested.file_omega is not None:
         omega = resolve_ceiling(args, ingested)
@@ -370,7 +359,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
 def cmd_localflood(args: argparse.Namespace) -> int:
     ingested = ingest_graph(args.graph, _connectivity(args))
     graph = ingested.graph
-    graph.require_ground("localflood")
+    graph.require_ground_values("localflood")
     omega = resolve_ceiling(args, ingested)
     graph.node_index(args.node)
     level = local_flood(graph, omega, args.node)

@@ -242,7 +242,7 @@ def build_lake_dendrogram(graph: Graph) -> Dendrogram:
     disconnected graph the result is a forest with one summit per component.
     """
     weights = graph.require_edge_weights("build_lake_dendrogram")
-    index = graph._index
+    edge_u, edge_v = graph.edge_u, graph.edge_v
     leaves = len(graph.nodes)
     parent = list(range(leaves))
 
@@ -256,12 +256,11 @@ def build_lake_dendrogram(graph: Graph) -> Dendrogram:
 
     current = list(range(leaves))  # cluster index of each union-find root's block
     groups: list[tuple[Weight, tuple[int, ...]]] = []
-    by_weight = sorted(range(len(graph.edges)), key=weights.__getitem__)  # stable: ties by id
+    by_weight = sorted(range(len(weights)), key=weights.__getitem__)  # stable: ties by id
     for level, ids in groupby(by_weight, key=weights.__getitem__):
         pending: dict[int, list[int]] = {}
         for edge_id in ids:
-            u, v = graph.edges[edge_id]
-            root_u, root_v = find(index[u]), find(index[v])
+            root_u, root_v = find(edge_u[edge_id]), find(edge_v[edge_id])
             if root_u == root_v:
                 continue
             parts = pending.pop(root_u, None) or [current[root_u]]

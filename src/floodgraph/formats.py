@@ -143,17 +143,18 @@ def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
 
 def serialize_graph(graph: Graph, omega: Mapping[str, Weight] | None = None) -> str:
     lines = [HEADER]
-    for node in graph.nodes:
+    names, ground, weights = graph.nodes, graph.ground_values, graph.edge_weights
+    for index, node in enumerate(names):
         parts = ["node", node]
-        if graph.ground is not None:
-            parts.append(f"f={format_weight(graph.ground[node])}")
+        if ground is not None:
+            parts.append(f"f={format_weight(ground[index])}")
         if omega is not None and node in omega and omega[node] != TOP:
             parts.append(f"omega={format_weight(omega[node])}")
         lines.append(" ".join(parts))
-    for edge_id, (u, v) in enumerate(graph.edges):
-        parts = ["edge", u, v]
-        if graph.edge_weights is not None:
-            parts.append(f"w={format_weight(graph.edge_weights[edge_id])}")
+    for edge_id, (u, v) in enumerate(zip(graph.edge_u, graph.edge_v)):
+        parts = ["edge", names[u], names[v]]
+        if weights is not None:
+            parts.append(f"w={format_weight(weights[edge_id])}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

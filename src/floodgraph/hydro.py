@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import PreconditionError
-from .graphs import Graph, NodeFunction, build_graph, check_total, connected_components
+from .graphs import (
+    Graph,
+    NodeFunction,
+    connected_components,
+    levels_by_index,
+    values_by_index,
+)
 from .weights import Weight, format_weight, join
 
 
@@ -28,21 +34,23 @@ class ValidationReport:
 
 def is_node_flooding(graph: Graph, tau: Mapping[str, Weight]) -> ValidationReport:
     """Check tau >= f and: tau_p > tau_q across an edge forces tau_p = f_p."""
-    ground = graph.require_ground("is_node_flooding")
-    check_total(graph, tau, "tau")
+    ground = graph.require_ground_values("is_node_flooding")
+    levels = values_by_index(graph, tau, "tau")
+    names = graph.nodes
     violations: list[str] = []
-    for node in graph.nodes:
-        if tau[node] < ground[node]:
+    for node, (level, floor) in enumerate(zip(levels, ground)):
+        if level < floor:
             violations.append(
-                f"node {node}: tau={format_weight(tau[node])} below ground "
-                f"{format_weight(ground[node])}"
+                f"node {names[node]}: tau={format_weight(level)} below ground "
+                f"{format_weight(floor)}"
             )
-    for u, v in graph.edges:
+    for u, v in zip(graph.edge_u, graph.edge_v):
         for p, q in ((u, v), (v, u)):
-            if tau[p] > tau[q] and tau[p] != ground[p]:
+            if levels[p] > levels[q] and levels[p] != ground[p]:
                 violations.append(
-                    f"edge ({u},{v}): tau_{p}={format_weight(tau[p])} hangs above "
-                    f"tau_{q}={format_weight(tau[q])} without resting on ground"
+                    f"edge ({names[u]},{names[v]}): tau_{names[p]}={format_weight(levels[p])} "
+                    f"hangs above tau_{names[q]}={format_weight(levels[q])} "
+                    "without resting on ground"
                 )
     return ValidationReport(not violations, tuple(violations))
 
@@ -50,15 +58,15 @@ def is_node_flooding(graph: Graph, tau: Mapping[str, Weight]) -> ValidationRepor
 def is_edge_flooding(graph: Graph, tau: Mapping[str, Weight]) -> ValidationReport:
     """Check tau_p <= tau_q v e_pq for every edge, in both directions."""
     weights = graph.require_edge_weights("is_edge_flooding")
-    check_total(graph, tau, "tau")
+    levels = values_by_index(graph, tau, "tau")
+    names = graph.nodes
     violations: list[str] = []
-    for edge_id, (u, v) in enumerate(graph.edges):
-        e = weights[edge_id]
+    for u, v, e in zip(graph.edge_u, graph.edge_v, weights):
         for p, q in ((u, v), (v, u)):
-            if tau[p] > join(tau[q], e):
+            if levels[p] > levels[q] and levels[p] > e:  # tau_p > tau_q v e
                 violations.append(
-                    f"edge ({u},{v}): tau_{p}={format_weight(tau[p])} exceeds "
-                    f"tau_{q} v e = {format_weight(join(tau[q], e))}"
+                    f"edge ({names[u]},{names[v]}): tau_{names[p]}={format_weight(levels[p])} "
+                    f"exceeds tau_{names[q]} v e = {format_weight(join(levels[q], e))}"
                 )
     return ValidationReport(not violations, tuple(violations))
 
@@ -108,58 +116,50 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
         raise PreconditionError(f"tau is not a valid flooding: {report.violations[0]}")
     weights = view.edge_weights
     assert weights is not None
-
-    def inside(edge_id: int) -> bool:
-        u, v = view.edges[edge_id]
-        return tau[u] == tau[v] and weights[edge_id] <= tau[u]
-
+    levels = [tau[node] for node in view.nodes]
+    inside = [
+        levels[u] == levels[v] and e <= levels[u]
+        for u, v, e in zip(view.edge_u, view.edge_v, weights)
+    ]
+    offsets, adj_node, adj_edge = view.offsets, view.adj_node, view.adj_edge
+    index = view.node_index
     result: list[Lake] = []
-    for block in connected_components(view, inside):
+    for block in connected_components(view, inside.__getitem__):
         level = tau[block[0]]
-        members = set(block)
-        exhaust: list[int] = []
-        for node in block:
-            for neighbor, edge_id in view.neighbors(node):
-                if neighbor in members:
-                    continue
-                if weights[edge_id] == level and tau[neighbor] < level:
-                    exhaust.append(edge_id)
-        exhaust_ids = tuple(sorted(set(exhaust)))
-        kind = LakeKind.FULL if exhaust_ids else LakeKind.REGIONAL_MINIMUM
-        result.append(Lake(block, level, kind, exhaust_ids))
+        exhaust: set[int] = set()
+        for node in map(index, block):
+            for slot in range(offsets[node], offsets[node + 1]):
+                edge_id = adj_edge[slot]
+                if weights[edge_id] == level and levels[adj_node[slot]] < level:
+                    exhaust.add(edge_id)
+        kind = LakeKind.FULL if exhaust else LakeKind.REGIONAL_MINIMUM
+        result.append(Lake(block, level, kind, tuple(sorted(exhaust))))
     return LakePartition(tuple(result))
 
 
 def flat_zones(graph: Graph, values: Mapping[str, Weight] | None = None) -> list[tuple[str, ...]]:
     """Components under edges whose endpoints share the same level."""
-    levels = values if values is not None else graph.require_ground("flat_zones")
-    check_total(graph, levels, "values")
-
-    def flat(edge_id: int) -> bool:
-        u, v = graph.edges[edge_id]
-        return levels[u] == levels[v]
-
-    return connected_components(graph, flat)
+    levels = levels_by_index(graph, values, "flat_zones")
+    flat = [levels[u] == levels[v] for u, v in zip(graph.edge_u, graph.edge_v)]
+    return connected_components(graph, flat.__getitem__)
 
 
 def regional_minima(
     graph: Graph, values: Mapping[str, Weight] | None = None
 ) -> list[tuple[str, ...]]:
     """Flat zones whose every outside neighbor is strictly higher."""
-    levels = values if values is not None else graph.require_ground("regional_minima")
-    check_total(graph, levels, "values")
-    minima: list[tuple[str, ...]] = []
-    for zone in flat_zones(graph, levels):
-        members = set(zone)
-        level = levels[zone[0]]
+    levels = levels_by_index(graph, values, "regional_minima")
+    offsets, adj_node, index = graph.offsets, graph.adj_node, graph.node_index
+    # an equal neighbor would lie in the zone itself: test for no lower one
+    return [
+        zone
+        for zone in flat_zones(graph, values)
         if all(
-            levels[neighbor] > level
-            for node in zone
-            for neighbor, _ in graph.neighbors(node)
-            if neighbor not in members
-        ):
-            minima.append(zone)
-    return minima
+            levels[adj_node[slot]] >= levels[node]
+            for node in map(index, zone)
+            for slot in range(offsets[node], offsets[node + 1])
+        )
+    ]
 
 
 def _check_flooding(graph: Graph, tau: Mapping[str, Weight], what: str) -> None:
@@ -189,7 +189,12 @@ def flooding_inf(graph: Graph, tau: Mapping[str, Weight], nu: Mapping[str, Weigh
 
 
 def derive_edge_graph(graph: Graph) -> Graph:
-    """Give each edge the max of its endpoint grounds; keep the ground."""
-    ground = graph.require_ground("derive_edge_graph")
-    weights = [join(ground[u], ground[v]) for u, v in graph.edges]
-    return build_graph(graph.nodes, graph.edges, ground=ground, edge_weights=weights)
+    """Give each edge the max of its endpoint grounds; keep the ground.
+
+    The result shares the topology of ``graph`` (see ``with_edge_weights``).
+    """
+    ground = graph.require_ground_values("derive_edge_graph")
+    at = ground.__getitem__
+    return graph.with_edge_weights(
+        a if a >= b else b for a, b in zip(map(at, graph.edge_u), map(at, graph.edge_v))
+    )

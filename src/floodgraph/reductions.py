@@ -20,45 +20,56 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
-from .graphs import Edge, Graph, NodeFunction, build_graph, check_total
+from .graphs import (
+    Graph,
+    NodeFunction,
+    check_ceiling,
+    check_total,
+    index_graph,
+    levels_by_index,
+    values_by_index,
+)
 from .hydro import flat_zones, is_edge_flooding
 from .solvers import dijkstra_flood
 from .weights import BOTTOM, TOP, Weight, join, meet
 
 
+def _dilation(graph: Graph, levels: Sequence[Weight]) -> tuple[Weight, ...]:
+    at = levels.__getitem__
+    return tuple(a if a >= b else b for a, b in zip(map(at, graph.edge_u), map(at, graph.edge_v)))
+
+
+def _erosion(graph: Graph, weights: Sequence[Weight]) -> list[Weight]:
+    offsets, adj_edge = graph.offsets, graph.adj_edge
+    return [
+        min((weights[e] for e in adj_edge[offsets[node] : offsets[node + 1]]), default=TOP)
+        for node in range(len(graph.nodes))
+    ]
+
+
 def edge_dilation(graph: Graph, values: Mapping[str, Weight] | None = None) -> tuple[Weight, ...]:
     """Per-edge max of the endpoint values (defaults to the ground)."""
-    if values is None:
-        values = graph.require_ground("edge_dilation")
-    else:
-        check_total(graph, values, "node values")
-    return tuple(join(values[u], values[v]) for u, v in graph.edges)
+    return _dilation(graph, levels_by_index(graph, values, "edge_dilation", "node values"))
 
 
 def node_erosion(graph: Graph, weights: tuple[Weight, ...] | None = None) -> NodeFunction:
     """Per-node min of the incident edge weights; isolated nodes get top."""
     if weights is None:
         weights = graph.require_edge_weights("node_erosion")
-    elif len(weights) != len(graph.edges):
+    elif len(weights) != len(graph.edge_u):
         raise PreconditionError(
-            f"{len(graph.edges)} edges but {len(weights)} edge weights"
+            f"{len(graph.edge_u)} edges but {len(weights)} edge weights"
         )
-    eroded: NodeFunction = {}
-    for node in graph.nodes:
-        low: Weight = TOP
-        for _, edge_id in graph.neighbors(node):
-            low = meet(low, weights[edge_id])
-        eroded[node] = low
-    return eroded
+    return dict(zip(graph.nodes, _erosion(graph, weights)))
 
 
 def edge_opening(graph: Graph, weights: tuple[Weight, ...] | None = None) -> tuple[Weight, ...]:
     """Opening on edge weights: erode to the nodes, dilate back."""
     eroded = node_erosion(graph, weights)
-    return tuple(join(eroded[u], eroded[v]) for u, v in graph.edges)
+    return _dilation(graph, [eroded[node] for node in graph.nodes])
 
 
 def node_closing(graph: Graph, values: Mapping[str, Weight] | None = None) -> NodeFunction:
@@ -115,49 +126,49 @@ def contract_flat_zones(
     min over each zone, since a lake covering the zone is capped by the
     lowest ceiling above it.
     """
-    ground = graph.require_ground("contract_flat_zones")
+    ground = graph.require_ground_values("contract_flat_zones")
     if omega is not None:
-        check_total(graph, omega, "ceiling")
+        check_ceiling(graph, values_by_index(graph, omega, "ceiling"))
 
     zones = flat_zones(graph)
-    forward: dict[str, str] = {}
-    blocks: dict[str, tuple[str, ...]] = {}
-    for zone in zones:
-        blocks[zone[0]] = zone
-        for node in zone:
-            forward[node] = zone[0]
-    forward = {node: forward[node] for node in graph.nodes}
-
-    contracted_ground = {rep: ground[rep] for rep in blocks}
+    index = graph.node_index
+    zone_of = [0] * len(ground)
+    for z, zone in enumerate(zones):
+        for name in zone:
+            zone_of[index(name)] = z
+    reps = [zone[0] for zone in zones]
+    blocks = dict(zip(reps, zones))
+    forward = {name: reps[z] for name, z in zip(graph.nodes, zone_of)}
     contracted_omega: NodeFunction | None = None
     if omega is not None:
-        contracted_omega = {
-            rep: min(omega[node] for node in zone) for rep, zone in blocks.items()
-        }
+        contracted_omega = {rep: min(omega[name] for name in zone) for rep, zone in blocks.items()}
 
-    edges: list[Edge] = []
+    old_weights = graph.edge_weights
+    edge_u: list[int] = []
+    edge_v: list[int] = []
     weights: list[Weight] = []
-    seen: dict[frozenset[str], int] = {}
-    for edge_id, (u, v) in enumerate(graph.edges):
-        ru, rv = forward[u], forward[v]
-        if ru == rv:
+    seen: dict[tuple[int, int], int] = {}
+    for edge_id, (u, v) in enumerate(zip(graph.edge_u, graph.edge_v)):
+        zu, zv = zone_of[u], zone_of[v]
+        if zu == zv:
             continue
-        key = frozenset((ru, rv))
-        if key in seen:
-            if graph.edge_weights is not None:
-                slot = seen[key]
-                weights[slot] = meet(weights[slot], graph.edge_weights[edge_id])
-            continue
-        seen[key] = len(edges)
-        edges.append((ru, rv))
-        if graph.edge_weights is not None:
-            weights.append(graph.edge_weights[edge_id])
+        key = (zu, zv) if zu < zv else (zv, zu)
+        slot = seen.get(key)
+        if slot is None:
+            seen[key] = len(edge_u)
+            edge_u.append(zu)
+            edge_v.append(zv)
+            if old_weights is not None:
+                weights.append(old_weights[edge_id])
+        elif old_weights is not None:
+            weights[slot] = meet(weights[slot], old_weights[edge_id])
 
-    contracted = build_graph(
-        list(blocks),
-        edges,
-        ground=contracted_ground,
-        edge_weights=tuple(weights) if graph.edge_weights is not None else None,
+    contracted = index_graph(
+        reps,
+        edge_u,
+        edge_v,
+        ground_values=(ground[index(rep)] for rep in reps),
+        edge_weights=None if old_weights is None else weights,
     )
     mapping = ContractionMap(graph=contracted, forward=forward, blocks=blocks)
     return contracted, mapping, contracted_omega
@@ -172,12 +183,14 @@ def mst_with_contraction(graph: Graph) -> tuple[Graph, ContractionMap]:
     edge of the same weight is considered.  Returns the tree on the
     super-nodes plus the contraction that produced them.
     """
-    ground = graph.require_ground("mst_with_contraction")
-    derived = edge_dilation(graph)
+    ground = graph.require_ground_values("mst_with_contraction")
+    derived = _dilation(graph, ground)
+    edge_u, edge_v = graph.edge_u, graph.edge_v
+    offsets, adj_edge = graph.offsets, graph.adj_edge
+    count = len(ground)
+    parent = list(range(count))
 
-    parent = {node: node for node in graph.nodes}
-
-    def find(node: str) -> str:
+    def find(node: int) -> int:
         root = node
         while parent[root] != root:
             root = parent[root]
@@ -185,56 +198,53 @@ def mst_with_contraction(graph: Graph) -> tuple[Graph, ContractionMap]:
             parent[node], node = root, parent[node]
         return root
 
-    def union(u: str, v: str) -> None:
-        ru, rv = find(u), find(v)
-        if graph.node_index(ru) > graph.node_index(rv):
-            ru, rv = rv, ru
-        parent[rv] = ru
-
-    visited: set[str] = set()
+    visited = [False] * count
     heap: list[tuple[Weight, int, int]] = []
     tree_edge_ids: list[int] = []
 
-    def visit(node: str) -> None:
-        visited.add(node)
-        for _, edge_id in graph.neighbors(node):
-            u, v = graph.edges[edge_id]
-            flat = 0 if ground[u] == ground[v] else 1
+    def visit(node: int) -> None:
+        visited[node] = True
+        for edge_id in adj_edge[offsets[node] : offsets[node + 1]]:
+            flat = 0 if ground[edge_u[edge_id]] == ground[edge_v[edge_id]] else 1
             heapq.heappush(heap, (derived[edge_id], flat, edge_id))
 
-    for start in graph.nodes:
-        if start in visited:
+    for start in range(count):
+        if visited[start]:
             continue
         visit(start)
         while heap:
             _, flat, edge_id = heapq.heappop(heap)
-            u, v = graph.edges[edge_id]
-            if u in visited and v in visited:
+            u, v = edge_u[edge_id], edge_v[edge_id]
+            if visited[u] and visited[v]:
                 continue
-            visit(v if u in visited else u)
+            visit(v if visited[u] else u)
             if flat == 0:
-                union(u, v)
+                low, high = sorted((find(u), find(v)))
+                parent[high] = low  # the block keeps its first declared node
             else:
                 tree_edge_ids.append(edge_id)
 
-    blocks: dict[str, list[str]] = {}
-    for node in graph.nodes:
-        blocks.setdefault(find(node), []).append(node)
-    forward = {node: find(node) for node in graph.nodes}
-
-    tree_edges = [(forward[u], forward[v]) for u, v in
-                  (graph.edges[edge_id] for edge_id in tree_edge_ids)]
-    tree_weights = tuple(derived[edge_id] for edge_id in tree_edge_ids)
-    tree = build_graph(
-        list(blocks),
-        tree_edges,
-        ground={rep: ground[rep] for rep in blocks},
-        edge_weights=tree_weights,
+    names = graph.nodes
+    roots = [find(node) for node in range(count)]
+    slot_of: dict[int, int] = {}  # block root -> tree node index
+    members: list[list[str]] = []
+    for name, root in zip(names, roots):
+        if root not in slot_of:
+            slot_of[root] = len(members)
+            members.append([])
+        members[slot_of[root]].append(name)
+    reps = [names[root] for root in slot_of]
+    tree = index_graph(
+        reps,
+        [slot_of[roots[edge_u[e]]] for e in tree_edge_ids],
+        [slot_of[roots[edge_v[e]]] for e in tree_edge_ids],
+        ground_values=(ground[root] for root in slot_of),
+        edge_weights=(derived[e] for e in tree_edge_ids),
     )
     mapping = ContractionMap(
         graph=tree,
-        forward=forward,
-        blocks={rep: tuple(members) for rep, members in blocks.items()},
+        forward={name: names[root] for name, root in zip(names, roots)},
+        blocks={rep: tuple(block) for rep, block in zip(reps, members)},
     )
     return tree, mapping
 
@@ -246,28 +256,22 @@ def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunct
     gives the level at which each remaining node stops being a local
     pocket, and a single shortest-flood pass over the closed relief plus
     a final cap at the ceiling reproduces the flooding of the original
-    graph exactly.
+    graph exactly.  The ceiling is checked by the contraction.
     """
-    ground = graph.require_ground("contract_close_flood")
-    check_total(graph, omega, "ceiling")
-    for node in graph.nodes:
-        if omega[node] < ground[node]:
-            raise PreconditionError(f"ceiling is below the ground at node {node!r}")
-
+    graph.require_ground_values("contract_close_flood")
     contracted, mapping, contracted_omega = contract_flat_zones(graph, omega)
     assert contracted_omega is not None
-    closed = node_closing(contracted)
-    capped = {node: join(contracted_omega[node], closed[node]) for node in contracted.nodes}
-    relief = build_graph(
-        contracted.nodes,
-        contracted.edges,
-        ground=closed,
-        edge_weights=edge_dilation(contracted, closed),
-    )
+    ceiling = [contracted_omega[node] for node in contracted.nodes]
+    closed = _erosion(contracted, _dilation(contracted, contracted.ground_values))
+    capped = {
+        node: max(level, low) for node, level, low in zip(contracted.nodes, ceiling, closed)
+    }
+    # capped >= closed >= ground, so the relief may keep the contracted ground
+    relief = contracted.with_edge_weights(_dilation(contracted, closed))
     chi = dijkstra_flood(relief, capped).tau
     # A minimum whose own ceiling sits below the closing never spills;
     # the final cap hands it back its ceiling.
-    levels = {node: meet(chi[node], contracted_omega[node]) for node in contracted.nodes}
+    levels = {node: meet(chi[node], level) for node, level in zip(contracted.nodes, ceiling)}
     return mapping.expand(levels)
 
 
@@ -279,27 +283,25 @@ def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:
     below by the ground.  Stops as soon as the lowest ceiling seen no
     longer beats the next radius.
     """
-    ground = graph.require_ground("local_flood")
-    check_total(graph, omega, "ceiling")
-    graph.node_index(node)
+    ground = graph.require_ground_values("local_flood")
+    ceiling = values_by_index(graph, omega, "ceiling")
+    check_ceiling(graph, ceiling)
+    center = graph.node_index(node)
+    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
 
-    def checked(q: str) -> Weight:
-        if omega[q] < ground[q]:
-            raise PreconditionError(f"ceiling is below the ground at node {q!r}")
-        return omega[q]
-
-    inside = {node}
-    lake_cap = checked(node)
+    inside = {center}
+    lake_cap = ceiling[center]
     diam: Weight = BOTTOM
     best = lake_cap
-    heap: list[tuple[Weight, int, str]] = []
+    heap: list[tuple[Weight, int, int]] = []
 
-    def push_edges(q: str) -> None:
-        for r, edge_id in graph.neighbors(q):
+    def push_edges(q: int) -> None:
+        for slot in range(offsets[q], offsets[q + 1]):
+            r = adj_node[slot]
             if r not in inside:
-                heapq.heappush(heap, (join(ground[q], ground[r]), edge_id, r))
+                heapq.heappush(heap, (join(ground[q], ground[r]), adj_edge[slot], r))
 
-    push_edges(node)
+    push_edges(center)
     while lake_cap > diam:
         while heap and heap[0][2] in inside:
             heapq.heappop(heap)
@@ -313,11 +315,11 @@ def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:
                 break
             _, _, fresh = heapq.heappop(heap)
             inside.add(fresh)
-            lake_cap = meet(lake_cap, checked(fresh))
+            lake_cap = meet(lake_cap, ceiling[fresh])
             push_edges(fresh)
         diam = radius
         best = meet(best, join(lake_cap, diam))
-    return join(ground[node], best)
+    return join(ground[center], best)
 
 
 def up_hill(
@@ -334,89 +336,76 @@ def up_hill(
     ceiling first and then continues from there.  Returns the levels of
     the newly flooded nodes only.
     """
-    ground = graph.require_ground("up_hill")
-    check_total(graph, omega, "ceiling")
-    seeds: list[str] = []
-    for node in region:
-        graph.node_index(node)
-        seeds.append(node)
+    ground = graph.require_ground_values("up_hill")
+    ceiling = values_by_index(graph, omega, "ceiling")
+    check_ceiling(graph, ceiling)
+    seeds = [graph.node_index(node) for node in region]
     if not seeds:
         raise PreconditionError("up_hill needs a non-empty start region")
+    offsets, adj_node = graph.offsets, graph.adj_node
+
+    def neighbors(node: int) -> Iterable[int]:
+        return adj_node[offsets[node] : offsets[node + 1]]
+
+    def pass_height(x: int, q: int) -> Weight:
+        return join(ground[x], ground[q])
 
     claimed = set(seeds)
-    levels: NodeFunction = {}
+    levels: dict[int, Weight] = {}
 
-    def claim(q: str, level: Weight) -> None:
-        if omega[q] < ground[q]:
-            raise PreconditionError(f"ceiling is below the ground at node {q!r}")
+    def claim(q: int, level: Weight) -> None:
         claimed.add(q)
         levels[q] = level
 
-    frames: list[tuple[frozenset[str], Weight]] = [(frozenset(seeds), cap)]
+    def basin(
+        start: int, reached: set[int], allowed: Callable[[int], bool], height: Weight
+    ) -> list[int]:
+        """Ascending nodes reached from ``start`` over allowed, unreached nodes
+        through passes no higher than ``height``; marks them reached."""
+        found = [start]
+        reached.add(start)
+        queue = deque(found)
+        while queue:
+            y = queue.popleft()
+            for r in neighbors(y):
+                if allowed(r) and r not in reached and pass_height(y, r) <= height:
+                    reached.add(r)
+                    found.append(r)
+                    queue.append(r)
+        return sorted(found)
+
+    frames: list[tuple[frozenset[int], Weight]] = [(frozenset(seeds), cap)]
     while frames:
         area, limit = frames.pop()
         spill: Weight = TOP
         for x in area:
-            for q, _ in graph.neighbors(x):
+            for q in neighbors(x):
                 if q not in claimed:
-                    spill = meet(spill, join(ground[x], ground[q]))
+                    spill = meet(spill, pass_height(x, q))
         if spill == TOP or spill > limit:
             continue
 
-        reached: set[str] = set()
-        valleys: list[list[str]] = []
-        for x in (n for n in graph.nodes if n in area):
-            for q, _ in graph.neighbors(x):
-                if q in claimed or q in reached:
-                    continue
-                if join(ground[x], ground[q]) > spill:
-                    continue
-                valley = [q]
-                reached.add(q)
-                queue = deque([q])
-                while queue:
-                    y = queue.popleft()
-                    for r, _ in graph.neighbors(y):
-                        if r in claimed or r in reached:
-                            continue
-                        if join(ground[y], ground[r]) > spill:
-                            continue
-                        reached.add(r)
-                        valley.append(r)
-                        queue.append(r)
-                valleys.append(sorted(valley, key=graph.node_index))
+        reached: set[int] = set()
+        valleys: list[list[int]] = []
+        for x in sorted(area):
+            for q in neighbors(x):
+                if q not in claimed and q not in reached and pass_height(x, q) <= spill:
+                    valleys.append(basin(q, reached, lambda r: r not in claimed, spill))
 
         # The same frame continues once every valley below is flooded.
         frames.append((frozenset(area | reached), limit))
-        followups: list[tuple[frozenset[str], Weight]] = []
+        followups: list[tuple[frozenset[int], Weight]] = []
         for valley in valleys:
-            low: Weight = TOP
-            lowest = valley[0]
-            for z in valley:
-                if omega[z] < low:
-                    low = omega[z]
-                    lowest = z
+            lowest = min(valley, key=ceiling.__getitem__)
+            low = ceiling[lowest]
             if low >= spill:
                 for z in valley:
                     claim(z, spill)
                 continue
-            members = set(valley)
-            pool = [lowest]
-            pooled = {lowest}
-            queue = deque([lowest])
-            while queue:
-                y = queue.popleft()
-                for r, _ in graph.neighbors(y):
-                    if r not in members or r in pooled:
-                        continue
-                    if join(ground[y], ground[r]) > low:
-                        continue
-                    pooled.add(r)
-                    pool.append(r)
-                    queue.append(r)
-            for z in sorted(pool, key=graph.node_index):
+            pool = basin(lowest, set(), set(valley).__contains__, low)
+            for z in pool:
                 claim(z, low)
             followups.append((frozenset(pool), spill))
         frames.extend(reversed(followups))
 
-    return {node: levels[node] for node in graph.nodes if node in levels}
+    return {graph.nodes[node]: levels[node] for node in sorted(levels)}

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
-from .graphs import Graph, NodeFunction, build_graph, check_total
+from .graphs import Graph, NodeFunction, check_ceiling, index_graph, values_by_index
 from .hydro import regional_minima
-from .ultrametric import distance_matrix
-from .weights import BOTTOM, TOP, Weight, join, meet, weight_succ
+from .ultrametric import distance_rows
+from .weights import BOTTOM, TOP, Weight, weight_succ
 
 
 class Funnel:
@@ -99,26 +99,30 @@ def augment_with_dummy(graph: Graph, omega: Mapping[str, Weight]) -> tuple[Graph
     and the reservoir's node id.
     """
     weights = graph.require_edge_weights("augment_with_dummy")
-    check_total(graph, omega, "omega")
+    ceiling = values_by_index(graph, omega, "omega")
+    check_ceiling(graph, ceiling)
     dummy = "@omega"
     while dummy in graph:
         dummy += "+"
-    nodes = [*graph.nodes, dummy]
-    edges = list(graph.edges)
-    edge_weights = list(weights)
-    for node in graph.nodes:
-        if omega[node] < TOP:
-            edges.append((dummy, node))
-            edge_weights.append(omega[node])
-    return build_graph(nodes, edges, edge_weights=edge_weights), dummy
+    fed = [node for node, level in enumerate(ceiling) if level < TOP]
+    reservoir = len(ceiling)
+    augmented = index_graph(
+        (*graph.nodes, dummy),
+        [*graph.edge_u, *[reservoir] * len(fed)],
+        [*graph.edge_v, *fed],
+        edge_weights=(*weights, *(ceiling[node] for node in fed)),
+    )
+    return augmented, dummy
 
 
 def oracle_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunction:
     """tau_q = min over nodes i of omega_i v d(i, q), via the full matrix."""
-    check_total(graph, omega, "omega")
-    table = distance_matrix(graph).table
+    ceiling = values_by_index(graph, omega, "omega")
+    check_ceiling(graph, ceiling)
+    rows = distance_rows(graph)
     return {
-        q: min(join(omega[i], table[i][q]) for i in graph.nodes) for q in graph.nodes
+        name: min(max(level, row[q]) for level, row in zip(ceiling, rows))
+        for q, name in enumerate(graph.nodes)
     }
 
 
@@ -134,43 +138,35 @@ def berge_flood(
     count includes the final sweep that verifies nothing changed.
     """
     weights = graph.require_edge_weights("berge_flood")
-    check_total(graph, omega, "omega")
-    tau: NodeFunction = {node: omega[node] for node in graph.nodes}
-    stats = SolverStats()
-    if schedule == "jacobi":
-        while True:
-            stats.sweeps += 1
-            new: NodeFunction = {}
-            for p in graph.nodes:
-                value = tau[p]
-                for q, edge_id in graph.neighbors(p):
-                    value = meet(value, join(tau[q], weights[edge_id]))
-                if value != tau[p]:
-                    stats.relaxations += 1
-                new[p] = value
-            if new == tau:
-                break
-            tau = new
-    elif schedule == "gauss_seidel_alternating":
-        forward = True
-        while True:
-            stats.sweeps += 1
-            changed = False
-            order = graph.nodes if forward else tuple(reversed(graph.nodes))
-            for p in order:
-                value = tau[p]
-                for q, edge_id in graph.neighbors(p):
-                    value = meet(value, join(tau[q], weights[edge_id]))
-                if value != tau[p]:
-                    tau[p] = value
-                    changed = True
-                    stats.relaxations += 1
-            if not changed:
-                break
-            forward = not forward
-    else:
+    tau = values_by_index(graph, omega, "omega")
+    check_ceiling(graph, tau)
+    if schedule not in ("jacobi", "gauss_seidel_alternating"):
         raise PreconditionError(f"unknown berge schedule: {schedule!r}")
-    return SolverResult(tau=tau, stats=stats)
+    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    jacobi = schedule == "jacobi"
+    forward = range(len(tau))
+    backward = forward[::-1]
+    stats = SolverStats()
+    while True:
+        stats.sweeps += 1
+        source = list(tau) if jacobi else tau  # jacobi reads the previous sweep
+        changed = False
+        for p in forward if jacobi or stats.sweeps % 2 else backward:
+            value = source[p]
+            for slot in range(offsets[p], offsets[p + 1]):
+                level = source[adj_node[slot]]
+                w = weights[adj_edge[slot]]
+                if w > level:
+                    level = w
+                if level < value:
+                    value = level
+            if value != tau[p]:
+                tau[p] = value
+                changed = True
+                stats.relaxations += 1
+        if not changed:
+            break
+    return SolverResult(tau=dict(zip(graph.nodes, tau)), stats=stats)
 
 
 def dijkstra_flood(
@@ -187,43 +183,45 @@ def dijkstra_flood(
     the reduction exact on node-derived graphs.
     """
     weights = graph.require_edge_weights("dijkstra_flood")
-    check_total(graph, omega, "omega")
+    ceiling = values_by_index(graph, omega, "omega")
+    check_ceiling(graph, ceiling)
+    seeds: Iterable[int]
     if isinstance(init, str):
         if init != "all":
             raise PreconditionError(f"unknown init mode: {init!r}")
-        seeds = list(graph.nodes)
+        seeds = range(len(ceiling))
     else:
-        seeds = list(dict.fromkeys(init))
-        for seed in seeds:
-            graph.node_index(seed)
-        chosen = set(seeds)
+        names = list(dict.fromkeys(init))
+        seeds = [graph.node_index(name) for name in names]
+        chosen = set(names)
         for zone in regional_minima(graph, omega):
-            if not chosen.intersection(zone):
-                raise PreconditionError(
-                    f"init set misses the ceiling minimum at {zone[0]!r}"
-                )
-    tau: NodeFunction = {node: TOP for node in graph.nodes}
+            if chosen.isdisjoint(zone):
+                raise PreconditionError(f"init set misses the ceiling minimum at {zone[0]!r}")
+    tau: list[Weight] = [TOP] * len(ceiling)
     funnel = Funnel()
-    stats = SolverStats()
-    levels: list[Weight] = []
     for seed in seeds:
-        if omega[seed] < TOP:
-            tau[seed] = omega[seed]
-            funnel.push(omega[seed], seed)
+        if ceiling[seed] < TOP:
+            tau[seed] = ceiling[seed]
+            funnel.push(ceiling[seed], seed)
+    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    extractions = relaxations = 0
+    levels: list[Weight] = []
     while funnel:
         lam, node = funnel.pop()
-        stats.extractions += 1
+        extractions += 1
         if tau[node] != lam:
             continue
         levels.append(lam)
-        for neighbor, edge_id in graph.neighbors(node):
-            candidate = join(lam, weights[edge_id])
+        for slot in range(offsets[node], offsets[node + 1]):
+            w = weights[adj_edge[slot]]
+            candidate = w if w > lam else lam
+            neighbor = adj_node[slot]
             if candidate < tau[neighbor]:
                 tau[neighbor] = candidate
                 funnel.push(candidate, neighbor)
-                stats.relaxations += 1
-    stats.extraction_levels = tuple(levels)
-    return SolverResult(tau=tau, stats=stats)
+                relaxations += 1
+    stats = SolverStats(extractions, relaxations, 0, tuple(levels))
+    return SolverResult(tau=dict(zip(graph.nodes, tau)), stats=stats)
 
 
 def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
@@ -237,31 +235,37 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
     weights = graph.require_edge_weights("prim_flood")
     if not sources:
         raise PreconditionError("prim_flood needs at least one source")
-    for node in sources:
-        graph.node_index(node)
-    tau: NodeFunction = {node: TOP for node in graph.nodes}
+    seeds = [(level, graph.node_index(node)) for node, level in sources.items()]
+    ceiling: list[Weight] = [TOP] * len(graph.nodes)
+    for level, node in seeds:
+        ceiling[node] = level
+    check_ceiling(graph, ceiling)
+    tau: list[Weight] = [TOP] * len(graph.nodes)
     funnel = Funnel()
-    stats = SolverStats()
-    levels: list[Weight] = []
-    for node, level in sources.items():
+    for level, node in seeds:
         funnel.push(level, node)
-    settled: set[str] = set()
+    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    settled = [False] * len(tau)
+    extractions = relaxations = 0
+    levels: list[Weight] = []
     lam: Weight = min(sources.values())
     while funnel:
         mu, node = funnel.pop()
-        stats.extractions += 1
-        lam = join(lam, mu)
-        if node in settled:
+        extractions += 1
+        if mu > lam:
+            lam = mu
+        if settled[node]:
             continue
-        settled.add(node)
+        settled[node] = True
         tau[node] = lam
         levels.append(lam)
-        for neighbor, edge_id in graph.neighbors(node):
-            if neighbor not in settled:
-                funnel.push(weights[edge_id], neighbor)
-                stats.relaxations += 1
-    stats.extraction_levels = tuple(levels)
-    return SolverResult(tau=tau, stats=stats)
+        for slot in range(offsets[node], offsets[node + 1]):
+            neighbor = adj_node[slot]
+            if not settled[neighbor]:
+                funnel.push(weights[adj_edge[slot]], neighbor)
+                relaxations += 1
+    stats = SolverStats(extractions, relaxations, 0, tuple(levels))
+    return SolverResult(tau=dict(zip(graph.nodes, tau)), stats=stats)
 
 
 def core_expanding_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverResult:
@@ -273,29 +277,31 @@ def core_expanding_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverRes
     the water (f_q >= level) is settled at its own ground immediately, and
     its neighbors are examined in the same batch.
     """
-    ground = graph.require_ground("core_expanding_flood")
-    check_total(graph, omega, "omega")
-    for node in graph.nodes:
-        if omega[node] < ground[node]:
-            raise PreconditionError(
-                f"ceiling below ground at node {node!r}: no flooding >= ground fits"
-            )
-    order = sorted(graph.nodes, key=lambda n: (omega[n], graph.node_index(n)))
-    tau: NodeFunction = {}
-    flooded: set[str] = set()
+    ground = graph.require_ground_values("core_expanding_flood")
+    ceiling = values_by_index(graph, omega, "omega")
+    check_ceiling(graph, ceiling)
+    total = len(ceiling)
+    order = sorted(range(total), key=ceiling.__getitem__)  # stable: ties by index
+    offsets, adj_node = graph.offsets, graph.adj_node
+    tau: list[Weight] = [TOP] * total
+    flooded = [False] * total
+    wet = 0
     funnel = Funnel()
     stats = SolverStats()
 
-    def settle(start: str, level: Weight) -> None:
+    def settle(start: int, level: Weight) -> None:
+        nonlocal wet
         batch = deque([(start, level)])
         while batch:
             p, at = batch.popleft()
-            if p in flooded:
+            if flooded[p]:
                 continue
-            flooded.add(p)
+            flooded[p] = True
+            wet += 1
             tau[p] = at
-            for q, _ in graph.neighbors(p):
-                if q in flooded:
+            for slot in range(offsets[p], offsets[p + 1]):
+                q = adj_node[slot]
+                if flooded[q]:
                     continue
                 if ground[q] >= at:
                     batch.append((q, ground[q]))
@@ -304,28 +310,23 @@ def core_expanding_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverRes
                     stats.relaxations += 1
 
     pointer = 0
-    total = len(graph.nodes)
-    while len(flooded) < total:
-        while pointer < total and order[pointer] in flooded:
+    while wet < total:
+        while pointer < total and flooded[order[pointer]]:
             pointer += 1
-        lam = omega[order[pointer]] if pointer < total else TOP
+        lam = ceiling[order[pointer]] if pointer < total else TOP
         mu = funnel.min_priority() if funnel else TOP
         if lam == TOP and mu == TOP:
-            for node in graph.nodes:
-                if node not in flooded:
-                    flooded.add(node)
-                    tau[node] = TOP
-            break
+            break  # the rest stays dry under an open sky: tau is top there
         if lam < mu:
             stats.extractions += 1
             settle(order[pointer], lam)
         else:
             mu, node = funnel.pop()
             stats.extractions += 1
-            if node in flooded:
+            if flooded[node]:
                 continue
             settle(node, mu)
-    return SolverResult(tau={node: tau[node] for node in graph.nodes}, stats=stats)
+    return SolverResult(tau=dict(zip(graph.nodes, tau)), stats=stats)
 
 
 def ceiling_minima(
@@ -340,47 +341,38 @@ def ceiling_minima(
     neighbor and not above any later one.  ``scan_x_and_y`` intersects with
     the survivors of ``iterations`` parallel geodesic erosions of omega+1
     above omega; ``scan_x_and_z`` uses one in-place backward erosion pass
-    instead.  Every regional minimum of omega meets the result.
+    instead.  Every regional minimum of omega meets the result.  omega may
+    be any node function here, also one below the ground.
     """
-    check_total(graph, omega, "omega")
-    index = graph.node_index
-    scan: list[str] = []
-    for node in graph.nodes:
-        own = omega[node]
-        here = index(node)
-        if all(
-            own < omega[q] if index(q) < here else own <= omega[q]
-            for q, _ in graph.neighbors(node)
-        ):
-            scan.append(node)
+    levels = values_by_index(graph, omega, "omega")
+    offsets, adj_node = graph.offsets, graph.adj_node
+    count = len(levels)
+
+    def neighbors(node: int) -> Iterable[int]:
+        return adj_node[offsets[node] : offsets[node + 1]]
+
+    scan = [
+        p
+        for p in range(count)
+        if all(levels[p] < levels[q] if q < p else levels[p] <= levels[q] for q in neighbors(p))
+    ]
     if method == "scan_x":
-        return tuple(scan)
+        return tuple(graph.nodes[p] for p in scan)
     if method not in ("scan_x_and_y", "scan_x_and_z"):
         raise PreconditionError(f"unknown ceiling_minima method: {method!r}")
-    lifted = {node: weight_succ(omega[node]) for node in graph.nodes}
+    lifted = [weight_succ(level) for level in levels]
     if method == "scan_x_and_y":
         for _ in range(iterations):
-            eroded = {}
-            for node in graph.nodes:
-                low = lifted[node]
-                for q, _ in graph.neighbors(node):
-                    low = meet(low, lifted[q])
-                eroded[node] = low
-            lifted = {node: join(eroded[node], omega[node]) for node in graph.nodes}
+            eroded = [min(lifted[p], *(lifted[q] for q in neighbors(p))) for p in range(count)]
+            lifted = [max(low, level) for low, level in zip(eroded, levels)]
     else:
-        for node in reversed(graph.nodes):
-            low = lifted[node]
-            for q, _ in graph.neighbors(node):
-                low = meet(low, lifted[q])
-            lifted[node] = join(omega[node], low)
+        for p in reversed(range(count)):
+            lifted[p] = max(levels[p], min(lifted[p], *(lifted[q] for q in neighbors(p))))
     # A top ceiling cannot rise under erosion (succ(top) == top), yet an
     # all-top component is still a regional minimum, so top nodes stay.
-    keep = {
-        node
-        for node in graph.nodes
-        if lifted[node] > omega[node] or omega[node] == TOP
-    }
-    return tuple(node for node in scan if node in keep)
+    return tuple(
+        graph.nodes[p] for p in scan if lifted[p] > levels[p] or levels[p] == TOP
+    )
 
 
 def marker_segmentation(
@@ -404,49 +396,47 @@ def marker_segmentation(
     weights = graph.require_edge_weights("marker_segmentation")
     if not markers:
         raise PreconditionError("marker_segmentation needs at least one marker")
-    ranked = list(markers)
-    for node in ranked:
-        graph.node_index(node)
-    label_of = [markers[node] for node in ranked]
+    ranked = [graph.node_index(node) for node in markers]
+    label_of = list(markers.values())
     if len(set(label_of)) != len(label_of):
         raise PreconditionError("marker labels must be distinct")
-    tau: NodeFunction = {}
-    labels: NodeFunction = {}
-    settled: set[str] = set()
+    if engine not in ("dijkstra", "prim"):
+        raise PreconditionError(f"unknown segmentation engine: {engine!r}")
+    prim = engine == "prim"
+    count = len(graph.nodes)
+    tau: list[Weight] = [BOTTOM] * count
+    rank_of: list[int | None] = [None] * count  # the winning marker, once settled
+    best: list[tuple[Weight, int] | None] = [None] * count
     funnel = Funnel()
-    stats = SolverStats()
-    levels: list[Weight] = []
-    best: dict[str, tuple[Weight, int]] = {}
     for rank, node in enumerate(ranked):
         best[node] = (BOTTOM, rank)
         funnel.push((BOTTOM, rank), node)
-    if engine not in ("dijkstra", "prim"):
-        raise PreconditionError(f"unknown segmentation engine: {engine!r}")
+    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    extractions = relaxations = 0
+    levels: list[Weight] = []
     while funnel:
         (level, rank), node = funnel.pop()
-        stats.extractions += 1
-        if node in settled:
+        extractions += 1
+        if rank_of[node] is not None:
             continue
-        settled.add(node)
-        tau[node] = join(0, level)
-        labels[node] = label_of[rank]
+        rank_of[node] = rank
+        tau[node] = level
         levels.append(level)
-        for neighbor, edge_id in graph.neighbors(node):
-            if neighbor in settled:
+        for slot in range(offsets[node], offsets[node + 1]):
+            neighbor = adj_node[slot]
+            if rank_of[neighbor] is not None:
                 continue
-            candidate = (join(level, weights[edge_id]), rank)
-            if engine == "prim":
-                funnel.push(candidate, neighbor)
-                stats.relaxations += 1
-            elif neighbor not in best or candidate < best[neighbor]:
+            w = weights[adj_edge[slot]]
+            candidate = (w if w > level else level, rank)
+            if prim or best[neighbor] is None or candidate < best[neighbor]:
                 best[neighbor] = candidate
                 funnel.push(candidate, neighbor)
-                stats.relaxations += 1
-    stats.extraction_levels = tuple(levels)
-    ordered_labels = {node: labels[node] for node in graph.nodes if node in labels}
-    ordered_tau = {node: tau[node] for node in graph.nodes if node in tau}
+                relaxations += 1
+    stats = SolverStats(extractions, relaxations, 0, tuple(levels))
+    reached = [node for node in range(count) if rank_of[node] is not None]
+    names = graph.nodes
     return SolverResult(
-        tau=ordered_tau if want_tau else {},
-        labels=ordered_labels,
+        tau={names[node]: max(0, tau[node]) for node in reached} if want_tau else {},
+        labels={names[node]: label_of[rank_of[node]] for node in reached},
         stats=stats,
     )

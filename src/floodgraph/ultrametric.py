@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 from .errors import PreconditionError
 from .graphs import Edge, Graph, NodeFunction, cocycle, partial_graph, subgraph_spanning
-from .weights import BOTTOM, TOP, Weight, join
+from .weights import BOTTOM, TOP, Weight
 
 
 @dataclass(frozen=True)
@@ -30,52 +30,56 @@ class DistanceMatrix:
             raise PreconditionError(f"unknown node: {x!r} or {y!r}") from None
 
 
-def distance_matrix(graph: Graph) -> DistanceMatrix:
-    """All-pairs flooding distance by min-max relaxation (Floyd-Warshall)."""
+def distance_rows(graph: Graph) -> list[list[Weight]]:
+    """All-pairs flooding distance by node index (Floyd-Warshall, min-max)."""
     weights = graph.require_edge_weights("distance_matrix")
-    table: dict[str, dict[str, Weight]] = {
-        u: {v: (BOTTOM if u == v else TOP) for v in graph.nodes} for u in graph.nodes
-    }
-    for edge_id, (u, v) in enumerate(graph.edges):
-        w = weights[edge_id]
-        if w < table[u][v]:
-            table[u][v] = w
-            table[v][u] = w
-    for r in graph.nodes:
-        row_r = table[r]
-        for p in graph.nodes:
-            through = table[p][r]
+    count = len(graph.nodes)
+    rows = [[TOP] * count for _ in range(count)]
+    for node in range(count):
+        rows[node][node] = BOTTOM
+    for u, v, w in zip(graph.edge_u, graph.edge_v, weights):
+        if w < rows[u][v]:
+            rows[u][v] = w
+            rows[v][u] = w
+    for r, row_r in enumerate(rows):
+        for row_p in rows:
+            through = row_p[r]
             if through == TOP:
                 continue
-            row_p = table[p]
-            for q in graph.nodes:
-                via = join(through, row_r[q])
+            for q, beyond in enumerate(row_r):
+                via = through if through >= beyond else beyond
                 if via < row_p[q]:
                     row_p[q] = via
-    return DistanceMatrix(graph.nodes, table)
+    return rows
+
+
+def distance_matrix(graph: Graph) -> DistanceMatrix:
+    """All-pairs flooding distance by min-max relaxation (Floyd-Warshall)."""
+    names = graph.nodes
+    table = {p: dict(zip(names, row)) for p, row in zip(names, distance_rows(graph))}
+    return DistanceMatrix(names, table)
 
 
 def flooding_distance_all(graph: Graph, source: str) -> NodeFunction:
     """Single-source flooding distance via best-first growth."""
     weights = graph.require_edge_weights("flooding_distance_all")
-    graph.node_index(source)
-    dist: NodeFunction = {node: TOP for node in graph.nodes}
-    dist[source] = BOTTOM
-    counter = 0
-    heap: list[tuple[Weight, int, str]] = [(BOTTOM, counter, source)]
-    done: set[str] = set()
+    start = graph.node_index(source)
+    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    dist: list[Weight] = [TOP] * len(graph.nodes)
+    dist[start] = BOTTOM
+    heap: list[tuple[Weight, int]] = [(BOTTOM, start)]
     while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in done:
+        d, node = heapq.heappop(heap)
+        if d != dist[node]:  # stale: the node was reached lower since
             continue
-        done.add(node)
-        for neighbor, edge_id in graph.neighbors(node):
-            candidate = join(d, weights[edge_id])
+        for slot in range(offsets[node], offsets[node + 1]):
+            w = weights[adj_edge[slot]]
+            candidate = w if w > d else d
+            neighbor = adj_node[slot]
             if candidate < dist[neighbor]:
                 dist[neighbor] = candidate
-                counter += 1
-                heapq.heappush(heap, (candidate, counter, neighbor))
-    return dist
+                heapq.heappush(heap, (candidate, neighbor))
+    return dict(zip(graph.nodes, dist))
 
 
 def flooding_distance(graph: Graph, x: str, y: str) -> Weight:
@@ -135,7 +139,7 @@ def lowest_cocycle_edge(graph: Graph, inside: Iterable[str]) -> tuple[Edge | Non
             best_id = edge_id
     if best_id < 0:
         return None, TOP
-    return graph.edges[best_id], best
+    return (graph.nodes[graph.edge_u[best_id]], graph.nodes[graph.edge_v[best_id]]), best
 
 
 def mst(graph: Graph, root: str | None = None) -> Graph:
@@ -145,29 +149,33 @@ def mst(graph: Graph, root: str | None = None) -> Graph:
     result is deterministic.  Node set and weights are retained.
     """
     weights = graph.require_edge_weights("mst")
+    count = len(graph.nodes)
+    starts: Iterable[int] = range(count)
     if root is not None:
-        graph.node_index(root)
+        starts = [graph.node_index(root), *starts]
+    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    edge_u, edge_v = graph.edge_u, graph.edge_v
     chosen: list[int] = []
-    visited: set[str] = set()
-    starts = list(graph.nodes)
-    if root is not None:
-        starts.remove(root)
-        starts.insert(0, root)
+    visited = [False] * count
+    heap: list[tuple[Weight, int]] = []
+
+    def visit(node: int) -> None:
+        # edges back into the tree would only be discarded when popped
+        visited[node] = True
+        for slot in range(offsets[node], offsets[node + 1]):
+            if not visited[adj_node[slot]]:
+                edge_id = adj_edge[slot]
+                heapq.heappush(heap, (weights[edge_id], edge_id))
+
     for start in starts:
-        if start in visited:
+        if visited[start]:
             continue
-        visited.add(start)
-        heap: list[tuple[Weight, int]] = []
-        for _, edge_id in graph.neighbors(start):
-            heapq.heappush(heap, (weights[edge_id], edge_id))
+        visit(start)
         while heap:
             _, edge_id = heapq.heappop(heap)
-            u, v = graph.edges[edge_id]
-            fresh = v if u in visited else u
-            if fresh in visited:
-                continue
-            visited.add(fresh)
-            chosen.append(edge_id)
-            for _, next_id in graph.neighbors(fresh):
-                heapq.heappush(heap, (weights[next_id], next_id))
+            u = edge_u[edge_id]
+            fresh = edge_v[edge_id] if visited[u] else u
+            if not visited[fresh]:
+                chosen.append(edge_id)
+                visit(fresh)
     return partial_graph(graph, chosen)

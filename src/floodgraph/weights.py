@@ -50,7 +50,10 @@ def parse_weight(token: str) -> Weight:
     if token == "-inf":
         return BOTTOM
     if token.isascii() and token.isdigit():
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # beyond the interpreter's int digit limit
+            raise GraphFormatError(f"weight has too many digits: {len(token)}") from None
     if token[:1] == "-" and token[1:].isascii() and token[1:].isdigit():
         raise GraphFormatError(f"negative finite weight not allowed: {token!r}")
     raise GraphFormatError(f"not a weight: {token!r}")

@@ -561,3 +561,26 @@ def test_domain_errors_exit_1(capsys, tmp_path, chain_file):
     )
     assert code == 1
     assert "ceiling below ground" in err
+
+
+def test_overlong_weight_is_a_usage_error(capsys, tmp_path, chain_file):
+    ceiling = tmp_path / "long.txt"
+    ceiling.write_text("a " + "1" * 5000 + "\n")
+    code, out, err = run(
+        capsys, "flood", "--algo", "core", "--graph", chain_file, "--ceiling", str(ceiling)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["flood", "--algo", "dendro"], ["dendro", "--flood"]])
+def test_dendro_routes_reject_ceiling_below_ground(capsys, tmp_path, chain_file, command):
+    low = tmp_path / "low.txt"
+    low.write_text("a 0\nb 1\nc 1\nd 2\ne 0\n")
+    code, out, err = run(
+        capsys, *command, "--graph", chain_file, "--derive-edges", "--ceiling", str(low)
+    )
+    assert code == 1
+    assert out == ""
+    assert "ceiling below ground at node 'b'" in err

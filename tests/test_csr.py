@@ -1,0 +1,161 @@
+"""The integer CSR layout of Graph against name-based references.
+
+The references rebuild what the name-keyed graph used to store: adjacency
+as per-node lists filled in edge declaration order, grids from formatted
+``"r,c"`` ids, and Prim's tree grown over names.
+"""
+
+from __future__ import annotations
+
+import heapq
+
+import pytest
+from hypothesis import given, strategies as st
+
+from floodgraph import (
+    ConstructionError,
+    Graph,
+    build_graph,
+    derive_edge_graph,
+    grid_graph,
+    grid_node,
+    mst,
+    partial_graph,
+)
+
+TOPOLOGY = ("nodes", "edge_u", "edge_v", "offsets", "adj_node", "adj_edge", "ground_values")
+
+
+@st.composite
+def loose_graphs(draw, max_nodes=9):
+    """Shuffled names, parallel edges, isolated nodes, ground and weights."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pairs, max_size=2 * n)) if n > 1 else []
+    levels = st.integers(min_value=0, max_value=4)
+    return build_graph(
+        names,
+        [(names[i], names[j]) for i, j in edges],
+        ground={name: draw(levels) for name in names},
+        edge_weights=[draw(levels) for _ in edges],
+    )
+
+
+def reference_neighbors(nodes, edges):
+    adjacency = {node: [] for node in nodes}
+    for edge_id, (u, v) in enumerate(edges):
+        adjacency[u].append((v, edge_id))
+        adjacency[v].append((u, edge_id))
+    return {node: tuple(pairs) for node, pairs in adjacency.items()}
+
+
+def reference_grid_edges(height, width, connectivity):
+    edges = []
+    for r in range(height):
+        for c in range(width):
+            here = grid_node(r, c)
+            if c + 1 < width:
+                edges.append((here, grid_node(r, c + 1)))
+            if connectivity == 8 and r + 1 < height and c >= 1:
+                edges.append((here, grid_node(r + 1, c - 1)))
+            if r + 1 < height:
+                edges.append((here, grid_node(r + 1, c)))
+            if connectivity == 8 and r + 1 < height and c + 1 < width:
+                edges.append((here, grid_node(r + 1, c + 1)))
+    return edges
+
+
+def reference_mst_edges(graph):
+    """Prim over names, equal weights in declaration order (the former mst)."""
+    weights = graph.edge_weights
+    chosen, visited = [], set()
+    for start in graph.nodes:
+        if start in visited:
+            continue
+        visited.add(start)
+        heap = [(weights[e], e) for _, e in graph.neighbors(start)]
+        heapq.heapify(heap)
+        while heap:
+            _, edge_id = heapq.heappop(heap)
+            u, v = graph.edges[edge_id]
+            fresh = v if u in visited else u
+            if fresh in visited:
+                continue
+            visited.add(fresh)
+            chosen.append(edge_id)
+            for _, next_id in graph.neighbors(fresh):
+                heapq.heappush(heap, (weights[next_id], next_id))
+    return sorted(chosen)
+
+
+def csr_pairs(graph):
+    """Per node, its (neighbor index, edge id) incidences read off the arrays."""
+    return [
+        list(zip(graph.adj_node[low:high], graph.adj_edge[low:high]))
+        for low, high in zip(graph.offsets, graph.offsets[1:])
+    ]
+
+
+@given(loose_graphs())
+def test_neighbors_keep_edge_declaration_order(graph):
+    expected = reference_neighbors(graph.nodes, graph.edges)
+    for node in graph.nodes:
+        assert graph.neighbors(node) == expected[node]
+    assert len(graph.offsets) == len(graph.nodes) + 1
+    for index, pairs in enumerate(csr_pairs(graph)):
+        assert [(graph.nodes[j], e) for j, e in pairs] == list(expected[graph.nodes[index]])
+    assert [graph.nodes.index(u) for u, _ in graph.edges] == list(graph.edge_u)
+    assert [graph.nodes.index(v) for _, v in graph.edges] == list(graph.edge_v)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("height,width", [(1, 1), (1, 5), (4, 1), (2, 2), (3, 4), (5, 3)])
+def test_grid_graph_matches_the_validated_build(height, width, connectivity):
+    raster = [[(3 * r + c) % 5 for c in range(width)] for r in range(height)]
+    grid = grid_graph(raster, connectivity)
+    names = [grid_node(r, c) for r in range(height) for c in range(width)]
+    built = build_graph(
+        names,
+        reference_grid_edges(height, width, connectivity),
+        ground={grid_node(r, c): raster[r][c] for r in range(height) for c in range(width)},
+    )
+    for attr in TOPOLOGY:
+        assert getattr(grid, attr) == getattr(built, attr), attr
+    assert grid == built
+
+
+@given(loose_graphs())
+def test_derived_views_share_the_topology(graph):
+    for view in (derive_edge_graph(graph), graph.with_edge_weights(graph.edge_weights)):
+        for attr in TOPOLOGY:
+            assert getattr(view, attr) is getattr(graph, attr), attr
+    derived = derive_edge_graph(graph)
+    ground = graph.ground
+    assert derived.edge_weights == tuple(max(ground[u], ground[v]) for u, v in graph.edges)
+    with pytest.raises(ConstructionError):
+        graph.with_edge_weights([*graph.edge_weights, 0])
+
+
+@given(loose_graphs(), st.randoms(use_true_random=False))
+def test_mst_and_partial_graph_match_the_name_based_build(graph, rng):
+    ids = [e for e in range(len(graph.edges)) if rng.random() < 0.5]
+    part = partial_graph(graph, ids + ids[:1])
+    expected = build_graph(
+        graph.nodes,
+        [graph.edges[e] for e in ids],
+        ground=graph.ground,
+        edge_weights=[graph.edge_weights[e] for e in ids],
+    )
+    assert part == expected
+    assert csr_pairs(part) == csr_pairs(expected)
+    tree = mst(graph)
+    assert tree.edges == tuple(graph.edges[e] for e in reference_mst_edges(graph))
+    assert tree.edge_weights == tuple(graph.edge_weights[e] for e in reference_mst_edges(graph))
+
+
+def test_empty_graph_has_its_own_message():
+    with pytest.raises(ConstructionError, match="graph has no nodes"):
+        build_graph([], [])
+    with pytest.raises(ConstructionError, match="use build_graph"):
+        Graph(nodes=(), edges=())

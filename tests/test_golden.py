@@ -112,6 +112,15 @@ CASES: list[tuple[str, list[str], int]] = [
                                    "raster64-ceiling.txt"], 0),
     ("raster64-localflood", ["localflood", "--graph", "raster64.pgm", "--ceiling",
                              "raster64-ceiling.txt", "--node", "40,17"], 0),
+    # the same raster under 8-connectivity, which adds the diagonal edges
+    *[(f"raster64-flood-{a}-c8", _flood("raster64.pgm", a, "--ceiling", "raster64-ceiling.txt",
+                                        "--connectivity", "8"), 0) for a in ("dijkstra", "core")],
+    ("raster64-segment-c8", ["segment", "--graph", "raster64.pgm", "--markers",
+                             "raster64-markers.txt", "--derive-edges", "--connectivity", "8"], 0),
+    ("raster64-mst-c8", ["mst", "--graph", "raster64.pgm", "--derive-edges",
+                         "--connectivity", "8"], 0),
+    ("raster64-dendro-c8", ["dendro", "--graph", "raster64.pgm", "--derive-edges",
+                            "--connectivity", "8"], 0),
 ]
 
 

@@ -187,6 +187,20 @@ def test_core_expanding_flood_rejects_ceiling_below_ground(chain):
     assert "ceiling below ground at node 'b'" in str(err.value)
 
 
+@pytest.mark.parametrize("route", ["dijkstra", "berge", "prim"])
+def test_edge_routes_reject_ceiling_below_the_derived_ground(route):
+    view = derive_edge_graph(build_graph(["a", "b"], [("a", "b")], ground={"a": 1, "b": 2}))
+    omega = {"a": BOTTOM, "b": TOP}
+    flood = {
+        "dijkstra": lambda: dijkstra_flood(view, omega),
+        "berge": lambda: berge_flood(view, omega),
+        "prim": lambda: prim_flood(view, {"a": BOTTOM}),
+    }[route]
+    with pytest.raises(PreconditionError) as err:
+        flood()
+    assert "ceiling below ground at node 'a'" in str(err.value)
+
+
 def test_core_expanding_flood_settles_plateaus_in_one_extraction():
     names = [f"p{i}" for i in range(8)]
     edges = [(names[i], names[i + 1]) for i in range(7)]

@@ -35,7 +35,11 @@ def test_parse_weight_accepts_the_three_forms():
 
 
 @pytest.mark.parametrize(
-    "token", ["-1", "1.5", "nan", "", "infinity", "0x3", "1_000", "+3", " 4", "\u0663"]
+    "token",
+    [
+        "-1", "1.5", "nan", "", "infinity", "0x3", "1_000", "+3", " 4", "\u0663",
+        pytest.param("1" * 5000, id="5000-digits"),  # beyond int()'s digit limit
+    ],
 )
 def test_parse_weight_rejects_everything_else(token):
     with pytest.raises(GraphFormatError):
