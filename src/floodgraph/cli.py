@@ -170,13 +170,13 @@ def _emit(args: argparse.Namespace, lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit_stats(args: argparse.Namespace, stats: SolverStats) -> None:
+def _solver_counters(stats: SolverStats) -> str:
+    return f"extractions={stats.extractions} relaxations={stats.relaxations} sweeps={stats.sweeps}"
+
+
+def _emit_stats(args: argparse.Namespace, counters: str) -> None:
     if getattr(args, "stats", False):
-        print(
-            f"stats: extractions={stats.extractions} "
-            f"relaxations={stats.relaxations} sweeps={stats.sweeps}",
-            file=sys.stderr,
-        )
+        print(f"stats: {counters}", file=sys.stderr)
 
 
 _SCHEDULES = {"gauss_seidel": "gauss_seidel_alternating", "jacobi": "jacobi"}
@@ -186,6 +186,7 @@ def cmd_flood(args: argparse.Namespace) -> int:
     ingested = ingest_graph(args.graph, _connectivity(args))
     graph = ingested.graph
     omega = resolve_ceiling(args, ingested)
+    counters = None  # the solver's counters unless the route measures others
 
     if args.algo == "core":
         graph.require_ground_values("the core algorithm")
@@ -205,8 +206,9 @@ def cmd_flood(args: argparse.Namespace) -> int:
                 result = SolverResult(tau={n: TOP for n in view.nodes})
         else:
             check_ceiling(view, values_by_index(view, omega, "omega"))
-            tau = dendrogram_flood(build_lake_dendrogram(view), omega)
-            result = SolverResult(tau=tau)
+            dendrogram = build_lake_dendrogram(view)
+            result = SolverResult(tau=dendrogram_flood(dendrogram, omega))
+            counters = f"clusters={len(dendrogram.clusters)}"
 
     if args.validate_after:
         if args.algo == "core":
@@ -218,7 +220,7 @@ def cmd_flood(args: argparse.Namespace) -> int:
             return 1
         print("validate: valid", file=sys.stderr)
 
-    _emit_stats(args, result.stats)
+    _emit_stats(args, counters or _solver_counters(result.stats))
     _emit(args, [f"{n} {format_weight(result.tau[n])}" for n in graph.nodes])
     return 0
 
@@ -256,7 +258,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         with open(args.label_pgm, "wb") as handle:
             handle.write(write_pgm(raster))
 
-    _emit_stats(args, result.stats)
+    _emit_stats(args, _solver_counters(result.stats))
     if args.tau:
         lines = [
             f"{n} {format_weight(labels[n])} {format_weight(result.tau[n])}"

@@ -180,7 +180,7 @@ def _assemble(
 
 
 def build_dendrogram(
-    leaves: Sequence[str],
+    leaves: Iterable[str],
     groups: Iterable[tuple[Iterable[str], Weight]],
 ) -> Dendrogram:
     """Build from explicit (members, diam) groups; singletons are implicit.
@@ -188,17 +188,19 @@ def build_dendrogram(
     Validates the nesting (every pair nested or disjoint), membership, and
     that diameters strictly increase from child to father.
     """
-    leaf_order = list(dict.fromkeys(leaves))
-    if len(leaf_order) != len(list(leaves)):
+    leaves = list(leaves)
+    leaf_index = {name: i for i, name in enumerate(dict.fromkeys(leaves))}
+    if len(leaf_index) != len(leaves):
         raise ConstructionError("duplicate leaf name")
-    known = set(leaf_order)
+    leaf_order = list(leaf_index)
     normalized: list[tuple[tuple[str, ...], Weight]] = []
     seen: set[frozenset] = set()
     for members, diam in groups:
-        ordered = tuple(name for name in leaf_order if name in set(members))
+        members = list(members)
         for name in members:
-            if name not in known:
+            if name not in leaf_index:
                 raise ConstructionError(f"group member {name!r} is not a leaf")
+        ordered = tuple(sorted(set(members), key=leaf_index.__getitem__))
         if len(ordered) < 2:
             raise ConstructionError(f"group {ordered} needs at least two leaves")
         key = frozenset(ordered)
@@ -212,7 +214,6 @@ def build_dendrogram(
     if not ok:
         assert culprit is not None
         raise ConstructionError(f"sets {culprit[0]} and {culprit[1]} overlap without nesting")
-    leaf_index = {name: i for i, name in enumerate(leaf_order)}
     normalized.sort(key=lambda item: (len(item[0]), leaf_index[item[0][0]]))
 
     prepared: list[tuple[Weight, tuple[int, ...]]] = []

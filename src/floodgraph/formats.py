@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .errors import GraphFormatError
-from .graphs import Graph, NodeFunction, build_graph
+from .graphs import Graph, NodeFunction, index_graph
 from .weights import TOP, Weight, format_weight, parse_weight
 
 HEADER = "floodgraph v1"
@@ -76,12 +76,12 @@ def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
     if not header_seen:
         raise GraphFormatError(f"missing header {HEADER!r}")
 
-    nodes: list[str] = []
+    index: dict[str, int] = {}  # node name to node index, in declaration order
     ground: dict[str, Weight] = {}
     omega: dict[str, Weight] = {}
-    edges: list[tuple[str, str]] = []
+    edge_u: list[int] = []
+    edge_v: list[int] = []
     edge_weights: dict[int, Weight] = {}
-    seen_nodes: set[str] = set()
 
     for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
         line = _strip_comment(raw)
@@ -93,10 +93,9 @@ def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
             if len(tokens) < 2:
                 raise GraphFormatError(f"line {lineno}: node line needs an id")
             node = _check_node_id(tokens[1], lineno)
-            if node in seen_nodes:
+            if node in index:
                 raise GraphFormatError(f"line {lineno}: duplicate node {node!r}")
-            seen_nodes.add(node)
-            nodes.append(node)
+            index[node] = len(index)
             attrs = _parse_attrs(tokens[2:], ("f", "omega"), lineno)
             if "f" in attrs:
                 ground[node] = attrs["f"]
@@ -108,36 +107,43 @@ def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
             u = _check_node_id(tokens[1], lineno)
             v = _check_node_id(tokens[2], lineno)
             for endpoint in (u, v):
-                if endpoint not in seen_nodes:
+                if endpoint not in index:
                     raise GraphFormatError(f"line {lineno}: unknown node {endpoint!r}")
             if u == v:
                 raise GraphFormatError(f"line {lineno}: self-loop on {u!r}")
             attrs = _parse_attrs(tokens[3:], ("w",), lineno)
             if "w" in attrs:
-                edge_weights[len(edges)] = attrs["w"]
-            edges.append((u, v))
+                edge_weights[len(edge_u)] = attrs["w"]
+            edge_u.append(index[u])
+            edge_v.append(index[v])
         else:
             raise GraphFormatError(f"line {lineno}: expected 'node' or 'edge', got {kind!r}")
 
-    if not nodes:
+    if not index:
         raise GraphFormatError("graph has no nodes")
-    if ground and len(ground) != len(nodes):
-        missing = next(node for node in nodes if node not in ground)
+    if ground and len(ground) != len(index):
+        missing = next(node for node in index if node not in ground)
         raise GraphFormatError(f"ground must cover every node or none; {missing!r} has no f")
-    if edge_weights and len(edge_weights) != len(edges):
-        missing_id = next(i for i in range(len(edges)) if i not in edge_weights)
-        u, v = edges[missing_id]
+    if edge_weights and len(edge_weights) != len(edge_u):
+        missing_id = next(i for i in range(len(edge_u)) if i not in edge_weights)
+        names = list(index)
+        u, v = names[edge_u[missing_id]], names[edge_v[missing_id]]
         raise GraphFormatError(f"edge weights must cover every edge or none; {u} {v} has no w")
 
-    graph = build_graph(
-        nodes,
-        edges,
-        ground=ground if ground else None,
-        edge_weights=[edge_weights[i] for i in range(len(edges))] if edge_weights else None,
+    # Every line was checked as it was read, which is all index_graph needs.
+    # Both dicts fill in declaration order, so once complete their values
+    # are listed by index.
+    graph = index_graph(
+        index,
+        edge_u,
+        edge_v,
+        ground_values=ground.values() if ground else None,
+        edge_weights=edge_weights.values() if edge_weights else None,
+        index=index,
     )
     ceiling: NodeFunction | None = None
     if omega:
-        ceiling = {node: omega.get(node, TOP) for node in nodes}
+        ceiling = {node: omega.get(node, TOP) for node in index}
     return graph, ceiling
 
 

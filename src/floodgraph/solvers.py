@@ -2,7 +2,9 @@
 
 Five independent routes to the same function, cross-checked in the tests:
 
-* ``berge_flood``: fixpoint sweeps of tau_p <- tau_p ^ min_q(tau_q v e_pq).
+* ``berge_flood``: fixpoint sweeps of tau_p <- tau_p ^ min_q(tau_q v e_pq);
+  a sweep re-evaluates only the nodes with a neighbor that dropped since
+  their last evaluation.
 * ``dijkstra_flood``: best-first growth from the finite-ceiling nodes; the
   ceiling acts like a virtual reservoir node joined to every node p by a
   pipe at height omega_p.
@@ -134,8 +136,12 @@ def berge_flood(
     """Relaxation sweeps from tau = omega down to the fixpoint.
 
     ``jacobi`` reads the previous sweep's values; ``gauss_seidel_alternating``
-    updates in place, alternating forward and backward node order.  The sweep
-    count includes the final sweep that verifies nothing changed.
+    updates in place, alternating forward and backward node order.  A sweep
+    re-evaluates only the nodes with a neighbor whose level dropped since
+    they were last evaluated (every node, in the first sweep); the update
+    would give the others their own value back, so the tau states match
+    those of full sweeps.  ``stats.sweeps`` counts the sweeps, including the
+    final one that finds no drop; ``stats.relaxations`` counts the drops.
     """
     weights = graph.require_edge_weights("berge_flood")
     tau = values_by_index(graph, omega, "omega")
@@ -146,24 +152,37 @@ def berge_flood(
     jacobi = schedule == "jacobi"
     forward = range(len(tau))
     backward = forward[::-1]
+    stale = [True] * len(tau)  # a neighbor dropped since the node was evaluated
     stats = SolverStats()
     while True:
         stats.sweeps += 1
-        source = list(tau) if jacobi else tau  # jacobi reads the previous sweep
+        dropped: list[tuple[int, Weight]] = []  # jacobi: written after the sweep
         changed = False
         for p in forward if jacobi or stats.sweeps % 2 else backward:
-            value = source[p]
+            if not stale[p]:
+                continue
+            stale[p] = False
+            value = tau[p]
             for slot in range(offsets[p], offsets[p + 1]):
-                level = source[adj_node[slot]]
+                level = tau[adj_node[slot]]
                 w = weights[adj_edge[slot]]
                 if w > level:
                     level = w
                 if level < value:
                     value = level
             if value != tau[p]:
-                tau[p] = value
                 changed = True
                 stats.relaxations += 1
+                if jacobi:
+                    dropped.append((p, value))
+                else:
+                    tau[p] = value
+                    for q in adj_node[offsets[p] : offsets[p + 1]]:
+                        stale[q] = True
+        for p, value in dropped:
+            tau[p] = value
+            for q in adj_node[offsets[p] : offsets[p + 1]]:
+                stale[q] = True
         if not changed:
             break
     return SolverResult(tau=dict(zip(graph.nodes, tau)), stats=stats)

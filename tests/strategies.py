@@ -4,7 +4,9 @@ The plain ``random.Random`` builders produce the large seeded pools used by
 the acceptance suite; the hypothesis composites draw the same shapes for the
 per-module property tests.  Every generated graph is connected (a random
 spanning tree plus a few extra edges), because most flooding statements are
-about connected terrain.
+about connected terrain; the ``rough`` generators are the exception, for
+solvers that must also cope with disconnected graphs, parallel edges and
+infinite weights.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 
 from hypothesis import strategies as st
 
-from floodgraph import TOP, Graph, build_graph
+from floodgraph import BOTTOM, TOP, Graph, build_graph
 
 
 def _skeleton(rng: random.Random, max_nodes: int) -> tuple[list[str], list[tuple[str, str]]]:
@@ -46,6 +48,21 @@ def connected_node_graph(rng: random.Random, max_nodes: int = 12, max_ground: in
     names, edges = _skeleton(rng, max_nodes)
     ground = {name: rng.randint(0, max_ground) for name in names}
     return build_graph(names, edges, ground=ground)
+
+
+def rough_edge_graph(rng: random.Random, max_nodes: int = 10, max_weight: int = 6) -> Graph:
+    """Random edges, parallel ones allowed, over possibly several components.
+
+    Weights are drawn from 0..max_weight plus the infinities -inf and inf.
+    """
+    n = rng.randint(1, max_nodes)
+    names = [f"n{i}" for i in range(n)]
+    edges = []
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        edges.append((names[i], names[j]))
+    levels = [BOTTOM, TOP, *range(max_weight + 1)]
+    return build_graph(names, edges, edge_weights=[rng.choice(levels) for _ in edges])
 
 
 def random_ceiling(
@@ -99,3 +116,13 @@ def flood_instances(draw, max_nodes: int = 8, max_weight: int = 12) -> tuple[Gra
     rng = random.Random(seed)
     graph = connected_edge_graph(rng, max_nodes=max_nodes, max_weight=max_weight)
     return graph, random_ceiling(rng, graph, max_weight=max_weight)
+
+
+@st.composite
+def rough_flood_instances(draw, max_nodes: int = 10, max_weight: int = 6) -> tuple[Graph, dict]:
+    """A rough edge graph and a ceiling over 0..max_weight, -inf and inf."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = random.Random(seed)
+    graph = rough_edge_graph(rng, max_nodes=max_nodes, max_weight=max_weight)
+    levels = [BOTTOM, TOP, TOP, *range(max_weight + 1)]
+    return graph, {node: rng.choice(levels) for node in graph.nodes}

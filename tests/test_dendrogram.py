@@ -92,6 +92,14 @@ def test_build_dendrogram_errors(leaves, groups, fragment):
     assert fragment in str(err.value)
 
 
+def test_build_dendrogram_reads_iterators_once():
+    dendro = build_dendrogram(iter(["a", "b", "c"]), [(iter(["b", "a"]), 1)])
+    assert [cluster.members for cluster in dendro.clusters] == [("a",), ("b",), ("c",), ("a", "b")]
+    with pytest.raises(ConstructionError) as err:
+        build_dendrogram(["a", "b", "c"], [(iter(["b", "zz"]), 1)])
+    assert str(err.value) == "group member 'zz' is not a leaf"
+
+
 # -- relations -------------------------------------------------------------------
 
 

@@ -42,6 +42,9 @@ CASES: list[tuple[str, list[str], int]] = [
     *[(f"chain-flood-{a}", _flood("chain.fg", a), 0) for a in FLOOD_ALGOS],
     ("chain-flood-jacobi", _flood("chain.fg", "berge", "--schedule", "jacobi"), 0),
     ("chain-flood-stats", _flood("chain.fg", "dijkstra", "--validate-after", "--stats"), 0),
+    *[(f"chain-flood-{s}-stats", _flood("chain.fg", "berge", "--schedule", s, "--stats"), 0)
+      for s in ("gauss_seidel", "jacobi")],
+    ("chain-flood-dendro-stats", _flood("chain.fg", "dendro", "--stats"), 0),
     ("chain-flood-no-derive", ["flood", "--graph", "chain.fg", "--algo", "prim"], 1),
     ("chain-segment", ["segment", "--graph", "chain.fg", "--markers", "chain-markers.txt",
                        "--derive-edges"], 0),
@@ -91,6 +94,9 @@ CASES: list[tuple[str, list[str], int]] = [
     # then a ceiling of ground + 0..4 on ~10% of pixels, then 20 markers
     *[(f"raster64-flood-{a}", _flood("raster64.pgm", a, "--ceiling", "raster64-ceiling.txt"), 0)
       for a in FLOOD_ALGOS],
+    *[(f"raster64-flood-{s}-stats", _flood("raster64.pgm", "berge", "--ceiling",
+                                           "raster64-ceiling.txt", "--schedule", s, "--stats"), 0)
+      for s in ("gauss_seidel", "jacobi")],
     ("raster64-segment", ["segment", "--graph", "raster64.pgm", "--markers",
                           "raster64-markers.txt", "--derive-edges"], 0),
     ("raster64-segment-tau", ["segment", "--graph", "raster64.pgm", "--markers",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from floodgraph import (
     BOTTOM,
@@ -28,7 +28,13 @@ from floodgraph import (
     regional_minima,
 )
 
-from strategies import ceiling_above, flood_instances, node_graphs, random_ceiling
+from strategies import (
+    ceiling_above,
+    flood_instances,
+    node_graphs,
+    random_ceiling,
+    rough_flood_instances,
+)
 
 
 # -- funnel --------------------------------------------------------------------
@@ -122,6 +128,53 @@ def test_berge_flood_fixpoint_needs_one_sweep(chain):
         assert result.tau == chain.tau
         assert result.stats.sweeps == 1
         assert result.stats.relaxations == 0
+
+
+def full_sweep_berge(graph, omega, schedule):
+    """Berge sweeps that evaluate every node, every sweep: (tau, sweeps, relaxations).
+
+    berge_flood skips the nodes whose neighborhood did not change since
+    their last evaluation; that skipping must leave tau and both counters
+    as they are here.
+    """
+    weights = graph.edge_weights
+    tau = [omega[node] for node in graph.nodes]
+    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    jacobi = schedule == "jacobi"
+    forward = range(len(tau))
+    backward = forward[::-1]
+    sweeps = relaxations = 0
+    while True:
+        sweeps += 1
+        source = list(tau) if jacobi else tau
+        changed = False
+        for p in forward if jacobi or sweeps % 2 else backward:
+            value = source[p]
+            for slot in range(offsets[p], offsets[p + 1]):
+                level = source[adj_node[slot]]
+                w = weights[adj_edge[slot]]
+                if w > level:
+                    level = w
+                if level < value:
+                    value = level
+            if value != tau[p]:
+                tau[p] = value
+                changed = True
+                relaxations += 1
+        if not changed:
+            break
+    return dict(zip(graph.nodes, tau)), sweeps, relaxations
+
+
+@settings(max_examples=300)
+@given(rough_flood_instances())
+def test_berge_flood_matches_full_sweeps(instance):
+    graph, omega = instance
+    for schedule in ("gauss_seidel_alternating", "jacobi"):
+        result = berge_flood(graph, omega, schedule=schedule)
+        tau, sweeps, relaxations = full_sweep_berge(graph, omega, schedule)
+        assert result.tau == tau
+        assert (result.stats.sweeps, result.stats.relaxations) == (sweeps, relaxations)
 
 
 def test_berge_flood_unknown_schedule(chain):
