@@ -127,12 +127,14 @@ def _ceiling_from_file(path: str, ingested: Ingested) -> NodeFunction:
         other, omega = parse_graph(text)
         if other.nodes != graph.nodes:
             raise GraphFormatError(f"{path}: ceiling graph has a different node set")
-        return omega if omega is not None else {node: TOP for node in graph.nodes}
+        return omega if omega is not None else dict.fromkeys(graph.nodes, TOP)
     values = parse_node_values(text)
     for node in values:
         if node not in graph:
             raise GraphFormatError(f"{path}: ceiling names unknown node {node!r}")
-    return {node: values.get(node, TOP) for node in graph.nodes}
+    ceiling = dict.fromkeys(graph.nodes, TOP)
+    ceiling.update(values)  # every key is a node, so the order stays the graph's
+    return ceiling
 
 
 def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeFunction:
@@ -141,7 +143,7 @@ def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeFunctio
         return _ceiling_from_file(args.ceiling, ingested)
     if ingested.file_omega is not None:
         return dict(ingested.file_omega)
-    return {node: TOP for node in ingested.graph.nodes}
+    return dict.fromkeys(ingested.graph.nodes, TOP)
 
 
 def edge_view(ingested: Ingested, args: argparse.Namespace, operation: str) -> Graph:
@@ -161,7 +163,10 @@ def edge_view(ingested: Ingested, args: argparse.Namespace, operation: str) -> G
 
 
 def _emit(args: argparse.Namespace, lines: list[str]) -> None:
-    text = "".join(line + "\n" for line in lines)
+    _write(args, "".join(line + "\n" for line in lines))
+
+
+def _write(args: argparse.Namespace, text: str) -> None:
     output = getattr(args, "output", None)
     if output:
         with open(output, "w", newline="\n") as handle:
@@ -283,7 +288,7 @@ def cmd_mst(args: argparse.Namespace) -> int:
     ingested = ingest_graph(args.graph, _connectivity(args))
     view = edge_view(ingested, args, "mst")
     tree = mst(view)
-    _emit(args, serialize_graph(tree).splitlines())
+    _write(args, serialize_graph(tree))
     return 0
 
 
@@ -351,10 +356,10 @@ def cmd_contract(args: argparse.Namespace) -> int:
     if args.ceiling is not None or ingested.file_omega is not None:
         omega = resolve_ceiling(args, ingested)
     contracted, mapping, contracted_omega = contract_flat_zones(graph, omega)
-    lines = serialize_graph(contracted, contracted_omega).splitlines()
-    for rep, members in mapping.blocks.items():
-        lines.append(f"# block {rep} {' '.join(members)}")
-    _emit(args, lines)
+    blocks = "".join(
+        f"# block {rep} {' '.join(members)}\n" for rep, members in mapping.blocks.items()
+    )
+    _write(args, serialize_graph(contracted, contracted_omega) + blocks)
     return 0
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstructionError, PreconditionError
 from .graphs import Graph, NodeFunction
-from .ultrametric import ball, lowest_cocycle_edge
+from .ultrametric import ball, lowest_cocycle_edge, single_linkage
 from .weights import BOTTOM, TOP, Weight, join, meet
 
 
@@ -238,35 +238,22 @@ def build_dendrogram(
 def build_lake_dendrogram(graph: Graph) -> Dendrogram:
     """Single-linkage merge tree of the graph under its edge weights.
 
-    All merges at one weight level collapse into a single cluster, so each
-    cluster is a distinct closed ball with diam = its merge level.  On a
-    disconnected graph the result is a forest with one summit per component.
+    Replays the merges of the shared Kruskal pass (`single_linkage`, the
+    same pass that gives `mst`), grouped by weight level.  All merges at
+    one level collapse into a single cluster, so each cluster is a distinct
+    closed ball with diam = its merge level.  On a disconnected graph the
+    result is a forest with one summit per component.
     """
     weights = graph.require_edge_weights("build_lake_dendrogram")
-    edge_u, edge_v = graph.edge_u, graph.edge_v
     leaves = len(graph.nodes)
-    parent = list(range(leaves))
-
-    def find(node: int) -> int:
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
     current = list(range(leaves))  # cluster index of each union-find root's block
     groups: list[tuple[Weight, tuple[int, ...]]] = []
-    by_weight = sorted(range(len(weights)), key=weights.__getitem__)  # stable: ties by id
-    for level, ids in groupby(by_weight, key=weights.__getitem__):
+    merges = single_linkage(graph, weights)
+    for level, merged in groupby(merges, key=lambda merge: weights[merge[0]]):
         pending: dict[int, list[int]] = {}
-        for edge_id in ids:
-            root_u, root_v = find(edge_u[edge_id]), find(edge_v[edge_id])
-            if root_u == root_v:
-                continue
+        for _, root_u, root_v in merged:
             parts = pending.pop(root_u, None) or [current[root_u]]
             parts += pending.pop(root_v, None) or [current[root_v]]
-            parent[root_v] = root_u
             pending[root_u] = parts
         for root, parts in pending.items():
             current[root] = leaves + len(groups)

@@ -34,6 +34,7 @@ from .graphs import (
 )
 from .hydro import flat_zones, is_edge_flooding
 from .solvers import dijkstra_flood
+from .ultrametric import find_root
 from .weights import BOTTOM, TOP, Weight, join, meet
 
 
@@ -189,15 +190,6 @@ def mst_with_contraction(graph: Graph) -> tuple[Graph, ContractionMap]:
     offsets, adj_edge = graph.offsets, graph.adj_edge
     count = len(ground)
     parent = list(range(count))
-
-    def find(node: int) -> int:
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
     visited = [False] * count
     heap: list[tuple[Weight, int, int]] = []
     tree_edge_ids: list[int] = []
@@ -219,13 +211,13 @@ def mst_with_contraction(graph: Graph) -> tuple[Graph, ContractionMap]:
                 continue
             visit(v if visited[u] else u)
             if flat == 0:
-                low, high = sorted((find(u), find(v)))
+                low, high = sorted((find_root(parent, u), find_root(parent, v)))
                 parent[high] = low  # the block keeps its first declared node
             else:
                 tree_edge_ids.append(edge_id)
 
     names = graph.nodes
-    roots = [find(node) for node in range(count)]
+    roots = [find_root(parent, node) for node in range(count)]
     slot_of: dict[int, int] = {}  # block root -> tree node index
     members: list[list[str]] = []
     for name, root in zip(names, roots):

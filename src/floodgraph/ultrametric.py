@@ -5,13 +5,20 @@ symmetric, and d(p,q) <= d(p,r) v d(r,q).  Closed balls of this distance
 are the lakes a flooding can carve, which is why diameters, balls, and the
 lowest cocycle edge all live here, together with minimum spanning trees
 (which preserve the distance exactly).
+
+`single_linkage` is the one Kruskal pass of the package: it takes the
+edges in increasing ``(weight, edge id)`` order and merges components with
+the package's only union-find (`find_root`).  Those keys are all distinct,
+so the minimum spanning forest under them is unique, and the merging edges
+are exactly that forest: `mst` returns them, and `build_lake_dendrogram`
+replays them, level by level, as the single-linkage merge tree.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionError
 from .graphs import Edge, Graph, NodeFunction, cocycle, partial_graph, subgraph_spanning
@@ -142,40 +149,45 @@ def lowest_cocycle_edge(graph: Graph, inside: Iterable[str]) -> tuple[Edge | Non
     return (graph.nodes[graph.edge_u[best_id]], graph.nodes[graph.edge_v[best_id]]), best
 
 
-def mst(graph: Graph, root: str | None = None) -> Graph:
-    """Minimum spanning tree (forest on disconnected graphs) by Prim.
+def find_root(parent: list[int], node: int) -> int:
+    """Root of ``node``'s block in a union-find parent array; compresses the path."""
+    root = node
+    while parent[root] != root:
+        root = parent[root]
+    while parent[node] != root:
+        parent[node], node = root, parent[node]
+    return root
 
-    Equal-weight frontier edges are taken in declaration order, so the
-    result is deterministic.  Node set and weights are retained.
+
+def single_linkage(graph: Graph, weights: Sequence[Weight]) -> Iterator[tuple[int, int, int]]:
+    """Kruskal over ``(weight, edge id)``: yield the merges in merge order.
+
+    Each merge is ``(edge_id, root_u, root_v)``: the edge and the union-find
+    roots of its two endpoints' components just before it joins them.
+    ``root_u`` stays the root of the merged component.  The merging edges
+    are the minimum spanning forest under the ``(weight, edge id)`` order.
+    """
+    edge_u, edge_v = graph.edge_u, graph.edge_v
+    parent = list(range(len(graph.nodes)))
+    for edge_id in sorted(range(len(weights)), key=weights.__getitem__):  # stable: ties by id
+        root_u = find_root(parent, edge_u[edge_id])
+        root_v = find_root(parent, edge_v[edge_id])
+        if root_u != root_v:
+            parent[root_v] = root_u
+            yield edge_id, root_u, root_v
+
+
+def mst(graph: Graph, root: str | None = None) -> Graph:
+    """Minimum spanning tree (forest on disconnected graphs) by Kruskal.
+
+    Edges are taken in increasing ``(weight, edge id)`` order, so equal
+    weights go in declaration order.  Those keys are all distinct, so the
+    minimum spanning forest under them is unique: Kruskal, or Prim grown
+    from any node, ends with the same edges.  ``root`` is therefore only
+    checked to be a node; it does not change the tree.  Node set and
+    weights are retained, and the tree lists its edges by edge id.
     """
     weights = graph.require_edge_weights("mst")
-    count = len(graph.nodes)
-    starts: Iterable[int] = range(count)
     if root is not None:
-        starts = [graph.node_index(root), *starts]
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
-    edge_u, edge_v = graph.edge_u, graph.edge_v
-    chosen: list[int] = []
-    visited = [False] * count
-    heap: list[tuple[Weight, int]] = []
-
-    def visit(node: int) -> None:
-        # edges back into the tree would only be discarded when popped
-        visited[node] = True
-        for slot in range(offsets[node], offsets[node + 1]):
-            if not visited[adj_node[slot]]:
-                edge_id = adj_edge[slot]
-                heapq.heappush(heap, (weights[edge_id], edge_id))
-
-    for start in starts:
-        if visited[start]:
-            continue
-        visit(start)
-        while heap:
-            _, edge_id = heapq.heappop(heap)
-            u = edge_u[edge_id]
-            fresh = edge_v[edge_id] if visited[u] else u
-            if not visited[fresh]:
-                chosen.append(edge_id)
-                visit(fresh)
-    return partial_graph(graph, chosen)
+        graph.node_index(root)
+    return partial_graph(graph, [edge_id for edge_id, _, _ in single_linkage(graph, weights)])

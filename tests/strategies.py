@@ -119,6 +119,13 @@ def flood_instances(draw, max_nodes: int = 8, max_weight: int = 12) -> tuple[Gra
 
 
 @st.composite
+def rough_edge_graphs(draw, max_nodes: int = 10, max_weight: int = 6) -> Graph:
+    """A rough edge graph: possibly disconnected, parallel edges, infinite weights."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return rough_edge_graph(random.Random(seed), max_nodes=max_nodes, max_weight=max_weight)
+
+
+@st.composite
 def rough_flood_instances(draw, max_nodes: int = 10, max_weight: int = 6) -> tuple[Graph, dict]:
     """A rough edge graph and a ceiling over 0..max_weight, -inf and inf."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from itertools import groupby
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from floodgraph import (
     BOTTOM,
@@ -24,7 +25,7 @@ from floodgraph import (
     query,
 )
 
-from strategies import edge_graphs, random_ceiling
+from strategies import edge_graphs, random_ceiling, rough_edge_graphs
 
 
 def members_of(clusters):
@@ -198,6 +199,58 @@ def test_diam_strictly_increases_upward(graph):
     for cluster in dendro.clusters:
         if cluster.father is not None:
             assert dendro.clusters[cluster.father].diam > cluster.diam
+
+
+def union_find_lake_clusters(graph):
+    """(index, diam, father, children) per cluster, by the former merge loop.
+
+    Its own union-find over the edges in stable weight order, merging
+    every level's components into one cluster each; build_lake_dendrogram
+    now replays the shared Kruskal pass instead and must give these clusters.
+    """
+    weights = graph.edge_weights
+    edge_u, edge_v = graph.edge_u, graph.edge_v
+    leaves = len(graph.nodes)
+    parent = list(range(leaves))
+
+    def find(node):
+        root = node
+        while parent[root] != root:
+            root = parent[root]
+        while parent[node] != root:
+            parent[node], node = root, parent[node]
+        return root
+
+    current = list(range(leaves))
+    groups = []
+    by_weight = sorted(range(len(weights)), key=weights.__getitem__)
+    for level, ids in groupby(by_weight, key=weights.__getitem__):
+        pending = {}
+        for edge_id in ids:
+            root_u, root_v = find(edge_u[edge_id]), find(edge_v[edge_id])
+            if root_u == root_v:
+                continue
+            parts = pending.pop(root_u, None) or [current[root_u]]
+            parts += pending.pop(root_v, None) or [current[root_v]]
+            parent[root_v] = root_u
+            pending[root_u] = parts
+        for root, parts in pending.items():
+            current[root] = leaves + len(groups)
+            groups.append((level, tuple(sorted(parts))))
+    clusters = [[index, BOTTOM, None, ()] for index in range(leaves)]
+    for level, children in groups:
+        for child in children:
+            clusters[child][2] = len(clusters)
+        clusters.append([len(clusters), level, None, children])
+    return [tuple(cluster) for cluster in clusters]
+
+
+@settings(max_examples=300)
+@given(rough_edge_graphs())
+def test_lake_dendrogram_matches_the_union_find_loop(graph):
+    dendro = build_lake_dendrogram(graph)
+    clusters = [(c.index, c.diam, c.father, c.children) for c in dendro.clusters]
+    assert clusters == union_find_lake_clusters(graph)
 
 
 # -- flooding on the tree --------------------------------------------------------------

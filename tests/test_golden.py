@@ -5,6 +5,8 @@ in full under ``tests/golden/expected/``; outputs on the seeded 64x64
 raster are stored as sha256 digests in ``tests/golden/raster64.sha256`` to
 keep the repository small.  A case's outputs are its stdout, its stderr
 when non-empty, and any file it writes besides stdout (``--label-pgm``).
+The stdout of ``scripts/fixture_walkthrough.py`` is kept in full as
+``expected/walkthrough.txt``.
 
 Regenerate only when a change of output is intended:
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import runpy
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,7 @@ from floodgraph.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "expected"
 DIGESTS = GOLDEN / "raster64.sha256"
+WALKTHROUGH = Path(__file__).parent.parent / "scripts" / "fixture_walkthrough.py"
 
 FLOOD_ALGOS = ("berge", "dijkstra", "prim", "core", "dendro")
 
@@ -195,6 +199,19 @@ def test_golden_output(produced, name):
             assert produced[key] == (EXPECTED / key).read_bytes(), key
 
 
+def walkthrough_output() -> bytes:
+    """Stdout of the walkthrough script, run in-process."""
+    script = runpy.run_path(str(WALKTHROUGH))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert script["main"]() == 0
+    return out.getvalue().encode("utf-8")
+
+
+def test_walkthrough_output():
+    assert walkthrough_output() == (EXPECTED / "walkthrough.txt").read_bytes()
+
+
 def regenerate() -> None:
     import tempfile
 
@@ -210,6 +227,7 @@ def regenerate() -> None:
         else:
             (EXPECTED / key).write_bytes(data)
     DIGESTS.write_text("".join(digests))
+    (EXPECTED / "walkthrough.txt").write_bytes(walkthrough_output())
 
 
 if __name__ == "__main__":

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from floodgraph import (
     BOTTOM,
     TOP,
+    ConstructionError,
     PreconditionError,
     ball,
     build_graph,
@@ -17,9 +20,10 @@ from floodgraph import (
     flooding_distance_all,
     lowest_cocycle_edge,
     mst,
+    partial_graph,
 )
 
-from strategies import edge_graphs
+from strategies import edge_graphs, rough_edge_graphs
 
 
 # -- distances ----------------------------------------------------------------
@@ -152,3 +156,54 @@ def test_ultrametric_axioms(graph):
 def test_mst_preserves_the_distance_matrix(graph):
     tree = mst(graph)
     assert distance_matrix(tree).table == distance_matrix(graph).table
+
+
+def prim_mst_edges(graph, root=None):
+    """Prim over node indices from ``root``, then every unvisited node (the former mst).
+
+    The heap pops ``(weight, edge id)`` pairs, so equal weights go in
+    declaration order; mst, now Kruskal under the same order, must pick
+    exactly these edges.
+    """
+    weights = graph.edge_weights
+    count = len(graph.nodes)
+    starts = range(count)
+    if root is not None:
+        starts = [graph.node_index(root), *starts]
+    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    edge_u, edge_v = graph.edge_u, graph.edge_v
+    chosen = []
+    visited = [False] * count
+    heap = []
+
+    def visit(node):
+        visited[node] = True
+        for slot in range(offsets[node], offsets[node + 1]):
+            if not visited[adj_node[slot]]:
+                edge_id = adj_edge[slot]
+                heapq.heappush(heap, (weights[edge_id], edge_id))
+
+    for start in starts:
+        if visited[start]:
+            continue
+        visit(start)
+        while heap:
+            _, edge_id = heapq.heappop(heap)
+            u = edge_u[edge_id]
+            fresh = edge_v[edge_id] if visited[u] else u
+            if not visited[fresh]:
+                chosen.append(edge_id)
+                visit(fresh)
+    return chosen
+
+
+@settings(max_examples=300)
+@given(rough_edge_graphs())
+def test_mst_matches_prim_from_every_root(graph):
+    for root in (None, *graph.nodes):
+        assert mst(graph, root) == partial_graph(graph, prim_mst_edges(graph, root))
+
+
+def test_mst_root_must_be_a_node(chain):
+    with pytest.raises(ConstructionError, match="unknown node: 'zzz'"):
+        mst(chain.edge_graph, "zzz")
