@@ -3,9 +3,11 @@
 
 Generates seeded random connected edge-weighted graphs with part-finite
 ceilings, floods each with every solver, and compares against the closed
-formula (min over sources of ceiling-join-distance).  Prints one summary
-line; exits nonzero on the first disagreement, dumping the instance so it
-can be replayed.
+formula (min over sources of ceiling-join-distance).  On each instance it
+also checks the single-source flooding distance from every node against
+the all-pairs (Floyd-Warshall) distance matrix.  Prints one summary line;
+exits nonzero on the first disagreement, dumping the instance so it can
+be replayed.
 
 usage: python3 scripts/random_agreement_sweep.py [--count N] [--max-nodes N]
                                                  [--max-weight W] [--seed S]
@@ -23,6 +25,8 @@ from floodgraph import (
     build_lake_dendrogram,
     dendrogram_flood,
     dijkstra_flood,
+    distance_matrix,
+    flooding_distance_all,
     oracle_flood,
     prim_flood,
     serialize_graph,
@@ -80,8 +84,18 @@ def main() -> int:
                 print(serialize_graph(graph, omega), file=sys.stderr)
                 print(f"want {want}\ngot  {got}", file=sys.stderr)
                 return 1
+        matrix = distance_matrix(graph)
+        for source in graph.nodes:
+            got = flooding_distance_all(graph, source)
+            if got != matrix.table[source]:
+                print(f"instance {index}: flooding_distance_all from {source} "
+                      "disagrees with distance_matrix", file=sys.stderr)
+                print(serialize_graph(graph, omega), file=sys.stderr)
+                print(f"want {dict(matrix.table[source])}\ngot  {got}", file=sys.stderr)
+                return 1
     print(
-        f"{args.count} instances, 5 solvers, 0 disagreements "
+        f"{args.count} instances, 5 solvers and the distance from every node "
+        "against distance_matrix, 0 disagreements "
         f"(seed {args.seed}, n <= {args.max_nodes}, weights <= {args.max_weight})"
     )
     return 0

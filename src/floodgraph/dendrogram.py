@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstructionError, PreconditionError
 from .graphs import Graph, NodeFunction
-from .ultrametric import ball, lowest_cocycle_edge, single_linkage
+from .ultrametric import flooding_distance_all, single_linkage
 from .weights import BOTTOM, TOP, Weight, join, meet
 
 
@@ -375,22 +375,24 @@ def lake_growth_sequence(graph: Graph, node: str) -> tuple[GrowthStage, ...]:
     strictly inside (low, high)) with lake-zone stages (at level == high
     the lake jumps to the closed ball at that radius), until the node's
     whole component is covered or nothing more can be reached.
+
+    One distance pass gives every stage: the lowest edge leaving the ball
+    of radius r weighs the next distinct distance above r (an edge to q
+    outside weighs at least d(q), and the best chain to q leaves through an
+    edge no higher), so the stages step through the sorted distances.
     """
     graph.require_edge_weights("lake_growth_sequence")
-    component = set(ball(graph, node, TOP))
+    dist = flooding_distance_all(graph, node)
+
+    def ball(radius: Weight) -> tuple[str, ...]:
+        return tuple(name for name in graph.nodes if dist[name] <= radius)
+
+    radii = sorted(set(dist.values()))  # radii[0] is bottom: the node itself
     stages: list[GrowthStage] = []
-    region = ball(graph, node, BOTTOM)
-    floor: Weight = BOTTOM
-    while True:
-        if set(region) == component:
-            if not stages:
-                stages.append(GrowthStage(region, GrowthKind.REGIONAL_MINIMUM, floor, TOP))
-            break
-        _, spill = lowest_cocycle_edge(graph, region)
-        stages.append(GrowthStage(region, GrowthKind.REGIONAL_MINIMUM, floor, spill))
-        if spill == TOP:
-            break
-        region = ball(graph, node, spill)
-        stages.append(GrowthStage(region, GrowthKind.LAKE_ZONE, spill, spill))
-        floor = spill
+    region = ball(BOTTOM)
+    for low, spill in zip(radii, radii[1:] or [TOP]):  # one radius: one stage
+        stages.append(GrowthStage(region, GrowthKind.REGIONAL_MINIMUM, low, spill))
+        if spill < TOP:
+            region = ball(spill)
+            stages.append(GrowthStage(region, GrowthKind.LAKE_ZONE, spill, spill))
     return tuple(stages)

@@ -379,6 +379,12 @@ def levels_by_index(
     return values_by_index(graph, values, what)
 
 
+def dilation(graph: Graph, levels: Sequence[Weight]) -> tuple[Weight, ...]:
+    """Per-edge max of the two endpoint levels (levels listed by node index)."""
+    at = levels.__getitem__
+    return tuple(a if a >= b else b for a, b in zip(map(at, graph.edge_u), map(at, graph.edge_v)))
+
+
 def check_ceiling(graph: Graph, ceiling: Sequence[Weight]) -> None:
     """Raise unless the ceiling (listed by node index) is at or above the ground.
 

@@ -17,6 +17,7 @@ from .graphs import (
     Graph,
     NodeFunction,
     connected_components,
+    dilation,
     levels_by_index,
     values_by_index,
 )
@@ -95,13 +96,6 @@ class LakePartition:
         raise PreconditionError(f"node {node!r} not in any lake")
 
 
-def _edge_view(graph: Graph) -> Graph:
-    """Edge-weighted view of a graph, deriving weights from the ground."""
-    if graph.has_edge_weights:
-        return graph
-    return derive_edge_graph(graph)
-
-
 def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
     """Partition nodes into lakes of a valid flooding and classify them.
 
@@ -110,12 +104,11 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
     strictly lower node) is full, otherwise it is a regional minimum.
     Node-weighted graphs are classified on their derived edge view.
     """
-    view = _edge_view(graph)
+    view = graph if graph.has_edge_weights else derive_edge_graph(graph)
     report = is_edge_flooding(view, tau)
     if not report:
         raise PreconditionError(f"tau is not a valid flooding: {report.violations[0]}")
-    weights = view.edge_weights
-    assert weights is not None
+    weights = view.require_edge_weights("lakes")
     levels = [tau[node] for node in view.nodes]
     inside = [
         levels[u] == levels[v] and e <= levels[u]
@@ -194,7 +187,4 @@ def derive_edge_graph(graph: Graph) -> Graph:
     The result shares the topology of ``graph`` (see ``with_edge_weights``).
     """
     ground = graph.require_ground_values("derive_edge_graph")
-    at = ground.__getitem__
-    return graph.with_edge_weights(
-        a if a >= b else b for a, b in zip(map(at, graph.edge_u), map(at, graph.edge_v))
-    )
+    return graph.with_edge_weights(dilation(graph, ground))

@@ -28,19 +28,14 @@ from .graphs import (
     NodeFunction,
     check_ceiling,
     check_total,
+    dilation,
     index_graph,
     levels_by_index,
     values_by_index,
 )
 from .hydro import flat_zones, is_edge_flooding
-from .solvers import dijkstra_flood
-from .ultrametric import find_root
+from .ultrametric import _best_first_flood, find_root
 from .weights import BOTTOM, TOP, Weight, join, meet
-
-
-def _dilation(graph: Graph, levels: Sequence[Weight]) -> tuple[Weight, ...]:
-    at = levels.__getitem__
-    return tuple(a if a >= b else b for a, b in zip(map(at, graph.edge_u), map(at, graph.edge_v)))
 
 
 def _erosion(graph: Graph, weights: Sequence[Weight]) -> list[Weight]:
@@ -53,7 +48,7 @@ def _erosion(graph: Graph, weights: Sequence[Weight]) -> list[Weight]:
 
 def edge_dilation(graph: Graph, values: Mapping[str, Weight] | None = None) -> tuple[Weight, ...]:
     """Per-edge max of the endpoint values (defaults to the ground)."""
-    return _dilation(graph, levels_by_index(graph, values, "edge_dilation", "node values"))
+    return dilation(graph, levels_by_index(graph, values, "edge_dilation", "node values"))
 
 
 def node_erosion(graph: Graph, weights: tuple[Weight, ...] | None = None) -> NodeFunction:
@@ -70,7 +65,7 @@ def node_erosion(graph: Graph, weights: tuple[Weight, ...] | None = None) -> Nod
 def edge_opening(graph: Graph, weights: tuple[Weight, ...] | None = None) -> tuple[Weight, ...]:
     """Opening on edge weights: erode to the nodes, dilate back."""
     eroded = node_erosion(graph, weights)
-    return _dilation(graph, [eroded[node] for node in graph.nodes])
+    return dilation(graph, [eroded[node] for node in graph.nodes])
 
 
 def node_closing(graph: Graph, values: Mapping[str, Weight] | None = None) -> NodeFunction:
@@ -110,9 +105,7 @@ class ContractionMap:
         return {node: values[block] for node, block in self.forward.items()}
 
 
-def expand(mapping: ContractionMap, values: Mapping[str, Weight]) -> NodeFunction:
-    """Free-function form of :meth:`ContractionMap.expand`."""
-    return mapping.expand(values)
+expand = ContractionMap.expand  # the free-function form: expand(mapping, values)
 
 
 def contract_flat_zones(
@@ -182,10 +175,11 @@ def mst_with_contraction(graph: Graph) -> tuple[Graph, ContractionMap]:
     crossing edge; among equal weights, edges inside a flat zone win so
     the whole zone collapses into one super-node before any outgoing
     edge of the same weight is considered.  Returns the tree on the
-    super-nodes plus the contraction that produced them.
+    super-nodes plus the contraction that produced them.  The tree lists
+    its edges in Prim's visit order, which is why this loop is its own.
     """
     ground = graph.require_ground_values("mst_with_contraction")
-    derived = _dilation(graph, ground)
+    derived = dilation(graph, ground)
     edge_u, edge_v = graph.edge_u, graph.edge_v
     offsets, adj_edge = graph.offsets, graph.adj_edge
     count = len(ground)
@@ -246,25 +240,22 @@ def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunct
 
     Flat zones are merged first; the closing of the contracted ground
     gives the level at which each remaining node stops being a local
-    pocket, and a single shortest-flood pass over the closed relief plus
-    a final cap at the ceiling reproduces the flooding of the original
-    graph exactly.  The ceiling is checked by the contraction.
+    pocket, and a single pass of the min-max kernel over the closed relief
+    (seeded at the ceiling raised to the closing) plus a final cap at the
+    ceiling reproduces the flooding of the original graph exactly.  The
+    ceiling is checked by the contraction.
     """
     graph.require_ground_values("contract_close_flood")
     contracted, mapping, contracted_omega = contract_flat_zones(graph, omega)
     assert contracted_omega is not None
     ceiling = [contracted_omega[node] for node in contracted.nodes]
-    closed = _erosion(contracted, _dilation(contracted, contracted.ground_values))
-    capped = {
-        node: max(level, low) for node, level, low in zip(contracted.nodes, ceiling, closed)
-    }
-    # capped >= closed >= ground, so the relief may keep the contracted ground
-    relief = contracted.with_edge_weights(_dilation(contracted, closed))
-    chi = dijkstra_flood(relief, capped).tau
+    closed = _erosion(contracted, dilation(contracted, contracted.ground_values))
+    chi = [max(level, low) for level, low in zip(ceiling, closed)]  # lowered in place
+    fed = [node for node, level in enumerate(chi) if level < TOP]
+    _best_first_flood(contracted, dilation(contracted, closed), chi, fed)
     # A minimum whose own ceiling sits below the closing never spills;
     # the final cap hands it back its ceiling.
-    levels = {node: meet(chi[node], level) for node, level in zip(contracted.nodes, ceiling)}
-    return mapping.expand(levels)
+    return mapping.expand(dict(zip(contracted.nodes, map(meet, chi, ceiling))))
 
 
 def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:
@@ -273,7 +264,8 @@ def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:
     Grows the balls around ``node`` one radius at a time; the level is
     the best ceiling-versus-diameter trade-off over those balls, capped
     below by the ground.  Stops as soon as the lowest ceiling seen no
-    longer beats the next radius.
+    longer beats the next radius; that early stop is why this keeps its own
+    loop, where a run of the min-max kernel would visit the whole graph.
     """
     ground = graph.require_ground_values("local_flood")
     ceiling = values_by_index(graph, omega, "ceiling")

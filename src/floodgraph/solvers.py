@@ -1,13 +1,15 @@
 """Dominated flooding: the highest flooding lying below a ceiling.
 
-Five independent routes to the same function, cross-checked in the tests:
+Five independent routes to the same function, cross-checked in the tests
+(acceptance criterion 3); each keeps its own loop for that reason:
 
 * ``berge_flood``: fixpoint sweeps of tau_p <- tau_p ^ min_q(tau_q v e_pq);
   a sweep re-evaluates only the nodes with a neighbor that dropped since
   their last evaluation.
 * ``dijkstra_flood``: best-first growth from the finite-ceiling nodes; the
   ceiling acts like a virtual reservoir node joined to every node p by a
-  pipe at height omega_p.
+  pipe at height omega_p, so this is the flooding distance from that
+  reservoir, computed by the min-max kernel of ``ultrametric``.
 * ``prim_flood``: grows a tree over the lowest boundary edge; a running
   water level turns edge priorities into flooding levels.
 * ``core_expanding_flood``: node-weighted variant that introduces whole
@@ -15,13 +17,14 @@ Five independent routes to the same function, cross-checked in the tests:
 * ``oracle_flood``: brute force over the all-pairs flooding distance,
   tau_q = min_i(omega_i v d(i, q)); slow and obviously right.
 
-``marker_segmentation`` reuses the same machinery with per-marker labels,
-and ``ceiling_minima`` finds cheap seed supersets for reduced starts.
+``marker_segmentation`` keeps one loop of its own for both engines: its
+priorities are (level, marker rank) pairs, and a kernel keyed by tuples
+would make every other caller build and compare pairs too.
+``ceiling_minima`` finds cheap seed supersets for reduced starts.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -29,53 +32,8 @@ from typing import Iterable, Mapping
 from .errors import PreconditionError
 from .graphs import Graph, NodeFunction, check_ceiling, index_graph, values_by_index
 from .hydro import regional_minima
-from .ultrametric import distance_rows
+from .ultrametric import Funnel, _best_first_flood, distance_rows
 from .weights import BOTTOM, TOP, Weight, weight_succ
-
-
-class Funnel:
-    """Priority structure of FIFO buckets (a hierarchical queue).
-
-    Extraction returns an entry of minimal priority; entries sharing a
-    priority leave in insertion order.  A node may sit in several buckets
-    at once; callers discard stale entries on extraction.
-    """
-
-    def __init__(self) -> None:
-        self._buckets: dict = {}
-        self._priorities: list = []
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    def push(self, priority, item) -> None:
-        bucket = self._buckets.get(priority)
-        if bucket is None:
-            bucket = self._buckets[priority] = deque()
-            heapq.heappush(self._priorities, priority)
-        bucket.append(item)
-        self._size += 1
-
-    def min_priority(self):
-        if not self._size:
-            raise PreconditionError("empty funnel")
-        return self._priorities[0]
-
-    def pop(self):
-        if not self._size:
-            raise PreconditionError("empty funnel")
-        priority = self._priorities[0]
-        bucket = self._buckets[priority]
-        item = bucket.popleft()
-        self._size -= 1
-        if not bucket:
-            del self._buckets[priority]
-            heapq.heappop(self._priorities)
-        return priority, item
 
 
 @dataclass
@@ -193,7 +151,7 @@ def dijkstra_flood(
     omega: Mapping[str, Weight],
     init: str | Iterable[str] = "all",
 ) -> SolverResult:
-    """Best-first flooding with a funnel and the stale-entry discard guard.
+    """Best-first flooding: the min-max kernel seeded at the ceiling.
 
     ``init="all"`` seeds every finite-ceiling node at its ceiling.  Passing
     a node set instead seeds only those nodes, which computes the flooding
@@ -216,29 +174,11 @@ def dijkstra_flood(
         for zone in regional_minima(graph, omega):
             if chosen.isdisjoint(zone):
                 raise PreconditionError(f"init set misses the ceiling minimum at {zone[0]!r}")
+    fed = [seed for seed in seeds if ceiling[seed] < TOP]
     tau: list[Weight] = [TOP] * len(ceiling)
-    funnel = Funnel()
-    for seed in seeds:
-        if ceiling[seed] < TOP:
-            tau[seed] = ceiling[seed]
-            funnel.push(ceiling[seed], seed)
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
-    extractions = relaxations = 0
-    levels: list[Weight] = []
-    while funnel:
-        lam, node = funnel.pop()
-        extractions += 1
-        if tau[node] != lam:
-            continue
-        levels.append(lam)
-        for slot in range(offsets[node], offsets[node + 1]):
-            w = weights[adj_edge[slot]]
-            candidate = w if w > lam else lam
-            neighbor = adj_node[slot]
-            if candidate < tau[neighbor]:
-                tau[neighbor] = candidate
-                funnel.push(candidate, neighbor)
-                relaxations += 1
+    for seed in fed:
+        tau[seed] = ceiling[seed]
+    extractions, relaxations, levels = _best_first_flood(graph, weights, tau, fed)
     stats = SolverStats(extractions, relaxations, 0, tuple(levels))
     return SolverResult(tau=dict(zip(graph.nodes, tau)), stats=stats)
 

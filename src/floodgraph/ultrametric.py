@@ -6,6 +6,12 @@ are the lakes a flooding can carve, which is why diameters, balls, and the
 lowest cocycle edge all live here, together with minimum spanning trees
 (which preserve the distance exactly).
 
+`_best_first_flood` is the one min-max best-first kernel, an image foresting
+transform with path cost f_max (Falcao, Stolfi & Lotufo, PAMI 2004).  From
+one source at bottom it gives the flooding distance; from the ceiling, the
+dominated flooding, which is the flooding distance from a reservoir joined
+to each node p by a pipe at omega_p (see `augment_with_dummy`).
+
 `single_linkage` is the one Kruskal pass of the package: it takes the
 edges in increasing ``(weight, edge id)`` order and merges components with
 the package's only union-find (`find_root`).  Those keys are all distinct,
@@ -17,6 +23,7 @@ replays them, level by level, as the single-linkage merge tree.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -67,25 +74,87 @@ def distance_matrix(graph: Graph) -> DistanceMatrix:
     return DistanceMatrix(names, table)
 
 
-def flooding_distance_all(graph: Graph, source: str) -> NodeFunction:
-    """Single-source flooding distance via best-first growth."""
-    weights = graph.require_edge_weights("flooding_distance_all")
-    start = graph.node_index(source)
+class Funnel:
+    """Priority structure of FIFO buckets (a hierarchical queue).
+
+    Extraction returns an entry of minimal priority; entries sharing a
+    priority leave in insertion order.  A node may sit in several buckets
+    at once; callers discard stale entries on extraction.
+    """
+
+    def __init__(self) -> None:
+        self._buckets: dict = {}
+        self._priorities: list = []
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def push(self, priority, item) -> None:
+        bucket = self._buckets.get(priority)
+        if bucket is None:
+            bucket = self._buckets[priority] = deque()
+            heapq.heappush(self._priorities, priority)
+        bucket.append(item)
+        self._size += 1
+
+    def min_priority(self):
+        if not self._size:
+            raise PreconditionError("empty funnel")
+        return self._priorities[0]
+
+    def pop(self):
+        if not self._size:
+            raise PreconditionError("empty funnel")
+        priority = self._priorities[0]
+        bucket = self._buckets[priority]
+        item = bucket.popleft()
+        self._size -= 1
+        if not bucket:
+            del self._buckets[priority]
+            heapq.heappop(self._priorities)
+        return priority, item
+
+
+def _best_first_flood(
+    graph: Graph, weights: Sequence[Weight], level: list[Weight], seeds: Iterable[int]
+) -> tuple[int, int, list[Weight]]:
+    """Lower ``level`` in place to min over seeds s of level[s] v d(s, node).
+
+    ``level`` holds each seed's start level and top elsewhere; stale entries
+    are discarded.  Returns the extraction and relaxation counts and the
+    levels of the useful extractions.
+    """
+    funnel = Funnel()
+    for seed in seeds:
+        funnel.push(level[seed], seed)
     offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
-    dist: list[Weight] = [TOP] * len(graph.nodes)
-    dist[start] = BOTTOM
-    heap: list[tuple[Weight, int]] = [(BOTTOM, start)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d != dist[node]:  # stale: the node was reached lower since
+    extractions = relaxations = 0
+    useful: list[Weight] = []
+    while funnel:
+        lam, node = funnel.pop()
+        extractions += 1
+        if level[node] != lam:
             continue
+        useful.append(lam)
         for slot in range(offsets[node], offsets[node + 1]):
             w = weights[adj_edge[slot]]
-            candidate = w if w > d else d
+            candidate = w if w > lam else lam
             neighbor = adj_node[slot]
-            if candidate < dist[neighbor]:
-                dist[neighbor] = candidate
-                heapq.heappush(heap, (candidate, neighbor))
+            if candidate < level[neighbor]:
+                level[neighbor] = candidate
+                funnel.push(candidate, neighbor)
+                relaxations += 1
+    return extractions, relaxations, useful
+
+
+def flooding_distance_all(graph: Graph, source: str) -> NodeFunction:
+    """Single-source flooding distance: the kernel seeded at the source."""
+    weights = graph.require_edge_weights("flooding_distance_all")
+    start = graph.node_index(source)
+    dist: list[Weight] = [TOP] * len(graph.nodes)
+    dist[start] = BOTTOM
+    _best_first_flood(graph, weights, dist, (start,))
     return dict(zip(graph.nodes, dist))
 
 
@@ -106,7 +175,11 @@ def ball(graph: Graph, center: str, radius: Weight, kind: str = "closed") -> tup
 
 
 def diameter(graph: Graph, members: Iterable[str]) -> Weight:
-    """Max pairwise flooding distance inside the induced subgraph."""
+    """Max pairwise flooding distance inside the induced subgraph.
+
+    In an ultrametric d(p, q) <= d(s, p) v d(s, q), so one distance pass
+    from the first member s finds the farthest pair.
+    """
     inside = list(dict.fromkeys(members))
     if not inside:
         raise PreconditionError("diameter of an empty set")
@@ -114,17 +187,13 @@ def diameter(graph: Graph, members: Iterable[str]) -> Weight:
         graph.node_index(inside[0])
         return BOTTOM
     sub = subgraph_spanning(graph, inside)
-    widest: Weight = BOTTOM
-    for source in sub.nodes[:-1]:
-        dist = flooding_distance_all(sub, source)
-        for other in sub.nodes:
-            if dist[other] == TOP:
-                raise PreconditionError(
-                    f"diameter needs a connected set; {source!r} and {other!r} are separated"
-                )
-            if dist[other] > widest:
-                widest = dist[other]
-    return widest
+    dist = flooding_distance_all(sub, sub.nodes[0])
+    for other in sub.nodes:
+        if dist[other] == TOP:
+            raise PreconditionError(
+                f"diameter needs a connected set; {sub.nodes[0]!r} and {other!r} are separated"
+            )
+    return max(dist.values())
 
 
 def lowest_cocycle_edge(graph: Graph, inside: Iterable[str]) -> tuple[Edge | None, Weight]:

@@ -13,7 +13,9 @@ from floodgraph import (
     TOP,
     ConstructionError,
     GrowthKind,
+    GrowthStage,
     PreconditionError,
+    ball,
     build_dendrogram,
     build_graph,
     build_lake_dendrogram,
@@ -21,6 +23,7 @@ from floodgraph import (
     diameter,
     is_dendrogram,
     lake_growth_sequence,
+    lowest_cocycle_edge,
     oracle_flood,
     query,
 )
@@ -340,3 +343,31 @@ def test_lake_growth_isolated_node():
     assert only.nodes == ("lonely",)
     assert only.kind is GrowthKind.REGIONAL_MINIMUM
     assert (only.low, only.high) == (BOTTOM, TOP)
+
+
+def per_stage_lake_growth(graph, node):
+    """The former lake_growth_sequence: a ball and a lowest cocycle edge per stage."""
+    component = set(ball(graph, node, TOP))
+    stages = []
+    region = ball(graph, node, BOTTOM)
+    floor = BOTTOM
+    while True:
+        if set(region) == component:
+            if not stages:
+                stages.append(GrowthStage(region, GrowthKind.REGIONAL_MINIMUM, floor, TOP))
+            break
+        _, spill = lowest_cocycle_edge(graph, region)
+        stages.append(GrowthStage(region, GrowthKind.REGIONAL_MINIMUM, floor, spill))
+        if spill == TOP:
+            break
+        region = ball(graph, node, spill)
+        stages.append(GrowthStage(region, GrowthKind.LAKE_ZONE, spill, spill))
+        floor = spill
+    return tuple(stages)
+
+
+@settings(max_examples=300)
+@given(rough_edge_graphs())
+def test_lake_growth_matches_the_per_stage_loop(graph):
+    for node in graph.nodes:
+        assert lake_growth_sequence(graph, node) == per_stage_lake_growth(graph, node)

@@ -101,6 +101,8 @@ CASES: list[tuple[str, list[str], int]] = [
     *[(f"raster64-flood-{s}-stats", _flood("raster64.pgm", "berge", "--ceiling",
                                            "raster64-ceiling.txt", "--schedule", s, "--stats"), 0)
       for s in ("gauss_seidel", "jacobi")],
+    ("raster64-flood-dijkstra-stats", _flood("raster64.pgm", "dijkstra", "--ceiling",
+                                             "raster64-ceiling.txt", "--stats"), 0),
     ("raster64-segment", ["segment", "--graph", "raster64.pgm", "--markers",
                           "raster64-markers.txt", "--derive-edges"], 0),
     ("raster64-segment-tau", ["segment", "--graph", "raster64.pgm", "--markers",

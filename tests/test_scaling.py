@@ -5,16 +5,27 @@ from __future__ import annotations
 import time
 import tracemalloc
 
-from floodgraph import build_graph, build_lake_dendrogram, flat_zones, grid_graph
+from floodgraph import (
+    build_graph,
+    build_lake_dendrogram,
+    diameter,
+    flat_zones,
+    grid_graph,
+    lake_growth_sequence,
+)
+
+
+def increasing_path(n):
+    names = [f"p{i}" for i in range(n)]
+    return build_graph(
+        names, [(names[i], names[i + 1]) for i in range(n - 1)], edge_weights=range(n - 1)
+    )
 
 
 def test_deep_path_dendrogram_memory_is_linear():
     """An increasing-weight path nests every cluster in the next one."""
     n = 4000
-    names = [f"p{i}" for i in range(n)]
-    path = build_graph(
-        names, [(names[i], names[i + 1]) for i in range(n - 1)], edge_weights=range(n - 1)
-    )
+    path = increasing_path(n)
     tracemalloc.start()
     try:
         dendro = build_lake_dendrogram(path)
@@ -34,3 +45,22 @@ def test_checkerboard_flat_zones_are_fast():
     elapsed = time.perf_counter() - start
     assert len(zones) == size * size
     assert elapsed < 1.0
+
+
+def test_deep_path_lake_growth_is_one_distance_pass():
+    """From the low end of an increasing path every edge opens a new stage."""
+    path = increasing_path(2000)
+    start = time.perf_counter()
+    stages = lake_growth_sequence(path, path.nodes[0])
+    elapsed = time.perf_counter() - start
+    assert len(stages) == 2 * 1999
+    assert elapsed < 2.0
+
+
+def test_deep_path_diameter_is_one_distance_pass():
+    path = increasing_path(2000)
+    start = time.perf_counter()
+    widest = diameter(path, path.nodes)
+    elapsed = time.perf_counter() - start
+    assert widest == 1998
+    assert elapsed < 0.5

@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floodgraph import (
     BOTTOM,
@@ -208,6 +209,55 @@ def test_dijkstra_flood_open_sky(chain):
     result = dijkstra_flood(chain.edge_graph, sky)
     assert result.tau == sky
     assert result.stats.extractions == 0
+
+
+def funnel_dijkstra(graph, omega, init):
+    """The former dijkstra_flood loop: (tau, extractions, relaxations, levels).
+
+    Seeds the finite-ceiling nodes of ``init`` (node names, in order) at
+    their ceiling and grows them best-first through a funnel, discarding
+    stale entries.  dijkstra_flood, now a call of the shared kernel, must
+    give the same tau and the same counters.
+    """
+    weights = graph.edge_weights
+    ceiling = [omega[node] for node in graph.nodes]
+    tau = [TOP] * len(ceiling)
+    funnel = Funnel()
+    for seed in map(graph.node_index, init):
+        if ceiling[seed] < TOP:
+            tau[seed] = ceiling[seed]
+            funnel.push(ceiling[seed], seed)
+    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    extractions = relaxations = 0
+    levels = []
+    while funnel:
+        lam, node = funnel.pop()
+        extractions += 1
+        if tau[node] != lam:
+            continue
+        levels.append(lam)
+        for slot in range(offsets[node], offsets[node + 1]):
+            w = weights[adj_edge[slot]]
+            candidate = w if w > lam else lam
+            neighbor = adj_node[slot]
+            if candidate < tau[neighbor]:
+                tau[neighbor] = candidate
+                funnel.push(candidate, neighbor)
+                relaxations += 1
+    return dict(zip(graph.nodes, tau)), extractions, relaxations, tuple(levels)
+
+
+@settings(max_examples=300)
+@given(rough_flood_instances(), st.data())
+def test_dijkstra_flood_matches_the_funnel_loop(instance, data):
+    graph, omega = instance
+    one_per_minimum = [data.draw(st.sampled_from(zone)) for zone in regional_minima(graph, omega)]
+    for init, names in (("all", graph.nodes), (one_per_minimum, one_per_minimum)):
+        result = dijkstra_flood(graph, omega, init=init)
+        stats = result.stats
+        got = (result.tau, stats.extractions, stats.relaxations, stats.extraction_levels)
+        assert got == funnel_dijkstra(graph, omega, names)
+        assert stats.sweeps == 0
 
 
 def test_prim_flood_single_source(chain):

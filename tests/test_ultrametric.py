@@ -21,6 +21,7 @@ from floodgraph import (
     lowest_cocycle_edge,
     mst,
     partial_graph,
+    subgraph_spanning,
 )
 
 from strategies import edge_graphs, rough_edge_graphs
@@ -60,6 +61,38 @@ def test_distance_matrix_agrees_with_single_source(chain):
         matrix.distance("a", "zzz")
 
 
+def heapq_distances(graph, source):
+    """The former flooding_distance_all: a heapq loop that skips stale pops."""
+    weights = graph.edge_weights
+    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    start = graph.node_index(source)
+    dist = [TOP] * len(graph.nodes)
+    dist[start] = BOTTOM
+    heap = [(BOTTOM, start)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d != dist[node]:
+            continue
+        for slot in range(offsets[node], offsets[node + 1]):
+            w = weights[adj_edge[slot]]
+            candidate = w if w > d else d
+            neighbor = adj_node[slot]
+            if candidate < dist[neighbor]:
+                dist[neighbor] = candidate
+                heapq.heappush(heap, (candidate, neighbor))
+    return dict(zip(graph.nodes, dist))
+
+
+@settings(max_examples=300)
+@given(rough_edge_graphs())
+def test_flooding_distance_all_matches_heapq_and_the_matrix(graph):
+    matrix = distance_matrix(graph)
+    for source in graph.nodes:
+        dist = flooding_distance_all(graph, source)
+        assert dist == heapq_distances(graph, source)
+        assert dist == dict(matrix.table[source])
+
+
 # -- balls and diameters --------------------------------------------------------
 
 
@@ -82,6 +115,43 @@ def test_chain_diameters(chain):
         diameter(graph, [])
     with pytest.raises(PreconditionError):
         diameter(graph, ["a", "c"])
+
+
+def all_sources_diameter(graph, members):
+    """The former diameter: one distance pass from every member but the last."""
+    inside = list(dict.fromkeys(members))
+    if not inside:
+        raise PreconditionError("diameter of an empty set")
+    if len(inside) == 1:
+        graph.node_index(inside[0])
+        return BOTTOM
+    sub = subgraph_spanning(graph, inside)
+    widest = BOTTOM
+    for source in sub.nodes[:-1]:
+        dist = heapq_distances(sub, source)
+        for other in sub.nodes:
+            if dist[other] == TOP:
+                raise PreconditionError(
+                    f"diameter needs a connected set; {source!r} and {other!r} are separated"
+                )
+            if dist[other] > widest:
+                widest = dist[other]
+    return widest
+
+
+def outcome(call, *args):
+    try:
+        return "value", call(*args)
+    except PreconditionError as err:
+        return "error", str(err)
+
+
+@settings(max_examples=300)
+@given(rough_edge_graphs())
+def test_diameter_matches_every_source_on_every_prefix(graph):
+    for size in range(len(graph.nodes) + 1):
+        prefix = graph.nodes[:size]
+        assert outcome(diameter, graph, prefix) == outcome(all_sources_diameter, graph, prefix)
 
 
 def test_lowest_cocycle_edge(chain):
