@@ -37,7 +37,7 @@ from .formats import (
     serialize_graph,
     write_pgm,
 )
-from .graphs import Graph, NodeFunction, check_ceiling, grid_graph, grid_node, values_by_index
+from .graphs import Graph, NodeFunction, check_ceiling, grid_graph, values_by_index
 from .hydro import derive_edge_graph, is_edge_flooding, is_node_flooding, lakes
 from .dendrogram import build_lake_dendrogram, dendrogram_flood
 from .reductions import contract_flat_zones, local_flood
@@ -112,11 +112,7 @@ def _ceiling_from_file(path: str, ingested: Ingested) -> NodeFunction:
                 f"{path}: ceiling is {shape[0]}x{shape[1]} but the ground is "
                 f"{ingested.raster_shape[0]}x{ingested.raster_shape[1]}"
             )
-        return {
-            grid_node(r, c): value
-            for r, row in enumerate(rows)
-            for c, value in enumerate(row)
-        }
+        return dict(zip(graph.nodes, (value for row in rows for value in row)))
     text = _decode(data, path)
     meaningful = next(
         (line.split("#", 1)[0].strip() for line in text.splitlines()
@@ -250,16 +246,15 @@ def cmd_segment(args: argparse.Namespace) -> int:
     if args.label_pgm:
         if ingested.raster_shape is None:
             raise PreconditionError("--label-pgm requires a raster graph input")
-        height, width = ingested.raster_shape
+        width = ingested.raster_shape[1]
         for node, label in labels.items():
             if not isinstance(label, int) or not 0 <= label <= 65535:
                 raise PreconditionError(
                     f"label {format_weight(label)} at node {node!r} does not fit "
                     "in a PGM gray value"
                 )
-        raster = [
-            [labels[grid_node(r, c)] for c in range(width)] for r in range(height)
-        ]
+        flat = list(map(labels.__getitem__, graph.nodes))  # node i is pixel divmod(i, width)
+        raster = [flat[start : start + width] for start in range(0, len(flat), width)]
         with open(args.label_pgm, "wb") as handle:
             handle.write(write_pgm(raster))
 

@@ -14,7 +14,8 @@ The topology is stored once, as compressed sparse rows (CSR) in stdlib
 * edge ``e`` joins ``edge_u[e]`` and ``edge_v[e]``;
 * the incidences of node ``i`` are the slots ``offsets[i]`` up to
   ``offsets[i + 1]`` of ``adj_node`` (the neighbor) and ``adj_edge`` (the
-  edge id), in edge declaration order.
+  edge id), in edge declaration order: in a grid, the neighbors' scan
+  order, so ``grid_graph`` writes them from a stencil instead of counting.
 
 ``ground_values`` and ``edge_weights`` are tuples aligned with the node and
 edge indices.  ``with_edge_weights`` returns a graph that shares all of the
@@ -27,7 +28,7 @@ names.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConstructionError, PreconditionError
@@ -231,12 +232,73 @@ def grid_node(row: int, col: int) -> str:
     return f"{row},{col}"
 
 
+def _grid_topology(height: int, width: int, connectivity: int) -> tuple[tuple[array, ...], ...]:
+    """(``edge_u``, ``edge_v``) and (``offsets``, ``adj_node``, ``adj_edge``) of a grid.
+
+    In a block of one band of rows (first, middle, last) and one of columns
+    (first, second, middle, second-last, last), every index and value a pixel
+    writes is affine in (r, c): a line of pixels writes each entry with one
+    extended-slice copy from ``count``.
+    """
+    steps = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]  # scan order
+    stencil = [(dr, dc) for dr, dc in steps if 0 < abs(dr) + abs(dc) <= connectivity // 4]
+    declares = stencil[len(stencil) // 2 :]  # E, SW, S, SE
+    n = height * width
+
+    def edges_before(i: int, k: int = 0) -> int:  # by nodes 0 .. i - 1, then i in declares[:k]
+        total = 0
+        for t, (dr, dc) in enumerate(declares):
+            r, c = divmod(i - (t >= k), width)  # whole rows 0 .. r - 1, then (r, 0) .. (r, c)
+            total += r * (width - abs(dc)) + (r + dr < height) * (min(c + 1, width - dc) - (dc < 0))
+        return total
+
+    m = edges_before(n)
+    zeros = array(_INT, [0])
+    edge_u, edge_v, offsets, adj_node, adj_edge = (zeros * k for k in (m, m, n + 1, 2 * m, 2 * m))
+    offsets[n] = 2 * m
+
+    def entries(r: int, c: int) -> list[tuple[array, int, int]]:  # (array, index, value)
+        i = r * width + c
+        # Point reflection maps the incidences at nodes < i to the edges declared by nodes >= n - i.
+        slot = edges_before(i) + m - edges_before(n - i)
+        out = [(offsets, i, slot)]
+        for dr, dc in stencil:
+            if 0 <= r + dr < height and 0 <= c + dc < width:
+                j = i + dr * width + dc
+                e = edges_before(min(i, j), declares.index((dr, dc) if j > i else (-dr, -dc)))
+                if j > i:
+                    out += [(edge_u, e, i), (edge_v, e, j)]
+                out += [(adj_node, slot, j), (adj_edge, slot, e)]
+                slot += 1
+        return out
+
+    def bands(size: int, *cuts: int) -> list[tuple[int, int]]:  # (first, length)
+        ends = sorted({0, size, *(cut for cut in cuts if 0 < cut < size)})
+        return [(low, high - low) for low, high in zip(ends, ends[1:])]
+
+    count = array(_INT, range(max(n, 2 * m)))
+    blocks = product(bands(height, 1, height - 1), bands(width, 1, 2, width - 2, width - 1))
+    for (r, tall), (c, wide) in blocks:
+        base, down, right = entries(r, c), entries(r + (tall > 1), c), entries(r, c + (wide > 1))
+        if tall > wide:  # copy along the longer side: tall lines of wide pixels
+            tall, wide, down, right = wide, tall, right, down
+        for (target, at, value), (_, at1, value1), (_, at2, value2) in zip(base, right, down):
+            da, dv = max(at1 - at, 1), max(value1 - value, 1)  # 1 on one-pixel lines
+            for k in range(tall):
+                a, v = at + k * (at2 - at), value + k * (value2 - value)
+                target[a : a + da * (wide - 1) + 1 : da] = count[v : v + dv * (wide - 1) + 1 : dv]
+    return (edge_u, edge_v), (offsets, adj_node, adj_edge)
+
+
 def grid_graph(raster: Sequence[Sequence[Weight]], connectivity: int = 4) -> Graph:
     """Pixel-adjacency graph of a raster, row-major, ground = pixel values.
 
     connectivity 4 links horizontal/vertical neighbors, 8 adds diagonals.
-    Edges are declared per pixel in scan order: east, south-west, south,
-    south-east.  Node ``r * width + c`` is pixel (r, c).
+    Node ``r * width + c`` is pixel (r, c).  Edges are declared per pixel in
+    scan order: east, south-west, south, south-east.  So the edges to a
+    pixel's NW, N, NE and W neighbors come before its own, and its
+    incidences are its neighbors in scan order (NW, N, NE, W, E, SW, S, SE,
+    or N, W, E, S), minus those off the raster.
     """
     if connectivity not in (4, 8):
         raise ConstructionError(f"connectivity must be 4 or 8, got {connectivity}")
@@ -247,27 +309,10 @@ def grid_graph(raster: Sequence[Sequence[Weight]], connectivity: int = 4) -> Gra
     if any(len(row) != width for row in raster):
         raise ConstructionError("raster rows must all have the same width")
 
-    diagonal = connectivity == 8
-    edge_u, edge_v = array(_INT), array(_INT)
-    for r in range(height):
-        south = r + 1 < height
-        for here in range(r * width, (r + 1) * width):
-            east = here % width + 1 < width
-            if east:
-                edge_u.append(here)
-                edge_v.append(here + 1)
-            if diagonal and south and here % width:
-                edge_u.append(here)
-                edge_v.append(here + width - 1)
-            if south:
-                edge_u.append(here)
-                edge_v.append(here + width)
-            if diagonal and south and east:
-                edge_u.append(here)
-                edge_v.append(here + width + 1)
+    ends, csr = _grid_topology(height, width, connectivity)
     columns = [f",{c}" for c in range(width)]  # ids as grid_node(r, c) formats them
     nodes = [row + column for row in map(str, range(height)) for column in columns]
-    return index_graph(nodes, edge_u, edge_v, (value for row in raster for value in row))
+    return index_graph(nodes, *ends, (value for row in raster for value in row), csr=csr)
 
 
 def cocycle(graph: Graph, inside: Iterable[str]) -> tuple[int, ...]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from floodgraph import read_pgm, write_pgm
@@ -492,6 +494,30 @@ def test_raster_ceiling_must_match_dimensions(capsys, tmp_path, strip_pgm):
     )
     assert code == 2
     assert "1x2" in err and "1x6" in err
+
+
+@pytest.mark.parametrize("connectivity", ["4", "8"])
+@pytest.mark.parametrize("algo", [["core"], ["dijkstra", "--derive-edges"]])
+def test_raster_ceiling_equals_the_node_values_ceiling(capsys, tmp_path, algo, connectivity):
+    ground = Path(__file__).parent / "golden" / "raster64.pgm"
+    ceiling = [
+        [value + (7 * r + 3 * c) % 5 for c, value in enumerate(row)]
+        for r, row in enumerate(read_pgm(ground.read_bytes()))
+    ]
+    pgm, values = tmp_path / "ceiling.pgm", tmp_path / "ceiling.txt"
+    pgm.write_bytes(write_pgm(ceiling))
+    lines = [f"{r},{c} {level}" for r, row in enumerate(ceiling) for c, level in enumerate(row)]
+    values.write_text("\n".join(lines) + "\n")
+    floods = []
+    for path in (pgm, values):
+        code, out, _ = run(
+            capsys, "flood", "--algo", *algo, "--graph", str(ground),
+            "--connectivity", connectivity, "--ceiling", str(path),
+        )
+        assert code == 0
+        floods.append(out)
+    assert len(floods[0].splitlines()) == 64 * 64
+    assert floods[0] == floods[1]
 
 
 def test_raster_ceiling_requires_raster_ground(capsys, tmp_path, chain_file):

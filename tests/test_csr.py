@@ -109,9 +109,22 @@ def test_neighbors_keep_edge_declaration_order(graph):
     assert [graph.nodes.index(v) for _, v in graph.edges] == list(graph.edge_v)
 
 
+GRID_SHAPES = [(h, w) for h in range(1, 8) for w in range(1, 8)] + [(1, 40), (40, 1), (13, 29)]
+
+
 @pytest.mark.parametrize("connectivity", [4, 8])
-@pytest.mark.parametrize("height,width", [(1, 1), (1, 5), (4, 1), (2, 2), (3, 4), (5, 3)])
+@pytest.mark.parametrize("height,width", GRID_SHAPES)
 def test_grid_graph_matches_the_validated_build(height, width, connectivity):
+    assert_grid_matches_the_validated_build(height, width, connectivity)
+
+
+@given(st.integers(1, 30), st.integers(1, 30), st.sampled_from([4, 8]))
+def test_grid_graph_matches_the_validated_build_on_random_shapes(height, width, connectivity):
+    assert_grid_matches_the_validated_build(height, width, connectivity)
+
+
+def assert_grid_matches_the_validated_build(height, width, connectivity):
+    """grid_graph against build_graph over the per-pixel edge loop."""
     raster = [[(3 * r + c) % 5 for c in range(width)] for r in range(height)]
     grid = grid_graph(raster, connectivity)
     names = [grid_node(r, c) for r in range(height) for c in range(width)]

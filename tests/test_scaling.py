@@ -5,6 +5,8 @@ from __future__ import annotations
 import time
 import tracemalloc
 
+import pytest
+
 from floodgraph import (
     build_graph,
     build_lake_dendrogram,
@@ -64,3 +66,18 @@ def test_deep_path_diameter_is_one_distance_pass():
     elapsed = time.perf_counter() - start
     assert widest == 1998
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("connectivity,limit", [(4, 300), (8, 350)])
+def test_grid_graph_peak_is_array_sized(connectivity, limit):
+    """The grid's topology is written into int arrays, not Python int lists."""
+    size = 512
+    raster = [[(7 * r + c) % 50 for c in range(size)] for r in range(size)]
+    tracemalloc.start()
+    try:
+        grid = grid_graph(raster, connectivity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grid.nodes) == size * size
+    assert peak / (size * size) < limit
