@@ -27,6 +27,8 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .errors import ConstructionError, GraphFormatError, PreconditionError
 from .formats import (
@@ -158,17 +160,31 @@ def edge_view(ingested: Ingested, args: argparse.Namespace, operation: str) -> G
     return derive_edge_graph(graph)
 
 
-def _emit(args: argparse.Namespace, lines: list[str]) -> None:
-    _write(args, "".join(line + "\n" for line in lines))
+def _emit(args: argparse.Namespace, lines: Iterable[str]) -> None:
+    """Write lines joined in chunks of about 64 KB, never the whole output at once."""
+
+    def chunks() -> Iterator[str]:
+        chunk: list[str] = []
+        size = 0  # characters in the chunk, newlines aside
+        for line in lines:
+            chunk.append(line)
+            size += len(line)
+            if size >= 65536:
+                yield "\n".join(chunk) + "\n"
+                chunk, size = [], 0
+        if chunk:
+            yield "\n".join(chunk) + "\n"
+
+    _write(args, chunks())
 
 
-def _write(args: argparse.Namespace, text: str) -> None:
+def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
     output = getattr(args, "output", None)
     if output:
         with open(output, "w", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _solver_counters(stats: SolverStats) -> str:
@@ -209,7 +225,7 @@ def cmd_flood(args: argparse.Namespace) -> int:
             check_ceiling(view, values_by_index(view, omega, "omega"))
             dendrogram = build_lake_dendrogram(view)
             result = SolverResult(tau=dendrogram_flood(dendrogram, omega))
-            counters = f"clusters={len(dendrogram.clusters)}"
+            counters = f"clusters={len(dendrogram._tree.diam)}"
 
     if args.validate_after:
         if args.algo == "core":
@@ -283,7 +299,7 @@ def cmd_mst(args: argparse.Namespace) -> int:
     ingested = ingest_graph(args.graph, _connectivity(args))
     view = edge_view(ingested, args, "mst")
     tree = mst(view)
-    _write(args, serialize_graph(tree))
+    _write(args, [serialize_graph(tree)])
     return 0
 
 
@@ -291,20 +307,18 @@ def cmd_dendro(args: argparse.Namespace) -> int:
     ingested = ingest_graph(args.graph, _connectivity(args))
     view = edge_view(ingested, args, "dendro")
     dendro = build_lake_dendrogram(view)
-    lines = []
-    for cluster in dendro.clusters:
-        father = "none" if cluster.father is None else str(cluster.father)
-        leaves = " ".join(cluster.members)
-        lines.append(
-            f"cluster {cluster.index} diam={format_weight(cluster.diam)} "
-            f"father={father} leaves={leaves}"
-        )
-    if args.flood:
+    tau: NodeFunction = {}
+    if args.flood:  # before any output, so a bad ceiling writes nothing
         omega = resolve_ceiling(args, ingested)
         check_ceiling(view, values_by_index(view, omega, "omega"))
         tau = dendrogram_flood(dendro, omega)
-        lines.extend(f"{n} {format_weight(tau[n])}" for n in view.nodes)
-    _emit(args, lines)
+    tree = dendro._tree
+    clusters = (
+        f"cluster {index} diam={format_weight(diam)} "
+        f"father={'none' if father is None else father} leaves={' '.join(tree.members(index))}"
+        for index, (diam, father) in enumerate(zip(tree.diam, tree.father))
+    )
+    _emit(args, chain(clusters, (f"{n} {format_weight(level)}" for n, level in tau.items())))
     return 0
 
 
@@ -312,18 +326,13 @@ def cmd_lakes(args: argparse.Namespace) -> int:
     ingested = ingest_graph(args.graph, _connectivity(args))
     graph = ingested.graph
     tau = parse_node_values(_decode(_read_bytes(args.tau), args.tau))
-    partition = lakes(graph, tau)
-    lines = []
-    for index, lake in enumerate(partition.lakes):
-        exhaust = " ".join(
-            f"{graph.nodes[graph.edge_u[eid]]}-{graph.nodes[graph.edge_v[eid]]}"
-            for eid in lake.exhaust_edges
-        )
-        lines.append(
-            f"lake {index} level={format_weight(lake.level)} kind={lake.kind.value} "
-            f"nodes={' '.join(lake.nodes)} exhaust={exhaust}"
-        )
-    _emit(args, lines)
+    names, edge_u, edge_v = graph.nodes, graph.edge_u, graph.edge_v
+    _emit(args, (
+        f"lake {index} level={format_weight(lake.level)} kind={lake.kind.value} "
+        f"nodes={' '.join(lake.nodes)} exhaust="
+        + " ".join(f"{names[edge_u[eid]]}-{names[edge_v[eid]]}" for eid in lake.exhaust_edges)
+        for index, lake in enumerate(lakes(graph, tau).lakes)
+    ))
     return 0
 
 
@@ -354,7 +363,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
     blocks = "".join(
         f"# block {rep} {' '.join(members)}\n" for rep, members in mapping.blocks.items()
     )
-    _write(args, serialize_graph(contracted, contracted_omega) + blocks)
+    _write(args, [serialize_graph(contracted, contracted_omega), blocks])
     return 0
 
 

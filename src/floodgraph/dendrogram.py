@@ -7,14 +7,17 @@ queries (predecessors, brothers, uncles, ...) and dominated flooding
 evaluated directly on the tree both live here.
 
 Cluster indices are topological: every child's index is smaller than its
-father's, leaves come first.
+father's, leaves come first.  A dendrogram is held as parent arrays indexed by
+cluster (diameter, father, children, size), as in Najman, Cousty & Perret,
+"Playing with Kruskal" (ISMM 2013).  Building, flooding and the CLI read the
+arrays; `Dendrogram.clusters` holds `Cluster` views, built on first access.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstructionError, PreconditionError
@@ -22,24 +25,31 @@ from .graphs import Graph, NodeFunction
 from .ultrametric import flooding_distance_all, single_linkage
 from .weights import BOTTOM, TOP, Weight, join, meet
 
+Group = tuple[Weight, tuple[int, ...]]  # an inner cluster: (diam, children)
+
 
 class _Tree:
-    """Leaf names, cluster sizes and a DFS leaf order shared by one dendrogram.
+    """The parent arrays of one dendrogram, its leaf names and a DFS leaf order.
 
-    Leaf ``i`` is cluster ``i``.  In the DFS order every cluster's leaves
-    fill one contiguous range, ``order[start[c] : start[c] + size[c]]``.
-    The order is laid out on first use, so building and flooding never pay
-    for it.
+    Leaf ``i`` is cluster ``i``; ``groups`` are the inner clusters in index
+    order.  In the DFS order every cluster's leaves fill one contiguous range,
+    ``order[start[c] : start[c] + size[c]]``.  The order is laid out on first
+    use, so building and flooding never pay for it.
     """
 
-    __slots__ = ("names", "size", "children", "_start", "_order", "_leaf_of")
+    __slots__ = ("names", "diam", "father", "children", "size", "_start", "_order", "_leaf_of")
 
-    def __init__(
-        self, names: tuple[str, ...], size: list[int], children: list[tuple[int, ...]]
-    ) -> None:
-        self.names = names
-        self.size = size
-        self.children = children
+    def __init__(self, names: Sequence[str], groups: Sequence[Group]) -> None:
+        leaves = len(names)
+        self.names = tuple(names)
+        self.diam = [BOTTOM] * leaves + [level for level, _ in groups]
+        self.children = children = [()] * leaves + [kids for _, kids in groups]
+        self.father = father = [None] * len(children)  # None: a summit
+        self.size = size = [1] * leaves
+        for index in range(leaves, len(children)):
+            size.append(sum(size[child] for child in children[index]))
+            for child in children[index]:
+                father[child] = index
         self._start: list[int] | None = None
         self._order: list[int] = []
         self._leaf_of: dict[str, int] | None = None
@@ -106,10 +116,41 @@ class Cluster:
         return not self.children
 
 
-@dataclass(frozen=True)
 class Dendrogram:
-    clusters: tuple[Cluster, ...]
-    _tree: _Tree = field(repr=False, compare=False)
+    """A forest of clusters, held as the parent arrays of a `_Tree`.
+
+    Takes `_Tree`'s arguments unchecked (`build_dendrogram` validates them).
+    ``clusters`` are views built on first access and kept; ``==`` reads the arrays.
+    """
+
+    __slots__ = ("_tree", "_clusters")
+
+    def __init__(self, names: Sequence[str], groups: Sequence[Group]) -> None:
+        self._tree = _Tree(names, groups)
+        self._clusters: tuple[Cluster, ...] | None = None
+
+    @property
+    def clusters(self) -> tuple[Cluster, ...]:
+        if self._clusters is None:
+            tree = self._tree
+            self._clusters = tuple(map(
+                Cluster, range(len(tree.diam)), tree.diam, tree.father, tree.children, repeat(tree)
+            ))
+        return self._clusters
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self._tree, other._tree
+        return (mine.diam, mine.father, mine.children) == (
+            theirs.diam, theirs.father, theirs.children
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.clusters)
+
+    def __repr__(self) -> str:
+        return f"Dendrogram(clusters={self.clusters!r})"
 
     @property
     def leaf_names(self) -> tuple[str, ...]:
@@ -127,27 +168,42 @@ class Dendrogram:
         """
         if isinstance(target, Cluster):
             return self.clusters[target.index]
+        tree = self._tree
         if isinstance(target, int):
-            if not 0 <= target < len(self.clusters):
+            if not 0 <= target < len(tree.diam):
                 raise PreconditionError(f"unknown cluster index: {target}")
             return self.clusters[target]
         key = {target} if isinstance(target, str) else set(target)
-        tree = self._tree
         leaves = [tree.leaf_of(name) for name in key]
         if leaves and None not in leaves:
-            cluster = self.clusters[leaves[0]]
-            while tree.size[cluster.index] < len(leaves) and cluster.father is not None:
-                cluster = self.clusters[cluster.father]
-            if tree.size[cluster.index] == len(leaves) and all(
-                tree.contains(cluster.index, leaf) for leaf in leaves
+            index = leaves[0]
+            while tree.size[index] < len(leaves) and tree.father[index] is not None:
+                index = tree.father[index]
+            if tree.size[index] == len(leaves) and all(
+                tree.contains(index, leaf) for leaf in leaves
             ):
-                return cluster
+                return self.clusters[index]
         raise PreconditionError(f"unknown cluster: {sorted(key)}")
 
 
 def is_dendrogram(family: Iterable[Iterable[str]]) -> tuple[bool, tuple | None]:
-    """Every pair of sets must be nested or disjoint; returns a culprit pair."""
+    """Every pair of sets must be nested or disjoint; returns a culprit pair.
+
+    Taken by size, a set nests over the earlier ones exactly when the
+    distinct owners of its members (the latest set holding each) hold as
+    many members in all as the set does, i.e. when they all lie inside it.
+    That check is linear; only a family failing it is searched pairwise.
+    """
     sets = [tuple(dict.fromkeys(members)) for members in family]
+    ordered = sorted(sets, key=len)
+    owner: dict[str, int] = {}  # member -> position in `ordered`
+    for position, group in enumerate(ordered):
+        owned = [owner[name] for name in group if name in owner]
+        if sum(len(ordered[top]) for top in set(owned)) != len(owned):
+            break
+        owner.update(dict.fromkeys(group, position))
+    else:
+        return True, None
     for i, a in enumerate(sets):
         set_a = set(a)
         for b in sets[i + 1 :]:
@@ -156,27 +212,6 @@ def is_dendrogram(family: Iterable[Iterable[str]]) -> tuple[bool, tuple | None]:
                 continue
             return False, (a, b)
     return True, None
-
-
-def _assemble(
-    leaf_order: Sequence[str],
-    groups: Sequence[tuple[Weight, tuple[int, ...]]],
-) -> Dendrogram:
-    """Freeze leaf singletons plus (diam, children) groups into a Dendrogram."""
-    leaves = len(leaf_order)
-    diam = [BOTTOM] * leaves + [level for level, _ in groups]
-    children = [()] * leaves + [kids for _, kids in groups]
-    father: list[int | None] = [None] * len(children)
-    size = [1] * leaves
-    for index in range(leaves, len(children)):
-        size.append(sum(size[child] for child in children[index]))
-        for child in children[index]:
-            father[child] = index
-    tree = _Tree(tuple(leaf_order), size, children)
-    clusters = tuple(
-        Cluster(i, diam[i], father[i], children[i], tree) for i in range(len(children))
-    )
-    return Dendrogram(clusters=clusters, _tree=tree)
 
 
 def build_dendrogram(
@@ -216,23 +251,21 @@ def build_dendrogram(
         raise ConstructionError(f"sets {culprit[0]} and {culprit[1]} overlap without nesting")
     normalized.sort(key=lambda item: (len(item[0]), leaf_index[item[0][0]]))
 
-    prepared: list[tuple[Weight, tuple[int, ...]]] = []
+    prepared: list[Group] = []
     owner = {name: i for i, name in enumerate(leaf_order)}  # smallest cluster so far
-    diam_of: dict[int, Weight] = {i: BOTTOM for i in range(len(leaf_order))}
     for members, diam in normalized:
-        children = tuple(sorted({owner[name] for name in members}))
-        index = len(leaf_order) + len(prepared)
+        prepared.append((diam, tuple(sorted({owner[name] for name in members}))))
+        owner.update(dict.fromkeys(members, len(leaf_order) + len(prepared) - 1))
+    dendro = Dendrogram(leaf_order, prepared)
+    tree = dendro._tree
+    for index, (diam, children) in enumerate(prepared, len(leaf_order)):
         for child in children:
-            if diam_of[child] >= diam:
+            if tree.diam[child] >= diam:
                 raise ConstructionError(
-                    f"diameter must increase strictly: {members} has {diam}, "
-                    f"contained cluster has {diam_of[child]}"
+                    f"diameter must increase strictly: {tree.members(index)} has {diam}, "
+                    f"contained cluster has {tree.diam[child]}"
                 )
-        prepared.append((diam, children))
-        diam_of[index] = diam
-        for name in members:
-            owner[name] = index
-    return _assemble(leaf_order, prepared)
+    return dendro
 
 
 def build_lake_dendrogram(graph: Graph) -> Dendrogram:
@@ -247,7 +280,7 @@ def build_lake_dendrogram(graph: Graph) -> Dendrogram:
     weights = graph.require_edge_weights("build_lake_dendrogram")
     leaves = len(graph.nodes)
     current = list(range(leaves))  # cluster index of each union-find root's block
-    groups: list[tuple[Weight, tuple[int, ...]]] = []
+    groups: list[Group] = []
     merges = single_linkage(graph, weights)
     for level, merged in groupby(merges, key=lambda merge: weights[merge[0]]):
         pending: dict[int, list[int]] = {}
@@ -258,7 +291,7 @@ def build_lake_dendrogram(graph: Graph) -> Dendrogram:
         for root, parts in pending.items():
             current[root] = leaves + len(groups)
             groups.append((level, tuple(sorted(parts))))
-    return _assemble(graph.nodes, groups)
+    return Dendrogram(graph.nodes, groups)
 
 
 _RELATIONS = (
@@ -285,50 +318,33 @@ def query(dendro: Dendrogram, relation: str, target=None) -> tuple[Cluster, ...]
         raise PreconditionError(f"unknown relation: {relation!r}")
     if relation == "summits":
         return dendro.summits
-    if relation == "leaves":
-        return tuple(c for c in dendro.clusters if c.is_leaf)
+    if relation == "leaves":  # leaf i is cluster i; every other cluster has children
+        return dendro.clusters[: len(dendro.leaf_names)]
     if target is None:
         raise PreconditionError(f"relation {relation!r} needs a target cluster")
-    cluster = dendro.resolve(target)
-
-    def chain_up(start: Cluster) -> list[Cluster]:
-        out = []
-        probe = start
-        while probe.father is not None:
-            probe = dendro.clusters[probe.father]
-            out.append(probe)
-        return out
-
-    if relation == "pred":
-        return tuple(chain_up(cluster))
-    if relation == "impred":
-        return () if cluster.father is None else (dendro.clusters[cluster.father],)
-    if relation == "succ":
-        return tuple(
-            c
-            for c in dendro.clusters
-            if c.index != cluster.index and dendro._tree.contains(cluster.index, c.index)
-        )
-    if relation == "imsucc":
-        return tuple(dendro.clusters[i] for i in cluster.children)
-    if relation == "brothers":
-        if cluster.father is None:
-            return ()
-        return tuple(
-            dendro.clusters[i]
-            for i in dendro.clusters[cluster.father].children
-            if i != cluster.index
-        )
-    ancestors = {c.index for c in chain_up(cluster)}
-    return tuple(
-        c
-        for c in dendro.clusters
-        if c.father is not None
-        and c.father in ancestors
-        and c.father != cluster.father
-        and c.index not in ancestors
-        and c.index != cluster.index
-    )
+    index = dendro.resolve(target).index
+    tree = dendro._tree
+    father = tree.father
+    ancestors: list[int] = []  # strict predecessors, nearest first
+    up = father[index]
+    while up is not None:
+        ancestors.append(up)
+        up = father[up]
+    if relation in ("pred", "impred"):
+        picked = ancestors if relation == "pred" else ancestors[:1]
+    elif relation == "succ":  # a contained cluster has a smaller index
+        picked = [inner for inner in range(index) if tree.contains(index, inner)]
+    elif relation == "imsucc":
+        picked = tree.children[index]
+    elif relation == "brothers":
+        picked = [i for i in tree.children[ancestors[0]] if i != index] if ancestors else []
+    else:  # uncles; the target's own father is excluded, and with it the target
+        above = set(ancestors)
+        picked = [
+            i for i, up in enumerate(father)
+            if up in above and up != father[index] and i not in above
+        ]
+    return tuple(map(dendro.clusters.__getitem__, picked))
 
 
 def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> NodeFunction:
@@ -339,19 +355,24 @@ def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> No
     father's level (top for a summit).  Equals the graph solvers on any
     graph realizing the dendrogram.
     """
-    names = dendro.leaf_names
+    tree = dendro._tree
+    names = tree.names
     for name in names:
         if name not in omega_leaf:
             raise PreconditionError(f"omega is missing leaf {name!r}")
-    clusters = dendro.clusters
+    if len(omega_leaf) != len(names):
+        for name in omega_leaf:
+            if tree.leaf_of(name) is None:
+                raise PreconditionError(f"omega defined on unknown node {name!r}")
     lowest: list[Weight] = [omega_leaf[name] for name in names]
-    for cluster in clusters[len(names) :]:
-        lowest.append(min(lowest[i] for i in cluster.children))
-    level: list[Weight] = [TOP] * len(clusters)
-    for index in range(len(clusters) - 1, -1, -1):  # fathers before children
-        cluster = clusters[index]
-        cap = TOP if cluster.father is None else level[cluster.father]
-        level[index] = meet(cap, join(lowest[index], cluster.diam))
+    for kids in tree.children[len(names) :]:
+        lowest.append(min(map(lowest.__getitem__, kids)))
+    diam, father = tree.diam, tree.father
+    level: list[Weight] = [TOP] * len(diam)
+    for index in range(len(diam) - 1, -1, -1):  # fathers before children
+        up = father[index]
+        cap = TOP if up is None else level[up]
+        level[index] = meet(cap, join(lowest[index], diam[index]))
     return dict(zip(names, level))
 
 

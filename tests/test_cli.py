@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from floodgraph import read_pgm, write_pgm
+from floodgraph import (
+    Cluster,
+    build_lake_dendrogram,
+    dendrogram_flood,
+    dijkstra_flood,
+    parse_graph,
+    read_pgm,
+    write_pgm,
+)
 from floodgraph.cli import main
 
 
@@ -360,6 +368,33 @@ def test_dendro_flood(capsys, tmp_path, tank_file):
     )
     assert code == 0
     assert out.splitlines()[-6:] == ["A 5", "B 5", "C 1", "D 3", "E 3", "F 6"]
+
+
+def test_dendrogram_routes_build_no_cluster_views(capsys, monkeypatch, tmp_path, chain_file, tank_file):
+    """Building, flooding and both dendrogram commands read the parent arrays only."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Cluster view was built")
+
+    monkeypatch.setattr(Cluster, "__init__", refuse)
+    graph, _ = parse_graph(Path(tank_file).read_text())
+    dendro = build_lake_dendrogram(graph)
+    omega = {node: 1 if node == "C" else 7 for node in graph.nodes}
+    assert dendrogram_flood(dendro, omega) == dijkstra_flood(graph, omega).tau
+    with pytest.raises(AssertionError, match="view was built"):
+        dendro.clusters  # the patch does bite
+
+    ceiling = tmp_path / "ceiling.txt"
+    ceiling.write_text("C 1\n")
+    code, out, _ = run(capsys, "dendro", "--graph", tank_file, "--flood", "--ceiling", str(ceiling))
+    assert code == 0
+    assert out.splitlines()[-6:] == ["A 5", "B 5", "C 1", "D 3", "E 3", "F 6"]
+    code, out, err = run(
+        capsys, "flood", "--algo", "dendro", "--graph", chain_file, "--derive-edges", "--stats"
+    )
+    assert code == 0
+    assert out.splitlines() == CHAIN_TAU_LINES
+    assert err == "stats: clusters=7\n"
 
 
 # -- lakes and validate --------------------------------------------------------------

@@ -7,24 +7,31 @@ from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floodgraph import (
     BOTTOM,
     TOP,
+    Cluster,
     ConstructionError,
+    Dendrogram,
     GrowthKind,
     GrowthStage,
     PreconditionError,
     ball,
+    berge_flood,
     build_dendrogram,
     build_graph,
     build_lake_dendrogram,
+    core_expanding_flood,
     dendrogram_flood,
     diameter,
+    dijkstra_flood,
     is_dendrogram,
     lake_growth_sequence,
     lowest_cocycle_edge,
     oracle_flood,
+    prim_flood,
     query,
 )
 
@@ -67,6 +74,29 @@ def test_is_dendrogram():
     ok, culprit = is_dendrogram([("a", "b"), ("b", "c")])
     assert not ok
     assert culprit == (("a", "b"), ("b", "c"))
+
+
+def pairwise_culprit(family):
+    """The first pair, in family order, that overlaps without nesting."""
+    sets = [tuple(dict.fromkeys(members)) for members in family]
+    for i, a in enumerate(sets):
+        for b in sets[i + 1 :]:
+            if not (set(a) <= set(b) or set(b) <= set(a) or not set(a) & set(b)):
+                return a, b
+    return None
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(st.sampled_from("abcdef"), max_size=6), max_size=8))
+def test_is_dendrogram_matches_the_pairwise_definition(family):
+    culprit = pairwise_culprit(family)
+    assert is_dendrogram(family) == (culprit is None, culprit)
+
+
+@given(rough_edge_graphs())
+def test_lake_dendrogram_clusters_form_a_dendrogram(graph):
+    family = [c.members for c in build_lake_dendrogram(graph).clusters]
+    assert is_dendrogram(reversed(family)) == (True, None)
 
 
 def test_fixture_family_is_a_dendrogram(dendro_fixture):
@@ -256,6 +286,95 @@ def test_lake_dendrogram_matches_the_union_find_loop(graph):
     assert clusters == union_find_lake_clusters(graph)
 
 
+def eager_assemble(leaf_order, groups):
+    """Every Cluster built up front, and each one's members, from (diam, children) groups.
+
+    This is how a Dendrogram was assembled before it kept parent arrays
+    and built its Cluster views on first access; the views must equal it.
+    """
+    leaves = len(leaf_order)
+    diam = [BOTTOM] * leaves + [level for level, _ in groups]
+    children = [()] * leaves + [kids for _, kids in groups]
+    father = [None] * len(children)
+    members = [{name} for name in leaf_order]
+    for index in range(leaves, len(children)):
+        members.append(set().union(*(members[child] for child in children[index])))
+        for child in children[index]:
+            father[child] = index
+    clusters = tuple(
+        Cluster(i, diam[i], father[i], children[i], None) for i in range(len(children))
+    )
+    rank = {name: i for i, name in enumerate(leaf_order)}
+    return clusters, [tuple(sorted(names, key=rank.__getitem__)) for names in members]
+
+
+@given(rough_edge_graphs())
+def test_cluster_views_match_the_eager_assembly(graph):
+    leaves = len(graph.nodes)
+    groups = [(diam, kids) for _, diam, _, kids in union_find_lake_clusters(graph)[leaves:]]
+    clusters, members = eager_assemble(graph.nodes, groups)
+    dendro = build_lake_dendrogram(graph)
+    assert dendro == Dendrogram(graph.nodes, groups)
+    assert dendro.clusters == clusters
+    assert dendro.clusters is dendro.clusters
+    assert [cluster.members for cluster in dendro.clusters] == members
+    assert repr(dendro) == f"Dendrogram(clusters={clusters!r})"
+    assert hash(dendro) == hash(build_lake_dendrogram(graph))
+    if groups:
+        assert dendro != Dendrogram(graph.nodes, groups[:-1])
+
+
+def query_over_views(dendro, relation, target):
+    """``query`` as it was before it walked the parent arrays: over the Cluster views."""
+    cluster = dendro.resolve(target)
+
+    def chain_up(start):
+        out = []
+        probe = start
+        while probe.father is not None:
+            probe = dendro.clusters[probe.father]
+            out.append(probe)
+        return out
+
+    if relation == "pred":
+        return tuple(chain_up(cluster))
+    if relation == "impred":
+        return () if cluster.father is None else (dendro.clusters[cluster.father],)
+    if relation == "succ":
+        inside = set(cluster.members)
+        return tuple(c for c in dendro.clusters if set(c.members) < inside)
+    if relation == "imsucc":
+        return tuple(dendro.clusters[i] for i in cluster.children)
+    if relation == "brothers":
+        if cluster.father is None:
+            return ()
+        return tuple(
+            dendro.clusters[i]
+            for i in dendro.clusters[cluster.father].children
+            if i != cluster.index
+        )
+    ancestors = {c.index for c in chain_up(cluster)}
+    return tuple(
+        c
+        for c in dendro.clusters
+        if c.father is not None
+        and c.father in ancestors
+        and c.father != cluster.father
+        and c.index not in ancestors
+        and c.index != cluster.index
+    )
+
+
+@given(rough_edge_graphs())
+def test_query_matches_the_relations_over_cluster_views(graph):
+    dendro = build_lake_dendrogram(graph)
+    assert query(dendro, "leaves") == tuple(c for c in dendro.clusters if c.is_leaf)
+    for cluster in dendro.clusters:
+        for relation in ("pred", "impred", "succ", "imsucc", "brothers", "uncles"):
+            expected = query_over_views(dendro, relation, cluster)
+            assert query(dendro, relation, cluster) == expected, relation
+
+
 # -- flooding on the tree --------------------------------------------------------------
 
 
@@ -279,6 +398,24 @@ def test_dendrogram_flood_needs_every_leaf(dendro_fixture):
     with pytest.raises(PreconditionError) as err:
         dendrogram_flood(dendro_fixture.dendro, omega)
     assert "missing leaf 'k'" in str(err.value)
+
+
+@pytest.mark.parametrize("route", ["berge", "dijkstra", "prim", "core", "dendrogram"])
+def test_every_route_rejects_a_ceiling_on_an_unknown_node(chain, route):
+    omega = {**chain.omega, "zz": 3}
+    view = chain.edge_graph
+    if route == "prim":  # prim takes the finite ceilings as sources, by name
+        with pytest.raises(ConstructionError, match="unknown node: 'zz'"):
+            prim_flood(view, {node: level for node, level in omega.items() if level < TOP})
+        return
+    run = {
+        "berge": lambda: berge_flood(view, omega),
+        "dijkstra": lambda: dijkstra_flood(view, omega),
+        "core": lambda: core_expanding_flood(chain.graph, omega),
+        "dendrogram": lambda: dendrogram_flood(build_lake_dendrogram(view), omega),
+    }[route]
+    with pytest.raises(PreconditionError, match="omega defined on unknown node 'zz'"):
+        run()
 
 
 @given(edge_graphs())

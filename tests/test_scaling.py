@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +18,12 @@ from floodgraph import (
     diameter,
     flat_zones,
     grid_graph,
+    is_dendrogram,
     lake_growth_sequence,
+    serialize_graph,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def increasing_path(n):
@@ -35,7 +44,53 @@ def test_deep_path_dendrogram_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert len(dendro.clusters) == 2 * n - 1
-    assert peak / n < 4096
+    assert peak / n < 400
+
+
+# sha256 of `floodgraph dendro` on the 6,000-node increasing path, as the
+# command wrote it when it still joined its whole output into one string
+DEEP_PATH_DENDRO_SHA256 = "acf0c72d7dc6ed51dfe0f161da959a13e5598290127d8213fe2ebf6da712287c"
+
+DENDRO_CHILD = """\
+import resource, sys
+from floodgraph.cli import main
+code = main(["dendro", "--graph", sys.argv[1]])
+sys.stdout.flush()
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB, bytes on macOS
+print(peak if sys.platform == "darwin" else peak * 1024, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_deep_path_dendro_output_streams(tmp_path):
+    """102 MB of `dendro` lines leave the process in chunks, never held whole."""
+    pytest.importorskip("resource")
+    graph = tmp_path / "path.fg"
+    graph.write_text(serialize_graph(increasing_path(6000)))
+    child = subprocess.Popen(
+        [sys.executable, "-c", DENDRO_CHILD, str(graph)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    digest = hashlib.sha256()
+    for block in iter(lambda: child.stdout.read(1 << 20), b""):
+        digest.update(block)
+    peak = int(child.stderr.read())
+    assert child.wait() == 0
+    assert digest.hexdigest() == DEEP_PATH_DENDRO_SHA256
+    assert peak < 100 * 2**20
+
+
+def test_is_dendrogram_on_a_deep_chain_is_linear():
+    """1,999 nested groups: a pairwise check compares about two million pairs of sets."""
+    leaves = [f"l{i}" for i in range(2000)]
+    family = [leaves[: k + 1] for k in range(1, len(leaves))]
+    start = time.perf_counter()
+    verdict = is_dendrogram(family)
+    elapsed = time.perf_counter() - start
+    assert verdict == (True, None)
+    assert elapsed < 2.0
 
 
 def test_checkerboard_flat_zones_are_fast():
