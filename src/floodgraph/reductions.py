@@ -11,16 +11,17 @@ Contraction merges every flat zone of the ground into a single node.
 Flooding commutes with it, which `contract_close_flood` exploits to
 flood a node-weighted graph on a smaller derived one.  `local_flood`
 answers "how high does the water stand at this one node" by growing
-balls around it instead of flooding everything, and `up_hill` pushes
-water from an already flooded region into the terrain above it.
+balls around it instead of flooding everything.  `up_hill` pushes water
+from a flooded region R uphill: a node q fills to min(d_R(q), omega_c v
+d(c, q)) over the ceilings c, since a ceiling outside q's valley is no
+closer to q than the spill d_R(q); two runs of the min-max kernel give it.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import PreconditionError
 from .graphs import (
@@ -34,7 +35,7 @@ from .graphs import (
     values_by_index,
 )
 from .hydro import flat_zones, is_edge_flooding
-from .ultrametric import _best_first_flood, find_root
+from .ultrametric import _best_first_flood
 from .weights import BOTTOM, TOP, Weight, join, meet
 
 
@@ -108,6 +109,22 @@ class ContractionMap:
 expand = ContractionMap.expand  # the free-function form: expand(mapping, values)
 
 
+def _zone_map(
+    graph: Graph,
+) -> tuple[list[int], list[str], dict[str, str], dict[str, tuple[str, ...]]]:
+    """Flat zones as a zone index per node, each zone's first declared member,
+    and the ``forward`` and ``blocks`` of the contraction that merges them."""
+    zones = flat_zones(graph)
+    index = graph.node_index
+    zone_of = [0] * len(graph.nodes)
+    for z, zone in enumerate(zones):
+        for name in zone:
+            zone_of[index(name)] = z
+    reps = [zone[0] for zone in zones]
+    forward = {name: reps[z] for name, z in zip(graph.nodes, zone_of)}
+    return zone_of, reps, forward, dict(zip(reps, zones))
+
+
 def contract_flat_zones(
     graph: Graph,
     omega: Mapping[str, Weight] | None = None,
@@ -124,15 +141,7 @@ def contract_flat_zones(
     if omega is not None:
         check_ceiling(graph, values_by_index(graph, omega, "ceiling"))
 
-    zones = flat_zones(graph)
-    index = graph.node_index
-    zone_of = [0] * len(ground)
-    for z, zone in enumerate(zones):
-        for name in zone:
-            zone_of[index(name)] = z
-    reps = [zone[0] for zone in zones]
-    blocks = dict(zip(reps, zones))
-    forward = {name: reps[z] for name, z in zip(graph.nodes, zone_of)}
+    zone_of, reps, forward, blocks = _zone_map(graph)
     contracted_omega: NodeFunction | None = None
     if omega is not None:
         contracted_omega = {rep: min(omega[name] for name in zone) for rep, zone in blocks.items()}
@@ -161,7 +170,7 @@ def contract_flat_zones(
         reps,
         edge_u,
         edge_v,
-        ground_values=(ground[index(rep)] for rep in reps),
+        ground_values=(ground[graph.node_index(rep)] for rep in reps),
         edge_weights=None if old_weights is None else weights,
     )
     mapping = ContractionMap(graph=contracted, forward=forward, blocks=blocks)
@@ -177,62 +186,45 @@ def mst_with_contraction(graph: Graph) -> tuple[Graph, ContractionMap]:
     edge of the same weight is considered.  Returns the tree on the
     super-nodes plus the contraction that produced them.  The tree lists
     its edges in Prim's visit order, which is why this loop is its own.
+    An edge is flat exactly when its endpoints share a flat zone, so the
+    super-nodes are the zones of `contract_flat_zones`.
     """
     ground = graph.require_ground_values("mst_with_contraction")
     derived = dilation(graph, ground)
+    zone_of, reps, forward, blocks = _zone_map(graph)
     edge_u, edge_v = graph.edge_u, graph.edge_v
     offsets, adj_edge = graph.offsets, graph.adj_edge
-    count = len(ground)
-    parent = list(range(count))
-    visited = [False] * count
-    heap: list[tuple[Weight, int, int]] = []
+    visited = [False] * len(ground)
+    heap: list[tuple[Weight, bool, int]] = []
     tree_edge_ids: list[int] = []
 
     def visit(node: int) -> None:
         visited[node] = True
         for edge_id in adj_edge[offsets[node] : offsets[node + 1]]:
-            flat = 0 if ground[edge_u[edge_id]] == ground[edge_v[edge_id]] else 1
-            heapq.heappush(heap, (derived[edge_id], flat, edge_id))
+            crossing = zone_of[edge_u[edge_id]] != zone_of[edge_v[edge_id]]
+            heapq.heappush(heap, (derived[edge_id], crossing, edge_id))
 
-    for start in range(count):
+    for start in range(len(ground)):
         if visited[start]:
             continue
         visit(start)
         while heap:
-            _, flat, edge_id = heapq.heappop(heap)
+            _, crossing, edge_id = heapq.heappop(heap)
             u, v = edge_u[edge_id], edge_v[edge_id]
             if visited[u] and visited[v]:
                 continue
             visit(v if visited[u] else u)
-            if flat == 0:
-                low, high = sorted((find_root(parent, u), find_root(parent, v)))
-                parent[high] = low  # the block keeps its first declared node
-            else:
+            if crossing:
                 tree_edge_ids.append(edge_id)
 
-    names = graph.nodes
-    roots = [find_root(parent, node) for node in range(count)]
-    slot_of: dict[int, int] = {}  # block root -> tree node index
-    members: list[list[str]] = []
-    for name, root in zip(names, roots):
-        if root not in slot_of:
-            slot_of[root] = len(members)
-            members.append([])
-        members[slot_of[root]].append(name)
-    reps = [names[root] for root in slot_of]
     tree = index_graph(
         reps,
-        [slot_of[roots[edge_u[e]]] for e in tree_edge_ids],
-        [slot_of[roots[edge_v[e]]] for e in tree_edge_ids],
-        ground_values=(ground[root] for root in slot_of),
+        [zone_of[edge_u[e]] for e in tree_edge_ids],
+        [zone_of[edge_v[e]] for e in tree_edge_ids],
+        ground_values=(ground[graph.node_index(rep)] for rep in reps),
         edge_weights=(derived[e] for e in tree_edge_ids),
     )
-    mapping = ContractionMap(
-        graph=tree,
-        forward={name: names[root] for name, root in zip(names, roots)},
-        blocks={rep: tuple(block) for rep, block in zip(reps, members)},
-    )
-    return tree, mapping
+    return tree, ContractionMap(graph=tree, forward=forward, blocks=blocks)
 
 
 def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunction:
@@ -314,82 +306,31 @@ def up_hill(
 ) -> NodeFunction:
     """Flood the terrain uphill of an already flooded region.
 
-    Water spills out of ``region`` through its lowest boundary edge, at
-    most up to ``cap``.  Each newly reached valley either fills to the
-    spill level, or, if it has a lower ceiling inside, fills to that
-    ceiling first and then continues from there.  Returns the levels of
-    the newly flooded nodes only.
+    With passes weighted by the derived edge weights (the max of the two
+    endpoint grounds), let d_R be the flooding distance from ``region``.
+    Each node q outside it with d_R(q) <= cap and d_R(q) < top floods to
+    min(d_R(q), min over ceilings c of omega_c v d(c, q)): q is reached
+    through the lowest pass out of the area claimed so far, and a ceiling
+    outside q's valley is no closer to q than d_R(q), so only ceilings in
+    the valley can hold it lower.  Two runs of the min-max kernel give
+    both terms: one seeded at the region, one also at every finite
+    ceiling.  Returns the levels of the newly flooded nodes, in node order.
     """
     ground = graph.require_ground_values("up_hill")
     ceiling = values_by_index(graph, omega, "ceiling")
     check_ceiling(graph, ceiling)
-    seeds = [graph.node_index(node) for node in region]
+    seeds = {graph.node_index(node) for node in region}
     if not seeds:
         raise PreconditionError("up_hill needs a non-empty start region")
-    offsets, adj_node = graph.offsets, graph.adj_node
-
-    def neighbors(node: int) -> Iterable[int]:
-        return adj_node[offsets[node] : offsets[node + 1]]
-
-    def pass_height(x: int, q: int) -> Weight:
-        return join(ground[x], ground[q])
-
-    claimed = set(seeds)
-    levels: dict[int, Weight] = {}
-
-    def claim(q: int, level: Weight) -> None:
-        claimed.add(q)
-        levels[q] = level
-
-    def basin(
-        start: int, reached: set[int], allowed: Callable[[int], bool], height: Weight
-    ) -> list[int]:
-        """Ascending nodes reached from ``start`` over allowed, unreached nodes
-        through passes no higher than ``height``; marks them reached."""
-        found = [start]
-        reached.add(start)
-        queue = deque(found)
-        while queue:
-            y = queue.popleft()
-            for r in neighbors(y):
-                if allowed(r) and r not in reached and pass_height(y, r) <= height:
-                    reached.add(r)
-                    found.append(r)
-                    queue.append(r)
-        return sorted(found)
-
-    frames: list[tuple[frozenset[int], Weight]] = [(frozenset(seeds), cap)]
-    while frames:
-        area, limit = frames.pop()
-        spill: Weight = TOP
-        for x in area:
-            for q in neighbors(x):
-                if q not in claimed:
-                    spill = meet(spill, pass_height(x, q))
-        if spill == TOP or spill > limit:
-            continue
-
-        reached: set[int] = set()
-        valleys: list[list[int]] = []
-        for x in sorted(area):
-            for q in neighbors(x):
-                if q not in claimed and q not in reached and pass_height(x, q) <= spill:
-                    valleys.append(basin(q, reached, lambda r: r not in claimed, spill))
-
-        # The same frame continues once every valley below is flooded.
-        frames.append((frozenset(area | reached), limit))
-        followups: list[tuple[frozenset[int], Weight]] = []
-        for valley in valleys:
-            lowest = min(valley, key=ceiling.__getitem__)
-            low = ceiling[lowest]
-            if low >= spill:
-                for z in valley:
-                    claim(z, spill)
-                continue
-            pool = basin(lowest, set(), set(valley).__contains__, low)
-            for z in pool:
-                claim(z, low)
-            followups.append((frozenset(pool), spill))
-        frames.extend(reversed(followups))
-
-    return {graph.nodes[node]: levels[node] for node in sorted(levels)}
+    passes = dilation(graph, ground)
+    spill: list[Weight] = [TOP] * len(ceiling)
+    for seed in seeds:
+        spill[seed] = ceiling[seed] = BOTTOM
+    _best_first_flood(graph, passes, spill, seeds)
+    fed = [node for node, level in enumerate(ceiling) if level < TOP]
+    _best_first_flood(graph, passes, ceiling, fed)  # lowers the ceiling to the levels
+    return {
+        graph.nodes[node]: ceiling[node]
+        for node, reach in enumerate(spill)
+        if reach <= cap and reach < TOP and node not in seeds
+    }

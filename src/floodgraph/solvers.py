@@ -194,6 +194,9 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
     weights = graph.require_edge_weights("prim_flood")
     if not sources:
         raise PreconditionError("prim_flood needs at least one source")
+    for node in sources:
+        if node not in graph:
+            raise PreconditionError(f"omega defined on unknown node {node!r}")
     seeds = [(level, graph.node_index(node)) for node, level in sources.items()]
     ceiling: list[Weight] = [TOP] * len(graph.nodes)
     for level, node in seeds:

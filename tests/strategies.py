@@ -50,19 +50,29 @@ def connected_node_graph(rng: random.Random, max_nodes: int = 12, max_ground: in
     return build_graph(names, edges, ground=ground)
 
 
-def rough_edge_graph(rng: random.Random, max_nodes: int = 10, max_weight: int = 6) -> Graph:
-    """Random edges, parallel ones allowed, over possibly several components.
-
-    Weights are drawn from 0..max_weight plus the infinities -inf and inf.
-    """
+def _rough_skeleton(rng: random.Random, max_nodes: int) -> tuple[list[str], list[tuple[str, str]]]:
+    """Random edges, parallel ones allowed, over possibly several components."""
     n = rng.randint(1, max_nodes)
     names = [f"n{i}" for i in range(n)]
     edges = []
     for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         edges.append((names[i], names[j]))
+    return names, edges
+
+
+def rough_edge_graph(rng: random.Random, max_nodes: int = 10, max_weight: int = 6) -> Graph:
+    """A rough skeleton with weights from 0..max_weight plus -inf and inf."""
+    names, edges = _rough_skeleton(rng, max_nodes)
     levels = [BOTTOM, TOP, *range(max_weight + 1)]
     return build_graph(names, edges, edge_weights=[rng.choice(levels) for _ in edges])
+
+
+def rough_node_graph(rng: random.Random, max_nodes: int = 10, max_ground: int = 4) -> Graph:
+    """A rough skeleton with a ground from 0..max_ground plus -inf and inf."""
+    names, edges = _rough_skeleton(rng, max_nodes)
+    levels = [BOTTOM, TOP, *range(max_ground + 1)]
+    return build_graph(names, edges, ground={name: rng.choice(levels) for name in names})
 
 
 def random_ceiling(
@@ -133,3 +143,30 @@ def rough_flood_instances(draw, max_nodes: int = 10, max_weight: int = 6) -> tup
     graph = rough_edge_graph(rng, max_nodes=max_nodes, max_weight=max_weight)
     levels = [BOTTOM, TOP, TOP, *range(max_weight + 1)]
     return graph, {node: rng.choice(levels) for node in graph.nodes}
+
+
+@st.composite
+def rough_node_graphs(draw, max_nodes: int = 10, max_ground: int = 4) -> Graph:
+    """A rough node graph: possibly disconnected, parallel edges, infinite grounds."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return rough_node_graph(random.Random(seed), max_nodes=max_nodes, max_ground=max_ground)
+
+
+@st.composite
+def rough_up_hill_instances(draw, max_nodes: int = 10, max_ground: int = 4) -> tuple:
+    """(graph, omega, region, cap) for up_hill on a rough node graph.
+
+    The ceiling sits on or above the ground and may be -inf or inf, the
+    region may name a node twice, and the cap ranges over -inf, inf and
+    0..max_ground + 2.
+    """
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = random.Random(seed)
+    graph = rough_node_graph(rng, max_nodes=max_nodes, max_ground=max_ground)
+    levels = [BOTTOM, TOP, TOP, *range(max_ground + 3)]
+    omega = {
+        node: rng.choice([level for level in levels if level >= floor])
+        for node, floor in zip(graph.nodes, graph.ground_values)
+    }
+    region = rng.choices(graph.nodes, k=rng.randint(1, 3))
+    return graph, omega, region, rng.choice(levels)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from floodgraph import (
     TOP,
@@ -30,7 +32,16 @@ from floodgraph import (
     waterfall_flooding,
 )
 
-from strategies import ceiling_above, edge_graphs, node_graphs
+from floodgraph.graphs import dilation, index_graph
+from floodgraph.ultrametric import find_root
+
+from strategies import (
+    ceiling_above,
+    edge_graphs,
+    node_graphs,
+    rough_node_graphs,
+    rough_up_hill_instances,
+)
 
 
 # -- adjunction ---------------------------------------------------------------
@@ -185,6 +196,81 @@ def test_mst_with_contraction_on_the_chain(chain):
     assert all(mapping.blocks[n] == (n,) for n in chain.graph.nodes)
 
 
+def union_find_mst_with_contraction(graph):
+    """Prim with a union-find over the flat edges it takes (the former mst_with_contraction).
+
+    The blocks are the union-find's components, rebuilt in node order;
+    mst_with_contraction now reads them from the flat zones and must give
+    the same tree, edge order, weights, ground, ``forward`` and ``blocks``.
+    """
+    ground = graph.ground_values
+    derived = dilation(graph, ground)
+    edge_u, edge_v = graph.edge_u, graph.edge_v
+    offsets, adj_edge = graph.offsets, graph.adj_edge
+    count = len(ground)
+    parent = list(range(count))
+    visited = [False] * count
+    heap = []
+    tree_edge_ids = []
+
+    def visit(node):
+        visited[node] = True
+        for edge_id in adj_edge[offsets[node] : offsets[node + 1]]:
+            flat = 0 if ground[edge_u[edge_id]] == ground[edge_v[edge_id]] else 1
+            heapq.heappush(heap, (derived[edge_id], flat, edge_id))
+
+    for start in range(count):
+        if visited[start]:
+            continue
+        visit(start)
+        while heap:
+            _, flat, edge_id = heapq.heappop(heap)
+            u, v = edge_u[edge_id], edge_v[edge_id]
+            if visited[u] and visited[v]:
+                continue
+            visit(v if visited[u] else u)
+            if flat == 0:
+                low, high = sorted((find_root(parent, u), find_root(parent, v)))
+                parent[high] = low  # the block keeps its first declared node
+            else:
+                tree_edge_ids.append(edge_id)
+
+    names = graph.nodes
+    roots = [find_root(parent, node) for node in range(count)]
+    slot_of = {}  # block root -> tree node index
+    members = []
+    for name, root in zip(names, roots):
+        if root not in slot_of:
+            slot_of[root] = len(members)
+            members.append([])
+        members[slot_of[root]].append(name)
+    reps = [names[root] for root in slot_of]
+    tree = index_graph(
+        reps,
+        [slot_of[roots[edge_u[e]]] for e in tree_edge_ids],
+        [slot_of[roots[edge_v[e]]] for e in tree_edge_ids],
+        ground_values=(ground[root] for root in slot_of),
+        edge_weights=(derived[e] for e in tree_edge_ids),
+    )
+    forward = {name: names[root] for name, root in zip(names, roots)}
+    blocks = {rep: tuple(block) for rep, block in zip(reps, members)}
+    return tree, forward, blocks
+
+
+@settings(max_examples=300)
+@given(rough_node_graphs())
+def test_mst_with_contraction_matches_the_union_find(graph):
+    tree, mapping = mst_with_contraction(graph)
+    reference, forward, blocks = union_find_mst_with_contraction(graph)
+    assert tree.nodes == reference.nodes
+    assert tree.edges == reference.edges
+    assert tree.edge_weights == reference.edge_weights
+    assert tree.ground_values == reference.ground_values
+    assert mapping.graph is tree
+    assert list(mapping.forward.items()) == list(forward.items())
+    assert list(mapping.blocks.items()) == list(blocks.items())
+
+
 @given(node_graphs())
 def test_mst_with_contraction_matches_contract_then_mst(graph):
     tree, mapping = mst_with_contraction(graph)
@@ -266,3 +352,96 @@ def test_up_hill_rejects_bad_regions(chain):
         up_hill(chain.graph, chain.omega, set())
     with pytest.raises(ConstructionError):
         up_hill(chain.graph, chain.omega, {"zzz"})
+
+
+def test_up_hill_rejects_bad_ceilings(chain):
+    with pytest.raises(PreconditionError, match="below the ground at node 'b'"):
+        up_hill(chain.graph, {**chain.omega, "b": 1}, {"a"})
+    with pytest.raises(PreconditionError, match="ceiling defined on unknown node 'zz'"):
+        up_hill(chain.graph, {**chain.omega, "zz": 1}, {"a"})
+
+
+def frames_up_hill(graph, omega, region, cap=TOP):
+    """Spill frames over breadth-first basins (the former up_hill).
+
+    A frame spills its area through the lowest pass to an unclaimed node,
+    up to its limit; each valley below the spill fills to it, or first to
+    its lowest ceiling, whose pool then spills on as a frame of its own.
+    up_hill now runs the min-max kernel twice and must give the same
+    levels in the same key order.  Takes valid input only.
+    """
+    ground = graph.ground_values
+    ceiling = [omega[node] for node in graph.nodes]
+    seeds = [graph.node_index(node) for node in region]
+    offsets, adj_node = graph.offsets, graph.adj_node
+
+    def neighbors(node):
+        return adj_node[offsets[node] : offsets[node + 1]]
+
+    def pass_height(x, q):
+        return max(ground[x], ground[q])
+
+    claimed = set(seeds)
+    levels = {}
+
+    def claim(q, level):
+        claimed.add(q)
+        levels[q] = level
+
+    def basin(start, reached, allowed, height):
+        found = [start]
+        reached.add(start)
+        queue = deque(found)
+        while queue:
+            y = queue.popleft()
+            for r in neighbors(y):
+                if allowed(r) and r not in reached and pass_height(y, r) <= height:
+                    reached.add(r)
+                    found.append(r)
+                    queue.append(r)
+        return sorted(found)
+
+    frames = [(frozenset(seeds), cap)]
+    while frames:
+        area, limit = frames.pop()
+        spill = TOP
+        for x in area:
+            for q in neighbors(x):
+                if q not in claimed:
+                    spill = min(spill, pass_height(x, q))
+        if spill == TOP or spill > limit:
+            continue
+
+        reached = set()
+        valleys = []
+        for x in sorted(area):
+            for q in neighbors(x):
+                if q not in claimed and q not in reached and pass_height(x, q) <= spill:
+                    valleys.append(basin(q, reached, lambda r: r not in claimed, spill))
+
+        frames.append((frozenset(area | reached), limit))
+        followups = []
+        for valley in valleys:
+            lowest = min(valley, key=ceiling.__getitem__)
+            low = ceiling[lowest]
+            if low >= spill:
+                for z in valley:
+                    claim(z, spill)
+                continue
+            pool = basin(lowest, set(), set(valley).__contains__, low)
+            for z in pool:
+                claim(z, low)
+            followups.append((frozenset(pool), spill))
+        frames.extend(reversed(followups))
+
+    return {graph.nodes[node]: levels[node] for node in sorted(levels)}
+
+
+@settings(max_examples=300)
+@given(rough_up_hill_instances())
+def test_up_hill_matches_the_spill_frames(instance):
+    graph, omega, region, cap = instance
+    levels = up_hill(graph, omega, region, cap)
+    expected = frames_up_hill(graph, omega, region, cap)
+    assert levels == expected
+    assert list(levels) == list(expected)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from floodgraph import (
+    TOP,
     build_graph,
     build_lake_dendrogram,
     diameter,
@@ -21,6 +23,7 @@ from floodgraph import (
     is_dendrogram,
     lake_growth_sequence,
     serialize_graph,
+    up_hill,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -51,13 +54,22 @@ def test_deep_path_dendrogram_memory_is_linear():
 # command wrote it when it still joined its whole output into one string
 DEEP_PATH_DENDRO_SHA256 = "acf0c72d7dc6ed51dfe0f161da959a13e5598290127d8213fe2ebf6da712287c"
 
+# The child reports its own peak RSS in bytes.  On Linux, ru_maxrss keeps the
+# high-water mark of the process it was forked from across exec, so a child
+# of a large test process reads that process's peak; VmHWM is the child's.
 DENDRO_CHILD = """\
-import resource, sys
+import os, resource, sys
 from floodgraph.cli import main
 code = main(["dendro", "--graph", sys.argv[1]])
 sys.stdout.flush()
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB, bytes on macOS
-print(peak if sys.platform == "darwin" else peak * 1024, file=sys.stderr)
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        line = next(line for line in status if line.startswith("VmHWM:"))
+    peak = int(line.split()[1]) * 1024  # kB
+else:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB, bytes on macOS
+    peak = peak if sys.platform == "darwin" else peak * 1024
+print(peak, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -136,3 +148,20 @@ def test_grid_graph_peak_is_array_sized(connectivity, limit):
         tracemalloc.stop()
     assert len(grid.nodes) == size * size
     assert peak / (size * size) < limit
+
+
+def test_up_hill_on_a_raster_is_two_kernel_runs():
+    """Spilling from one corner over a 128x128 terrain of many small valleys."""
+    size = 128
+    rng = random.Random(5)
+    raster = [[rng.randint(0, 3) for _ in range(size)] for _ in range(size)]
+    grid = grid_graph(raster)
+    omega = {
+        node: floor + rng.randint(0, 2) if rng.random() < 0.1 else TOP
+        for node, floor in zip(grid.nodes, grid.ground_values)
+    }
+    start = time.perf_counter()
+    levels = up_hill(grid, omega, [grid.nodes[0]])
+    elapsed = time.perf_counter() - start
+    assert len(levels) == size * size - 1
+    assert elapsed < 0.5
