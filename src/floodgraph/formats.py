@@ -20,6 +20,7 @@ samples when maxval exceeds 255.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Mapping
 
 from .errors import GraphFormatError
@@ -218,11 +219,16 @@ class _PgmScanner:
         return data[start:pos]
 
     def next_int(self, what: str) -> int:
-        token = self.next_token()
-        try:
-            return int(token)
-        except ValueError:
-            raise GraphFormatError(f"bad PGM {what}: {token!r}") from None
+        return _pgm_int(self.next_token(), what)
+
+
+def _pgm_int(token: bytes, what: str) -> int:
+    if not token.isdigit():  # ASCII [0-9]+ only, as in parse_weight: no sign, no '_'
+        raise GraphFormatError(f"bad PGM {what}: {token!r}")
+    try:
+        return int(token)
+    except ValueError:  # beyond the interpreter's int digit limit
+        raise GraphFormatError(f"bad PGM {what}: too many digits") from None
 
 
 def read_pgm(data: bytes) -> list[list[int]]:
@@ -239,15 +245,13 @@ def read_pgm(data: bytes) -> list[list[int]]:
     if not 0 < maxval <= 65535:
         raise GraphFormatError(f"PGM maxval out of range: {maxval}")
 
-    pixels: list[int] = []
     if magic == b"P2":
-        for _ in range(width * height):
-            try:
-                pixels.append(scanner.next_int("pixel"))
-            except GraphFormatError as exc:
-                if "truncated" in str(exc):
-                    raise GraphFormatError("truncated PGM pixel data") from None
-                raise
+        tokens = re.sub(rb"#[^\r\n]*", b"", data[scanner.pos :]).split()
+        pixels = [_pgm_int(token, "pixel") for token in tokens[: width * height]]
+        if len(pixels) < width * height:
+            raise GraphFormatError("truncated PGM pixel data")
+        if len(tokens) > width * height:  # only blanks and comments may follow
+            raise GraphFormatError("trailing data after the PGM pixel data")
     else:
         sample = 2 if maxval > 255 else 1
         start = scanner.pos + 1  # single whitespace byte after maxval
@@ -255,6 +259,8 @@ def read_pgm(data: bytes) -> list[list[int]]:
         raw = data[start:end]
         if len(raw) != width * height * sample:
             raise GraphFormatError("truncated PGM pixel data")
+        if len(data) > end:
+            raise GraphFormatError("trailing data after the PGM pixel data")
         if sample == 1:
             pixels = list(raw)
         else:

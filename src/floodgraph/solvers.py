@@ -21,12 +21,18 @@ Five independent routes to the same function, cross-checked in the tests
 priorities are (level, marker rank) pairs, and a kernel keyed by tuples
 would make every other caller build and compare pairs too.
 ``ceiling_minima`` finds cheap seed supersets for reduced starts.
+
+All but berge and the oracle push into the ``Funnel`` by subscript.  The
+kernel and ``marker_segmentation`` never push below the priority they
+extract, so they drain whole buckets; prim (edge weights below its level)
+and core (new cores below the least priority) pop per item inline.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
@@ -205,14 +211,20 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
     tau: list[Weight] = [TOP] * len(graph.nodes)
     funnel = Funnel()
     for level, node in seeds:
-        funnel.push(level, node)
+        funnel[level].append(node)
+    heap = funnel.heap
     offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
     settled = [False] * len(tau)
     extractions = relaxations = 0
     levels: list[Weight] = []
     lam: Weight = min(sources.values())
-    while funnel:
-        mu, node = funnel.pop()
+    while heap:  # pushes may go below mu: pop per item
+        mu = heap[0]
+        bucket = funnel[mu]
+        node = bucket.popleft()
+        if not bucket:
+            del funnel[mu]
+            heappop(heap)
         extractions += 1
         if mu > lam:
             lam = mu
@@ -224,7 +236,7 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
         for slot in range(offsets[node], offsets[node + 1]):
             neighbor = adj_node[slot]
             if not settled[neighbor]:
-                funnel.push(weights[adj_edge[slot]], neighbor)
+                funnel[weights[adj_edge[slot]]].append(neighbor)
                 relaxations += 1
     stats = SolverStats(extractions, relaxations, 0, tuple(levels))
     return SolverResult(tau=dict(zip(graph.nodes, tau)), stats=stats)
@@ -249,12 +261,28 @@ def core_expanding_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverRes
     flooded = [False] * total
     wet = 0
     funnel = Funnel()
-    stats = SolverStats()
-
-    def settle(start: int, level: Weight) -> None:
-        nonlocal wet
-        batch = deque([(start, level)])
-        while batch:
+    heap = funnel.heap
+    batch: deque[tuple[int, Weight]] = deque()
+    extractions = relaxations = pointer = 0
+    while wet < total:
+        while pointer < total and flooded[order[pointer]]:
+            pointer += 1
+        lam = ceiling[order[pointer]] if pointer < total else TOP
+        mu = heap[0] if heap else TOP
+        if lam == TOP and mu == TOP:
+            break  # the rest stays dry under an open sky: tau is top there
+        extractions += 1
+        if lam < mu:
+            batch.append((order[pointer], lam))
+        else:  # pushes may go below mu: pop per item
+            bucket = funnel[mu]
+            node = bucket.popleft()
+            if not bucket:
+                del funnel[mu]
+                heappop(heap)
+            if not flooded[node]:
+                batch.append((node, mu))
+        while batch:  # settle the new core and the dry land it reaches
             p, at = batch.popleft()
             if flooded[p]:
                 continue
@@ -268,27 +296,9 @@ def core_expanding_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverRes
                 if ground[q] >= at:
                     batch.append((q, ground[q]))
                 else:
-                    funnel.push(at, q)
-                    stats.relaxations += 1
-
-    pointer = 0
-    while wet < total:
-        while pointer < total and flooded[order[pointer]]:
-            pointer += 1
-        lam = ceiling[order[pointer]] if pointer < total else TOP
-        mu = funnel.min_priority() if funnel else TOP
-        if lam == TOP and mu == TOP:
-            break  # the rest stays dry under an open sky: tau is top there
-        if lam < mu:
-            stats.extractions += 1
-            settle(order[pointer], lam)
-        else:
-            mu, node = funnel.pop()
-            stats.extractions += 1
-            if flooded[node]:
-                continue
-            settle(node, mu)
-    return SolverResult(tau=dict(zip(graph.nodes, tau)), stats=stats)
+                    funnel[at].append(q)
+                    relaxations += 1
+    return SolverResult(dict(zip(graph.nodes, tau)), stats=SolverStats(extractions, relaxations))
 
 
 def ceiling_minima(
@@ -372,28 +382,29 @@ def marker_segmentation(
     funnel = Funnel()
     for rank, node in enumerate(ranked):
         best[node] = (BOTTOM, rank)
-        funnel.push((BOTTOM, rank), node)
+        funnel[BOTTOM, rank].append(node)
     offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
     extractions = relaxations = 0
     levels: list[Weight] = []
-    while funnel:
-        (level, rank), node = funnel.pop()
-        extractions += 1
-        if rank_of[node] is not None:
-            continue
-        rank_of[node] = rank
-        tau[node] = level
-        levels.append(level)
-        for slot in range(offsets[node], offsets[node + 1]):
-            neighbor = adj_node[slot]
-            if rank_of[neighbor] is not None:
+    # A candidate (w v level, rank) is never below the pair it came from.
+    for (level, rank), bucket in funnel.buckets():
+        extractions += len(bucket)
+        for node in bucket:
+            if rank_of[node] is not None:
                 continue
-            w = weights[adj_edge[slot]]
-            candidate = (w if w > level else level, rank)
-            if prim or best[neighbor] is None or candidate < best[neighbor]:
-                best[neighbor] = candidate
-                funnel.push(candidate, neighbor)
-                relaxations += 1
+            rank_of[node] = rank
+            tau[node] = level
+            levels.append(level)
+            for slot in range(offsets[node], offsets[node + 1]):
+                neighbor = adj_node[slot]
+                if rank_of[neighbor] is not None:
+                    continue
+                w = weights[adj_edge[slot]]
+                candidate = (w if w > level else level, rank)
+                if prim or best[neighbor] is None or candidate < best[neighbor]:
+                    best[neighbor] = candidate
+                    funnel[candidate].append(neighbor)
+                    relaxations += 1
     stats = SolverStats(extractions, relaxations, 0, tuple(levels))
     reached = [node for node in range(count) if rank_of[node] is not None]
     names = graph.nodes

@@ -10,7 +10,9 @@ lowest cocycle edge all live here, together with minimum spanning trees
 transform with path cost f_max (Falcao, Stolfi & Lotufo, PAMI 2004).  From
 one source at bottom it gives the flooding distance; from the ceiling, the
 dominated flooding, which is the flooding distance from a reservoir joined
-to each node p by a pipe at omega_p (see `augment_with_dummy`).
+to each node p by a pipe at omega_p (see `augment_with_dummy`).  It runs
+on `Funnel`, a hierarchical queue pushed by subscript, and drains it by
+whole buckets, since no candidate falls below the level being extracted.
 
 `single_linkage` is the one Kruskal pass of the package: it takes the
 edges in increasing ``(weight, edge id)`` order and merges components with
@@ -74,46 +76,60 @@ def distance_matrix(graph: Graph) -> DistanceMatrix:
     return DistanceMatrix(names, table)
 
 
-class Funnel:
+class Funnel(dict):
     """Priority structure of FIFO buckets (a hierarchical queue).
 
-    Extraction returns an entry of minimal priority; entries sharing a
-    priority leave in insertion order.  A node may sit in several buckets
-    at once; callers discard stale entries on extraction.
+    A dict from priority to a FIFO ``deque``, plus the ``heap`` of the
+    priorities that have a bucket.  A push is the C-level subscript
+    ``funnel[p].append(item)``; only a new priority calls ``__missing__``,
+    which opens its bucket and enters ``p`` into the heap.  No bucket stays
+    empty, so ``heap[0]`` is the least priority.  Entries sharing a priority
+    leave in insertion order; callers discard stale entries on extraction.
+    Loops that may push below the priority they extract pop per item
+    inline, as ``pop`` does; the others drain ``buckets()``.
     """
 
+    __slots__ = ("heap",)
+
     def __init__(self) -> None:
-        self._buckets: dict = {}
-        self._priorities: list = []
-        self._size = 0
+        super().__init__()
+        self.heap: list = []
+
+    def __missing__(self, priority) -> deque:
+        bucket = self[priority] = deque()
+        heapq.heappush(self.heap, priority)
+        return bucket
 
     def __len__(self) -> int:
-        return self._size
+        return sum(map(len, self.values()))
 
     def push(self, priority, item) -> None:
-        bucket = self._buckets.get(priority)
-        if bucket is None:
-            bucket = self._buckets[priority] = deque()
-            heapq.heappush(self._priorities, priority)
-        bucket.append(item)
-        self._size += 1
+        self[priority].append(item)
 
     def min_priority(self):
-        if not self._size:
+        if not self.heap:
             raise PreconditionError("empty funnel")
-        return self._priorities[0]
+        return self.heap[0]
 
     def pop(self):
-        if not self._size:
-            raise PreconditionError("empty funnel")
-        priority = self._priorities[0]
-        bucket = self._buckets[priority]
+        priority = self.min_priority()
+        bucket = self[priority]
         item = bucket.popleft()
-        self._size -= 1
         if not bucket:
-            del self._buckets[priority]
-            heapq.heappop(self._priorities)
+            del self[priority]
+            heapq.heappop(self.heap)
         return priority, item
+
+    def buckets(self) -> Iterator[tuple]:
+        """Yield each least priority with its bucket, detached, in order.
+
+        A push at the priority being drained opens a fresh bucket that comes
+        next, so with no push below it this is the order of repeated ``pop``.
+        """
+        heap, detach = self.heap, super().pop
+        while heap:
+            priority = heapq.heappop(heap)
+            yield priority, detach(priority)
 
 
 def _best_first_flood(
@@ -127,24 +143,24 @@ def _best_first_flood(
     """
     funnel = Funnel()
     for seed in seeds:
-        funnel.push(level[seed], seed)
+        funnel[level[seed]].append(seed)
     offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
     extractions = relaxations = 0
     useful: list[Weight] = []
-    while funnel:
-        lam, node = funnel.pop()
-        extractions += 1
-        if level[node] != lam:
-            continue
-        useful.append(lam)
-        for slot in range(offsets[node], offsets[node + 1]):
-            w = weights[adj_edge[slot]]
-            candidate = w if w > lam else lam
-            neighbor = adj_node[slot]
-            if candidate < level[neighbor]:
-                level[neighbor] = candidate
-                funnel.push(candidate, neighbor)
-                relaxations += 1
+    for lam, bucket in funnel.buckets():  # candidates are never below lam
+        extractions += len(bucket)
+        for node in bucket:
+            if level[node] != lam:
+                continue
+            useful.append(lam)
+            for slot in range(offsets[node], offsets[node + 1]):
+                w = weights[adj_edge[slot]]
+                candidate = w if w > lam else lam
+                neighbor = adj_node[slot]
+                if candidate < level[neighbor]:
+                    level[neighbor] = candidate
+                    funnel[candidate].append(neighbor)
+                    relaxations += 1
     return extractions, relaxations, useful
 
 

@@ -164,9 +164,23 @@ def rough_up_hill_instances(draw, max_nodes: int = 10, max_ground: int = 4) -> t
     rng = random.Random(seed)
     graph = rough_node_graph(rng, max_nodes=max_nodes, max_ground=max_ground)
     levels = [BOTTOM, TOP, TOP, *range(max_ground + 3)]
-    omega = {
+    omega = _rough_ceiling_above(rng, graph, levels)
+    region = rng.choices(graph.nodes, k=rng.randint(1, 3))
+    return graph, omega, region, rng.choice(levels)
+
+
+def _rough_ceiling_above(rng: random.Random, graph: Graph, levels: list) -> dict:
+    """A ceiling drawn from ``levels`` that sits on or above the ground."""
+    return {
         node: rng.choice([level for level in levels if level >= floor])
         for node, floor in zip(graph.nodes, graph.ground_values)
     }
-    region = rng.choices(graph.nodes, k=rng.randint(1, 3))
-    return graph, omega, region, rng.choice(levels)
+
+
+@st.composite
+def rough_node_flood_instances(draw, max_nodes: int = 10, max_ground: int = 4) -> tuple:
+    """A rough node graph and a ceiling on or above its ground, -inf and inf included."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = random.Random(seed)
+    graph = rough_node_graph(rng, max_nodes=max_nodes, max_ground=max_ground)
+    return graph, _rough_ceiling_above(rng, graph, [BOTTOM, TOP, TOP, *range(max_ground + 3)])

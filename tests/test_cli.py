@@ -531,6 +531,17 @@ def test_raster_ceiling_must_match_dimensions(capsys, tmp_path, strip_pgm):
     assert "1x2" in err and "1x6" in err
 
 
+@pytest.mark.parametrize(
+    "data", [b"P2\n2 1\n3\n1 2 9 9 9\n", b"P5\n2 1\n255\n\x01\x02\x09", b"P2\n2 1\n3\n1 -2\n"]
+)
+def test_malformed_raster_exits_2(capsys, tmp_path, data):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "flood", "--algo", "core", "--graph", str(path))
+    assert code == 2 and out == ""
+    assert "PGM" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("connectivity", ["4", "8"])
 @pytest.mark.parametrize("algo", [["core"], ["dijkstra", "--derive-edges"]])
 def test_raster_ceiling_equals_the_node_values_ceiling(capsys, tmp_path, algo, connectivity):

@@ -181,12 +181,35 @@ def test_read_pgm_binary_two_byte_big_endian():
         (b"P5\n2 1\n255\n\x00", "truncated PGM pixel data"),
         (b"P2\n1 1\n5\n9\n", "exceeds maxval"),
         (b"P2\n1\n", "truncated PGM header"),
+        # Header fields and P2 samples are ASCII [0-9]+, as in parse_weight.
+        (b"P2\n1_0 1\n3\n" + b"1 " * 10, "bad PGM width: b'1_0'"),
+        (b"P2\n1 +1\n3\n1\n", "bad PGM height: b'+1'"),
+        (b"P2\n1 1\n0x3\n1\n", "bad PGM maxval: b'0x3'"),
+        (b"P2\n2 1\n3\n1 +2\n", "bad PGM pixel: b'+2'"),
+        (b"P2\n2 1\n3\n1 -2\n", "bad PGM pixel: b'-2'"),
+        (b"P2\n1 1\n3\n\xd9\xa3\n", "bad PGM pixel"),
+        # Nothing but whitespace and comments may follow the samples.
+        (b"P2\n2 1\n3\n1 2 9 9 9\n", "trailing data after the PGM pixel data"),
+        (b"P2\n2 1\n3\n1 2\n# end\nx\n", "trailing data after the PGM pixel data"),
+        (b"P5\n2 1\n255\n\x01\x02\x09", "trailing data after the PGM pixel data"),
+        (b"P5\n2 1\n255\n\x01\x02\n", "trailing data after the PGM pixel data"),
     ],
 )
 def test_read_pgm_errors(data, fragment):
     with pytest.raises(GraphFormatError) as err:
         read_pgm(data)
     assert fragment in str(err.value)
+
+
+def test_read_pgm_rejects_a_sample_beyond_the_int_digit_limit():
+    with pytest.raises(GraphFormatError) as err:
+        read_pgm(b"P2\n1 1\n3\n" + b"1" * 5000 + b"\n")
+    assert "bad PGM pixel: too many digits" in str(err.value)
+
+
+def test_read_pgm_plain_allows_blanks_and_comments_after_the_samples():
+    assert read_pgm(b"P2\n2 1\n3\n1 2\n# end\n \n\t# more") == [[1, 2]]
+    assert read_pgm(b"P2 2 1 3 01 002") == [[1, 2]]
 
 
 def test_write_pgm_binary_and_plain():
