@@ -225,7 +225,7 @@ def cmd_flood(args: argparse.Namespace) -> int:
             check_ceiling(view, values_by_index(view, omega, "omega"))
             dendrogram = build_lake_dendrogram(view)
             result = SolverResult(tau=dendrogram_flood(dendrogram, omega))
-            counters = f"clusters={len(dendrogram._tree.diam)}"
+            counters = f"clusters={len(dendrogram.diam)}"
 
     if args.validate_after:
         if args.algo == "core":
@@ -289,7 +289,6 @@ def cmd_segment(args: argparse.Namespace) -> int:
 def cmd_fldist(args: argparse.Namespace) -> int:
     ingested = ingest_graph(args.graph, _connectivity(args))
     view = edge_view(ingested, args, "fldist")
-    view.node_index(args.source)
     distances = flooding_distance_all(view, args.source)
     _emit(args, [f"{n} {format_weight(distances[n])}" for n in view.nodes])
     return 0
@@ -312,11 +311,10 @@ def cmd_dendro(args: argparse.Namespace) -> int:
         omega = resolve_ceiling(args, ingested)
         check_ceiling(view, values_by_index(view, omega, "omega"))
         tau = dendrogram_flood(dendro, omega)
-    tree = dendro._tree
     clusters = (
         f"cluster {index} diam={format_weight(diam)} "
-        f"father={'none' if father is None else father} leaves={' '.join(tree.members(index))}"
-        for index, (diam, father) in enumerate(zip(tree.diam, tree.father))
+        f"father={'none' if father is None else father} leaves={' '.join(dendro.members(index))}"
+        for index, (diam, father) in enumerate(zip(dendro.diam, dendro.father))
     )
     _emit(args, chain(clusters, (f"{n} {format_weight(level)}" for n, level in tau.items())))
     return 0
@@ -481,10 +479,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (GraphFormatError, ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GraphFormatError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:

@@ -7,10 +7,11 @@ queries (predecessors, brothers, uncles, ...) and dominated flooding
 evaluated directly on the tree both live here.
 
 Cluster indices are topological: every child's index is smaller than its
-father's, leaves come first.  A dendrogram is held as parent arrays indexed by
-cluster (diameter, father, children, size), as in Najman, Cousty & Perret,
-"Playing with Kruskal" (ISMM 2013).  Building, flooding and the CLI read the
-arrays; `Dendrogram.clusters` holds `Cluster` views, built on first access.
+father's, leaves come first.  A `Dendrogram` is the parent arrays indexed by
+cluster, `diam`, `father`, `children` and `size`, next to `leaf_names`, as in
+Najman, Cousty & Perret, "Playing with Kruskal" (ISMM 2013).  Building,
+flooding and the CLI read the arrays and `members(i)`; `Dendrogram.clusters`
+holds `Cluster` views, built on first access.
 """
 
 from __future__ import annotations
@@ -28,88 +29,18 @@ from .weights import BOTTOM, TOP, Weight, join, meet
 Group = tuple[Weight, tuple[int, ...]]  # an inner cluster: (diam, children)
 
 
-class _Tree:
-    """The parent arrays of one dendrogram, its leaf names and a DFS leaf order.
-
-    Leaf ``i`` is cluster ``i``; ``groups`` are the inner clusters in index
-    order.  In the DFS order every cluster's leaves fill one contiguous range,
-    ``order[start[c] : start[c] + size[c]]``.  The order is laid out on first
-    use, so building and flooding never pay for it.
-    """
-
-    __slots__ = ("names", "diam", "father", "children", "size", "_start", "_order", "_leaf_of")
-
-    def __init__(self, names: Sequence[str], groups: Sequence[Group]) -> None:
-        leaves = len(names)
-        self.names = tuple(names)
-        self.diam = [BOTTOM] * leaves + [level for level, _ in groups]
-        self.children = children = [()] * leaves + [kids for _, kids in groups]
-        self.father = father = [None] * len(children)  # None: a summit
-        self.size = size = [1] * leaves
-        for index in range(leaves, len(children)):
-            size.append(sum(size[child] for child in children[index]))
-            for child in children[index]:
-                father[child] = index
-        self._start: list[int] | None = None
-        self._order: list[int] = []
-        self._leaf_of: dict[str, int] | None = None
-
-    def _lay_out(self) -> list[int]:
-        if self._start is None:
-            # fathers have larger indices than their children, so walking
-            # down the indices places every father before its children
-            start = [-1] * len(self.size)
-            free = 0
-            for index in range(len(self.size) - 1, -1, -1):
-                if start[index] < 0:  # a summit
-                    start[index] = free
-                    free += self.size[index]
-                offset = start[index]
-                for child in self.children[index]:
-                    start[child] = offset
-                    offset += self.size[child]
-            order = [0] * len(self.names)
-            for leaf in range(len(self.names)):
-                order[start[leaf]] = leaf
-            self._start, self._order = start, order
-        return self._start
-
-    def span(self, index: int) -> tuple[int, int]:
-        low = self._lay_out()[index]
-        return low, low + self.size[index]
-
-    def contains(self, outer: int, inner: int) -> bool:
-        """Whether cluster ``inner`` lies inside (or is) cluster ``outer``."""
-        low, high = self.span(outer)
-        inner_low, inner_high = self.span(inner)
-        return low <= inner_low and inner_high <= high
-
-    def members(self, index: int) -> tuple[str, ...]:
-        """Leaf names under a cluster, in declaration order."""
-        if index < len(self.names):
-            return (self.names[index],)
-        low, high = self.span(index)
-        names = self.names
-        return tuple(names[leaf] for leaf in sorted(self._order[low:high]))
-
-    def leaf_of(self, name) -> int | None:
-        if self._leaf_of is None:
-            self._leaf_of = {leaf: i for i, leaf in enumerate(self.names)}
-        return self._leaf_of.get(name)
-
-
 @dataclass(frozen=True, slots=True)
 class Cluster:
     index: int
     diam: Weight
     father: int | None
     children: tuple[int, ...]
-    _tree: _Tree = field(repr=False, compare=False)
+    _dendro: Dendrogram = field(repr=False, compare=False)
 
     @property
     def members(self) -> tuple[str, ...]:
         """Leaf names in declaration order, computed on each access."""
-        return self._tree.members(self.index)
+        return self._dendro.members(self.index)
 
     @property
     def is_leaf(self) -> bool:
@@ -117,44 +48,96 @@ class Cluster:
 
 
 class Dendrogram:
-    """A forest of clusters, held as the parent arrays of a `_Tree`.
+    """A forest of clusters, held as parent arrays indexed by cluster.
 
-    Takes `_Tree`'s arguments unchecked (`build_dendrogram` validates them).
-    ``clusters`` are views built on first access and kept; ``==`` reads the arrays.
+    Leaf ``i`` is cluster ``i``; ``groups`` are the inner clusters in index
+    order, taken unchecked (`build_dendrogram` validates them).  ``diam``,
+    ``father`` (None for a summit), ``children`` and ``size`` are lists by
+    cluster, next to ``leaf_names``.  In the DFS leaf order every cluster's
+    leaves fill one contiguous range; that order and the leaf-name index are
+    built on first use, so building and flooding never pay for them.
+    ``clusters`` are views built on first access and kept; ``==`` and
+    ``hash`` read the arrays.
     """
 
-    __slots__ = ("_tree", "_clusters")
+    __slots__ = ("leaf_names", "diam", "father", "children", "size",
+                 "_start", "_order", "_leaf_index", "_clusters")
 
     def __init__(self, names: Sequence[str], groups: Sequence[Group]) -> None:
-        self._tree = _Tree(names, groups)
+        leaves = len(names)
+        self.leaf_names = tuple(names)
+        self.diam = [BOTTOM] * leaves + [level for level, _ in groups]
+        self.children = children = [()] * leaves + [kids for _, kids in groups]
+        self.father = father = [None] * len(children)
+        self.size = size = [1] * leaves
+        for index in range(leaves, len(children)):
+            size.append(sum(size[child] for child in children[index]))
+            for child in children[index]:
+                father[child] = index
+        self._start: list[int] | None = None
+        self._order: list[int] = []
+        self._leaf_index: dict[str, int] | None = None
         self._clusters: tuple[Cluster, ...] | None = None
+
+    def _span(self, index: int) -> tuple[int, int]:
+        """The range ``_order[low:high]`` holding a cluster's leaves."""
+        if self._start is None:
+            # fathers have larger indices than their children, so walking
+            # down the indices places every father before its children
+            start = [-1] * len(self.size)
+            free = 0
+            for cluster in range(len(self.size) - 1, -1, -1):
+                if start[cluster] < 0:  # a summit
+                    start[cluster] = free
+                    free += self.size[cluster]
+                offset = start[cluster]
+                for child in self.children[cluster]:
+                    start[child] = offset
+                    offset += self.size[child]
+            order = [0] * len(self.leaf_names)
+            for leaf in range(len(self.leaf_names)):
+                order[start[leaf]] = leaf
+            self._start, self._order = start, order
+        low = self._start[index]
+        return low, low + self.size[index]
+
+    def _contains(self, outer: int, inner: int) -> bool:
+        """Whether cluster ``inner`` lies inside (or is) cluster ``outer``."""
+        low, high = self._span(outer)
+        inner_low, inner_high = self._span(inner)
+        return low <= inner_low and inner_high <= high
+
+    def _leaf_of(self, name) -> int | None:
+        if self._leaf_index is None:
+            self._leaf_index = {leaf: i for i, leaf in enumerate(self.leaf_names)}
+        return self._leaf_index.get(name)
+
+    def members(self, index: int) -> tuple[str, ...]:
+        """Leaf names under cluster ``index``, in declaration order."""
+        names = self.leaf_names
+        if index < len(names):
+            return (names[index],)
+        low, high = self._span(index)
+        return tuple(names[leaf] for leaf in sorted(self._order[low:high]))
 
     @property
     def clusters(self) -> tuple[Cluster, ...]:
         if self._clusters is None:
-            tree = self._tree
             self._clusters = tuple(map(
-                Cluster, range(len(tree.diam)), tree.diam, tree.father, tree.children, repeat(tree)
+                Cluster, range(len(self.diam)), self.diam, self.father, self.children, repeat(self)
             ))
         return self._clusters
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        mine, theirs = self._tree, other._tree
-        return (mine.diam, mine.father, mine.children) == (
-            theirs.diam, theirs.father, theirs.children
-        )
+        return (self.diam, self.father, self.children) == (other.diam, other.father, other.children)
 
     def __hash__(self) -> int:
-        return hash(self.clusters)
+        return hash((tuple(self.diam), tuple(self.father), tuple(self.children)))
 
     def __repr__(self) -> str:
         return f"Dendrogram(clusters={self.clusters!r})"
-
-    @property
-    def leaf_names(self) -> tuple[str, ...]:
-        return self._tree.names
 
     @property
     def summits(self) -> tuple[Cluster, ...]:
@@ -168,19 +151,18 @@ class Dendrogram:
         """
         if isinstance(target, Cluster):
             return self.clusters[target.index]
-        tree = self._tree
         if isinstance(target, int):
-            if not 0 <= target < len(tree.diam):
+            if not 0 <= target < len(self.diam):
                 raise PreconditionError(f"unknown cluster index: {target}")
             return self.clusters[target]
         key = {target} if isinstance(target, str) else set(target)
-        leaves = [tree.leaf_of(name) for name in key]
+        leaves = [self._leaf_of(name) for name in key]
         if leaves and None not in leaves:
             index = leaves[0]
-            while tree.size[index] < len(leaves) and tree.father[index] is not None:
-                index = tree.father[index]
-            if tree.size[index] == len(leaves) and all(
-                tree.contains(index, leaf) for leaf in leaves
+            while self.size[index] < len(leaves) and self.father[index] is not None:
+                index = self.father[index]
+            if self.size[index] == len(leaves) and all(
+                self._contains(index, leaf) for leaf in leaves
             ):
                 return self.clusters[index]
         raise PreconditionError(f"unknown cluster: {sorted(key)}")
@@ -257,13 +239,12 @@ def build_dendrogram(
         prepared.append((diam, tuple(sorted({owner[name] for name in members}))))
         owner.update(dict.fromkeys(members, len(leaf_order) + len(prepared) - 1))
     dendro = Dendrogram(leaf_order, prepared)
-    tree = dendro._tree
     for index, (diam, children) in enumerate(prepared, len(leaf_order)):
         for child in children:
-            if tree.diam[child] >= diam:
+            if dendro.diam[child] >= diam:
                 raise ConstructionError(
-                    f"diameter must increase strictly: {tree.members(index)} has {diam}, "
-                    f"contained cluster has {tree.diam[child]}"
+                    f"diameter must increase strictly: {dendro.members(index)} has {diam}, "
+                    f"contained cluster has {dendro.diam[child]}"
                 )
     return dendro
 
@@ -323,8 +304,7 @@ def query(dendro: Dendrogram, relation: str, target=None) -> tuple[Cluster, ...]
     if target is None:
         raise PreconditionError(f"relation {relation!r} needs a target cluster")
     index = dendro.resolve(target).index
-    tree = dendro._tree
-    father = tree.father
+    father = dendro.father
     ancestors: list[int] = []  # strict predecessors, nearest first
     up = father[index]
     while up is not None:
@@ -333,11 +313,11 @@ def query(dendro: Dendrogram, relation: str, target=None) -> tuple[Cluster, ...]
     if relation in ("pred", "impred"):
         picked = ancestors if relation == "pred" else ancestors[:1]
     elif relation == "succ":  # a contained cluster has a smaller index
-        picked = [inner for inner in range(index) if tree.contains(index, inner)]
+        picked = [inner for inner in range(index) if dendro._contains(index, inner)]
     elif relation == "imsucc":
-        picked = tree.children[index]
+        picked = dendro.children[index]
     elif relation == "brothers":
-        picked = [i for i in tree.children[ancestors[0]] if i != index] if ancestors else []
+        picked = [i for i in dendro.children[ancestors[0]] if i != index] if ancestors else []
     else:  # uncles; the target's own father is excluded, and with it the target
         above = set(ancestors)
         picked = [
@@ -355,19 +335,18 @@ def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> No
     father's level (top for a summit).  Equals the graph solvers on any
     graph realizing the dendrogram.
     """
-    tree = dendro._tree
-    names = tree.names
+    names = dendro.leaf_names
     for name in names:
         if name not in omega_leaf:
             raise PreconditionError(f"omega is missing leaf {name!r}")
     if len(omega_leaf) != len(names):
         for name in omega_leaf:
-            if tree.leaf_of(name) is None:
+            if dendro._leaf_of(name) is None:
                 raise PreconditionError(f"omega defined on unknown node {name!r}")
     lowest: list[Weight] = [omega_leaf[name] for name in names]
-    for kids in tree.children[len(names) :]:
+    for kids in dendro.children[len(names) :]:
         lowest.append(min(map(lowest.__getitem__, kids)))
-    diam, father = tree.diam, tree.father
+    diam, father = dendro.diam, dendro.father
     level: list[Weight] = [TOP] * len(diam)
     for index in range(len(diam) - 1, -1, -1):  # fathers before children
         up = father[index]

@@ -28,6 +28,7 @@ from .graphs import Graph, NodeFunction, index_graph
 from .weights import TOP, Weight, format_weight, parse_weight
 
 HEADER = "floodgraph v1"
+_PGM_COMMENT = re.compile(rb"#[^\r\n]*")
 
 
 def _strip_comment(line: str) -> str:
@@ -246,7 +247,7 @@ def read_pgm(data: bytes) -> list[list[int]]:
         raise GraphFormatError(f"PGM maxval out of range: {maxval}")
 
     if magic == b"P2":
-        tokens = re.sub(rb"#[^\r\n]*", b"", data[scanner.pos :]).split()
+        tokens = _PGM_COMMENT.sub(b"", data[scanner.pos :]).split()
         pixels = [_pgm_int(token, "pixel") for token in tokens[: width * height]]
         if len(pixels) < width * height:
             raise GraphFormatError("truncated PGM pixel data")
@@ -254,7 +255,10 @@ def read_pgm(data: bytes) -> list[list[int]]:
             raise GraphFormatError("trailing data after the PGM pixel data")
     else:
         sample = 2 if maxval > 255 else 1
-        start = scanner.pos + 1  # single whitespace byte after maxval
+        # one whitespace byte ends the header; a comment may come before it,
+        # and the newline that ends the comment is that byte
+        comment = _PGM_COMMENT.match(data, scanner.pos)
+        start = (comment.end() if comment else scanner.pos) + 1
         end = start + width * height * sample
         raw = data[start:end]
         if len(raw) != width * height * sample:

@@ -314,12 +314,19 @@ def test_cluster_views_match_the_eager_assembly(graph):
     groups = [(diam, kids) for _, diam, _, kids in union_find_lake_clusters(graph)[leaves:]]
     clusters, members = eager_assemble(graph.nodes, groups)
     dendro = build_lake_dendrogram(graph)
+    assert hash(dendro) == hash(build_lake_dendrogram(graph))
+    assert dendro._clusters is None  # hashing reads the arrays, not the views
     assert dendro == Dendrogram(graph.nodes, groups)
+    assert dendro.leaf_names == graph.nodes
+    assert dendro.diam == [cluster.diam for cluster in clusters]
+    assert dendro.father == [cluster.father for cluster in clusters]
+    assert dendro.children == [cluster.children for cluster in clusters]
+    assert dendro.size == [len(names) for names in members]
+    assert [dendro.members(i) for i in range(len(clusters))] == members
     assert dendro.clusters == clusters
     assert dendro.clusters is dendro.clusters
     assert [cluster.members for cluster in dendro.clusters] == members
     assert repr(dendro) == f"Dendrogram(clusters={clusters!r})"
-    assert hash(dendro) == hash(build_lake_dendrogram(graph))
     if groups:
         assert dendro != Dendrogram(graph.nodes, groups[:-1])
 

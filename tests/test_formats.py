@@ -170,6 +170,12 @@ def test_read_pgm_binary_two_byte_big_endian():
     assert raster == [[1000, 65535]]
 
 
+def test_read_pgm_binary_allows_a_comment_before_the_raster():
+    # the newline that ends the comment is the single byte that ends the header
+    assert read_pgm(b"P5\n1 1\n255#c\n\x05") == [[5]]
+    assert read_pgm(b"P5\n2 1\n65535# wide\n\x03\xe8\xff\xff") == [[1000, 65535]]
+
+
 @pytest.mark.parametrize(
     "data, fragment",
     [
@@ -179,6 +185,8 @@ def test_read_pgm_binary_two_byte_big_endian():
         (b"P2\n1 1\n70000\n0\n", "PGM maxval out of range"),
         (b"P2\n2 1\n5\n1\n", "truncated PGM pixel data"),
         (b"P5\n2 1\n255\n\x00", "truncated PGM pixel data"),
+        (b"P5\n1 1\n255#c\n", "truncated PGM pixel data"),
+        (b"P5\n1 1\n65535#c\n\x00", "truncated PGM pixel data"),
         (b"P2\n1 1\n5\n9\n", "exceeds maxval"),
         (b"P2\n1\n", "truncated PGM header"),
         # Header fields and P2 samples are ASCII [0-9]+, as in parse_weight.
@@ -193,6 +201,8 @@ def test_read_pgm_binary_two_byte_big_endian():
         (b"P2\n2 1\n3\n1 2\n# end\nx\n", "trailing data after the PGM pixel data"),
         (b"P5\n2 1\n255\n\x01\x02\x09", "trailing data after the PGM pixel data"),
         (b"P5\n2 1\n255\n\x01\x02\n", "trailing data after the PGM pixel data"),
+        (b"P5\n1 1\n255#c\n\x05\n", "trailing data after the PGM pixel data"),
+        (b"P5\n1 1\n65535#c\n\x00\x05\x06", "trailing data after the PGM pixel data"),
     ],
 )
 def test_read_pgm_errors(data, fragment):
