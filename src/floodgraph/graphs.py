@@ -17,12 +17,14 @@ The topology is stored once, as compressed sparse rows (CSR) in stdlib
   edge id), in edge declaration order: in a grid, the neighbors' scan
   order, so ``grid_graph`` writes them from a stencil instead of counting.
 
-``ground_values`` and ``edge_weights`` are tuples aligned with the node and
-edge indices.  ``with_edge_weights`` returns a graph that shares all of the
-topology and carries new edge weights, so deriving edge weights from the
-ground never rebuilds the graph.  The name-keyed views ``edges``,
-``ground`` and ``neighbors()`` are built on demand for callers that use
-names.
+A graph given only its edges builds the three incidence arrays on first
+use, so a graph that is only written out (a contraction, a spanning tree)
+never builds them.  ``ground_values`` and ``edge_weights`` are tuples
+aligned with the node and edge indices.  ``with_edge_weights`` returns a
+graph that shares all of the topology and carries new edge weights, so
+deriving edge weights from the ground never rebuilds the graph.  The
+name-keyed views ``edges``, ``ground`` and ``neighbors()`` are built on
+demand for callers that use names.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ class Graph:
     ``ground_values`` and ``edge_weights`` hold the layout described above.
     """
 
-    __slots__ = ("nodes", "edge_u", "edge_v", "offsets", "adj_node", "adj_edge",
-                 "ground_values", "edge_weights", "_index", "_edges", "_ground")
+    __slots__ = ("nodes", "edge_u", "edge_v", "ground_values", "edge_weights",
+                 "_index", "_incidences", "_edges", "_ground")
 
     def __init__(self, *args, **kwargs) -> None:
         raise ConstructionError("use build_graph() to create Graph instances")
@@ -63,6 +65,16 @@ class Graph:
         )
 
     __hash__ = None  # type: ignore[assignment]
+
+    def incidences(self) -> tuple[array, array, array]:
+        """(``offsets``, ``adj_node``, ``adj_edge``), built on first use."""
+        if self._incidences is None:
+            self._incidences = _csr(len(self.nodes), self.edge_u, self.edge_v)
+        return self._incidences
+
+    offsets = property(lambda self: self.incidences()[0])
+    adj_node = property(lambda self: self.incidences()[1])
+    adj_edge = property(lambda self: self.incidences()[2])
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -124,9 +136,10 @@ class Graph:
     def with_edge_weights(self, weights: Iterable[Weight]) -> Graph:
         """This graph with other edge weights; nodes, edges and ground are shared."""
         weights = _edge_weights(weights, len(self.edge_u))
-        csr = (self.offsets, self.adj_node, self.adj_edge)
         ends = (self.edge_u, self.edge_v)
-        return index_graph(self.nodes, *ends, self.ground_values, weights, self._index, csr)
+        return index_graph(
+            self.nodes, *ends, self.ground_values, weights, self._index, self.incidences()
+        )
 
 
 def _edge_weights(weights: Iterable[Weight], count: int) -> tuple[Weight, ...]:
@@ -171,7 +184,8 @@ def index_graph(
     """A graph from distinct names and edges given as node indices (not validated).
 
     Tuples and arrays passed in are shared, not copied, and so are ``index``
-    (name to node index) and ``csr``; both are built when missing.
+    (name to node index) and ``csr``; ``index`` is built when missing, and
+    ``csr`` on first use.
     """
     graph = object.__new__(Graph)
     graph.nodes = tuple(nodes)
@@ -179,9 +193,7 @@ def index_graph(
     graph.edge_u, graph.edge_v = (
         ends if isinstance(ends, array) else array(_INT, ends) for ends in (edge_u, edge_v)
     )
-    graph.offsets, graph.adj_node, graph.adj_edge = csr or _csr(
-        len(graph.nodes), graph.edge_u, graph.edge_v
-    )
+    graph._incidences = csr
     graph.ground_values = None if ground_values is None else tuple(ground_values)
     graph.edge_weights = None if edge_weights is None else tuple(edge_weights)
     graph._edges = graph._ground = None
@@ -325,36 +337,65 @@ def cocycle(graph: Graph, inside: Iterable[str]) -> tuple[int, ...]:
     )
 
 
+def find_root(parent: list[int], node: int) -> int:
+    """Root of ``node``'s block in a union-find parent array; compresses the path."""
+    root = node
+    while parent[root] != root:
+        root = parent[root]
+    while parent[node] != root:
+        parent[node], node = root, parent[node]
+    return root
+
+
 def connected_components(
     graph: Graph,
-    edge_filter: Callable[[int], bool] | None = None,
-) -> list[tuple[str, ...]]:
-    """Components under the (optionally filtered) edge set.
+    keep: Sequence[bool] | Callable[[int], bool] | None = None,
+    labels: bool = False,
+) -> list[tuple[str, ...]] | tuple[array, array]:
+    """Components under the edges that ``keep`` flags (all edges when None).
 
-    Components are ordered by their smallest node index; nodes inside a
-    component keep declaration order.  ``edge_filter`` is asked once per
-    edge id.
+    ``keep`` is a flag per edge id, or a function asked once per edge id.
+    Components are ordered by their smallest node index.  With ``labels``
+    the result is an ``array`` holding each node's component number, plus
+    an ``array`` of each component's first node; otherwise it is the
+    components as tuples of names, each in declaration order.
     """
-    keep = None if edge_filter is None else [edge_filter(e) for e in range(len(graph.edge_u))]
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
-    name = graph.nodes.__getitem__
-    seen = [False] * len(graph.nodes)
-    components: list[tuple[str, ...]] = []
-    for start in range(len(seen)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block = [start]
-        for node in block:  # breadth-first: the block doubles as the queue
-            for slot in range(offsets[node], offsets[node + 1]):
-                neighbor = adj_node[slot]
-                if seen[neighbor] or (keep is not None and not keep[adj_edge[slot]]):
-                    continue
-                seen[neighbor] = True
-                block.append(neighbor)
-        block.sort()
-        components.append(tuple(map(name, block)))
-    return components
+    edge_u, edge_v = graph.edge_u, graph.edge_v
+    if keep is None:
+        kept: Iterable[int] = range(len(edge_u))
+    elif callable(keep):
+        kept = filter(keep, range(len(edge_u)))
+    else:
+        kept = [edge_id for edge_id, flag in enumerate(keep) if flag]
+    # Union-find whose root is always the smallest node of its block, so a
+    # node's parent comes before it: one pass in node order overwrites each
+    # parent by its block's label, reading the label its parent already got.
+    parent = list(range(len(graph.nodes)))
+    for edge_id in kept:
+        root_u, root_v = find_root(parent, edge_u[edge_id]), find_root(parent, edge_v[edge_id])
+        if root_u < root_v:
+            parent[root_v] = root_u
+        elif root_v < root_u:
+            parent[root_u] = root_v
+    label = parent
+    first: list[int] = []
+    for node, up in enumerate(parent):
+        if up == node:
+            label[node] = len(first)
+            first.append(node)
+        else:
+            label[node] = label[up]
+    if labels:
+        return array(_INT, label), array(_INT, first)
+    return group_by_label(graph.nodes, label, len(first))
+
+
+def group_by_label(items: Iterable, label: Sequence[int], count: int) -> list[tuple]:
+    """``items`` split into ``count`` tuples by their ``label``, order kept."""
+    groups: list[list] = [[] for _ in range(count)]
+    for item, group in zip(items, label):
+        groups[group].append(item)
+    return list(map(tuple, groups))
 
 
 def subgraph_spanning(graph: Graph, nodes: Iterable[str]) -> Graph:

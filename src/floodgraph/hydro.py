@@ -9,7 +9,8 @@ tau_p <= tau_q v e_pq across every edge (criterion checked both ways).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import PreconditionError
@@ -18,6 +19,7 @@ from .graphs import (
     NodeFunction,
     connected_components,
     dilation,
+    group_by_label,
     levels_by_index,
     values_by_index,
 )
@@ -87,13 +89,16 @@ class Lake:
 
 @dataclass(frozen=True)
 class LakePartition:
+    """The lakes of a flooding; ``label`` holds the lake number of each node of ``graph``."""
+
     lakes: tuple[Lake, ...]
+    graph: Graph = field(repr=False, compare=False)
+    label: array = field(repr=False, compare=False)
 
     def lake_of(self, node: str) -> Lake:
-        for lake in self.lakes:
-            if node in lake.nodes:
-                return lake
-        raise PreconditionError(f"node {node!r} not in any lake")
+        if node not in self.graph:
+            raise PreconditionError(f"node {node!r} not in any lake")
+        return self.lakes[self.label[self.graph.node_index(node)]]
 
 
 def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
@@ -110,31 +115,37 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
         raise PreconditionError(f"tau is not a valid flooding: {report.violations[0]}")
     weights = view.require_edge_weights("lakes")
     levels = [tau[node] for node in view.nodes]
-    inside = [
-        levels[u] == levels[v] and e <= levels[u]
-        for u, v, e in zip(view.edge_u, view.edge_v, weights)
-    ]
-    offsets, adj_node, adj_edge = view.offsets, view.adj_node, view.adj_edge
-    index = view.node_index
-    result: list[Lake] = []
-    for block in connected_components(view, inside.__getitem__):
-        level = tau[block[0]]
-        exhaust: set[int] = set()
-        for node in map(index, block):
-            for slot in range(offsets[node], offsets[node + 1]):
-                edge_id = adj_edge[slot]
-                if weights[edge_id] == level and levels[adj_node[slot]] < level:
-                    exhaust.add(edge_id)
-        kind = LakeKind.FULL if exhaust else LakeKind.REGIONAL_MINIMUM
-        result.append(Lake(block, level, kind, tuple(sorted(exhaust))))
-    return LakePartition(tuple(result))
+    ends = view.edge_u, view.edge_v, weights
+    inside = [levels[u] == levels[v] and e <= levels[u] for u, v, e in zip(*ends)]
+    label, first = connected_components(view, inside, labels=True)
+    # Edge ids come in order and the drop is strict, so each edge is the
+    # exhaust of at most one lake and every list comes out sorted.
+    exhaust: list[list[int]] = [[] for _ in first]
+    for edge_id, (u, v, e) in enumerate(zip(*ends)):
+        a, b = levels[u], levels[v]
+        if a < b:
+            if e == b:
+                exhaust[label[v]].append(edge_id)
+        elif b < a and e == a:
+            exhaust[label[u]].append(edge_id)
+    blocks = group_by_label(view.nodes, label, len(first))
+    result = tuple(
+        Lake(block, levels[start], LakeKind.FULL if out else LakeKind.REGIONAL_MINIMUM, tuple(out))
+        for block, start, out in zip(blocks, first, exhaust)
+    )
+    return LakePartition(result, view, label)
 
 
-def flat_zones(graph: Graph, values: Mapping[str, Weight] | None = None) -> list[tuple[str, ...]]:
-    """Components under edges whose endpoints share the same level."""
+def flat_zones(
+    graph: Graph, values: Mapping[str, Weight] | None = None, labels: bool = False
+) -> list[tuple[str, ...]] | tuple[array, array]:
+    """Components under edges whose endpoints share the same level.
+
+    ``labels`` asks for the label mode of ``connected_components``.
+    """
     levels = levels_by_index(graph, values, "flat_zones")
     flat = [levels[u] == levels[v] for u, v in zip(graph.edge_u, graph.edge_v)]
-    return connected_components(graph, flat.__getitem__)
+    return connected_components(graph, flat, labels=labels)
 
 
 def regional_minima(
@@ -142,17 +153,16 @@ def regional_minima(
 ) -> list[tuple[str, ...]]:
     """Flat zones whose every outside neighbor is strictly higher."""
     levels = levels_by_index(graph, values, "regional_minima")
-    offsets, adj_node, index = graph.offsets, graph.adj_node, graph.node_index
-    # an equal neighbor would lie in the zone itself: test for no lower one
-    return [
-        zone
-        for zone in flat_zones(graph, values)
-        if all(
-            levels[adj_node[slot]] >= levels[node]
-            for node in map(index, zone)
-            for slot in range(offsets[node], offsets[node + 1])
-        )
-    ]
+    label, first = flat_zones(graph, values, labels=True)
+    minimum = [True] * len(first)
+    # an equal neighbor would lie in the zone itself: rule out zones with a lower one
+    for u, v in zip(graph.edge_u, graph.edge_v):
+        if levels[u] < levels[v]:
+            minimum[label[v]] = False
+        elif levels[v] < levels[u]:
+            minimum[label[u]] = False
+    zones = group_by_label(graph.nodes, label, len(first))
+    return [zone for zone, low in zip(zones, minimum) if low]
 
 
 def _check_flooding(graph: Graph, tau: Mapping[str, Weight], what: str) -> None:

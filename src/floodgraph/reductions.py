@@ -20,8 +20,10 @@ closer to q than the spill d_R(q); two runs of the min-max kernel give it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from array import array
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Mapping
 
 from .errors import PreconditionError
 from .graphs import (
@@ -30,6 +32,7 @@ from .graphs import (
     check_ceiling,
     check_total,
     dilation,
+    group_by_label,
     index_graph,
     levels_by_index,
     values_by_index,
@@ -37,14 +40,6 @@ from .graphs import (
 from .hydro import flat_zones, is_edge_flooding
 from .ultrametric import _best_first_flood
 from .weights import BOTTOM, TOP, Weight, join, meet
-
-
-def _erosion(graph: Graph, weights: Sequence[Weight]) -> list[Weight]:
-    offsets, adj_edge = graph.offsets, graph.adj_edge
-    return [
-        min((weights[e] for e in adj_edge[offsets[node] : offsets[node + 1]]), default=TOP)
-        for node in range(len(graph.nodes))
-    ]
 
 
 def edge_dilation(graph: Graph, values: Mapping[str, Weight] | None = None) -> tuple[Weight, ...]:
@@ -60,7 +55,11 @@ def node_erosion(graph: Graph, weights: tuple[Weight, ...] | None = None) -> Nod
         raise PreconditionError(
             f"{len(graph.edge_u)} edges but {len(weights)} edge weights"
         )
-    return dict(zip(graph.nodes, _erosion(graph, weights)))
+    offsets, adj_edge = graph.offsets, graph.adj_edge
+    return {
+        node: min((weights[e] for e in adj_edge[offsets[i] : offsets[i + 1]]), default=TOP)
+        for i, node in enumerate(graph.nodes)
+    }
 
 
 def edge_opening(graph: Graph, weights: tuple[Weight, ...] | None = None) -> tuple[Weight, ...]:
@@ -91,38 +90,34 @@ def waterfall_flooding(graph: Graph) -> NodeFunction:
 class ContractionMap:
     """Correspondence between a graph and its contraction.
 
-    ``forward`` sends each original node to its super-node, ``blocks``
-    lists the members of each super-node in declaration order, and
-    ``graph`` is the contracted graph itself.
+    ``graph`` is the contracted graph and ``zone_of`` holds, for each node
+    of the original graph (named in ``nodes``), the index of its super-node
+    in ``graph``.  ``forward`` sends each original node name to its
+    super-node and ``blocks`` lists the members of each super-node in
+    declaration order; both are built on first access.
     """
 
     graph: Graph
-    forward: dict[str, str]
-    blocks: dict[str, tuple[str, ...]]
+    nodes: tuple[str, ...] = field(repr=False)
+    zone_of: array = field(repr=False)
+
+    @cached_property
+    def forward(self) -> dict[str, str]:
+        return dict(zip(self.nodes, map(self.graph.nodes.__getitem__, self.zone_of)))
+
+    @cached_property
+    def blocks(self) -> dict[str, tuple[str, ...]]:
+        reps = self.graph.nodes
+        return dict(zip(reps, group_by_label(self.nodes, self.zone_of, len(reps))))
 
     def expand(self, values: Mapping[str, Weight]) -> NodeFunction:
         """Pull values on the contracted graph back to the original nodes."""
         check_total(self.graph, values, "contracted values")
-        return {node: values[block] for node, block in self.forward.items()}
+        levels = list(map(values.__getitem__, self.graph.nodes))
+        return dict(zip(self.nodes, map(levels.__getitem__, self.zone_of)))
 
 
 expand = ContractionMap.expand  # the free-function form: expand(mapping, values)
-
-
-def _zone_map(
-    graph: Graph,
-) -> tuple[list[int], list[str], dict[str, str], dict[str, tuple[str, ...]]]:
-    """Flat zones as a zone index per node, each zone's first declared member,
-    and the ``forward`` and ``blocks`` of the contraction that merges them."""
-    zones = flat_zones(graph)
-    index = graph.node_index
-    zone_of = [0] * len(graph.nodes)
-    for z, zone in enumerate(zones):
-        for name in zone:
-            zone_of[index(name)] = z
-    reps = [zone[0] for zone in zones]
-    forward = {name: reps[z] for name, z in zip(graph.nodes, zone_of)}
-    return zone_of, reps, forward, dict(zip(reps, zones))
 
 
 def contract_flat_zones(
@@ -138,43 +133,48 @@ def contract_flat_zones(
     lowest ceiling above it.
     """
     ground = graph.require_ground_values("contract_flat_zones")
-    if omega is not None:
-        check_ceiling(graph, values_by_index(graph, omega, "ceiling"))
+    ceiling = None if omega is None else values_by_index(graph, omega, "ceiling")
+    if ceiling is not None:
+        check_ceiling(graph, ceiling)
 
-    zone_of, reps, forward, blocks = _zone_map(graph)
+    zone_of, firsts = flat_zones(graph, labels=True)
+    reps = tuple(map(graph.nodes.__getitem__, firsts))
     contracted_omega: NodeFunction | None = None
-    if omega is not None:
-        contracted_omega = {rep: min(omega[name] for name in zone) for rep, zone in blocks.items()}
+    if ceiling is not None:
+        low = list(map(ceiling.__getitem__, firsts))
+        for zone, level in zip(zone_of, ceiling):
+            if level < low[zone]:
+                low[zone] = level
+        contracted_omega = dict(zip(reps, low))
 
+    edge_u, edge_v, weights = _zone_edges(graph, zone_of, len(firsts))
+    contracted = index_graph(reps, edge_u, edge_v, map(ground.__getitem__, firsts), weights)
+    return contracted, ContractionMap(contracted, graph.nodes, zone_of), contracted_omega
+
+
+def _zone_edges(graph: Graph, zone_of: array, zones: int) -> tuple[array, array, list | None]:
+    """The edges between distinct zones, each zone pair once in the order it
+    is first met, with the lowest weight of its parallel edges (None when
+    the graph has no edge weights)."""
+    zone = zone_of.__getitem__
+    keys = [  # the zone pair as one int, -1 inside a zone
+        zu * zones + zv if zu < zv else zv * zones + zu if zv < zu else -1
+        for zu, zv in zip(map(zone, graph.edge_u), map(zone, graph.edge_v))
+    ]
+    first_edge = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    first_edge.pop(-1, None)
+    kept = sorted(first_edge.values())
     old_weights = graph.edge_weights
-    edge_u: list[int] = []
-    edge_v: list[int] = []
-    weights: list[Weight] = []
-    seen: dict[tuple[int, int], int] = {}
-    for edge_id, (u, v) in enumerate(zip(graph.edge_u, graph.edge_v)):
-        zu, zv = zone_of[u], zone_of[v]
-        if zu == zv:
-            continue
-        key = (zu, zv) if zu < zv else (zv, zu)
-        slot = seen.get(key)
-        if slot is None:
-            seen[key] = len(edge_u)
-            edge_u.append(zu)
-            edge_v.append(zv)
-            if old_weights is not None:
-                weights.append(old_weights[edge_id])
-        elif old_weights is not None:
-            weights[slot] = meet(weights[slot], old_weights[edge_id])
-
-    contracted = index_graph(
-        reps,
-        edge_u,
-        edge_v,
-        ground_values=(ground[graph.node_index(rep)] for rep in reps),
-        edge_weights=None if old_weights is None else weights,
-    )
-    mapping = ContractionMap(graph=contracted, forward=forward, blocks=blocks)
-    return contracted, mapping, contracted_omega
+    weights = None
+    if old_weights is not None:
+        low: dict[int, Weight] = {}
+        for key, weight in zip(keys, old_weights):
+            if key not in low or weight < low[key]:
+                low[key] = weight
+        weights = [low[keys[e]] for e in kept]
+    edge_u = array("i", map(zone, map(graph.edge_u.__getitem__, kept)))
+    edge_v = array("i", map(zone, map(graph.edge_v.__getitem__, kept)))
+    return edge_u, edge_v, weights
 
 
 def mst_with_contraction(graph: Graph) -> tuple[Graph, ContractionMap]:
@@ -191,7 +191,7 @@ def mst_with_contraction(graph: Graph) -> tuple[Graph, ContractionMap]:
     """
     ground = graph.require_ground_values("mst_with_contraction")
     derived = dilation(graph, ground)
-    zone_of, reps, forward, blocks = _zone_map(graph)
+    zone_of, firsts = flat_zones(graph, labels=True)
     edge_u, edge_v = graph.edge_u, graph.edge_v
     offsets, adj_edge = graph.offsets, graph.adj_edge
     visited = [False] * len(ground)
@@ -218,13 +218,13 @@ def mst_with_contraction(graph: Graph) -> tuple[Graph, ContractionMap]:
                 tree_edge_ids.append(edge_id)
 
     tree = index_graph(
-        reps,
+        map(graph.nodes.__getitem__, firsts),
         [zone_of[edge_u[e]] for e in tree_edge_ids],
         [zone_of[edge_v[e]] for e in tree_edge_ids],
-        ground_values=(ground[graph.node_index(rep)] for rep in reps),
+        ground_values=map(ground.__getitem__, firsts),
         edge_weights=(derived[e] for e in tree_edge_ids),
     )
-    return tree, ContractionMap(graph=tree, forward=forward, blocks=blocks)
+    return tree, ContractionMap(tree, graph.nodes, zone_of)
 
 
 def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunction:
@@ -240,14 +240,20 @@ def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunct
     graph.require_ground_values("contract_close_flood")
     contracted, mapping, contracted_omega = contract_flat_zones(graph, omega)
     assert contracted_omega is not None
-    ceiling = [contracted_omega[node] for node in contracted.nodes]
-    closed = _erosion(contracted, dilation(contracted, contracted.ground_values))
+    ceiling = list(map(contracted_omega.__getitem__, contracted.nodes))
+    ground, offsets, adj_node = contracted.ground_values, contracted.offsets, contracted.adj_node
+    # the closing: each node's lowest pass, max(ground, lowest neighbor), top when isolated
+    closed = [
+        max(floor, min(map(ground.__getitem__, adj_node[low:high]))) if low < high else TOP
+        for floor, low, high in zip(ground, offsets, offsets[1:])
+    ]
     chi = [max(level, low) for level, low in zip(ceiling, closed)]  # lowered in place
     fed = [node for node, level in enumerate(chi) if level < TOP]
     _best_first_flood(contracted, dilation(contracted, closed), chi, fed)
     # A minimum whose own ceiling sits below the closing never spills;
     # the final cap hands it back its ceiling.
-    return mapping.expand(dict(zip(contracted.nodes, map(meet, chi, ceiling))))
+    levels = list(map(meet, chi, ceiling))
+    return dict(zip(graph.nodes, map(levels.__getitem__, mapping.zone_of)))
 
 
 def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:

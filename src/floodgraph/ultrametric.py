@@ -16,7 +16,8 @@ whole buckets, since no candidate falls below the level being extracted.
 
 `single_linkage` is the one Kruskal pass of the package: it takes the
 edges in increasing ``(weight, edge id)`` order and merges components with
-the package's only union-find (`find_root`).  Those keys are all distinct,
+the package's only union-find (`graphs.find_root`, which
+`connected_components` also runs on).  Those keys are all distinct,
 so the minimum spanning forest under them is unique, and the merging edges
 are exactly that forest: `mst` returns them, and `build_lake_dendrogram`
 replays them, level by level, as the single-linkage merge tree.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionError
-from .graphs import Edge, Graph, NodeFunction, cocycle, partial_graph, subgraph_spanning
+from .graphs import Edge, Graph, NodeFunction, cocycle, find_root, partial_graph, subgraph_spanning
 from .weights import BOTTOM, TOP, Weight
 
 
@@ -232,16 +233,6 @@ def lowest_cocycle_edge(graph: Graph, inside: Iterable[str]) -> tuple[Edge | Non
     if best_id < 0:
         return None, TOP
     return (graph.nodes[graph.edge_u[best_id]], graph.nodes[graph.edge_v[best_id]]), best
-
-
-def find_root(parent: list[int], node: int) -> int:
-    """Root of ``node``'s block in a union-find parent array; compresses the path."""
-    root = node
-    while parent[root] != root:
-        root = parent[root]
-    while parent[node] != root:
-        parent[node], node = root, parent[node]
-    return root
 
 
 def single_linkage(graph: Graph, weights: Sequence[Weight]) -> Iterator[tuple[int, int, int]]:

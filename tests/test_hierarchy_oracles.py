@@ -65,6 +65,18 @@ def test_components_match_the_naive_reference(graph, rng):
     )
 
 
+@given(loose_graphs(), st.randoms(use_true_random=False))
+def test_component_labels_group_into_the_naive_components(graph, rng):
+    keep = [rng.random() < 0.6 for _ in range(len(graph.edges))]
+    label, first = connected_components(graph, keep, labels=True)
+    assert label.typecode == "i" and len(label) == len(graph.nodes)
+    groups = [[] for _ in first]
+    for name, component in zip(graph.nodes, label):
+        groups[component].append(name)
+    assert list(map(tuple, groups)) == naive_connected_components(graph, keep.__getitem__)
+    assert [graph.nodes[node] for node in first] == [group[0] for group in groups]
+
+
 dendro_weights = st.one_of(st.integers(min_value=0, max_value=3), st.sampled_from([BOTTOM, TOP]))
 
 

@@ -17,6 +17,7 @@ from floodgraph import (
     flat_zones,
     flooding_inf,
     flooding_sup,
+    grid_graph,
     is_edge_flooding,
     is_node_flooding,
     lakes,
@@ -85,6 +86,16 @@ def test_tank_lakes(tank):
     assert part.lake_of("E").nodes == ("D", "E")
     with pytest.raises(PreconditionError):
         part.lake_of("Z")
+
+
+def test_lake_of_holds_every_node_of_a_raster():
+    rng = random.Random(12)
+    size = 64
+    graph = grid_graph([[rng.randint(0, 9) for _ in range(size)] for _ in range(size)])
+    tau = core_expanding_flood(graph, ceiling_above(rng, graph, slack=3)).tau
+    part = lakes(graph, tau)
+    assert all(node in part.lake_of(node).nodes for node in graph.nodes)
+    assert all(part.lake_of(node) is lake for lake in part.lakes for node in lake.nodes)
 
 
 def test_chain_lakes_on_the_derived_edge_view(chain):

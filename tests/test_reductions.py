@@ -22,6 +22,7 @@ from floodgraph import (
     edge_dilation,
     edge_opening,
     expand,
+    flat_zones,
     is_edge_flooding,
     local_flood,
     mst,
@@ -39,6 +40,7 @@ from strategies import (
     ceiling_above,
     edge_graphs,
     node_graphs,
+    rough_node_graph,
     rough_node_graphs,
     rough_up_hill_instances,
 )
@@ -171,6 +173,50 @@ def test_expand_round_trip(strip):
     assert expand(mapping, values) == pulled
     with pytest.raises(PreconditionError):
         mapping.expand({"0,0": 1})
+
+
+def eager_contraction(graph, omega):
+    """The contraction built by hand on names: zone pairs as name tuples,
+    ``forward`` and ``blocks`` as eager dicts."""
+    zones = flat_zones(graph)
+    rep = {name: zone[0] for zone in zones for name in zone}
+    forward = {name: rep[name] for name in graph.nodes}
+    blocks = {zone[0]: zone for zone in zones}
+    ends, weights = {}, {}
+    for (u, v), weight in zip(graph.edges, graph.edge_weights):
+        pair = forward[u], forward[v]
+        if pair[0] == pair[1]:
+            continue
+        key = frozenset(pair)
+        if key in ends:
+            weights[key] = min(weights[key], weight)
+        else:
+            ends[key], weights[key] = pair, weight
+    low = {rep: min(omega[name] for name in zone) for rep, zone in blocks.items()}
+    return list(ends.values()), list(weights.values()), low, forward, blocks
+
+
+@settings(max_examples=200)
+@given(st.randoms(use_true_random=False))
+def test_lazy_contraction_map_matches_the_eager_build(rng):
+    graph = rough_node_graph(rng)
+    graph = graph.with_edge_weights([rng.randint(0, 6) for _ in graph.edge_u])
+    omega = ceiling_above(rng, graph)
+    contracted, mapping, contracted_omega = contract_flat_zones(graph, omega)
+    edges, weights, low, forward, blocks = eager_contraction(graph, omega)
+    assert "forward" not in vars(mapping) and "blocks" not in vars(mapping)
+    assert contracted.nodes == tuple(blocks)
+    assert list(contracted.edges) == edges
+    assert list(contracted.edge_weights) == weights
+    assert list(contracted_omega.items()) == list(low.items())
+    assert list(mapping.forward.items()) == list(forward.items())
+    assert list(mapping.blocks.items()) == list(blocks.items())
+    assert mapping.forward is mapping.forward and mapping.blocks is mapping.blocks
+    values = {rep: rng.randint(0, 9) for rep in contracted.nodes}
+    assert mapping.expand(values) == {name: values[rep] for name, rep in forward.items()}
+    missing = dict(list(values.items())[1:])
+    with pytest.raises(PreconditionError, match="contracted values is missing node"):
+        mapping.expand(missing)
 
 
 # -- contracted spanning trees -------------------------------------------------------

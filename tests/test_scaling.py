@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import random
@@ -17,6 +18,7 @@ from floodgraph import (
     TOP,
     build_graph,
     build_lake_dendrogram,
+    contract_flat_zones,
     diameter,
     flat_zones,
     grid_graph,
@@ -148,6 +150,22 @@ def test_grid_graph_peak_is_array_sized(connectivity, limit):
         tracemalloc.stop()
     assert len(grid.nodes) == size * size
     assert peak / (size * size) < limit
+
+
+def test_contract_flat_zones_peak_is_label_sized():
+    """Zone labels in an int array, zone pairs as int keys, ``forward`` and ``blocks`` unbuilt."""
+    size = 512
+    rng = random.Random(3)
+    grid = grid_graph([[rng.randint(0, 50) for _ in range(size)] for _ in range(size)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        contracted, _, _ = contract_flat_zones(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grid.nodes) > len(contracted.nodes) > size * size // 2
+    assert peak / (size * size) < 400
 
 
 def test_up_hill_on_a_raster_is_two_kernel_runs():
