@@ -99,14 +99,17 @@ def ingest_graph(path: str, connectivity: int) -> Ingested:
     return Ingested(graph=graph, file_omega=omega, raster_shape=None)
 
 
-def _ceiling_from_file(path: str, ingested: Ingested) -> NodeFunction:
+def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeFunction:
+    """Ceiling precedence: --ceiling file, then graph-file omega, then top."""
+    graph, path = ingested.graph, getattr(args, "ceiling", None)
+    if path is None:
+        if ingested.file_omega is not None:
+            return ingested.file_omega
+        return dict.fromkeys(graph.nodes, TOP)
     data = _read_bytes(path)
-    graph = ingested.graph
     if data[:2] in (b"P2", b"P5"):
         if ingested.raster_shape is None:
-            raise GraphFormatError(
-                f"{path}: raster ceiling requires a raster graph input"
-            )
+            raise GraphFormatError(f"{path}: raster ceiling requires a raster graph input")
         rows = read_pgm(data)
         shape = (len(rows), len(rows[0]))
         if shape != ingested.raster_shape:
@@ -116,32 +119,19 @@ def _ceiling_from_file(path: str, ingested: Ingested) -> NodeFunction:
             )
         return dict(zip(graph.nodes, (value for row in rows for value in row)))
     text = _decode(data, path)
-    meaningful = next(
-        (line.split("#", 1)[0].strip() for line in text.splitlines()
-         if line.split("#", 1)[0].strip()),
-        "",
-    )
-    if meaningful == HEADER:
-        other, omega = parse_graph(text)
-        if other.nodes != graph.nodes:
+    first = next(filter(None, (line.split("#", 1)[0].strip() for line in text.splitlines())), "")
+    if first == HEADER:
+        other, values = parse_graph(text)
+        if set(other.nodes) != set(graph.nodes):  # in any order
             raise GraphFormatError(f"{path}: ceiling graph has a different node set")
-        return omega if omega is not None else dict.fromkeys(graph.nodes, TOP)
-    values = parse_node_values(text)
-    for node in values:
-        if node not in graph:
-            raise GraphFormatError(f"{path}: ceiling names unknown node {node!r}")
+    else:
+        values = parse_node_values(text)
+        for node in values:
+            if node not in graph:
+                raise GraphFormatError(f"{path}: ceiling names unknown node {node!r}")
     ceiling = dict.fromkeys(graph.nodes, TOP)
-    ceiling.update(values)  # every key is a node, so the order stays the graph's
+    ceiling.update(values or {})  # every key is a node, so the order stays the graph's
     return ceiling
-
-
-def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeFunction:
-    """Ceiling precedence: --ceiling file, then graph-file omega, then top."""
-    if getattr(args, "ceiling", None) is not None:
-        return _ceiling_from_file(args.ceiling, ingested)
-    if ingested.file_omega is not None:
-        return dict(ingested.file_omega)
-    return dict.fromkeys(ingested.graph.nodes, TOP)
 
 
 def edge_view(ingested: Ingested, args: argparse.Namespace, operation: str) -> Graph:
@@ -179,12 +169,18 @@ def _emit(args: argparse.Namespace, lines: Iterable[str]) -> None:
 
 
 def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
+    """Write UTF-8 text whatever the locale: input node names are UTF-8 too."""
     output = getattr(args, "output", None)
     if output:
-        with open(output, "w", newline="\n") as handle:
+        with open(output, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)
-    else:
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stream, such as io.StringIO
         sys.stdout.writelines(chunks)
+    else:
+        sys.stdout.flush()
+        buffer.writelines(chunk.encode("utf-8") for chunk in chunks)
 
 
 def _solver_counters(stats: SolverStats) -> str:
@@ -199,8 +195,7 @@ def _emit_stats(args: argparse.Namespace, counters: str) -> None:
 _SCHEDULES = {"gauss_seidel": "gauss_seidel_alternating", "jacobi": "jacobi"}
 
 
-def cmd_flood(args: argparse.Namespace) -> int:
-    ingested = ingest_graph(args.graph, _connectivity(args))
+def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     omega = resolve_ceiling(args, ingested)
     counters = None  # the solver's counters unless the route measures others
@@ -242,8 +237,7 @@ def cmd_flood(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_segment(args: argparse.Namespace) -> int:
-    ingested = ingest_graph(args.graph, _connectivity(args))
+def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     view = edge_view(ingested, args, "segmentation")
     markers = parse_node_values(_decode(_read_bytes(args.markers), args.markers))
@@ -286,24 +280,21 @@ def cmd_segment(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fldist(args: argparse.Namespace) -> int:
-    ingested = ingest_graph(args.graph, _connectivity(args))
+def cmd_fldist(args: argparse.Namespace, ingested: Ingested) -> int:
     view = edge_view(ingested, args, "fldist")
     distances = flooding_distance_all(view, args.source)
     _emit(args, [f"{n} {format_weight(distances[n])}" for n in view.nodes])
     return 0
 
 
-def cmd_mst(args: argparse.Namespace) -> int:
-    ingested = ingest_graph(args.graph, _connectivity(args))
+def cmd_mst(args: argparse.Namespace, ingested: Ingested) -> int:
     view = edge_view(ingested, args, "mst")
     tree = mst(view)
     _write(args, [serialize_graph(tree)])
     return 0
 
 
-def cmd_dendro(args: argparse.Namespace) -> int:
-    ingested = ingest_graph(args.graph, _connectivity(args))
+def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> int:
     view = edge_view(ingested, args, "dendro")
     dendro = build_lake_dendrogram(view)
     tau: NodeFunction = {}
@@ -320,8 +311,7 @@ def cmd_dendro(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lakes(args: argparse.Namespace) -> int:
-    ingested = ingest_graph(args.graph, _connectivity(args))
+def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     tau = parse_node_values(_decode(_read_bytes(args.tau), args.tau))
     names, edge_u, edge_v = graph.nodes, graph.edge_u, graph.edge_v
@@ -334,8 +324,7 @@ def cmd_lakes(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    ingested = ingest_graph(args.graph, _connectivity(args))
+def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     tau = parse_node_values(_decode(_read_bytes(args.tau), args.tau))
     if graph.has_edge_weights:
@@ -350,8 +339,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_contract(args: argparse.Namespace) -> int:
-    ingested = ingest_graph(args.graph, _connectivity(args))
+def cmd_contract(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     graph.require_ground_values("contract")
     omega: NodeFunction | None = None
@@ -365,8 +353,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_localflood(args: argparse.Namespace) -> int:
-    ingested = ingest_graph(args.graph, _connectivity(args))
+def cmd_localflood(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     graph.require_ground_values("localflood")
     omega = resolve_ceiling(args, ingested)
@@ -478,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        return args.run(args, ingest_graph(args.graph, _connectivity(args)))
     except (GraphFormatError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

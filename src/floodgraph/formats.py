@@ -29,6 +29,8 @@ from .weights import TOP, Weight, format_weight, parse_weight
 
 HEADER = "floodgraph v1"
 _PGM_COMMENT = re.compile(rb"#[^\r\n]*")
+# Blanks and comments, then a header token (empty only at the end of the data).
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 
 def _strip_comment(line: str) -> str:
@@ -63,21 +65,6 @@ def _parse_attrs(tokens: list[str], allowed: tuple[str, ...], lineno: int) -> di
 
 def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
     """Parse the native format; returns the graph and the ceiling (or None)."""
-    lines = text.splitlines()
-    body_start = 0
-    header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        if line != HEADER:
-            raise GraphFormatError(f"line {lineno}: expected header {HEADER!r}")
-        header_seen = True
-        body_start = lineno
-        break
-    if not header_seen:
-        raise GraphFormatError(f"missing header {HEADER!r}")
-
     index: dict[str, int] = {}  # node name to node index, in declaration order
     ground: dict[str, Weight] = {}
     omega: dict[str, Weight] = {}
@@ -85,9 +72,15 @@ def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
     edge_v: list[int] = []
     edge_weights: dict[int, Weight] = {}
 
-    for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
+    header_seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
+            continue
+        if not header_seen:
+            if line != HEADER:
+                raise GraphFormatError(f"line {lineno}: expected header {HEADER!r}")
+            header_seen = True
             continue
         tokens = line.split()
         kind = tokens[0]
@@ -121,6 +114,8 @@ def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
         else:
             raise GraphFormatError(f"line {lineno}: expected 'node' or 'edge', got {kind!r}")
 
+    if not header_seen:
+        raise GraphFormatError(f"missing header {HEADER!r}")
     if not index:
         raise GraphFormatError("graph has no nodes")
     if ground and len(ground) != len(index):
@@ -193,36 +188,6 @@ def serialize_node_values(values: Mapping[str, Weight], order: Iterable[str] | N
     return "\n".join(lines) + "\n" if lines else ""
 
 
-class _PgmScanner:
-    """Token reader for PGM headers (handles # comments, any whitespace)."""
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def next_token(self) -> bytes:
-        data, pos = self.data, self.pos
-        while pos < len(data):
-            byte = data[pos : pos + 1]
-            if byte == b"#":
-                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif byte.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
-            pos += 1
-        if start == pos:
-            raise GraphFormatError("truncated PGM header")
-        self.pos = pos
-        return data[start:pos]
-
-    def next_int(self, what: str) -> int:
-        return _pgm_int(self.next_token(), what)
-
-
 def _pgm_int(token: bytes, what: str) -> int:
     if not token.isdigit():  # ASCII [0-9]+ only, as in parse_weight: no sign, no '_'
         raise GraphFormatError(f"bad PGM {what}: {token!r}")
@@ -234,20 +199,27 @@ def _pgm_int(token: bytes, what: str) -> int:
 
 def read_pgm(data: bytes) -> list[list[int]]:
     """Decode P2 or P5 into rows of pixel values."""
-    scanner = _PgmScanner(data)
-    magic = scanner.next_token()
-    if magic not in (b"P2", b"P5"):
-        raise GraphFormatError(f"not a PGM image (magic {magic!r})")
-    width = scanner.next_int("width")
-    height = scanner.next_int("height")
-    maxval = scanner.next_int("maxval")
+    fields: list = []
+    # the names come first, so zip stops without matching past the maxval
+    for what, match in zip(("magic", "width", "height", "maxval"), _PGM_TOKEN.finditer(data)):
+        token = match[1]
+        if not token:
+            raise GraphFormatError("truncated PGM header")
+        if fields:
+            fields.append(_pgm_int(token, what))
+        elif token in (b"P2", b"P5"):
+            fields.append(token)
+        else:
+            raise GraphFormatError(f"not a PGM image (magic {token!r})")
+    magic, width, height, maxval = fields
+    header_end = match.end()
     if width <= 0 or height <= 0:
         raise GraphFormatError(f"bad PGM size {width}x{height}")
     if not 0 < maxval <= 65535:
         raise GraphFormatError(f"PGM maxval out of range: {maxval}")
 
     if magic == b"P2":
-        tokens = _PGM_COMMENT.sub(b"", data[scanner.pos :]).split()
+        tokens = _PGM_COMMENT.sub(b"", data[header_end:]).split()
         pixels = [_pgm_int(token, "pixel") for token in tokens[: width * height]]
         if len(pixels) < width * height:
             raise GraphFormatError("truncated PGM pixel data")
@@ -257,8 +229,8 @@ def read_pgm(data: bytes) -> list[list[int]]:
         sample = 2 if maxval > 255 else 1
         # one whitespace byte ends the header; a comment may come before it,
         # and the newline that ends the comment is that byte
-        comment = _PGM_COMMENT.match(data, scanner.pos)
-        start = (comment.end() if comment else scanner.pos) + 1
+        comment = _PGM_COMMENT.match(data, header_end)
+        start = (comment.end() if comment else header_end) + 1
         end = start + width * height * sample
         raw = data[start:end]
         if len(raw) != width * height * sample:

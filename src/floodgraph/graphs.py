@@ -17,12 +17,13 @@ The topology is stored once, as compressed sparse rows (CSR) in stdlib
   edge id), in edge declaration order: in a grid, the neighbors' scan
   order, so ``grid_graph`` writes them from a stencil instead of counting.
 
-A graph given only its edges builds the three incidence arrays on first
-use, so a graph that is only written out (a contraction, a spanning tree)
-never builds them.  ``ground_values`` and ``edge_weights`` are tuples
-aligned with the node and edge indices.  ``with_edge_weights`` returns a
-graph that shares all of the topology and carries new edge weights, so
-deriving edge weights from the ground never rebuilds the graph.  The
+A graph given only its edges builds the three incidence arrays and its
+name index on first use, so a graph that is only written out (a
+contraction, a spanning tree) never builds them.  ``ground_values`` and
+``edge_weights`` are tuples aligned with the node and edge indices.
+``with_edge_weights`` returns a graph that shares all of the topology and
+carries new edge weights, so deriving edge weights from the ground never
+rebuilds the graph.  The
 name-keyed views ``edges``, ``ground`` and ``neighbors()`` are built on
 demand for callers that use names.
 """
@@ -99,14 +100,20 @@ class Graph:
     def has_edge_weights(self) -> bool:
         return self.edge_weights is not None
 
+    def _names(self) -> dict[str, int]:
+        """The name-to-index dict, built on first use."""
+        if self._index is None:
+            self._index = dict(zip(self.nodes, range(len(self.nodes))))
+        return self._index
+
     def node_index(self, node: str) -> int:
         try:
-            return self._index[node]
+            return self._names()[node]
         except KeyError:
             raise ConstructionError(f"unknown node: {node!r}") from None
 
     def __contains__(self, node: str) -> bool:
-        return node in self._index
+        return node in self._names()
 
     def neighbors(self, node: str) -> tuple[tuple[str, int], ...]:
         """(neighbor, edge id) pairs in edge declaration order."""
@@ -138,7 +145,7 @@ class Graph:
         weights = _edge_weights(weights, len(self.edge_u))
         ends = (self.edge_u, self.edge_v)
         return index_graph(
-            self.nodes, *ends, self.ground_values, weights, self._index, self.incidences()
+            self.nodes, *ends, self.ground_values, weights, self._names(), self.incidences()
         )
 
 
@@ -184,12 +191,11 @@ def index_graph(
     """A graph from distinct names and edges given as node indices (not validated).
 
     Tuples and arrays passed in are shared, not copied, and so are ``index``
-    (name to node index) and ``csr``; ``index`` is built when missing, and
-    ``csr`` on first use.
+    (name to node index) and ``csr``; either is built on first use when missing.
     """
     graph = object.__new__(Graph)
     graph.nodes = tuple(nodes)
-    graph._index = index or dict(zip(graph.nodes, range(len(graph.nodes))))
+    graph._index = index
     graph.edge_u, graph.edge_v = (
         ends if isinstance(ends, array) else array(_INT, ends) for ends in (edge_u, edge_v)
     )

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,7 @@ from floodgraph import (
     read_pgm,
     write_pgm,
 )
-from floodgraph.cli import main
+from floodgraph.cli import ingest_graph, main, resolve_ceiling
 
 
 CHAIN_FG = """\
@@ -145,6 +149,37 @@ def test_flood_ceiling_file_overrides_graph_omega(capsys, tmp_path, chain_file):
     )
     assert code == 0
     assert out.splitlines() == ["a 0", "b 4", "c 4", "d 4", "e 4"]
+
+
+def test_graph_ceiling_may_list_its_nodes_in_any_order(capsys, tmp_path, chain_file):
+    omega = {"a": 2, "b": 6, "c": 1, "d": 4, "e": 0}
+    reversed_graph = tmp_path / "rev.fg"
+    reversed_graph.write_text(
+        "floodgraph v1\n" + "".join(f"node {n} omega={omega[n]}\n" for n in "edcba")
+    )
+    values = tmp_path / "values.txt"
+    values.write_text("".join(f"{n} {omega[n]}\n" for n in "edcba"))
+    outputs = [
+        run(capsys, "flood", "--algo", "core", "--graph", chain_file, "--ceiling", str(path))
+        for path in (reversed_graph, values)
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    assert outputs[0][1].splitlines() == ["a 2", "b 4", "c 1", "d 2", "e 0"]
+    ceiling = resolve_ceiling(
+        argparse.Namespace(ceiling=str(reversed_graph)), ingest_graph(chain_file, 4)
+    )
+    assert list(ceiling.items()) == list(omega.items())  # in the graph's order
+
+
+def test_graph_ceiling_with_another_node_set_is_rejected(capsys, tmp_path, chain_file):
+    other = tmp_path / "other.fg"
+    other.write_text("floodgraph v1\n" + "".join(f"node {n} omega=3\n" for n in "edcbz"))
+    code, out, err = run(
+        capsys, "flood", "--algo", "core", "--graph", chain_file, "--ceiling", str(other)
+    )
+    assert (code, out) == (2, "")
+    assert "ceiling graph has a different node set" in err
 
 
 def test_flood_without_any_ceiling_drowns_everything(capsys, tmp_path):
@@ -601,6 +636,24 @@ def test_invalid_connectivity_env(capsys, tmp_path, monkeypatch, strip_pgm):
     code, _, err = run(capsys, "flood", "--algo", "core", "--graph", strip_pgm)
     assert code == 2
     assert "FLOODGRAPH_CONNECTIVITY" in err
+
+
+def test_non_ascii_names_are_written_as_utf8_under_any_locale(tmp_path):
+    graph = tmp_path / "utf8.fg"
+    graph.write_bytes("floodgraph v1\nnode é f=1\nnode b f=2 omega=3\nedge é b\n".encode())
+    expected = "é 3\nb 3\n".encode()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {**os.environ, "PYTHONPATH": path}
+    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    command = [sys.executable, "-m", "floodgraph.cli", "flood", "--algo", "core", "--graph", str(graph)]
+    for name, env in (("default", base), ("ascii", {**base, **ascii_locale})):
+        report = tmp_path / f"{name}.txt"
+        child = subprocess.run(command, env=env, capture_output=True)
+        assert (child.returncode, child.stdout, child.stderr) == (0, expected, b""), name
+        child = subprocess.run([*command, "-o", str(report)], env=env, capture_output=True)
+        assert (child.returncode, child.stdout, child.stderr) == (0, b"", b""), name
+        assert report.read_bytes() == expected, name
 
 
 # -- exit codes --------------------------------------------------------------------

@@ -143,6 +143,7 @@ def test_derived_views_share_the_topology(graph):
     for view in (derive_edge_graph(graph), graph.with_edge_weights(graph.edge_weights)):
         for attr in TOPOLOGY:
             assert getattr(view, attr) is getattr(graph, attr), attr
+        assert view._index is graph._index is not None  # one name index for both
     derived = derive_edge_graph(graph)
     ground = graph.ground
     assert derived.edge_weights == tuple(max(ground[u], ground[v]) for u, v in graph.edges)

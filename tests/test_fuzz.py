@@ -14,8 +14,17 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from floodgraph import GraphFormatError, parse_graph, parse_node_values, read_pgm
+from floodgraph import TOP, GraphFormatError, parse_graph, parse_node_values, read_pgm
 from floodgraph.cli import main
+from floodgraph.formats import (
+    _PGM_COMMENT,
+    HEADER,
+    _check_node_id,
+    _parse_attrs,
+    _pgm_int,
+    _strip_comment,
+)
+from floodgraph.graphs import index_graph
 
 # int() accepts at most 4300 digits by default (sys.get_int_max_str_digits)
 digit_runs = st.sampled_from([1, 2, 20, 4300, 4301, 5000]).map(lambda k: "9" * k)
@@ -137,3 +146,202 @@ def test_cli_exits_2_without_a_traceback_on_rejected_input(data, ceiling_text):
         if _rejects(parse_node_values, ceiling_text):
             assert code == 2 and err.startswith("error: "), err
         assert code in (0, 1, 2)
+
+
+# -- reference readers ----------------------------------------------------------
+#
+# The former readers, kept to pin the single-pass ones: PGM header tokens read
+# byte by byte, and a graph parser that finds the header in a loop of its own
+# before a second loop reads the body.
+
+
+class ReferencePgmScanner:
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.pos = 0
+
+    def next_token(self) -> bytes:
+        data, pos = self.data, self.pos
+        while pos < len(data):
+            byte = data[pos : pos + 1]
+            if byte == b"#":
+                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
+                    pos += 1
+            elif byte.isspace():
+                pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
+            pos += 1
+        if start == pos:
+            raise GraphFormatError("truncated PGM header")
+        self.pos = pos
+        return data[start:pos]
+
+
+def reference_read_pgm(data: bytes) -> list[list[int]]:
+    scanner = ReferencePgmScanner(data)
+    magic = scanner.next_token()
+    if magic not in (b"P2", b"P5"):
+        raise GraphFormatError(f"not a PGM image (magic {magic!r})")
+    width, height, maxval = (
+        _pgm_int(scanner.next_token(), what) for what in ("width", "height", "maxval")
+    )
+    if width <= 0 or height <= 0:
+        raise GraphFormatError(f"bad PGM size {width}x{height}")
+    if not 0 < maxval <= 65535:
+        raise GraphFormatError(f"PGM maxval out of range: {maxval}")
+    if magic == b"P2":
+        tokens = _PGM_COMMENT.sub(b"", data[scanner.pos :]).split()
+        pixels = [_pgm_int(token, "pixel") for token in tokens[: width * height]]
+        if len(pixels) < width * height:
+            raise GraphFormatError("truncated PGM pixel data")
+        if len(tokens) > width * height:
+            raise GraphFormatError("trailing data after the PGM pixel data")
+    else:
+        sample = 2 if maxval > 255 else 1
+        comment = _PGM_COMMENT.match(data, scanner.pos)
+        start = (comment.end() if comment else scanner.pos) + 1
+        end = start + width * height * sample
+        raw = data[start:end]
+        if len(raw) != width * height * sample:
+            raise GraphFormatError("truncated PGM pixel data")
+        if len(data) > end:
+            raise GraphFormatError("trailing data after the PGM pixel data")
+        pixels = list(raw) if sample == 1 else [
+            (raw[i] << 8) | raw[i + 1] for i in range(0, len(raw), 2)
+        ]
+    for value in pixels:
+        if not 0 <= value <= maxval:
+            raise GraphFormatError(f"PGM pixel {value} exceeds maxval {maxval}")
+    return [pixels[row * width : (row + 1) * width] for row in range(height)]
+
+
+def reference_parse_graph(text: str):
+    lines = text.splitlines()
+    body_start = 0
+    header_seen = False
+    for lineno, raw in enumerate(lines, start=1):
+        line = _strip_comment(raw)
+        if not line:
+            continue
+        if line != HEADER:
+            raise GraphFormatError(f"line {lineno}: expected header {HEADER!r}")
+        header_seen = True
+        body_start = lineno
+        break
+    if not header_seen:
+        raise GraphFormatError(f"missing header {HEADER!r}")
+
+    index: dict[str, int] = {}
+    ground, omega, edge_weights = {}, {}, {}
+    edge_u: list[int] = []
+    edge_v: list[int] = []
+    for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
+        line = _strip_comment(raw)
+        if not line:
+            continue
+        tokens = line.split()
+        kind = tokens[0]
+        if kind == "node":
+            if len(tokens) < 2:
+                raise GraphFormatError(f"line {lineno}: node line needs an id")
+            node = _check_node_id(tokens[1], lineno)
+            if node in index:
+                raise GraphFormatError(f"line {lineno}: duplicate node {node!r}")
+            index[node] = len(index)
+            attrs = _parse_attrs(tokens[2:], ("f", "omega"), lineno)
+            if "f" in attrs:
+                ground[node] = attrs["f"]
+            if "omega" in attrs:
+                omega[node] = attrs["omega"]
+        elif kind == "edge":
+            if len(tokens) < 3:
+                raise GraphFormatError(f"line {lineno}: edge line needs two node ids")
+            u = _check_node_id(tokens[1], lineno)
+            v = _check_node_id(tokens[2], lineno)
+            for endpoint in (u, v):
+                if endpoint not in index:
+                    raise GraphFormatError(f"line {lineno}: unknown node {endpoint!r}")
+            if u == v:
+                raise GraphFormatError(f"line {lineno}: self-loop on {u!r}")
+            attrs = _parse_attrs(tokens[3:], ("w",), lineno)
+            if "w" in attrs:
+                edge_weights[len(edge_u)] = attrs["w"]
+            edge_u.append(index[u])
+            edge_v.append(index[v])
+        else:
+            raise GraphFormatError(f"line {lineno}: expected 'node' or 'edge', got {kind!r}")
+
+    if not index:
+        raise GraphFormatError("graph has no nodes")
+    if ground and len(ground) != len(index):
+        missing = next(node for node in index if node not in ground)
+        raise GraphFormatError(f"ground must cover every node or none; {missing!r} has no f")
+    if edge_weights and len(edge_weights) != len(edge_u):
+        missing_id = next(i for i in range(len(edge_u)) if i not in edge_weights)
+        names = list(index)
+        u, v = names[edge_u[missing_id]], names[edge_v[missing_id]]
+        raise GraphFormatError(f"edge weights must cover every edge or none; {u} {v} has no w")
+    graph = index_graph(
+        index,
+        edge_u,
+        edge_v,
+        ground_values=ground.values() if ground else None,
+        edge_weights=edge_weights.values() if edge_weights else None,
+    )
+    ceiling = {node: omega.get(node, TOP) for node in index} if omega else None
+    return graph, ceiling
+
+
+def _outcome(parse, data):
+    """What ``parse`` makes of ``data``: its result in plain values, or its error."""
+    try:
+        result = parse(data)
+    except GraphFormatError as exc:
+        return "error", str(exc)
+    if isinstance(result, tuple):  # a graph and its ceiling
+        graph, ceiling = result
+        result = (graph.nodes, graph.edges, graph.ground_values, graph.edge_weights,
+                  None if ceiling is None else list(ceiling.items()))
+    return "ok", result
+
+
+# blanks, line ends and comments where a reader must skip them
+separators = st.sampled_from(
+    [b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"#", b"# c\n", b"#x\r", b"  # a # b\n", b""]
+)
+header_bytes = st.builds(
+    lambda magic, parts, tail: magic + b"".join(sep + token for sep, token in parts) + tail,
+    st.sampled_from([b"P2", b"P5", b"P6", b"", b"#P2"]),
+    st.lists(st.tuples(st.lists(separators, min_size=1, max_size=3).map(b"".join), pgm_tokens),
+             max_size=5),
+    st.one_of(st.lists(separators, max_size=3).map(b"".join), st.binary(max_size=8)),
+)
+blank_lines = st.sampled_from(["", " ", "\t", "\r", "\x0b", "\x0c", "# c", "  # floodgraph v1"])
+lined_graph_texts = st.builds(
+    lambda before, header, body, sep: sep.join([*before, header, *body]),
+    st.lists(blank_lines, max_size=3),
+    st.sampled_from([HEADER, f" {HEADER} # c", "floodgraph v2", "node a"]),
+    st.lists(st.one_of(graph_lines, blank_lines), max_size=6),
+    st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c"]),
+)
+
+
+@settings(max_examples=300)
+@example(b"P2#c\r1\x0b1\x0c1 1")
+@example(b"P5 1 1 255#c\n\x05")
+@example(b"P2 1")
+@given(st.one_of(pgm_bytes, header_bytes))
+def test_read_pgm_matches_the_byte_scanner(data):
+    assert _outcome(read_pgm, data) == _outcome(reference_read_pgm, data)
+
+
+@settings(max_examples=300)
+@example("")
+@example("# only a comment\n\n")
+@example("\x0b# c\x0cfloodgraph v1\rnode a f=1")
+@given(st.one_of(graph_texts, lined_graph_texts))
+def test_parse_graph_matches_the_two_loop_parser(text):
+    assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)

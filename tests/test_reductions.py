@@ -235,6 +235,17 @@ def test_mst_with_contraction_on_the_strip(strip):
     assert mapping.blocks["0,0"] == ("0,0", "0,1")
 
 
+def test_contractions_build_no_name_index_until_one_is_asked_for(strip):
+    contracted, mapping, _ = contract_flat_zones(strip.graph, strip.omega)
+    tree, _ = mst_with_contraction(strip.graph)
+    assert mapping.blocks and mapping.forward  # the maps read names by position, not by index
+    for graph in (contracted, tree):
+        assert graph._index is None
+        assert "0,3" in graph and "0,1" not in graph
+        assert graph.node_index("0,3") == 2
+        assert graph._index == {"0,0": 0, "0,2": 1, "0,3": 2, "0,4": 3, "0,5": 4}
+
+
 def test_mst_with_contraction_on_the_chain(chain):
     tree, mapping = mst_with_contraction(chain.graph)
     assert tree.edges == chain.graph.edges
