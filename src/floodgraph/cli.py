@@ -39,7 +39,7 @@ from .formats import (
     serialize_graph,
     write_pgm,
 )
-from .graphs import Graph, NodeFunction, check_ceiling, grid_graph, values_by_index
+from .graphs import Graph, NodeFunction, ceiling_by_index, grid_graph
 from .hydro import derive_edge_graph, is_edge_flooding, is_node_flooding, lakes
 from .dendrogram import build_lake_dendrogram, dendrogram_flood
 from .reductions import contract_flat_zones, local_flood
@@ -73,6 +73,11 @@ def _decode(data: bytes, path: str) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: not UTF-8 text and not a PGM raster") from exc
+
+
+def _utf8_name(arg: str) -> str:
+    """A node name from the command line, read as UTF-8 like the files."""
+    return os.fsencode(arg).decode("utf-8")  # argparse reports a ValueError as misuse
 
 
 def _connectivity(args: argparse.Namespace) -> int:
@@ -217,7 +222,7 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> int:
             else:
                 result = SolverResult(tau={n: TOP for n in view.nodes})
         else:
-            check_ceiling(view, values_by_index(view, omega, "omega"))
+            ceiling_by_index(view, omega)
             dendrogram = build_lake_dendrogram(view)
             result = SolverResult(tau=dendrogram_flood(dendrogram, omega))
             counters = f"clusters={len(dendrogram.diam)}"
@@ -300,7 +305,7 @@ def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> int:
     tau: NodeFunction = {}
     if args.flood:  # before any output, so a bad ceiling writes nothing
         omega = resolve_ceiling(args, ingested)
-        check_ceiling(view, values_by_index(view, omega, "omega"))
+        ceiling_by_index(view, omega)
         tau = dendrogram_flood(dendro, omega)
     clusters = (
         f"cluster {index} diam={format_weight(diam)} "
@@ -417,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fldist = commands.add_parser("fldist", help="flooding distances from one node")
     common(fldist, derive=True)
-    fldist.add_argument("--from", dest="source", required=True, metavar="NODE")
+    fldist.add_argument("--from", dest="source", required=True, metavar="NODE", type=_utf8_name)
     fldist.set_defaults(run=cmd_fldist)
 
     tree = commands.add_parser("mst", help="minimum spanning tree of the edge weights")
@@ -451,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         "localflood", help="flooding level at a single node"
     )
     common(localflood)
-    localflood.add_argument("--node", required=True)
+    localflood.add_argument("--node", required=True, type=_utf8_name)
     localflood.add_argument("--ceiling", help="ceiling file")
     localflood.set_defaults(run=cmd_localflood)
 

@@ -31,7 +31,8 @@ demand for callers that use names.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, product
+from itertools import accumulate, compress, filterfalse, product
+from operator import lt
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConstructionError, PreconditionError
@@ -446,14 +447,12 @@ def partial_graph(graph: Graph, edge_ids: Iterable[int]) -> Graph:
 
 
 def check_total(graph: Graph, values: Mapping[str, Weight], what: str) -> None:
-    """Raise unless ``values`` is defined on exactly the graph's nodes."""
-    for node in graph.nodes:
-        if node not in values:
-            raise PreconditionError(f"{what} is missing node {node!r}")
+    """Raise unless ``values`` is defined on exactly the graph's nodes; read no value."""
+    for node in filterfalse(values.__contains__, graph.nodes):
+        raise PreconditionError(f"{what} is missing node {node!r}")
     if len(values) != len(graph.nodes):
-        for node in values:
-            if node not in graph:
-                raise PreconditionError(f"{what} defined on unknown node {node!r}")
+        for node in filterfalse(graph.__contains__, values):
+            raise PreconditionError(f"{what} defined on unknown node {node!r}")
 
 
 def values_by_index(graph: Graph, values: Mapping[str, Weight], what: str) -> list[Weight]:
@@ -477,21 +476,21 @@ def dilation(graph: Graph, levels: Sequence[Weight]) -> tuple[Weight, ...]:
     return tuple(a if a >= b else b for a, b in zip(map(at, graph.edge_u), map(at, graph.edge_v)))
 
 
-def check_ceiling(graph: Graph, ceiling: Sequence[Weight]) -> None:
-    """Raise unless the ceiling (listed by node index) is at or above the ground.
+def ceiling_by_index(
+    graph: Graph, omega: Mapping[str, Weight], what: str = "omega"
+) -> list[Weight]:
+    """The ceiling ``omega`` listed by node index, after ``check_total``.
 
-    This is the one ceiling-versus-ground rule of the package: no flooding
-    can lie at or above the ground under such a ceiling.  Graphs without
-    ground accept every ceiling.
-    """
+    The one ceiling-versus-ground rule of the package: no flooding lies at or
+    above the ground under a ceiling below it, so the first such node raises.
+    Graphs without ground accept every ceiling."""
+    ceiling = values_by_index(graph, omega, what)
     ground = graph.ground_values
-    if ground is None:
-        return
-    for node, (level, floor) in enumerate(zip(ceiling, ground)):
-        if level < floor:
-            name = graph.nodes[node]
+    if ground is not None:
+        for node in compress(range(len(ceiling)), map(lt, ceiling, ground)):
+            name, level, floor = graph.nodes[node], ceiling[node], ground[node]
             raise PreconditionError(
                 f"ceiling below ground at node {name!r}: omega={format_weight(level)} "
                 f"is below the ground at node {name!r} (f={format_weight(floor)})"
             )
-
+    return ceiling

@@ -29,8 +29,7 @@ from .errors import PreconditionError
 from .graphs import (
     Graph,
     NodeFunction,
-    check_ceiling,
-    check_total,
+    ceiling_by_index,
     dilation,
     group_by_label,
     index_graph,
@@ -69,8 +68,14 @@ def edge_opening(graph: Graph, weights: tuple[Weight, ...] | None = None) -> tup
 
 
 def node_closing(graph: Graph, values: Mapping[str, Weight] | None = None) -> NodeFunction:
-    """Closing on node values: dilate to the edges, erode back."""
-    return node_erosion(graph, edge_dilation(graph, values))
+    """Closing on node values: dilate to the edges, erode back.  That is
+    max(value, lowest neighbor value), or top for an isolated node."""
+    levels = levels_by_index(graph, values, "edge_dilation", "node values")
+    offsets, adj_node = graph.offsets, graph.adj_node
+    return dict(zip(graph.nodes, (
+        max(level, min(map(levels.__getitem__, adj_node[low:high]))) if low < high else TOP
+        for level, low, high in zip(levels, offsets, offsets[1:])
+    )))
 
 
 def waterfall_flooding(graph: Graph) -> NodeFunction:
@@ -112,8 +117,7 @@ class ContractionMap:
 
     def expand(self, values: Mapping[str, Weight]) -> NodeFunction:
         """Pull values on the contracted graph back to the original nodes."""
-        check_total(self.graph, values, "contracted values")
-        levels = list(map(values.__getitem__, self.graph.nodes))
+        levels = values_by_index(self.graph, values, "contracted values")
         return dict(zip(self.nodes, map(levels.__getitem__, self.zone_of)))
 
 
@@ -133,9 +137,7 @@ def contract_flat_zones(
     lowest ceiling above it.
     """
     ground = graph.require_ground_values("contract_flat_zones")
-    ceiling = None if omega is None else values_by_index(graph, omega, "ceiling")
-    if ceiling is not None:
-        check_ceiling(graph, ceiling)
+    ceiling = None if omega is None else ceiling_by_index(graph, omega, "ceiling")
 
     zone_of, firsts = flat_zones(graph, labels=True)
     reps = tuple(map(graph.nodes.__getitem__, firsts))
@@ -241,12 +243,7 @@ def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunct
     contracted, mapping, contracted_omega = contract_flat_zones(graph, omega)
     assert contracted_omega is not None
     ceiling = list(map(contracted_omega.__getitem__, contracted.nodes))
-    ground, offsets, adj_node = contracted.ground_values, contracted.offsets, contracted.adj_node
-    # the closing: each node's lowest pass, max(ground, lowest neighbor), top when isolated
-    closed = [
-        max(floor, min(map(ground.__getitem__, adj_node[low:high]))) if low < high else TOP
-        for floor, low, high in zip(ground, offsets, offsets[1:])
-    ]
+    closed = list(node_closing(contracted).values())
     chi = [max(level, low) for level, low in zip(ceiling, closed)]  # lowered in place
     fed = [node for node, level in enumerate(chi) if level < TOP]
     _best_first_flood(contracted, dilation(contracted, closed), chi, fed)
@@ -266,8 +263,7 @@ def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:
     loop, where a run of the min-max kernel would visit the whole graph.
     """
     ground = graph.require_ground_values("local_flood")
-    ceiling = values_by_index(graph, omega, "ceiling")
-    check_ceiling(graph, ceiling)
+    ceiling = ceiling_by_index(graph, omega, "ceiling")
     center = graph.node_index(node)
     offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
 
@@ -323,8 +319,7 @@ def up_hill(
     ceiling.  Returns the levels of the newly flooded nodes, in node order.
     """
     ground = graph.require_ground_values("up_hill")
-    ceiling = values_by_index(graph, omega, "ceiling")
-    check_ceiling(graph, ceiling)
+    ceiling = ceiling_by_index(graph, omega, "ceiling")
     seeds = {graph.node_index(node) for node in region}
     if not seeds:
         raise PreconditionError("up_hill needs a non-empty start region")

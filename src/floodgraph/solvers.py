@@ -36,7 +36,7 @@ from heapq import heappop
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
-from .graphs import Graph, NodeFunction, check_ceiling, index_graph, values_by_index
+from .graphs import Graph, NodeFunction, ceiling_by_index, index_graph, values_by_index
 from .hydro import regional_minima
 from .ultrametric import Funnel, _best_first_flood, distance_rows
 from .weights import BOTTOM, TOP, Weight, weight_succ
@@ -65,8 +65,7 @@ def augment_with_dummy(graph: Graph, omega: Mapping[str, Weight]) -> tuple[Graph
     and the reservoir's node id.
     """
     weights = graph.require_edge_weights("augment_with_dummy")
-    ceiling = values_by_index(graph, omega, "omega")
-    check_ceiling(graph, ceiling)
+    ceiling = ceiling_by_index(graph, omega)
     dummy = "@omega"
     while dummy in graph:
         dummy += "+"
@@ -83,8 +82,7 @@ def augment_with_dummy(graph: Graph, omega: Mapping[str, Weight]) -> tuple[Graph
 
 def oracle_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunction:
     """tau_q = min over nodes i of omega_i v d(i, q), via the full matrix."""
-    ceiling = values_by_index(graph, omega, "omega")
-    check_ceiling(graph, ceiling)
+    ceiling = ceiling_by_index(graph, omega)
     rows = distance_rows(graph)
     return {
         name: min(max(level, row[q]) for level, row in zip(ceiling, rows))
@@ -108,8 +106,7 @@ def berge_flood(
     final one that finds no drop; ``stats.relaxations`` counts the drops.
     """
     weights = graph.require_edge_weights("berge_flood")
-    tau = values_by_index(graph, omega, "omega")
-    check_ceiling(graph, tau)
+    tau = ceiling_by_index(graph, omega)
     if schedule not in ("jacobi", "gauss_seidel_alternating"):
         raise PreconditionError(f"unknown berge schedule: {schedule!r}")
     offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
@@ -166,8 +163,7 @@ def dijkstra_flood(
     the reduction exact on node-derived graphs.
     """
     weights = graph.require_edge_weights("dijkstra_flood")
-    ceiling = values_by_index(graph, omega, "omega")
-    check_ceiling(graph, ceiling)
+    ceiling = ceiling_by_index(graph, omega)
     seeds: Iterable[int]
     if isinstance(init, str):
         if init != "all":
@@ -200,14 +196,8 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
     weights = graph.require_edge_weights("prim_flood")
     if not sources:
         raise PreconditionError("prim_flood needs at least one source")
-    for node in sources:
-        if node not in graph:
-            raise PreconditionError(f"omega defined on unknown node {node!r}")
+    ceiling_by_index(graph, dict.fromkeys(graph.nodes, TOP) | dict(sources))
     seeds = [(level, graph.node_index(node)) for node, level in sources.items()]
-    ceiling: list[Weight] = [TOP] * len(graph.nodes)
-    for level, node in seeds:
-        ceiling[node] = level
-    check_ceiling(graph, ceiling)
     tau: list[Weight] = [TOP] * len(graph.nodes)
     funnel = Funnel()
     for level, node in seeds:
@@ -252,8 +242,7 @@ def core_expanding_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverRes
     its neighbors are examined in the same batch.
     """
     ground = graph.require_ground_values("core_expanding_flood")
-    ceiling = values_by_index(graph, omega, "omega")
-    check_ceiling(graph, ceiling)
+    ceiling = ceiling_by_index(graph, omega)
     total = len(ceiling)
     order = sorted(range(total), key=ceiling.__getitem__)  # stable: ties by index
     offsets, adj_node = graph.offsets, graph.adj_node

@@ -638,22 +638,52 @@ def test_invalid_connectivity_env(capsys, tmp_path, monkeypatch, strip_pgm):
     assert "FLOODGRAPH_CONNECTIVITY" in err
 
 
-def test_non_ascii_names_are_written_as_utf8_under_any_locale(tmp_path):
+def utf8_graph(tmp_path):
+    """A graph file with the non-ASCII node name é."""
     graph = tmp_path / "utf8.fg"
     graph.write_bytes("floodgraph v1\nnode é f=1\nnode b f=2 omega=3\nedge é b\n".encode())
-    expected = "é 3\nb 3\n".encode()
+    return str(graph)
+
+
+def locales():
+    """(name, environment) for a child under the default locale and under ASCII."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     base = {**os.environ, "PYTHONPATH": path}
     ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
-    command = [sys.executable, "-m", "floodgraph.cli", "flood", "--algo", "core", "--graph", str(graph)]
-    for name, env in (("default", base), ("ascii", {**base, **ascii_locale})):
+    return (("default", base), ("ascii", {**base, **ascii_locale}))
+
+
+def test_non_ascii_names_are_written_as_utf8_under_any_locale(tmp_path):
+    expected = "é 3\nb 3\n".encode()
+    command = [sys.executable, "-m", "floodgraph.cli", "flood", "--algo", "core"]
+    command += ["--graph", utf8_graph(tmp_path)]
+    for name, env in locales():
         report = tmp_path / f"{name}.txt"
         child = subprocess.run(command, env=env, capture_output=True)
         assert (child.returncode, child.stdout, child.stderr) == (0, expected, b""), name
         child = subprocess.run([*command, "-o", str(report)], env=env, capture_output=True)
         assert (child.returncode, child.stdout, child.stderr) == (0, b"", b""), name
         assert report.read_bytes() == expected, name
+
+
+def test_node_names_on_the_command_line_are_read_as_utf8_under_any_locale(tmp_path):
+    graph = utf8_graph(tmp_path)
+    runs = {
+        ("fldist", "--derive-edges", "--from", "é"): "é -inf\nb 2\n",
+        ("localflood", "--node", "é"): "é 3\n",
+    }
+    for name, env in locales():
+        for argv, expected in runs.items():
+            command = [sys.executable, "-m", "floodgraph.cli", *argv, "--graph", graph]
+            child = subprocess.run(command, env=env, capture_output=True)
+            outcome = (child.returncode, child.stdout, child.stderr)
+            assert outcome == (0, expected.encode(), b""), (name, argv)
+        # a name that is not UTF-8 is a usage error, without a traceback
+        command = [sys.executable, "-m", "floodgraph.cli", "localflood", "--graph", graph]
+        child = subprocess.run([*command, "--node", b"\xff"], env=env, capture_output=True)
+        assert child.returncode == 2 and child.stdout == b"", name
+        assert child.stderr.startswith(b"usage: ") and b"Traceback" not in child.stderr, name
 
 
 # -- exit codes --------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from floodgraph import (
+    BOTTOM,
+    TOP,
     ConstructionError,
     Graph,
     PreconditionError,
@@ -16,10 +20,12 @@ from floodgraph import (
     grid_graph,
     grid_node,
     partial_graph,
+    format_weight,
     subgraph_spanning,
 )
+from floodgraph.graphs import ceiling_by_index
 
-from strategies import edge_graphs
+from strategies import edge_graphs, rough_flood_instances, rough_node_flood_instances
 
 
 def edge_set(graph, ids):
@@ -189,6 +195,70 @@ def test_check_total(chain):
         check_total(chain.graph, {"a": 0}, "tau")
     with pytest.raises(PreconditionError):
         check_total(chain.graph, {**chain.tau, "z": 1}, "tau")
+
+
+def reference_check_total(graph, values, what):
+    """The former check_total: one Python loop per scan."""
+    for node in graph.nodes:
+        if node not in values:
+            raise PreconditionError(f"{what} is missing node {node!r}")
+    if len(values) != len(graph.nodes):
+        for node in values:
+            if node not in graph:
+                raise PreconditionError(f"{what} defined on unknown node {node!r}")
+
+
+def reference_ceiling_by_index(graph, omega, what):
+    """The former pair of calls: the values listed after check_total, then check_ceiling."""
+    reference_check_total(graph, omega, what)
+    ceiling = [omega[node] for node in graph.nodes]
+    ground = graph.ground_values
+    if ground is None:
+        return ceiling
+    for node, (level, floor) in enumerate(zip(ceiling, ground)):
+        if level < floor:
+            name = graph.nodes[node]
+            raise PreconditionError(
+                f"ceiling below ground at node {name!r}: omega={format_weight(level)} "
+                f"is below the ground at node {name!r} (f={format_weight(floor)})"
+            )
+    return ceiling
+
+
+def outcome(function, *args):
+    """The result, or the class and message of the error raised."""
+    try:
+        return function(*args)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(rough_flood_instances(), rough_node_flood_instances()),
+    st.sampled_from([None, "missing", "unknown", "below"]),
+    st.randoms(use_true_random=False),
+)
+def test_ceiling_by_index_matches_the_former_checks(instance, fault, rng):
+    graph, omega = instance
+    if fault == "missing":
+        del omega[rng.choice(graph.nodes)]
+    elif fault == "unknown":
+        items = list(omega.items())
+        items.insert(rng.randint(0, len(items)), ("zz", rng.choice([BOTTOM, 0, TOP])))
+        omega = dict(items)
+    elif fault == "below" and graph.ground_values is not None:
+        floors = dict(zip(graph.nodes, graph.ground_values))
+        raised = [node for node in graph.nodes if floors[node] > BOTTOM]
+        if raised:
+            node = rng.choice(raised)
+            omega[node] = rng.choice([v for v in (BOTTOM, *range(6)) if v < floors[node]])
+    if rng.random() < 0.5:  # neither check may fill a missing node in
+        omega = defaultdict(int, omega)
+    size, what = len(omega), rng.choice(["omega", "ceiling"])
+    expected = outcome(reference_ceiling_by_index, graph, omega, what)
+    assert outcome(ceiling_by_index, graph, omega, what) == expected
+    assert len(omega) == size
 
 
 # -- properties --------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floodgraph import (
+    BOTTOM,
     TOP,
     ConstructionError,
     PreconditionError,
@@ -40,6 +41,7 @@ from strategies import (
     ceiling_above,
     edge_graphs,
     node_graphs,
+    rough_edge_graphs,
     rough_node_graph,
     rough_node_graphs,
     rough_up_hill_instances,
@@ -90,6 +92,30 @@ def test_closing_is_extensive_and_idempotent(graph):
     ground = graph.ground
     assert all(closed[n] >= ground[n] for n in graph.nodes)
     assert node_closing(graph, closed) == closed
+
+
+def reference_node_closing(graph, values=None):
+    """The former node_closing: dilate to the edges, erode back."""
+    return node_erosion(graph, edge_dilation(graph, values))
+
+
+def closing_outcome(closing, graph, values):
+    try:
+        closed = closing(graph, values)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+    return list(closed.items())  # the node order too
+
+
+@settings(max_examples=300)
+@given(st.one_of(rough_node_graphs(), rough_edge_graphs()), st.randoms(use_true_random=False))
+def test_node_closing_matches_the_adjunction(graph, rng):
+    values = {node: rng.choice([BOTTOM, TOP, *range(6)]) for node in graph.nodes}
+    unknown = {**values, "zz": 0}
+    missing = dict(list(values.items())[1:])
+    for given_values in (None, values, unknown, missing):
+        expected = closing_outcome(reference_node_closing, graph, given_values)
+        assert closing_outcome(node_closing, graph, given_values) == expected
 
 
 @given(edge_graphs())
