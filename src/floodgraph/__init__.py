@@ -4,197 +4,29 @@ Build a graph, pick a ceiling, and compute the highest flooding lying
 below it; measure flooding distances (an ultrametric), cut the result
 into lakes, climb the lake dendrogram, or segment from markers.  All
 algorithms iterate in declaration order, so equal inputs give equal
-outputs byte for byte.
+outputs byte for byte.  Each module's ``__all__`` is its public surface,
+and the package exports their union.
 """
 
-from .errors import (
-    ConstructionError,
-    FloodgraphError,
-    GraphFormatError,
-    PreconditionError,
-)
-from .weights import (
-    BOTTOM,
-    TOP,
-    Weight,
-    format_weight,
-    is_finite,
-    join,
-    meet,
-    parse_weight,
-    weight_succ,
-)
-from .graphs import (
-    Edge,
-    Graph,
-    NodeFunction,
-    build_graph,
-    check_total,
-    cocycle,
-    connected_components,
-    grid_graph,
-    grid_node,
-    partial_graph,
-    subgraph_spanning,
-)
-from .formats import (
-    HEADER,
-    parse_graph,
-    parse_node_values,
-    read_pgm,
-    serialize_graph,
-    serialize_node_values,
-    write_pgm,
-)
-from .hydro import (
-    Lake,
-    LakeKind,
-    LakePartition,
-    ValidationReport,
-    derive_edge_graph,
-    flat_zones,
-    flooding_inf,
-    flooding_sup,
-    is_edge_flooding,
-    is_node_flooding,
-    lakes,
-    regional_minima,
-)
-from .ultrametric import (
-    DistanceMatrix,
-    ball,
-    diameter,
-    distance_matrix,
-    flooding_distance,
-    flooding_distance_all,
-    lowest_cocycle_edge,
-    mst,
-)
-from .solvers import (
-    Funnel,
-    SolverResult,
-    SolverStats,
-    augment_with_dummy,
-    berge_flood,
-    ceiling_minima,
-    core_expanding_flood,
-    dijkstra_flood,
-    marker_segmentation,
-    oracle_flood,
-    prim_flood,
-)
-from .dendrogram import (
-    Cluster,
-    Dendrogram,
-    GrowthKind,
-    GrowthStage,
-    build_dendrogram,
-    build_lake_dendrogram,
-    dendrogram_flood,
-    is_dendrogram,
-    lake_growth_sequence,
-    query,
-)
-from .reductions import (
-    ContractionMap,
-    contract_close_flood,
-    contract_flat_zones,
-    edge_dilation,
-    edge_opening,
-    expand,
-    local_flood,
-    mst_with_contraction,
-    node_closing,
-    node_erosion,
-    up_hill,
-    waterfall_flooding,
-)
+from .errors import *
+from .weights import *
+from .graphs import *
+from .formats import *
+from .hydro import *
+from .ultrametric import *
+from .solvers import *
+from .dendrogram import *
+from .reductions import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOTTOM",
-    "Cluster",
-    "ConstructionError",
-    "ContractionMap",
-    "Dendrogram",
-    "DistanceMatrix",
-    "Edge",
-    "FloodgraphError",
-    "Funnel",
-    "Graph",
-    "GraphFormatError",
-    "GrowthKind",
-    "GrowthStage",
-    "HEADER",
-    "Lake",
-    "LakeKind",
-    "LakePartition",
-    "NodeFunction",
-    "PreconditionError",
-    "SolverResult",
-    "SolverStats",
-    "TOP",
-    "ValidationReport",
-    "Weight",
-    "augment_with_dummy",
-    "ball",
-    "berge_flood",
-    "build_dendrogram",
-    "build_graph",
-    "build_lake_dendrogram",
-    "ceiling_minima",
-    "check_total",
-    "cocycle",
-    "connected_components",
-    "contract_close_flood",
-    "contract_flat_zones",
-    "core_expanding_flood",
-    "dendrogram_flood",
-    "derive_edge_graph",
-    "diameter",
-    "dijkstra_flood",
-    "distance_matrix",
-    "edge_dilation",
-    "edge_opening",
-    "expand",
-    "flat_zones",
-    "flooding_distance",
-    "flooding_distance_all",
-    "flooding_inf",
-    "flooding_sup",
-    "format_weight",
-    "grid_graph",
-    "grid_node",
-    "is_dendrogram",
-    "is_edge_flooding",
-    "is_finite",
-    "is_node_flooding",
-    "join",
-    "lake_growth_sequence",
-    "lakes",
-    "local_flood",
-    "lowest_cocycle_edge",
-    "marker_segmentation",
-    "meet",
-    "mst",
-    "mst_with_contraction",
-    "node_closing",
-    "node_erosion",
-    "oracle_flood",
-    "parse_graph",
-    "parse_node_values",
-    "parse_weight",
-    "partial_graph",
-    "prim_flood",
-    "query",
-    "read_pgm",
-    "regional_minima",
-    "serialize_graph",
-    "serialize_node_values",
-    "subgraph_spanning",
-    "up_hill",
-    "waterfall_flooding",
-    "weight_succ",
-    "write_pgm",
-]
+__all__ = []
+__all__ += errors.__all__
+__all__ += weights.__all__
+__all__ += graphs.__all__
+__all__ += formats.__all__
+__all__ += hydro.__all__
+__all__ += ultrametric.__all__
+__all__ += solvers.__all__
+__all__ += dendrogram.__all__
+__all__ += reductions.__all__

@@ -27,6 +27,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -368,6 +369,7 @@ def cmd_localflood(args: argparse.Namespace, ingested: Ingested) -> int:
     return 0
 
 
+@cache  # built once per process: parsing keeps no state in the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="floodgraph",

@@ -26,6 +26,19 @@ from .graphs import Graph, NodeFunction
 from .ultrametric import flooding_distance_all, single_linkage
 from .weights import BOTTOM, TOP, Weight, join, meet
 
+__all__ = [
+    "Cluster",
+    "Dendrogram",
+    "GrowthKind",
+    "GrowthStage",
+    "build_dendrogram",
+    "build_lake_dendrogram",
+    "dendrogram_flood",
+    "is_dendrogram",
+    "lake_growth_sequence",
+    "query",
+]
+
 Group = tuple[Weight, tuple[int, ...]]  # an inner cluster: (diam, children)
 
 

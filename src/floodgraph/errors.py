@@ -6,6 +6,13 @@ everything else raised here is a domain error (exit 1).
 
 from __future__ import annotations
 
+__all__ = [
+    "ConstructionError",
+    "FloodgraphError",
+    "GraphFormatError",
+    "PreconditionError",
+]
+
 
 class FloodgraphError(Exception):
     """Base class for all errors raised by this package."""

@@ -21,11 +21,21 @@ samples when maxval exceeds 255.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphFormatError
 from .graphs import Graph, NodeFunction, index_graph
 from .weights import TOP, Weight, format_weight, parse_weight
+
+__all__ = [
+    "HEADER",
+    "parse_graph",
+    "parse_node_values",
+    "read_pgm",
+    "serialize_graph",
+    "serialize_node_values",
+    "write_pgm",
+]
 
 HEADER = "floodgraph v1"
 _PGM_COMMENT = re.compile(rb"#[^\r\n]*")
@@ -44,6 +54,24 @@ def _check_node_id(token: str, lineno: int) -> str:
     if "=" in token:
         raise GraphFormatError(f"line {lineno}: node id may not contain '=': {token!r}")
     return token
+
+
+def _check_ids_writable(names: Sequence[str], forbidden: str) -> None:
+    """Refuse, before any text is returned, a node id that would not read back.
+
+    The readers split lines on whitespace with ``str.split``, which also
+    splits at every line break of ``str.splitlines``, and cut comments at
+    ``#``.  The check scans the joined ids once, not each id in Python.
+    """
+
+    def unreadable(text: str) -> bool:
+        return text.split() != [text] or any(char in text for char in forbidden)
+
+    if names and (not all(names) or unreadable("".join(names))):
+        raise GraphFormatError(
+            f"cannot write node id {next(filter(unreadable, names))!r}: an id must be "
+            f"non-empty, without whitespace or any of {forbidden!r}"
+        )
 
 
 def _parse_attrs(tokens: list[str], allowed: tuple[str, ...], lineno: int) -> dict[str, Weight]:
@@ -145,8 +173,9 @@ def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
 
 
 def serialize_graph(graph: Graph, omega: Mapping[str, Weight] | None = None) -> str:
-    lines = [HEADER]
     names, ground, weights = graph.nodes, graph.ground_values, graph.edge_weights
+    _check_ids_writable(names, "#=")
+    lines = [HEADER]
     for index, node in enumerate(names):
         parts = ["node", node]
         if ground is not None:
@@ -183,8 +212,9 @@ def parse_node_values(text: str) -> NodeFunction:
 
 
 def serialize_node_values(values: Mapping[str, Weight], order: Iterable[str] | None = None) -> str:
-    nodes = list(order) if order is not None else list(values)
-    lines = [f"{node} {format_weight(values[node])}" for node in nodes if node in values]
+    nodes = [node for node in order if node in values] if order is not None else list(values)
+    _check_ids_writable(nodes, "#")
+    lines = [f"{node} {format_weight(values[node])}" for node in nodes]
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -38,6 +38,20 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import ConstructionError, PreconditionError
 from .weights import Weight, format_weight
 
+__all__ = [
+    "Edge",
+    "Graph",
+    "NodeFunction",
+    "build_graph",
+    "check_total",
+    "cocycle",
+    "connected_components",
+    "grid_graph",
+    "grid_node",
+    "partial_graph",
+    "subgraph_spanning",
+]
+
 NodeFunction = dict[str, Weight]
 Edge = tuple[str, str]
 

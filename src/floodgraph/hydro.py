@@ -25,6 +25,21 @@ from .graphs import (
 )
 from .weights import Weight, format_weight, join
 
+__all__ = [
+    "Lake",
+    "LakeKind",
+    "LakePartition",
+    "ValidationReport",
+    "derive_edge_graph",
+    "flat_zones",
+    "flooding_inf",
+    "flooding_sup",
+    "is_edge_flooding",
+    "is_node_flooding",
+    "lakes",
+    "regional_minima",
+]
+
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -40,6 +40,20 @@ from .hydro import flat_zones, is_edge_flooding
 from .ultrametric import _best_first_flood
 from .weights import BOTTOM, TOP, Weight, join, meet
 
+__all__ = [
+    "ContractionMap",
+    "contract_close_flood",
+    "contract_flat_zones",
+    "edge_dilation",
+    "edge_opening",
+    "expand",
+    "local_flood",
+    "mst_with_contraction",
+    "node_closing",
+    "node_erosion",
+    "up_hill",
+    "waterfall_flooding",
+]
 
 def edge_dilation(graph: Graph, values: Mapping[str, Weight] | None = None) -> tuple[Weight, ...]:
     """Per-edge max of the endpoint values (defaults to the ground)."""

@@ -41,6 +41,19 @@ from .hydro import regional_minima
 from .ultrametric import Funnel, _best_first_flood, distance_rows
 from .weights import BOTTOM, TOP, Weight, weight_succ
 
+__all__ = [
+    "SolverResult",
+    "SolverStats",
+    "augment_with_dummy",
+    "berge_flood",
+    "ceiling_minima",
+    "core_expanding_flood",
+    "dijkstra_flood",
+    "marker_segmentation",
+    "oracle_flood",
+    "prim_flood",
+]
+
 
 @dataclass
 class SolverStats:

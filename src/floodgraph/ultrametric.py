@@ -34,6 +34,18 @@ from .errors import PreconditionError
 from .graphs import Edge, Graph, NodeFunction, cocycle, find_root, partial_graph, subgraph_spanning
 from .weights import BOTTOM, TOP, Weight
 
+__all__ = [
+    "DistanceMatrix",
+    "Funnel",
+    "ball",
+    "diameter",
+    "distance_matrix",
+    "flooding_distance",
+    "flooding_distance_all",
+    "lowest_cocycle_edge",
+    "mst",
+]
+
 
 @dataclass(frozen=True)
 class DistanceMatrix:

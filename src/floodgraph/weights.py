@@ -11,6 +11,18 @@ from __future__ import annotations
 
 from .errors import GraphFormatError
 
+__all__ = [
+    "BOTTOM",
+    "TOP",
+    "Weight",
+    "format_weight",
+    "is_finite",
+    "join",
+    "meet",
+    "parse_weight",
+    "weight_succ",
+]
+
 Weight = int | float
 
 TOP: Weight = float("inf")

@@ -243,6 +243,13 @@ def test_flood_validate_after_and_stats(capsys, chain_file):
     assert "sweeps=" in err
 
 
+def test_flood_core_validate_after_uses_the_node_criterion(capsys, chain_file):
+    code, out, err = run(capsys, "flood", "--algo", "core", "--graph", chain_file, "--validate-after")
+    assert code == 0
+    assert err == "validate: valid\n"
+    assert out == run(capsys, "flood", "--algo", "core", "--graph", chain_file)[1]
+
+
 def test_flood_output_file_matches_stdout(capsys, tmp_path, chain_file):
     code, out, _ = run(capsys, "flood", "--algo", "core", "--graph", chain_file)
     assert code == 0
@@ -309,6 +316,49 @@ def test_segment_rejects_unknown_marker(capsys, tmp_path, chain_file):
     )
     assert code == 1
     assert "unknown node 'zzz'" in err
+
+
+def test_segment_rejects_a_markers_file_without_markers(capsys, tmp_path, chain_file):
+    markers = tmp_path / "markers.txt"
+    markers.write_text("# none yet\n")
+    code, _, err = run(
+        capsys, "segment", "--graph", chain_file, "--markers", str(markers), "--derive-edges"
+    )
+    assert code == 1
+    assert err == f"error: {markers}: no markers found\n"
+
+
+def test_segment_rejects_a_component_without_a_marker(capsys, tmp_path):
+    graph = tmp_path / "split.fg"
+    graph.write_text("floodgraph v1\nnode a f=0\nnode b f=1\nnode c f=2\nedge a b\n")
+    markers = tmp_path / "markers.txt"
+    markers.write_text("a 1\n")
+    code, _, err = run(
+        capsys, "segment", "--graph", str(graph), "--markers", str(markers), "--derive-edges"
+    )
+    assert code == 1
+    assert err == "error: node 'c' is unreachable from every marker\n"
+
+
+@pytest.mark.parametrize("label", ["70000", "inf"])
+def test_segment_label_pgm_rejects_a_label_beyond_a_gray_value(capsys, tmp_path, strip_pgm, label):
+    markers = tmp_path / "markers.txt"
+    markers.write_text(f"0,0 {label}\n0,3 9\n")
+    labels = tmp_path / "labels.pgm"
+    code, _, err = run(
+        capsys,
+        "segment",
+        "--graph",
+        strip_pgm,
+        "--markers",
+        str(markers),
+        "--derive-edges",
+        "--label-pgm",
+        str(labels),
+    )
+    assert code == 1
+    assert err == f"error: label {label} at node '0,0' does not fit in a PGM gray value\n"
+    assert not labels.exists()
 
 
 def test_segment_label_pgm_round_trip(capsys, tmp_path, strip_pgm):

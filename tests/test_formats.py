@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from floodgraph import (
+    BOTTOM,
     TOP,
     GraphFormatError,
+    build_graph,
     parse_graph,
     parse_node_values,
     read_pgm,
@@ -113,6 +115,42 @@ def test_serialize_parse_round_trip_node_weighted():
         assert back.edges == graph.edges
         assert back.ground == graph.ground
         assert back_omega is None
+
+
+# Whitespace of every kind (line breaks included), comment and attribute marks.
+ID_ALPHABET = "a\u00e9 \t\x0b\x85\u2028#="
+
+
+@given(st.data())
+def test_writers_refuse_exactly_the_ids_that_would_not_read_back(data):
+    ids = data.draw(st.lists(st.text(ID_ALPHABET, max_size=3), min_size=1, max_size=4, unique=True))
+    level = st.sampled_from([0, 2, 9, TOP, BOTTOM])
+    pairs = data.draw(st.lists(st.tuples(*[st.integers(0, len(ids) - 1)] * 2), max_size=4))
+    edges = [(ids[i], ids[j]) for i, j in pairs if i != j]
+    ground = data.draw(st.none() | st.fixed_dictionaries(dict.fromkeys(ids, level)))
+    weights = None
+    if edges:  # the format cannot tell an edgeless graph's empty weights from none
+        weights = data.draw(st.none() | st.lists(level, min_size=len(edges), max_size=len(edges)))
+    omega = data.draw(st.dictionaries(st.sampled_from(ids), level))
+    values = data.draw(st.fixed_dictionaries(dict.fromkeys(ids, level)))
+    graph = build_graph(ids, edges, ground, weights)
+    used = set("".join(ids))
+
+    if all(ids) and used <= set("a\u00e9"):
+        back, back_omega = parse_graph(serialize_graph(graph, omega))
+        assert (back.nodes, back.edges) == (graph.nodes, graph.edges)
+        assert (back.ground_values, back.edge_weights) == (graph.ground_values, graph.edge_weights)
+        ceiling = {node: omega.get(node, TOP) for node in ids}
+        assert back_omega == (ceiling if any(w != TOP for w in omega.values()) else None)
+    else:
+        with pytest.raises(GraphFormatError, match="cannot write node id"):
+            serialize_graph(graph, omega)
+
+    if all(ids) and used <= set("a\u00e9="):  # '=' marks attributes only in graph files
+        assert parse_node_values(serialize_node_values(values)) == values
+    else:
+        with pytest.raises(GraphFormatError, match="cannot write node id"):
+            serialize_node_values(values)
 
 
 def test_serialize_omits_top_ceiling_entries(chain):
@@ -230,6 +268,24 @@ def test_write_pgm_binary_and_plain():
     plain = write_pgm(raster, plain=True)
     assert plain.startswith(b"P2")
     assert read_pgm(plain) == raster
+
+
+@pytest.mark.parametrize(
+    "raster, message",
+    [
+        ([], "raster must be non-empty"),
+        ([[]], "raster must be non-empty"),
+        ([[1, 2], [3]], "raster rows must all have the same width"),
+        ([[0, -1]], "pixel value out of PGM range: -1"),
+        ([[65536]], "pixel value out of PGM range: 65536"),
+        ([[1.0]], "pixel value out of PGM range: 1.0"),
+        ([["7"]], "pixel value out of PGM range: '7'"),
+    ],
+)
+def test_write_pgm_errors(raster, message):
+    with pytest.raises(GraphFormatError) as err:
+        write_pgm(raster)
+    assert str(err.value) == message
 
 
 def test_write_pgm_all_zero_uses_maxval_one():

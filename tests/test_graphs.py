@@ -61,6 +61,8 @@ def test_duplicate_node_rejected():
 def test_unknown_edge_endpoint_rejected():
     with pytest.raises(ConstructionError):
         build_graph(["a", "b"], [("a", "z")])
+    with pytest.raises(ConstructionError, match="edge 1 references unknown node 'z'"):
+        build_graph(["a", "b"], [("a", "b"), ("z", "a")])
 
 
 def test_self_loop_rejected():
@@ -174,6 +176,9 @@ def test_subgraph_spanning(chain):
     isolated = subgraph_spanning(chain.graph, ["a", "c"])
     assert isolated.nodes == ("a", "c")
     assert isolated.edges == ()
+
+    with pytest.raises(ConstructionError, match="graph has no nodes"):
+        subgraph_spanning(chain.graph, [])
 
 
 def test_partial_graph(chain):
