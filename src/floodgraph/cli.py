@@ -28,7 +28,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import Iterable, Iterator
 
 from .errors import ConstructionError, GraphFormatError, PreconditionError
@@ -54,7 +54,7 @@ from .solvers import (
     prim_flood,
 )
 from .ultrametric import flooding_distance_all, mst
-from .weights import TOP, format_weight
+from .weights import TOP
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,11 @@ def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeFunctio
             raise GraphFormatError(f"{path}: ceiling graph has a different node set")
     else:
         values = parse_node_values(text)
-        for node in values:
-            if node not in graph:
-                raise GraphFormatError(f"{path}: ceiling names unknown node {node!r}")
     ceiling = dict.fromkeys(graph.nodes, TOP)
-    ceiling.update(values or {})  # every key is a node, so the order stays the graph's
+    ceiling.update(values or {})  # the graph's order, unless a name is no node
+    if len(ceiling) != len(graph.nodes):
+        for node in filterfalse(graph.__contains__, values):
+            raise GraphFormatError(f"{path}: ceiling names unknown node {node!r}")
     return ceiling
 
 
@@ -239,7 +239,8 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> int:
         print("validate: valid", file=sys.stderr)
 
     _emit_stats(args, counters or _solver_counters(result.stats))
-    _emit(args, [f"{n} {format_weight(result.tau[n])}" for n in graph.nodes])
+    tau = result.tau
+    _emit(args, [f"{n} {tau[n]}" for n in graph.nodes])
     return 0
 
 
@@ -250,24 +251,23 @@ def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> int:
     if not markers:
         raise PreconditionError(f"{args.markers}: no markers found")
     for node in markers:
-        if node not in graph:
+        if node not in view:
             raise PreconditionError(f"marker names unknown node {node!r}")
     result = marker_segmentation(view, markers, engine=args.engine, want_tau=args.tau)
     labels = result.labels
     assert labels is not None
-    for node in graph.nodes:
-        if node not in labels:
+    if len(labels) != len(graph.nodes):  # labels holds the reached nodes only
+        for node in filterfalse(labels.__contains__, graph.nodes):
             raise PreconditionError(f"node {node!r} is unreachable from every marker")
 
     if args.label_pgm:
         if ingested.raster_shape is None:
             raise PreconditionError("--label-pgm requires a raster graph input")
         width = ingested.raster_shape[1]
-        for node, label in labels.items():
+        for node, label in markers.items():  # every label is a marker's label
             if not isinstance(label, int) or not 0 <= label <= 65535:
                 raise PreconditionError(
-                    f"label {format_weight(label)} at node {node!r} does not fit "
-                    "in a PGM gray value"
+                    f"label {label} at node {node!r} does not fit in a PGM gray value"
                 )
         flat = list(map(labels.__getitem__, graph.nodes))  # node i is pixel divmod(i, width)
         raster = [flat[start : start + width] for start in range(0, len(flat), width)]
@@ -276,12 +276,10 @@ def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> int:
 
     _emit_stats(args, _solver_counters(result.stats))
     if args.tau:
-        lines = [
-            f"{n} {format_weight(labels[n])} {format_weight(result.tau[n])}"
-            for n in graph.nodes
-        ]
+        tau = result.tau
+        lines = [f"{n} {labels[n]} {tau[n]}" for n in graph.nodes]
     else:
-        lines = [f"{n} {format_weight(labels[n])}" for n in graph.nodes]
+        lines = [f"{n} {labels[n]}" for n in graph.nodes]
     _emit(args, lines)
     return 0
 
@@ -289,7 +287,7 @@ def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> int:
 def cmd_fldist(args: argparse.Namespace, ingested: Ingested) -> int:
     view = edge_view(ingested, args, "fldist")
     distances = flooding_distance_all(view, args.source)
-    _emit(args, [f"{n} {format_weight(distances[n])}" for n in view.nodes])
+    _emit(args, [f"{n} {distances[n]}" for n in view.nodes])
     return 0
 
 
@@ -309,11 +307,11 @@ def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> int:
         ceiling_by_index(view, omega)
         tau = dendrogram_flood(dendro, omega)
     clusters = (
-        f"cluster {index} diam={format_weight(diam)} "
+        f"cluster {index} diam={diam} "
         f"father={'none' if father is None else father} leaves={' '.join(dendro.members(index))}"
         for index, (diam, father) in enumerate(zip(dendro.diam, dendro.father))
     )
-    _emit(args, chain(clusters, (f"{n} {format_weight(level)}" for n, level in tau.items())))
+    _emit(args, chain(clusters, (f"{n} {level}" for n, level in tau.items())))
     return 0
 
 
@@ -322,7 +320,7 @@ def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> int:
     tau = parse_node_values(_decode(_read_bytes(args.tau), args.tau))
     names, edge_u, edge_v = graph.nodes, graph.edge_u, graph.edge_v
     _emit(args, (
-        f"lake {index} level={format_weight(lake.level)} kind={lake.kind.value} "
+        f"lake {index} level={lake.level} kind={lake.kind.value} "
         f"nodes={' '.join(lake.nodes)} exhaust="
         + " ".join(f"{names[edge_u[eid]]}-{names[edge_v[eid]]}" for eid in lake.exhaust_edges)
         for index, lake in enumerate(lakes(graph, tau).lakes)
@@ -365,7 +363,7 @@ def cmd_localflood(args: argparse.Namespace, ingested: Ingested) -> int:
     omega = resolve_ceiling(args, ingested)
     graph.node_index(args.node)
     level = local_flood(graph, omega, args.node)
-    _emit(args, [f"{args.node} {format_weight(level)}"])
+    _emit(args, [f"{args.node} {level}"])
     return 0
 
 

@@ -349,14 +349,15 @@ def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> No
     graph realizing the dendrogram.
     """
     names = dendro.leaf_names
-    for name in names:
-        if name not in omega_leaf:
-            raise PreconditionError(f"omega is missing leaf {name!r}")
+    try:  # listing the leaves checks them: no scan of its own
+        lowest: list[Weight] = [omega_leaf[name] for name in names]
+    except KeyError:
+        missing = next(name for name in names if name not in omega_leaf)
+        raise PreconditionError(f"omega is missing leaf {missing!r}") from None
     if len(omega_leaf) != len(names):
         for name in omega_leaf:
             if dendro._leaf_of(name) is None:
                 raise PreconditionError(f"omega defined on unknown node {name!r}")
-    lowest: list[Weight] = [omega_leaf[name] for name in names]
     for kids in dendro.children[len(names) :]:
         lowest.append(min(map(lowest.__getitem__, kids)))
     diam, father = dendro.diam, dendro.father

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphFormatError
 from .graphs import Graph, NodeFunction, index_graph
-from .weights import TOP, Weight, format_weight, parse_weight
+from .weights import TOP, Weight, parse_weight
 
 __all__ = [
     "HEADER",
@@ -175,20 +175,20 @@ def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
 def serialize_graph(graph: Graph, omega: Mapping[str, Weight] | None = None) -> str:
     names, ground, weights = graph.nodes, graph.ground_values, graph.edge_weights
     _check_ids_writable(names, "#=")
-    lines = [HEADER]
-    for index, node in enumerate(names):
-        parts = ["node", node]
-        if ground is not None:
-            parts.append(f"f={format_weight(ground[index])}")
-        if omega is not None and node in omega and omega[node] != TOP:
-            parts.append(f"omega={format_weight(omega[node])}")
-        lines.append(" ".join(parts))
-    for edge_id, (u, v) in enumerate(zip(graph.edge_u, graph.edge_v)):
-        parts = ["edge", names[u], names[v]]
-        if weights is not None:
-            parts.append(f"w={format_weight(weights[edge_id])}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    if ground is None:
+        nodes = [f"node {node}" for node in names]
+    else:
+        nodes = [f"node {node} f={level}" for node, level in zip(names, ground)]
+    if omega is not None:
+        for index, node in enumerate(names):
+            if node in omega and omega[node] != TOP:
+                nodes[index] += f" omega={omega[node]}"
+    ends = graph.edge_u, graph.edge_v
+    if weights is None:
+        edges = [f"edge {names[u]} {names[v]}" for u, v in zip(*ends)]
+    else:
+        edges = [f"edge {names[u]} {names[v]} w={w}" for u, v, w in zip(*ends, weights)]
+    return "\n".join([HEADER, *nodes, *edges]) + "\n"
 
 
 def parse_node_values(text: str) -> NodeFunction:
@@ -212,9 +212,20 @@ def parse_node_values(text: str) -> NodeFunction:
 
 
 def serialize_node_values(values: Mapping[str, Weight], order: Iterable[str] | None = None) -> str:
+    """``<node> <value>`` lines, in ``order`` (the nodes of ``values`` in it) if given.
+
+    A node that ``order`` repeats raises the error reading its second line
+    back would give.
+    """
     nodes = [node for node in order if node in values] if order is not None else list(values)
     _check_ids_writable(nodes, "#")
-    lines = [f"{node} {format_weight(values[node])}" for node in nodes]
+    if order is not None and len(set(nodes)) != len(nodes):
+        seen: set[str] = set()
+        for lineno, node in enumerate(nodes, start=1):
+            if node in seen:
+                raise GraphFormatError(f"line {lineno}: duplicate node {node!r}")
+            seen.add(node)
+    lines = [f"{node} {values[node]}" for node in nodes]
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -30,13 +30,14 @@ demand for callers that use names.
 
 from __future__ import annotations
 
+import sys
 from array import array
-from itertools import accumulate, compress, filterfalse, product
+from itertools import accumulate, chain, compress, filterfalse, product
 from operator import lt
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import ConstructionError, PreconditionError
-from .weights import Weight, format_weight
+from .errors import ConstructionError, GraphFormatError, PreconditionError
+from .weights import BOTTOM, TOP, Weight, format_weight, parse_weight
 
 __all__ = [
     "Edge",
@@ -156,11 +157,14 @@ class Graph:
         return self.edge_weights
 
     def with_edge_weights(self, weights: Iterable[Weight]) -> Graph:
-        """This graph with other edge weights; nodes, edges and ground are shared."""
+        """This graph with other edge weights; nodes, edges and ground are shared.
+
+        So is the name index if it is built; if not, each graph builds its own.
+        """
         weights = _edge_weights(weights, len(self.edge_u))
         ends = (self.edge_u, self.edge_v)
         return index_graph(
-            self.nodes, *ends, self.ground_values, weights, self._names(), self.incidences()
+            self.nodes, *ends, self.ground_values, weights, self._index, self.incidences()
         )
 
 
@@ -256,13 +260,55 @@ def build_graph(
         if extra:
             raise ConstructionError(f"ground defined on unknown node {extra[0]!r}")
         ground_values = [ground[node] for node in index]
+        _check_lattice(ground_values, lambda at: f"ground at node {[*index][at]!r}")
 
-    weights = None if edge_weights is None else _edge_weights(edge_weights, len(edge_u))
+    weights = None
+    if edge_weights is not None:
+        weights = _edge_weights(edge_weights, len(edge_u))
+        _check_lattice(weights, lambda at: f"edge {at} weight")
     return index_graph(index, edge_u, edge_v, ground_values, weights, index)
+
+
+def _check_lattice(values: Sequence[Weight], where: Callable[[int], str]) -> None:
+    """Raise, at the first value that is no weight, the error reading it back would give.
+
+    Weights are the ints from 0 up and the float infinities: a negative int,
+    another float or a bool would be written as a token the readers refuse.
+    """
+    for at, value in enumerate(values):
+        if type(value) is int and value >= 0 or type(value) is float and value in (TOP, BOTTOM):
+            continue
+        token = format_weight(value)
+        try:
+            parse_weight(token)
+        except GraphFormatError as exc:
+            raise ConstructionError(f"{where(at)}: {exc}") from None
+        raise ConstructionError(f"{where(at)}: not a weight: {token!r}")  # such as "5"
 
 
 def grid_node(row: int, col: int) -> str:
     return f"{row},{col}"
+
+
+def _counting(total: int) -> array:
+    """``array(_INT, range(total))``, written one byte plane at a time.
+
+    Byte ``b`` of entry ``k`` is ``k // 256**b % 256``: each of 0 .. 255 in
+    runs of ``256**b``, cycled.  No Python int is made per entry.
+    """
+    size = array(_INT).itemsize
+    raw = bytearray(total * size)
+    run = 1
+    for plane in range(size):
+        if run >= total:
+            break  # the higher bytes stay zero
+        cycle = b"".join(bytes((j,)) * run for j in range(min(256, -(-total // run))))
+        at = plane if sys.byteorder == "little" else size - 1 - plane
+        raw[at::size] = memoryview(cycle * -(-total // len(cycle)))[:total]
+        run *= 256
+    count = array(_INT)
+    count.frombytes(raw)
+    return count
 
 
 def _grid_topology(height: int, width: int, connectivity: int) -> tuple[tuple[array, ...], ...]:
@@ -309,7 +355,7 @@ def _grid_topology(height: int, width: int, connectivity: int) -> tuple[tuple[ar
         ends = sorted({0, size, *(cut for cut in cuts if 0 < cut < size)})
         return [(low, high - low) for low, high in zip(ends, ends[1:])]
 
-    count = array(_INT, range(max(n, 2 * m)))
+    count = _counting(max(n, 2 * m))
     blocks = product(bands(height, 1, height - 1), bands(width, 1, 2, width - 2, width - 1))
     for (r, tall), (c, wide) in blocks:
         base, down, right = entries(r, c), entries(r + (tall > 1), c), entries(r, c + (wide > 1))
@@ -317,9 +363,10 @@ def _grid_topology(height: int, width: int, connectivity: int) -> tuple[tuple[ar
             tall, wide, down, right = wide, tall, right, down
         for (target, at, value), (_, at1, value1), (_, at2, value2) in zip(base, right, down):
             da, dv = max(at1 - at, 1), max(value1 - value, 1)  # 1 on one-pixel lines
+            la, lv, sa, sv = da * (wide - 1) + 1, dv * (wide - 1) + 1, at2 - at, value2 - value
             for k in range(tall):
-                a, v = at + k * (at2 - at), value + k * (value2 - value)
-                target[a : a + da * (wide - 1) + 1 : da] = count[v : v + dv * (wide - 1) + 1 : dv]
+                a, v = at + k * sa, value + k * sv
+                target[a : a + la : da] = count[v : v + lv : dv]
     return (edge_u, edge_v), (offsets, adj_node, adj_edge)
 
 
@@ -345,7 +392,7 @@ def grid_graph(raster: Sequence[Sequence[Weight]], connectivity: int = 4) -> Gra
     ends, csr = _grid_topology(height, width, connectivity)
     columns = [f",{c}" for c in range(width)]  # ids as grid_node(r, c) formats them
     nodes = [row + column for row in map(str, range(height)) for column in columns]
-    return index_graph(nodes, *ends, (value for row in raster for value in row), csr=csr)
+    return index_graph(nodes, *ends, chain.from_iterable(raster), csr=csr)
 
 
 def cocycle(graph: Graph, inside: Iterable[str]) -> tuple[int, ...]:
@@ -486,8 +533,10 @@ def levels_by_index(
 
 def dilation(graph: Graph, levels: Sequence[Weight]) -> tuple[Weight, ...]:
     """Per-edge max of the two endpoint levels (levels listed by node index)."""
-    at = levels.__getitem__
-    return tuple(a if a >= b else b for a, b in zip(map(at, graph.edge_u), map(at, graph.edge_v)))
+    return tuple([
+        levels[u] if levels[u] >= levels[v] else levels[v]
+        for u, v in zip(graph.edge_u, graph.edge_v)
+    ])
 
 
 def ceiling_by_index(
@@ -502,9 +551,14 @@ def ceiling_by_index(
     ground = graph.ground_values
     if ground is not None:
         for node in compress(range(len(ceiling)), map(lt, ceiling, ground)):
-            name, level, floor = graph.nodes[node], ceiling[node], ground[node]
-            raise PreconditionError(
-                f"ceiling below ground at node {name!r}: omega={format_weight(level)} "
-                f"is below the ground at node {name!r} (f={format_weight(floor)})"
-            )
+            raise below_ground(graph, node, ceiling[node])
     return ceiling
+
+
+def below_ground(graph: Graph, node: int, level: Weight) -> PreconditionError:
+    """The error for a ceiling ``level`` below the ground at node index ``node``."""
+    name, floor = graph.nodes[node], graph.ground_values[node]
+    return PreconditionError(
+        f"ceiling below ground at node {name!r}: omega={level} "
+        f"is below the ground at node {name!r} (f={floor})"
+    )

@@ -33,10 +33,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop
+from itertools import filterfalse
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
-from .graphs import Graph, NodeFunction, ceiling_by_index, index_graph, values_by_index
+from .graphs import (
+    Graph,
+    NodeFunction,
+    below_ground,
+    ceiling_by_index,
+    index_graph,
+    values_by_index,
+)
 from .hydro import regional_minima
 from .ultrametric import Funnel, _best_first_flood, distance_rows
 from .weights import BOTTOM, TOP, Weight, weight_succ
@@ -209,8 +217,15 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
     weights = graph.require_edge_weights("prim_flood")
     if not sources:
         raise PreconditionError("prim_flood needs at least one source")
-    ceiling_by_index(graph, dict.fromkeys(graph.nodes, TOP) | dict(sources))
+    for node in filterfalse(graph.__contains__, sources):
+        raise PreconditionError(f"omega defined on unknown node {node!r}")
     seeds = [(level, graph.node_index(node)) for node, level in sources.items()]
+    ground = graph.ground_values
+    if ground is not None:  # the rule of ceiling_by_index, on the sources alone
+        below = [node for level, node in seeds if level < ground[node]]
+        if below:
+            node = min(below)
+            raise below_ground(graph, node, sources[graph.nodes[node]])
     tau: list[Weight] = [TOP] * len(graph.nodes)
     funnel = Funnel()
     for level, node in seeds:

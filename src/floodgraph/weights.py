@@ -72,8 +72,11 @@ def parse_weight(token: str) -> Weight:
 
 
 def format_weight(w: Weight) -> str:
-    if w == TOP:
-        return "inf"
-    if w == BOTTOM:
-        return "-inf"
+    """The token ``parse_weight`` reads back: digits, ``inf`` or ``-inf``.
+
+    Python already spells the float infinities ``inf`` and ``-inf``, so this
+    is ``str(w)``, and ``format(w, "") == f"{w}" == format_weight(w)`` for
+    every int and for ``TOP`` and ``BOTTOM``: writers format weights inside
+    their f-strings directly.
+    """
     return str(w)

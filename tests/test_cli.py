@@ -361,6 +361,20 @@ def test_segment_label_pgm_rejects_a_label_beyond_a_gray_value(capsys, tmp_path,
     assert not labels.exists()
 
 
+def test_segment_label_pgm_names_the_marker_whose_label_does_not_fit(capsys, tmp_path, strip_pgm):
+    """Only the markers' labels are checked; the first bad one in file order is named."""
+    markers = tmp_path / "markers.txt"
+    markers.write_text("0,0 9\n0,4 70001\n0,3 70000\n")
+    labels = tmp_path / "labels.pgm"
+    code, _, err = run(
+        capsys, "segment", "--graph", strip_pgm, "--markers", str(markers), "--derive-edges",
+        "--label-pgm", str(labels),
+    )
+    assert code == 1
+    assert err == "error: label 70001 at node '0,4' does not fit in a PGM gray value\n"
+    assert not labels.exists()
+
+
 def test_segment_label_pgm_round_trip(capsys, tmp_path, strip_pgm):
     markers = tmp_path / "markers.txt"
     markers.write_text("0,0 7\n0,3 9\n")
@@ -604,6 +618,35 @@ def test_flood_on_a_raster(capsys, strip_pgm, strip_ceiling):
     )
     assert code == 0
     assert out.splitlines() == ["0,0 0", "0,1 0", "0,2 4", "0,3 2", "0,4 2", "0,5 1"]
+
+
+@pytest.mark.parametrize("algo", [["core"], ["dijkstra", "--derive-edges"], ["berge", "--derive-edges"]])
+def test_a_node_values_ceiling_on_a_raster_builds_no_name_index(capsys, monkeypatch, strip_pgm,
+                                                                 strip_ceiling, algo):
+    """The ceiling's names are checked by the length of the merged ceiling, not looked up."""
+    ingested = []
+
+    def keep(*args):
+        ingested.append(ingest_graph(*args))
+        return ingested[-1]
+
+    monkeypatch.setattr("floodgraph.cli.ingest_graph", keep)
+    code, out, _ = run(
+        capsys, "flood", "--algo", *algo, "--graph", strip_pgm, "--ceiling", strip_ceiling
+    )
+    assert code == 0
+    assert out.splitlines() == ["0,0 0", "0,1 0", "0,2 4", "0,3 2", "0,4 2", "0,5 1"]
+    assert ingested[0].graph._index is None
+
+
+def test_a_ceiling_on_an_unknown_raster_node_names_it(capsys, tmp_path, strip_pgm):
+    ceiling = tmp_path / "ceiling.txt"
+    ceiling.write_text("0,2 5\n0,9 3\n1,0 4\n")
+    code, out, err = run(
+        capsys, "flood", "--algo", "core", "--graph", strip_pgm, "--ceiling", str(ceiling)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {ceiling}: ceiling names unknown node '0,9'\n"
 
 
 def test_raster_ceiling_must_match_dimensions(capsys, tmp_path, strip_pgm):

@@ -8,6 +8,7 @@ as per-node lists filled in edge declaration order, grids from formatted
 from __future__ import annotations
 
 import heapq
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,7 @@ from floodgraph import (
     mst,
     partial_graph,
 )
+from floodgraph.graphs import _counting, _csr
 
 TOPOLOGY = ("nodes", "edge_u", "edge_v", "offsets", "adj_node", "adj_edge", "ground_values")
 
@@ -136,6 +138,23 @@ def assert_grid_matches_the_validated_build(height, width, connectivity):
     for attr in TOPOLOGY:
         assert getattr(grid, attr) == getattr(built, attr), attr
     assert grid == built
+
+
+# 130 x 130 has 2m > 2**16 incidences under both connectivities, so the
+# counting array behind the stencil copies needs its third byte plane.
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("height,width", [(h, w) for h in range(1, 8) for w in range(1, 8)] + [(130, 130)])
+def test_grid_incidences_are_the_csr_of_the_grid_edges(height, width, connectivity):
+    grid = grid_graph([[0] * width for _ in range(height)], connectivity)
+    assert grid.incidences() == _csr(len(grid.nodes), grid.edge_u, grid.edge_v)
+    if height > 7:
+        assert 2 * len(grid.edge_u) > 2**16
+        assert_grid_matches_the_validated_build(height, width, connectivity)
+
+
+@pytest.mark.parametrize("total", [0, 1, 255, 256, 257, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+def test_counting_array_matches_range(total):
+    assert _counting(total) == array("i", range(total))
 
 
 @given(loose_graphs())

@@ -9,7 +9,9 @@ from hypothesis import given, strategies as st
 
 from floodgraph import (
     BOTTOM,
+    HEADER,
     TOP,
+    ConstructionError,
     GraphFormatError,
     build_graph,
     parse_graph,
@@ -159,6 +161,61 @@ def test_serialize_omits_top_ceiling_entries(chain):
     assert "omega=5" not in text
 
 
+# Weights of the lattice, and values outside it that a writer would print
+# as a token the reader refuses: negative ints, other floats, bools.
+LATTICE = st.one_of(st.integers(0, 10**30), st.sampled_from([TOP, BOTTOM]))
+OFF_LATTICE = st.one_of(
+    st.integers(-(10**30), -1), st.floats(allow_infinity=False), st.booleans()
+)
+
+
+def reader_message(exc: Exception) -> str:
+    """A message without the place it names (a line, a node, an edge)."""
+    return str(exc).split(": ", 1)[1]
+
+
+@given(st.data())
+def test_build_graph_takes_exactly_the_weights_that_read_back(data):
+    names, edges = ["a", "b", "c"], [("a", "b"), ("b", "c")]
+    value = LATTICE | OFF_LATTICE
+    ground = data.draw(st.fixed_dictionaries(dict.fromkeys(names, value)))
+    weights = data.draw(st.lists(value, min_size=len(edges), max_size=len(edges)))
+    # what a writer printing the values verbatim would write
+    text = (
+        f"{HEADER}\n"
+        + "".join(f"node {node} f={ground[node]}\n" for node in names)
+        + "".join(f"edge {u} {v} w={w}\n" for (u, v), w in zip(edges, weights))
+    )
+    try:
+        parse_graph(text)
+    except GraphFormatError as refused:
+        with pytest.raises(ConstructionError) as err:
+            build_graph(names, edges, ground, weights)
+        assert reader_message(err.value) == reader_message(refused)
+    else:
+        graph = build_graph(names, edges, ground, weights)
+        back, _ = parse_graph(serialize_graph(graph))
+        for attr in ("ground_values", "edge_weights"):
+            assert getattr(back, attr) == getattr(graph, attr)
+            assert list(map(type, getattr(back, attr))) == list(map(type, getattr(graph, attr)))
+
+
+@pytest.mark.parametrize(
+    "ground, weights, message",
+    [
+        ({"a": -3, "b": 0}, [0], "ground at node 'a': negative finite weight not allowed: '-3'"),
+        ({"a": 0, "b": 2.5}, [0], "ground at node 'b': not a weight: '2.5'"),
+        ({"a": 0, "b": "5"}, [0], "ground at node 'b': not a weight: '5'"),
+        (None, [True], "edge 0 weight: not a weight: 'True'"),
+        (None, [3.0], "edge 0 weight: not a weight: '3.0'"),
+    ],
+)
+def test_build_graph_refuses_a_value_outside_the_lattice(ground, weights, message):
+    with pytest.raises(ConstructionError) as err:
+        build_graph(["a", "b"], [("a", "b")], ground, weights)
+    assert str(err.value) == message
+
+
 # -- node-value files --------------------------------------------------------
 
 
@@ -187,6 +244,21 @@ def test_node_values_round_trip():
     assert parse_node_values(serialize_node_values(values)) == values
     ordered = serialize_node_values(values, order=["c", "b", "a"])
     assert ordered.splitlines() == ["c 0", "b 2", "a inf"]
+
+
+@given(st.lists(st.sampled_from("abz"), max_size=5))
+def test_serialize_node_values_refuses_a_node_that_order_repeats(order):
+    values = {"a": 1, "b": TOP}
+    written = "".join(f"{node} {values[node]}\n" for node in order if node in values)
+    try:
+        expected = parse_node_values(written)
+    except GraphFormatError as refused:
+        with pytest.raises(GraphFormatError) as err:
+            serialize_node_values(values, order=order)
+        assert str(err.value) == str(refused)
+    else:
+        assert serialize_node_values(values, order=order) == written
+        assert parse_node_values(written) == expected
 
 
 # -- PGM ---------------------------------------------------------------------

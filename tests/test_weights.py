@@ -53,6 +53,12 @@ def test_format_weight():
     assert format_weight(BOTTOM) == "-inf"
 
 
+@given(st.one_of(st.integers(), st.sampled_from([TOP, BOTTOM])))
+def test_format_weight_is_the_plain_format(w):
+    """Writers put weights in their f-strings directly, on this equality."""
+    assert format_weight(w) == f"{w}" == format(w, "")
+
+
 @given(weights)
 def test_parse_inverts_format(w):
     assert parse_weight(format_weight(w)) == w
