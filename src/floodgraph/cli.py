@@ -82,7 +82,7 @@ def _utf8_name(arg: str) -> str:
 
 
 def _connectivity(args: argparse.Namespace) -> int:
-    if getattr(args, "connectivity", None) is not None:
+    if args.connectivity is not None:
         return args.connectivity
     raw = os.environ.get("FLOODGRAPH_CONNECTIVITY")
     if raw is None:
@@ -107,7 +107,7 @@ def ingest_graph(path: str, connectivity: int) -> Ingested:
 
 def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeFunction:
     """Ceiling precedence: --ceiling file, then graph-file omega, then top."""
-    graph, path = ingested.graph, getattr(args, "ceiling", None)
+    graph, path = ingested.graph, args.ceiling
     if path is None:
         if ingested.file_omega is not None:
             return ingested.file_omega
@@ -148,7 +148,7 @@ def edge_view(ingested: Ingested, args: argparse.Namespace, operation: str) -> G
         raise PreconditionError(
             f"{operation} needs edge weights and the input carries none"
         )
-    if not getattr(args, "derive_edges", False):
+    if not args.derive_edges:
         raise PreconditionError(
             f"{operation} needs edge weights; pass --derive-edges to compute "
             "them from the ground"
@@ -176,9 +176,8 @@ def _emit(args: argparse.Namespace, lines: Iterable[str]) -> None:
 
 def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
     """Write UTF-8 text whatever the locale: input node names are UTF-8 too."""
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)
         return
     buffer = getattr(sys.stdout, "buffer", None)
@@ -194,7 +193,7 @@ def _solver_counters(stats: SolverStats) -> str:
 
 
 def _emit_stats(args: argparse.Namespace, counters: str) -> None:
-    if getattr(args, "stats", False):
+    if args.stats:
         print(f"stats: {counters}", file=sys.stderr)
 
 
@@ -346,9 +345,7 @@ def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> int:
 def cmd_contract(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     graph.require_ground_values("contract")
-    omega: NodeFunction | None = None
-    if args.ceiling is not None or ingested.file_omega is not None:
-        omega = resolve_ceiling(args, ingested)
+    omega = resolve_ceiling(args, ingested)  # all top without a ceiling: no omega= written
     contracted, mapping, contracted_omega = contract_flat_zones(graph, omega)
     blocks = "".join(
         f"# block {rep} {' '.join(members)}\n" for rep, members in mapping.blocks.items()

@@ -184,28 +184,22 @@ class Dendrogram:
 def is_dendrogram(family: Iterable[Iterable[str]]) -> tuple[bool, tuple | None]:
     """Every pair of sets must be nested or disjoint; returns a culprit pair.
 
-    Taken by size, a set nests over the earlier ones exactly when the
-    distinct owners of its members (the latest set holding each) hold as
-    many members in all as the set does, i.e. when they all lie inside it.
-    That check is linear; only a family failing it is searched pairwise.
+    Taken by size, a set nests over the earlier ones exactly when each
+    distinct owner of its members (the latest set holding the member) lies
+    inside it.  The first owner that does not is the culprit, returned with
+    the set in family order.  An owner that lies inside is owned by the set
+    from then on, so each set is checked whole at most once and the pass is
+    linear in the family's total size.
     """
     sets = [tuple(dict.fromkeys(members)) for members in family]
-    ordered = sorted(sets, key=len)
-    owner: dict[str, int] = {}  # member -> position in `ordered`
-    for position, group in enumerate(ordered):
-        owned = [owner[name] for name in group if name in owner]
-        if sum(len(ordered[top]) for top in set(owned)) != len(owned):
-            break
-        owner.update(dict.fromkeys(group, position))
-    else:
-        return True, None
-    for i, a in enumerate(sets):
-        set_a = set(a)
-        for b in sets[i + 1 :]:
-            set_b = set(b)
-            if set_a <= set_b or set_b <= set_a or not (set_a & set_b):
-                continue
-            return False, (a, b)
+    owner: dict[str, int] = {}  # member -> index in `sets`
+    for index in sorted(range(len(sets)), key=lambda i: len(sets[i])):
+        group = sets[index]
+        inside = set(group)
+        for top in dict.fromkeys(owner[name] for name in group if name in owner):
+            if not inside.issuperset(sets[top]):
+                return False, (sets[min(top, index)], sets[max(top, index)])
+        owner.update(dict.fromkeys(group, index))
     return True, None
 
 
@@ -280,7 +274,10 @@ def build_lake_dendrogram(graph: Graph) -> Dendrogram:
         pending: dict[int, list[int]] = {}
         for _, root_u, root_v in merged:
             parts = pending.pop(root_u, None) or [current[root_u]]
-            parts += pending.pop(root_v, None) or [current[root_v]]
+            other = pending.pop(root_v, None) or [current[root_v]]
+            if len(parts) < len(other):  # extend the longer list: a star stays linear
+                parts, other = other, parts
+            parts += other
             pending[root_u] = parts
         for root, parts in pending.items():
             current[root] = leaves + len(groups)

@@ -214,19 +214,16 @@ def parse_node_values(text: str) -> NodeFunction:
 def serialize_node_values(values: Mapping[str, Weight], order: Iterable[str] | None = None) -> str:
     """``<node> <value>`` lines, in ``order`` (the nodes of ``values`` in it) if given.
 
-    A node that ``order`` repeats raises the error reading its second line
-    back would give.
+    A node that ``order`` repeats raises the error that reading the text
+    back raises at its first bad line: the repeat's, unless a bad value
+    comes before it.
     """
     nodes = [node for node in order if node in values] if order is not None else list(values)
     _check_ids_writable(nodes, "#")
+    text = "".join([f"{node} {values[node]}\n" for node in nodes])
     if order is not None and len(set(nodes)) != len(nodes):
-        seen: set[str] = set()
-        for lineno, node in enumerate(nodes, start=1):
-            if node in seen:
-                raise GraphFormatError(f"line {lineno}: duplicate node {node!r}")
-            seen.add(node)
-    lines = [f"{node} {values[node]}" for node in nodes]
-    return "\n".join(lines) + "\n" if lines else ""
+        parse_node_values(text)  # raises the reader's "line N: duplicate node" error
+    return text
 
 
 def _pgm_int(token: bytes, what: str) -> int:

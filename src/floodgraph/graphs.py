@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from itertools import accumulate, chain, compress, filterfalse, product
 from operator import lt
 from typing import Callable, Iterable, Mapping, Sequence
@@ -78,7 +79,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and all(
             getattr(self, attr) == getattr(other, attr)
-            for attr in ("nodes", "edges", "ground_values", "edge_weights")
+            for attr in ("nodes", "edge_u", "edge_v", "ground_values", "edge_weights")
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -143,10 +144,6 @@ class Graph:
         if self.ground_values is None:
             raise PreconditionError(f"{operation} needs a node-weighted graph (ground values)")
         return self.ground_values
-
-    def require_ground(self, operation: str) -> NodeFunction:
-        self.require_ground_values(operation)
-        return self.ground  # type: ignore[return-value]
 
     def require_edge_weights(self, operation: str) -> tuple[Weight, ...]:
         if self.edge_weights is None:
@@ -493,7 +490,8 @@ def partial_graph(graph: Graph, edge_ids: Iterable[int]) -> Graph:
     Shares the node names, their index and the ground with ``graph``.
     """
     keep_ids = sorted(set(edge_ids))
-    for edge_id in keep_ids:
+    # sorted, so the smallest id and the first at or past the end are the only suspects
+    for edge_id in keep_ids[:1] + keep_ids[bisect_left(keep_ids, len(graph.edge_u)):][:1]:
         if not 0 <= edge_id < len(graph.edge_u):
             raise ConstructionError(f"unknown edge id: {edge_id}")
     weights = graph.edge_weights

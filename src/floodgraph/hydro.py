@@ -128,7 +128,7 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
     report = is_edge_flooding(view, tau)
     if not report:
         raise PreconditionError(f"tau is not a valid flooding: {report.violations[0]}")
-    weights = view.require_edge_weights("lakes")
+    weights = view.edge_weights
     levels = [tau[node] for node in view.nodes]
     ends = view.edge_u, view.edge_v, weights
     inside = [levels[u] == levels[v] and e <= levels[u] for u, v, e in zip(*ends)]

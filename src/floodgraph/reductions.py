@@ -294,21 +294,16 @@ def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:
                 heapq.heappush(heap, (join(ground[q], ground[r]), adj_edge[slot], r))
 
     push_edges(center)
-    while lake_cap > diam:
-        while heap and heap[0][2] in inside:
-            heapq.heappop(heap)
+    while lake_cap > diam:  # the heap's least entry is never stale here
         radius = heap[0][0] if heap else TOP
         if lake_cap <= radius:
             break
-        while heap:
-            while heap and heap[0][2] in inside:
-                heapq.heappop(heap)
-            if not heap or heap[0][0] > radius:
-                break
+        while heap and (heap[0][0] <= radius or heap[0][2] in inside):
             _, _, fresh = heapq.heappop(heap)
-            inside.add(fresh)
-            lake_cap = meet(lake_cap, ceiling[fresh])
-            push_edges(fresh)
+            if fresh not in inside:
+                inside.add(fresh)
+                lake_cap = meet(lake_cap, ceiling[fresh])
+                push_edges(fresh)
         diam = radius
         best = meet(best, join(lake_cap, diam))
     return join(ground[center], best)

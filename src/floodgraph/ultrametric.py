@@ -99,7 +99,8 @@ class Funnel(dict):
     empty, so ``heap[0]`` is the least priority.  Entries sharing a priority
     leave in insertion order; callers discard stale entries on extraction.
     Loops that may push below the priority they extract pop per item
-    inline, as ``pop`` does; the others drain ``buckets()``.
+    inline from ``heap[0]``'s bucket; the others drain ``buckets()``.
+    ``len()`` counts the priorities that have a bucket, not the items.
     """
 
     __slots__ = ("heap",)
@@ -113,31 +114,11 @@ class Funnel(dict):
         heapq.heappush(self.heap, priority)
         return bucket
 
-    def __len__(self) -> int:
-        return sum(map(len, self.values()))
-
-    def push(self, priority, item) -> None:
-        self[priority].append(item)
-
-    def min_priority(self):
-        if not self.heap:
-            raise PreconditionError("empty funnel")
-        return self.heap[0]
-
-    def pop(self):
-        priority = self.min_priority()
-        bucket = self[priority]
-        item = bucket.popleft()
-        if not bucket:
-            del self[priority]
-            heapq.heappop(self.heap)
-        return priority, item
-
     def buckets(self) -> Iterator[tuple]:
         """Yield each least priority with its bucket, detached, in order.
 
         A push at the priority being drained opens a fresh bucket that comes
-        next, so with no push below it this is the order of repeated ``pop``.
+        next, so with no push below it this is the order of per-item pops.
         """
         heap, detach = self.heap, super().pop
         while heap:

@@ -86,7 +86,8 @@ def random_ceiling(
 
 def ceiling_above(rng: random.Random, graph: Graph, slack: int = 6, top_chance: float = 0.4) -> dict:
     """A ceiling that sits on or above the ground everywhere."""
-    ground = graph.require_ground("ceiling_above")
+    graph.require_ground_values("ceiling_above")
+    ground = graph.ground
     return {
         node: TOP if rng.random() < top_chance else ground[node] + rng.randint(0, slack)
         for node in graph.nodes
@@ -94,7 +95,8 @@ def ceiling_above(rng: random.Random, graph: Graph, slack: int = 6, top_chance: 
 
 
 def tau_above_ground(rng: random.Random, graph: Graph, slack: int = 3) -> dict:
-    ground = graph.require_ground("tau_above_ground")
+    graph.require_ground_values("tau_above_ground")
+    ground = graph.ground
     return {node: ground[node] + rng.randint(0, slack) for node in graph.nodes}
 
 

@@ -89,8 +89,15 @@ def pairwise_culprit(family):
 @settings(max_examples=300)
 @given(st.lists(st.lists(st.sampled_from("abcdef"), max_size=6), max_size=8))
 def test_is_dendrogram_matches_the_pairwise_definition(family):
-    culprit = pairwise_culprit(family)
-    assert is_dendrogram(family) == (culprit is None, culprit)
+    ok, culprit = is_dendrogram(family)
+    assert ok == (pairwise_culprit(family) is None)
+    if ok:
+        assert culprit is None
+    else:  # two sets of the family, in family order, overlapping without nesting
+        sets = [tuple(dict.fromkeys(members)) for members in family]
+        first, second = culprit
+        assert any(first == a and second in sets[i + 1 :] for i, a in enumerate(sets))
+        assert pairwise_culprit([first, second]) == (first, second)
 
 
 @given(rough_edge_graphs())

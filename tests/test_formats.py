@@ -261,6 +261,12 @@ def test_serialize_node_values_refuses_a_node_that_order_repeats(order):
         assert parse_node_values(written) == expected
 
 
+def test_serialize_node_values_reports_the_first_bad_line_read_back():
+    """A bad value above the repeat is what reading the text back refuses first."""
+    with pytest.raises(GraphFormatError, match="^line 1: negative finite weight"):
+        serialize_node_values({"a": -3, "b": 1}, order=["a", "b", "b"])
+
+
 # -- PGM ---------------------------------------------------------------------
 
 

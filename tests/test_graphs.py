@@ -86,9 +86,9 @@ def test_missing_annotation_accessors_raise(chain, tank):
     with pytest.raises(PreconditionError):
         chain.graph.require_edge_weights("op")
     with pytest.raises(PreconditionError):
-        tank.graph.require_ground("op")
+        tank.graph.require_ground_values("op")
     assert chain.edge_graph.require_edge_weights("op") == (4, 4, 2, 2)
-    assert chain.graph.require_ground("op") == chain.graph.ground
+    assert chain.graph.require_ground_values("op") == chain.graph.ground_values
 
 
 # -- grids -------------------------------------------------------------------
@@ -190,8 +190,17 @@ def test_partial_graph(chain):
     kept = partial_graph(graph, [2, 0])
     assert kept.edges == (("a", "b"), ("c", "d"))
     assert kept.edge_weights == (4, 2)
-    with pytest.raises(ConstructionError):
-        partial_graph(graph, [99])
+    # the message names the id the sorted ids first fail on, at either end
+    for ids, unknown in (([99], 99), ([0, 99, 4, 3], 4), ([2, -2, 99, -1], -2)):
+        with pytest.raises(ConstructionError, match=f"^unknown edge id: {unknown}$"):
+            partial_graph(graph, ids)
+
+
+def test_equality_compares_edge_ends_without_naming_them():
+    relief = [[1, 2], [3, 4]]
+    first, second = grid_graph(relief), grid_graph(relief)
+    assert first == second and first != grid_graph(relief, 8)
+    assert first._edges is None and second._edges is None
 
 
 def test_check_total(chain):

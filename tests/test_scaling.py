@@ -107,6 +107,30 @@ def test_is_dendrogram_on_a_deep_chain_is_linear():
     assert elapsed < 2.0
 
 
+def test_is_dendrogram_names_a_culprit_in_linear_time():
+    """A pairwise search for the culprit compares about half a million pairs of sets."""
+    leaves = [f"l{i}" for i in range(1000)]
+    family = [leaves[: k + 1] for k in range(len(leaves))] + [("x", "y"), ("y", "z")]
+    start = time.perf_counter()
+    verdict = is_dendrogram(family)
+    elapsed = time.perf_counter() - start
+    assert verdict == (False, (("x", "y"), ("y", "z")))
+    assert elapsed < 1.0
+
+
+def test_star_lake_dendrogram_is_linear():
+    """Edges declared leaf-first make each merge's survivor the new leaf."""
+    leaves = [f"s{i}" for i in range(40000)]
+    star = build_graph(
+        ["hub", *leaves], [(leaf, "hub") for leaf in leaves], edge_weights=[1] * len(leaves)
+    )
+    start = time.perf_counter()
+    dendro = build_lake_dendrogram(star)
+    elapsed = time.perf_counter() - start
+    assert dendro.size[-1] == len(leaves) + 1 and len(dendro.diam) == len(leaves) + 2
+    assert elapsed < 1.0
+
+
 def test_checkerboard_flat_zones_are_fast():
     """Every pixel of a 128x128 checkerboard is its own flat zone."""
     size = 128

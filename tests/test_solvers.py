@@ -1,4 +1,4 @@
-"""Flooding solvers: funnel scheduling, all five producers, segmentation."""
+"""Flooding solvers: all five producers, segmentation, and a per-item funnel reference."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from floodgraph import (
     BOTTOM,
     TOP,
     ConstructionError,
-    Funnel,
     PreconditionError,
     augment_with_dummy,
     berge_flood,
@@ -36,49 +35,7 @@ from strategies import (
     random_ceiling,
     rough_flood_instances,
 )
-
-
-# -- funnel --------------------------------------------------------------------
-
-
-def test_funnel_orders_by_priority_then_fifo():
-    funnel = Funnel()
-    funnel.push(1, "a")
-    funnel.push(1, "b")
-    funnel.push(0, "z")
-    funnel.push(1, "c")
-    assert len(funnel) == 4 and funnel
-    assert funnel.min_priority() == 0
-    assert funnel.pop() == (0, "z")
-    assert funnel.pop() == (1, "a")
-    assert funnel.pop() == (1, "b")
-    assert funnel.pop() == (1, "c")
-    assert not funnel
-
-
-def test_funnel_buckets_can_be_reused():
-    funnel = Funnel()
-    funnel.push(2, "a")
-    assert funnel.pop() == (2, "a")
-    funnel.push(2, "b")
-    funnel.push(1, "c")
-    assert funnel.pop() == (1, "c")
-    assert funnel.pop() == (2, "b")
-
-
-def test_funnel_accepts_tuple_priorities():
-    funnel = Funnel()
-    funnel.push((1, 0), "late")
-    funnel.push((0, 9), "early")
-    assert funnel.pop() == ((0, 9), "early")
-
-
-def test_empty_funnel_raises():
-    funnel = Funnel()
-    with pytest.raises(PreconditionError):
-        funnel.pop()
-    with pytest.raises(PreconditionError):
-        funnel.min_priority()
+from test_funnel import PerItemFunnel
 
 
 # -- reservoir augmentation -------------------------------------------------------
@@ -222,7 +179,7 @@ def funnel_dijkstra(graph, omega, init):
     weights = graph.edge_weights
     ceiling = [omega[node] for node in graph.nodes]
     tau = [TOP] * len(ceiling)
-    funnel = Funnel()
+    funnel = PerItemFunnel()
     for seed in map(graph.node_index, init):
         if ceiling[seed] < TOP:
             tau[seed] = ceiling[seed]
