@@ -76,6 +76,10 @@ def _decode(data: bytes, path: str) -> str:
         raise GraphFormatError(f"{path}: not UTF-8 text and not a PGM raster") from exc
 
 
+def _read_values(path: str) -> NodeFunction:
+    return parse_node_values(_decode(_read_bytes(path), path))
+
+
 def _utf8_name(arg: str) -> str:
     """A node name from the command line, read as UTF-8 like the files."""
     return os.fsencode(arg).decode("utf-8")  # argparse reports a ValueError as misuse
@@ -188,13 +192,13 @@ def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
         buffer.writelines(chunk.encode("utf-8") for chunk in chunks)
 
 
-def _solver_counters(stats: SolverStats) -> str:
-    return f"extractions={stats.extractions} relaxations={stats.relaxations} sweeps={stats.sweeps}"
-
-
-def _emit_stats(args: argparse.Namespace, counters: str) -> None:
+def _emit_stats(args: argparse.Namespace, stats: SolverStats | str) -> None:
+    """A solver's counters, or the counts a route makes itself, on stderr."""
     if args.stats:
-        print(f"stats: {counters}", file=sys.stderr)
+        if isinstance(stats, SolverStats):
+            e, r, s = stats.extractions, stats.relaxations, stats.sweeps
+            stats = f"extractions={e} relaxations={r} sweeps={s}"
+        print(f"stats: {stats}", file=sys.stderr)
 
 
 _SCHEDULES = {"gauss_seidel": "gauss_seidel_alternating", "jacobi": "jacobi"}
@@ -203,12 +207,9 @@ _SCHEDULES = {"gauss_seidel": "gauss_seidel_alternating", "jacobi": "jacobi"}
 def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     omega = resolve_ceiling(args, ingested)
-    counters = None  # the solver's counters unless the route measures others
-
     if args.algo == "core":
         graph.require_ground_values("the core algorithm")
-        result = core_expanding_flood(graph, omega)
-        view = graph
+        view, result = graph, core_expanding_flood(graph, omega)
     else:
         view = edge_view(ingested, args, f"the {args.algo} algorithm")
         if args.algo == "berge":
@@ -225,28 +226,27 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> int:
             ceiling_by_index(view, omega)
             dendrogram = build_lake_dendrogram(view)
             result = SolverResult(tau=dendrogram_flood(dendrogram, omega))
-            counters = f"clusters={len(dendrogram.diam)}"
+    tau = result.tau  # in node order, whatever the route
 
     if args.validate_after:
-        if args.algo == "core":
-            report = is_node_flooding(graph, result.tau)
-        else:
-            report = is_edge_flooding(view, result.tau)
+        check = is_node_flooding if args.algo == "core" else is_edge_flooding
+        report = check(view, tau)
         if not report:
             print(f"validate: invalid: {report.violations[0]}", file=sys.stderr)
             return 1
         print("validate: valid", file=sys.stderr)
 
-    _emit_stats(args, counters or _solver_counters(result.stats))
-    tau = result.tau
-    _emit(args, [f"{n} {tau[n]}" for n in graph.nodes])
+    _emit_stats(
+        args, f"clusters={len(dendrogram.diam)}" if args.algo == "dendro" else result.stats
+    )
+    _emit(args, [f"{n} {level}" for n, level in tau.items()])
     return 0
 
 
 def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     view = edge_view(ingested, args, "segmentation")
-    markers = parse_node_values(_decode(_read_bytes(args.markers), args.markers))
+    markers = _read_values(args.markers)
     if not markers:
         raise PreconditionError(f"{args.markers}: no markers found")
     for node in markers:
@@ -273,7 +273,7 @@ def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> int:
         with open(args.label_pgm, "wb") as handle:
             handle.write(write_pgm(raster))
 
-    _emit_stats(args, _solver_counters(result.stats))
+    _emit_stats(args, result.stats)
     if args.tau:
         tau = result.tau
         lines = [f"{n} {labels[n]} {tau[n]}" for n in graph.nodes]
@@ -286,7 +286,7 @@ def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> int:
 def cmd_fldist(args: argparse.Namespace, ingested: Ingested) -> int:
     view = edge_view(ingested, args, "fldist")
     distances = flooding_distance_all(view, args.source)
-    _emit(args, [f"{n} {distances[n]}" for n in view.nodes])
+    _emit(args, [f"{n} {level}" for n, level in distances.items()])
     return 0
 
 
@@ -316,7 +316,7 @@ def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> int:
 
 def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
-    tau = parse_node_values(_decode(_read_bytes(args.tau), args.tau))
+    tau = _read_values(args.tau)
     names, edge_u, edge_v = graph.nodes, graph.edge_u, graph.edge_v
     _emit(args, (
         f"lake {index} level={lake.level} kind={lake.kind.value} "
@@ -329,7 +329,7 @@ def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> int:
 
 def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
-    tau = parse_node_values(_decode(_read_bytes(args.tau), args.tau))
+    tau = _read_values(args.tau)
     if graph.has_edge_weights:
         report = is_edge_flooding(graph, tau)
     else:
@@ -345,7 +345,9 @@ def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> int:
 def cmd_contract(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     graph.require_ground_values("contract")
-    omega = resolve_ceiling(args, ingested)  # all top without a ceiling: no omega= written
+    omega: NodeFunction | None = None  # no ceiling: none to build or check, no omega= written
+    if args.ceiling is not None or ingested.file_omega is not None:
+        omega = resolve_ceiling(args, ingested)
     contracted, mapping, contracted_omega = contract_flat_zones(graph, omega)
     blocks = "".join(
         f"# block {rep} {' '.join(members)}\n" for rep, members in mapping.blocks.items()
@@ -372,30 +374,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub: argparse.ArgumentParser, derive: bool = False) -> None:
-        sub.add_argument("--graph", required=True, help="graph file or PGM raster")
-        sub.add_argument(
-            "--connectivity",
-            type=int,
-            choices=(4, 8),
-            help="grid connectivity for raster inputs (default: env or 4)",
-        )
-        sub.add_argument("-o", "--output", help="write the report here, not stdout")
-        if derive:
-            sub.add_argument(
-                "--derive-edges",
-                action="store_true",
-                help="derive edge weights from the ground (max of endpoints)",
-            )
+    def shared(*flags: str, **spec) -> argparse.ArgumentParser:
+        """A parent parser: each option shared by several commands is declared once."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*flags, **spec)
+        return parent
 
-    flood = commands.add_parser("flood", help="dominated flooding under a ceiling")
-    common(flood, derive=True)
+    graph = shared("--graph", required=True, help="graph file or PGM raster")
+    graph.add_argument(
+        "--connectivity",
+        type=int,
+        choices=(4, 8),
+        help="grid connectivity for raster inputs (default: env or 4)",
+    )
+    graph.add_argument("-o", "--output", help="write the report here, not stdout")
+    derive = shared(
+        "--derive-edges",
+        action="store_true",
+        help="derive edge weights from the ground (max of endpoints)",
+    )
+    ceiling = shared("--ceiling", help="ceiling file (raster, values, or graph)")
+    stats = shared("--stats", action="store_true", help="counters on stderr")
+    tau = shared("--tau", required=True, help='file of "node tau" lines')
+
+    def command(name: str, run, description: str, *parents: argparse.ArgumentParser):
+        sub = commands.add_parser(name, help=description, parents=[graph, *parents])
+        sub.set_defaults(run=run)
+        return sub
+
+    flood = command(
+        "flood", cmd_flood, "dominated flooding under a ceiling", derive, ceiling, stats
+    )
     flood.add_argument(
         "--algo",
         required=True,
         choices=("berge", "dijkstra", "prim", "core", "dendro"),
     )
-    flood.add_argument("--ceiling", help="ceiling file (raster, values, or graph)")
     flood.add_argument(
         "--schedule",
         choices=tuple(_SCHEDULES),
@@ -403,60 +417,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep order for --algo berge",
     )
     flood.add_argument("--validate-after", action="store_true")
-    flood.add_argument("--stats", action="store_true", help="counters on stderr")
-    flood.set_defaults(run=cmd_flood)
 
-    segment = commands.add_parser("segment", help="marker-based segmentation")
-    common(segment, derive=True)
+    segment = command("segment", cmd_segment, "marker-based segmentation", derive, stats)
     segment.add_argument("--markers", required=True, help='file of "node label" lines')
     segment.add_argument("--engine", choices=("dijkstra", "prim"), default="dijkstra")
-    segment.add_argument(
-        "--tau", action="store_true", help="also print the distance to the marker"
-    )
+    segment.add_argument("--tau", action="store_true", help="also print the distance to the marker")
     segment.add_argument("--label-pgm", help="write labels as a PGM raster here")
-    segment.add_argument("--stats", action="store_true", help="counters on stderr")
-    segment.set_defaults(run=cmd_segment)
 
-    fldist = commands.add_parser("fldist", help="flooding distances from one node")
-    common(fldist, derive=True)
+    fldist = command("fldist", cmd_fldist, "flooding distances from one node", derive)
     fldist.add_argument("--from", dest="source", required=True, metavar="NODE", type=_utf8_name)
-    fldist.set_defaults(run=cmd_fldist)
-
-    tree = commands.add_parser("mst", help="minimum spanning tree of the edge weights")
-    common(tree, derive=True)
-    tree.set_defaults(run=cmd_mst)
-
-    dendro = commands.add_parser("dendro", help="lake dendrogram of the edge weights")
-    common(dendro, derive=True)
-    dendro.add_argument(
-        "--flood", action="store_true", help="also flood on the dendrogram"
-    )
-    dendro.add_argument("--ceiling", help="ceiling file for --flood")
-    dendro.set_defaults(run=cmd_dendro)
-
-    lakes_cmd = commands.add_parser("lakes", help="lake partition of a flooding")
-    common(lakes_cmd)
-    lakes_cmd.add_argument("--tau", required=True, help='file of "node tau" lines')
-    lakes_cmd.set_defaults(run=cmd_lakes)
-
-    validate = commands.add_parser("validate", help="check a flooding")
-    common(validate)
-    validate.add_argument("--tau", required=True, help='file of "node tau" lines')
-    validate.set_defaults(run=cmd_validate)
-
-    contract = commands.add_parser("contract", help="contract flat zones")
-    common(contract)
-    contract.add_argument("--ceiling", help="ceiling file to contract along")
-    contract.set_defaults(run=cmd_contract)
-
-    localflood = commands.add_parser(
-        "localflood", help="flooding level at a single node"
-    )
-    common(localflood)
+    command("mst", cmd_mst, "minimum spanning tree of the edge weights", derive)
+    dendro = command("dendro", cmd_dendro, "lake dendrogram of the edge weights", derive, ceiling)
+    dendro.add_argument("--flood", action="store_true", help="also flood on the dendrogram")
+    command("lakes", cmd_lakes, "lake partition of a flooding", tau)
+    command("validate", cmd_validate, "check a flooding", tau)
+    command("contract", cmd_contract, "contract flat zones", ceiling)
+    localflood = command("localflood", cmd_localflood, "flooding level at a single node", ceiling)
     localflood.add_argument("--node", required=True, type=_utf8_name)
-    localflood.add_argument("--ceiling", help="ceiling file")
-    localflood.set_defaults(run=cmd_localflood)
-
     return parser
 
 

@@ -21,7 +21,7 @@ samples when maxval exceeds 255.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Mapping
 
 from .errors import GraphFormatError
 from .graphs import Graph, NodeFunction, index_graph
@@ -56,7 +56,7 @@ def _check_node_id(token: str, lineno: int) -> str:
     return token
 
 
-def _check_ids_writable(names: Sequence[str], forbidden: str) -> None:
+def _check_ids_writable(names: Collection[str], forbidden: str) -> None:
     """Refuse, before any text is returned, a node id that would not read back.
 
     The readers split lines on whitespace with ``str.split``, which also
@@ -211,19 +211,10 @@ def parse_node_values(text: str) -> NodeFunction:
     return values
 
 
-def serialize_node_values(values: Mapping[str, Weight], order: Iterable[str] | None = None) -> str:
-    """``<node> <value>`` lines, in ``order`` (the nodes of ``values`` in it) if given.
-
-    A node that ``order`` repeats raises the error that reading the text
-    back raises at its first bad line: the repeat's, unless a bad value
-    comes before it.
-    """
-    nodes = [node for node in order if node in values] if order is not None else list(values)
-    _check_ids_writable(nodes, "#")
-    text = "".join([f"{node} {values[node]}\n" for node in nodes])
-    if order is not None and len(set(nodes)) != len(nodes):
-        parse_node_values(text)  # raises the reader's "line N: duplicate node" error
-    return text
+def serialize_node_values(values: Mapping[str, Weight]) -> str:
+    """``<node> <value>`` lines, in the order of ``values``."""
+    _check_ids_writable(values, "#")
+    return "".join([f"{node} {value}\n" for node, value in values.items()])
 
 
 def _pgm_int(token: bytes, what: str) -> int:

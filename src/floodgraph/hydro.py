@@ -125,9 +125,7 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
     Node-weighted graphs are classified on their derived edge view.
     """
     view = graph if graph.has_edge_weights else derive_edge_graph(graph)
-    report = is_edge_flooding(view, tau)
-    if not report:
-        raise PreconditionError(f"tau is not a valid flooding: {report.violations[0]}")
+    _check_flooding(view, tau, "tau")
     weights = view.edge_weights
     levels = [tau[node] for node in view.nodes]
     ends = view.edge_u, view.edge_v, weights

@@ -246,17 +246,14 @@ def single_linkage(graph: Graph, weights: Sequence[Weight]) -> Iterator[tuple[in
             yield edge_id, root_u, root_v
 
 
-def mst(graph: Graph, root: str | None = None) -> Graph:
+def mst(graph: Graph) -> Graph:
     """Minimum spanning tree (forest on disconnected graphs) by Kruskal.
 
     Edges are taken in increasing ``(weight, edge id)`` order, so equal
     weights go in declaration order.  Those keys are all distinct, so the
     minimum spanning forest under them is unique: Kruskal, or Prim grown
-    from any node, ends with the same edges.  ``root`` is therefore only
-    checked to be a node; it does not change the tree.  Node set and
-    weights are retained, and the tree lists its edges by edge id.
+    from any node, ends with the same edges.  Node set and weights are
+    retained, and the tree lists its edges by edge id.
     """
     weights = graph.require_edge_weights("mst")
-    if root is not None:
-        graph.node_index(root)
     return partial_graph(graph, [edge_id for edge_id, _, _ in single_linkage(graph, weights)])

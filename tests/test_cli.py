@@ -584,6 +584,23 @@ def test_contract_without_ceiling_emits_no_omega(capsys, chain_file, tmp_path):
     assert "# block a a b" in out.splitlines()
 
 
+def test_contract_without_ceiling_contracts_none(capsys, monkeypatch, tmp_path):
+    """No --ceiling and no omega= in the file: no all-top ceiling is built or contracted."""
+    from floodgraph.cli import contract_flat_zones
+
+    plain = tmp_path / "plain.fg"
+    plain.write_text("floodgraph v1\nnode a f=1\nnode b f=1\nedge a b\n")
+    ceilings = []
+
+    def keep(graph, omega):
+        ceilings.append(omega)
+        return contract_flat_zones(graph, omega)
+
+    monkeypatch.setattr("floodgraph.cli.contract_flat_zones", keep)
+    assert run(capsys, "contract", "--graph", str(plain))[0] == 0
+    assert ceilings == [None]
+
+
 def test_localflood(capsys, chain_file, strip_pgm, strip_ceiling):
     code, out, _ = run(capsys, "localflood", "--graph", chain_file, "--node", "c")
     assert code == 0
@@ -832,3 +849,66 @@ def test_dendro_routes_reject_ceiling_below_ground(capsys, tmp_path, chain_file,
     assert code == 1
     assert out == ""
     assert "ceiling below ground at node 'b'" in err
+
+
+# -- the parser ------------------------------------------------------------------------
+
+_STORE, _TRUE, _HELP = argparse._StoreAction, argparse._StoreTrueAction, argparse._HelpAction
+_ANY_INPUT = {
+    ("-h", "--help"): ("help", False, argparse.SUPPRESS, None, None, _HELP),
+    ("--graph",): ("graph", True, None, None, None, _STORE),
+    ("--connectivity",): ("connectivity", False, None, (4, 8), int, _STORE),
+    ("-o", "--output"): ("output", False, None, None, None, _STORE),
+}
+_DERIVE = {("--derive-edges",): ("derive_edges", False, False, None, None, _TRUE)}
+_CEILING = {("--ceiling",): ("ceiling", False, None, None, None, _STORE)}
+_STATS = {("--stats",): ("stats", False, False, None, None, _TRUE)}
+_TAU_FILE = {("--tau",): ("tau", True, None, None, None, _STORE)}
+_OPTIONS = {
+    "flood": {**_ANY_INPUT, **_DERIVE, **_CEILING, **_STATS,
+              ("--algo",): ("algo", True, None, ("berge", "dijkstra", "prim", "core", "dendro"),
+                            None, _STORE),
+              ("--schedule",): ("schedule", False, "gauss_seidel", ("gauss_seidel", "jacobi"),
+                                None, _STORE),
+              ("--validate-after",): ("validate_after", False, False, None, None, _TRUE)},
+    "segment": {**_ANY_INPUT, **_DERIVE, **_STATS,
+                ("--markers",): ("markers", True, None, None, None, _STORE),
+                ("--engine",): ("engine", False, "dijkstra", ("dijkstra", "prim"), None, _STORE),
+                ("--tau",): ("tau", False, False, None, None, _TRUE),
+                ("--label-pgm",): ("label_pgm", False, None, None, None, _STORE)},
+    "fldist": {**_ANY_INPUT, **_DERIVE, ("--from",): ("source", True, None, None, "name", _STORE)},
+    "mst": {**_ANY_INPUT, **_DERIVE},
+    "dendro": {**_ANY_INPUT, **_DERIVE, **_CEILING,
+               ("--flood",): ("flood", False, False, None, None, _TRUE)},
+    "lakes": {**_ANY_INPUT, **_TAU_FILE},
+    "validate": {**_ANY_INPUT, **_TAU_FILE},
+    "contract": {**_ANY_INPUT, **_CEILING},
+    "localflood": {**_ANY_INPUT, **_CEILING,
+                   ("--node",): ("node", True, None, None, "name", _STORE)},
+}
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_parser_declares_each_option_as_before(command):
+    """Each subcommand's options, with their dest, required, default, choices, type and action."""
+    from floodgraph import cli
+
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(_OPTIONS)
+    sub = commands.choices[command]
+    types = {None: None, int: int, "name": cli._utf8_name}
+    expected = {
+        strings: (dest, required, default, choices, types[kind], action)
+        for strings, (dest, required, default, choices, kind, action) in _OPTIONS[command].items()
+    }
+    declared = {
+        tuple(a.option_strings): (
+            a.dest, a.required, a.default,
+            None if a.choices is None else tuple(a.choices), a.type, type(a),
+        )
+        for a in sub._actions
+    }
+    assert declared == expected
+    assert len(sub._actions) == len(expected)
+    assert sub.get_default("run") is getattr(cli, f"cmd_{command}")
