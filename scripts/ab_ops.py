@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Time one perfbench workload on two checkouts, interleaved op by op.
+
+Each checkout's ``src/floodgraph`` is copied into a temporary directory
+under its own package name, so both import into one process.  The
+workload's ops are built for both sides from the same seed through this
+checkout's ``perfbench/workloads.py``.  A first round warms both sides
+up untimed.  Every round runs each op on both sides back to back, and the
+side that goes first alternates from op to op and from round to round.
+Each output is checked untimed, and the two sides' outputs must be
+byte-identical.  A drift in the host's speed thus falls on both sides
+alike, which per-layer ``self_s`` figures taken in separate runs cannot
+promise.
+
+Prints each op's median time on both sides and their ratio (second side
+over first), then the summed medians.  Exits 1 when an op fails its check
+or the sides' outputs differ.
+
+usage: python3 scripts/ab_ops.py BASE CHANGE [--workload hierarchy]
+                                 [--seed N] [--rounds N]
+
+``BASE`` and ``CHANGE`` are checkout roots, for example a ``git archive``
+of the parent commit and ``.``; the same root twice compares a checkout
+with itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import io
+import random
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from contextlib import redirect_stderr
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import WORKLOADS, Mismatch, Program  # noqa: E402
+
+
+def load(checkout: Path, package: str, into: Path) -> Program:
+    """Import ``checkout``'s floodgraph as ``package``, copied under ``into``."""
+    source = checkout / "src" / "floodgraph"
+    if not (source / "__init__.py").is_file():
+        sys.exit(f"error: no floodgraph package under {checkout}/src")
+    shutil.copytree(source, into / package, ignore=shutil.ignore_patterns("__pycache__"))
+    return Program(importlib.import_module(package), importlib.import_module(f"{package}.cli"))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="hierarchy")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+
+    with tempfile.TemporaryDirectory(prefix="ab_ops-") as temp:
+        root = Path(temp)
+        sys.path.insert(0, str(root / "packages"))
+        sides = []
+        for tag, checkout in (("a", args.base), ("b", args.change)):
+            program = load(checkout.resolve(), f"floodgraph_ab_{tag}", root / "packages")
+            workdir = root / tag
+            workdir.mkdir()
+            sides.append(WORKLOADS[args.workload].build(program, random.Random(args.seed), workdir))
+        ops_a, ops_b = sides
+        if [op.name for op in ops_a] != [op.name for op in ops_b]:
+            sys.exit("error: the two checkouts built different op lists")
+
+        times: list[tuple[list[float], list[float]]] = [([], []) for _ in ops_a]
+        failures: list[str] = []
+        captured = io.StringIO()
+        for round_index in range(-1, args.rounds):  # round -1 warms up, untimed
+            for index, pair in enumerate(zip(ops_a, ops_b)):
+                order = (0, 1) if (round_index + index) % 2 == 0 else (1, 0)
+                data: list[bytes | None] = [None, None]
+                for side in order:
+                    op = pair[side]
+                    with redirect_stderr(captured):
+                        start = time.perf_counter()
+                        result = op.run()
+                        elapsed = time.perf_counter() - start
+                    if round_index >= 0:
+                        times[index][side].append(elapsed)
+                    try:
+                        data[side] = op.check(result)
+                    except Mismatch as exc:
+                        failures.append(f"{op.name} on side {'ab'[side]}: {exc}")
+                    captured.seek(0)
+                    captured.truncate()
+                if None not in data and data[0] != data[1]:
+                    failures.append(f"{pair[0].name}: the two sides' outputs differ")
+
+    rows = {op.name: (statistics.median(a), statistics.median(b)) for op, (a, b) in zip(ops_a, times)}
+    width = max(map(len, rows))
+    print(f"# {args.workload}, seed {args.seed}, {args.rounds} rounds; a = {args.base}, b = {args.change}")
+    print(f"{'op':<{width}}  {'a ms':>9}  {'b ms':>9}  b/a")
+    for name, (a, b) in rows.items():
+        print(f"{name:<{width}}  {a * 1000:9.3f}  {b * 1000:9.3f}  {b / a:.3f}")
+    sum_a, sum_b = (sum(row[side] for row in rows.values()) for side in (0, 1))
+    print(f"{'total':<{width}}  {sum_a * 1000:9.3f}  {sum_b * 1000:9.3f}  {sum_b / sum_a:.3f}")
+    for failure in failures:
+        print(f"FAILED {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

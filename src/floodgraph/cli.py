@@ -41,7 +41,7 @@ from .formats import (
     write_pgm,
 )
 from .graphs import Graph, NodeFunction, ceiling_by_index, grid_graph
-from .hydro import derive_edge_graph, is_edge_flooding, is_node_flooding, lakes
+from .hydro import LakeKind, derive_edge_graph, is_edge_flooding, is_node_flooding, lakes
 from .dendrogram import build_lake_dendrogram, dendrogram_flood
 from .reductions import contract_flat_zones, local_flood
 from .solvers import (
@@ -307,8 +307,9 @@ def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> int:
         tau = dendrogram_flood(dendro, omega)
     clusters = (
         f"cluster {index} diam={diam} "
-        f"father={'none' if father is None else father} leaves={' '.join(dendro.members(index))}"
-        for index, (diam, father) in enumerate(zip(dendro.diam, dendro.father))
+        f"father={'none' if father is None else father} leaves={' '.join(leaves)}"
+        for index, (diam, father, leaves)
+        in enumerate(zip(dendro.diam, dendro.father, dendro.all_members()))
     )
     _emit(args, chain(clusters, (f"{n} {level}" for n, level in tau.items())))
     return 0
@@ -318,11 +319,12 @@ def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     tau = _read_values(args.tau)
     names, edge_u, edge_v = graph.nodes, graph.edge_u, graph.edge_v
+    part = lakes(graph, tau)  # written from its lists: no Lake is built
+    kinds = LakeKind.REGIONAL_MINIMUM.value, LakeKind.FULL.value
     _emit(args, (
-        f"lake {index} level={lake.level} kind={lake.kind.value} "
-        f"nodes={' '.join(lake.nodes)} exhaust="
-        + " ".join(f"{names[edge_u[eid]]}-{names[edge_v[eid]]}" for eid in lake.exhaust_edges)
-        for index, lake in enumerate(lakes(graph, tau).lakes)
+        f"lake {index} level={level} kind={kinds[bool(out)]} nodes={' '.join(block)} exhaust="
+        + " ".join(f"{names[edge_u[eid]]}-{names[edge_v[eid]]}" for eid in out)
+        for index, (level, block, out) in enumerate(zip(part.levels, part.members, part.exhaust))
     ))
     return 0
 

@@ -10,8 +10,8 @@ Cluster indices are topological: every child's index is smaller than its
 father's, leaves come first.  A `Dendrogram` is the parent arrays indexed by
 cluster, `diam`, `father`, `children` and `size`, next to `leaf_names`, as in
 Najman, Cousty & Perret, "Playing with Kruskal" (ISMM 2013).  Building,
-flooding and the CLI read the arrays and `members(i)`; `Dendrogram.clusters`
-holds `Cluster` views, built on first access.
+flooding and the CLI read the arrays, `members(i)` and `all_members()`;
+`Dendrogram.clusters` holds `Cluster` views, built on first access.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConstructionError, PreconditionError
 from .graphs import Graph, NodeFunction
@@ -92,8 +92,8 @@ class Dendrogram:
         self._leaf_index: dict[str, int] | None = None
         self._clusters: tuple[Cluster, ...] | None = None
 
-    def _span(self, index: int) -> tuple[int, int]:
-        """The range ``_order[low:high]`` holding a cluster's leaves."""
+    def _layout(self) -> tuple[list[int], list[int]]:
+        """``(start, order)``: cluster ``i`` fills ``order[start[i] : start[i] + size[i]]``."""
         if self._start is None:
             # fathers have larger indices than their children, so walking
             # down the indices places every father before its children
@@ -111,14 +111,13 @@ class Dendrogram:
             for leaf in range(len(self.leaf_names)):
                 order[start[leaf]] = leaf
             self._start, self._order = start, order
-        low = self._start[index]
-        return low, low + self.size[index]
+        return self._start, self._order
 
     def _contains(self, outer: int, inner: int) -> bool:
         """Whether cluster ``inner`` lies inside (or is) cluster ``outer``."""
-        low, high = self._span(outer)
-        inner_low, inner_high = self._span(inner)
-        return low <= inner_low and inner_high <= high
+        start, size = self._layout()[0], self.size
+        low, inner_low = start[outer], start[inner]
+        return low <= inner_low and inner_low + size[inner] <= low + size[outer]
 
     def _leaf_of(self, name) -> int | None:
         if self._leaf_index is None:
@@ -128,10 +127,17 @@ class Dendrogram:
     def members(self, index: int) -> tuple[str, ...]:
         """Leaf names under cluster ``index``, in declaration order."""
         names = self.leaf_names
-        if index < len(names):
-            return (names[index],)
-        low, high = self._span(index)
-        return tuple(names[leaf] for leaf in sorted(self._order[low:high]))
+        start, order = self._layout()
+        low = start[index]
+        return tuple(map(names.__getitem__, sorted(order[low : low + self.size[index]])))
+
+    def all_members(self) -> Iterator[tuple[str, ...]]:
+        """Every cluster's ``members``, in cluster order, from one layout."""
+        names = self.leaf_names
+        yield from zip(names)  # leaf i is cluster i
+        start, order = self._layout()
+        for low, size in zip(start[len(names):], self.size[len(names):]):
+            yield tuple(map(names.__getitem__, sorted(order[low : low + size])))
 
     @property
     def clusters(self) -> tuple[Cluster, ...]:

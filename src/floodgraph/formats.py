@@ -43,13 +43,6 @@ _PGM_COMMENT = re.compile(rb"#[^\r\n]*")
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return line.strip()
-
-
 def _check_node_id(token: str, lineno: int) -> str:
     if "=" in token:
         raise GraphFormatError(f"line {lineno}: node id may not contain '=': {token!r}")
@@ -102,7 +95,7 @@ def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
 
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if not header_seen:
@@ -191,21 +184,31 @@ def serialize_graph(graph: Graph, omega: Mapping[str, Weight] | None = None) -> 
     return "\n".join([HEADER, *nodes, *edges]) + "\n"
 
 
+class _Weights(dict):
+    """Weight tokens to weights: each distinct token is parsed once."""
+
+    def __missing__(self, token: str) -> Weight:
+        value = self[token] = parse_weight(token)
+        return value
+
+
 def parse_node_values(text: str) -> NodeFunction:
     """Parse ``<node> <value>`` lines (markers, floodings, ceilings)."""
     values: NodeFunction = {}
+    weights = _Weights()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
+        line = raw.partition("#")[0]
         tokens = line.split()
         if len(tokens) != 2:
+            if not tokens:  # a blank line or a comment
+                continue
+            line = line.strip()
             raise GraphFormatError(f"line {lineno}: expected '<node> <value>', got {line!r}")
         node, raw_value = tokens
         if node in values:
             raise GraphFormatError(f"line {lineno}: duplicate node {node!r}")
         try:
-            values[node] = parse_weight(raw_value)
+            values[node] = weights[raw_value]
         except GraphFormatError as exc:
             raise GraphFormatError(f"line {lineno}: {exc}") from None
     return values

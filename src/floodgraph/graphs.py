@@ -425,19 +425,21 @@ def connected_components(
     an ``array`` of each component's first node; otherwise it is the
     components as tuples of names, each in declaration order.
     """
-    edge_u, edge_v = graph.edge_u, graph.edge_v
-    if keep is None:
-        kept: Iterable[int] = range(len(edge_u))
-    elif callable(keep):
-        kept = filter(keep, range(len(edge_u)))
-    else:
-        kept = [edge_id for edge_id, flag in enumerate(keep) if flag]
+    ends: Iterable[tuple[int, int]] = zip(graph.edge_u, graph.edge_v)
+    if callable(keep):
+        ends = compress(ends, map(keep, range(len(graph.edge_u))))
+    elif keep is not None:
+        ends = compress(ends, keep)
     # Union-find whose root is always the smallest node of its block, so a
     # node's parent comes before it: one pass in node order overwrites each
     # parent by its block's label, reading the label its parent already got.
     parent = list(range(len(graph.nodes)))
-    for edge_id in kept:
-        root_u, root_v = find_root(parent, edge_u[edge_id]), find_root(parent, edge_v[edge_id])
+    for u, v in ends:
+        root_u, root_v = parent[u], parent[v]  # find_root only below a root's child
+        if parent[root_u] != root_u:
+            root_u = find_root(parent, u)
+        if parent[root_v] != root_v:
+            root_v = find_root(parent, v)
         if root_u < root_v:
             parent[root_v] = root_u
         elif root_v < root_u:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .errors import PreconditionError
@@ -63,13 +64,14 @@ def is_node_flooding(graph: Graph, tau: Mapping[str, Weight]) -> ValidationRepor
                 f"{format_weight(floor)}"
             )
     for u, v in zip(graph.edge_u, graph.edge_v):
-        for p, q in ((u, v), (v, u)):
-            if levels[p] > levels[q] and levels[p] != ground[p]:
-                violations.append(
-                    f"edge ({names[u]},{names[v]}): tau_{names[p]}={format_weight(levels[p])} "
-                    f"hangs above tau_{names[q]}={format_weight(levels[q])} "
-                    "without resting on ground"
-                )
+        a, b = levels[u], levels[v]  # only the higher end can hang: one test per edge
+        if a != b and (a != ground[u] if a > b else b != ground[v]):
+            p, q = (u, v) if a > b else (v, u)
+            violations.append(
+                f"edge ({names[u]},{names[v]}): tau_{names[p]}={format_weight(levels[p])} "
+                f"hangs above tau_{names[q]}={format_weight(levels[q])} "
+                "without resting on ground"
+            )
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -80,12 +82,13 @@ def is_edge_flooding(graph: Graph, tau: Mapping[str, Weight]) -> ValidationRepor
     names = graph.nodes
     violations: list[str] = []
     for u, v, e in zip(graph.edge_u, graph.edge_v, weights):
-        for p, q in ((u, v), (v, u)):
-            if levels[p] > levels[q] and levels[p] > e:  # tau_p > tau_q v e
-                violations.append(
-                    f"edge ({names[u]},{names[v]}): tau_{names[p]}={format_weight(levels[p])} "
-                    f"exceeds tau_{names[q]} v e = {format_weight(join(levels[q], e))}"
-                )
+        a, b = levels[u], levels[v]  # only the higher end p can have tau_p > tau_q v e
+        if a != b and (a > e or b > e):
+            p, q = (u, v) if a > b else (v, u)
+            violations.append(
+                f"edge ({names[u]},{names[v]}): tau_{names[p]}={format_weight(levels[p])} "
+                f"exceeds tau_{names[q]} v e = {format_weight(join(levels[q], e))}"
+            )
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -102,18 +105,35 @@ class Lake:
     exhaust_edges: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class LakePartition:
-    """The lakes of a flooding; ``label`` holds the lake number of each node of ``graph``."""
+    """The lakes of a flooding as ``levels``, ``members`` and ``exhaust`` edge ids by lake.
 
-    lakes: tuple[Lake, ...]
-    graph: Graph = field(repr=False, compare=False)
-    label: array = field(repr=False, compare=False)
+    ``label`` holds each node's lake; `Lake` views are built on first access."""
+
+    graph: Graph = field(compare=False)
+    label: array = field(compare=False)
+    levels: list[Weight]
+    members: list[tuple[str, ...]]
+    exhaust: list[list[int]]
+
+    @cached_property
+    def lakes(self) -> tuple[Lake, ...]:
+        return tuple(
+            Lake(block, level, LakeKind.FULL if out else LakeKind.REGIONAL_MINIMUM, tuple(out))
+            for block, level, out in zip(self.members, self.levels, self.exhaust)
+        )
 
     def lake_of(self, node: str) -> Lake:
         if node not in self.graph:
             raise PreconditionError(f"node {node!r} not in any lake")
         return self.lakes[self.label[self.graph.node_index(node)]]
+
+    def __hash__(self) -> int:  # part of what == compares, which is enough
+        return hash((tuple(self.levels), tuple(self.members)))
+
+    def __repr__(self) -> str:
+        return f"LakePartition(lakes={self.lakes!r})"
 
 
 def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
@@ -141,12 +161,8 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
                 exhaust[label[v]].append(edge_id)
         elif b < a and e == a:
             exhaust[label[u]].append(edge_id)
-    blocks = group_by_label(view.nodes, label, len(first))
-    result = tuple(
-        Lake(block, levels[start], LakeKind.FULL if out else LakeKind.REGIONAL_MINIMUM, tuple(out))
-        for block, start, out in zip(blocks, first, exhaust)
-    )
-    return LakePartition(result, view, label)
+    members = group_by_label(view.nodes, label, len(first))
+    return LakePartition(view, label, list(map(levels.__getitem__, first)), members, exhaust)
 
 
 def flat_zones(

@@ -239,8 +239,12 @@ def single_linkage(graph: Graph, weights: Sequence[Weight]) -> Iterator[tuple[in
     edge_u, edge_v = graph.edge_u, graph.edge_v
     parent = list(range(len(graph.nodes)))
     for edge_id in sorted(range(len(weights)), key=weights.__getitem__):  # stable: ties by id
-        root_u = find_root(parent, edge_u[edge_id])
-        root_v = find_root(parent, edge_v[edge_id])
+        u, v = edge_u[edge_id], edge_v[edge_id]
+        root_u, root_v = parent[u], parent[v]  # find_root only below a root's child
+        if parent[root_u] != root_u:
+            root_u = find_root(parent, u)
+        if parent[root_v] != root_v:
+            root_v = find_root(parent, v)
         if root_u != root_v:
             parent[root_v] = root_u
             yield edge_id, root_u, root_v

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +13,13 @@ import pytest
 
 from floodgraph import (
     Cluster,
+    Lake,
+    LakeKind,
     build_lake_dendrogram,
+    core_expanding_flood,
     dendrogram_flood,
     dijkstra_flood,
+    lakes,
     parse_graph,
     read_pgm,
     write_pgm,
@@ -496,7 +501,57 @@ def test_dendrogram_routes_build_no_cluster_views(capsys, monkeypatch, tmp_path,
     assert err == "stats: clusters=7\n"
 
 
+def test_dendro_on_two_components_matches_members(capsys, tmp_path):
+    """Two summits, and clusters whose leaves are declared out of merge order."""
+    path = tmp_path / "two.fg"
+    path.write_text(
+        "floodgraph v1\n" + "".join(f"node {name}\n" for name in "tqspru")
+        + "edge p u w=2\nedge s u w=1\nedge q r w=3\nedge r t w=3\nedge t q w=1\n"
+    )
+    graph, _ = parse_graph(path.read_text())
+    dendro = build_lake_dendrogram(graph)
+    assert dendro.father.count(None) == 2
+    expected = [
+        f"cluster {index} diam={dendro.diam[index]} "
+        f"father={'none' if dendro.father[index] is None else dendro.father[index]} "
+        f"leaves={' '.join(dendro.members(index))}"
+        for index in range(len(dendro.diam))
+    ]
+    code, out, _ = run(capsys, "dendro", "--graph", str(path))
+    assert code == 0
+    assert out.splitlines() == expected
+    assert "cluster 9 diam=3 father=none leaves=t q r" in expected
+
+
 # -- lakes and validate --------------------------------------------------------------
+
+
+def test_lakes_with_full_lakes_match_the_partition(capsys, monkeypatch, tmp_path):
+    rng = random.Random(4)
+    rows = [[rng.randint(0, 6) for _ in range(12)] for _ in range(9)]
+    ground = tmp_path / "ground.pgm"
+    ground.write_bytes(write_pgm(rows))
+    graph = ingest_graph(str(ground), 4).graph
+    omega = {node: rng.choice([7, 7, 2, 3, 4]) for node in graph.nodes}
+    tau = core_expanding_flood(graph, {n: max(omega[n], graph.ground[n]) for n in graph.nodes}).tau
+    tau_file = tmp_path / "tau.txt"
+    tau_file.write_text("".join(f"{node} {level}\n" for node, level in tau.items()))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Lake was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Lake, "__init__", refuse)
+        code, out, _ = run(capsys, "lakes", "--graph", str(ground), "--tau", str(tau_file))
+    assert code == 0
+    edges = graph.edges
+    part = lakes(graph, tau).lakes
+    assert sum(lake.kind is LakeKind.FULL for lake in part) > 1
+    assert out.splitlines() == [
+        f"lake {index} level={lake.level} kind={lake.kind.value} nodes={' '.join(lake.nodes)} "
+        f"exhaust={' '.join(f'{edges[eid][0]}-{edges[eid][1]}' for eid in lake.exhaust_edges)}"
+        for index, lake in enumerate(part)
+    ]
 
 
 def test_lakes_report(capsys, tank_file, tank_tau_file):

@@ -106,6 +106,17 @@ def test_lake_dendrogram_clusters_form_a_dendrogram(graph):
     assert is_dendrogram(reversed(family)) == (True, None)
 
 
+@given(rough_edge_graphs())
+def test_all_members_lists_every_cluster_in_declaration_order(graph):
+    dendro = build_lake_dendrogram(graph)
+    leaves = [{i} for i in range(len(graph.nodes))]  # by the children arrays, not the layout
+    for kids in dendro.children[len(graph.nodes):]:
+        leaves.append(set().union(*map(leaves.__getitem__, kids)))
+    expected = [tuple(graph.nodes[i] for i in sorted(block)) for block in leaves]
+    assert list(dendro.all_members()) == expected
+    assert [dendro.members(i) for i in range(len(dendro.diam))] == expected
+
+
 def test_fixture_family_is_a_dendrogram(dendro_fixture):
     family = [members for members, _ in dendro_fixture.groups]
     assert is_dendrogram(family) == (True, None)

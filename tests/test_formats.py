@@ -239,6 +239,18 @@ def test_parse_node_values_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_a_bad_token_on_two_lines_is_reported_at_the_first():
+    with pytest.raises(GraphFormatError) as err:
+        parse_node_values("a 1\nb 07x\nc 2\nd 07x\n")
+    assert str(err.value) == "line 2: not a weight: '07x'"
+
+
+def test_node_values_messages_quote_the_line_without_its_comment():
+    with pytest.raises(GraphFormatError) as err:
+        parse_node_values("a 1\n\n  b 1 2 \t# three tokens\n")
+    assert str(err.value) == "line 3: expected '<node> <value>', got 'b 1 2'"
+
+
 def test_node_values_round_trip():
     values = {"b": 2, "a": TOP, "c": 0}
     assert parse_node_values(serialize_node_values(values)) == values

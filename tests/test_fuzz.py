@@ -22,7 +22,6 @@ from floodgraph.formats import (
     _check_node_id,
     _parse_attrs,
     _pgm_int,
-    _strip_comment,
 )
 from floodgraph.graphs import index_graph
 
@@ -216,6 +215,11 @@ def reference_read_pgm(data: bytes) -> list[list[int]]:
         if not 0 <= value <= maxval:
             raise GraphFormatError(f"PGM pixel {value} exceeds maxval {maxval}")
     return [pixels[row * width : (row + 1) * width] for row in range(height)]
+
+
+def _strip_comment(line: str) -> str:
+    """The line before its first ``#``, without surrounding blanks."""
+    return line.split("#", 1)[0].strip()
 
 
 def reference_parse_graph(text: str):

@@ -5,26 +5,37 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floodgraph import (
     BOTTOM,
+    TOP,
     LakeKind,
     PreconditionError,
+    ValidationReport,
     build_graph,
     core_expanding_flood,
     derive_edge_graph,
+    dijkstra_flood,
     flat_zones,
     flooding_inf,
     flooding_sup,
+    format_weight,
     grid_graph,
     is_edge_flooding,
     is_node_flooding,
+    join,
     lakes,
     regional_minima,
 )
 
-from strategies import ceiling_above, node_graphs
+from strategies import (
+    ceiling_above,
+    node_graphs,
+    rough_flood_instances,
+    rough_node_flood_instances,
+)
 
 
 # -- validity ----------------------------------------------------------------
@@ -68,6 +79,82 @@ def test_report_is_truthy_only_when_valid(tank):
     assert bool(good) and good.valid and good.violations == ()
 
 
+def two_way_node_check(graph, tau):
+    """`is_node_flooding` with each edge tried in both directions, the first way it was written."""
+    ground, names = graph.ground_values, graph.nodes
+    levels = [tau[node] for node in names]
+    violations = [
+        f"node {names[node]}: tau={format_weight(level)} below ground {format_weight(floor)}"
+        for node, (level, floor) in enumerate(zip(levels, ground))
+        if level < floor
+    ]
+    for u, v in zip(graph.edge_u, graph.edge_v):
+        for p, q in ((u, v), (v, u)):
+            if levels[p] > levels[q] and levels[p] != ground[p]:
+                violations.append(
+                    f"edge ({names[u]},{names[v]}): tau_{names[p]}={format_weight(levels[p])} "
+                    f"hangs above tau_{names[q]}={format_weight(levels[q])} "
+                    "without resting on ground"
+                )
+    return ValidationReport(not violations, tuple(violations))
+
+
+def two_way_edge_check(graph, tau):
+    """`is_edge_flooding` with each edge tried in both directions, the first way it was written."""
+    names = graph.nodes
+    levels = [tau[node] for node in names]
+    violations = []
+    for u, v, e in zip(graph.edge_u, graph.edge_v, graph.edge_weights):
+        for p, q in ((u, v), (v, u)):
+            if levels[p] > levels[q] and levels[p] > e:
+                violations.append(
+                    f"edge ({names[u]},{names[v]}): tau_{names[p]}={format_weight(levels[p])} "
+                    f"exceeds tau_{names[q]} v e = {format_weight(join(levels[q], e))}"
+                )
+    return ValidationReport(not violations, tuple(violations))
+
+
+_LEVELS = [BOTTOM, TOP, *range(8)]
+
+
+@st.composite
+def broken_floodings(draw, instances, flood):
+    """A valid flooding with one endpoint of one edge, the ``u`` or the ``v`` one, reset."""
+    graph, omega = draw(instances)
+    tau = dict(flood(graph, omega))
+    if graph.edge_u:
+        edge_id = draw(st.integers(0, len(graph.edge_u) - 1))
+        side = draw(st.sampled_from((graph.edge_u, graph.edge_v)))
+        tau[graph.nodes[side[edge_id]]] = draw(st.sampled_from(_LEVELS))
+    return graph, tau
+
+
+@settings(max_examples=300)
+@given(
+    broken_floodings(rough_flood_instances(), lambda graph, omega: dijkstra_flood(graph, omega).tau),
+    st.randoms(use_true_random=False),
+)
+def test_edge_check_matches_the_two_way_loop(instance, rng):
+    graph, tau = instance
+    assert is_edge_flooding(graph, tau) == two_way_edge_check(graph, tau)
+    noise = {node: rng.choice(_LEVELS) for node in graph.nodes}  # violations both ways
+    assert is_edge_flooding(graph, noise) == two_way_edge_check(graph, noise)
+
+
+@settings(max_examples=300)
+@given(
+    broken_floodings(
+        rough_node_flood_instances(), lambda graph, omega: core_expanding_flood(graph, omega).tau
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_node_check_matches_the_two_way_loop(instance, rng):
+    graph, tau = instance
+    assert is_node_flooding(graph, tau) == two_way_node_check(graph, tau)
+    noise = {node: rng.choice(_LEVELS) for node in graph.nodes}
+    assert is_node_flooding(graph, noise) == two_way_node_check(graph, noise)
+
+
 # -- lakes -------------------------------------------------------------------
 
 
@@ -96,6 +183,24 @@ def test_lake_of_holds_every_node_of_a_raster():
     part = lakes(graph, tau)
     assert all(node in part.lake_of(node).nodes for node in graph.nodes)
     assert all(part.lake_of(node) is lake for lake in part.lakes for node in lake.nodes)
+
+
+def test_lake_views_are_built_on_first_access_and_kept(tank):
+    part = lakes(tank.graph, tank.tau)
+    assert "lakes" not in vars(part)  # lakes() builds the lists only
+    first = part.lakes
+    assert part.lakes is first and part.lake_of("D") is first[2]
+    assert [(lake.level, lake.nodes, list(lake.exhaust_edges)) for lake in first] == list(
+        zip(part.levels, part.members, part.exhaust)
+    )
+
+
+def test_lake_partitions_compare_and_hash_by_their_lakes(tank):
+    one, two = lakes(tank.graph, tank.tau), lakes(tank.graph, dict(tank.tau))
+    assert one == two and hash(one) == hash(two)
+    assert one.lakes == two.lakes
+    assert one != lakes(tank.graph, {node: 3 for node in tank.graph.nodes})
+    assert repr(one) == f"LakePartition(lakes={one.lakes!r})"
 
 
 def test_chain_lakes_on_the_derived_edge_view(chain):
