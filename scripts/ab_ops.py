@@ -13,8 +13,9 @@ alike, which per-layer ``self_s`` figures taken in separate runs cannot
 promise.
 
 Prints each op's median time on both sides and their ratio (second side
-over first), then the summed medians.  Exits 1 when an op fails its check
-or the sides' outputs differ.
+over first), then the summed medians: in total, and for each op-name
+prefix (the part before ``/``, such as ``tanks`` or ``random``).  Exits 1
+when an op fails its check or the sides' outputs differ.
 
 usage: python3 scripts/ab_ops.py BASE CHANGE [--workload hierarchy]
                                  [--seed N] [--rounds N]
@@ -106,8 +107,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'op':<{width}}  {'a ms':>9}  {'b ms':>9}  b/a")
     for name, (a, b) in rows.items():
         print(f"{name:<{width}}  {a * 1000:9.3f}  {b * 1000:9.3f}  {b / a:.3f}")
-    sum_a, sum_b = (sum(row[side] for row in rows.values()) for side in (0, 1))
-    print(f"{'total':<{width}}  {sum_a * 1000:9.3f}  {sum_b * 1000:9.3f}  {sum_b / sum_a:.3f}")
+    groups: dict[str, list[tuple[float, float]]] = {"total": list(rows.values())}
+    for name, row in rows.items():
+        groups.setdefault(name.split("/", 1)[0], []).append(row)
+    for group, members in groups.items():
+        sum_a, sum_b = (sum(row[side] for row in members) for side in (0, 1))
+        print(f"{group:<{width}}  {sum_a * 1000:9.3f}  {sum_b * 1000:9.3f}  {sum_b / sum_a:.3f}")
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -55,6 +56,10 @@ from .solvers import (
 )
 from .ultrametric import flooding_distance_all, mst
 from .weights import TOP
+
+_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
+# Blanks and comments, then the first line with more, up to its '#' or line break
+_FIRST_LINE = re.compile(rf"(?:\s|#[^{_BREAKS}]*)*([^#{_BREAKS}]*)")
 
 
 @dataclass(frozen=True)
@@ -129,8 +134,7 @@ def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeFunctio
             )
         return dict(zip(graph.nodes, (value for row in rows for value in row)))
     text = _decode(data, path)
-    first = next(filter(None, (line.split("#", 1)[0].strip() for line in text.splitlines())), "")
-    if first == HEADER:
+    if _FIRST_LINE.match(text)[1].rstrip() == HEADER:
         other, values = parse_graph(text)
         if set(other.nodes) != set(graph.nodes):  # in any order
             raise GraphFormatError(f"{path}: ceiling graph has a different node set")

@@ -24,7 +24,7 @@ import re
 from typing import Collection, Mapping
 
 from .errors import GraphFormatError
-from .graphs import Graph, NodeFunction, index_graph
+from .graphs import Graph, NodeFunction, _check_lattice, index_graph
 from .weights import TOP, Weight, parse_weight
 
 __all__ = [
@@ -41,12 +41,6 @@ HEADER = "floodgraph v1"
 _PGM_COMMENT = re.compile(rb"#[^\r\n]*")
 # Blanks and comments, then a header token (empty only at the end of the data).
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
-
-
-def _check_node_id(token: str, lineno: int) -> str:
-    if "=" in token:
-        raise GraphFormatError(f"line {lineno}: node id may not contain '=': {token!r}")
-    return token
 
 
 def _check_ids_writable(names: Collection[str], forbidden: str) -> None:
@@ -67,21 +61,12 @@ def _check_ids_writable(names: Collection[str], forbidden: str) -> None:
         )
 
 
-def _parse_attrs(tokens: list[str], allowed: tuple[str, ...], lineno: int) -> dict[str, Weight]:
-    attrs: dict[str, Weight] = {}
-    for token in tokens:
-        key, sep, raw = token.partition("=")
-        if not sep or key not in allowed:
-            raise GraphFormatError(
-                f"line {lineno}: expected one of {', '.join(k + '=<w>' for k in allowed)}, got {token!r}"
-            )
-        if key in attrs:
-            raise GraphFormatError(f"line {lineno}: duplicate attribute {key!r}")
-        try:
-            attrs[key] = parse_weight(raw)
-        except GraphFormatError as exc:
-            raise GraphFormatError(f"line {lineno}: {exc}") from None
-    return attrs
+class _Weights(dict):
+    """Weight tokens to weights: each distinct token is parsed once."""
+
+    def __missing__(self, token: str) -> Weight:
+        value = self[token] = parse_weight(token)
+        return value
 
 
 def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
@@ -92,51 +77,65 @@ def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
     edge_u: list[int] = []
     edge_v: list[int] = []
     edge_weights: dict[int, Weight] = {}
+    weights = _Weights()
+    # an attribute key to the dict its values fill, keyed by node or edge id
+    node_attrs, edge_attrs = {"f": ground, "omega": omega}, {"w": edge_weights}
 
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:  # the header is the first line not blank or a comment
         line = raw.partition("#")[0].strip()
-        if not line:
-            continue
-        if not header_seen:
+        if line:
             if line != HEADER:
                 raise GraphFormatError(f"line {lineno}: expected header {HEADER!r}")
-            header_seen = True
+            break
+    else:
+        raise GraphFormatError(f"missing header {HEADER!r}")
+    for lineno, raw in lines:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
         if kind == "node":
             if len(tokens) < 2:
                 raise GraphFormatError(f"line {lineno}: node line needs an id")
-            node = _check_node_id(tokens[1], lineno)
+            node = tokens[1]
+            if "=" in node:
+                raise GraphFormatError(f"line {lineno}: node id may not contain '=': {node!r}")
             if node in index:
                 raise GraphFormatError(f"line {lineno}: duplicate node {node!r}")
             index[node] = len(index)
-            attrs = _parse_attrs(tokens[2:], ("f", "omega"), lineno)
-            if "f" in attrs:
-                ground[node] = attrs["f"]
-            if "omega" in attrs:
-                omega[node] = attrs["omega"]
+            allowed, slot, attrs = node_attrs, node, tokens[2:]
         elif kind == "edge":
             if len(tokens) < 3:
                 raise GraphFormatError(f"line {lineno}: edge line needs two node ids")
-            u = _check_node_id(tokens[1], lineno)
-            v = _check_node_id(tokens[2], lineno)
-            for endpoint in (u, v):
-                if endpoint not in index:
-                    raise GraphFormatError(f"line {lineno}: unknown node {endpoint!r}")
+            u, v = tokens[1], tokens[2]
+            if u not in index or v not in index:  # no indexed name contains '='
+                for endpoint in (u, v):
+                    if "=" in endpoint:
+                        raise GraphFormatError(
+                            f"line {lineno}: node id may not contain '=': {endpoint!r}"
+                        )
+                raise GraphFormatError(f"line {lineno}: unknown node {(v if u in index else u)!r}")
             if u == v:
                 raise GraphFormatError(f"line {lineno}: self-loop on {u!r}")
-            attrs = _parse_attrs(tokens[3:], ("w",), lineno)
-            if "w" in attrs:
-                edge_weights[len(edge_u)] = attrs["w"]
+            allowed, slot, attrs = edge_attrs, len(edge_u), tokens[3:]
             edge_u.append(index[u])
             edge_v.append(index[v])
         else:
             raise GraphFormatError(f"line {lineno}: expected 'node' or 'edge', got {kind!r}")
+        for token in attrs:
+            key, sep, value = token.partition("=")
+            target = allowed.get(key) if sep else None
+            if target is None:
+                expected = ", ".join(name + "=<w>" for name in allowed)
+                raise GraphFormatError(f"line {lineno}: expected one of {expected}, got {token!r}")
+            if slot in target:
+                raise GraphFormatError(f"line {lineno}: duplicate attribute {key!r}")
+            try:
+                target[slot] = weights[value]
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"line {lineno}: {exc}") from None
 
-    if not header_seen:
-        raise GraphFormatError(f"missing header {HEADER!r}")
     if not index:
         raise GraphFormatError("graph has no nodes")
     if ground and len(ground) != len(index):
@@ -159,9 +158,7 @@ def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
         edge_weights=edge_weights.values() if edge_weights else None,
         index=index,
     )
-    ceiling: NodeFunction | None = None
-    if omega:
-        ceiling = {node: omega.get(node, TOP) for node in index}
+    ceiling = {node: omega.get(node, TOP) for node in index} if omega else None
     return graph, ceiling
 
 
@@ -182,14 +179,6 @@ def serialize_graph(graph: Graph, omega: Mapping[str, Weight] | None = None) -> 
     else:
         edges = [f"edge {names[u]} {names[v]} w={w}" for u, v, w in zip(*ends, weights)]
     return "\n".join([HEADER, *nodes, *edges]) + "\n"
-
-
-class _Weights(dict):
-    """Weight tokens to weights: each distinct token is parsed once."""
-
-    def __missing__(self, token: str) -> Weight:
-        value = self[token] = parse_weight(token)
-        return value
 
 
 def parse_node_values(text: str) -> NodeFunction:
@@ -217,6 +206,7 @@ def parse_node_values(text: str) -> NodeFunction:
 def serialize_node_values(values: Mapping[str, Weight]) -> str:
     """``<node> <value>`` lines, in the order of ``values``."""
     _check_ids_writable(values, "#")
+    _check_lattice(values.values(), lambda at: f"value at node {[*values][at]!r}")
     return "".join([f"{node} {value}\n" for node, value in values.items()])
 
 

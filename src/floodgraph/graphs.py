@@ -266,7 +266,7 @@ def build_graph(
     return index_graph(index, edge_u, edge_v, ground_values, weights, index)
 
 
-def _check_lattice(values: Sequence[Weight], where: Callable[[int], str]) -> None:
+def _check_lattice(values: Iterable[Weight], where: Callable[[int], str]) -> None:
     """Raise, at the first value that is no weight, the error reading it back would give.
 
     Weights are the ints from 0 up and the float infinities: a negative int,

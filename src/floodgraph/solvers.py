@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
@@ -105,10 +105,11 @@ def oracle_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunction:
     """tau_q = min over nodes i of omega_i v d(i, q), via the full matrix."""
     ceiling = ceiling_by_index(graph, omega)
     rows = distance_rows(graph)
-    return {
-        name: min(max(level, row[q]) for level, row in zip(ceiling, rows))
-        for q, name in enumerate(graph.nodes)
-    }
+    tau = [TOP] * len(rows)
+    for level, row in zip(ceiling, rows):
+        if level != TOP:  # a top ceiling lowers nothing
+            tau = list(map(min, tau, map(max, repeat(level), row)))
+    return dict(zip(graph.nodes, tau))
 
 
 def berge_flood(

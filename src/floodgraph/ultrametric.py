@@ -60,7 +60,11 @@ class DistanceMatrix:
 
 
 def distance_rows(graph: Graph) -> list[list[Weight]]:
-    """All-pairs flooding distance by node index (Floyd-Warshall, min-max)."""
+    """All-pairs flooding distance by node index (Floyd-Warshall, min-max).
+
+    The matrix stays symmetric: pivot ``r`` reads d(p, r) from its own row,
+    which it cannot change, and updates each pair p < q once, in both rows.
+    """
     weights = graph.require_edge_weights("distance_matrix")
     count = len(graph.nodes)
     rows = [[TOP] * count for _ in range(count)]
@@ -68,17 +72,17 @@ def distance_rows(graph: Graph) -> list[list[Weight]]:
         rows[node][node] = BOTTOM
     for u, v, w in zip(graph.edge_u, graph.edge_v, weights):
         if w < rows[u][v]:
-            rows[u][v] = w
-            rows[v][u] = w
+            rows[u][v] = rows[v][u] = w
     for r, row_r in enumerate(rows):
-        for row_p in rows:
-            through = row_p[r]
-            if through == TOP:
+        for p, through in enumerate(row_r):
+            if p == r or through == TOP:
                 continue
-            for q, beyond in enumerate(row_r):
+            row_p = rows[p]
+            for q in range(p + 1, count):
+                beyond = row_r[q]
                 via = through if through >= beyond else beyond
                 if via < row_p[q]:
-                    row_p[q] = via
+                    row_p[q] = rows[q][p] = via
     return rows
 
 

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from floodgraph import (
     Cluster,
@@ -24,7 +26,8 @@ from floodgraph import (
     read_pgm,
     write_pgm,
 )
-from floodgraph.cli import ingest_graph, main, resolve_ceiling
+from floodgraph.cli import _FIRST_LINE, ingest_graph, main, resolve_ceiling
+from floodgraph.formats import HEADER
 
 
 CHAIN_FG = """\
@@ -175,6 +178,27 @@ def test_graph_ceiling_may_list_its_nodes_in_any_order(capsys, tmp_path, chain_f
         argparse.Namespace(ceiling=str(reversed_graph)), ingest_graph(chain_file, 4)
     )
     assert list(ceiling.items()) == list(omega.items())  # in the graph's order
+
+
+def splitlines_first_line(text: str) -> str:
+    """The first line with more than blanks before its '#', found by splitting every line."""
+    return next(filter(None, (line.split("#", 1)[0].strip() for line in text.splitlines())), "")
+
+
+# every str.splitlines line break, other blanks, comments and header pieces
+ceiling_pieces = st.sampled_from(
+    ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+     " ", "\t", "\x1f", "\xa0", "#", "# c", HEADER, "floodgraph", "v1", "a 1", "x"]
+)
+
+
+@settings(max_examples=300)
+@example("")
+@example(f"# c\x85 {HEADER} \t# d\nnode a")
+@example(f"#\u2028\x1f{HEADER}\x1f")
+@given(st.one_of(st.lists(ceiling_pieces, max_size=10).map("".join), st.text(max_size=20)))
+def test_first_line_scan_matches_splitlines(text):
+    assert _FIRST_LINE.match(text)[1].rstrip() == splitlines_first_line(text)
 
 
 def test_graph_ceiling_with_another_node_set_is_rejected(capsys, tmp_path, chain_file):

@@ -216,6 +216,25 @@ def test_build_graph_refuses_a_value_outside_the_lattice(ground, weights, messag
     assert str(err.value) == message
 
 
+@given(st.dictionaries(st.sampled_from("abc"), LATTICE | OFF_LATTICE))
+def test_serialize_node_values_takes_exactly_the_values_that_read_back(values):
+    text = "".join(f"{node} {value}\n" for node, value in values.items())  # verbatim
+    try:
+        parse_node_values(text)
+    except GraphFormatError as refused:
+        with pytest.raises(ConstructionError) as err:
+            serialize_node_values(values)
+        assert reader_message(err.value) == reader_message(refused)
+    else:
+        assert serialize_node_values(values) == text
+
+
+def test_serialize_node_values_refuses_a_negative_value():
+    with pytest.raises(ConstructionError) as err:
+        serialize_node_values({"a": 0, "b": -3})
+    assert str(err.value) == "value at node 'b': negative finite weight not allowed: '-3'"
+
+
 # -- node-value files --------------------------------------------------------
 
 

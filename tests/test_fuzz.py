@@ -14,15 +14,9 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from floodgraph import TOP, GraphFormatError, parse_graph, parse_node_values, read_pgm
+from floodgraph import TOP, GraphFormatError, parse_graph, parse_node_values, parse_weight, read_pgm
 from floodgraph.cli import main
-from floodgraph.formats import (
-    _PGM_COMMENT,
-    HEADER,
-    _check_node_id,
-    _parse_attrs,
-    _pgm_int,
-)
+from floodgraph.formats import _PGM_COMMENT, HEADER, _pgm_int
 from floodgraph.graphs import index_graph
 
 # int() accepts at most 4300 digits by default (sys.get_int_max_str_digits)
@@ -151,7 +145,8 @@ def test_cli_exits_2_without_a_traceback_on_rejected_input(data, ceiling_text):
 #
 # The former readers, kept to pin the single-pass ones: PGM header tokens read
 # byte by byte, and a graph parser that finds the header in a loop of its own
-# before a second loop reads the body.
+# before a second loop reads the body, checking ids and attributes through the
+# former per-line helpers.
 
 
 class ReferencePgmScanner:
@@ -220,6 +215,29 @@ def reference_read_pgm(data: bytes) -> list[list[int]]:
 def _strip_comment(line: str) -> str:
     """The line before its first ``#``, without surrounding blanks."""
     return line.split("#", 1)[0].strip()
+
+
+def _check_node_id(token: str, lineno: int) -> str:
+    if "=" in token:
+        raise GraphFormatError(f"line {lineno}: node id may not contain '=': {token!r}")
+    return token
+
+
+def _parse_attrs(tokens: list[str], allowed: tuple[str, ...], lineno: int) -> dict:
+    attrs = {}
+    for token in tokens:
+        key, sep, raw = token.partition("=")
+        if not sep or key not in allowed:
+            raise GraphFormatError(
+                f"line {lineno}: expected one of {', '.join(k + '=<w>' for k in allowed)}, got {token!r}"
+            )
+        if key in attrs:
+            raise GraphFormatError(f"line {lineno}: duplicate attribute {key!r}")
+        try:
+            attrs[key] = parse_weight(raw)
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from None
+    return attrs
 
 
 def reference_parse_graph(text: str):
@@ -346,6 +364,19 @@ def test_read_pgm_matches_the_byte_scanner(data):
 @example("")
 @example("# only a comment\n\n")
 @example("\x0b# c\x0cfloodgraph v1\rnode a f=1")
+@example("floodgraph v1\nnode a f=1 f=2")
+@example("floodgraph v1\nnode a omega=1 f=2 omega=x")
+@example("floodgraph v1\nnode a\nnode b\nedge a b w=1 w=-3")
+@example("floodgraph v1\nnode a f\nnode b")
+@example("floodgraph v1\nnode a\nnode b\nedge a b w")
+@example("floodgraph v1\nnode a w=1")
+@example("floodgraph v1\nnode a\nnode b\nedge a b omega=1")
+@example("floodgraph v1\nnode a\nedge zz a=b")
+@example("floodgraph v1\nnode a\nedge a=b zz")
+@example("floodgraph v1\nnode a\nnode b\nedge zz b w=x")
+@example("floodgraph v1\nnode a\nnode b\nedge a zz")
+@example("floodgraph v1\nnode a f=-3\nnode b f=-3")
+@example("floodgraph v1\nnode a f=0\nnode b f=-3 omega=x\nnode c f=-3")
 @given(st.one_of(graph_texts, lined_graph_texts))
 def test_parse_graph_matches_the_two_loop_parser(text):
     assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)

@@ -27,6 +27,7 @@ from floodgraph import (
     prim_flood,
     regional_minima,
 )
+from floodgraph.ultrametric import distance_rows
 
 from strategies import (
     ceiling_above,
@@ -71,6 +72,19 @@ def test_oracle_flood_chain(chain):
 def test_oracle_flood_open_sky_changes_nothing(chain):
     sky = {node: TOP for node in chain.edge_graph.nodes}
     assert oracle_flood(chain.edge_graph, sky) == sky
+
+
+@settings(max_examples=300)
+@given(rough_flood_instances())
+def test_oracle_flood_is_the_min_over_every_row(instance):
+    graph, omega = instance
+    rows = distance_rows(graph)
+    ceiling = [omega[node] for node in graph.nodes]
+    expected = {
+        name: min(max(level, row[q]) for level, row in zip(ceiling, rows))  # top rows too
+        for q, name in enumerate(graph.nodes)
+    }
+    assert list(oracle_flood(graph, omega).items()) == list(expected.items())
 
 
 def test_berge_flood_both_schedules(chain):

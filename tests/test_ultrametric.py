@@ -22,6 +22,7 @@ from floodgraph import (
     partial_graph,
     subgraph_spanning,
 )
+from floodgraph.ultrametric import distance_rows
 
 from strategies import edge_graphs, rough_edge_graphs
 
@@ -90,6 +91,27 @@ def test_flooding_distance_all_matches_heapq_and_the_matrix(graph):
         dist = flooding_distance_all(graph, source)
         assert dist == heapq_distances(graph, source)
         assert dist == dict(matrix.table[source])
+
+
+def textbook_distance_rows(graph):
+    """Min-max Floyd-Warshall on the full matrix: every pivot, every ordered pair."""
+    count = len(graph.nodes)
+    rows = [[BOTTOM if p == q else TOP for q in range(count)] for p in range(count)]
+    for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_weights):
+        rows[u][v] = rows[v][u] = min(rows[u][v], w)
+    for r in range(count):
+        for p in range(count):
+            for q in range(count):
+                rows[p][q] = min(rows[p][q], max(rows[p][r], rows[r][q]))
+    return rows
+
+
+@settings(max_examples=300)
+@given(rough_edge_graphs())
+def test_distance_rows_match_the_full_matrix_and_are_symmetric(graph):
+    rows = distance_rows(graph)
+    assert rows == textbook_distance_rows(graph)
+    assert rows == [list(column) for column in zip(*rows)]
 
 
 # -- balls and diameters --------------------------------------------------------
