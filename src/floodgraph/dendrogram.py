@@ -2,9 +2,9 @@
 
 The clusters of the lake dendrogram are the distinct closed balls of the
 flooding distance; merging components in increasing edge-weight order over
-the graph (single linkage) enumerates exactly those balls.  Relational
-queries (predecessors, brothers, uncles, ...) and dominated flooding
-evaluated directly on the tree both live here.
+the graph (single linkage) enumerates exactly those balls.  Dominated
+flooding evaluated directly on the tree, and the growth of one lake as the
+water rises, live here too.
 
 Cluster indices are topological: every child's index is smaller than its
 father's, leaves come first.  A `Dendrogram` is the parent arrays indexed by
@@ -36,7 +36,6 @@ __all__ = [
     "dendrogram_flood",
     "is_dendrogram",
     "lake_growth_sequence",
-    "query",
 ]
 
 Group = tuple[Weight, tuple[int, ...]]  # an inner cluster: (diam, children)
@@ -113,12 +112,6 @@ class Dendrogram:
             self._start, self._order = start, order
         return self._start, self._order
 
-    def _contains(self, outer: int, inner: int) -> bool:
-        """Whether cluster ``inner`` lies inside (or is) cluster ``outer``."""
-        start, size = self._layout()[0], self.size
-        low, inner_low = start[outer], start[inner]
-        return low <= inner_low and inner_low + size[inner] <= low + size[outer]
-
     def _leaf_of(self, name) -> int | None:
         if self._leaf_index is None:
             self._leaf_index = {leaf: i for i, leaf in enumerate(self.leaf_names)}
@@ -161,30 +154,6 @@ class Dendrogram:
     @property
     def summits(self) -> tuple[Cluster, ...]:
         return tuple(c for c in self.clusters if c.father is None)
-
-    def resolve(self, target) -> Cluster:
-        """Accept a Cluster, an index, a leaf name, or a member collection.
-
-        A member set resolves by climbing from one member's leaf to the
-        first cluster at least as large, which must hold exactly that set.
-        """
-        if isinstance(target, Cluster):
-            return self.clusters[target.index]
-        if isinstance(target, int):
-            if not 0 <= target < len(self.diam):
-                raise PreconditionError(f"unknown cluster index: {target}")
-            return self.clusters[target]
-        key = {target} if isinstance(target, str) else set(target)
-        leaves = [self._leaf_of(name) for name in key]
-        if leaves and None not in leaves:
-            index = leaves[0]
-            while self.size[index] < len(leaves) and self.father[index] is not None:
-                index = self.father[index]
-            if self.size[index] == len(leaves) and all(
-                self._contains(index, leaf) for leaf in leaves
-            ):
-                return self.clusters[index]
-        raise PreconditionError(f"unknown cluster: {sorted(key)}")
 
 
 def is_dendrogram(family: Iterable[Iterable[str]]) -> tuple[bool, tuple | None]:
@@ -289,58 +258,6 @@ def build_lake_dendrogram(graph: Graph) -> Dendrogram:
             current[root] = leaves + len(groups)
             groups.append((level, tuple(sorted(parts))))
     return Dendrogram(graph.nodes, groups)
-
-
-_RELATIONS = (
-    "summits",
-    "leaves",
-    "pred",
-    "impred",
-    "succ",
-    "imsucc",
-    "brothers",
-    "uncles",
-)
-
-
-def query(dendro: Dendrogram, relation: str, target=None) -> tuple[Cluster, ...]:
-    """Evaluate one of the eight structural relations.
-
-    pred/succ are all strict supersets/subsets; impred is the father,
-    imsucc the children; brothers share the father; uncles are clusters
-    whose father is a strict predecessor of the target other than the
-    target's own father, and which are not predecessors themselves.
-    """
-    if relation not in _RELATIONS:
-        raise PreconditionError(f"unknown relation: {relation!r}")
-    if relation == "summits":
-        return dendro.summits
-    if relation == "leaves":  # leaf i is cluster i; every other cluster has children
-        return dendro.clusters[: len(dendro.leaf_names)]
-    if target is None:
-        raise PreconditionError(f"relation {relation!r} needs a target cluster")
-    index = dendro.resolve(target).index
-    father = dendro.father
-    ancestors: list[int] = []  # strict predecessors, nearest first
-    up = father[index]
-    while up is not None:
-        ancestors.append(up)
-        up = father[up]
-    if relation in ("pred", "impred"):
-        picked = ancestors if relation == "pred" else ancestors[:1]
-    elif relation == "succ":  # a contained cluster has a smaller index
-        picked = [inner for inner in range(index) if dendro._contains(index, inner)]
-    elif relation == "imsucc":
-        picked = dendro.children[index]
-    elif relation == "brothers":
-        picked = [i for i in dendro.children[ancestors[0]] if i != index] if ancestors else []
-    else:  # uncles; the target's own father is excluded, and with it the target
-        above = set(ancestors)
-        picked = [
-            i for i, up in enumerate(father)
-            if up in above and up != father[index] and i not in above
-        ]
-    return tuple(map(dendro.clusters.__getitem__, picked))
 
 
 def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> NodeFunction:

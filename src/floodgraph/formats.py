@@ -24,7 +24,7 @@ import re
 from typing import Collection, Mapping
 
 from .errors import GraphFormatError
-from .graphs import Graph, NodeFunction, _check_lattice, index_graph
+from .graphs import Graph, NodeFunction, index_graph
 from .weights import TOP, Weight, parse_weight
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "parse_node_values",
     "read_pgm",
     "serialize_graph",
-    "serialize_node_values",
     "write_pgm",
 ]
 
@@ -43,21 +42,22 @@ _PGM_COMMENT = re.compile(rb"#[^\r\n]*")
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 
-def _check_ids_writable(names: Collection[str], forbidden: str) -> None:
+def _check_ids_writable(names: Collection[str]) -> None:
     """Refuse, before any text is returned, a node id that would not read back.
 
     The readers split lines on whitespace with ``str.split``, which also
-    splits at every line break of ``str.splitlines``, and cut comments at
-    ``#``.  The check scans the joined ids once, not each id in Python.
+    splits at every line break of ``str.splitlines``, cut comments at ``#``
+    and split attributes at ``=``.  The check scans the joined ids once, not
+    each id in Python.
     """
 
     def unreadable(text: str) -> bool:
-        return text.split() != [text] or any(char in text for char in forbidden)
+        return text.split() != [text] or "#" in text or "=" in text
 
     if names and (not all(names) or unreadable("".join(names))):
         raise GraphFormatError(
             f"cannot write node id {next(filter(unreadable, names))!r}: an id must be "
-            f"non-empty, without whitespace or any of {forbidden!r}"
+            "non-empty, without whitespace or any of '#='"
         )
 
 
@@ -164,7 +164,7 @@ def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
 
 def serialize_graph(graph: Graph, omega: Mapping[str, Weight] | None = None) -> str:
     names, ground, weights = graph.nodes, graph.ground_values, graph.edge_weights
-    _check_ids_writable(names, "#=")
+    _check_ids_writable(names)
     if ground is None:
         nodes = [f"node {node}" for node in names]
     else:
@@ -201,13 +201,6 @@ def parse_node_values(text: str) -> NodeFunction:
         except GraphFormatError as exc:
             raise GraphFormatError(f"line {lineno}: {exc}") from None
     return values
-
-
-def serialize_node_values(values: Mapping[str, Weight]) -> str:
-    """``<node> <value>`` lines, in the order of ``values``."""
-    _check_ids_writable(values, "#")
-    _check_lattice(values.values(), lambda at: f"value at node {[*values][at]!r}")
-    return "".join([f"{node} {value}\n" for node, value in values.items()])
 
 
 def _pgm_int(token: bytes, what: str) -> int:

@@ -46,10 +46,8 @@ __all__ = [
     "NodeFunction",
     "build_graph",
     "check_total",
-    "cocycle",
     "connected_components",
     "grid_graph",
-    "grid_node",
     "partial_graph",
     "subgraph_spanning",
 ]
@@ -283,10 +281,6 @@ def _check_lattice(values: Iterable[Weight], where: Callable[[int], str]) -> Non
         raise ConstructionError(f"{where(at)}: not a weight: {token!r}")  # such as "5"
 
 
-def grid_node(row: int, col: int) -> str:
-    return f"{row},{col}"
-
-
 def _counting(total: int) -> array:
     """``array(_INT, range(total))``, written one byte plane at a time.
 
@@ -387,19 +381,9 @@ def grid_graph(raster: Sequence[Sequence[Weight]], connectivity: int = 4) -> Gra
         raise ConstructionError("raster rows must all have the same width")
 
     ends, csr = _grid_topology(height, width, connectivity)
-    columns = [f",{c}" for c in range(width)]  # ids as grid_node(r, c) formats them
+    columns = [f",{c}" for c in range(width)]  # pixel (r, c) is named "r,c"
     nodes = [row + column for row in map(str, range(height)) for column in columns]
     return index_graph(nodes, *ends, chain.from_iterable(raster), csr=csr)
-
-
-def cocycle(graph: Graph, inside: Iterable[str]) -> tuple[int, ...]:
-    """Edge ids with exactly one endpoint in ``inside``, declaration order."""
-    member = {graph.node_index(node) for node in inside}
-    return tuple(
-        edge_id
-        for edge_id, (u, v) in enumerate(zip(graph.edge_u, graph.edge_v))
-        if (u in member) != (v in member)
-    )
 
 
 def find_root(parent: list[int], node: int) -> int:

@@ -1,4 +1,4 @@
-"""Hydrostatic validity, lakes, flat zones, and the flooding lattice.
+"""Hydrostatic validity, lakes, flat zones and regional minima.
 
 A node-level assignment tau is a flooding when water is stable: on a
 node-weighted graph tau >= ground and a strict drop across an edge only
@@ -17,7 +17,6 @@ from typing import Mapping
 from .errors import PreconditionError
 from .graphs import (
     Graph,
-    NodeFunction,
     connected_components,
     dilation,
     group_by_label,
@@ -33,8 +32,6 @@ __all__ = [
     "ValidationReport",
     "derive_edge_graph",
     "flat_zones",
-    "flooding_inf",
-    "flooding_sup",
     "is_edge_flooding",
     "is_node_flooding",
     "lakes",
@@ -145,7 +142,9 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
     Node-weighted graphs are classified on their derived edge view.
     """
     view = graph if graph.has_edge_weights else derive_edge_graph(graph)
-    _check_flooding(view, tau, "tau")
+    report = is_edge_flooding(view, tau)
+    if not report:
+        raise PreconditionError(f"tau is not a valid flooding: {report.violations[0]}")
     weights = view.edge_weights
     levels = [tau[node] for node in view.nodes]
     ends = view.edge_u, view.edge_v, weights
@@ -192,32 +191,6 @@ def regional_minima(
             minimum[label[u]] = False
     zones = group_by_label(graph.nodes, label, len(first))
     return [zone for zone, low in zip(zones, minimum) if low]
-
-
-def _check_flooding(graph: Graph, tau: Mapping[str, Weight], what: str) -> None:
-    report = (
-        is_edge_flooding(graph, tau) if graph.has_edge_weights else is_node_flooding(graph, tau)
-    )
-    if not report:
-        raise PreconditionError(f"{what} is not a valid flooding: {report.violations[0]}")
-
-
-def flooding_sup(graph: Graph, tau: Mapping[str, Weight], nu: Mapping[str, Weight]) -> NodeFunction:
-    """Pointwise max of two floodings; the result is again a flooding."""
-    _check_flooding(graph, tau, "tau")
-    _check_flooding(graph, nu, "nu")
-    out = {node: max(tau[node], nu[node]) for node in graph.nodes}
-    _check_flooding(graph, out, "sup result")
-    return out
-
-
-def flooding_inf(graph: Graph, tau: Mapping[str, Weight], nu: Mapping[str, Weight]) -> NodeFunction:
-    """Pointwise min of two floodings; the result is again a flooding."""
-    _check_flooding(graph, tau, "tau")
-    _check_flooding(graph, nu, "nu")
-    out = {node: min(tau[node], nu[node]) for node in graph.nodes}
-    _check_flooding(graph, out, "inf result")
-    return out
 
 
 def derive_edge_graph(graph: Graph) -> Graph:

@@ -1,20 +1,17 @@
 """Weight adjunctions, flat-zone contraction, and localized flooding.
 
-The two base operators form an adjunction: `edge_dilation` turns ground
-values into edge weights (max of the two endpoints) and `node_erosion`
-turns edge weights into node values (min of the incident edges).
-Composing them yields an opening on edge weights and a closing on node
-values; the closing of the ground is also the waterfall level, the
-lowest flooding a node can keep once water may escape through any pipe.
+`node_erosion` turns edge weights into node values (min of the incident
+edges); with the dilation of node values into edge weights (max of the two
+endpoints, as in `derive_edge_graph`) it forms an adjunction, whose closing
+on node values is `node_closing`.  The erosion of the edge weights is also
+the waterfall level, the lowest flooding a node can keep once water may
+escape through any pipe.
 
 Contraction merges every flat zone of the ground into a single node.
 Flooding commutes with it, which `contract_close_flood` exploits to
 flood a node-weighted graph on a smaller derived one.  `local_flood`
 answers "how high does the water stand at this one node" by growing
-balls around it instead of flooding everything.  `up_hill` pushes water
-from a flooded region R uphill: a node q fills to min(d_R(q), omega_c v
-d(c, q)) over the ceilings c, since a ceiling outside q's valley is no
-closer to q than the spill d_R(q); two runs of the min-max kernel give it.
+balls around it instead of flooding everything.
 """
 
 from __future__ import annotations
@@ -44,20 +41,12 @@ __all__ = [
     "ContractionMap",
     "contract_close_flood",
     "contract_flat_zones",
-    "edge_dilation",
-    "edge_opening",
     "expand",
     "local_flood",
-    "mst_with_contraction",
     "node_closing",
     "node_erosion",
-    "up_hill",
     "waterfall_flooding",
 ]
-
-def edge_dilation(graph: Graph, values: Mapping[str, Weight] | None = None) -> tuple[Weight, ...]:
-    """Per-edge max of the endpoint values (defaults to the ground)."""
-    return dilation(graph, levels_by_index(graph, values, "edge_dilation", "node values"))
 
 
 def node_erosion(graph: Graph, weights: tuple[Weight, ...] | None = None) -> NodeFunction:
@@ -75,16 +64,10 @@ def node_erosion(graph: Graph, weights: tuple[Weight, ...] | None = None) -> Nod
     }
 
 
-def edge_opening(graph: Graph, weights: tuple[Weight, ...] | None = None) -> tuple[Weight, ...]:
-    """Opening on edge weights: erode to the nodes, dilate back."""
-    eroded = node_erosion(graph, weights)
-    return dilation(graph, [eroded[node] for node in graph.nodes])
-
-
 def node_closing(graph: Graph, values: Mapping[str, Weight] | None = None) -> NodeFunction:
     """Closing on node values: dilate to the edges, erode back.  That is
     max(value, lowest neighbor value), or top for an isolated node."""
-    levels = levels_by_index(graph, values, "edge_dilation", "node values")
+    levels = levels_by_index(graph, values, "node_closing", "node values")
     offsets, adj_node = graph.offsets, graph.adj_node
     return dict(zip(graph.nodes, (
         max(level, min(map(levels.__getitem__, adj_node[low:high]))) if low < high else TOP
@@ -193,56 +176,6 @@ def _zone_edges(graph: Graph, zone_of: array, zones: int) -> tuple[array, array,
     return edge_u, edge_v, weights
 
 
-def mst_with_contraction(graph: Graph) -> tuple[Graph, ContractionMap]:
-    """Spanning tree of the derived edge weights with flat zones merged.
-
-    One pass grows the tree edge by edge, always taking the cheapest
-    crossing edge; among equal weights, edges inside a flat zone win so
-    the whole zone collapses into one super-node before any outgoing
-    edge of the same weight is considered.  Returns the tree on the
-    super-nodes plus the contraction that produced them.  The tree lists
-    its edges in Prim's visit order, which is why this loop is its own.
-    An edge is flat exactly when its endpoints share a flat zone, so the
-    super-nodes are the zones of `contract_flat_zones`.
-    """
-    ground = graph.require_ground_values("mst_with_contraction")
-    derived = dilation(graph, ground)
-    zone_of, firsts = flat_zones(graph, labels=True)
-    edge_u, edge_v = graph.edge_u, graph.edge_v
-    offsets, adj_edge = graph.offsets, graph.adj_edge
-    visited = [False] * len(ground)
-    heap: list[tuple[Weight, bool, int]] = []
-    tree_edge_ids: list[int] = []
-
-    def visit(node: int) -> None:
-        visited[node] = True
-        for edge_id in adj_edge[offsets[node] : offsets[node + 1]]:
-            crossing = zone_of[edge_u[edge_id]] != zone_of[edge_v[edge_id]]
-            heapq.heappush(heap, (derived[edge_id], crossing, edge_id))
-
-    for start in range(len(ground)):
-        if visited[start]:
-            continue
-        visit(start)
-        while heap:
-            _, crossing, edge_id = heapq.heappop(heap)
-            u, v = edge_u[edge_id], edge_v[edge_id]
-            if visited[u] and visited[v]:
-                continue
-            visit(v if visited[u] else u)
-            if crossing:
-                tree_edge_ids.append(edge_id)
-
-    tree = index_graph(
-        map(graph.nodes.__getitem__, firsts),
-        [zone_of[edge_u[e]] for e in tree_edge_ids],
-        [zone_of[edge_v[e]] for e in tree_edge_ids],
-        ground_values=map(ground.__getitem__, firsts),
-        edge_weights=(derived[e] for e in tree_edge_ids),
-    )
-    return tree, ContractionMap(tree, graph.nodes, zone_of)
-
-
 def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunction:
     """Flood a node-weighted graph by contracting, closing, then flooding.
 
@@ -307,40 +240,3 @@ def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:
         diam = radius
         best = meet(best, join(lake_cap, diam))
     return join(ground[center], best)
-
-
-def up_hill(
-    graph: Graph,
-    omega: Mapping[str, Weight],
-    region: Mapping[str, Weight] | set[str] | list[str] | tuple[str, ...],
-    cap: Weight = TOP,
-) -> NodeFunction:
-    """Flood the terrain uphill of an already flooded region.
-
-    With passes weighted by the derived edge weights (the max of the two
-    endpoint grounds), let d_R be the flooding distance from ``region``.
-    Each node q outside it with d_R(q) <= cap and d_R(q) < top floods to
-    min(d_R(q), min over ceilings c of omega_c v d(c, q)): q is reached
-    through the lowest pass out of the area claimed so far, and a ceiling
-    outside q's valley is no closer to q than d_R(q), so only ceilings in
-    the valley can hold it lower.  Two runs of the min-max kernel give
-    both terms: one seeded at the region, one also at every finite
-    ceiling.  Returns the levels of the newly flooded nodes, in node order.
-    """
-    ground = graph.require_ground_values("up_hill")
-    ceiling = ceiling_by_index(graph, omega, "ceiling")
-    seeds = {graph.node_index(node) for node in region}
-    if not seeds:
-        raise PreconditionError("up_hill needs a non-empty start region")
-    passes = dilation(graph, ground)
-    spill: list[Weight] = [TOP] * len(ceiling)
-    for seed in seeds:
-        spill[seed] = ceiling[seed] = BOTTOM
-    _best_first_flood(graph, passes, spill, seeds)
-    fed = [node for node, level in enumerate(ceiling) if level < TOP]
-    _best_first_flood(graph, passes, ceiling, fed)  # lowers the ceiling to the levels
-    return {
-        graph.nodes[node]: ceiling[node]
-        for node, reach in enumerate(spill)
-        if reach <= cap and reach < TOP and node not in seeds
-    }

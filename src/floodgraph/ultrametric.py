@@ -2,9 +2,9 @@
 
 This "lowest pass" distance is an ultrametric: d(p,p) is bottom, it is
 symmetric, and d(p,q) <= d(p,r) v d(r,q).  Closed balls of this distance
-are the lakes a flooding can carve, which is why diameters, balls, and the
-lowest cocycle edge all live here, together with minimum spanning trees
-(which preserve the distance exactly).
+are the lakes a flooding can carve.  The distance lives here from one source
+and between all pairs, together with minimum spanning trees (which preserve
+it exactly).
 
 `_best_first_flood` is the one min-max best-first kernel, an image foresting
 transform with path cost f_max (Falcao, Stolfi & Lotufo, PAMI 2004).  From
@@ -31,18 +31,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionError
-from .graphs import Edge, Graph, NodeFunction, cocycle, find_root, partial_graph, subgraph_spanning
+from .graphs import Graph, NodeFunction, find_root, partial_graph
 from .weights import BOTTOM, TOP, Weight
 
 __all__ = [
     "DistanceMatrix",
     "Funnel",
-    "ball",
-    "diameter",
     "distance_matrix",
-    "flooding_distance",
     "flooding_distance_all",
-    "lowest_cocycle_edge",
     "mst",
 ]
 
@@ -170,66 +166,6 @@ def flooding_distance_all(graph: Graph, source: str) -> NodeFunction:
     dist[start] = BOTTOM
     _best_first_flood(graph, weights, dist, (start,))
     return dict(zip(graph.nodes, dist))
-
-
-def flooding_distance(graph: Graph, x: str, y: str) -> Weight:
-    """Min over chains from x to y of the max edge weight; top if none."""
-    graph.node_index(y)
-    return flooding_distance_all(graph, x)[y]
-
-
-def ball(graph: Graph, center: str, radius: Weight, kind: str = "closed") -> tuple[str, ...]:
-    """Nodes within flooding distance radius of center, declaration order."""
-    if kind not in ("closed", "open"):
-        raise PreconditionError(f"ball kind must be 'closed' or 'open', got {kind!r}")
-    dist = flooding_distance_all(graph, center)
-    if kind == "closed":
-        return tuple(node for node in graph.nodes if dist[node] <= radius)
-    return tuple(node for node in graph.nodes if dist[node] < radius)
-
-
-def diameter(graph: Graph, members: Iterable[str]) -> Weight:
-    """Max pairwise flooding distance inside the induced subgraph.
-
-    In an ultrametric d(p, q) <= d(s, p) v d(s, q), so one distance pass
-    from the first member s finds the farthest pair.
-    """
-    inside = list(dict.fromkeys(members))
-    if not inside:
-        raise PreconditionError("diameter of an empty set")
-    if len(inside) == 1:
-        graph.node_index(inside[0])
-        return BOTTOM
-    sub = subgraph_spanning(graph, inside)
-    dist = flooding_distance_all(sub, sub.nodes[0])
-    for other in sub.nodes:
-        if dist[other] == TOP:
-            raise PreconditionError(
-                f"diameter needs a connected set; {sub.nodes[0]!r} and {other!r} are separated"
-            )
-    return max(dist.values())
-
-
-def lowest_cocycle_edge(graph: Graph, inside: Iterable[str]) -> tuple[Edge | None, Weight]:
-    """Lowest edge leaving the set; (None, top) when nothing leaves.
-
-    Ties go to the earliest declared edge.
-    """
-    weights = graph.require_edge_weights("lowest_cocycle_edge")
-    member = set(inside)
-    if not member:
-        raise PreconditionError("lowest_cocycle_edge of an empty set")
-    if len(member) >= len(graph.nodes):
-        raise PreconditionError("lowest_cocycle_edge of the full node set")
-    best_id = -1
-    best: Weight = TOP
-    for edge_id in cocycle(graph, member):
-        if weights[edge_id] < best:
-            best = weights[edge_id]
-            best_id = edge_id
-    if best_id < 0:
-        return None, TOP
-    return (graph.nodes[graph.edge_u[best_id]], graph.nodes[graph.edge_v[best_id]]), best
 
 
 def single_linkage(graph: Graph, weights: Sequence[Weight]) -> Iterator[tuple[int, int, int]]:

@@ -16,7 +16,6 @@ __all__ = [
     "TOP",
     "Weight",
     "format_weight",
-    "is_finite",
     "join",
     "meet",
     "parse_weight",
@@ -27,10 +26,6 @@ Weight = int | float
 
 TOP: Weight = float("inf")
 BOTTOM: Weight = float("-inf")
-
-
-def is_finite(w: Weight) -> bool:
-    return w != TOP and w != BOTTOM
 
 
 def join(a: Weight, b: Weight) -> Weight:

@@ -154,23 +154,6 @@ def rough_node_graphs(draw, max_nodes: int = 10, max_ground: int = 4) -> Graph:
     return rough_node_graph(random.Random(seed), max_nodes=max_nodes, max_ground=max_ground)
 
 
-@st.composite
-def rough_up_hill_instances(draw, max_nodes: int = 10, max_ground: int = 4) -> tuple:
-    """(graph, omega, region, cap) for up_hill on a rough node graph.
-
-    The ceiling sits on or above the ground and may be -inf or inf, the
-    region may name a node twice, and the cap ranges over -inf, inf and
-    0..max_ground + 2.
-    """
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    rng = random.Random(seed)
-    graph = rough_node_graph(rng, max_nodes=max_nodes, max_ground=max_ground)
-    levels = [BOTTOM, TOP, TOP, *range(max_ground + 3)]
-    omega = _rough_ceiling_above(rng, graph, levels)
-    region = rng.choices(graph.nodes, k=rng.randint(1, 3))
-    return graph, omega, region, rng.choice(levels)
-
-
 def _rough_ceiling_above(rng: random.Random, graph: Graph, levels: list) -> dict:
     """A ceiling drawn from ``levels`` that sits on or above the ground."""
     return {

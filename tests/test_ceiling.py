@@ -25,7 +25,6 @@ from floodgraph import (
     local_flood,
     oracle_flood,
     prim_flood,
-    up_hill,
 )
 from floodgraph.cli import main
 
@@ -58,7 +57,6 @@ ENTRIES = {
     "prim_flood": ("omega", lambda view, omega: prim_flood(view, finite(omega))),
     "contract_flat_zones": ("ceiling", contract_flat_zones),
     "local_flood": ("ceiling", lambda view, omega: local_flood(view, omega, "a")),
-    "up_hill": ("ceiling", lambda view, omega: up_hill(view, omega, {"a"})),
     "contract_close_flood": ("ceiling", contract_close_flood),
 }
 

@@ -14,15 +14,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floodgraph import (
+    TOP,
     Cluster,
     Lake,
     LakeKind,
     build_lake_dendrogram,
     core_expanding_flood,
     dendrogram_flood,
+    derive_edge_graph,
     dijkstra_flood,
+    flooding_distance_all,
     lakes,
+    local_flood,
     parse_graph,
+    parse_node_values,
     read_pgm,
     write_pgm,
 )
@@ -460,6 +465,41 @@ def test_fldist_unknown_source(capsys, chain_file):
     )
     assert code == 2
     assert "unknown node" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def read_back(capsys, *argv):
+    """The node values a command writes, read back with ``parse_node_values``."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    return parse_node_values(out)
+
+
+def exactly(values):
+    return [(node, type(value), value) for node, value in values.items()]
+
+
+@pytest.mark.parametrize("name, derive, ceiling", [("chain", True, None), ("tank", False, "tank")])
+def test_node_value_outputs_read_back_to_the_solver_values(capsys, name, derive, ceiling):
+    path = GOLDEN / f"{name}.fg"
+    graph, omega = parse_graph(path.read_text())
+    view = derive_edge_graph(graph) if derive else graph
+    edges = ["--graph", str(path), *(["--derive-edges"] if derive else [])]
+    flood = ["flood", *edges, "--algo", "dijkstra"]
+    if ceiling is not None:  # the CLI fills the nodes the ceiling file leaves out with inf
+        ceiling_file = GOLDEN / f"{ceiling}-ceiling.txt"
+        given = parse_node_values(ceiling_file.read_text())
+        omega = {node: given.get(node, TOP) for node in graph.nodes}
+        flood += ["--ceiling", str(ceiling_file)]
+    assert exactly(read_back(capsys, *flood)) == exactly(dijkstra_flood(view, omega).tau)
+    for node in graph.nodes:
+        dist = read_back(capsys, "fldist", *edges, "--from", node)
+        assert exactly(dist) == exactly(flooding_distance_all(view, node))
+        if graph.ground_values is not None:  # localflood needs a ground; the tank has none
+            level = read_back(capsys, "localflood", "--graph", str(path), "--node", node)
+            assert exactly(level) == exactly({node: local_flood(graph, omega, node)})
 
 
 def test_mst_emits_a_graph_file(capsys, tank_file):

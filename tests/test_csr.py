@@ -19,13 +19,16 @@ from floodgraph import (
     build_graph,
     derive_edge_graph,
     grid_graph,
-    grid_node,
     mst,
     partial_graph,
 )
 from floodgraph.graphs import _counting, _csr
 
 TOPOLOGY = ("nodes", "edge_u", "edge_v", "offsets", "adj_node", "adj_edge", "ground_values")
+
+
+def grid_node(row, col):
+    return f"{row},{col}"
 
 
 @st.composite

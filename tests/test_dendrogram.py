@@ -1,4 +1,4 @@
-"""Dendrograms: construction, relations, lake merge trees, tree flooding."""
+"""Dendrograms: construction, lake merge trees, tree flooding, lake growth."""
 
 from __future__ import annotations
 
@@ -18,21 +18,19 @@ from floodgraph import (
     GrowthKind,
     GrowthStage,
     PreconditionError,
-    ball,
     berge_flood,
     build_dendrogram,
     build_graph,
     build_lake_dendrogram,
     core_expanding_flood,
     dendrogram_flood,
-    diameter,
     dijkstra_flood,
+    distance_matrix,
+    flooding_distance_all,
     is_dendrogram,
     lake_growth_sequence,
-    lowest_cocycle_edge,
     oracle_flood,
     prim_flood,
-    query,
 )
 
 from strategies import edge_graphs, random_ceiling, rough_edge_graphs
@@ -42,6 +40,12 @@ def members_of(clusters):
     return {c.members for c in clusters}
 
 
+def cluster_of(dendro, members):
+    """The cluster holding exactly ``members``."""
+    (found,) = (c for c in dendro.clusters if set(c.members) == set(members))
+    return found
+
+
 # -- structure and construction ------------------------------------------------
 
 
@@ -49,24 +53,13 @@ def test_dendro_fixture_structure(dendro_fixture):
     dendro = dendro_fixture.dendro
     assert dendro.leaf_names == dendro_fixture.leaves
     assert len(dendro.clusters) == 11 + 8
-    root = dendro.resolve(dendro_fixture.leaves)
+    root = cluster_of(dendro, dendro_fixture.leaves)
     assert root.diam == 10 and root.father is None
     assert dendro.summits == (root,)
-    inner = dendro.resolve(["b", "c", "d", "e"])
+    inner = cluster_of(dendro, ["b", "c", "d", "e"])
     assert inner.diam == 4
-    assert dendro.resolve("g").is_leaf
-    assert dendro.resolve("g").diam == BOTTOM
-
-
-def test_resolve_accepts_many_spellings(dendro_fixture):
-    dendro = dendro_fixture.dendro
-    by_set = dendro.resolve(("g", "h"))
-    assert dendro.resolve(by_set) == by_set
-    assert dendro.resolve(by_set.index) == by_set
-    with pytest.raises(PreconditionError):
-        dendro.resolve(("a", "k"))
-    with pytest.raises(PreconditionError):
-        dendro.resolve(999)
+    assert cluster_of(dendro, ["g"]).is_leaf
+    assert cluster_of(dendro, ["g"]).diam == BOTTOM
 
 
 def test_is_dendrogram():
@@ -152,54 +145,6 @@ def test_build_dendrogram_reads_iterators_once():
     assert str(err.value) == "group member 'zz' is not a leaf"
 
 
-# -- relations -------------------------------------------------------------------
-
-
-def test_impred_is_the_father(dendro_fixture):
-    dendro = dendro_fixture.dendro
-    (father,) = query(dendro, "impred", ["b", "c", "d", "e"])
-    assert father.members == ("b", "c", "d", "e", "f")
-    assert query(dendro, "impred", dendro_fixture.leaves) == ()
-
-
-def test_brothers_share_the_father(dendro_fixture):
-    brothers = query(dendro_fixture.dendro, "brothers", ["g", "h"])
-    assert members_of(brothers) == {("i",)}
-
-
-def test_uncles_of_a_leaf(dendro_fixture):
-    uncles = query(dendro_fixture.dendro, "uncles", "c")
-    assert members_of(uncles) == {("a",), ("f",), ("g", "h", "i", "j", "k")}
-
-
-def test_pred_chain_and_succ(dendro_fixture):
-    dendro = dendro_fixture.dendro
-    chain_up = query(dendro, "pred", "c")
-    assert [c.members for c in chain_up] == [
-        ("b", "c", "d", "e"),
-        ("b", "c", "d", "e", "f"),
-        ("a", "b", "c", "d", "e", "f"),
-        dendro_fixture.leaves,
-    ]
-    below = query(dendro, "succ", ["g", "h", "i"])
-    assert members_of(below) == {("g",), ("h",), ("i",), ("g", "h")}
-    children = query(dendro, "imsucc", ["g", "h", "i"])
-    assert members_of(children) == {("i",), ("g", "h")}
-
-
-def test_summits_and_leaves_need_no_target(dendro_fixture):
-    dendro = dendro_fixture.dendro
-    assert query(dendro, "summits") == dendro.summits
-    assert len(query(dendro, "leaves")) == 11
-
-
-def test_query_rejects_bad_input(dendro_fixture):
-    with pytest.raises(PreconditionError):
-        query(dendro_fixture.dendro, "cousins", "c")
-    with pytest.raises(PreconditionError):
-        query(dendro_fixture.dendro, "pred")
-
-
 # -- lake dendrograms ---------------------------------------------------------------
 
 
@@ -209,16 +154,11 @@ def test_chain_lake_dendrogram(chain):
     assert grouped == {("c", "d", "e"): 2, ("a", "b", "c", "d", "e"): 4}
 
 
-def test_chain_dendrogram_brothers_of_e(chain):
-    dendro = build_lake_dendrogram(chain.edge_graph)
-    assert members_of(query(dendro, "brothers", "e")) == {("c",), ("d",)}
-
-
 def test_single_edge_lake_dendrogram():
     graph = build_graph(["p", "q"], [("p", "q")], edge_weights=[5])
     dendro = build_lake_dendrogram(graph)
     assert members_of(dendro.clusters) == {("p",), ("q",), ("p", "q")}
-    assert dendro.resolve(("p", "q")).diam == 5
+    assert cluster_of(dendro, ("p", "q")).diam == 5
 
 
 def test_realizing_tree_reproduces_the_fixture(dendro_fixture):
@@ -238,10 +178,13 @@ def test_disconnected_graph_grows_a_forest():
 
 @given(edge_graphs())
 def test_cluster_diameters_match_the_metric(graph):
+    # A cluster is a closed ball, so every min-max chain between two members stays inside it.
     dendro = build_lake_dendrogram(graph)
+    table = distance_matrix(graph).table
     for cluster in dendro.clusters:
         if len(cluster.members) > 1:
-            assert diameter(graph, cluster.members) == cluster.diam
+            members = cluster.members
+            assert max(table[p][q] for p in members for q in members) == cluster.diam
 
 
 @given(edge_graphs())
@@ -349,57 +292,6 @@ def test_cluster_views_match_the_eager_assembly(graph):
         assert dendro != Dendrogram(graph.nodes, groups[:-1])
 
 
-def query_over_views(dendro, relation, target):
-    """``query`` as it was before it walked the parent arrays: over the Cluster views."""
-    cluster = dendro.resolve(target)
-
-    def chain_up(start):
-        out = []
-        probe = start
-        while probe.father is not None:
-            probe = dendro.clusters[probe.father]
-            out.append(probe)
-        return out
-
-    if relation == "pred":
-        return tuple(chain_up(cluster))
-    if relation == "impred":
-        return () if cluster.father is None else (dendro.clusters[cluster.father],)
-    if relation == "succ":
-        inside = set(cluster.members)
-        return tuple(c for c in dendro.clusters if set(c.members) < inside)
-    if relation == "imsucc":
-        return tuple(dendro.clusters[i] for i in cluster.children)
-    if relation == "brothers":
-        if cluster.father is None:
-            return ()
-        return tuple(
-            dendro.clusters[i]
-            for i in dendro.clusters[cluster.father].children
-            if i != cluster.index
-        )
-    ancestors = {c.index for c in chain_up(cluster)}
-    return tuple(
-        c
-        for c in dendro.clusters
-        if c.father is not None
-        and c.father in ancestors
-        and c.father != cluster.father
-        and c.index not in ancestors
-        and c.index != cluster.index
-    )
-
-
-@given(rough_edge_graphs())
-def test_query_matches_the_relations_over_cluster_views(graph):
-    dendro = build_lake_dendrogram(graph)
-    assert query(dendro, "leaves") == tuple(c for c in dendro.clusters if c.is_leaf)
-    for cluster in dendro.clusters:
-        for relation in ("pred", "impred", "succ", "imsucc", "brothers", "uncles"):
-            expected = query_over_views(dendro, relation, cluster)
-            assert query(dendro, relation, cluster) == expected, relation
-
-
 # -- flooding on the tree --------------------------------------------------------------
 
 
@@ -450,8 +342,7 @@ def test_dendrogram_flood_matches_the_closed_formula(graph):
         c.index: min(omega[name] for name in c.members) for c in dendro.clusters
     }
     expected = {}
-    for leaf in dendro.leaf_names:
-        probe = dendro.resolve(leaf)
+    for leaf, probe in zip(dendro.leaf_names, dendro.clusters):  # leaf i is cluster i
         best = TOP
         while True:
             best = min(best, max(lowest[probe.index], probe.diam))
@@ -507,20 +398,29 @@ def test_lake_growth_isolated_node():
 
 def per_stage_lake_growth(graph, node):
     """The former lake_growth_sequence: a ball and a lowest cocycle edge per stage."""
-    component = set(ball(graph, node, TOP))
+    dist = flooding_distance_all(graph, node)
+
+    def ball(radius):
+        return tuple(name for name in graph.nodes if dist[name] <= radius)
+
+    def lowest_cocycle_weight(inside):
+        ends = zip(graph.edges, graph.edge_weights)
+        return min((w for (u, v), w in ends if (u in inside) != (v in inside)), default=TOP)
+
+    component = set(ball(TOP))
     stages = []
-    region = ball(graph, node, BOTTOM)
+    region = ball(BOTTOM)
     floor = BOTTOM
     while True:
         if set(region) == component:
             if not stages:
                 stages.append(GrowthStage(region, GrowthKind.REGIONAL_MINIMUM, floor, TOP))
             break
-        _, spill = lowest_cocycle_edge(graph, region)
+        spill = lowest_cocycle_weight(set(region))
         stages.append(GrowthStage(region, GrowthKind.REGIONAL_MINIMUM, floor, spill))
         if spill == TOP:
             break
-        region = ball(graph, node, spill)
+        region = ball(spill)
         stages.append(GrowthStage(region, GrowthKind.LAKE_ZONE, spill, spill))
         floor = spill
     return tuple(stages)

@@ -18,7 +18,6 @@ from floodgraph import (
     parse_node_values,
     read_pgm,
     serialize_graph,
-    serialize_node_values,
     write_pgm,
 )
 
@@ -134,7 +133,6 @@ def test_writers_refuse_exactly_the_ids_that_would_not_read_back(data):
     if edges:  # the format cannot tell an edgeless graph's empty weights from none
         weights = data.draw(st.none() | st.lists(level, min_size=len(edges), max_size=len(edges)))
     omega = data.draw(st.dictionaries(st.sampled_from(ids), level))
-    values = data.draw(st.fixed_dictionaries(dict.fromkeys(ids, level)))
     graph = build_graph(ids, edges, ground, weights)
     used = set("".join(ids))
 
@@ -147,12 +145,6 @@ def test_writers_refuse_exactly_the_ids_that_would_not_read_back(data):
     else:
         with pytest.raises(GraphFormatError, match="cannot write node id"):
             serialize_graph(graph, omega)
-
-    if all(ids) and used <= set("a\u00e9="):  # '=' marks attributes only in graph files
-        assert parse_node_values(serialize_node_values(values)) == values
-    else:
-        with pytest.raises(GraphFormatError, match="cannot write node id"):
-            serialize_node_values(values)
 
 
 def test_serialize_omits_top_ceiling_entries(chain):
@@ -216,25 +208,6 @@ def test_build_graph_refuses_a_value_outside_the_lattice(ground, weights, messag
     assert str(err.value) == message
 
 
-@given(st.dictionaries(st.sampled_from("abc"), LATTICE | OFF_LATTICE))
-def test_serialize_node_values_takes_exactly_the_values_that_read_back(values):
-    text = "".join(f"{node} {value}\n" for node, value in values.items())  # verbatim
-    try:
-        parse_node_values(text)
-    except GraphFormatError as refused:
-        with pytest.raises(ConstructionError) as err:
-            serialize_node_values(values)
-        assert reader_message(err.value) == reader_message(refused)
-    else:
-        assert serialize_node_values(values) == text
-
-
-def test_serialize_node_values_refuses_a_negative_value():
-    with pytest.raises(ConstructionError) as err:
-        serialize_node_values({"a": 0, "b": -3})
-    assert str(err.value) == "value at node 'b': negative finite weight not allowed: '-3'"
-
-
 # -- node-value files --------------------------------------------------------
 
 
@@ -268,13 +241,6 @@ def test_node_values_messages_quote_the_line_without_its_comment():
     with pytest.raises(GraphFormatError) as err:
         parse_node_values("a 1\n\n  b 1 2 \t# three tokens\n")
     assert str(err.value) == "line 3: expected '<node> <value>', got 'b 1 2'"
-
-
-def test_node_values_round_trip():
-    values = {"b": 2, "a": TOP, "c": 0}
-    assert parse_node_values(serialize_node_values(values)) == values
-    ordered = serialize_node_values({node: values[node] for node in ("c", "b", "a")})
-    assert ordered.splitlines() == ["c 0", "b 2", "a inf"]
 
 
 # -- PGM ---------------------------------------------------------------------

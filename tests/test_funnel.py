@@ -29,7 +29,6 @@ from floodgraph import (
     lake_growth_sequence,
     marker_segmentation,
     prim_flood,
-    up_hill,
 )
 from floodgraph.ultrametric import _best_first_flood
 
@@ -380,7 +379,6 @@ def _queue_routes():
         "segment_dijkstra": lambda: marker_segmentation(edges, markers, want_tau=True),
         "segment_prim": lambda: marker_segmentation(edges, markers, engine="prim", want_tau=True),
         "contract_close_flood": lambda: contract_close_flood(graph, omega),
-        "up_hill": lambda: up_hill(graph, omega, {nodes[10]}),
         "lake_growth_sequence": lambda: lake_growth_sequence(edges, nodes[12]),
     }
 

@@ -1,4 +1,4 @@
-"""Graph construction, raster grids, and structural queries."""
+"""Graph construction, raster grids, and components."""
 
 from __future__ import annotations
 
@@ -15,10 +15,8 @@ from floodgraph import (
     PreconditionError,
     build_graph,
     check_total,
-    cocycle,
     connected_components,
     grid_graph,
-    grid_node,
     partial_graph,
     format_weight,
     subgraph_spanning,
@@ -26,10 +24,6 @@ from floodgraph import (
 from floodgraph.graphs import ceiling_by_index
 
 from strategies import edge_graphs, rough_flood_instances, rough_node_flood_instances
-
-
-def edge_set(graph, ids):
-    return [graph.edges[i] for i in ids]
 
 
 # -- construction ------------------------------------------------------------
@@ -98,9 +92,7 @@ def test_grid_graph_row_major_ids_and_ground():
     graph = grid_graph([[0, 4, 1, 2, 0]])
     assert graph.nodes == ("0,0", "0,1", "0,2", "0,3", "0,4")
     assert [graph.ground[n] for n in graph.nodes] == [0, 4, 1, 2, 0]
-    assert graph.edges == tuple(
-        (grid_node(0, c), grid_node(0, c + 1)) for c in range(4)
-    )
+    assert graph.edges == tuple((f"0,{c}", f"0,{c + 1}") for c in range(4))
 
 
 def test_grid_graph_connectivity_4():
@@ -134,19 +126,7 @@ def test_grid_graph_rejects_bad_input():
         grid_graph([[1, 2], [3]])
 
 
-# -- structural queries ------------------------------------------------------
-
-
-def test_cocycle_on_the_chain(chain):
-    graph = chain.graph
-    assert edge_set(graph, cocycle(graph, {"a", "b"})) == [("b", "c")]
-    assert cocycle(graph, set(graph.nodes)) == ()
-    assert edge_set(graph, cocycle(graph, {"c"})) == [("b", "c"), ("c", "d")]
-
-
-def test_cocycle_rejects_unknown_node(chain):
-    with pytest.raises(ConstructionError):
-        cocycle(chain.graph, {"z"})
+# -- components --------------------------------------------------------------
 
 
 def test_connected_components_filters(chain):
@@ -297,8 +277,3 @@ def test_components_partition_the_nodes(graph):
     assert len(set(flat)) == len(flat)
 
 
-@given(edge_graphs())
-def test_cocycle_complement_symmetry(graph):
-    inside = set(graph.nodes[: len(graph.nodes) // 2])
-    outside = set(graph.nodes) - inside
-    assert cocycle(graph, inside) == cocycle(graph, outside)

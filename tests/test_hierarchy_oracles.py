@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-import itertools
-
-import pytest
 from hypothesis import given, strategies as st
 
 from floodgraph import (
     BOTTOM,
     TOP,
-    PreconditionError,
     build_graph,
     build_lake_dendrogram,
     connected_components,
-    query,
 )
 
 
@@ -96,25 +91,9 @@ def members_by_father_chain(dendro):
 
 
 @given(loose_graphs(weights=dendro_weights))
-def test_dendrogram_members_resolve_and_succ_match_set_references(graph):
+def test_dendrogram_members_match_set_references(graph):
     dendro = build_lake_dendrogram(graph)
     expected = members_by_father_chain(dendro)
     for cluster in dendro.clusters:
         assert cluster.members == expected[cluster.index]
         assert list(cluster.children) == sorted(cluster.children)
-        assert dendro.resolve(cluster.members) is cluster
-        assert dendro.resolve(reversed(cluster.members)) is cluster
-        inside = set(expected[cluster.index])
-        assert query(dendro, "succ", cluster) == tuple(
-            c for c in dendro.clusters if set(expected[c.index]) < inside
-        )
-
-    cluster_sets = {frozenset(names) for names in expected.values()}
-    for size in range(1, len(graph.nodes) + 1):
-        for subset in itertools.combinations(graph.nodes, size):
-            if frozenset(subset) not in cluster_sets:
-                with pytest.raises(PreconditionError):
-                    dendro.resolve(subset)
-    for bad in ((), ("nowhere",), (graph.nodes[0], "nowhere")):
-        with pytest.raises(PreconditionError):
-            dendro.resolve(bad)

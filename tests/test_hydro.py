@@ -19,8 +19,6 @@ from floodgraph import (
     derive_edge_graph,
     dijkstra_flood,
     flat_zones,
-    flooding_inf,
-    flooding_sup,
     format_weight,
     grid_graph,
     is_edge_flooding,
@@ -253,28 +251,13 @@ def test_constant_relief_is_one_big_minimum(chain):
 # -- lattice of floodings -----------------------------------------------------
 
 
-def test_flooding_sup_inf_fixtures(chain, tank):
-    ground = dict(chain.graph.ground)
-    assert flooding_sup(chain.graph, ground, chain.tau) == chain.tau
-    assert flooding_inf(chain.graph, ground, chain.tau) == ground
-    zero = {node: 0 for node in tank.graph.nodes}
-    assert flooding_sup(tank.graph, tank.tau, zero) == tank.tau
-    assert flooding_inf(tank.graph, tank.tau, zero) == zero
-
-
-def test_flooding_sup_rejects_invalid_arguments(chain):
-    bad = {"a": 0, "b": 4, "c": 3, "d": 2, "e": 1}
-    with pytest.raises(PreconditionError):
-        flooding_sup(chain.graph, bad, chain.tau)
-
-
 @given(node_graphs())
 def test_sup_and_inf_of_floodings_are_floodings(graph):
     rng = random.Random(1000 * len(graph.nodes) + len(graph.edges))
     a = core_expanding_flood(graph, ceiling_above(rng, graph)).tau
     b = core_expanding_flood(graph, ceiling_above(rng, graph)).tau
-    assert is_node_flooding(graph, flooding_sup(graph, a, b))
-    assert is_node_flooding(graph, flooding_inf(graph, a, b))
+    assert is_node_flooding(graph, {node: max(a[node], b[node]) for node in graph.nodes})
+    assert is_node_flooding(graph, {node: min(a[node], b[node]) for node in graph.nodes})
 
 
 # -- derived edge view ---------------------------------------------------------

@@ -4,31 +4,50 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import io
+import tokenize
+from pathlib import Path
 
 import floodgraph
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The code a public name must be called from: the library itself, the benchmark,
+# the scripts, and the acceptance criteria with their fixtures.
+CALLERS = [
+    *sorted((ROOT / "src" / "floodgraph").glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    *sorted((ROOT / "scripts").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+    ROOT / "tests" / "conftest.py",
+]
+
+# Public names no caller needs, kept because each is a construction of the paper.
+CONSTRUCTIONS = {
+    # the reservoir node: the dominated flooding is the flooding distance from it
+    "augment_with_dummy",
+    # a lake's growth as the water level rises
+    "lake_growth_sequence",
+}
 
 SURFACE = {
     "errors": ["ConstructionError", "FloodgraphError", "GraphFormatError", "PreconditionError"],
     "weights": [
-        "BOTTOM", "TOP", "Weight", "format_weight", "is_finite", "join", "meet", "parse_weight",
-        "weight_succ",
+        "BOTTOM", "TOP", "Weight", "format_weight", "join", "meet", "parse_weight", "weight_succ",
     ],
     "graphs": [
-        "Edge", "Graph", "NodeFunction", "build_graph", "check_total", "cocycle",
-        "connected_components", "grid_graph", "grid_node", "partial_graph", "subgraph_spanning",
+        "Edge", "Graph", "NodeFunction", "build_graph", "check_total", "connected_components",
+        "grid_graph", "partial_graph", "subgraph_spanning",
     ],
     "formats": [
-        "HEADER", "parse_graph", "parse_node_values", "read_pgm", "serialize_graph",
-        "serialize_node_values", "write_pgm",
+        "HEADER", "parse_graph", "parse_node_values", "read_pgm", "serialize_graph", "write_pgm",
     ],
     "hydro": [
         "Lake", "LakeKind", "LakePartition", "ValidationReport", "derive_edge_graph", "flat_zones",
-        "flooding_inf", "flooding_sup", "is_edge_flooding", "is_node_flooding", "lakes",
-        "regional_minima",
+        "is_edge_flooding", "is_node_flooding", "lakes", "regional_minima",
     ],
     "ultrametric": [
-        "DistanceMatrix", "Funnel", "ball", "diameter", "distance_matrix", "flooding_distance",
-        "flooding_distance_all", "lowest_cocycle_edge", "mst",
+        "DistanceMatrix", "Funnel", "distance_matrix", "flooding_distance_all", "mst",
     ],
     "solvers": [
         "SolverResult", "SolverStats", "augment_with_dummy", "berge_flood", "ceiling_minima",
@@ -38,12 +57,10 @@ SURFACE = {
     "dendrogram": [
         "Cluster", "Dendrogram", "GrowthKind", "GrowthStage", "build_dendrogram",
         "build_lake_dendrogram", "dendrogram_flood", "is_dendrogram", "lake_growth_sequence",
-        "query",
     ],
     "reductions": [
-        "ContractionMap", "contract_close_flood", "contract_flat_zones", "edge_dilation",
-        "edge_opening", "expand", "local_flood", "mst_with_contraction", "node_closing",
-        "node_erosion", "up_hill", "waterfall_flooding",
+        "ContractionMap", "contract_close_flood", "contract_flat_zones", "expand", "local_flood",
+        "node_closing", "node_erosion", "waterfall_flooding",
     ],
 }
 
@@ -59,6 +76,25 @@ def test_each_module_lists_the_names_it_defines_and_the_package_exports():
             assert getattr(floodgraph, public) is value
             if inspect.isclass(value) or inspect.isfunction(value):
                 assert value.__module__ == module.__name__, public
-    assert len(declared) == len(set(declared)) == 84
+    assert len(declared) == len(set(declared)) == 69
     assert sorted(floodgraph.__all__) == sorted(declared)
 
+
+def called_names(path: Path) -> set[str]:
+    """The NAME tokens of a file, less the names that ``def`` and ``class`` bind.
+
+    Strings and comments are single tokens, so the words in them do not count.
+    """
+    names: set[str] = set()
+    previous = None
+    text = path.read_text(encoding="utf-8")
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.NAME and previous not in ("def", "class"):
+            names.add(token.string)
+        previous = token.string
+    return names
+
+
+def test_every_public_name_has_a_caller_or_is_a_construction():
+    called = set().union(*map(called_names, CALLERS))
+    assert set(floodgraph.__all__) - called == CONSTRUCTIONS

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import heapq
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,30 +10,21 @@ from hypothesis import given, settings, strategies as st
 from floodgraph import (
     BOTTOM,
     TOP,
-    ConstructionError,
     PreconditionError,
     build_graph,
     contract_close_flood,
     contract_flat_zones,
     core_expanding_flood,
-    derive_edge_graph,
-    distance_matrix,
-    edge_dilation,
-    edge_opening,
     expand,
     flat_zones,
     is_edge_flooding,
     local_flood,
-    mst,
-    mst_with_contraction,
     node_closing,
     node_erosion,
-    up_hill,
     waterfall_flooding,
 )
 
-from floodgraph.graphs import dilation, index_graph
-from floodgraph.ultrametric import find_root
+from floodgraph.graphs import check_total, dilation
 
 from strategies import (
     ceiling_above,
@@ -44,16 +33,24 @@ from strategies import (
     rough_edge_graphs,
     rough_node_graph,
     rough_node_graphs,
-    rough_up_hill_instances,
 )
 
 
 # -- adjunction ---------------------------------------------------------------
 
 
+def levels(graph, values):
+    return [values[node] for node in graph.nodes]
+
+
+def edge_opening(graph, weights=None):
+    """Opening on edge weights: erode to the nodes, dilate back."""
+    return dilation(graph, levels(graph, node_erosion(graph, weights)))
+
+
 def test_edge_dilation_chain(chain):
-    assert edge_dilation(chain.graph) == (4, 4, 2, 2)
-    assert edge_dilation(chain.graph, chain.omega) == (5, 5, 3, 3)
+    assert dilation(chain.graph, chain.graph.ground_values) == (4, 4, 2, 2)
+    assert dilation(chain.graph, levels(chain.graph, chain.omega)) == (5, 5, 3, 3)
 
 
 def test_node_erosion_chain(chain):
@@ -79,7 +76,7 @@ def test_closing_and_opening_chain(chain):
 def test_dilation_erosion_adjunction(graph, rng):
     values = {node: rng.randrange(8) for node in graph.nodes}
     weights = tuple(rng.randrange(8) for _ in graph.edges)
-    dilated = edge_dilation(graph, values)
+    dilated = dilation(graph, levels(graph, values))
     eroded = node_erosion(graph, weights)
     below = all(dilated[i] <= weights[i] for i in range(len(graph.edges)))
     under = all(values[n] <= eroded[n] for n in graph.nodes)
@@ -96,7 +93,12 @@ def test_closing_is_extensive_and_idempotent(graph):
 
 def reference_node_closing(graph, values=None):
     """The former node_closing: dilate to the edges, erode back."""
-    return node_erosion(graph, edge_dilation(graph, values))
+    if values is None:
+        ground = graph.require_ground_values("node_closing")
+    else:
+        check_total(graph, values, "node values")
+        ground = levels(graph, values)
+    return node_erosion(graph, dilation(graph, ground))
 
 
 def closing_outcome(closing, graph, values):
@@ -116,6 +118,13 @@ def test_node_closing_matches_the_adjunction(graph, rng):
     for given_values in (None, values, unknown, missing):
         expected = closing_outcome(reference_node_closing, graph, given_values)
         assert closing_outcome(node_closing, graph, given_values) == expected
+
+
+def test_node_closing_without_a_ground_names_itself():
+    graph = build_graph(["a", "b"], [("a", "b")], edge_weights=[3])
+    with pytest.raises(PreconditionError) as err:
+        node_closing(graph)
+    assert str(err.value) == "node_closing needs a node-weighted graph (ground values)"
 
 
 @given(edge_graphs())
@@ -245,124 +254,13 @@ def test_lazy_contraction_map_matches_the_eager_build(rng):
         mapping.expand(missing)
 
 
-# -- contracted spanning trees -------------------------------------------------------
-
-
-def test_mst_with_contraction_on_the_strip(strip):
-    tree, mapping = mst_with_contraction(strip.graph)
-    assert tree.nodes == ("0,0", "0,2", "0,3", "0,4", "0,5")
-    assert tree.edges == (
-        ("0,0", "0,2"),
-        ("0,2", "0,3"),
-        ("0,3", "0,4"),
-        ("0,4", "0,5"),
-    )
-    assert tree.edge_weights == (4, 4, 2, 2)
-    assert mapping.blocks["0,0"] == ("0,0", "0,1")
-
-
 def test_contractions_build_no_name_index_until_one_is_asked_for(strip):
     contracted, mapping, _ = contract_flat_zones(strip.graph, strip.omega)
-    tree, _ = mst_with_contraction(strip.graph)
     assert mapping.blocks and mapping.forward  # the maps read names by position, not by index
-    for graph in (contracted, tree):
-        assert graph._index is None
-        assert "0,3" in graph and "0,1" not in graph
-        assert graph.node_index("0,3") == 2
-        assert graph._index == {"0,0": 0, "0,2": 1, "0,3": 2, "0,4": 3, "0,5": 4}
-
-
-def test_mst_with_contraction_on_the_chain(chain):
-    tree, mapping = mst_with_contraction(chain.graph)
-    assert tree.edges == chain.graph.edges
-    assert tree.edge_weights == (4, 4, 2, 2)
-    assert all(mapping.blocks[n] == (n,) for n in chain.graph.nodes)
-
-
-def union_find_mst_with_contraction(graph):
-    """Prim with a union-find over the flat edges it takes (the former mst_with_contraction).
-
-    The blocks are the union-find's components, rebuilt in node order;
-    mst_with_contraction now reads them from the flat zones and must give
-    the same tree, edge order, weights, ground, ``forward`` and ``blocks``.
-    """
-    ground = graph.ground_values
-    derived = dilation(graph, ground)
-    edge_u, edge_v = graph.edge_u, graph.edge_v
-    offsets, adj_edge = graph.offsets, graph.adj_edge
-    count = len(ground)
-    parent = list(range(count))
-    visited = [False] * count
-    heap = []
-    tree_edge_ids = []
-
-    def visit(node):
-        visited[node] = True
-        for edge_id in adj_edge[offsets[node] : offsets[node + 1]]:
-            flat = 0 if ground[edge_u[edge_id]] == ground[edge_v[edge_id]] else 1
-            heapq.heappush(heap, (derived[edge_id], flat, edge_id))
-
-    for start in range(count):
-        if visited[start]:
-            continue
-        visit(start)
-        while heap:
-            _, flat, edge_id = heapq.heappop(heap)
-            u, v = edge_u[edge_id], edge_v[edge_id]
-            if visited[u] and visited[v]:
-                continue
-            visit(v if visited[u] else u)
-            if flat == 0:
-                low, high = sorted((find_root(parent, u), find_root(parent, v)))
-                parent[high] = low  # the block keeps its first declared node
-            else:
-                tree_edge_ids.append(edge_id)
-
-    names = graph.nodes
-    roots = [find_root(parent, node) for node in range(count)]
-    slot_of = {}  # block root -> tree node index
-    members = []
-    for name, root in zip(names, roots):
-        if root not in slot_of:
-            slot_of[root] = len(members)
-            members.append([])
-        members[slot_of[root]].append(name)
-    reps = [names[root] for root in slot_of]
-    tree = index_graph(
-        reps,
-        [slot_of[roots[edge_u[e]]] for e in tree_edge_ids],
-        [slot_of[roots[edge_v[e]]] for e in tree_edge_ids],
-        ground_values=(ground[root] for root in slot_of),
-        edge_weights=(derived[e] for e in tree_edge_ids),
-    )
-    forward = {name: names[root] for name, root in zip(names, roots)}
-    blocks = {rep: tuple(block) for rep, block in zip(reps, members)}
-    return tree, forward, blocks
-
-
-@settings(max_examples=300)
-@given(rough_node_graphs())
-def test_mst_with_contraction_matches_the_union_find(graph):
-    tree, mapping = mst_with_contraction(graph)
-    reference, forward, blocks = union_find_mst_with_contraction(graph)
-    assert tree.nodes == reference.nodes
-    assert tree.edges == reference.edges
-    assert tree.edge_weights == reference.edge_weights
-    assert tree.ground_values == reference.ground_values
-    assert mapping.graph is tree
-    assert list(mapping.forward.items()) == list(forward.items())
-    assert list(mapping.blocks.items()) == list(blocks.items())
-
-
-@given(node_graphs())
-def test_mst_with_contraction_matches_contract_then_mst(graph):
-    tree, mapping = mst_with_contraction(graph)
-    contracted, second, _ = contract_flat_zones(graph)
-    assert set(tree.nodes) == set(contracted.nodes)
-    assert mapping.blocks == second.blocks
-    assert mapping.forward == second.forward
-    reference = mst(derive_edge_graph(contracted))
-    assert distance_matrix(tree).table == distance_matrix(reference).table
+    assert contracted._index is None
+    assert "0,3" in contracted and "0,1" not in contracted
+    assert contracted.node_index("0,3") == 2
+    assert contracted._index == {"0,0": 0, "0,2": 1, "0,3": 2, "0,4": 3, "0,5": 4}
 
 
 # -- contract + close + flood ----------------------------------------------------------
@@ -406,125 +304,3 @@ def test_local_flood_open_sky_far_away(chain):
 def test_local_flood_rejects_low_ceiling(chain):
     with pytest.raises(PreconditionError):
         local_flood(chain.graph, {**chain.omega, "b": 1}, "b")
-
-
-# -- uphill flooding -----------------------------------------------------------------------
-
-
-def test_up_hill_from_the_low_valley(chain):
-    new_levels = up_hill(chain.graph, chain.omega, {"a"})
-    assert new_levels == {"b": 4, "c": 2, "d": 2, "e": 1}
-
-
-def test_up_hill_pauses_at_an_inner_ceiling():
-    graph = build_graph(
-        ["a", "b", "c", "d"],
-        [("a", "b"), ("b", "c"), ("c", "d")],
-        ground={"a": 0, "b": 1, "c": 2, "d": 0},
-    )
-    omega = {"a": TOP, "b": 1, "c": TOP, "d": 1}
-    assert up_hill(graph, omega, {"d"}) == {"a": 1, "b": 1, "c": 2}
-
-
-def test_up_hill_respects_the_cap(chain):
-    assert up_hill(chain.graph, chain.omega, {"a"}, cap=3) == {}
-
-
-def test_up_hill_rejects_bad_regions(chain):
-    with pytest.raises(PreconditionError):
-        up_hill(chain.graph, chain.omega, set())
-    with pytest.raises(ConstructionError):
-        up_hill(chain.graph, chain.omega, {"zzz"})
-
-
-def test_up_hill_rejects_bad_ceilings(chain):
-    with pytest.raises(PreconditionError, match="below the ground at node 'b'"):
-        up_hill(chain.graph, {**chain.omega, "b": 1}, {"a"})
-    with pytest.raises(PreconditionError, match="ceiling defined on unknown node 'zz'"):
-        up_hill(chain.graph, {**chain.omega, "zz": 1}, {"a"})
-
-
-def frames_up_hill(graph, omega, region, cap=TOP):
-    """Spill frames over breadth-first basins (the former up_hill).
-
-    A frame spills its area through the lowest pass to an unclaimed node,
-    up to its limit; each valley below the spill fills to it, or first to
-    its lowest ceiling, whose pool then spills on as a frame of its own.
-    up_hill now runs the min-max kernel twice and must give the same
-    levels in the same key order.  Takes valid input only.
-    """
-    ground = graph.ground_values
-    ceiling = [omega[node] for node in graph.nodes]
-    seeds = [graph.node_index(node) for node in region]
-    offsets, adj_node = graph.offsets, graph.adj_node
-
-    def neighbors(node):
-        return adj_node[offsets[node] : offsets[node + 1]]
-
-    def pass_height(x, q):
-        return max(ground[x], ground[q])
-
-    claimed = set(seeds)
-    levels = {}
-
-    def claim(q, level):
-        claimed.add(q)
-        levels[q] = level
-
-    def basin(start, reached, allowed, height):
-        found = [start]
-        reached.add(start)
-        queue = deque(found)
-        while queue:
-            y = queue.popleft()
-            for r in neighbors(y):
-                if allowed(r) and r not in reached and pass_height(y, r) <= height:
-                    reached.add(r)
-                    found.append(r)
-                    queue.append(r)
-        return sorted(found)
-
-    frames = [(frozenset(seeds), cap)]
-    while frames:
-        area, limit = frames.pop()
-        spill = TOP
-        for x in area:
-            for q in neighbors(x):
-                if q not in claimed:
-                    spill = min(spill, pass_height(x, q))
-        if spill == TOP or spill > limit:
-            continue
-
-        reached = set()
-        valleys = []
-        for x in sorted(area):
-            for q in neighbors(x):
-                if q not in claimed and q not in reached and pass_height(x, q) <= spill:
-                    valleys.append(basin(q, reached, lambda r: r not in claimed, spill))
-
-        frames.append((frozenset(area | reached), limit))
-        followups = []
-        for valley in valleys:
-            lowest = min(valley, key=ceiling.__getitem__)
-            low = ceiling[lowest]
-            if low >= spill:
-                for z in valley:
-                    claim(z, spill)
-                continue
-            pool = basin(lowest, set(), set(valley).__contains__, low)
-            for z in pool:
-                claim(z, low)
-            followups.append((frozenset(pool), spill))
-        frames.extend(reversed(followups))
-
-    return {graph.nodes[node]: levels[node] for node in sorted(levels)}
-
-
-@settings(max_examples=300)
-@given(rough_up_hill_instances())
-def test_up_hill_matches_the_spill_frames(instance):
-    graph, omega, region, cap = instance
-    levels = up_hill(graph, omega, region, cap)
-    expected = frames_up_hill(graph, omega, region, cap)
-    assert levels == expected
-    assert list(levels) == list(expected)

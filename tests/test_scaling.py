@@ -15,17 +15,14 @@ from pathlib import Path
 import pytest
 
 from floodgraph import (
-    TOP,
     build_graph,
     build_lake_dendrogram,
     contract_flat_zones,
-    diameter,
     flat_zones,
     grid_graph,
     is_dendrogram,
     lake_growth_sequence,
     serialize_graph,
-    up_hill,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -152,15 +149,6 @@ def test_deep_path_lake_growth_is_one_distance_pass():
     assert elapsed < 2.0
 
 
-def test_deep_path_diameter_is_one_distance_pass():
-    path = increasing_path(2000)
-    start = time.perf_counter()
-    widest = diameter(path, path.nodes)
-    elapsed = time.perf_counter() - start
-    assert widest == 1998
-    assert elapsed < 0.5
-
-
 @pytest.mark.parametrize("connectivity,limit", [(4, 300), (8, 350)])
 def test_grid_graph_peak_is_array_sized(connectivity, limit):
     """The grid's topology is written into int arrays, not Python int lists."""
@@ -190,20 +178,3 @@ def test_contract_flat_zones_peak_is_label_sized():
         tracemalloc.stop()
     assert len(grid.nodes) > len(contracted.nodes) > size * size // 2
     assert peak / (size * size) < 400
-
-
-def test_up_hill_on_a_raster_is_two_kernel_runs():
-    """Spilling from one corner over a 128x128 terrain of many small valleys."""
-    size = 128
-    rng = random.Random(5)
-    raster = [[rng.randint(0, 3) for _ in range(size)] for _ in range(size)]
-    grid = grid_graph(raster)
-    omega = {
-        node: floor + rng.randint(0, 2) if rng.random() < 0.1 else TOP
-        for node, floor in zip(grid.nodes, grid.ground_values)
-    }
-    start = time.perf_counter()
-    levels = up_hill(grid, omega, [grid.nodes[0]])
-    elapsed = time.perf_counter() - start
-    assert len(levels) == size * size - 1
-    assert elapsed < 0.5

@@ -1,4 +1,4 @@
-"""Flooding distance, balls, diameters, and minimum spanning trees."""
+"""Flooding distance and minimum spanning trees."""
 
 from __future__ import annotations
 
@@ -11,16 +11,11 @@ from floodgraph import (
     BOTTOM,
     TOP,
     PreconditionError,
-    ball,
     build_graph,
-    diameter,
     distance_matrix,
-    flooding_distance,
     flooding_distance_all,
-    lowest_cocycle_edge,
     mst,
     partial_graph,
-    subgraph_spanning,
 )
 from floodgraph.ultrametric import distance_rows
 
@@ -32,7 +27,7 @@ from strategies import edge_graphs, rough_edge_graphs
 
 def test_chain_distances(chain):
     graph = chain.edge_graph
-    assert flooding_distance(graph, "a", "e") == 4
+    assert flooding_distance_all(graph, "a")["e"] == 4
     assert flooding_distance_all(graph, "c") == {"a": 4, "b": 4, "c": BOTTOM, "d": 2, "e": 2}
 
 
@@ -49,7 +44,7 @@ def test_tank_distances_from_a(tank):
 
 def test_distance_is_top_across_components():
     graph = build_graph(["a", "b"], [], edge_weights=[])
-    assert flooding_distance(graph, "a", "b") == TOP
+    assert flooding_distance_all(graph, "a")["b"] == TOP
 
 
 def test_distance_matrix_agrees_with_single_source(chain):
@@ -112,82 +107,6 @@ def test_distance_rows_match_the_full_matrix_and_are_symmetric(graph):
     rows = distance_rows(graph)
     assert rows == textbook_distance_rows(graph)
     assert rows == [list(column) for column in zip(*rows)]
-
-
-# -- balls and diameters --------------------------------------------------------
-
-
-def test_chain_balls(chain):
-    graph = chain.edge_graph
-    assert ball(graph, "c", 2) == ("c", "d", "e")
-    assert ball(graph, "c", 2, kind="open") == ("c",)
-    assert ball(graph, "c", 3) == ("c", "d", "e")
-    assert ball(graph, "c", 4) == ("a", "b", "c", "d", "e")
-    with pytest.raises(PreconditionError):
-        ball(graph, "c", 2, kind="half")
-
-
-def test_chain_diameters(chain):
-    graph = chain.edge_graph
-    assert diameter(graph, ["c", "d", "e"]) == 2
-    assert diameter(graph, graph.nodes) == 4
-    assert diameter(graph, ["c"]) == BOTTOM
-    with pytest.raises(PreconditionError):
-        diameter(graph, [])
-    with pytest.raises(PreconditionError):
-        diameter(graph, ["a", "c"])
-
-
-def all_sources_diameter(graph, members):
-    """The former diameter: one distance pass from every member but the last."""
-    inside = list(dict.fromkeys(members))
-    if not inside:
-        raise PreconditionError("diameter of an empty set")
-    if len(inside) == 1:
-        graph.node_index(inside[0])
-        return BOTTOM
-    sub = subgraph_spanning(graph, inside)
-    widest = BOTTOM
-    for source in sub.nodes[:-1]:
-        dist = heapq_distances(sub, source)
-        for other in sub.nodes:
-            if dist[other] == TOP:
-                raise PreconditionError(
-                    f"diameter needs a connected set; {source!r} and {other!r} are separated"
-                )
-            if dist[other] > widest:
-                widest = dist[other]
-    return widest
-
-
-def outcome(call, *args):
-    try:
-        return "value", call(*args)
-    except PreconditionError as err:
-        return "error", str(err)
-
-
-@settings(max_examples=300)
-@given(rough_edge_graphs())
-def test_diameter_matches_every_source_on_every_prefix(graph):
-    for size in range(len(graph.nodes) + 1):
-        prefix = graph.nodes[:size]
-        assert outcome(diameter, graph, prefix) == outcome(all_sources_diameter, graph, prefix)
-
-
-def test_lowest_cocycle_edge(chain):
-    graph = chain.edge_graph
-    assert lowest_cocycle_edge(graph, ["a"]) == (("a", "b"), 4)
-    assert lowest_cocycle_edge(graph, ["c", "d", "e"]) == (("b", "c"), 4)
-    with pytest.raises(PreconditionError):
-        lowest_cocycle_edge(graph, [])
-    with pytest.raises(PreconditionError):
-        lowest_cocycle_edge(graph, graph.nodes)
-
-
-def test_lowest_cocycle_edge_of_isolated_component():
-    graph = build_graph(["a", "b", "c"], [("b", "c")], edge_weights=[5])
-    assert lowest_cocycle_edge(graph, ["a"]) == (None, TOP)
 
 
 # -- minimum spanning trees ------------------------------------------------------

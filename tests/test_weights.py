@@ -10,7 +10,6 @@ from floodgraph import (
     TOP,
     GraphFormatError,
     format_weight,
-    is_finite,
     join,
     meet,
     parse_weight,
@@ -22,9 +21,6 @@ weights = st.one_of(st.integers(min_value=0, max_value=10**6), st.sampled_from([
 
 def test_sentinels_order():
     assert BOTTOM < 0 < 1 < TOP
-    assert not is_finite(TOP)
-    assert not is_finite(BOTTOM)
-    assert is_finite(0)
 
 
 def test_parse_weight_accepts_the_three_forms():
