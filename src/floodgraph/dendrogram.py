@@ -54,10 +54,6 @@ class Cluster:
         """Leaf names in declaration order, computed on each access."""
         return self._dendro.members(self.index)
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 class Dendrogram:
     """A forest of clusters, held as parent arrays indexed by cluster.
@@ -69,7 +65,7 @@ class Dendrogram:
     leaves fill one contiguous range; that order and the leaf-name index are
     built on first use, so building and flooding never pay for them.
     ``clusters`` are views built on first access and kept; ``==`` and
-    ``hash`` read the arrays.
+    ``hash`` read ``leaf_names`` and the arrays.
     """
 
     __slots__ = ("leaf_names", "diam", "father", "children", "size",
@@ -143,17 +139,15 @@ class Dendrogram:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.diam, self.father, self.children) == (other.diam, other.father, other.children)
+        return (self.leaf_names, self.diam, self.father, self.children) == (
+            other.leaf_names, other.diam, other.father, other.children
+        )
 
     def __hash__(self) -> int:
-        return hash((tuple(self.diam), tuple(self.father), tuple(self.children)))
+        return hash((self.leaf_names, tuple(self.diam), tuple(self.father), tuple(self.children)))
 
     def __repr__(self) -> str:
         return f"Dendrogram(clusters={self.clusters!r})"
-
-    @property
-    def summits(self) -> tuple[Cluster, ...]:
-        return tuple(c for c in self.clusters if c.father is None)
 
 
 def is_dendrogram(family: Iterable[Iterable[str]]) -> tuple[bool, tuple | None]:

@@ -14,8 +14,8 @@ partial; nodes without one default to the top value.  Weights are
 non-negative integers or the tokens ``inf`` / ``-inf``.
 
 Node values (flooding results, markers) use one ``<node> <value>`` pair per
-line.  Rasters use PGM, plain (P2) or binary (P5) with 16-bit big-endian
-samples when maxval exceeds 255.
+line.  Rasters are read as PGM, plain (P2) or binary (P5), and written as
+P5, with 16-bit big-endian samples when maxval exceeds 255.
 """
 
 from __future__ import annotations
@@ -264,8 +264,8 @@ def read_pgm(data: bytes) -> list[list[int]]:
     return [pixels[row * width : (row + 1) * width] for row in range(height)]
 
 
-def write_pgm(raster: list[list[int]], plain: bool = False) -> bytes:
-    """Encode rows of pixel values as P5 (or P2 when ``plain``)."""
+def write_pgm(raster: list[list[int]]) -> bytes:
+    """Encode rows of pixel values as binary PGM (P5)."""
     if not raster or not raster[0]:
         raise GraphFormatError("raster must be non-empty")
     width = len(raster[0])
@@ -276,10 +276,7 @@ def write_pgm(raster: list[list[int]], plain: bool = False) -> bytes:
         if not isinstance(value, int) or not 0 <= value <= 65535:
             raise GraphFormatError(f"pixel value out of PGM range: {value!r}")
     maxval = max(max(flat), 1)
-    header = f"{'P2' if plain else 'P5'}\n{width} {len(raster)}\n{maxval}\n"
-    if plain:
-        body = "\n".join(" ".join(str(v) for v in row) for row in raster) + "\n"
-        return header.encode("ascii") + body.encode("ascii")
+    header = f"P5\n{width} {len(raster)}\n{maxval}\n"
     if maxval > 255:
         payload = b"".join(value.to_bytes(2, "big") for value in flat)
     else:

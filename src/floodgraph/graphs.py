@@ -23,9 +23,8 @@ contraction, a spanning tree) never builds them.  ``ground_values`` and
 ``edge_weights`` are tuples aligned with the node and edge indices.
 ``with_edge_weights`` returns a graph that shares all of the topology and
 carries new edge weights, so deriving edge weights from the ground never
-rebuilds the graph.  The
-name-keyed views ``edges``, ``ground`` and ``neighbors()`` are built on
-demand for callers that use names.
+rebuilds the graph.  The name-keyed views ``edges`` and ``neighbors()`` are
+built on demand for callers that use names.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ class Graph:
     """
 
     __slots__ = ("nodes", "edge_u", "edge_v", "ground_values", "edge_weights",
-                 "_index", "_incidences", "_edges", "_ground")
+                 "_index", "_incidences", "_edges")
 
     def __init__(self, *args, **kwargs) -> None:
         raise ConstructionError("use build_graph() to create Graph instances")
@@ -99,13 +98,6 @@ class Graph:
             name = self.nodes.__getitem__
             self._edges = tuple(zip(map(name, self.edge_u), map(name, self.edge_v)))
         return self._edges
-
-    @property
-    def ground(self) -> NodeFunction | None:
-        """Ground values by node name, built on first use."""
-        if self._ground is None and self.ground_values is not None:
-            self._ground = dict(zip(self.nodes, self.ground_values))
-        return self._ground
 
     @property
     def has_ground(self) -> bool:
@@ -216,7 +208,7 @@ def index_graph(
     graph._incidences = csr
     graph.ground_values = None if ground_values is None else tuple(ground_values)
     graph.edge_weights = None if edge_weights is None else tuple(edge_weights)
-    graph._edges = graph._ground = None
+    graph._edges = None
     return graph
 
 
@@ -398,21 +390,18 @@ def find_root(parent: list[int], node: int) -> int:
 
 def connected_components(
     graph: Graph,
-    keep: Sequence[bool] | Callable[[int], bool] | None = None,
+    keep: Sequence[bool] | None = None,
     labels: bool = False,
 ) -> list[tuple[str, ...]] | tuple[array, array]:
-    """Components under the edges that ``keep`` flags (all edges when None).
+    """Components under the edges that ``keep`` flags per edge id (all edges when None).
 
-    ``keep`` is a flag per edge id, or a function asked once per edge id.
     Components are ordered by their smallest node index.  With ``labels``
     the result is an ``array`` holding each node's component number, plus
     an ``array`` of each component's first node; otherwise it is the
     components as tuples of names, each in declaration order.
     """
     ends: Iterable[tuple[int, int]] = zip(graph.edge_u, graph.edge_v)
-    if callable(keep):
-        ends = compress(ends, map(keep, range(len(graph.edge_u))))
-    elif keep is not None:
+    if keep is not None:
         ends = compress(ends, keep)
     # Union-find whose root is always the smallest node of its block, so a
     # node's parent comes before it: one pass in node order overwrites each
@@ -507,12 +496,12 @@ def values_by_index(graph: Graph, values: Mapping[str, Weight], what: str) -> li
 
 
 def levels_by_index(
-    graph: Graph, values: Mapping[str, Weight] | None, operation: str, what: str = "values"
+    graph: Graph, values: Mapping[str, Weight] | None, operation: str
 ) -> Sequence[Weight]:
     """``values`` listed by node index; the ground when ``values`` is None."""
     if values is None:
         return graph.require_ground_values(operation)
-    return values_by_index(graph, values, what)
+    return values_by_index(graph, values, "values")
 
 
 def dilation(graph: Graph, levels: Sequence[Weight]) -> tuple[Weight, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
@@ -106,10 +106,8 @@ class Lake:
 class LakePartition:
     """The lakes of a flooding as ``levels``, ``members`` and ``exhaust`` edge ids by lake.
 
-    ``label`` holds each node's lake; `Lake` views are built on first access."""
+    `Lake` views are built on first access."""
 
-    graph: Graph = field(compare=False)
-    label: array = field(compare=False)
     levels: list[Weight]
     members: list[tuple[str, ...]]
     exhaust: list[list[int]]
@@ -120,11 +118,6 @@ class LakePartition:
             Lake(block, level, LakeKind.FULL if out else LakeKind.REGIONAL_MINIMUM, tuple(out))
             for block, level, out in zip(self.members, self.levels, self.exhaust)
         )
-
-    def lake_of(self, node: str) -> Lake:
-        if node not in self.graph:
-            raise PreconditionError(f"node {node!r} not in any lake")
-        return self.lakes[self.label[self.graph.node_index(node)]]
 
     def __hash__(self) -> int:  # part of what == compares, which is enough
         return hash((tuple(self.levels), tuple(self.members)))
@@ -161,7 +154,7 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
         elif b < a and e == a:
             exhaust[label[u]].append(edge_id)
     members = group_by_label(view.nodes, label, len(first))
-    return LakePartition(view, label, list(map(levels.__getitem__, first)), members, exhaust)
+    return LakePartition(list(map(levels.__getitem__, first)), members, exhaust)
 
 
 def flat_zones(

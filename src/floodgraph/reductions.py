@@ -3,7 +3,7 @@
 `node_erosion` turns edge weights into node values (min of the incident
 edges); with the dilation of node values into edge weights (max of the two
 endpoints, as in `derive_edge_graph`) it forms an adjunction, whose closing
-on node values is `node_closing`.  The erosion of the edge weights is also
+of the ground is `node_closing`.  The erosion of the edge weights is also
 the waterfall level, the lowest flooding a node can keep once water may
 escape through any pipe.
 
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-from .errors import PreconditionError
 from .graphs import (
     Graph,
     NodeFunction,
@@ -30,7 +29,6 @@ from .graphs import (
     dilation,
     group_by_label,
     index_graph,
-    levels_by_index,
     values_by_index,
 )
 from .hydro import flat_zones, is_edge_flooding
@@ -49,14 +47,9 @@ __all__ = [
 ]
 
 
-def node_erosion(graph: Graph, weights: tuple[Weight, ...] | None = None) -> NodeFunction:
+def node_erosion(graph: Graph) -> NodeFunction:
     """Per-node min of the incident edge weights; isolated nodes get top."""
-    if weights is None:
-        weights = graph.require_edge_weights("node_erosion")
-    elif len(weights) != len(graph.edge_u):
-        raise PreconditionError(
-            f"{len(graph.edge_u)} edges but {len(weights)} edge weights"
-        )
+    weights = graph.require_edge_weights("node_erosion")
     offsets, adj_edge = graph.offsets, graph.adj_edge
     return {
         node: min((weights[e] for e in adj_edge[offsets[i] : offsets[i + 1]]), default=TOP)
@@ -64,10 +57,10 @@ def node_erosion(graph: Graph, weights: tuple[Weight, ...] | None = None) -> Nod
     }
 
 
-def node_closing(graph: Graph, values: Mapping[str, Weight] | None = None) -> NodeFunction:
-    """Closing on node values: dilate to the edges, erode back.  That is
-    max(value, lowest neighbor value), or top for an isolated node."""
-    levels = levels_by_index(graph, values, "node_closing", "node values")
+def node_closing(graph: Graph) -> NodeFunction:
+    """Closing on the ground: dilate to the edges, erode back.  That is
+    max(ground, lowest neighbor ground), or top for an isolated node."""
+    levels = graph.require_ground_values("node_closing")
     offsets, adj_node = graph.offsets, graph.adj_node
     return dict(zip(graph.nodes, (
         max(level, min(map(levels.__getitem__, adj_node[low:high]))) if low < high else TOP
@@ -94,18 +87,13 @@ class ContractionMap:
 
     ``graph`` is the contracted graph and ``zone_of`` holds, for each node
     of the original graph (named in ``nodes``), the index of its super-node
-    in ``graph``.  ``forward`` sends each original node name to its
-    super-node and ``blocks`` lists the members of each super-node in
-    declaration order; both are built on first access.
+    in ``graph``.  ``blocks`` lists the members of each super-node in
+    declaration order, built on first access.
     """
 
     graph: Graph
     nodes: tuple[str, ...] = field(repr=False)
     zone_of: array = field(repr=False)
-
-    @cached_property
-    def forward(self) -> dict[str, str]:
-        return dict(zip(self.nodes, map(self.graph.nodes.__getitem__, self.zone_of)))
 
     @cached_property
     def blocks(self) -> dict[str, tuple[str, ...]]:

@@ -20,7 +20,7 @@ Five independent routes to the same function, cross-checked in the tests
 ``marker_segmentation`` keeps one loop of its own for both engines: its
 priorities are (level, marker rank) pairs, and a kernel keyed by tuples
 would make every other caller build and compare pairs too.
-``ceiling_minima`` finds cheap seed supersets for reduced starts.
+``ceiling_minima`` finds a cheap superset of the ceiling's regional minima.
 
 All but berge and the oracle push into the ``Funnel`` by subscript.  The
 kernel and ``marker_segmentation`` never push below the priority they
@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop
 from itertools import filterfalse, repeat
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import PreconditionError
 from .graphs import (
@@ -45,9 +45,8 @@ from .graphs import (
     index_graph,
     values_by_index,
 )
-from .hydro import regional_minima
 from .ultrametric import Funnel, _best_first_flood, distance_rows
-from .weights import BOTTOM, TOP, Weight, weight_succ
+from .weights import BOTTOM, TOP, Weight
 
 __all__ = [
     "SolverResult",
@@ -171,34 +170,17 @@ def berge_flood(
     return SolverResult(tau=dict(zip(graph.nodes, tau)), stats=stats)
 
 
-def dijkstra_flood(
-    graph: Graph,
-    omega: Mapping[str, Weight],
-    init: str | Iterable[str] = "all",
-) -> SolverResult:
+def dijkstra_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverResult:
     """Best-first flooding: the min-max kernel seeded at the ceiling.
 
-    ``init="all"`` seeds every finite-ceiling node at its ceiling.  Passing
-    a node set instead seeds only those nodes, which computes the flooding
-    for the reduced ceiling that is top outside the set; the set must still
-    touch every regional minimum of omega (checked), which is what makes
-    the reduction exact on node-derived graphs.
+    Every finite-ceiling node is a seed at its ceiling.  To start from fewer
+    seeds, pass the reduced ceiling that is top outside them: on a
+    node-derived graph it gives the same flooding when the seeds touch every
+    regional minimum of omega (``ceiling_minima`` finds such a set).
     """
     weights = graph.require_edge_weights("dijkstra_flood")
     ceiling = ceiling_by_index(graph, omega)
-    seeds: Iterable[int]
-    if isinstance(init, str):
-        if init != "all":
-            raise PreconditionError(f"unknown init mode: {init!r}")
-        seeds = range(len(ceiling))
-    else:
-        names = list(dict.fromkeys(init))
-        seeds = [graph.node_index(name) for name in names]
-        chosen = set(names)
-        for zone in regional_minima(graph, omega):
-            if chosen.isdisjoint(zone):
-                raise PreconditionError(f"init set misses the ceiling minimum at {zone[0]!r}")
-    fed = [seed for seed in seeds if ceiling[seed] < TOP]
+    fed = [seed for seed, level in enumerate(ceiling) if level < TOP]
     tau: list[Weight] = [TOP] * len(ceiling)
     for seed in fed:
         tau[seed] = ceiling[seed]
@@ -319,49 +301,23 @@ def core_expanding_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverRes
     return SolverResult(dict(zip(graph.nodes, tau)), stats=SolverStats(extractions, relaxations))
 
 
-def ceiling_minima(
-    graph: Graph,
-    omega: Mapping[str, Weight],
-    method: str = "scan_x",
-    iterations: int = 2,
-) -> tuple[str, ...]:
+def ceiling_minima(graph: Graph, omega: Mapping[str, Weight]) -> tuple[str, ...]:
     """A cheap superset of one-entry-per-regional-minimum of the ceiling.
 
-    ``scan_x``: one forward scan keeps nodes strictly below every earlier
-    neighbor and not above any later one.  ``scan_x_and_y`` intersects with
-    the survivors of ``iterations`` parallel geodesic erosions of omega+1
-    above omega; ``scan_x_and_z`` uses one in-place backward erosion pass
-    instead.  Every regional minimum of omega meets the result.  omega may
-    be any node function here, also one below the ground.
+    One forward scan keeps the nodes strictly below every earlier neighbor
+    and not above any later one, so every regional minimum of omega meets
+    the result.  omega may be any node function here, also one below the
+    ground.
     """
     levels = values_by_index(graph, omega, "omega")
     offsets, adj_node = graph.offsets, graph.adj_node
-    count = len(levels)
-
-    def neighbors(node: int) -> Iterable[int]:
-        return adj_node[offsets[node] : offsets[node + 1]]
-
-    scan = [
-        p
-        for p in range(count)
-        if all(levels[p] < levels[q] if q < p else levels[p] <= levels[q] for q in neighbors(p))
-    ]
-    if method == "scan_x":
-        return tuple(graph.nodes[p] for p in scan)
-    if method not in ("scan_x_and_y", "scan_x_and_z"):
-        raise PreconditionError(f"unknown ceiling_minima method: {method!r}")
-    lifted = [weight_succ(level) for level in levels]
-    if method == "scan_x_and_y":
-        for _ in range(iterations):
-            eroded = [min(lifted[p], *(lifted[q] for q in neighbors(p))) for p in range(count)]
-            lifted = [max(low, level) for low, level in zip(eroded, levels)]
-    else:
-        for p in reversed(range(count)):
-            lifted[p] = max(levels[p], min(lifted[p], *(lifted[q] for q in neighbors(p))))
-    # A top ceiling cannot rise under erosion (succ(top) == top), yet an
-    # all-top component is still a regional minimum, so top nodes stay.
     return tuple(
-        graph.nodes[p] for p in scan if lifted[p] > levels[p] or levels[p] == TOP
+        graph.nodes[p]
+        for p, level in enumerate(levels)
+        if all(
+            level < levels[q] if q < p else level <= levels[q]
+            for q in adj_node[offsets[p] : offsets[p + 1]]
+        )
     )
 
 

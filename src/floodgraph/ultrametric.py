@@ -30,7 +30,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import PreconditionError
 from .graphs import Graph, NodeFunction, find_root, partial_graph
 from .weights import BOTTOM, TOP, Weight
 
@@ -47,12 +46,6 @@ __all__ = [
 class DistanceMatrix:
     nodes: tuple[str, ...]
     table: Mapping[str, Mapping[str, Weight]]
-
-    def distance(self, x: str, y: str) -> Weight:
-        try:
-            return self.table[x][y]
-        except KeyError:
-            raise PreconditionError(f"unknown node: {x!r} or {y!r}") from None
 
 
 def distance_rows(graph: Graph) -> list[list[Weight]]:

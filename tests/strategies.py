@@ -84,10 +84,15 @@ def random_ceiling(
     }
 
 
+def ground_of(graph: Graph) -> dict:
+    """The ground by node name."""
+    return dict(zip(graph.nodes, graph.ground_values))
+
+
 def ceiling_above(rng: random.Random, graph: Graph, slack: int = 6, top_chance: float = 0.4) -> dict:
     """A ceiling that sits on or above the ground everywhere."""
     graph.require_ground_values("ceiling_above")
-    ground = graph.ground
+    ground = ground_of(graph)
     return {
         node: TOP if rng.random() < top_chance else ground[node] + rng.randint(0, slack)
         for node in graph.nodes
@@ -96,7 +101,7 @@ def ceiling_above(rng: random.Random, graph: Graph, slack: int = 6, top_chance: 
 
 def tau_above_ground(rng: random.Random, graph: Graph, slack: int = 3) -> dict:
     graph.require_ground_values("tau_above_ground")
-    ground = graph.ground
+    ground = ground_of(graph)
     return {node: ground[node] + rng.randint(0, slack) for node in graph.nodes}
 
 

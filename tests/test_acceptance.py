@@ -225,7 +225,7 @@ def test_criterion_09_minima_containment_and_ceiling_reduction(
             assert any(
                 zone <= members for zone in zone_sets
             ), f"instance {i}: lake {lake.nodes} holds no ceiling minimum"
-        kept = set(ceiling_minima(graph, omega, method="scan_x"))
+        kept = set(ceiling_minima(graph, omega))
         reduced = {n: TOP for n in graph.nodes}
         for zone in minima:
             picks = [n for n in zone if n in kept]

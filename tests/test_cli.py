@@ -34,6 +34,8 @@ from floodgraph import (
 from floodgraph.cli import _FIRST_LINE, ingest_graph, main, resolve_ceiling
 from floodgraph.formats import HEADER
 
+from strategies import ground_of
+
 
 CHAIN_FG = """\
 floodgraph v1
@@ -89,10 +91,17 @@ def tank_tau_file(tmp_path):
     return str(path)
 
 
+def plain_pgm(rows):
+    """``rows`` as plain PGM (P2) bytes: the CLI reads P2 but writes only P5."""
+    maxval = max(max(max(row) for row in rows), 1)
+    body = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    return f"P2\n{len(rows[0])} {len(rows)}\n{maxval}\n{body}".encode("ascii")
+
+
 @pytest.fixture
 def strip_pgm(tmp_path):
     path = tmp_path / "strip.pgm"
-    path.write_bytes(write_pgm([[0, 0, 4, 1, 2, 0]], plain=True))
+    path.write_bytes(plain_pgm([[0, 0, 4, 1, 2, 0]]))
     return str(path)
 
 
@@ -597,7 +606,8 @@ def test_lakes_with_full_lakes_match_the_partition(capsys, monkeypatch, tmp_path
     ground.write_bytes(write_pgm(rows))
     graph = ingest_graph(str(ground), 4).graph
     omega = {node: rng.choice([7, 7, 2, 3, 4]) for node in graph.nodes}
-    tau = core_expanding_flood(graph, {n: max(omega[n], graph.ground[n]) for n in graph.nodes}).tau
+    ground_by_name = ground_of(graph)
+    tau = core_expanding_flood(graph, {n: max(omega[n], ground_by_name[n]) for n in graph.nodes}).tau
     tau_file = tmp_path / "tau.txt"
     tau_file.write_text("".join(f"{node} {level}\n" for node, level in tau.items()))
 
@@ -787,7 +797,7 @@ def test_a_ceiling_on_an_unknown_raster_node_names_it(capsys, tmp_path, strip_pg
 
 def test_raster_ceiling_must_match_dimensions(capsys, tmp_path, strip_pgm):
     wrong = tmp_path / "wrong.pgm"
-    wrong.write_bytes(write_pgm([[1, 2]], plain=True))
+    wrong.write_bytes(plain_pgm([[1, 2]]))
     code, _, err = run(
         capsys, "flood", "--algo", "core", "--graph", strip_pgm, "--ceiling", str(wrong)
     )
@@ -832,7 +842,7 @@ def test_raster_ceiling_equals_the_node_values_ceiling(capsys, tmp_path, algo, c
 
 def test_raster_ceiling_requires_raster_ground(capsys, tmp_path, chain_file):
     pgm = tmp_path / "ceiling.pgm"
-    pgm.write_bytes(write_pgm([[1, 1, 1, 1, 1]], plain=True))
+    pgm.write_bytes(plain_pgm([[1, 1, 1, 1, 1]]))
     code, _, err = run(
         capsys, "flood", "--algo", "core", "--graph", chain_file, "--ceiling", str(pgm)
     )
@@ -842,7 +852,7 @@ def test_raster_ceiling_requires_raster_ground(capsys, tmp_path, chain_file):
 
 def _diagonal_distance(capsys, tmp_path, monkeypatch, *extra):
     pgm = tmp_path / "square.pgm"
-    pgm.write_bytes(write_pgm([[0, 1], [1, 0]], plain=True))
+    pgm.write_bytes(plain_pgm([[0, 1], [1, 0]]))
     code, out, _ = run(
         capsys, "fldist", "--graph", str(pgm), "--from", "0,0", "--derive-edges", *extra
     )

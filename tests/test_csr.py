@@ -24,6 +24,8 @@ from floodgraph import (
 )
 from floodgraph.graphs import _counting, _csr
 
+from strategies import ground_of
+
 TOPOLOGY = ("nodes", "edge_u", "edge_v", "offsets", "adj_node", "adj_edge", "ground_values")
 
 
@@ -167,7 +169,7 @@ def test_derived_views_share_the_topology(graph):
             assert getattr(view, attr) is getattr(graph, attr), attr
         assert view._index is graph._index is not None  # one name index for both
     derived = derive_edge_graph(graph)
-    ground = graph.ground
+    ground = ground_of(graph)
     assert derived.edge_weights == tuple(max(ground[u], ground[v]) for u, v in graph.edges)
     with pytest.raises(ConstructionError):
         graph.with_edge_weights([*graph.edge_weights, 0])
@@ -180,7 +182,7 @@ def test_mst_and_partial_graph_match_the_name_based_build(graph, rng):
     expected = build_graph(
         graph.nodes,
         [graph.edges[e] for e in ids],
-        ground=graph.ground,
+        ground=ground_of(graph),
         edge_weights=[graph.edge_weights[e] for e in ids],
     )
     assert part == expected

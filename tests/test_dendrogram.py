@@ -55,10 +55,10 @@ def test_dendro_fixture_structure(dendro_fixture):
     assert len(dendro.clusters) == 11 + 8
     root = cluster_of(dendro, dendro_fixture.leaves)
     assert root.diam == 10 and root.father is None
-    assert dendro.summits == (root,)
+    assert [i for i, up in enumerate(dendro.father) if up is None] == [root.index]
     inner = cluster_of(dendro, ["b", "c", "d", "e"])
     assert inner.diam == 4
-    assert cluster_of(dendro, ["g"]).is_leaf
+    assert cluster_of(dendro, ["g"]).children == ()
     assert cluster_of(dendro, ["g"]).diam == BOTTOM
 
 
@@ -150,7 +150,7 @@ def test_build_dendrogram_reads_iterators_once():
 
 def test_chain_lake_dendrogram(chain):
     dendro = build_lake_dendrogram(chain.edge_graph)
-    grouped = {c.members: c.diam for c in dendro.clusters if not c.is_leaf}
+    grouped = {c.members: c.diam for c in dendro.clusters if c.children}
     assert grouped == {("c", "d", "e"): 2, ("a", "b", "c", "d", "e"): 4}
 
 
@@ -164,7 +164,7 @@ def test_single_edge_lake_dendrogram():
 def test_realizing_tree_reproduces_the_fixture(dendro_fixture):
     rebuilt = build_lake_dendrogram(dendro_fixture.tree)
     expected = {tuple(m): d for m, d in dendro_fixture.groups}
-    actual = {c.members: c.diam for c in rebuilt.clusters if not c.is_leaf}
+    actual = {c.members: c.diam for c in rebuilt.clusters if c.children}
     assert actual == expected
 
 
@@ -173,7 +173,8 @@ def test_disconnected_graph_grows_a_forest():
         ["a", "b", "c", "d"], [("a", "b"), ("c", "d")], edge_weights=[1, 2]
     )
     dendro = build_lake_dendrogram(graph)
-    assert members_of(dendro.summits) == {("a", "b"), ("c", "d")}
+    summits = [c for c in dendro.clusters if c.father is None]
+    assert members_of(summits) == {("a", "b"), ("c", "d")}
 
 
 @given(edge_graphs())
@@ -290,6 +291,13 @@ def test_cluster_views_match_the_eager_assembly(graph):
     assert repr(dendro) == f"Dendrogram(clusters={clusters!r})"
     if groups:
         assert dendro != Dendrogram(graph.nodes, groups[:-1])
+
+
+def test_dendrograms_on_other_leaves_differ():
+    one = build_dendrogram(["a", "b"], [(["a", "b"], 1)])
+    assert one == build_dendrogram(["a", "b"], [(["a", "b"], 1)])
+    other = build_dendrogram(["x", "y"], [(["x", "y"], 1)])
+    assert one != other and hash(one) != hash(other)
 
 
 # -- flooding on the tree --------------------------------------------------------------

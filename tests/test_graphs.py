@@ -23,7 +23,7 @@ from floodgraph import (
 )
 from floodgraph.graphs import ceiling_by_index
 
-from strategies import edge_graphs, rough_flood_instances, rough_node_flood_instances
+from strategies import edge_graphs, ground_of, rough_flood_instances, rough_node_flood_instances
 
 
 # -- construction ------------------------------------------------------------
@@ -91,7 +91,7 @@ def test_missing_annotation_accessors_raise(chain, tank):
 def test_grid_graph_row_major_ids_and_ground():
     graph = grid_graph([[0, 4, 1, 2, 0]])
     assert graph.nodes == ("0,0", "0,1", "0,2", "0,3", "0,4")
-    assert [graph.ground[n] for n in graph.nodes] == [0, 4, 1, 2, 0]
+    assert list(graph.ground_values) == [0, 4, 1, 2, 0]
     assert graph.edges == tuple((f"0,{c}", f"0,{c + 1}") for c in range(4))
 
 
@@ -133,14 +133,14 @@ def test_connected_components_filters(chain):
     graph = chain.edge_graph
     weights = graph.edge_weights
     assert connected_components(graph) == [("a", "b", "c", "d", "e")]
-    assert connected_components(graph, lambda _: False) == [
+    assert connected_components(graph, [False] * len(weights)) == [
         ("a",),
         ("b",),
         ("c",),
         ("d",),
         ("e",),
     ]
-    assert connected_components(graph, lambda i: weights[i] <= 2) == [
+    assert connected_components(graph, [weight <= 2 for weight in weights]) == [
         ("a",),
         ("b",),
         ("c", "d", "e"),
@@ -151,7 +151,7 @@ def test_subgraph_spanning(chain):
     sub = subgraph_spanning(chain.graph, ["c", "d", "e"])
     assert sub.nodes == ("c", "d", "e")
     assert sub.edges == (("c", "d"), ("d", "e"))
-    assert sub.ground == {"c": 1, "d": 2, "e": 0}
+    assert ground_of(sub) == {"c": 1, "d": 2, "e": 0}
 
     isolated = subgraph_spanning(chain.graph, ["a", "c"])
     assert isolated.nodes == ("a", "c")

@@ -30,6 +30,7 @@ from floodgraph import (
 
 from strategies import (
     ceiling_above,
+    ground_of,
     node_graphs,
     rough_flood_instances,
     rough_node_flood_instances,
@@ -45,7 +46,7 @@ def test_fixture_flooding_is_valid(chain):
 
 
 def test_dry_surface_is_a_flooding(chain):
-    assert is_node_flooding(chain.graph, dict(chain.graph.ground))
+    assert is_node_flooding(chain.graph, ground_of(chain.graph))
 
 
 def test_water_must_rest_on_ground(chain):
@@ -168,26 +169,23 @@ def test_tank_lakes(tank):
         (("D", "E"), 3, LakeKind.FULL, [("C", "D")]),
         (("F",), 3, LakeKind.REGIONAL_MINIMUM, []),
     ]
-    assert part.lake_of("E").nodes == ("D", "E")
-    with pytest.raises(PreconditionError):
-        part.lake_of("Z")
 
 
-def test_lake_of_holds_every_node_of_a_raster():
+def test_lakes_partition_every_node_of_a_raster():
     rng = random.Random(12)
     size = 64
     graph = grid_graph([[rng.randint(0, 9) for _ in range(size)] for _ in range(size)])
     tau = core_expanding_flood(graph, ceiling_above(rng, graph, slack=3)).tau
     part = lakes(graph, tau)
-    assert all(node in part.lake_of(node).nodes for node in graph.nodes)
-    assert all(part.lake_of(node) is lake for lake in part.lakes for node in lake.nodes)
+    assert sorted(node for block in part.members for node in block) == sorted(graph.nodes)
+    assert [lake.nodes for lake in part.lakes] == part.members
 
 
 def test_lake_views_are_built_on_first_access_and_kept(tank):
     part = lakes(tank.graph, tank.tau)
     assert "lakes" not in vars(part)  # lakes() builds the lists only
     first = part.lakes
-    assert part.lakes is first and part.lake_of("D") is first[2]
+    assert part.lakes is first
     assert [(lake.level, lake.nodes, list(lake.exhaust_edges)) for lake in first] == list(
         zip(part.levels, part.members, part.exhaust)
     )
@@ -210,7 +208,7 @@ def test_chain_lakes_on_the_derived_edge_view(chain):
         (("c", "d"), 2, LakeKind.FULL),
         (("e",), 1, LakeKind.REGIONAL_MINIMUM),
     ]
-    full = part.lake_of("c")
+    full = part.lakes[2]
     assert [chain.edge_graph.edges[i] for i in full.exhaust_edges] == [("d", "e")]
 
 
@@ -266,7 +264,7 @@ def test_sup_and_inf_of_floodings_are_floodings(graph):
 def test_derive_edge_graph_uses_endpoint_maxima(chain):
     derived = derive_edge_graph(chain.graph)
     assert derived.edge_weights == (4, 4, 2, 2)
-    assert derived.ground == chain.graph.ground
+    assert ground_of(derived) == ground_of(chain.graph)
     assert derived.nodes == chain.graph.nodes
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import io
 import tokenize
+from functools import cached_property
 from pathlib import Path
 
 import floodgraph
@@ -98,3 +100,55 @@ def called_names(path: Path) -> set[str]:
 def test_every_public_name_has_a_caller_or_is_a_construction():
     called = set().union(*map(called_names, CALLERS))
     assert set(floodgraph.__all__) - called == CONSTRUCTIONS
+
+
+def attribute_names(path: Path) -> set[str]:
+    """The names a file reads as an attribute: each NAME token right after a ``.``."""
+    names: set[str] = set()
+    previous = None
+    text = path.read_text(encoding="utf-8")
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.NAME and previous == ".":
+            names.add(token.string)
+        previous = token.string
+    return names
+
+
+def test_every_public_member_has_a_caller():
+    """Each method, property and cached_property of a public class is read as
+    ``.name`` by a caller; dunders and dataclass fields are exempt."""
+    called = set().union(*map(attribute_names, CALLERS))
+    members = set()
+    for name in floodgraph.__all__:
+        cls = getattr(floodgraph, name)
+        if not (inspect.isclass(cls) and cls.__module__.startswith("floodgraph.")):
+            continue
+        fields = set()
+        if dataclasses.is_dataclass(cls):
+            fields = {field.name for field in dataclasses.fields(cls)}
+        for member, value in vars(cls).items():
+            if member.startswith("_") or member in fields:
+                continue
+            if inspect.isfunction(value) or isinstance(value, (property, cached_property)):
+                members.add(f"{name}.{member}")
+    assert members
+    assert sorted(member for member in members if member.split(".")[1] not in called) == []
+
+
+# The parameters of the functions whose test-only options are gone: each
+# option returns only with a caller outside the tests.
+PARAMETERS = {
+    "ceiling_minima": ("graph", "omega"),
+    "connected_components": ("graph", "keep", "labels"),
+    "dijkstra_flood": ("graph", "omega"),
+    "node_closing": ("graph",),
+    "node_erosion": ("graph",),
+    "write_pgm": ("raster",),
+}
+
+
+def test_trimmed_functions_keep_their_parameters():
+    for name, expected in PARAMETERS.items():
+        assert tuple(inspect.signature(getattr(floodgraph, name)).parameters) == expected, name
+    keep = inspect.signature(floodgraph.connected_components).parameters["keep"]
+    assert keep.annotation == "Sequence[bool] | None"  # a flag per edge id, not a function

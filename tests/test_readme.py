@@ -19,4 +19,6 @@ def test_readme_quick_start_gives_the_values_in_its_comments():
     assert names["same"] == names["tau"]
     assert Lake(("c", "d"), 2, LakeKind.FULL, (3,)) in names["pools"]
     assert names["d_ae"] == 4
-    assert names["hierarchy"].summits[0].members == tuple("abcde")
+    hierarchy = names["hierarchy"]
+    (summit,) = [i for i, up in enumerate(hierarchy.father) if up is None]
+    assert hierarchy.members(summit) == tuple("abcde")

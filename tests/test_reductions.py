@@ -24,11 +24,12 @@ from floodgraph import (
     waterfall_flooding,
 )
 
-from floodgraph.graphs import check_total, dilation
+from floodgraph.graphs import dilation
 
 from strategies import (
     ceiling_above,
     edge_graphs,
+    ground_of,
     node_graphs,
     rough_edge_graphs,
     rough_node_graph,
@@ -43,9 +44,9 @@ def levels(graph, values):
     return [values[node] for node in graph.nodes]
 
 
-def edge_opening(graph, weights=None):
+def edge_opening(graph):
     """Opening on edge weights: erode to the nodes, dilate back."""
-    return dilation(graph, levels(graph, node_erosion(graph, weights)))
+    return dilation(graph, levels(graph, node_erosion(graph)))
 
 
 def test_edge_dilation_chain(chain):
@@ -62,11 +63,6 @@ def test_node_erosion_isolated_node_gets_top():
     assert node_erosion(graph) == {"a": 3, "b": 3, "c": TOP}
 
 
-def test_node_erosion_weight_count_checked(chain):
-    with pytest.raises(PreconditionError):
-        node_erosion(chain.graph, (1, 2))
-
-
 def test_closing_and_opening_chain(chain):
     assert node_closing(chain.graph) == {"a": 4, "b": 4, "c": 2, "d": 2, "e": 2}
     assert edge_opening(chain.edge_graph) == (4, 4, 2, 2)
@@ -77,7 +73,7 @@ def test_dilation_erosion_adjunction(graph, rng):
     values = {node: rng.randrange(8) for node in graph.nodes}
     weights = tuple(rng.randrange(8) for _ in graph.edges)
     dilated = dilation(graph, levels(graph, values))
-    eroded = node_erosion(graph, weights)
+    eroded = node_erosion(graph.with_edge_weights(weights))
     below = all(dilated[i] <= weights[i] for i in range(len(graph.edges)))
     under = all(values[n] <= eroded[n] for n in graph.nodes)
     assert below == under
@@ -86,24 +82,20 @@ def test_dilation_erosion_adjunction(graph, rng):
 @given(node_graphs())
 def test_closing_is_extensive_and_idempotent(graph):
     closed = node_closing(graph)
-    ground = graph.ground
+    ground = ground_of(graph)
     assert all(closed[n] >= ground[n] for n in graph.nodes)
-    assert node_closing(graph, closed) == closed
+    assert node_closing(build_graph(graph.nodes, graph.edges, ground=closed)) == closed
 
 
-def reference_node_closing(graph, values=None):
+def reference_node_closing(graph):
     """The former node_closing: dilate to the edges, erode back."""
-    if values is None:
-        ground = graph.require_ground_values("node_closing")
-    else:
-        check_total(graph, values, "node values")
-        ground = levels(graph, values)
-    return node_erosion(graph, dilation(graph, ground))
+    ground = graph.require_ground_values("node_closing")
+    return node_erosion(graph.with_edge_weights(dilation(graph, ground)))
 
 
-def closing_outcome(closing, graph, values):
+def closing_outcome(closing, graph):
     try:
-        closed = closing(graph, values)
+        closed = closing(graph)
     except PreconditionError as exc:
         return type(exc), str(exc)
     return list(closed.items())  # the node order too
@@ -113,11 +105,10 @@ def closing_outcome(closing, graph, values):
 @given(st.one_of(rough_node_graphs(), rough_edge_graphs()), st.randoms(use_true_random=False))
 def test_node_closing_matches_the_adjunction(graph, rng):
     values = {node: rng.choice([BOTTOM, TOP, *range(6)]) for node in graph.nodes}
-    unknown = {**values, "zz": 0}
-    missing = dict(list(values.items())[1:])
-    for given_values in (None, values, unknown, missing):
-        expected = closing_outcome(reference_node_closing, graph, given_values)
-        assert closing_outcome(node_closing, graph, given_values) == expected
+    for relief in (graph, build_graph(graph.nodes, graph.edges, ground=values)):
+        assert closing_outcome(node_closing, relief) == closing_outcome(
+            reference_node_closing, relief
+        )
 
 
 def test_node_closing_without_a_ground_names_itself():
@@ -132,7 +123,7 @@ def test_opening_is_anti_extensive_and_idempotent(graph):
     opened = edge_opening(graph)
     weights = graph.edge_weights
     assert all(opened[i] <= weights[i] for i in range(len(weights)))
-    assert edge_opening(graph, opened) == opened
+    assert edge_opening(graph.with_edge_weights(opened)) == opened
 
 
 # -- waterfall ------------------------------------------------------------------
@@ -162,7 +153,7 @@ def test_joining_the_waterfall_preserves_validity_both_ways(graph, rng):
 def test_contract_strip_to_chain(strip):
     contracted, mapping, omega = contract_flat_zones(strip.graph, strip.omega)
     assert contracted.nodes == ("0,0", "0,2", "0,3", "0,4", "0,5")
-    assert [contracted.ground[n] for n in contracted.nodes] == [0, 4, 1, 2, 0]
+    assert list(contracted.ground_values) == [0, 4, 1, 2, 0]
     assert [omega[n] for n in contracted.nodes] == [0, 5, 3, 3, 1]
     assert contracted.edges == (
         ("0,0", "0,2"),
@@ -171,7 +162,7 @@ def test_contract_strip_to_chain(strip):
         ("0,4", "0,5"),
     )
     assert mapping.blocks["0,0"] == ("0,0", "0,1")
-    assert mapping.forward["0,1"] == "0,0"
+    assert contracted.nodes[mapping.zone_of[1]] == "0,0"
 
 
 def test_contract_chain_is_identity_up_to_blocks(chain):
@@ -212,7 +203,7 @@ def test_expand_round_trip(strip):
 
 def eager_contraction(graph, omega):
     """The contraction built by hand on names: zone pairs as name tuples,
-    ``forward`` and ``blocks`` as eager dicts."""
+    each node's zone and the ``blocks`` as eager dicts."""
     zones = flat_zones(graph)
     rep = {name: zone[0] for zone in zones for name in zone}
     forward = {name: rep[name] for name in graph.nodes}
@@ -239,14 +230,14 @@ def test_lazy_contraction_map_matches_the_eager_build(rng):
     omega = ceiling_above(rng, graph)
     contracted, mapping, contracted_omega = contract_flat_zones(graph, omega)
     edges, weights, low, forward, blocks = eager_contraction(graph, omega)
-    assert "forward" not in vars(mapping) and "blocks" not in vars(mapping)
+    assert "blocks" not in vars(mapping)
     assert contracted.nodes == tuple(blocks)
     assert list(contracted.edges) == edges
     assert list(contracted.edge_weights) == weights
     assert list(contracted_omega.items()) == list(low.items())
-    assert list(mapping.forward.items()) == list(forward.items())
+    assert [contracted.nodes[zone] for zone in mapping.zone_of] == list(forward.values())
     assert list(mapping.blocks.items()) == list(blocks.items())
-    assert mapping.forward is mapping.forward and mapping.blocks is mapping.blocks
+    assert mapping.blocks is mapping.blocks
     values = {rep: rng.randint(0, 9) for rep in contracted.nodes}
     assert mapping.expand(values) == {name: values[rep] for name, rep in forward.items()}
     missing = dict(list(values.items())[1:])
@@ -256,7 +247,7 @@ def test_lazy_contraction_map_matches_the_eager_build(rng):
 
 def test_contractions_build_no_name_index_until_one_is_asked_for(strip):
     contracted, mapping, _ = contract_flat_zones(strip.graph, strip.omega)
-    assert mapping.blocks and mapping.forward  # the maps read names by position, not by index
+    assert mapping.blocks  # the map reads names by position, not by index
     assert contracted._index is None
     assert "0,3" in contracted and "0,1" not in contracted
     assert contracted.node_index("0,3") == 2

@@ -165,7 +165,7 @@ def test_grid_graph_peak_is_array_sized(connectivity, limit):
 
 
 def test_contract_flat_zones_peak_is_label_sized():
-    """Zone labels in an int array, zone pairs as int keys, ``forward`` and ``blocks`` unbuilt."""
+    """Zone labels in an int array, zone pairs as int keys, ``blocks`` unbuilt."""
     size = 512
     rng = random.Random(3)
     grid = grid_graph([[rng.randint(0, 50) for _ in range(size)] for _ in range(size)])

@@ -32,6 +32,7 @@ from floodgraph.ultrametric import distance_rows
 from strategies import (
     ceiling_above,
     flood_instances,
+    ground_of,
     node_graphs,
     random_ceiling,
     rough_flood_instances,
@@ -162,17 +163,17 @@ def test_dijkstra_flood_chain_levels(chain):
 
 def test_dijkstra_flood_reduced_init_set(chain):
     full = dijkstra_flood(chain.edge_graph, chain.omega)
-    reduced = dijkstra_flood(chain.edge_graph, chain.omega, init=["a", "c", "e"])
+    kept = ("a", "c", "e")  # one node on each regional minimum of the ceiling
+    reduced_omega = {node: level if node in kept else TOP for node, level in chain.omega.items()}
+    reduced = dijkstra_flood(chain.edge_graph, reduced_omega)
     assert reduced.tau == full.tau
     assert reduced.stats.extractions <= full.stats.extractions
 
 
 def test_dijkstra_flood_init_must_touch_every_ceiling_minimum(chain):
-    with pytest.raises(PreconditionError) as err:
-        dijkstra_flood(chain.edge_graph, chain.omega, init=["a"])
-    assert "misses the ceiling minimum at 'e'" in str(err.value)
-    with pytest.raises(PreconditionError):
-        dijkstra_flood(chain.edge_graph, chain.omega, init="some")
+    only_a = {node: level if node == "a" else TOP for node, level in chain.omega.items()}
+    # the seed set misses the ceiling minimum at e, so the water at e stands higher
+    assert dijkstra_flood(chain.edge_graph, only_a).tau["e"] > chain.tau["e"]
 
 
 def test_dijkstra_flood_open_sky(chain):
@@ -222,9 +223,11 @@ def funnel_dijkstra(graph, omega, init):
 @given(rough_flood_instances(), st.data())
 def test_dijkstra_flood_matches_the_funnel_loop(instance, data):
     graph, omega = instance
-    one_per_minimum = [data.draw(st.sampled_from(zone)) for zone in regional_minima(graph, omega)]
-    for init, names in (("all", graph.nodes), (one_per_minimum, one_per_minimum)):
-        result = dijkstra_flood(graph, omega, init=init)
+    picks = {data.draw(st.sampled_from(zone)) for zone in regional_minima(graph, omega)}
+    reduced = {node: level if node in picks else TOP for node, level in omega.items()}
+    one_per_minimum = [node for node in graph.nodes if node in picks]
+    for ceiling, names in ((omega, graph.nodes), (reduced, one_per_minimum)):
+        result = dijkstra_flood(graph, ceiling)
         stats = result.stats
         got = (result.tau, stats.extractions, stats.relaxations, stats.extraction_levels)
         assert got == funnel_dijkstra(graph, omega, names)
@@ -251,7 +254,7 @@ def test_core_expanding_flood_chain(chain):
 
 
 def test_core_expanding_flood_dry_ceiling_returns_the_ground(chain):
-    ground = dict(chain.graph.ground)
+    ground = ground_of(chain.graph)
     assert core_expanding_flood(chain.graph, ground).tau == ground
 
 
@@ -305,32 +308,20 @@ def test_ceiling_minima_scan_x(chain):
     assert ceiling_minima(chain.edge_graph, chain.omega) == ("a", "c", "e")
 
 
-def test_ceiling_minima_erosion_methods_trim_the_plateau(chain):
-    assert ceiling_minima(chain.edge_graph, chain.omega, method="scan_x_and_y") == ("a", "e")
-    assert ceiling_minima(chain.edge_graph, chain.omega, method="scan_x_and_z") == ("a", "e")
-
-
 def test_ceiling_minima_on_monotone_and_constant_reliefs(chain):
     increasing = dict(zip(chain.graph.nodes, (0, 1, 2, 3, 4)))
     constant = {node: 7 for node in chain.graph.nodes}
-    for method in ("scan_x", "scan_x_and_y", "scan_x_and_z"):
-        assert ceiling_minima(chain.graph, increasing, method=method) == ("a",)
-        assert ceiling_minima(chain.graph, constant, method=method) == ("a",)
-
-
-def test_ceiling_minima_unknown_method(chain):
-    with pytest.raises(PreconditionError):
-        ceiling_minima(chain.graph, chain.omega, method="scan_everything")
+    assert ceiling_minima(chain.graph, increasing) == ("a",)
+    assert ceiling_minima(chain.graph, constant) == ("a",)
 
 
 @given(flood_instances())
 def test_ceiling_minima_meet_every_regional_minimum(instance):
     graph, omega = instance
     zones = regional_minima(graph, omega)
-    for method in ("scan_x", "scan_x_and_y", "scan_x_and_z"):
-        chosen = set(ceiling_minima(graph, omega, method=method))
-        for zone in zones:
-            assert chosen.intersection(zone)
+    chosen = set(ceiling_minima(graph, omega))
+    for zone in zones:
+        assert chosen.intersection(zone)
 
 
 # -- marker segmentation ---------------------------------------------------------------
