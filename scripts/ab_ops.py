@@ -13,9 +13,11 @@ alike, which per-layer ``self_s`` figures taken in separate runs cannot
 promise.
 
 Prints each op's median time on both sides and their ratio (second side
-over first), then the summed medians: in total, and for each op-name
-prefix (the part before ``/``, such as ``tanks`` or ``random``).  Exits 1
-when an op fails its check or the sides' outputs differ.
+over first), then the summed medians: in total, for each op-name prefix
+(the part before ``/``, such as ``tanks`` or ``random``) and for each
+suffix (the part after the last ``/``, printed as ``*/dendro``) that is
+not a number.  Exits 1 when an op fails its check or the sides' outputs
+differ.
 
 usage: python3 scripts/ab_ops.py BASE CHANGE [--workload hierarchy]
                                  [--seed N] [--rounds N]
@@ -110,6 +112,10 @@ def main(argv: list[str] | None = None) -> int:
     groups: dict[str, list[tuple[float, float]]] = {"total": list(rows.values())}
     for name, row in rows.items():
         groups.setdefault(name.split("/", 1)[0], []).append(row)
+    for name, row in rows.items():
+        suffix = name.rsplit("/", 1)[-1]
+        if suffix != name and not suffix.isdigit():  # numbered ops form no kind
+            groups.setdefault("*/" + suffix, []).append(row)
     for group, members in groups.items():
         sum_a, sum_b = (sum(row[side] for row in members) for side in (0, 1))
         print(f"{group:<{width}}  {sum_a * 1000:9.3f}  {sum_b * 1000:9.3f}  {sum_b / sum_a:.3f}")

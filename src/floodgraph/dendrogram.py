@@ -10,8 +10,9 @@ Cluster indices are topological: every child's index is smaller than its
 father's, leaves come first.  A `Dendrogram` is the parent arrays indexed by
 cluster, `diam`, `father`, `children` and `size`, next to `leaf_names`, as in
 Najman, Cousty & Perret, "Playing with Kruskal" (ISMM 2013).  Building,
-flooding and the CLI read the arrays, `members(i)` and `all_members()`;
-`Dendrogram.clusters` holds `Cluster` views, built on first access.
+flooding and the CLI read the arrays; `all_members()` merges the children's
+sorted leaf runs bottom-up and `members(i)` walks the children down from
+`i`.  `Dendrogram.clusters` holds `Cluster` views, built on first access.
 """
 
 from __future__ import annotations
@@ -61,15 +62,13 @@ class Dendrogram:
     Leaf ``i`` is cluster ``i``; ``groups`` are the inner clusters in index
     order, taken unchecked (`build_dendrogram` validates them).  ``diam``,
     ``father`` (None for a summit), ``children`` and ``size`` are lists by
-    cluster, next to ``leaf_names``.  In the DFS leaf order every cluster's
-    leaves fill one contiguous range; that order and the leaf-name index are
-    built on first use, so building and flooding never pay for them.
-    ``clusters`` are views built on first access and kept; ``==`` and
-    ``hash`` read ``leaf_names`` and the arrays.
+    cluster, next to ``leaf_names``.  The leaf-name index is built on first
+    use, so building and flooding never pay for it.  ``clusters`` are views
+    built on first access and kept; ``==`` and ``hash`` read ``leaf_names``
+    and the arrays.
     """
 
-    __slots__ = ("leaf_names", "diam", "father", "children", "size",
-                 "_start", "_order", "_leaf_index", "_clusters")
+    __slots__ = ("leaf_names", "diam", "father", "children", "size", "_leaf_index", "_clusters")
 
     def __init__(self, names: Sequence[str], groups: Sequence[Group]) -> None:
         leaves = len(names)
@@ -82,31 +81,8 @@ class Dendrogram:
             size.append(sum(size[child] for child in children[index]))
             for child in children[index]:
                 father[child] = index
-        self._start: list[int] | None = None
-        self._order: list[int] = []
         self._leaf_index: dict[str, int] | None = None
         self._clusters: tuple[Cluster, ...] | None = None
-
-    def _layout(self) -> tuple[list[int], list[int]]:
-        """``(start, order)``: cluster ``i`` fills ``order[start[i] : start[i] + size[i]]``."""
-        if self._start is None:
-            # fathers have larger indices than their children, so walking
-            # down the indices places every father before its children
-            start = [-1] * len(self.size)
-            free = 0
-            for cluster in range(len(self.size) - 1, -1, -1):
-                if start[cluster] < 0:  # a summit
-                    start[cluster] = free
-                    free += self.size[cluster]
-                offset = start[cluster]
-                for child in self.children[cluster]:
-                    start[child] = offset
-                    offset += self.size[child]
-            order = [0] * len(self.leaf_names)
-            for leaf in range(len(self.leaf_names)):
-                order[start[leaf]] = leaf
-            self._start, self._order = start, order
-        return self._start, self._order
 
     def _leaf_of(self, name) -> int | None:
         if self._leaf_index is None:
@@ -115,18 +91,32 @@ class Dendrogram:
 
     def members(self, index: int) -> tuple[str, ...]:
         """Leaf names under cluster ``index``, in declaration order."""
-        names = self.leaf_names
-        start, order = self._layout()
-        low = start[index]
-        return tuple(map(names.__getitem__, sorted(order[low : low + self.size[index]])))
+        leaves, below, found = len(self.leaf_names), [index], []
+        while below:
+            cluster = below.pop()
+            if cluster < leaves:
+                found.append(cluster)
+            else:
+                below += self.children[cluster]
+        return tuple(map(self.leaf_names.__getitem__, sorted(found)))
 
     def all_members(self) -> Iterator[tuple[str, ...]]:
-        """Every cluster's ``members``, in cluster order, from one layout."""
+        """Every cluster's ``members``, in cluster order: an inner cluster sorts
+        its children's sorted runs into one (a merge), and theirs are dropped."""
         names = self.leaf_names
         yield from zip(names)  # leaf i is cluster i
-        start, order = self._layout()
-        for low, size in zip(start[len(names):], self.size[len(names):]):
-            yield tuple(map(names.__getitem__, sorted(order[low : low + size])))
+        leaves, runs = len(names), {}
+        for index in range(leaves, len(self.children)):
+            run: list[int] = []
+            for child in self.children[index]:
+                if child < leaves:
+                    run.append(child)
+                else:
+                    run += runs.pop(child)
+            run.sort()
+            if self.father[index] is not None:
+                runs[index] = run
+            yield tuple(map(names.__getitem__, run))
 
     @property
     def clusters(self) -> tuple[Cluster, ...]:
@@ -147,7 +137,7 @@ class Dendrogram:
         return hash((self.leaf_names, tuple(self.diam), tuple(self.father), tuple(self.children)))
 
     def __repr__(self) -> str:
-        return f"Dendrogram(clusters={self.clusters!r})"
+        return f"Dendrogram(leaf_names={self.leaf_names!r}, clusters={self.clusters!r})"
 
 
 def is_dendrogram(family: Iterable[Iterable[str]]) -> tuple[bool, tuple | None]:

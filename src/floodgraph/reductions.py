@@ -9,7 +9,10 @@ escape through any pipe.
 
 Contraction merges every flat zone of the ground into a single node.
 Flooding commutes with it, which `contract_close_flood` exploits to
-flood a node-weighted graph on a smaller derived one.  `local_flood`
+flood a node-weighted graph on the zones, by index.  It closes the zone
+ground only at the zones a finite ceiling feeds, the kernel's seeds, and
+weighs the zone edges by the dilation of the zone ground, which is the
+dilation of the closing (dilate, erode, dilate is dilate).  `local_flood`
 answers "how high does the water stand at this one node" by growing
 balls around it instead of flooding everything.
 """
@@ -20,18 +23,21 @@ import heapq
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, count, repeat
+from operator import eq, lt, not_
 from typing import Mapping
 
 from .graphs import (
     Graph,
     NodeFunction,
     ceiling_by_index,
+    connected_components,
     dilation,
     group_by_label,
     index_graph,
     values_by_index,
 )
-from .hydro import flat_zones, is_edge_flooding
+from .hydro import is_edge_flooding
 from .ultrametric import _best_first_flood
 from .weights import BOTTOM, TOP, Weight, join, meet
 
@@ -121,71 +127,92 @@ def contract_flat_zones(
     min over each zone, since a lake covering the zone is capped by the
     lowest ceiling above it.
     """
-    ground = graph.require_ground_values("contract_flat_zones")
-    ceiling = None if omega is None else ceiling_by_index(graph, omega, "ceiling")
-
-    zone_of, firsts = flat_zones(graph, labels=True)
+    zone_of, firsts, low, edge_u, edge_v, weights = _contract(graph, omega, "contract_flat_zones")
     reps = tuple(map(graph.nodes.__getitem__, firsts))
-    contracted_omega: NodeFunction | None = None
-    if ceiling is not None:
-        low = list(map(ceiling.__getitem__, firsts))
-        for zone, level in zip(zone_of, ceiling):
-            if level < low[zone]:
-                low[zone] = level
-        contracted_omega = dict(zip(reps, low))
-
-    edge_u, edge_v, weights = _zone_edges(graph, zone_of, len(firsts))
-    contracted = index_graph(reps, edge_u, edge_v, map(ground.__getitem__, firsts), weights)
+    ground = map(graph.ground_values.__getitem__, firsts)
+    contracted = index_graph(reps, edge_u, edge_v, ground, weights)
+    contracted_omega = None if low is None else dict(zip(reps, low))
     return contracted, ContractionMap(contracted, graph.nodes, zone_of), contracted_omega
 
 
-def _zone_edges(graph: Graph, zone_of: array, zones: int) -> tuple[array, array, list | None]:
+def _contract(
+    graph: Graph, omega: Mapping[str, Weight] | None, operation: str
+) -> tuple[array, array, list[Weight] | None, array, array, list | None]:
+    """The contraction by index: ``(zone_of, firsts, low, edge_u, edge_v, weights)``,
+    with each zone's first node, its lowest ceiling (``low`` is None without
+    one) and the zone edges of `_zone_edges`."""
+    ground = graph.require_ground_values(operation)
+    cross = [ground[u] != ground[v] for u, v in zip(graph.edge_u, graph.edge_v)]
+    zone_of, firsts = connected_components(graph, list(map(not_, cross)), labels=True)
+    low = None
+    if omega is not None:  # each zone's lowest finite ceiling, top where it has none
+        ceiling = ceiling_by_index(graph, omega, "ceiling")
+        low = [TOP] * len(firsts)
+        for zone, level in compress(zip(zone_of, ceiling), map(lt, ceiling, repeat(TOP))):
+            if level < low[zone]:
+                low[zone] = level
+        del ceiling  # a list by node: not kept through the zone edges' peak
+    return zone_of, firsts, low, *_zone_edges(graph, zone_of, len(firsts), cross)
+
+
+def _zone_edges(
+    graph: Graph, zone_of: array, zones: int, cross: list[bool]
+) -> tuple[array, array, list | None]:
     """The edges between distinct zones, each zone pair once in the order it
-    is first met, with the lowest weight of its parallel edges (None when
-    the graph has no edge weights)."""
-    zone = zone_of.__getitem__
-    keys = [  # the zone pair as one int, -1 inside a zone
-        zu * zones + zv if zu < zv else zv * zones + zu if zv < zu else -1
-        for zu, zv in zip(map(zone, graph.edge_u), map(zone, graph.edge_v))
+    is first met and oriented as its first edge, with the lowest weight of
+    its parallel edges (None when the graph has no edge weights).  Only the
+    ``cross`` edges, whose ends lie in two zones, are read."""
+    zone = zone_of.tolist().__getitem__  # a list's item call is the cheaper one
+    sides = graph.edge_u, graph.edge_v
+    keys = [  # the zone pair as one int, by cross edge
+        zu * zones + zv if zu < zv else zv * zones + zu
+        for zu, zv in zip(*(map(zone, compress(side, cross)) for side in sides))
     ]
-    first_edge = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    first_edge.pop(-1, None)
-    kept = sorted(first_edge.values())
-    old_weights = graph.edge_weights
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    kept = list(map(eq, map(first.__getitem__, keys), count()))  # a pair's first edge
+    del first
     weights = None
-    if old_weights is not None:
+    if graph.edge_weights is not None:
         low: dict[int, Weight] = {}
-        for key, weight in zip(keys, old_weights):
+        for key, weight in zip(keys, compress(graph.edge_weights, cross)):
             if key not in low or weight < low[key]:
                 low[key] = weight
-        weights = [low[keys[e]] for e in kept]
-    edge_u = array("i", map(zone, map(graph.edge_u.__getitem__, kept)))
-    edge_v = array("i", map(zone, map(graph.edge_v.__getitem__, kept)))
+        weights = list(map(low.__getitem__, compress(keys, kept)))
+    edge_u, edge_v = (
+        array("i", list(map(zone, compress(compress(side, cross), kept)))) for side in sides
+    )
     return edge_u, edge_v, weights
 
 
 def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunction:
     """Flood a node-weighted graph by contracting, closing, then flooding.
 
-    Flat zones are merged first; the closing of the contracted ground
-    gives the level at which each remaining node stops being a local
-    pocket, and a single pass of the min-max kernel over the closed relief
-    (seeded at the ceiling raised to the closing) plus a final cap at the
-    ceiling reproduces the flooding of the original graph exactly.  The
-    ceiling is checked by the contraction.
+    Flat zones are merged first, and the min-max kernel floods the zone
+    graph in one pass, seeded at each zone's ceiling raised to its closing
+    (the erosion of the dilation of the zone ground).  Its edge weights are
+    the dilation of the closed relief, which is the dilation of the zone
+    ground itself, since dilating, eroding and dilating again is dilating.
+    A zone with no finite ceiling is no seed, whatever its closing, so the
+    closing is taken at the seeds alone.  A final cap at the ceiling then
+    reproduces the flooding of the original graph exactly.
     """
-    graph.require_ground_values("contract_close_flood")
-    contracted, mapping, contracted_omega = contract_flat_zones(graph, omega)
-    assert contracted_omega is not None
-    ceiling = list(map(contracted_omega.__getitem__, contracted.nodes))
-    closed = list(node_closing(contracted).values())
-    chi = [max(level, low) for level, low in zip(ceiling, closed)]  # lowered in place
-    fed = [node for node, level in enumerate(chi) if level < TOP]
-    _best_first_flood(contracted, dilation(contracted, closed), chi, fed)
+    zone_of, firsts, ceiling, edge_u, edge_v, _ = _contract(graph, omega, "contract_close_flood")
+    ground = list(map(graph.ground_values.__getitem__, firsts))
+    contracted = index_graph(map(graph.nodes.__getitem__, firsts), edge_u, edge_v)
+    offsets, adj_node = contracted.offsets, contracted.adj_node
+    chi = [TOP] * len(firsts)  # lowered in place
+    fed = [zone for zone, level in enumerate(ceiling) if level < TOP]
+    for zone in fed:  # the closing: max(ground, lowest neighbor), top when alone
+        around = adj_node[offsets[zone] : offsets[zone + 1]]
+        closed = max(ground[zone], min(map(ground.__getitem__, around))) if around else TOP
+        chi[zone] = max(ceiling[zone], closed)
+    _best_first_flood(contracted, dilation(contracted, ground), chi, fed)
     # A minimum whose own ceiling sits below the closing never spills;
     # the final cap hands it back its ceiling.
-    levels = list(map(meet, chi, ceiling))
-    return dict(zip(graph.nodes, map(levels.__getitem__, mapping.zone_of)))
+    for zone in fed:
+        if ceiling[zone] < chi[zone]:
+            chi[zone] = ceiling[zone]
+    return dict(zip(graph.nodes, map(chi.__getitem__, zone_of)))
 
 
 def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:

@@ -110,6 +110,49 @@ def test_all_members_lists_every_cluster_in_declaration_order(graph):
     assert [dendro.members(i) for i in range(len(dendro.diam))] == expected
 
 
+def layout_members(dendro):
+    """The former ``all_members``: lay the leaves out so that every cluster
+    fills one range (fathers placed before their children), then sort each
+    cluster's range."""
+    size, children = dendro.size, dendro.children
+    start = [-1] * len(size)
+    free = 0
+    for cluster in range(len(size) - 1, -1, -1):
+        if start[cluster] < 0:  # a summit
+            start[cluster] = free
+            free += size[cluster]
+        offset = start[cluster]
+        for child in children[cluster]:
+            start[child] = offset
+            offset += size[child]
+    order = [0] * len(dendro.leaf_names)
+    for leaf in range(len(dendro.leaf_names)):
+        order[start[leaf]] = leaf
+    return [
+        tuple(dendro.leaf_names[i] for i in sorted(order[low : low + count]))
+        for low, count in zip(start, size)
+    ]
+
+
+def check_merged_members(dendro):
+    merged = list(dendro.all_members())
+    assert merged == [dendro.members(i) for i in range(len(dendro.diam))]
+    assert merged == layout_members(dendro)
+
+
+@given(rough_edge_graphs())
+def test_merged_members_match_the_layout_and_sort(graph):
+    check_merged_members(build_lake_dendrogram(graph))
+
+
+def test_merged_members_on_a_deep_increasing_path():
+    names = [f"p{i}" for i in range(2000)]
+    path = build_graph(names, list(zip(names, names[1:])), edge_weights=range(1, 2000))
+    dendro = build_lake_dendrogram(path)
+    assert len(dendro.diam) == 2 * len(names) - 1  # one leaf joins per level
+    check_merged_members(dendro)
+
+
 def test_fixture_family_is_a_dendrogram(dendro_fixture):
     family = [members for members, _ in dendro_fixture.groups]
     assert is_dendrogram(family) == (True, None)
@@ -288,7 +331,7 @@ def test_cluster_views_match_the_eager_assembly(graph):
     assert dendro.clusters == clusters
     assert dendro.clusters is dendro.clusters
     assert [cluster.members for cluster in dendro.clusters] == members
-    assert repr(dendro) == f"Dendrogram(clusters={clusters!r})"
+    assert repr(dendro) == f"Dendrogram(leaf_names={graph.nodes!r}, clusters={clusters!r})"
     if groups:
         assert dendro != Dendrogram(graph.nodes, groups[:-1])
 
@@ -298,6 +341,7 @@ def test_dendrograms_on_other_leaves_differ():
     assert one == build_dendrogram(["a", "b"], [(["a", "b"], 1)])
     other = build_dendrogram(["x", "y"], [(["x", "y"], 1)])
     assert one != other and hash(one) != hash(other)
+    assert repr(one) != repr(other)
 
 
 # -- flooding on the tree --------------------------------------------------------------

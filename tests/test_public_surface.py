@@ -30,6 +30,8 @@ CONSTRUCTIONS = {
     "augment_with_dummy",
     # a lake's growth as the water level rises
     "lake_growth_sequence",
+    # the closing εδ of the ground, the relief `contract_close_flood` floods
+    "node_closing",
 }
 
 SURFACE = {

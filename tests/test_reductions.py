@@ -21,6 +21,7 @@ from floodgraph import (
     local_flood,
     node_closing,
     node_erosion,
+    regional_minima,
     waterfall_flooding,
 )
 
@@ -77,6 +78,17 @@ def test_dilation_erosion_adjunction(graph, rng):
     below = all(dilated[i] <= weights[i] for i in range(len(graph.edges)))
     under = all(values[n] <= eroded[n] for n in graph.nodes)
     assert below == under
+
+
+@given(rough_node_graphs(), st.sampled_from([BOTTOM, 0, 3, TOP]))
+def test_closing_dilates_like_the_ground(graph, lone):
+    """Dilating the closing gives the dilation of the ground (dilating,
+    eroding and dilating again is dilating), an isolated node included."""
+    ground = {**ground_of(graph), "lone": lone}
+    graph = build_graph([*graph.nodes, "lone"], graph.edges, ground=ground)
+    closed = node_closing(graph)
+    assert closed["lone"] == TOP
+    assert dilation(graph, levels(graph, closed)) == dilation(graph, graph.ground_values)
 
 
 @given(node_graphs())
@@ -272,6 +284,37 @@ def test_contract_close_flood_rejects_low_ceiling(chain):
 def test_contract_close_flood_matches_the_direct_solver(graph):
     rng = random.Random(37 * len(graph.nodes) + len(graph.edges))
     omega = ceiling_above(rng, graph)
+    assert contract_close_flood(graph, omega) == core_expanding_flood(graph, omega).tau
+
+
+@settings(max_examples=200)
+@given(st.randoms(use_true_random=False))
+def test_contract_close_flood_under_a_mostly_open_sky(rng):
+    """Nine ceilings in ten are top: only the other zones seed the kernel."""
+    graph = rough_node_graph(rng)
+    omega = ceiling_above(rng, graph, top_chance=0.9)
+    assert contract_close_flood(graph, omega) == core_expanding_flood(graph, omega).tau
+
+
+def test_contract_close_flood_caps_a_minimum_below_its_closing():
+    graph = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")], ground={"a": 0, "b": 0, "c": 5})
+    omega = {"a": 2, "b": TOP, "c": TOP}
+    zones, _, _ = contract_flat_zones(graph)
+    assert node_closing(zones) == {"a": 5, "c": 5} and omega["a"] < 5  # the cap sets "a"
+    assert contract_close_flood(graph, omega) == {"a": 2, "b": 2, "c": 5}
+    assert core_expanding_flood(graph, omega).tau == {"a": 2, "b": 2, "c": 5}
+
+
+@settings(max_examples=200)
+@given(st.randoms(use_true_random=False))
+def test_contract_close_flood_caps_every_minimum_below_its_closing(rng):
+    """Each regional minimum's ceiling is its ground, below its closing
+    wherever a neighbor is higher; every other node is open to the sky."""
+    graph = rough_node_graph(rng)
+    ground = ground_of(graph)
+    omega = dict.fromkeys(graph.nodes, TOP)
+    for zone in regional_minima(graph):
+        omega[zone[-1]] = ground[zone[-1]]
     assert contract_close_flood(graph, omega) == core_expanding_flood(graph, omega).tau
 
 
