@@ -90,17 +90,6 @@ def _utf8_name(arg: str) -> str:
     return os.fsencode(arg).decode("utf-8")  # argparse reports a ValueError as misuse
 
 
-def _connectivity(args: argparse.Namespace) -> int:
-    if args.connectivity is not None:
-        return args.connectivity
-    raw = os.environ.get("FLOODGRAPH_CONNECTIVITY")
-    if raw is None:
-        return 4
-    if raw not in ("4", "8"):
-        raise GraphFormatError(f"FLOODGRAPH_CONNECTIVITY must be 4 or 8, got {raw!r}")
-    return int(raw)
-
-
 def ingest_graph(path: str, connectivity: int) -> Ingested:
     data = _read_bytes(path)
     if data[:2] in (b"P2", b"P5"):
@@ -391,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--connectivity",
         type=int,
         choices=(4, 8),
-        help="grid connectivity for raster inputs (default: env or 4)",
+        default=4,
+        help="grid connectivity for raster inputs (default: 4)",
     )
     graph.add_argument("-o", "--output", help="write the report here, not stdout")
     derive = shared(
@@ -450,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.run(args, ingest_graph(args.graph, _connectivity(args)))
+        return args.run(args, ingest_graph(args.graph, args.connectivity))
     except (GraphFormatError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ water rises, live here too.
 
 Cluster indices are topological: every child's index is smaller than its
 father's, leaves come first.  A `Dendrogram` is the parent arrays indexed by
-cluster, `diam`, `father`, `children` and `size`, next to `leaf_names`, as in
+cluster, `diam`, `father` and `children`, next to `leaf_names`, as in
 Najman, Cousty & Perret, "Playing with Kruskal" (ISMM 2013).  Building,
 flooding and the CLI read the arrays; `all_members()` merges the children's
 sorted leaf runs bottom-up and `members(i)` walks the children down from
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from itertools import filterfalse, groupby, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConstructionError, PreconditionError
@@ -61,14 +61,12 @@ class Dendrogram:
 
     Leaf ``i`` is cluster ``i``; ``groups`` are the inner clusters in index
     order, taken unchecked (`build_dendrogram` validates them).  ``diam``,
-    ``father`` (None for a summit), ``children`` and ``size`` are lists by
-    cluster, next to ``leaf_names``.  The leaf-name index is built on first
-    use, so building and flooding never pay for it.  ``clusters`` are views
-    built on first access and kept; ``==`` and ``hash`` read ``leaf_names``
-    and the arrays.
+    ``father`` (None for a summit) and ``children`` are lists by cluster,
+    next to ``leaf_names``.  ``clusters`` are views built on first access
+    and kept; ``==`` and ``hash`` read ``leaf_names`` and the arrays.
     """
 
-    __slots__ = ("leaf_names", "diam", "father", "children", "size", "_leaf_index", "_clusters")
+    __slots__ = ("leaf_names", "diam", "father", "children", "_clusters")
 
     def __init__(self, names: Sequence[str], groups: Sequence[Group]) -> None:
         leaves = len(names)
@@ -76,18 +74,10 @@ class Dendrogram:
         self.diam = [BOTTOM] * leaves + [level for level, _ in groups]
         self.children = children = [()] * leaves + [kids for _, kids in groups]
         self.father = father = [None] * len(children)
-        self.size = size = [1] * leaves
         for index in range(leaves, len(children)):
-            size.append(sum(size[child] for child in children[index]))
             for child in children[index]:
                 father[child] = index
-        self._leaf_index: dict[str, int] | None = None
         self._clusters: tuple[Cluster, ...] | None = None
-
-    def _leaf_of(self, name) -> int | None:
-        if self._leaf_index is None:
-            self._leaf_index = {leaf: i for i, leaf in enumerate(self.leaf_names)}
-        return self._leaf_index.get(name)
 
     def members(self, index: int) -> tuple[str, ...]:
         """Leaf names under cluster ``index``, in declaration order."""
@@ -259,9 +249,8 @@ def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> No
         missing = next(name for name in names if name not in omega_leaf)
         raise PreconditionError(f"omega is missing leaf {missing!r}") from None
     if len(omega_leaf) != len(names):
-        for name in omega_leaf:
-            if dendro._leaf_of(name) is None:
-                raise PreconditionError(f"omega defined on unknown node {name!r}")
+        for name in filterfalse(set(names).__contains__, omega_leaf):
+            raise PreconditionError(f"omega defined on unknown node {name!r}")
     for kids in dendro.children[len(names) :]:
         lowest.append(min(map(lowest.__getitem__, kids)))
     diam, father = dendro.diam, dendro.father

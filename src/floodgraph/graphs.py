@@ -495,15 +495,6 @@ def values_by_index(graph: Graph, values: Mapping[str, Weight], what: str) -> li
     return list(map(values.__getitem__, graph.nodes))
 
 
-def levels_by_index(
-    graph: Graph, values: Mapping[str, Weight] | None, operation: str
-) -> Sequence[Weight]:
-    """``values`` listed by node index; the ground when ``values`` is None."""
-    if values is None:
-        return graph.require_ground_values(operation)
-    return values_by_index(graph, values, "values")
-
-
 def dilation(graph: Graph, levels: Sequence[Weight]) -> tuple[Weight, ...]:
     """Per-edge max of the two endpoint levels (levels listed by node index)."""
     return tuple([

@@ -20,7 +20,6 @@ from .graphs import (
     connected_components,
     dilation,
     group_by_label,
-    levels_by_index,
     values_by_index,
 )
 from .weights import Weight, format_weight, join
@@ -157,24 +156,21 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
     return LakePartition(list(map(levels.__getitem__, first)), members, exhaust)
 
 
-def flat_zones(
-    graph: Graph, values: Mapping[str, Weight] | None = None, labels: bool = False
-) -> list[tuple[str, ...]] | tuple[array, array]:
-    """Components under edges whose endpoints share the same level.
+def flat_zones(graph: Graph, values: Mapping[str, Weight]) -> tuple[array, array]:
+    """Components under edges whose endpoints share the same level of ``values``.
 
-    ``labels`` asks for the label mode of ``connected_components``.
+    Returns the label mode of ``connected_components``: each node's zone and
+    each zone's first node.
     """
-    levels = levels_by_index(graph, values, "flat_zones")
+    levels = values_by_index(graph, values, "values")
     flat = [levels[u] == levels[v] for u, v in zip(graph.edge_u, graph.edge_v)]
-    return connected_components(graph, flat, labels=labels)
+    return connected_components(graph, flat, labels=True)
 
 
-def regional_minima(
-    graph: Graph, values: Mapping[str, Weight] | None = None
-) -> list[tuple[str, ...]]:
-    """Flat zones whose every outside neighbor is strictly higher."""
-    levels = levels_by_index(graph, values, "regional_minima")
-    label, first = flat_zones(graph, values, labels=True)
+def regional_minima(graph: Graph, values: Mapping[str, Weight]) -> list[tuple[str, ...]]:
+    """Flat zones of ``values`` whose every outside neighbor is strictly higher."""
+    levels = values_by_index(graph, values, "values")
+    label, first = flat_zones(graph, values)
     minimum = [True] * len(first)
     # an equal neighbor would lie in the zone itself: rule out zones with a lower one
     for u, v in zip(graph.edge_u, graph.edge_v):

@@ -64,6 +64,8 @@ __all__ = [
 
 @dataclass
 class SolverStats:
+    """One solve's counters; only dijkstra and segmentation fill ``extraction_levels``."""
+
     extractions: int = 0
     relaxations: int = 0
     sweeps: int = 0
@@ -217,7 +219,6 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
     offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
     settled = [False] * len(tau)
     extractions = relaxations = 0
-    levels: list[Weight] = []
     lam: Weight = min(sources.values())
     while heap:  # pushes may go below mu: pop per item
         mu = heap[0]
@@ -233,13 +234,12 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
             continue
         settled[node] = True
         tau[node] = lam
-        levels.append(lam)
         for slot in range(offsets[node], offsets[node + 1]):
             neighbor = adj_node[slot]
             if not settled[neighbor]:
                 funnel[weights[adj_edge[slot]]].append(neighbor)
                 relaxations += 1
-    stats = SolverStats(extractions, relaxations, 0, tuple(levels))
+    stats = SolverStats(extractions, relaxations)
     return SolverResult(tau=dict(zip(graph.nodes, tau)), stats=stats)
 
 

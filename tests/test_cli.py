@@ -850,7 +850,7 @@ def test_raster_ceiling_requires_raster_ground(capsys, tmp_path, chain_file):
     assert "raster" in err
 
 
-def _diagonal_distance(capsys, tmp_path, monkeypatch, *extra):
+def _diagonal_distance(capsys, tmp_path, *extra):
     pgm = tmp_path / "square.pgm"
     pgm.write_bytes(plain_pgm([[0, 1], [1, 0]]))
     code, out, _ = run(
@@ -860,21 +860,16 @@ def _diagonal_distance(capsys, tmp_path, monkeypatch, *extra):
     return dict(line.split() for line in out.splitlines())["1,1"]
 
 
-def test_connectivity_default_env_and_flag(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("FLOODGRAPH_CONNECTIVITY", raising=False)
-    assert _diagonal_distance(capsys, tmp_path, monkeypatch) == "1"
+def test_connectivity_default_and_flag(capsys, tmp_path):
+    assert _diagonal_distance(capsys, tmp_path) == "1"
+    assert _diagonal_distance(capsys, tmp_path, "--connectivity", "8") == "0"
+    assert _diagonal_distance(capsys, tmp_path, "--connectivity", "4") == "1"
+
+
+def test_connectivity_ignores_the_environment(capsys, tmp_path, monkeypatch):
+    """Only the flag picks the grid connectivity: no environment variable does."""
     monkeypatch.setenv("FLOODGRAPH_CONNECTIVITY", "8")
-    assert _diagonal_distance(capsys, tmp_path, monkeypatch) == "0"
-    assert (
-        _diagonal_distance(capsys, tmp_path, monkeypatch, "--connectivity", "4") == "1"
-    )
-
-
-def test_invalid_connectivity_env(capsys, tmp_path, monkeypatch, strip_pgm):
-    monkeypatch.setenv("FLOODGRAPH_CONNECTIVITY", "9")
-    code, _, err = run(capsys, "flood", "--algo", "core", "--graph", strip_pgm)
-    assert code == 2
-    assert "FLOODGRAPH_CONNECTIVITY" in err
+    assert _diagonal_distance(capsys, tmp_path) == "1"
 
 
 def utf8_graph(tmp_path):
@@ -986,7 +981,7 @@ _STORE, _TRUE, _HELP = argparse._StoreAction, argparse._StoreTrueAction, argpars
 _ANY_INPUT = {
     ("-h", "--help"): ("help", False, argparse.SUPPRESS, None, None, _HELP),
     ("--graph",): ("graph", True, None, None, None, _STORE),
-    ("--connectivity",): ("connectivity", False, None, (4, 8), int, _STORE),
+    ("--connectivity",): ("connectivity", False, 4, (4, 8), int, _STORE),
     ("-o", "--output"): ("output", False, None, None, None, _STORE),
 }
 _DERIVE = {("--derive-edges",): ("derive_edges", False, False, None, None, _TRUE)}

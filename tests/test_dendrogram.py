@@ -114,7 +114,10 @@ def layout_members(dendro):
     """The former ``all_members``: lay the leaves out so that every cluster
     fills one range (fathers placed before their children), then sort each
     cluster's range."""
-    size, children = dendro.size, dendro.children
+    children = dendro.children
+    size = [1] * len(dendro.leaf_names)  # leaves per cluster, from the children arrays
+    for kids in children[len(size) :]:
+        size.append(sum(map(size.__getitem__, kids)))
     start = [-1] * len(size)
     free = 0
     for cluster in range(len(size) - 1, -1, -1):
@@ -326,7 +329,6 @@ def test_cluster_views_match_the_eager_assembly(graph):
     assert dendro.diam == [cluster.diam for cluster in clusters]
     assert dendro.father == [cluster.father for cluster in clusters]
     assert dendro.children == [cluster.children for cluster in clusters]
-    assert dendro.size == [len(names) for names in members]
     assert [dendro.members(i) for i in range(len(clusters))] == members
     assert dendro.clusters == clusters
     assert dendro.clusters is dendro.clusters

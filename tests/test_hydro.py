@@ -27,6 +27,7 @@ from floodgraph import (
     lakes,
     regional_minima,
 )
+from floodgraph.graphs import group_by_label
 
 from strategies import (
     ceiling_above,
@@ -221,21 +222,29 @@ def test_lakes_reject_invalid_water(tank):
 # -- flat zones and regional minima -------------------------------------------
 
 
+def zones_of(graph, values):
+    """The flat zones of ``values`` as name tuples, in order of first node."""
+    label, first = flat_zones(graph, values)
+    return group_by_label(graph.nodes, label, len(first))
+
+
 def test_chain_flat_zones_are_singletons(chain):
-    assert flat_zones(chain.graph) == [("a",), ("b",), ("c",), ("d",), ("e",)]
+    assert zones_of(chain.graph, ground_of(chain.graph)) == [("a",), ("b",), ("c",), ("d",), ("e",)]
 
 
 def test_flat_zones_with_explicit_values(chain):
-    assert flat_zones(chain.graph, chain.omega) == [("a",), ("b",), ("c", "d"), ("e",)]
+    label, first = flat_zones(chain.graph, chain.omega)
+    assert (list(label), list(first)) == ([0, 1, 2, 2, 3], [0, 1, 2, 4])
+    assert zones_of(chain.graph, chain.omega) == [("a",), ("b",), ("c", "d"), ("e",)]
 
 
 def test_strip_flat_zones(strip):
-    assert flat_zones(strip.graph)[0] == ("0,0", "0,1")
+    assert zones_of(strip.graph, ground_of(strip.graph))[0] == ("0,0", "0,1")
 
 
 def test_chain_regional_minima(chain):
     # The ground has a third valley at c (neighbors b=4 and d=2 both higher).
-    assert regional_minima(chain.graph) == [("a",), ("c",), ("e",)]
+    assert regional_minima(chain.graph, ground_of(chain.graph)) == [("a",), ("c",), ("e",)]
     # The {c,d} plateau of the ceiling has a lower neighbor, so it is not
     # a regional minimum even though it is flat.
     assert regional_minima(chain.graph, chain.omega) == [("a",), ("e",)]

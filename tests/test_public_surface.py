@@ -84,15 +84,36 @@ def test_each_module_lists_the_names_it_defines_and_the_package_exports():
     assert sorted(floodgraph.__all__) == sorted(declared)
 
 
-def called_names(path: Path) -> set[str]:
-    """The NAME tokens of a file, less the names that ``def`` and ``class`` bind.
+# Python 3.12 and later (PEP 701) split an f-string into tokens, with the NAME
+# tokens of its ``{...}`` fields; earlier versions keep it one STRING token.
+_FSTRING_START = getattr(tokenize, "FSTRING_START", None)
+_FSTRING_END = getattr(tokenize, "FSTRING_END", None)
 
-    Strings and comments are single tokens, so the words in them do not count.
+
+def code_tokens(path: Path) -> list[tokenize.TokenInfo]:
+    """The tokens of a file, less every token inside an f-string.
+
+    Strings and comments are then single tokens on every Python, so the
+    words in them do not count.
     """
-    names: set[str] = set()
-    previous = None
+    tokens: list[tokenize.TokenInfo] = []
+    depth = 0  # f-strings open around the current token
     text = path.read_text(encoding="utf-8")
     for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == _FSTRING_START:
+            depth += 1
+        elif token.type == _FSTRING_END:
+            depth -= 1
+        elif not depth:
+            tokens.append(token)
+    return tokens
+
+
+def called_names(path: Path) -> set[str]:
+    """The NAME tokens of a file, less the names that ``def`` and ``class`` bind."""
+    names: set[str] = set()
+    previous = None
+    for token in code_tokens(path):
         if token.type == tokenize.NAME and previous not in ("def", "class"):
             names.add(token.string)
         previous = token.string
@@ -105,15 +126,14 @@ def test_every_public_name_has_a_caller_or_is_a_construction():
 
 
 def attribute_names(path: Path) -> set[str]:
-    """The names a file reads as an attribute: each NAME token right after a ``.``."""
-    names: set[str] = set()
-    previous = None
-    text = path.read_text(encoding="utf-8")
-    for token in tokenize.generate_tokens(io.StringIO(text).readline):
-        if token.type == tokenize.NAME and previous == ".":
-            names.add(token.string)
-        previous = token.string
-    return names
+    """The names a file reads as an attribute: each NAME token right after a
+    ``.`` and not right before an ``=``, which would only assign it."""
+    tokens = code_tokens(path)
+    return {
+        token.string
+        for before, token, after in zip(tokens, tokens[1:], tokens[2:])
+        if token.type == tokenize.NAME and before.string == "." and after.string != "="
+    }
 
 
 def test_every_public_member_has_a_caller():
@@ -137,14 +157,43 @@ def test_every_public_member_has_a_caller():
     assert sorted(member for member in members if member.split(".")[1] not in called) == []
 
 
+def test_every_public_slot_is_read():
+    """Each public ``__slots__`` entry of a public class that is not a
+    dataclass is read as ``.name`` by a caller: state that no caller reads
+    is not built."""
+    called = set().union(*map(attribute_names, CALLERS))
+    slots = set()
+    for name in floodgraph.__all__:
+        cls = getattr(floodgraph, name)
+        if inspect.isclass(cls) and cls.__module__.startswith("floodgraph."):
+            if not dataclasses.is_dataclass(cls):
+                slots |= {
+                    f"{name}.{slot}"
+                    for slot in vars(cls).get("__slots__", ())
+                    if not slot.startswith("_")
+                }
+    assert "Dendrogram.diam" in slots
+    assert sorted(slot for slot in slots if slot.split(".")[1] not in called) == []
+
+
+def test_the_library_reads_no_environment():
+    """Options come from arguments alone: no module under ``src/`` names
+    ``environ`` or ``getenv`` outside its strings and comments."""
+    for path in sorted((ROOT / "src" / "floodgraph").glob("*.py")):
+        names = {token.string for token in code_tokens(path) if token.type == tokenize.NAME}
+        assert not names & {"environ", "getenv"}, path.name
+
+
 # The parameters of the functions whose test-only options are gone: each
 # option returns only with a caller outside the tests.
 PARAMETERS = {
     "ceiling_minima": ("graph", "omega"),
     "connected_components": ("graph", "keep", "labels"),
     "dijkstra_flood": ("graph", "omega"),
+    "flat_zones": ("graph", "values"),
     "node_closing": ("graph",),
     "node_erosion": ("graph",),
+    "regional_minima": ("graph", "values"),
     "write_pgm": ("raster",),
 }
 
@@ -154,3 +203,6 @@ def test_trimmed_functions_keep_their_parameters():
         assert tuple(inspect.signature(getattr(floodgraph, name)).parameters) == expected, name
     keep = inspect.signature(floodgraph.connected_components).parameters["keep"]
     assert keep.annotation == "Sequence[bool] | None"  # a flag per edge id, not a function
+    for name in ("flat_zones", "regional_minima"):
+        values = inspect.signature(getattr(floodgraph, name)).parameters["values"]
+        assert values.default is inspect.Parameter.empty, name

@@ -25,7 +25,7 @@ from floodgraph import (
     waterfall_flooding,
 )
 
-from floodgraph.graphs import dilation
+from floodgraph.graphs import dilation, group_by_label
 
 from strategies import (
     ceiling_above,
@@ -216,7 +216,8 @@ def test_expand_round_trip(strip):
 def eager_contraction(graph, omega):
     """The contraction built by hand on names: zone pairs as name tuples,
     each node's zone and the ``blocks`` as eager dicts."""
-    zones = flat_zones(graph)
+    label, first = flat_zones(graph, ground_of(graph))
+    zones = group_by_label(graph.nodes, label, len(first))
     rep = {name: zone[0] for zone in zones for name in zone}
     forward = {name: rep[name] for name in graph.nodes}
     blocks = {zone[0]: zone for zone in zones}
@@ -313,7 +314,7 @@ def test_contract_close_flood_caps_every_minimum_below_its_closing(rng):
     graph = rough_node_graph(rng)
     ground = ground_of(graph)
     omega = dict.fromkeys(graph.nodes, TOP)
-    for zone in regional_minima(graph):
+    for zone in regional_minima(graph, ground):
         omega[zone[-1]] = ground[zone[-1]]
     assert contract_close_flood(graph, omega) == core_expanding_flood(graph, omega).tau
 

@@ -124,7 +124,8 @@ def test_star_lake_dendrogram_is_linear():
     start = time.perf_counter()
     dendro = build_lake_dendrogram(star)
     elapsed = time.perf_counter() - start
-    assert dendro.size[-1] == len(leaves) + 1 and len(dendro.diam) == len(leaves) + 2
+    assert len(dendro.diam) == len(leaves) + 2
+    assert len(dendro.members(len(dendro.diam) - 1)) == len(leaves) + 1  # the summit
     assert elapsed < 1.0
 
 
@@ -132,10 +133,11 @@ def test_checkerboard_flat_zones_are_fast():
     """Every pixel of a 128x128 checkerboard is its own flat zone."""
     size = 128
     board = grid_graph([[(r + c) % 2 for c in range(size)] for r in range(size)])
+    ground = dict(zip(board.nodes, board.ground_values))
     start = time.perf_counter()
-    zones = flat_zones(board)
+    _, first = flat_zones(board, ground)
     elapsed = time.perf_counter() - start
-    assert len(zones) == size * size
+    assert len(first) == size * size
     assert elapsed < 1.0
 
 
