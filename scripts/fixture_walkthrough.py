@@ -22,7 +22,6 @@ from floodgraph import (
     derive_edge_graph,
     dijkstra_flood,
     distance_matrix,
-    format_weight,
     grid_graph,
     is_edge_flooding,
     lakes,
@@ -34,7 +33,7 @@ from floodgraph import (
 
 
 def show(name, values, order):
-    body = "  ".join(f"{n}={format_weight(values[n])}" for n in order)
+    body = "  ".join(f"{n}={values[n]}" for n in order)
     print(f"  {name:<18} {body}")
 
 
@@ -67,7 +66,7 @@ def walk_chain():
     for index, lake in enumerate(lakes(graph, tau).lakes):
         print(
             f"  lake {index}: nodes={','.join(lake.nodes)} "
-            f"level={format_weight(lake.level)} kind={lake.kind.value}"
+            f"level={lake.level} kind={lake.kind.value}"
         )
     print()
 
@@ -88,7 +87,7 @@ def walk_tank():
         )
         print(
             f"  lake {index}: nodes={','.join(lake.nodes)} "
-            f"level={format_weight(lake.level)} kind={lake.kind.value}"
+            f"level={lake.level} kind={lake.kind.value}"
             + (f" exhaust={exhausts}" if exhausts else "")
         )
     show("waterfall", waterfall_flooding(graph), graph.nodes)
@@ -113,10 +112,7 @@ def walk_dendrogram():
     dendro = build_dendrogram(leaves, groups)
     for cluster in dendro.clusters:
         if len(cluster.members) > 1:
-            print(
-                f"  cluster {''.join(cluster.members)} "
-                f"diam={format_weight(cluster.diam)}"
-            )
+            print(f"  cluster {''.join(cluster.members)} diam={cluster.diam}")
     omega = {name: TOP for name in leaves}
     omega["c"] = 6
     omega["h"] = 1

@@ -37,18 +37,16 @@ from operator import lt
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConstructionError, GraphFormatError, PreconditionError
-from .weights import BOTTOM, TOP, Weight, format_weight, parse_weight
+from .weights import BOTTOM, TOP, Weight, parse_weight
 
 __all__ = [
     "Edge",
     "Graph",
     "NodeFunction",
     "build_graph",
-    "check_total",
     "connected_components",
     "grid_graph",
     "partial_graph",
-    "subgraph_spanning",
 ]
 
 NodeFunction = dict[str, Weight]
@@ -265,7 +263,7 @@ def _check_lattice(values: Iterable[Weight], where: Callable[[int], str]) -> Non
     for at, value in enumerate(values):
         if type(value) is int and value >= 0 or type(value) is float and value in (TOP, BOTTOM):
             continue
-        token = format_weight(value)
+        token = str(value)
         try:
             parse_weight(token)
         except GraphFormatError as exc:
@@ -388,17 +386,12 @@ def find_root(parent: list[int], node: int) -> int:
     return root
 
 
-def connected_components(
-    graph: Graph,
-    keep: Sequence[bool] | None = None,
-    labels: bool = False,
-) -> list[tuple[str, ...]] | tuple[array, array]:
+def connected_components(graph: Graph, keep: Sequence[bool] | None = None) -> tuple[array, array]:
     """Components under the edges that ``keep`` flags per edge id (all edges when None).
 
-    Components are ordered by their smallest node index.  With ``labels``
-    the result is an ``array`` holding each node's component number, plus
-    an ``array`` of each component's first node; otherwise it is the
-    components as tuples of names, each in declaration order.
+    Components are numbered by their smallest node index.  The result is an
+    ``array`` holding each node's component number, plus an ``array`` of
+    each component's first node; ``group_by_label`` lists the members.
     """
     ends: Iterable[tuple[int, int]] = zip(graph.edge_u, graph.edge_v)
     if keep is not None:
@@ -425,9 +418,7 @@ def connected_components(
             first.append(node)
         else:
             label[node] = label[up]
-    if labels:
-        return array(_INT, label), array(_INT, first)
-    return group_by_label(graph.nodes, label, len(first))
+    return array(_INT, label), array(_INT, first)
 
 
 def group_by_label(items: Iterable, label: Sequence[int], count: int) -> list[tuple]:
@@ -436,27 +427,6 @@ def group_by_label(items: Iterable, label: Sequence[int], count: int) -> list[tu
     for item, group in zip(items, label):
         groups[group].append(item)
     return list(map(tuple, groups))
-
-
-def subgraph_spanning(graph: Graph, nodes: Iterable[str]) -> Graph:
-    """Induced subgraph on ``nodes`` (all edges between them), order kept."""
-    kept = sorted({graph.node_index(node) for node in nodes})
-    if not kept:
-        raise ConstructionError("graph has no nodes")
-    new_index = {old: new for new, old in enumerate(kept)}
-    kept_edges = [
-        edge_id
-        for edge_id, (u, v) in enumerate(zip(graph.edge_u, graph.edge_v))
-        if u in new_index and v in new_index
-    ]
-    ground, weights = graph.ground_values, graph.edge_weights
-    return index_graph(
-        [graph.nodes[i] for i in kept],
-        (new_index[graph.edge_u[e]] for e in kept_edges),
-        (new_index[graph.edge_v[e]] for e in kept_edges),
-        None if ground is None else (ground[i] for i in kept),
-        None if weights is None else (weights[e] for e in kept_edges),
-    )
 
 
 def partial_graph(graph: Graph, edge_ids: Iterable[int]) -> Graph:
@@ -480,18 +450,15 @@ def partial_graph(graph: Graph, edge_ids: Iterable[int]) -> Graph:
     )
 
 
-def check_total(graph: Graph, values: Mapping[str, Weight], what: str) -> None:
-    """Raise unless ``values`` is defined on exactly the graph's nodes; read no value."""
+def values_by_index(graph: Graph, values: Mapping[str, Weight], what: str) -> list[Weight]:
+    """``values`` listed by node index; raise unless it is defined on exactly
+    the graph's nodes.  Both scans come before any value is read, so a mapping
+    that fills in missing keys, such as a ``defaultdict``, is refused too."""
     for node in filterfalse(values.__contains__, graph.nodes):
         raise PreconditionError(f"{what} is missing node {node!r}")
     if len(values) != len(graph.nodes):
         for node in filterfalse(graph.__contains__, values):
             raise PreconditionError(f"{what} defined on unknown node {node!r}")
-
-
-def values_by_index(graph: Graph, values: Mapping[str, Weight], what: str) -> list[Weight]:
-    """``values`` listed by node index, after ``check_total``."""
-    check_total(graph, values, what)
     return list(map(values.__getitem__, graph.nodes))
 
 
@@ -506,7 +473,7 @@ def dilation(graph: Graph, levels: Sequence[Weight]) -> tuple[Weight, ...]:
 def ceiling_by_index(
     graph: Graph, omega: Mapping[str, Weight], what: str = "omega"
 ) -> list[Weight]:
-    """The ceiling ``omega`` listed by node index, after ``check_total``.
+    """The ceiling ``omega`` listed by node index, by ``values_by_index``.
 
     The one ceiling-versus-ground rule of the package: no flooding lies at or
     above the ground under a ceiling below it, so the first such node raises.

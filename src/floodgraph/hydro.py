@@ -22,7 +22,7 @@ from .graphs import (
     group_by_label,
     values_by_index,
 )
-from .weights import Weight, format_weight, join
+from .weights import Weight, join
 
 __all__ = [
     "Lake",
@@ -55,17 +55,14 @@ def is_node_flooding(graph: Graph, tau: Mapping[str, Weight]) -> ValidationRepor
     violations: list[str] = []
     for node, (level, floor) in enumerate(zip(levels, ground)):
         if level < floor:
-            violations.append(
-                f"node {names[node]}: tau={format_weight(level)} below ground "
-                f"{format_weight(floor)}"
-            )
+            violations.append(f"node {names[node]}: tau={level} below ground {floor}")
     for u, v in zip(graph.edge_u, graph.edge_v):
         a, b = levels[u], levels[v]  # only the higher end can hang: one test per edge
         if a != b and (a != ground[u] if a > b else b != ground[v]):
             p, q = (u, v) if a > b else (v, u)
             violations.append(
-                f"edge ({names[u]},{names[v]}): tau_{names[p]}={format_weight(levels[p])} "
-                f"hangs above tau_{names[q]}={format_weight(levels[q])} "
+                f"edge ({names[u]},{names[v]}): tau_{names[p]}={levels[p]} "
+                f"hangs above tau_{names[q]}={levels[q]} "
                 "without resting on ground"
             )
     return ValidationReport(not violations, tuple(violations))
@@ -82,8 +79,8 @@ def is_edge_flooding(graph: Graph, tau: Mapping[str, Weight]) -> ValidationRepor
         if a != b and (a > e or b > e):
             p, q = (u, v) if a > b else (v, u)
             violations.append(
-                f"edge ({names[u]},{names[v]}): tau_{names[p]}={format_weight(levels[p])} "
-                f"exceeds tau_{names[q]} v e = {format_weight(join(levels[q], e))}"
+                f"edge ({names[u]},{names[v]}): tau_{names[p]}={levels[p]} "
+                f"exceeds tau_{names[q]} v e = {join(levels[q], e)}"
             )
     return ValidationReport(not violations, tuple(violations))
 
@@ -141,7 +138,7 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
     levels = [tau[node] for node in view.nodes]
     ends = view.edge_u, view.edge_v, weights
     inside = [levels[u] == levels[v] and e <= levels[u] for u, v, e in zip(*ends)]
-    label, first = connected_components(view, inside, labels=True)
+    label, first = connected_components(view, inside)
     # Edge ids come in order and the drop is strict, so each edge is the
     # exhaust of at most one lake and every list comes out sorted.
     exhaust: list[list[int]] = [[] for _ in first]
@@ -159,12 +156,12 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
 def flat_zones(graph: Graph, values: Mapping[str, Weight]) -> tuple[array, array]:
     """Components under edges whose endpoints share the same level of ``values``.
 
-    Returns the label mode of ``connected_components``: each node's zone and
-    each zone's first node.
+    Returns what ``connected_components`` returns: each node's zone and each
+    zone's first node.
     """
     levels = values_by_index(graph, values, "values")
     flat = [levels[u] == levels[v] for u, v in zip(graph.edge_u, graph.edge_v)]
-    return connected_components(graph, flat, labels=True)
+    return connected_components(graph, flat)
 
 
 def regional_minima(graph: Graph, values: Mapping[str, Weight]) -> list[tuple[str, ...]]:

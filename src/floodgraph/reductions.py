@@ -45,7 +45,6 @@ __all__ = [
     "ContractionMap",
     "contract_close_flood",
     "contract_flat_zones",
-    "expand",
     "local_flood",
     "node_closing",
     "node_erosion",
@@ -112,9 +111,6 @@ class ContractionMap:
         return dict(zip(self.nodes, map(levels.__getitem__, self.zone_of)))
 
 
-expand = ContractionMap.expand  # the free-function form: expand(mapping, values)
-
-
 def contract_flat_zones(
     graph: Graph,
     omega: Mapping[str, Weight] | None = None,
@@ -143,7 +139,7 @@ def _contract(
     one) and the zone edges of `_zone_edges`."""
     ground = graph.require_ground_values(operation)
     cross = [ground[u] != ground[v] for u, v in zip(graph.edge_u, graph.edge_v)]
-    zone_of, firsts = connected_components(graph, list(map(not_, cross)), labels=True)
+    zone_of, firsts = connected_components(graph, list(map(not_, cross)))
     low = None
     if omega is not None:  # each zone's lowest finite ceiling, top where it has none
         ceiling = ceiling_by_index(graph, omega, "ceiling")

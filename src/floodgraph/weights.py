@@ -4,7 +4,9 @@ Weights are non-negative integers extended with a bottom element (printed
 ``-inf``) and a top element (printed ``inf``).  Join is ``max``, meet is
 ``min``.  Plain Python ints carry the finite values; the two sentinels are the
 float infinities, which compare correctly against ints, so ``max``/``min``
-work out of the box and equality stays exact.
+work out of the box and equality stays exact.  Python spells those floats
+``inf`` and ``-inf``, so ``str`` and f-strings spell every weight as the token
+`parse_weight` reads back: writers format weights directly.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ __all__ = [
     "BOTTOM",
     "TOP",
     "Weight",
-    "format_weight",
     "join",
     "meet",
     "parse_weight",
@@ -64,14 +65,3 @@ def parse_weight(token: str) -> Weight:
     if token[:1] == "-" and token[1:].isascii() and token[1:].isdigit():
         raise GraphFormatError(f"negative finite weight not allowed: {token!r}")
     raise GraphFormatError(f"not a weight: {token!r}")
-
-
-def format_weight(w: Weight) -> str:
-    """The token ``parse_weight`` reads back: digits, ``inf`` or ``-inf``.
-
-    Python already spells the float infinities ``inf`` and ``-inf``, so this
-    is ``str(w)``, and ``format(w, "") == f"{w}" == format_weight(w)`` for
-    every int and for ``TOP`` and ``BOTTOM``: writers format weights inside
-    their f-strings directly.
-    """
-    return str(w)

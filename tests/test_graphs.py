@@ -14,14 +14,11 @@ from floodgraph import (
     Graph,
     PreconditionError,
     build_graph,
-    check_total,
     connected_components,
     grid_graph,
     partial_graph,
-    format_weight,
-    subgraph_spanning,
 )
-from floodgraph.graphs import ceiling_by_index
+from floodgraph.graphs import ceiling_by_index, group_by_label, values_by_index
 
 from strategies import edge_graphs, ground_of, rough_flood_instances, rough_node_flood_instances
 
@@ -129,36 +126,28 @@ def test_grid_graph_rejects_bad_input():
 # -- components --------------------------------------------------------------
 
 
+def components(graph, keep=None):
+    """The components as name tuples, in order of first node."""
+    label, first = connected_components(graph, keep)
+    return group_by_label(graph.nodes, label, len(first))
+
+
 def test_connected_components_filters(chain):
     graph = chain.edge_graph
     weights = graph.edge_weights
-    assert connected_components(graph) == [("a", "b", "c", "d", "e")]
-    assert connected_components(graph, [False] * len(weights)) == [
+    assert components(graph) == [("a", "b", "c", "d", "e")]
+    assert components(graph, [False] * len(weights)) == [
         ("a",),
         ("b",),
         ("c",),
         ("d",),
         ("e",),
     ]
-    assert connected_components(graph, [weight <= 2 for weight in weights]) == [
+    assert components(graph, [weight <= 2 for weight in weights]) == [
         ("a",),
         ("b",),
         ("c", "d", "e"),
     ]
-
-
-def test_subgraph_spanning(chain):
-    sub = subgraph_spanning(chain.graph, ["c", "d", "e"])
-    assert sub.nodes == ("c", "d", "e")
-    assert sub.edges == (("c", "d"), ("d", "e"))
-    assert ground_of(sub) == {"c": 1, "d": 2, "e": 0}
-
-    isolated = subgraph_spanning(chain.graph, ["a", "c"])
-    assert isolated.nodes == ("a", "c")
-    assert isolated.edges == ()
-
-    with pytest.raises(ConstructionError, match="graph has no nodes"):
-        subgraph_spanning(chain.graph, [])
 
 
 def test_partial_graph(chain):
@@ -183,12 +172,12 @@ def test_equality_compares_edge_ends_without_naming_them():
     assert first._edges is None and second._edges is None
 
 
-def test_check_total(chain):
-    check_total(chain.graph, chain.tau, "tau")
-    with pytest.raises(PreconditionError):
-        check_total(chain.graph, {"a": 0}, "tau")
-    with pytest.raises(PreconditionError):
-        check_total(chain.graph, {**chain.tau, "z": 1}, "tau")
+def test_values_by_index_takes_exactly_the_graph_nodes(chain):
+    assert values_by_index(chain.graph, chain.tau, "tau") == [0, 4, 2, 2, 1]
+    with pytest.raises(PreconditionError, match="^tau is missing node 'b'$"):
+        values_by_index(chain.graph, {"a": 0}, "tau")
+    with pytest.raises(PreconditionError, match="^tau defined on unknown node 'z'$"):
+        values_by_index(chain.graph, {**chain.tau, "z": 1}, "tau")
 
 
 def reference_check_total(graph, values, what):
@@ -213,8 +202,8 @@ def reference_ceiling_by_index(graph, omega, what):
         if level < floor:
             name = graph.nodes[node]
             raise PreconditionError(
-                f"ceiling below ground at node {name!r}: omega={format_weight(level)} "
-                f"is below the ground at node {name!r} (f={format_weight(floor)})"
+                f"ceiling below ground at node {name!r}: omega={level} "
+                f"is below the ground at node {name!r} (f={floor})"
             )
     return ceiling
 
@@ -271,7 +260,7 @@ def test_neighbors_are_symmetric_and_complete(graph):
 
 @given(edge_graphs())
 def test_components_partition_the_nodes(graph):
-    blocks = connected_components(graph)
+    blocks = components(graph)
     flat = [node for block in blocks for node in block]
     assert sorted(flat) == sorted(graph.nodes)
     assert len(set(flat)) == len(flat)

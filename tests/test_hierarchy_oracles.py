@@ -11,6 +11,7 @@ from floodgraph import (
     build_lake_dendrogram,
     connected_components,
 )
+from floodgraph.graphs import group_by_label
 
 
 def naive_connected_components(graph, edge_filter=None):
@@ -54,19 +55,19 @@ def loose_graphs(draw, max_nodes=10, weights=st.integers(min_value=0, max_value=
 @given(loose_graphs(), st.randoms(use_true_random=False))
 def test_components_match_the_naive_reference(graph, rng):
     keep = [rng.random() < 0.6 for _ in range(len(graph.edges))]
-    assert connected_components(graph) == naive_connected_components(graph)
-    assert connected_components(graph, keep) == naive_connected_components(graph, keep.__getitem__)
+    for kept, edge_filter in ((None, None), (keep, keep.__getitem__)):
+        label, first = connected_components(graph, kept)
+        groups = group_by_label(graph.nodes, label, len(first))
+        assert groups == naive_connected_components(graph, edge_filter)
 
 
 @given(loose_graphs(), st.randoms(use_true_random=False))
 def test_component_labels_group_into_the_naive_components(graph, rng):
     keep = [rng.random() < 0.6 for _ in range(len(graph.edges))]
-    label, first = connected_components(graph, keep, labels=True)
+    label, first = connected_components(graph, keep)
     assert label.typecode == "i" and len(label) == len(graph.nodes)
-    groups = [[] for _ in first]
-    for name, component in zip(graph.nodes, label):
-        groups[component].append(name)
-    assert list(map(tuple, groups)) == naive_connected_components(graph, keep.__getitem__)
+    groups = group_by_label(graph.nodes, label, len(first))
+    assert groups == naive_connected_components(graph, keep.__getitem__)
     assert [graph.nodes[node] for node in first] == [group[0] for group in groups]
 
 

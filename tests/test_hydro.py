@@ -19,7 +19,6 @@ from floodgraph import (
     derive_edge_graph,
     dijkstra_flood,
     flat_zones,
-    format_weight,
     grid_graph,
     is_edge_flooding,
     is_node_flooding,
@@ -84,7 +83,7 @@ def two_way_node_check(graph, tau):
     ground, names = graph.ground_values, graph.nodes
     levels = [tau[node] for node in names]
     violations = [
-        f"node {names[node]}: tau={format_weight(level)} below ground {format_weight(floor)}"
+        f"node {names[node]}: tau={level} below ground {floor}"
         for node, (level, floor) in enumerate(zip(levels, ground))
         if level < floor
     ]
@@ -92,8 +91,8 @@ def two_way_node_check(graph, tau):
         for p, q in ((u, v), (v, u)):
             if levels[p] > levels[q] and levels[p] != ground[p]:
                 violations.append(
-                    f"edge ({names[u]},{names[v]}): tau_{names[p]}={format_weight(levels[p])} "
-                    f"hangs above tau_{names[q]}={format_weight(levels[q])} "
+                    f"edge ({names[u]},{names[v]}): tau_{names[p]}={levels[p]} "
+                    f"hangs above tau_{names[q]}={levels[q]} "
                     "without resting on ground"
                 )
     return ValidationReport(not violations, tuple(violations))
@@ -108,8 +107,8 @@ def two_way_edge_check(graph, tau):
         for p, q in ((u, v), (v, u)):
             if levels[p] > levels[q] and levels[p] > e:
                 violations.append(
-                    f"edge ({names[u]},{names[v]}): tau_{names[p]}={format_weight(levels[p])} "
-                    f"exceeds tau_{names[q]} v e = {format_weight(join(levels[q], e))}"
+                    f"edge ({names[u]},{names[v]}): tau_{names[p]}={levels[p]} "
+                    f"exceeds tau_{names[q]} v e = {join(levels[q], e)}"
                 )
     return ValidationReport(not violations, tuple(violations))
 

@@ -37,11 +37,11 @@ CONSTRUCTIONS = {
 SURFACE = {
     "errors": ["ConstructionError", "FloodgraphError", "GraphFormatError", "PreconditionError"],
     "weights": [
-        "BOTTOM", "TOP", "Weight", "format_weight", "join", "meet", "parse_weight", "weight_succ",
+        "BOTTOM", "TOP", "Weight", "join", "meet", "parse_weight", "weight_succ",
     ],
     "graphs": [
-        "Edge", "Graph", "NodeFunction", "build_graph", "check_total", "connected_components",
-        "grid_graph", "partial_graph", "subgraph_spanning",
+        "Edge", "Graph", "NodeFunction", "build_graph", "connected_components", "grid_graph",
+        "partial_graph",
     ],
     "formats": [
         "HEADER", "parse_graph", "parse_node_values", "read_pgm", "serialize_graph", "write_pgm",
@@ -63,7 +63,7 @@ SURFACE = {
         "build_lake_dendrogram", "dendrogram_flood", "is_dendrogram", "lake_growth_sequence",
     ],
     "reductions": [
-        "ContractionMap", "contract_close_flood", "contract_flat_zones", "expand", "local_flood",
+        "ContractionMap", "contract_close_flood", "contract_flat_zones", "local_flood",
         "node_closing", "node_erosion", "waterfall_flooding",
     ],
 }
@@ -80,8 +80,22 @@ def test_each_module_lists_the_names_it_defines_and_the_package_exports():
             assert getattr(floodgraph, public) is value
             if inspect.isclass(value) or inspect.isfunction(value):
                 assert value.__module__ == module.__name__, public
-    assert len(declared) == len(set(declared)) == 69
+    assert len(declared) == len(set(declared)) == 65
     assert sorted(floodgraph.__all__) == sorted(declared)
+
+
+def test_no_public_name_is_a_second_spelling():
+    """No public name is bound to an object that another public name, or a
+    public method of a public class, already carries: one spelling per result."""
+    carriers: dict[int, list[str]] = {}
+    for name in floodgraph.__all__:
+        value = getattr(floodgraph, name)
+        carriers.setdefault(id(value), []).append(name)
+        if inspect.isclass(value) and value.__module__.startswith("floodgraph."):
+            for member, method in vars(value).items():
+                if inspect.isfunction(method) and not member.startswith("_"):
+                    carriers.setdefault(id(method), []).append(f"{name}.{member}")
+    assert [names for names in carriers.values() if len(names) > 1] == []
 
 
 # Python 3.12 and later (PEP 701) split an f-string into tokens, with the NAME
@@ -188,7 +202,7 @@ def test_the_library_reads_no_environment():
 # option returns only with a caller outside the tests.
 PARAMETERS = {
     "ceiling_minima": ("graph", "omega"),
-    "connected_components": ("graph", "keep", "labels"),
+    "connected_components": ("graph", "keep"),
     "dijkstra_flood": ("graph", "omega"),
     "flat_zones": ("graph", "values"),
     "node_closing": ("graph",),

@@ -15,7 +15,6 @@ from floodgraph import (
     contract_close_flood,
     contract_flat_zones,
     core_expanding_flood,
-    expand,
     flat_zones,
     is_edge_flooding,
     local_flood,
@@ -208,7 +207,6 @@ def test_expand_round_trip(strip):
     values = {node: i for i, node in enumerate(contracted.nodes)}
     pulled = mapping.expand(values)
     assert pulled["0,0"] == pulled["0,1"] == values["0,0"]
-    assert expand(mapping, values) == pulled
     with pytest.raises(PreconditionError):
         mapping.expand({"0,0": 1})
 

@@ -1,4 +1,4 @@
-"""Weight lattice: parsing, printing, order, and the successor map."""
+"""Weight lattice: parsing, the tokens weights print as, order, and the successor map."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from floodgraph import (
     BOTTOM,
     TOP,
     GraphFormatError,
-    format_weight,
     join,
     meet,
     parse_weight,
@@ -43,21 +42,22 @@ def test_parse_weight_rejects_everything_else(token):
 
 
 def test_format_weight():
-    assert format_weight(0) == "0"
-    assert format_weight(42) == "42"
-    assert format_weight(TOP) == "inf"
-    assert format_weight(BOTTOM) == "-inf"
+    assert f"{0}" == "0"
+    assert f"{42}" == "42"
+    assert f"{TOP}" == "inf"
+    assert f"{BOTTOM}" == "-inf"
 
 
 @given(st.one_of(st.integers(), st.sampled_from([TOP, BOTTOM])))
 def test_format_weight_is_the_plain_format(w):
-    """Writers put weights in their f-strings directly, on this equality."""
-    assert format_weight(w) == f"{w}" == format(w, "")
+    """Messages spell a weight with ``str`` or an f-string alike."""
+    assert str(w) == f"{w}" == format(w, "")
 
 
 @given(weights)
 def test_parse_inverts_format(w):
-    assert parse_weight(format_weight(w)) == w
+    """Writers put weights in their f-strings directly, on this round trip."""
+    assert parse_weight(f"{w}") == w
 
 
 def test_weight_succ():
