@@ -11,6 +11,7 @@ the inputs, so the output doubles as a quick regression check by eye.
 from __future__ import annotations
 
 from floodgraph import (
+    LakeKind,
     berge_flood,
     build_dendrogram,
     build_graph,
@@ -30,6 +31,11 @@ from floodgraph import (
     waterfall_flooding,
     TOP,
 )
+
+
+def kind(exhaust):
+    """A lake with an exhaust edge is full; one without is a regional minimum."""
+    return (LakeKind.FULL if exhaust else LakeKind.REGIONAL_MINIMUM).value
 
 
 def show(name, values, order):
@@ -63,11 +69,9 @@ def walk_chain():
     agreed = len({tuple(tau[n] for n in graph.nodes) for tau in producers.values()})
     print(f"  producers agree: {'yes' if agreed == 1 else 'NO'}")
     tau = producers["core"]
-    for index, lake in enumerate(lakes(graph, tau).lakes):
-        print(
-            f"  lake {index}: nodes={','.join(lake.nodes)} "
-            f"level={lake.level} kind={lake.kind.value}"
-        )
+    part = lakes(graph, tau)
+    for index, (nodes, level, out) in enumerate(zip(part.members, part.levels, part.exhaust)):
+        print(f"  lake {index}: nodes={','.join(nodes)} level={level} kind={kind(out)}")
     print()
 
 
@@ -81,17 +85,15 @@ def walk_tank():
     tau = {"A": 2, "B": 2, "C": 1, "D": 3, "E": 3, "F": 3}
     show("water levels", tau, graph.nodes)
     print(f"  valid flooding: {'yes' if is_edge_flooding(graph, tau) else 'NO'}")
-    for index, lake in enumerate(lakes(graph, tau).lakes):
-        exhausts = ",".join(
-            "-".join(graph.edges[eid]) for eid in lake.exhaust_edges
-        )
+    part = lakes(graph, tau)
+    for index, (nodes, level, out) in enumerate(zip(part.members, part.levels, part.exhaust)):
+        exhausts = ",".join("-".join(graph.edges[eid]) for eid in out)
         print(
-            f"  lake {index}: nodes={','.join(lake.nodes)} "
-            f"level={lake.level} kind={lake.kind.value}"
+            f"  lake {index}: nodes={','.join(nodes)} level={level} kind={kind(out)}"
             + (f" exhaust={exhausts}" if exhausts else "")
         )
     show("waterfall", waterfall_flooding(graph), graph.nodes)
-    row = distance_matrix(graph).table["A"]
+    row = distance_matrix(graph)["A"]
     show("distance from A", row, graph.nodes)
     print()
 
@@ -111,8 +113,9 @@ def walk_dendrogram():
     )
     dendro = build_dendrogram(leaves, groups)
     for cluster in dendro.clusters:
-        if len(cluster.members) > 1:
-            print(f"  cluster {''.join(cluster.members)} diam={cluster.diam}")
+        members = dendro.members(cluster.index)
+        if len(members) > 1:
+            print(f"  cluster {''.join(members)} diam={cluster.diam}")
     omega = {name: TOP for name in leaves}
     omega["c"] = 6
     omega["h"] = 1

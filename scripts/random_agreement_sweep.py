@@ -59,9 +59,7 @@ def flood_all(graph, omega):
         "berge/gs": berge_flood(graph, omega).tau,
         "berge/jacobi": berge_flood(graph, omega, schedule="jacobi").tau,
         "dijkstra": dijkstra_flood(graph, omega).tau,
-        "prim": prim_flood(graph, sources).tau
-        if sources
-        else {n: TOP for n in graph.nodes},
+        "prim": prim_flood(graph, sources).tau,
         "dendrogram": dendrogram_flood(build_lake_dendrogram(graph), omega),
     }
 
@@ -87,11 +85,11 @@ def main() -> int:
         matrix = distance_matrix(graph)
         for source in graph.nodes:
             got = flooding_distance_all(graph, source)
-            if got != matrix.table[source]:
+            if got != matrix[source]:
                 print(f"instance {index}: flooding_distance_all from {source} "
                       "disagrees with distance_matrix", file=sys.stderr)
                 print(serialize_graph(graph, omega), file=sys.stderr)
-                print(f"want {dict(matrix.table[source])}\ngot  {got}", file=sys.stderr)
+                print(f"want {matrix[source]}\ngot  {got}", file=sys.stderr)
                 return 1
     print(
         f"{args.count} instances, 5 solvers and the distance from every node "

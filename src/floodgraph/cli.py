@@ -17,8 +17,9 @@ may be a second raster of the same dimensions, a node-values file, or a
 graph file carrying omega attributes.  Output is plain text in node
 declaration order, byte-identical across runs.
 
-Exit codes: 0 success, 1 domain error (precondition violated, invalid
-flooding), 2 usage or parse error.
+Exit codes: 0 success; 1 domain error (a PreconditionError, or an invalid
+flooding in `validate`); 2 misuse, an unreadable file, a GraphFormatError or
+a ConstructionError (an unknown or duplicate node).
 """
 
 from __future__ import annotations
@@ -139,9 +140,9 @@ def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeFunctio
 
 def edge_view(ingested: Ingested, args: argparse.Namespace, operation: str) -> Graph:
     graph = ingested.graph
-    if graph.has_edge_weights:
+    if graph.edge_weights is not None:
         return graph
-    if not graph.has_ground:
+    if graph.ground_values is None:
         raise PreconditionError(
             f"{operation} needs edge weights and the input carries none"
         )
@@ -194,9 +195,6 @@ def _emit_stats(args: argparse.Namespace, stats: SolverStats | str) -> None:
         print(f"stats: {stats}", file=sys.stderr)
 
 
-_SCHEDULES = {"gauss_seidel": "gauss_seidel_alternating", "jacobi": "jacobi"}
-
-
 def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     omega = resolve_ceiling(args, ingested)
@@ -206,15 +204,11 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> int:
     else:
         view = edge_view(ingested, args, f"the {args.algo} algorithm")
         if args.algo == "berge":
-            result = berge_flood(view, omega, schedule=_SCHEDULES[args.schedule])
+            result = berge_flood(view, omega, schedule=args.schedule)
         elif args.algo == "dijkstra":
             result = dijkstra_flood(view, omega)
         elif args.algo == "prim":
-            sources = {n: omega[n] for n in view.nodes if omega[n] < TOP}
-            if sources:
-                result = prim_flood(view, sources)
-            else:
-                result = SolverResult(tau={n: TOP for n in view.nodes})
+            result = prim_flood(view, {n: omega[n] for n in view.nodes if omega[n] < TOP})
         else:
             ceiling_by_index(view, omega)
             dendrogram = build_lake_dendrogram(view)
@@ -242,9 +236,6 @@ def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> int:
     markers = _read_values(args.markers)
     if not markers:
         raise PreconditionError(f"{args.markers}: no markers found")
-    for node in markers:
-        if node not in view:
-            raise PreconditionError(f"marker names unknown node {node!r}")
     result = marker_segmentation(view, markers, engine=args.engine, want_tau=args.tau)
     labels = result.labels
     assert labels is not None
@@ -312,7 +303,7 @@ def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     tau = _read_values(args.tau)
     names, edge_u, edge_v = graph.nodes, graph.edge_u, graph.edge_v
-    part = lakes(graph, tau)  # written from its lists: no Lake is built
+    part = lakes(graph, tau)
     kinds = LakeKind.REGIONAL_MINIMUM.value, LakeKind.FULL.value
     _emit(args, (
         f"lake {index} level={level} kind={kinds[bool(out)]} nodes={' '.join(block)} exhaust="
@@ -325,7 +316,7 @@ def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> int:
 def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     tau = _read_values(args.tau)
-    if graph.has_edge_weights:
+    if graph.edge_weights is not None:
         report = is_edge_flooding(graph, tau)
     else:
         graph.require_ground_values("validate")
@@ -408,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flood.add_argument(
         "--schedule",
-        choices=tuple(_SCHEDULES),
+        choices=("gauss_seidel", "jacobi"),
         default="gauss_seidel",
         help="sweep order for --algo berge",
     )

@@ -12,14 +12,15 @@ cluster, `diam`, `father` and `children`, next to `leaf_names`, as in
 Najman, Cousty & Perret, "Playing with Kruskal" (ISMM 2013).  Building,
 flooding and the CLI read the arrays; `all_members()` merges the children's
 sorted leaf runs bottom-up and `members(i)` walks the children down from
-`i`.  `Dendrogram.clusters` holds `Cluster` views, built on first access.
+`i`.  `Dendrogram.clusters` holds each cluster's row of the arrays as a
+`Cluster`, built on first access; its leaves are `members(cluster.index)`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from itertools import filterfalse, groupby, repeat
+from dataclasses import dataclass
+from itertools import filterfalse, groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConstructionError, PreconditionError
@@ -48,12 +49,6 @@ class Cluster:
     diam: Weight
     father: int | None
     children: tuple[int, ...]
-    _dendro: Dendrogram = field(repr=False, compare=False)
-
-    @property
-    def members(self) -> tuple[str, ...]:
-        """Leaf names in declaration order, computed on each access."""
-        return self._dendro.members(self.index)
 
 
 class Dendrogram:
@@ -112,7 +107,7 @@ class Dendrogram:
     def clusters(self) -> tuple[Cluster, ...]:
         if self._clusters is None:
             self._clusters = tuple(map(
-                Cluster, range(len(self.diam)), self.diam, self.father, self.children, repeat(self)
+                Cluster, range(len(self.diam)), self.diam, self.father, self.children
             ))
         return self._clusters
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by the whole package.
 
-The CLI maps these onto exit codes: format problems are usage-level (exit 2),
-everything else raised here is a domain error (exit 1).
+The CLI maps these onto exit codes: a format error and a construction error
+(an unknown or duplicate node) exit with 2, like misuse or an unreadable file;
+a precondition error is a domain error and exits with 1.
 """
 
 from __future__ import annotations

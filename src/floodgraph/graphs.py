@@ -97,14 +97,6 @@ class Graph:
             self._edges = tuple(zip(map(name, self.edge_u), map(name, self.edge_v)))
         return self._edges
 
-    @property
-    def has_ground(self) -> bool:
-        return self.ground_values is not None
-
-    @property
-    def has_edge_weights(self) -> bool:
-        return self.edge_weights is not None
-
     def _names(self) -> dict[str, int]:
         """The name-to-index dict, built on first use."""
         if self._index is None:

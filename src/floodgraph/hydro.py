@@ -4,6 +4,9 @@ A node-level assignment tau is a flooding when water is stable: on a
 node-weighted graph tau >= ground and a strict drop across an edge only
 happens where the higher side sits on dry ground; on an edge-weighted graph
 tau_p <= tau_q v e_pq across every edge (criterion checked both ways).
+
+`lakes` returns a `LakePartition`: the level, the members and the exhaust
+edge ids of each lake, as three lists by lake.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 from .errors import PreconditionError
@@ -25,7 +27,6 @@ from .graphs import (
 from .weights import Weight, join
 
 __all__ = [
-    "Lake",
     "LakeKind",
     "LakePartition",
     "ValidationReport",
@@ -40,11 +41,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ValidationReport:
-    valid: bool
+    """The violations found; the report is true when there are none."""
+
     violations: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
-        return self.valid
+        return not self.violations
 
 
 def is_node_flooding(graph: Graph, tau: Mapping[str, Weight]) -> ValidationReport:
@@ -65,7 +67,7 @@ def is_node_flooding(graph: Graph, tau: Mapping[str, Weight]) -> ValidationRepor
                 f"hangs above tau_{names[q]}={levels[q]} "
                 "without resting on ground"
             )
-    return ValidationReport(not violations, tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def is_edge_flooding(graph: Graph, tau: Mapping[str, Weight]) -> ValidationReport:
@@ -82,7 +84,7 @@ def is_edge_flooding(graph: Graph, tau: Mapping[str, Weight]) -> ValidationRepor
                 f"edge ({names[u]},{names[v]}): tau_{names[p]}={levels[p]} "
                 f"exceeds tau_{names[q]} v e = {join(levels[q], e)}"
             )
-    return ValidationReport(not violations, tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 class LakeKind(enum.Enum):
@@ -91,35 +93,18 @@ class LakeKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Lake:
-    nodes: tuple[str, ...]
-    level: Weight
-    kind: LakeKind
-    exhaust_edges: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True, repr=False)
 class LakePartition:
     """The lakes of a flooding as ``levels``, ``members`` and ``exhaust`` edge ids by lake.
 
-    `Lake` views are built on first access."""
+    A lake with an exhaust edge is `LakeKind.FULL`; one without is a
+    regional minimum."""
 
     levels: list[Weight]
     members: list[tuple[str, ...]]
     exhaust: list[list[int]]
 
-    @cached_property
-    def lakes(self) -> tuple[Lake, ...]:
-        return tuple(
-            Lake(block, level, LakeKind.FULL if out else LakeKind.REGIONAL_MINIMUM, tuple(out))
-            for block, level, out in zip(self.members, self.levels, self.exhaust)
-        )
-
     def __hash__(self) -> int:  # part of what == compares, which is enough
         return hash((tuple(self.levels), tuple(self.members)))
-
-    def __repr__(self) -> str:
-        return f"LakePartition(lakes={self.lakes!r})"
 
 
 def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
@@ -130,7 +115,7 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
     strictly lower node) is full, otherwise it is a regional minimum.
     Node-weighted graphs are classified on their derived edge view.
     """
-    view = graph if graph.has_edge_weights else derive_edge_graph(graph)
+    view = graph if graph.edge_weights is not None else derive_edge_graph(graph)
     report = is_edge_flooding(view, tau)
     if not report:
         raise PreconditionError(f"tau is not a valid flooding: {report.violations[0]}")

@@ -82,7 +82,7 @@ def waterfall_flooding(graph: Graph) -> NodeFunction:
     graph.require_edge_weights("waterfall_flooding")
     level = node_erosion(graph)
     report = is_edge_flooding(graph, level)
-    assert report.valid, report.violations
+    assert report, report.violations
     return level
 
 

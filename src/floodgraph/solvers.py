@@ -116,12 +116,12 @@ def oracle_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunction:
 def berge_flood(
     graph: Graph,
     omega: Mapping[str, Weight],
-    schedule: str = "gauss_seidel_alternating",
+    schedule: str = "gauss_seidel",
 ) -> SolverResult:
     """Relaxation sweeps from tau = omega down to the fixpoint.
 
-    ``jacobi`` reads the previous sweep's values; ``gauss_seidel_alternating``
-    updates in place, alternating forward and backward node order.  A sweep
+    ``jacobi`` reads the previous sweep's values; ``gauss_seidel`` updates
+    in place, alternating forward and backward node order.  A sweep
     re-evaluates only the nodes with a neighbor whose level dropped since
     they were last evaluated (every node, in the first sweep); the update
     would give the others their own value back, so the tau states match
@@ -130,7 +130,7 @@ def berge_flood(
     """
     weights = graph.require_edge_weights("berge_flood")
     tau = ceiling_by_index(graph, omega)
-    if schedule not in ("jacobi", "gauss_seidel_alternating"):
+    if schedule not in ("jacobi", "gauss_seidel"):
         raise PreconditionError(f"unknown berge schedule: {schedule!r}")
     offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
     jacobi = schedule == "jacobi"
@@ -197,11 +197,10 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
     Edges enter the funnel at their own weight; a running level lam, raised
     whenever a higher priority is extracted, turns edge priorities into
     flooding levels (the level of a popped node is lam itself).  Seeding
-    every finite-ceiling node at its ceiling reproduces dijkstra_flood.
+    every finite-ceiling node at its ceiling reproduces dijkstra_flood;
+    with no source, every node stays at top.
     """
     weights = graph.require_edge_weights("prim_flood")
-    if not sources:
-        raise PreconditionError("prim_flood needs at least one source")
     for node in filterfalse(graph.__contains__, sources):
         raise PreconditionError(f"omega defined on unknown node {node!r}")
     seeds = [(level, graph.node_index(node)) for node, level in sources.items()]
@@ -219,7 +218,7 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
     offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
     settled = [False] * len(tau)
     extractions = relaxations = 0
-    lam: Weight = min(sources.values())
+    lam: Weight = min(sources.values(), default=TOP)
     while heap:  # pushes may go below mu: pop per item
         mu = heap[0]
         bucket = funnel[mu]

@@ -27,25 +27,17 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, NodeFunction, find_root, partial_graph
 from .weights import BOTTOM, TOP, Weight
 
 __all__ = [
-    "DistanceMatrix",
     "Funnel",
     "distance_matrix",
     "flooding_distance_all",
     "mst",
 ]
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    nodes: tuple[str, ...]
-    table: Mapping[str, Mapping[str, Weight]]
 
 
 def distance_rows(graph: Graph) -> list[list[Weight]]:
@@ -75,11 +67,11 @@ def distance_rows(graph: Graph) -> list[list[Weight]]:
     return rows
 
 
-def distance_matrix(graph: Graph) -> DistanceMatrix:
-    """All-pairs flooding distance by min-max relaxation (Floyd-Warshall)."""
+def distance_matrix(graph: Graph) -> dict[str, NodeFunction]:
+    """All-pairs flooding distance by min-max relaxation (Floyd-Warshall),
+    as a row per node, both keyed in node order."""
     names = graph.nodes
-    table = {p: dict(zip(names, row)) for p, row in zip(names, distance_rows(graph))}
-    return DistanceMatrix(names, table)
+    return {p: dict(zip(names, row)) for p, row in zip(names, distance_rows(graph))}
 
 
 class Funnel(dict):

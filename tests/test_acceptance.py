@@ -17,7 +17,6 @@ import pytest
 from floodgraph import (
     BOTTOM,
     TOP,
-    LakeKind,
     berge_flood,
     build_lake_dendrogram,
     ceiling_minima,
@@ -47,11 +46,8 @@ from floodgraph import (
 from strategies import tau_above_ground
 
 
-def _prim_or_top(graph, omega):
-    sources = {n: omega[n] for n in graph.nodes if omega[n] < TOP}
-    if not sources:
-        return {n: TOP for n in graph.nodes}
-    return prim_flood(graph, sources).tau
+def _prim(graph, omega):
+    return prim_flood(graph, {n: omega[n] for n in graph.nodes if omega[n] < TOP}).tau
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +65,7 @@ def test_criterion_01_worked_example_every_producer(acceptance, chain):
         "berge/gauss_seidel": berge_flood(view, omega).tau,
         "berge/jacobi": berge_flood(view, omega, schedule="jacobi").tau,
         "dijkstra": dijkstra_flood(view, omega).tau,
-        "prim": _prim_or_top(view, omega),
+        "prim": _prim(view, omega),
         "core": core_expanding_flood(graph, omega).tau,
         "dendrogram": dendrogram_flood(build_lake_dendrogram(view), omega),
         "contract+close": contract_close_flood(graph, omega),
@@ -101,7 +97,7 @@ def test_criterion_03_solver_agreement(acceptance, edge_instances, edge_floods):
         assert (
             berge_flood(graph, omega, schedule="jacobi").tau == want
         ), f"instance {i}: jacobi"
-        assert _prim_or_top(graph, omega) == want, f"instance {i}: prim"
+        assert _prim(graph, omega) == want, f"instance {i}: prim"
         assert (
             dendrogram_flood(build_lake_dendrogram(graph), omega) == want
         ), f"instance {i}: dendrogram"
@@ -135,7 +131,7 @@ def test_criterion_05_ultrametric_axioms_and_balls(acceptance, metric_instances)
     desc = "flooding distance is an ultrametric with laminar balls"
     acceptance(5, desc, False)
     for i, (graph, _) in enumerate(metric_instances):
-        dm = distance_matrix(graph).table
+        dm = distance_matrix(graph)
         nodes = graph.nodes
         for x in nodes:
             assert dm[x][x] == BOTTOM, f"instance {i}: d({x},{x})"
@@ -165,7 +161,7 @@ def test_criterion_06_mst_preserves_distances_and_floods(acceptance, metric_inst
     for i, (graph, omega) in enumerate(metric_instances):
         tree = mst(graph)
         assert len(tree.edges) == len(tree.nodes) - 1, f"instance {i}: not a tree"
-        assert distance_matrix(tree).table == distance_matrix(graph).table, f"instance {i}"
+        assert distance_matrix(tree) == distance_matrix(graph), f"instance {i}"
         assert (
             dijkstra_flood(tree, omega).tau == dijkstra_flood(graph, omega).tau
         ), f"instance {i}: flood changed"
@@ -216,13 +212,14 @@ def test_criterion_09_minima_containment_and_ceiling_reduction(
         tau = core_expanding_flood(graph, omega).tau
         minima = regional_minima(graph, values=omega)
         zone_sets = [frozenset(zone) for zone in minima]
-        for lake in lakes(graph, tau).lakes:
-            if lake.kind is not LakeKind.REGIONAL_MINIMUM:
+        part = lakes(graph, tau)
+        for nodes, out in zip(part.members, part.exhaust):
+            if out:  # an exhaust edge: a full lake, not a regional minimum
                 continue
-            members = set(lake.nodes)
+            members = set(nodes)
             assert any(
                 zone <= members for zone in zone_sets
-            ), f"instance {i}: lake {lake.nodes} holds no ceiling minimum"
+            ), f"instance {i}: lake {nodes} holds no ceiling minimum"
         kept = set(ceiling_minima(graph, omega))
         reduced = {n: TOP for n in graph.nodes}
         for zone in minima:
@@ -261,7 +258,7 @@ def test_criterion_11_segmentation(acceptance, marker_instances):
         labels = result.labels
         assert labels == other.labels, f"instance {i}: engines disagree"
         assert set(labels) == set(graph.nodes), f"instance {i}: unlabeled nodes"
-        dm = distance_matrix(graph).table
+        dm = distance_matrix(graph)
         for q in graph.nodes:
             want = min(join(0, dm[m][q]) for m in markers)
             assert result.tau[q] == want, f"instance {i}: tau at {q}"

@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 from floodgraph import (
     TOP,
     Cluster,
-    Lake,
-    LakeKind,
     build_lake_dendrogram,
     core_expanding_flood,
     dendrogram_flood,
@@ -233,10 +231,19 @@ def test_flood_without_any_ceiling_drowns_everything(capsys, tmp_path):
     assert out.splitlines() == ["x inf", "y inf"]
 
 
-def test_flood_prim_with_no_finite_ceiling(capsys, tmp_path, tank_file):
+def test_flood_prim_with_no_finite_ceiling(capsys, monkeypatch, tmp_path, tank_file):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
-    code, out, _ = run(
+    from floodgraph.cli import prim_flood
+
+    calls = []
+
+    def spy(view, sources):
+        calls.append(dict(sources))
+        return prim_flood(view, sources)
+
+    monkeypatch.setattr("floodgraph.cli.prim_flood", spy)
+    code, out, err = run(
         capsys,
         "flood",
         "--algo",
@@ -245,9 +252,12 @@ def test_flood_prim_with_no_finite_ceiling(capsys, tmp_path, tank_file):
         tank_file,
         "--ceiling",
         str(empty),
+        "--stats",
     )
     assert code == 0
+    assert calls == [{}]  # one call, as with a finite ceiling, and no source in it
     assert all(line.endswith(" inf") for line in out.splitlines())
+    assert err == "stats: extractions=0 relaxations=0 sweeps=0\n"
 
 
 def test_flood_on_edge_weighted_input(capsys, tmp_path, tank_file):
@@ -357,8 +367,8 @@ def test_segment_rejects_unknown_marker(capsys, tmp_path, chain_file):
     code, _, err = run(
         capsys, "segment", "--graph", chain_file, "--markers", str(markers), "--derive-edges"
     )
-    assert code == 1
-    assert "unknown node 'zzz'" in err
+    assert code == 2
+    assert err == "error: unknown node: 'zzz'\n"
 
 
 def test_segment_rejects_a_markers_file_without_markers(capsys, tmp_path, chain_file):
@@ -599,7 +609,7 @@ def test_dendro_on_two_components_matches_members(capsys, tmp_path):
 # -- lakes and validate --------------------------------------------------------------
 
 
-def test_lakes_with_full_lakes_match_the_partition(capsys, monkeypatch, tmp_path):
+def test_lakes_with_full_lakes_match_the_partition(capsys, tmp_path):
     rng = random.Random(4)
     rows = [[rng.randint(0, 6) for _ in range(12)] for _ in range(9)]
     ground = tmp_path / "ground.pgm"
@@ -610,21 +620,15 @@ def test_lakes_with_full_lakes_match_the_partition(capsys, monkeypatch, tmp_path
     tau = core_expanding_flood(graph, {n: max(omega[n], ground_by_name[n]) for n in graph.nodes}).tau
     tau_file = tmp_path / "tau.txt"
     tau_file.write_text("".join(f"{node} {level}\n" for node, level in tau.items()))
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a Lake was built")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Lake, "__init__", refuse)
-        code, out, _ = run(capsys, "lakes", "--graph", str(ground), "--tau", str(tau_file))
+    code, out, _ = run(capsys, "lakes", "--graph", str(ground), "--tau", str(tau_file))
     assert code == 0
     edges = graph.edges
-    part = lakes(graph, tau).lakes
-    assert sum(lake.kind is LakeKind.FULL for lake in part) > 1
+    part = lakes(graph, tau)
+    assert sum(map(bool, part.exhaust)) > 1  # more than one full lake
     assert out.splitlines() == [
-        f"lake {index} level={lake.level} kind={lake.kind.value} nodes={' '.join(lake.nodes)} "
-        f"exhaust={' '.join(f'{edges[eid][0]}-{edges[eid][1]}' for eid in lake.exhaust_edges)}"
-        for index, lake in enumerate(part)
+        f"lake {index} level={level} kind={'full' if drain else 'regmin'} nodes={' '.join(nodes)} "
+        f"exhaust={' '.join(f'{edges[eid][0]}-{edges[eid][1]}' for eid in drain)}"
+        for index, (level, nodes, drain) in enumerate(zip(part.levels, part.members, part.exhaust))
     ]
 
 

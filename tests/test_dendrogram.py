@@ -36,13 +36,13 @@ from floodgraph import (
 from strategies import edge_graphs, random_ceiling, rough_edge_graphs
 
 
-def members_of(clusters):
-    return {c.members for c in clusters}
+def members_of(dendro, clusters):
+    return {dendro.members(c.index) for c in clusters}
 
 
 def cluster_of(dendro, members):
     """The cluster holding exactly ``members``."""
-    (found,) = (c for c in dendro.clusters if set(c.members) == set(members))
+    (found,) = (c for c in dendro.clusters if set(dendro.members(c.index)) == set(members))
     return found
 
 
@@ -95,7 +95,8 @@ def test_is_dendrogram_matches_the_pairwise_definition(family):
 
 @given(rough_edge_graphs())
 def test_lake_dendrogram_clusters_form_a_dendrogram(graph):
-    family = [c.members for c in build_lake_dendrogram(graph).clusters]
+    dendro = build_lake_dendrogram(graph)
+    family = [dendro.members(c.index) for c in dendro.clusters]
     assert is_dendrogram(reversed(family)) == (True, None)
 
 
@@ -185,7 +186,7 @@ def test_build_dendrogram_errors(leaves, groups, fragment):
 
 def test_build_dendrogram_reads_iterators_once():
     dendro = build_dendrogram(iter(["a", "b", "c"]), [(iter(["b", "a"]), 1)])
-    assert [cluster.members for cluster in dendro.clusters] == [("a",), ("b",), ("c",), ("a", "b")]
+    assert list(dendro.all_members()) == [("a",), ("b",), ("c",), ("a", "b")]
     with pytest.raises(ConstructionError) as err:
         build_dendrogram(["a", "b", "c"], [(iter(["b", "zz"]), 1)])
     assert str(err.value) == "group member 'zz' is not a leaf"
@@ -196,21 +197,21 @@ def test_build_dendrogram_reads_iterators_once():
 
 def test_chain_lake_dendrogram(chain):
     dendro = build_lake_dendrogram(chain.edge_graph)
-    grouped = {c.members: c.diam for c in dendro.clusters if c.children}
+    grouped = {dendro.members(c.index): c.diam for c in dendro.clusters if c.children}
     assert grouped == {("c", "d", "e"): 2, ("a", "b", "c", "d", "e"): 4}
 
 
 def test_single_edge_lake_dendrogram():
     graph = build_graph(["p", "q"], [("p", "q")], edge_weights=[5])
     dendro = build_lake_dendrogram(graph)
-    assert members_of(dendro.clusters) == {("p",), ("q",), ("p", "q")}
+    assert members_of(dendro, dendro.clusters) == {("p",), ("q",), ("p", "q")}
     assert cluster_of(dendro, ("p", "q")).diam == 5
 
 
 def test_realizing_tree_reproduces_the_fixture(dendro_fixture):
     rebuilt = build_lake_dendrogram(dendro_fixture.tree)
     expected = {tuple(m): d for m, d in dendro_fixture.groups}
-    actual = {c.members: c.diam for c in rebuilt.clusters if c.children}
+    actual = {rebuilt.members(c.index): c.diam for c in rebuilt.clusters if c.children}
     assert actual == expected
 
 
@@ -220,17 +221,17 @@ def test_disconnected_graph_grows_a_forest():
     )
     dendro = build_lake_dendrogram(graph)
     summits = [c for c in dendro.clusters if c.father is None]
-    assert members_of(summits) == {("a", "b"), ("c", "d")}
+    assert members_of(dendro, summits) == {("a", "b"), ("c", "d")}
 
 
 @given(edge_graphs())
 def test_cluster_diameters_match_the_metric(graph):
     # A cluster is a closed ball, so every min-max chain between two members stays inside it.
     dendro = build_lake_dendrogram(graph)
-    table = distance_matrix(graph).table
+    table = distance_matrix(graph)
     for cluster in dendro.clusters:
-        if len(cluster.members) > 1:
-            members = cluster.members
+        members = dendro.members(cluster.index)
+        if len(members) > 1:
             assert max(table[p][q] for p in members for q in members) == cluster.diam
 
 
@@ -310,7 +311,7 @@ def eager_assemble(leaf_order, groups):
         for child in children[index]:
             father[child] = index
     clusters = tuple(
-        Cluster(i, diam[i], father[i], children[i], None) for i in range(len(children))
+        Cluster(i, diam[i], father[i], children[i]) for i in range(len(children))
     )
     rank = {name: i for i, name in enumerate(leaf_order)}
     return clusters, [tuple(sorted(names, key=rank.__getitem__)) for names in members]
@@ -332,7 +333,6 @@ def test_cluster_views_match_the_eager_assembly(graph):
     assert [dendro.members(i) for i in range(len(clusters))] == members
     assert dendro.clusters == clusters
     assert dendro.clusters is dendro.clusters
-    assert [cluster.members for cluster in dendro.clusters] == members
     assert repr(dendro) == f"Dendrogram(leaf_names={graph.nodes!r}, clusters={clusters!r})"
     if groups:
         assert dendro != Dendrogram(graph.nodes, groups[:-1])
@@ -393,7 +393,7 @@ def test_dendrogram_flood_matches_the_closed_formula(graph):
     omega = random_ceiling(rng, graph)
     dendro = build_lake_dendrogram(graph)
     lowest = {
-        c.index: min(omega[name] for name in c.members) for c in dendro.clusters
+        c.index: min(omega[name] for name in dendro.members(c.index)) for c in dendro.clusters
     }
     expected = {}
     for leaf, probe in zip(dendro.leaf_names, dendro.clusters):  # leaf i is cluster i

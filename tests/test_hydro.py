@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from floodgraph import (
     BOTTOM,
     TOP,
-    LakeKind,
     PreconditionError,
     ValidationReport,
     build_graph,
@@ -75,7 +74,7 @@ def test_raised_tank_overflows_its_pipe(tank):
 
 def test_report_is_truthy_only_when_valid(tank):
     good = is_edge_flooding(tank.graph, tank.tau)
-    assert bool(good) and good.valid and good.violations == ()
+    assert bool(good) and good.violations == ()
 
 
 def two_way_node_check(graph, tau):
@@ -95,7 +94,7 @@ def two_way_node_check(graph, tau):
                     f"hangs above tau_{names[q]}={levels[q]} "
                     "without resting on ground"
                 )
-    return ValidationReport(not violations, tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def two_way_edge_check(graph, tau):
@@ -110,7 +109,7 @@ def two_way_edge_check(graph, tau):
                     f"edge ({names[u]},{names[v]}): tau_{names[p]}={levels[p]} "
                     f"exceeds tau_{names[q]} v e = {join(levels[q], e)}"
                 )
-    return ValidationReport(not violations, tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 _LEVELS = [BOTTOM, TOP, *range(8)]
@@ -160,14 +159,14 @@ def test_node_check_matches_the_two_way_loop(instance, rng):
 def test_tank_lakes(tank):
     part = lakes(tank.graph, tank.tau)
     summary = [
-        (lake.nodes, lake.level, lake.kind, [tank.graph.edges[i] for i in lake.exhaust_edges])
-        for lake in part.lakes
+        (nodes, level, [tank.graph.edges[i] for i in out])
+        for nodes, level, out in zip(part.members, part.levels, part.exhaust)
     ]
-    assert summary == [
-        (("A", "B"), 2, LakeKind.REGIONAL_MINIMUM, []),
-        (("C",), 1, LakeKind.REGIONAL_MINIMUM, []),
-        (("D", "E"), 3, LakeKind.FULL, [("C", "D")]),
-        (("F",), 3, LakeKind.REGIONAL_MINIMUM, []),
+    assert summary == [  # only D-E has an exhaust edge: the one full lake
+        (("A", "B"), 2, []),
+        (("C",), 1, []),
+        (("D", "E"), 3, [("C", "D")]),
+        (("F",), 3, []),
     ]
 
 
@@ -178,38 +177,32 @@ def test_lakes_partition_every_node_of_a_raster():
     tau = core_expanding_flood(graph, ceiling_above(rng, graph, slack=3)).tau
     part = lakes(graph, tau)
     assert sorted(node for block in part.members for node in block) == sorted(graph.nodes)
-    assert [lake.nodes for lake in part.lakes] == part.members
-
-
-def test_lake_views_are_built_on_first_access_and_kept(tank):
-    part = lakes(tank.graph, tank.tau)
-    assert "lakes" not in vars(part)  # lakes() builds the lists only
-    first = part.lakes
-    assert part.lakes is first
-    assert [(lake.level, lake.nodes, list(lake.exhaust_edges)) for lake in first] == list(
-        zip(part.levels, part.members, part.exhaust)
-    )
+    assert len(part.levels) == len(part.members) == len(part.exhaust)
 
 
 def test_lake_partitions_compare_and_hash_by_their_lakes(tank):
     one, two = lakes(tank.graph, tank.tau), lakes(tank.graph, dict(tank.tau))
     assert one == two and hash(one) == hash(two)
-    assert one.lakes == two.lakes
+    assert (one.levels, one.members, one.exhaust) == (two.levels, two.members, two.exhaust)
     assert one != lakes(tank.graph, {node: 3 for node in tank.graph.nodes})
-    assert repr(one) == f"LakePartition(lakes={one.lakes!r})"
+    assert repr(one) == (
+        "LakePartition(levels=[2, 1, 3, 3], members=[('A', 'B'), ('C',), ('D', 'E'), ('F',)], "
+        "exhaust=[[], [], [2], []])"
+    )
 
 
 def test_chain_lakes_on_the_derived_edge_view(chain):
     part = lakes(chain.graph, chain.tau)
-    summary = [(lake.nodes, lake.level, lake.kind) for lake in part.lakes]
-    assert summary == [
-        (("a",), 0, LakeKind.REGIONAL_MINIMUM),
-        (("b",), 4, LakeKind.FULL),
-        (("c", "d"), 2, LakeKind.FULL),
-        (("e",), 1, LakeKind.REGIONAL_MINIMUM),
+    summary = [
+        (nodes, level, [chain.edge_graph.edges[i] for i in out])
+        for nodes, level, out in zip(part.members, part.levels, part.exhaust)
     ]
-    full = part.lakes[2]
-    assert [chain.edge_graph.edges[i] for i in full.exhaust_edges] == [("d", "e")]
+    assert summary == [  # b and c-d are full, a and e regional minima
+        (("a",), 0, []),
+        (("b",), 4, [("a", "b"), ("b", "c")]),
+        (("c", "d"), 2, [("d", "e")]),
+        (("e",), 1, []),
+    ]
 
 
 def test_lakes_reject_invalid_water(tank):

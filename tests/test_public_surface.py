@@ -47,11 +47,11 @@ SURFACE = {
         "HEADER", "parse_graph", "parse_node_values", "read_pgm", "serialize_graph", "write_pgm",
     ],
     "hydro": [
-        "Lake", "LakeKind", "LakePartition", "ValidationReport", "derive_edge_graph", "flat_zones",
+        "LakeKind", "LakePartition", "ValidationReport", "derive_edge_graph", "flat_zones",
         "is_edge_flooding", "is_node_flooding", "lakes", "regional_minima",
     ],
     "ultrametric": [
-        "DistanceMatrix", "Funnel", "distance_matrix", "flooding_distance_all", "mst",
+        "Funnel", "distance_matrix", "flooding_distance_all", "mst",
     ],
     "solvers": [
         "SolverResult", "SolverStats", "augment_with_dummy", "berge_flood", "ceiling_minima",
@@ -80,7 +80,7 @@ def test_each_module_lists_the_names_it_defines_and_the_package_exports():
             assert getattr(floodgraph, public) is value
             if inspect.isclass(value) or inspect.isfunction(value):
                 assert value.__module__ == module.__name__, public
-    assert len(declared) == len(set(declared)) == 65
+    assert len(declared) == len(set(declared)) == 63
     assert sorted(floodgraph.__all__) == sorted(declared)
 
 
@@ -201,12 +201,14 @@ def test_the_library_reads_no_environment():
 # The parameters of the functions whose test-only options are gone: each
 # option returns only with a caller outside the tests.
 PARAMETERS = {
+    "berge_flood": ("graph", "omega", "schedule"),
     "ceiling_minima": ("graph", "omega"),
     "connected_components": ("graph", "keep"),
     "dijkstra_flood": ("graph", "omega"),
     "flat_zones": ("graph", "values"),
     "node_closing": ("graph",),
     "node_erosion": ("graph",),
+    "prim_flood": ("graph", "sources"),
     "regional_minima": ("graph", "values"),
     "write_pgm": ("raster",),
 }
@@ -215,6 +217,8 @@ PARAMETERS = {
 def test_trimmed_functions_keep_their_parameters():
     for name, expected in PARAMETERS.items():
         assert tuple(inspect.signature(getattr(floodgraph, name)).parameters) == expected, name
+    schedule = inspect.signature(floodgraph.berge_flood).parameters["schedule"]
+    assert schedule.default == "gauss_seidel"  # the CLI's spelling, not a second one
     keep = inspect.signature(floodgraph.connected_components).parameters["keep"]
     assert keep.annotation == "Sequence[bool] | None"  # a flag per edge id, not a function
     for name in ("flat_zones", "regional_minima"):

@@ -5,8 +5,6 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from floodgraph import Lake, LakeKind
-
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -17,7 +15,9 @@ def test_readme_quick_start_gives_the_values_in_its_comments():
     assert names["tau"] == {"a": 0, "b": 4, "c": 2, "d": 2, "e": 1}
     assert names["view"].edge_weights == (4, 4, 2, 2)
     assert names["same"] == names["tau"]
-    assert Lake(("c", "d"), 2, LakeKind.FULL, (3,)) in names["pools"]
+    pools = names["pools"]
+    lake = pools.members.index(("c", "d"))
+    assert (pools.levels[lake], pools.exhaust[lake]) == (2, [3])  # full: it has an exhaust edge
     assert names["d_ae"] == 4
     hierarchy = names["hierarchy"]
     (summit,) = [i for i, up in enumerate(hierarchy.father) if up is None]

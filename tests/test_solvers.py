@@ -89,14 +89,14 @@ def test_oracle_flood_is_the_min_over_every_row(instance):
 
 
 def test_berge_flood_both_schedules(chain):
-    for schedule in ("gauss_seidel_alternating", "jacobi"):
+    for schedule in ("gauss_seidel", "jacobi"):
         result = berge_flood(chain.edge_graph, chain.omega, schedule=schedule)
         assert result.tau == chain.tau
         assert result.stats.sweeps >= 2
 
 
 def test_berge_flood_fixpoint_needs_one_sweep(chain):
-    for schedule in ("gauss_seidel_alternating", "jacobi"):
+    for schedule in ("gauss_seidel", "jacobi"):
         result = berge_flood(chain.edge_graph, chain.tau, schedule=schedule)
         assert result.tau == chain.tau
         assert result.stats.sweeps == 1
@@ -143,7 +143,7 @@ def full_sweep_berge(graph, omega, schedule):
 @given(rough_flood_instances())
 def test_berge_flood_matches_full_sweeps(instance):
     graph, omega = instance
-    for schedule in ("gauss_seidel_alternating", "jacobi"):
+    for schedule in ("gauss_seidel", "jacobi"):
         result = berge_flood(graph, omega, schedule=schedule)
         tau, sweeps, relaxations = full_sweep_berge(graph, omega, schedule)
         assert result.tau == tau
@@ -244,9 +244,12 @@ def test_prim_flood_ceiling_sources(chain):
     assert prim_flood(chain.edge_graph, sources).tau == chain.tau
 
 
-def test_prim_flood_needs_sources(chain):
-    with pytest.raises(PreconditionError):
-        prim_flood(chain.edge_graph, {})
+def test_prim_flood_without_sources_is_top_everywhere(chain):
+    view = chain.edge_graph
+    result = prim_flood(view, {})
+    assert result.tau == dijkstra_flood(view, dict.fromkeys(view.nodes, TOP)).tau
+    assert set(result.tau.values()) == {TOP}
+    assert (result.stats.extractions, result.stats.relaxations) == (0, 0)
 
 
 def test_core_expanding_flood_chain(chain):
@@ -385,7 +388,4 @@ def test_producers_agree(instance):
     assert berge_flood(graph, omega, schedule="jacobi").tau == expected
     assert dijkstra_flood(graph, omega).tau == expected
     sources = {node: w for node, w in omega.items() if w != TOP}
-    if sources:
-        assert prim_flood(graph, sources).tau == expected
-    else:
-        assert expected == {node: TOP for node in graph.nodes}
+    assert prim_flood(graph, sources).tau == expected

@@ -48,8 +48,8 @@ def test_distance_is_top_across_components():
 def test_distance_matrix_agrees_with_single_source(chain):
     matrix = distance_matrix(chain.edge_graph)
     for source in chain.edge_graph.nodes:
-        assert dict(matrix.table[source]) == flooding_distance_all(chain.edge_graph, source)
-    assert matrix.table["a"]["e"] == 4
+        assert matrix[source] == flooding_distance_all(chain.edge_graph, source)
+    assert matrix["a"]["e"] == 4
 
 
 def heapq_distances(graph, source):
@@ -81,7 +81,7 @@ def test_flooding_distance_all_matches_heapq_and_the_matrix(graph):
     for source in graph.nodes:
         dist = flooding_distance_all(graph, source)
         assert dist == heapq_distances(graph, source)
-        assert dist == dict(matrix.table[source])
+        assert dist == matrix[source]
 
 
 def textbook_distance_rows(graph):
@@ -148,7 +148,7 @@ def test_mst_of_disconnected_graph_is_a_forest():
 
 @given(edge_graphs())
 def test_ultrametric_axioms(graph):
-    table = distance_matrix(graph).table
+    table = distance_matrix(graph)
     nodes = graph.nodes
     for x in nodes:
         assert table[x][x] == BOTTOM
@@ -161,7 +161,7 @@ def test_ultrametric_axioms(graph):
 @given(edge_graphs())
 def test_mst_preserves_the_distance_matrix(graph):
     tree = mst(graph)
-    assert distance_matrix(tree).table == distance_matrix(graph).table
+    assert distance_matrix(tree) == distance_matrix(graph)
 
 
 def prim_mst_edges(graph, root=None):
