@@ -19,7 +19,7 @@ declaration order, byte-identical across runs.
 
 Exit codes: 0 success; 1 domain error (a PreconditionError, or an invalid
 flooding in `validate`); 2 misuse, an unreadable file, a GraphFormatError or
-a ConstructionError (an unknown or duplicate node).
+a ConstructionError (an unknown or duplicate node, a --tau file off the nodes).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .formats import (
     serialize_graph,
     write_pgm,
 )
-from .graphs import Graph, NodeFunction, ceiling_by_index, grid_graph
+from .graphs import Graph, NodeFunction, NodeValues, ceiling_by_index, grid_graph, values_by_index
 from .hydro import LakeKind, derive_edge_graph, is_edge_flooding, is_node_flooding, lakes
 from .dendrogram import build_lake_dendrogram, dendrogram_flood
 from .reductions import contract_flat_zones, local_flood
@@ -104,13 +104,13 @@ def ingest_graph(path: str, connectivity: int) -> Ingested:
     return Ingested(graph=graph, file_omega=omega, raster_shape=None)
 
 
-def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeFunction:
+def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeValues:
     """Ceiling precedence: --ceiling file, then graph-file omega, then top."""
     graph, path = ingested.graph, args.ceiling
     if path is None:
-        if ingested.file_omega is not None:
-            return ingested.file_omega
-        return dict.fromkeys(graph.nodes, TOP)
+        if ingested.file_omega is not None:  # complete, in node order
+            return NodeValues(graph, list(ingested.file_omega.values()))
+        return NodeValues(graph, [TOP] * len(graph.nodes))
     data = _read_bytes(path)
     if data[:2] in (b"P2", b"P5"):
         if ingested.raster_shape is None:
@@ -122,7 +122,7 @@ def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeFunctio
                 f"{path}: ceiling is {shape[0]}x{shape[1]} but the ground is "
                 f"{ingested.raster_shape[0]}x{ingested.raster_shape[1]}"
             )
-        return dict(zip(graph.nodes, (value for row in rows for value in row)))
+        return NodeValues(graph, [value for row in rows for value in row])
     text = _decode(data, path)
     if _FIRST_LINE.match(text)[1].rstrip() == HEADER:
         other, values = parse_graph(text)
@@ -135,7 +135,15 @@ def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeFunctio
     if len(ceiling) != len(graph.nodes):
         for node in filterfalse(graph.__contains__, values):
             raise GraphFormatError(f"{path}: ceiling names unknown node {node!r}")
-    return ceiling
+    return NodeValues(graph, list(ceiling.values()))
+
+
+def _read_tau(args: argparse.Namespace, graph: Graph) -> NodeValues:
+    """The --tau file by node index; a node it misses or names wrongly is a fault of the file."""
+    try:
+        return NodeValues(graph, values_by_index(graph, _read_values(args.tau), "tau"))
+    except PreconditionError as exc:
+        raise GraphFormatError(f"{args.tau}: {exc}") from None
 
 
 def edge_view(ingested: Ingested, args: argparse.Namespace, operation: str) -> Graph:
@@ -170,6 +178,15 @@ def _emit(args: argparse.Namespace, lines: Iterable[str]) -> None:
             yield "\n".join(chunk) + "\n"
 
     _write(args, chunks())
+
+
+def _write_values(args: argparse.Namespace, values: NodeValues) -> None:
+    """Write ``<node> <value>`` lines, each chunk joined from a slice of 65,536 nodes."""
+    names, levels = values.graph.nodes, values.levels
+    _write(args, (
+        "".join([f"{n} {v}\n" for n, v in zip(names[lo : lo + 65536], levels[lo : lo + 65536])])
+        for lo in range(0, len(names), 65536)
+    ))
 
 
 def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
@@ -208,16 +225,15 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> int:
         elif args.algo == "dijkstra":
             result = dijkstra_flood(view, omega)
         elif args.algo == "prim":
-            result = prim_flood(view, {n: omega[n] for n in view.nodes if omega[n] < TOP})
+            result = prim_flood(view, {n: level for n, level in omega.items() if level < TOP})
         else:
             ceiling_by_index(view, omega)
             dendrogram = build_lake_dendrogram(view)
-            result = SolverResult(tau=dendrogram_flood(dendrogram, omega))
-    tau = result.tau  # in node order, whatever the route
+            result = SolverResult(NodeValues(view, [*dendrogram_flood(dendrogram, omega).values()]))
 
     if args.validate_after:
         check = is_node_flooding if args.algo == "core" else is_edge_flooding
-        report = check(view, tau)
+        report = check(view, result.tau)
         if not report:
             print(f"validate: invalid: {report.violations[0]}", file=sys.stderr)
             return 1
@@ -226,7 +242,7 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> int:
     _emit_stats(
         args, f"clusters={len(dendrogram.diam)}" if args.algo == "dendro" else result.stats
     )
-    _emit(args, [f"{n} {level}" for n, level in tau.items()])
+    _write_values(args, result.tau)  # by index, whatever the route
     return 0
 
 
@@ -269,8 +285,7 @@ def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> int:
 
 def cmd_fldist(args: argparse.Namespace, ingested: Ingested) -> int:
     view = edge_view(ingested, args, "fldist")
-    distances = flooding_distance_all(view, args.source)
-    _emit(args, [f"{n} {level}" for n, level in distances.items()])
+    _write_values(args, flooding_distance_all(view, args.source))
     return 0
 
 
@@ -301,7 +316,7 @@ def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> int:
 
 def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
-    tau = _read_values(args.tau)
+    tau = _read_tau(args, graph)
     names, edge_u, edge_v = graph.nodes, graph.edge_u, graph.edge_v
     part = lakes(graph, tau)
     kinds = LakeKind.REGIONAL_MINIMUM.value, LakeKind.FULL.value
@@ -315,7 +330,7 @@ def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> int:
 
 def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
-    tau = _read_values(args.tau)
+    tau = _read_tau(args, graph)
     if graph.edge_weights is not None:
         report = is_edge_flooding(graph, tau)
     else:
@@ -331,7 +346,7 @@ def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> int:
 def cmd_contract(args: argparse.Namespace, ingested: Ingested) -> int:
     graph = ingested.graph
     graph.require_ground_values("contract")
-    omega: NodeFunction | None = None  # no ceiling: none to build or check, no omega= written
+    omega: NodeValues | None = None  # no ceiling: none to build or check, no omega= written
     if args.ceiling is not None or ingested.file_omega is not None:
         omega = resolve_ceiling(args, ingested)
     contracted, mapping, contracted_omega = contract_flat_zones(graph, omega)

@@ -24,7 +24,7 @@ from itertools import filterfalse, groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConstructionError, PreconditionError
-from .graphs import Graph, NodeFunction
+from .graphs import Graph, NodeFunction, NodeValues
 from .ultrametric import flooding_distance_all, single_linkage
 from .weights import BOTTOM, TOP, Weight, join, meet
 
@@ -238,8 +238,9 @@ def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> No
     graph realizing the dendrogram.
     """
     names = dendro.leaf_names
+    own = isinstance(omega_leaf, NodeValues) and omega_leaf.graph.nodes is names  # no name read
     try:  # listing the leaves checks them: no scan of its own
-        lowest: list[Weight] = [omega_leaf[name] for name in names]
+        lowest = list(omega_leaf.values() if own else map(omega_leaf.__getitem__, names))
     except KeyError:
         missing = next(name for name in names if name not in omega_leaf)
         raise PreconditionError(f"omega is missing leaf {missing!r}") from None
@@ -287,7 +288,7 @@ def lake_growth_sequence(graph: Graph, node: str) -> tuple[GrowthStage, ...]:
     dist = flooding_distance_all(graph, node)
 
     def ball(radius: Weight) -> tuple[str, ...]:
-        return tuple(name for name in graph.nodes if dist[name] <= radius)
+        return tuple(name for name, level in dist.items() if level <= radius)
 
     radii = sorted(set(dist.values()))  # radii[0] is bottom: the node itself
     stages: list[GrowthStage] = []

@@ -32,9 +32,10 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
+from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
+from dataclasses import dataclass
 from itertools import accumulate, chain, compress, filterfalse, product
 from operator import lt
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConstructionError, GraphFormatError, PreconditionError
 from .weights import BOTTOM, TOP, Weight, parse_weight
@@ -143,6 +144,44 @@ class Graph:
         return index_graph(
             self.nodes, *ends, self.ground_values, weights, self._index, self.incidences()
         )
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class NodeValues(Mapping):
+    """A read-only node function, ``levels`` aligned with ``graph.nodes``: only
+    ``[]`` and ``in`` build the name index.  Two over one ``nodes`` tuple compare
+    their lists, any other Mapping its pairs, so equal dicts are equal."""
+
+    graph: Graph
+    levels: list[Weight]
+
+    def __getitem__(self, node: str) -> Weight:
+        return self.levels[self.graph._names()[node]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.graph.nodes)
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, NodeValues) and other.graph.nodes is self.graph.nodes:
+            return self.levels == other.levels
+        return Mapping.__eq__(self, other)
+
+    class _Pairs(ItemsView):
+        def __iter__(self) -> Iterator[tuple[str, Weight]]:
+            return zip(self._mapping.graph.nodes, self._mapping.levels)
+
+    class _Levels(ValuesView):
+        def __iter__(self) -> Iterator[Weight]:
+            return iter(self._mapping.levels)
+
+    def items(self) -> ItemsView:
+        return self._Pairs(self)
+
+    def values(self) -> ValuesView:
+        return self._Levels(self)
 
 
 def _edge_weights(weights: Iterable[Weight], count: int) -> tuple[Weight, ...]:
@@ -446,6 +485,8 @@ def values_by_index(graph: Graph, values: Mapping[str, Weight], what: str) -> li
     """``values`` listed by node index; raise unless it is defined on exactly
     the graph's nodes.  Both scans come before any value is read, so a mapping
     that fills in missing keys, such as a ``defaultdict``, is refused too."""
+    if isinstance(values, NodeValues) and values.graph.nodes is graph.nodes:  # no name read
+        return list(values.levels)  # a copy: berge lowers its list in place
     for node in filterfalse(values.__contains__, graph.nodes):
         raise PreconditionError(f"{what} is missing node {node!r}")
     if len(values) != len(graph.nodes):

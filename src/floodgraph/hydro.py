@@ -19,6 +19,7 @@ from typing import Mapping
 from .errors import PreconditionError
 from .graphs import (
     Graph,
+    NodeValues,
     connected_components,
     dilation,
     group_by_label,
@@ -116,11 +117,11 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
     Node-weighted graphs are classified on their derived edge view.
     """
     view = graph if graph.edge_weights is not None else derive_edge_graph(graph)
-    report = is_edge_flooding(view, tau)
+    levels = values_by_index(view, tau, "tau")
+    report = is_edge_flooding(view, NodeValues(view, levels))
     if not report:
         raise PreconditionError(f"tau is not a valid flooding: {report.violations[0]}")
     weights = view.edge_weights
-    levels = [tau[node] for node in view.nodes]
     ends = view.edge_u, view.edge_v, weights
     inside = [levels[u] == levels[v] and e <= levels[u] for u, v, e in zip(*ends)]
     label, first = connected_components(view, inside)

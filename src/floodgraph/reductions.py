@@ -30,6 +30,7 @@ from typing import Mapping
 from .graphs import (
     Graph,
     NodeFunction,
+    NodeValues,
     ceiling_by_index,
     connected_components,
     dilation,
@@ -180,7 +181,7 @@ def _zone_edges(
     return edge_u, edge_v, weights
 
 
-def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunction:
+def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeValues:
     """Flood a node-weighted graph by contracting, closing, then flooding.
 
     Flat zones are merged first, and the min-max kernel floods the zone
@@ -208,7 +209,7 @@ def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunct
     for zone in fed:
         if ceiling[zone] < chi[zone]:
             chi[zone] = ceiling[zone]
-    return dict(zip(graph.nodes, map(chi.__getitem__, zone_of)))
+    return NodeValues(graph, list(map(chi.__getitem__, zone_of)))
 
 
 def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:

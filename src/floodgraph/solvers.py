@@ -40,6 +40,7 @@ from .errors import PreconditionError
 from .graphs import (
     Graph,
     NodeFunction,
+    NodeValues,
     below_ground,
     ceiling_by_index,
     index_graph,
@@ -74,7 +75,7 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class SolverResult:
-    tau: NodeFunction
+    tau: Mapping[str, Weight]
     labels: NodeFunction | None = None
     stats: SolverStats = field(default_factory=SolverStats)
 
@@ -102,7 +103,7 @@ def augment_with_dummy(graph: Graph, omega: Mapping[str, Weight]) -> tuple[Graph
     return augmented, dummy
 
 
-def oracle_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunction:
+def oracle_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeValues:
     """tau_q = min over nodes i of omega_i v d(i, q), via the full matrix."""
     ceiling = ceiling_by_index(graph, omega)
     rows = distance_rows(graph)
@@ -110,7 +111,7 @@ def oracle_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeFunction:
     for level, row in zip(ceiling, rows):
         if level != TOP:  # a top ceiling lowers nothing
             tau = list(map(min, tau, map(max, repeat(level), row)))
-    return dict(zip(graph.nodes, tau))
+    return NodeValues(graph, tau)
 
 
 def berge_flood(
@@ -169,7 +170,7 @@ def berge_flood(
                 stale[q] = True
         if not changed:
             break
-    return SolverResult(tau=dict(zip(graph.nodes, tau)), stats=stats)
+    return SolverResult(tau=NodeValues(graph, tau), stats=stats)
 
 
 def dijkstra_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverResult:
@@ -188,7 +189,7 @@ def dijkstra_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverResult:
         tau[seed] = ceiling[seed]
     extractions, relaxations, levels = _best_first_flood(graph, weights, tau, fed)
     stats = SolverStats(extractions, relaxations, 0, tuple(levels))
-    return SolverResult(tau=dict(zip(graph.nodes, tau)), stats=stats)
+    return SolverResult(tau=NodeValues(graph, tau), stats=stats)
 
 
 def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
@@ -239,7 +240,7 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
                 funnel[weights[adj_edge[slot]]].append(neighbor)
                 relaxations += 1
     stats = SolverStats(extractions, relaxations)
-    return SolverResult(tau=dict(zip(graph.nodes, tau)), stats=stats)
+    return SolverResult(tau=NodeValues(graph, tau), stats=stats)
 
 
 def core_expanding_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverResult:
@@ -297,7 +298,7 @@ def core_expanding_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverRes
                 else:
                     funnel[at].append(q)
                     relaxations += 1
-    return SolverResult(dict(zip(graph.nodes, tau)), stats=SolverStats(extractions, relaxations))
+    return SolverResult(NodeValues(graph, tau), stats=SolverStats(extractions, relaxations))
 
 
 def ceiling_minima(graph: Graph, omega: Mapping[str, Weight]) -> tuple[str, ...]:

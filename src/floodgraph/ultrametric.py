@@ -29,7 +29,7 @@ import heapq
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, NodeFunction, find_root, partial_graph
+from .graphs import Graph, NodeFunction, NodeValues, find_root, partial_graph
 from .weights import BOTTOM, TOP, Weight
 
 __all__ = [
@@ -143,14 +143,14 @@ def _best_first_flood(
     return extractions, relaxations, useful
 
 
-def flooding_distance_all(graph: Graph, source: str) -> NodeFunction:
+def flooding_distance_all(graph: Graph, source: str) -> NodeValues:
     """Single-source flooding distance: the kernel seeded at the source."""
     weights = graph.require_edge_weights("flooding_distance_all")
     start = graph.node_index(source)
     dist: list[Weight] = [TOP] * len(graph.nodes)
     dist[start] = BOTTOM
     _best_first_flood(graph, weights, dist, (start,))
-    return dict(zip(graph.nodes, dist))
+    return NodeValues(graph, dist)
 
 
 def single_linkage(graph: Graph, weights: Sequence[Weight]) -> Iterator[tuple[int, int, int]]:

@@ -669,8 +669,29 @@ def test_validate_requires_a_total_tau(capsys, tank_file, tmp_path):
     partial = tmp_path / "partial.txt"
     partial.write_text("A 2\n")
     code, _, err = run(capsys, "validate", "--graph", tank_file, "--tau", str(partial))
-    assert code == 1
+    assert code == 2
     assert "missing node" in err
+
+
+TAU_FAULTS = {
+    # b is left out, and zz names no node: the missing node is reported first
+    "missing": ("a 0\nzz 1\nc 2\nd 2\ne 1\n", "tau is missing node 'b'"),
+    # zz comes before yy in the file
+    "unknown": ("a 0\nb 4\nzz 1\nc 2\nyy 0\nd 2\ne 1\n", "tau defined on unknown node 'zz'"),
+}
+
+
+@pytest.mark.parametrize("fault", TAU_FAULTS)
+@pytest.mark.parametrize("command", ["lakes", "validate"])
+def test_a_tau_file_off_the_node_set_exits_2_naming_the_file(
+    capsys, tmp_path, chain_file, command, fault
+):
+    """A tau file is read against the graph, as a ceiling file is: a fault of its input."""
+    text, message = TAU_FAULTS[fault]
+    tau = tmp_path / "tau.txt"
+    tau.write_text(text)
+    code, out, err = run(capsys, command, "--graph", chain_file, "--tau", str(tau))
+    assert (code, out, err) == (2, "", f"error: {tau}: {message}\n")
 
 
 # -- contract and localflood -----------------------------------------------------------

@@ -23,6 +23,7 @@ from floodgraph import (
     is_dendrogram,
     lake_growth_sequence,
     serialize_graph,
+    write_pgm,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -56,10 +57,10 @@ DEEP_PATH_DENDRO_SHA256 = "acf0c72d7dc6ed51dfe0f161da959a13e5598290127d8213fe2eb
 # The child reports its own peak RSS in bytes.  On Linux, ru_maxrss keeps the
 # high-water mark of the process it was forked from across exec, so a child
 # of a large test process reads that process's peak; VmHWM is the child's.
-DENDRO_CHILD = """\
+CLI_CHILD = """\
 import os, resource, sys
 from floodgraph.cli import main
-code = main(["dendro", "--graph", sys.argv[1]])
+code = main(sys.argv[1:])
 sys.stdout.flush()
 if os.path.exists("/proc/self/status"):
     with open("/proc/self/status") as status:
@@ -79,7 +80,7 @@ def test_deep_path_dendro_output_streams(tmp_path):
     graph = tmp_path / "path.fg"
     graph.write_text(serialize_graph(increasing_path(6000)))
     child = subprocess.Popen(
-        [sys.executable, "-c", DENDRO_CHILD, str(graph)],
+        [sys.executable, "-c", CLI_CHILD, "dendro", "--graph", str(graph)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -91,6 +92,42 @@ def test_deep_path_dendro_output_streams(tmp_path):
     assert child.wait() == 0
     assert digest.hexdigest() == DEEP_PATH_DENDRO_SHA256
     assert peak < 100 * 2**20
+
+
+def raster_child_peak(tmp_path, *argv):
+    """The child's peak RSS in MB for one CLI call on a seeded 512x512 raster.
+
+    Levels 0..50, and a ceiling of ground + 0..5 on about 10% of the pixels in
+    ``ceiling.txt``; the output goes to stdout, read by nobody.
+    """
+    rng = random.Random(1)
+    size = 512
+    ground = [[rng.randint(0, 50) for _ in range(size)] for _ in range(size)]
+    (tmp_path / "ground.pgm").write_bytes(write_pgm(ground))
+    (tmp_path / "ceiling.txt").write_text("".join(
+        f"{r},{c} {level + rng.randint(0, 5)}\n"
+        for r, row in enumerate(ground) for c, level in enumerate(row) if rng.random() < 0.1
+    ))
+    child = subprocess.run(
+        [sys.executable, "-c", CLI_CHILD, *argv, "--graph", "ground.pgm"],
+        cwd=tmp_path,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+    )
+    return int(child.stderr) / 2**20
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["flood", "--algo", "dijkstra", "--derive-edges", "--ceiling", "ceiling.txt"], 85),
+    (["fldist", "--derive-edges", "--from", "0,0"], 90),
+])
+def test_raster_flood_and_fldist_peaks_hold_node_functions_by_index(tmp_path, argv, limit):
+    """The ceiling and the result stay lists by node index, written slice by slice:
+    no dict keyed by name over every pixel, no list of every output line."""
+    pytest.importorskip("resource")
+    assert raster_child_peak(tmp_path, *argv) < limit
 
 
 def test_is_dendrogram_on_a_deep_chain_is_linear():
