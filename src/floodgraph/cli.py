@@ -180,13 +180,18 @@ def _emit(args: argparse.Namespace, lines: Iterable[str]) -> None:
     _write(args, chunks())
 
 
-def _write_values(args: argparse.Namespace, values: NodeValues) -> None:
-    """Write ``<node> <value>`` lines, each chunk joined from a slice of 65,536 nodes."""
-    names, levels = values.graph.nodes, values.levels
-    _write(args, (
-        "".join([f"{n} {v}\n" for n, v in zip(names[lo : lo + 65536], levels[lo : lo + 65536])])
-        for lo in range(0, len(names), 65536)
-    ))
+def _write_values(args: argparse.Namespace, *columns: NodeValues) -> None:
+    """Write ``<node> <value>[ <value>]`` lines, a value column per node function
+    (one or two), each chunk joined from a slice of 65,536 nodes."""
+    names = columns[0].graph.nodes
+
+    def chunk(lo: int) -> str:
+        rows = zip(names[lo : lo + 65536], *[column.levels[lo : lo + 65536] for column in columns])
+        if len(columns) == 1:
+            return "".join([f"{n} {v}\n" for n, v in rows])
+        return "".join([f"{n} {v} {t}\n" for n, v, t in rows])
+
+    _write(args, map(chunk, range(0, len(names), 65536)))
 
 
 def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
@@ -247,17 +252,16 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> int:
 
 
 def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> int:
-    graph = ingested.graph
     view = edge_view(ingested, args, "segmentation")
     markers = _read_values(args.markers)
     if not markers:
         raise PreconditionError(f"{args.markers}: no markers found")
-    result = marker_segmentation(view, markers, engine=args.engine, want_tau=args.tau)
+    result = marker_segmentation(view, markers, engine=args.engine)
     labels = result.labels
     assert labels is not None
-    if len(labels) != len(graph.nodes):  # labels holds the reached nodes only
-        for node in filterfalse(labels.__contains__, graph.nodes):
-            raise PreconditionError(f"node {node!r} is unreachable from every marker")
+    if None in labels.levels:  # None marks a node that no marker reaches
+        node = view.nodes[labels.levels.index(None)]
+        raise PreconditionError(f"node {node!r} is unreachable from every marker")
 
     if args.label_pgm:
         if ingested.raster_shape is None:
@@ -268,18 +272,13 @@ def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> int:
                 raise PreconditionError(
                     f"label {label} at node {node!r} does not fit in a PGM gray value"
                 )
-        flat = list(map(labels.__getitem__, graph.nodes))  # node i is pixel divmod(i, width)
+        flat = labels.levels  # node i is pixel divmod(i, width)
         raster = [flat[start : start + width] for start in range(0, len(flat), width)]
         with open(args.label_pgm, "wb") as handle:
             handle.write(write_pgm(raster))
 
     _emit_stats(args, result.stats)
-    if args.tau:
-        tau = result.tau
-        lines = [f"{n} {labels[n]} {tau[n]}" for n in graph.nodes]
-    else:
-        lines = [f"{n} {labels[n]}" for n in graph.nodes]
-    _emit(args, lines)
+    _write_values(args, *((labels, result.tau) if args.tau else (labels,)))
     return 0
 
 

@@ -39,7 +39,6 @@ from typing import Mapping
 from .errors import PreconditionError
 from .graphs import (
     Graph,
-    NodeFunction,
     NodeValues,
     below_ground,
     ceiling_by_index,
@@ -75,8 +74,8 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class SolverResult:
-    tau: Mapping[str, Weight]
-    labels: NodeFunction | None = None
+    tau: NodeValues
+    labels: NodeValues | None = None
     stats: SolverStats = field(default_factory=SolverStats)
 
 
@@ -322,10 +321,7 @@ def ceiling_minima(graph: Graph, omega: Mapping[str, Weight]) -> tuple[str, ...]
 
 
 def marker_segmentation(
-    graph: Graph,
-    markers: Mapping[str, Weight],
-    engine: str = "dijkstra",
-    want_tau: bool = False,
+    graph: Graph, markers: Mapping[str, Weight], engine: str = "dijkstra"
 ) -> SolverResult:
     """Label every reachable node with its closest marker's label.
 
@@ -335,9 +331,9 @@ def marker_segmentation(
     settle each node with the least (distance, marker rank) pair, so they
     produce identical partitions: ``dijkstra`` keeps one improving
     candidate per node, ``prim`` grows a forest over boundary edges with
-    multi-occupancy.  Nodes unreachable from every marker stay unlabeled.
-    tau (the distance to the winning marker, floored at zero) is filled
-    only when ``want_tau`` is set.
+    multi-occupancy.  tau is the distance to the winning marker, floored at
+    zero; a node unreachable from every marker keeps label ``None`` and tau
+    top.
     """
     weights = graph.require_edge_weights("marker_segmentation")
     if not markers:
@@ -350,8 +346,8 @@ def marker_segmentation(
         raise PreconditionError(f"unknown segmentation engine: {engine!r}")
     prim = engine == "prim"
     count = len(graph.nodes)
-    tau: list[Weight] = [BOTTOM] * count
-    rank_of: list[int | None] = [None] * count  # the winning marker, once settled
+    tau: list[Weight] = [TOP] * count
+    labels: list[Weight | None] = [None] * count  # the winning marker's label, once settled
     best: list[tuple[Weight, int] | None] = [None] * count
     funnel = Funnel()
     for rank, node in enumerate(ranked):
@@ -364,14 +360,14 @@ def marker_segmentation(
     for (level, rank), bucket in funnel.buckets():
         extractions += len(bucket)
         for node in bucket:
-            if rank_of[node] is not None:
+            if labels[node] is not None:
                 continue
-            rank_of[node] = rank
-            tau[node] = level
+            labels[node] = label_of[rank]
+            tau[node] = level if level > 0 else 0
             levels.append(level)
             for slot in range(offsets[node], offsets[node + 1]):
                 neighbor = adj_node[slot]
-                if rank_of[neighbor] is not None:
+                if labels[neighbor] is not None:
                     continue
                 w = weights[adj_edge[slot]]
                 candidate = (w if w > level else level, rank)
@@ -380,10 +376,4 @@ def marker_segmentation(
                     funnel[candidate].append(neighbor)
                     relaxations += 1
     stats = SolverStats(extractions, relaxations, 0, tuple(levels))
-    reached = [node for node in range(count) if rank_of[node] is not None]
-    names = graph.nodes
-    return SolverResult(
-        tau={names[node]: max(0, tau[node]) for node in reached} if want_tau else {},
-        labels={names[node]: label_of[rank_of[node]] for node in reached},
-        stats=stats,
-    )
+    return SolverResult(NodeValues(graph, tau), NodeValues(graph, labels), stats)

@@ -355,9 +355,12 @@ def test_marker_segmentation_matches_the_per_item_loop(graph, data):
     labels = data.draw(st.lists(st.integers(0, 50), min_size=len(chosen), max_size=len(chosen), unique=True))
     markers = dict(zip(chosen, labels))
     for engine in ("dijkstra", "prim"):
-        result = marker_segmentation(graph, markers, engine=engine, want_tau=True)
-        got = (result.labels, result.tau, *_counters(result))
-        assert got == per_item_marker_segmentation(graph, markers, engine)
+        result = marker_segmentation(graph, markers, engine=engine)
+        labels, tau, *counters = per_item_marker_segmentation(graph, markers, engine)
+        # The reference lists the reached nodes only; the others hold None and top.
+        assert result.labels == {**dict.fromkeys(graph.nodes), **labels}
+        assert result.tau == {**dict.fromkeys(graph.nodes, TOP), **tau}
+        assert [*_counters(result)] == counters
 
 
 # -- structural guard: no Funnel method call per queued node -------------------
@@ -376,8 +379,8 @@ def _queue_routes():
         "flooding_distance_all": lambda: flooding_distance_all(edges, nodes[5]),
         "prim_flood": lambda: prim_flood(edges, {nodes[0]: 3, nodes[40]: 4}),
         "core_expanding_flood": lambda: core_expanding_flood(graph, omega),
-        "segment_dijkstra": lambda: marker_segmentation(edges, markers, want_tau=True),
-        "segment_prim": lambda: marker_segmentation(edges, markers, engine="prim", want_tau=True),
+        "segment_dijkstra": lambda: marker_segmentation(edges, markers),
+        "segment_prim": lambda: marker_segmentation(edges, markers, engine="prim"),
         "contract_close_flood": lambda: contract_close_flood(graph, omega),
         "lake_growth_sequence": lambda: lake_growth_sequence(edges, nodes[12]),
     }

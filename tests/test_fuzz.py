@@ -14,7 +14,15 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from floodgraph import TOP, GraphFormatError, parse_graph, parse_node_values, parse_weight, read_pgm
+from floodgraph import (
+    TOP,
+    GraphFormatError,
+    marker_segmentation,
+    parse_graph,
+    parse_node_values,
+    parse_weight,
+    read_pgm,
+)
 from floodgraph.cli import main
 from floodgraph.formats import _PGM_COMMENT, HEADER, _pgm_int
 from floodgraph.graphs import index_graph
@@ -139,6 +147,53 @@ def test_cli_exits_2_without_a_traceback_on_rejected_input(data, ceiling_text):
         if _rejects(parse_node_values, ceiling_text):
             assert code == 2 and err.startswith("error: "), err
         assert code in (0, 1, 2)
+
+
+# Two components, {a, b, c} and {d}: d needs a marker of its own.
+TWO_PARTS = "floodgraph v1\nnode a\nnode b\nnode c\nnode d\nedge a b w=3\nedge b c w=1\n"
+marker_lines = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c", "d", "zzz"]), st.sampled_from(["0", "1", "2", "inf"])),
+    max_size=5,
+)
+
+
+def _segment_code(lines: list[tuple[str, str]]) -> int:
+    """The exit code README gives for a markers file on TWO_PARTS, fault by fault."""
+    nodes = [node for node, _ in lines]
+    if len(set(nodes)) != len(nodes) or "zzz" in nodes:
+        return 2  # a duplicate line or an unknown node
+    if not lines or len({label for _, label in lines}) != len(lines):
+        return 1  # no markers, or labels that are not distinct
+    if "d" not in nodes or not {"a", "b", "c"} & set(nodes):
+        return 1  # a node that no marker reaches
+    return 0
+
+
+@settings(max_examples=100)
+@example([("a", "1"), ("d", "2")], "dijkstra", False)
+@example([("a", "1"), ("zzz", "2")], "dijkstra", False)  # an unknown node
+@example([("a", "1"), ("a", "2")], "prim", False)  # a duplicate line
+@example([("a", "1"), ("d", "1")], "dijkstra", False)  # duplicate labels
+@example([], "dijkstra", True)  # no markers, a comment only
+@example([("a", "1"), ("c", "2")], "prim", False)  # a component with no marker
+@given(marker_lines, st.sampled_from(["dijkstra", "prim"]), st.booleans())
+def test_cli_segment_exits_as_readme_lists_each_fault(lines, engine, comment):
+    text = "".join(f"{node} {label}\n" for node, label in lines)
+    with tempfile.TemporaryDirectory() as workdir:
+        graph, markers = Path(workdir) / "two.fg", Path(workdir) / "markers.txt"
+        graph.write_text(TWO_PARTS)
+        markers.write_text(f"# markers\n\n{text}" if comment else text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["segment", "--graph", str(graph), "--markers", str(markers),
+                         "--engine", engine])
+    assert code == _segment_code(lines), err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return
+    expected = marker_segmentation(parse_graph(TWO_PARTS)[0], parse_node_values(text), engine)
+    assert list(parse_node_values(out.getvalue()).items()) == list(expected.labels.items())
 
 
 # -- reference readers ----------------------------------------------------------

@@ -78,13 +78,23 @@ def test_iteration_items_values_and_the_writer_build_no_name_index(tmp_path):
 
 
 def test_the_writer_joins_slices_of_65536_nodes(tmp_path, monkeypatch):
+    """One value column (flood, fldist) or two (segment --tau), equal to the lines
+    written by name."""
     graph = grid_graph([[level % 7 for level in range(300)] for _ in range(300)])
     values = NodeValues(graph, list(graph.ground_values))
+    more = NodeValues(graph, [TOP if i % 5 else i for i in range(len(graph.nodes))])
     chunks = []
     monkeypatch.setattr("floodgraph.cli._write", lambda args, parts: chunks.extend(parts))
     _write_values(argparse.Namespace(output=None), values)
     assert [chunk.count("\n") for chunk in chunks] == [65536, 24464]
     assert "".join(chunks) == "".join(f"{n} {v}\n" for n, v in values.items())
+    chunks.clear()
+    _write_values(argparse.Namespace(output=None), values, more)
+    assert [chunk.count("\n") for chunk in chunks] == [65536, 24464]
+    by_name, more_by_name = dict(values.items()), dict(more.items())
+    assert "".join(chunks) == "".join(
+        f"{n} {by_name[n]} {more_by_name[n]}\n" for n in graph.nodes
+    )
 
 
 def test_berge_leaves_a_node_values_ceiling_unchanged():

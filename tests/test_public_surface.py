@@ -206,6 +206,7 @@ PARAMETERS = {
     "connected_components": ("graph", "keep"),
     "dijkstra_flood": ("graph", "omega"),
     "flat_zones": ("graph", "values"),
+    "marker_segmentation": ("graph", "markers", "engine"),
     "node_closing": ("graph",),
     "node_erosion": ("graph",),
     "prim_flood": ("graph", "sources"),

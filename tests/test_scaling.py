@@ -97,8 +97,9 @@ def test_deep_path_dendro_output_streams(tmp_path):
 def raster_child_peak(tmp_path, *argv):
     """The child's peak RSS in MB for one CLI call on a seeded 512x512 raster.
 
-    Levels 0..50, and a ceiling of ground + 0..5 on about 10% of the pixels in
-    ``ceiling.txt``; the output goes to stdout, read by nobody.
+    Levels 0..50, a ceiling of ground + 0..5 on about 10% of the pixels in
+    ``ceiling.txt``, and 20 markers labelled 1..20 in ``markers.txt``; the
+    output goes to stdout, read by nobody.
     """
     rng = random.Random(1)
     size = 512
@@ -107,6 +108,10 @@ def raster_child_peak(tmp_path, *argv):
     (tmp_path / "ceiling.txt").write_text("".join(
         f"{r},{c} {level + rng.randint(0, 5)}\n"
         for r, row in enumerate(ground) for c, level in enumerate(row) if rng.random() < 0.1
+    ))
+    (tmp_path / "markers.txt").write_text("".join(
+        f"{cell // size},{cell % size} {label}\n"
+        for label, cell in enumerate(rng.sample(range(size * size), 20), start=1)
     ))
     child = subprocess.run(
         [sys.executable, "-c", CLI_CHILD, *argv, "--graph", "ground.pgm"],
@@ -128,6 +133,15 @@ def test_raster_flood_and_fldist_peaks_hold_node_functions_by_index(tmp_path, ar
     no dict keyed by name over every pixel, no list of every output line."""
     pytest.importorskip("resource")
     assert raster_child_peak(tmp_path, *argv) < limit
+
+
+def test_raster_segment_peak_holds_labels_and_tau_by_index(tmp_path):
+    """Labels and tau stay lists by node index: the lines are written slice by slice
+    and the PGM rows are slices of the labels, with no dict keyed by name."""
+    pytest.importorskip("resource")
+    argv = ["segment", "--derive-edges", "--markers", "markers.txt", "--tau",
+            "--label-pgm", "labels.pgm"]
+    assert raster_child_peak(tmp_path, *argv) < 112
 
 
 def test_is_dendrogram_on_a_deep_chain_is_linear():

@@ -27,6 +27,7 @@ from floodgraph import (
     prim_flood,
     regional_minima,
 )
+from floodgraph.graphs import NodeValues
 from floodgraph.ultrametric import distance_rows
 
 from strategies import (
@@ -331,7 +332,7 @@ def test_ceiling_minima_meet_every_regional_minimum(instance):
 
 
 def test_segmentation_chain(chain):
-    result = marker_segmentation(chain.edge_graph, {"a": 1, "e": 2}, want_tau=True)
+    result = marker_segmentation(chain.edge_graph, {"a": 1, "e": 2})
     assert result.labels == {"a": 1, "b": 1, "c": 2, "d": 2, "e": 2}
     assert result.tau == {"a": 0, "b": 4, "c": 2, "d": 2, "e": 0}
 
@@ -348,13 +349,18 @@ def test_segmentation_tie_goes_to_the_earlier_marker(chain):
     assert flipped.labels["b"] == 2
 
 
-def test_segmentation_without_tau_leaves_it_empty(chain):
-    assert marker_segmentation(chain.edge_graph, {"a": 1, "e": 2}).tau == {}
+def test_segmentation_returns_node_values_over_the_graph(chain):
+    """tau and labels are lists by node index over the graph passed in, as every solver's tau."""
+    graph = chain.edge_graph
+    result = marker_segmentation(graph, {"a": 1, "e": 2})
+    for values in (result.tau, result.labels):
+        assert isinstance(values, NodeValues) and values.graph is graph
+    assert result.labels.levels == [1, 1, 2, 2, 2] and result.tau.levels == [0, 4, 2, 2, 0]
 
 
 def test_segmentation_every_node_its_own_marker(chain):
     markers = {node: i for i, node in enumerate(chain.edge_graph.nodes)}
-    result = marker_segmentation(chain.edge_graph, markers, want_tau=True)
+    result = marker_segmentation(chain.edge_graph, markers)
     assert result.labels == markers
     assert result.tau == {node: 0 for node in chain.edge_graph.nodes}
 
@@ -362,8 +368,8 @@ def test_segmentation_every_node_its_own_marker(chain):
 def test_segmentation_leaves_unreachable_nodes_unlabeled():
     graph = build_graph(["a", "b", "c"], [("a", "b")], edge_weights=[1])
     result = marker_segmentation(graph, {"a": 7})
-    assert result.labels == {"a": 7, "b": 7}
-    assert "c" not in result.labels
+    assert result.labels == {"a": 7, "b": 7, "c": None}
+    assert result.tau["c"] == TOP
 
 
 def test_segmentation_rejects_bad_markers(chain):
