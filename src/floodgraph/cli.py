@@ -42,7 +42,7 @@ from .formats import (
     serialize_graph,
     write_pgm,
 )
-from .graphs import Graph, NodeFunction, NodeValues, ceiling_by_index, grid_graph, values_by_index
+from .graphs import Graph, NodeFunction, NodeValues, grid_graph, values_by_index
 from .hydro import LakeKind, derive_edge_graph, is_edge_flooding, is_node_flooding, lakes
 from .dendrogram import build_lake_dendrogram, dendrogram_flood
 from .reductions import contract_flat_zones, local_flood
@@ -66,7 +66,7 @@ _FIRST_LINE = re.compile(rf"(?:\s|#[^{_BREAKS}]*)*([^#{_BREAKS}]*)")
 @dataclass(frozen=True)
 class Ingested:
     graph: Graph
-    file_omega: NodeFunction | None
+    file_omega: NodeValues | None
     raster_shape: tuple[int, int] | None
 
 
@@ -108,8 +108,8 @@ def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeValues:
     """Ceiling precedence: --ceiling file, then graph-file omega, then top."""
     graph, path = ingested.graph, args.ceiling
     if path is None:
-        if ingested.file_omega is not None:  # complete, in node order
-            return NodeValues(graph, list(ingested.file_omega.values()))
+        if ingested.file_omega is not None:  # complete, over the graph
+            return ingested.file_omega
         return NodeValues(graph, [TOP] * len(graph.nodes))
     data = _read_bytes(path)
     if data[:2] in (b"P2", b"P5"):
@@ -232,9 +232,8 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> int:
         elif args.algo == "prim":
             result = prim_flood(view, {n: level for n, level in omega.items() if level < TOP})
         else:
-            ceiling_by_index(view, omega)
             dendrogram = build_lake_dendrogram(view)
-            result = SolverResult(NodeValues(view, [*dendrogram_flood(dendrogram, omega).values()]))
+            result = SolverResult(dendrogram_flood(dendrogram, omega))
 
     if args.validate_after:
         check = is_node_flooding if args.algo == "core" else is_edge_flooding
@@ -298,11 +297,8 @@ def cmd_mst(args: argparse.Namespace, ingested: Ingested) -> int:
 def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> int:
     view = edge_view(ingested, args, "dendro")
     dendro = build_lake_dendrogram(view)
-    tau: NodeFunction = {}
-    if args.flood:  # before any output, so a bad ceiling writes nothing
-        omega = resolve_ceiling(args, ingested)
-        ceiling_by_index(view, omega)
-        tau = dendrogram_flood(dendro, omega)
+    # before any output, so a bad ceiling writes nothing
+    tau = dendrogram_flood(dendro, resolve_ceiling(args, ingested)) if args.flood else {}
     clusters = (
         f"cluster {index} diam={diam} "
         f"father={'none' if father is None else father} leaves={' '.join(leaves)}"

@@ -8,7 +8,7 @@ water rises, live here too.
 
 Cluster indices are topological: every child's index is smaller than its
 father's, leaves come first.  A `Dendrogram` is the parent arrays indexed by
-cluster, `diam`, `father` and `children`, next to `leaf_names`, as in
+cluster, `diam`, `father` and `children`, over its graph, as in
 Najman, Cousty & Perret, "Playing with Kruskal" (ISMM 2013).  Building,
 flooding and the CLI read the arrays; `all_members()` merges the children's
 sorted leaf runs bottom-up and `members(i)` walks the children down from
@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import filterfalse, groupby
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ConstructionError, PreconditionError
-from .graphs import Graph, NodeFunction, NodeValues
+from .errors import ConstructionError
+from .graphs import Graph, NodeValues, ceiling_by_index, index_graph
 from .ultrametric import flooding_distance_all, single_linkage
 from .weights import BOTTOM, TOP, Weight, join, meet
 
@@ -54,18 +54,19 @@ class Cluster:
 class Dendrogram:
     """A forest of clusters, held as parent arrays indexed by cluster.
 
-    Leaf ``i`` is cluster ``i``; ``groups`` are the inner clusters in index
-    order, taken unchecked (`build_dendrogram` validates them).  ``diam``,
-    ``father`` (None for a summit) and ``children`` are lists by cluster,
-    next to ``leaf_names``.  ``clusters`` are views built on first access
-    and kept; ``==`` and ``hash`` read ``leaf_names`` and the arrays.
+    Leaf ``i`` is cluster ``i``, node ``i`` of ``graph``; ``groups`` are the
+    inner clusters in index order, taken unchecked (`build_dendrogram`
+    validates them).  ``diam``, ``father`` (None for a summit) and
+    ``children`` are lists by cluster, over its graph.  ``clusters`` are
+    views built on first access and kept; ``==`` and ``hash`` read
+    ``graph.nodes`` and the arrays.
     """
 
-    __slots__ = ("leaf_names", "diam", "father", "children", "_clusters")
+    __slots__ = ("graph", "diam", "father", "children", "_clusters")
 
-    def __init__(self, names: Sequence[str], groups: Sequence[Group]) -> None:
-        leaves = len(names)
-        self.leaf_names = tuple(names)
+    def __init__(self, graph: Graph, groups: Sequence[Group]) -> None:
+        leaves = len(graph.nodes)
+        self.graph = graph
         self.diam = [BOTTOM] * leaves + [level for level, _ in groups]
         self.children = children = [()] * leaves + [kids for _, kids in groups]
         self.father = father = [None] * len(children)
@@ -76,19 +77,19 @@ class Dendrogram:
 
     def members(self, index: int) -> tuple[str, ...]:
         """Leaf names under cluster ``index``, in declaration order."""
-        leaves, below, found = len(self.leaf_names), [index], []
+        leaves, below, found = len(self.graph.nodes), [index], []
         while below:
             cluster = below.pop()
             if cluster < leaves:
                 found.append(cluster)
             else:
                 below += self.children[cluster]
-        return tuple(map(self.leaf_names.__getitem__, sorted(found)))
+        return tuple(map(self.graph.nodes.__getitem__, sorted(found)))
 
     def all_members(self) -> Iterator[tuple[str, ...]]:
         """Every cluster's ``members``, in cluster order: an inner cluster sorts
         its children's sorted runs into one (a merge), and theirs are dropped."""
-        names = self.leaf_names
+        names = self.graph.nodes
         yield from zip(names)  # leaf i is cluster i
         leaves, runs = len(names), {}
         for index in range(leaves, len(self.children)):
@@ -114,15 +115,15 @@ class Dendrogram:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.leaf_names, self.diam, self.father, self.children) == (
-            other.leaf_names, other.diam, other.father, other.children
+        return (self.graph.nodes, self.diam, self.father, self.children) == (
+            other.graph.nodes, other.diam, other.father, other.children
         )
 
     def __hash__(self) -> int:
-        return hash((self.leaf_names, tuple(self.diam), tuple(self.father), tuple(self.children)))
+        return hash((self.graph.nodes, tuple(self.diam), tuple(self.father), tuple(self.children)))
 
     def __repr__(self) -> str:
-        return f"Dendrogram(leaf_names={self.leaf_names!r}, clusters={self.clusters!r})"
+        return f"Dendrogram(leaf_names={self.graph.nodes!r}, clusters={self.clusters!r})"
 
 
 def is_dendrogram(family: Iterable[Iterable[str]]) -> tuple[bool, tuple | None]:
@@ -189,7 +190,7 @@ def build_dendrogram(
     for members, diam in normalized:
         prepared.append((diam, tuple(sorted({owner[name] for name in members}))))
         owner.update(dict.fromkeys(members, len(leaf_order) + len(prepared) - 1))
-    dendro = Dendrogram(leaf_order, prepared)
+    dendro = Dendrogram(index_graph(leaf_order, (), (), index=leaf_index), prepared)
     for index, (diam, children) in enumerate(prepared, len(leaf_order)):
         for child in children:
             if dendro.diam[child] >= diam:
@@ -226,28 +227,21 @@ def build_lake_dendrogram(graph: Graph) -> Dendrogram:
         for root, parts in pending.items():
             current[root] = leaves + len(groups)
             groups.append((level, tuple(sorted(parts))))
-    return Dendrogram(graph.nodes, groups)
+    return Dendrogram(graph, groups)
 
 
-def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> NodeFunction:
+def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> NodeValues:
     """Dominated flooding evaluated on the tree alone.
 
     A cluster floods to cap ^ (omega(cluster) v diam(cluster)) where
     omega(cluster) is the lowest ceiling among its leaves and cap is its
     father's level (top for a summit).  Equals the graph solvers on any
-    graph realizing the dendrogram.
+    graph realizing the dendrogram.  The ceiling is read over the
+    dendrogram's graph by `ceiling_by_index`, as the solvers read it.
     """
-    names = dendro.leaf_names
-    own = isinstance(omega_leaf, NodeValues) and omega_leaf.graph.nodes is names  # no name read
-    try:  # listing the leaves checks them: no scan of its own
-        lowest = list(omega_leaf.values() if own else map(omega_leaf.__getitem__, names))
-    except KeyError:
-        missing = next(name for name in names if name not in omega_leaf)
-        raise PreconditionError(f"omega is missing leaf {missing!r}") from None
-    if len(omega_leaf) != len(names):
-        for name in filterfalse(set(names).__contains__, omega_leaf):
-            raise PreconditionError(f"omega defined on unknown node {name!r}")
-    for kids in dendro.children[len(names) :]:
+    lowest = ceiling_by_index(dendro.graph, omega_leaf)  # a fresh list: extended by cluster
+    leaves = len(lowest)
+    for kids in dendro.children[leaves:]:
         lowest.append(min(map(lowest.__getitem__, kids)))
     diam, father = dendro.diam, dendro.father
     level: list[Weight] = [TOP] * len(diam)
@@ -255,7 +249,7 @@ def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> No
         up = father[index]
         cap = TOP if up is None else level[up]
         level[index] = meet(cap, join(lowest[index], diam[index]))
-    return dict(zip(names, level))
+    return NodeValues(dendro.graph, level[:leaves])
 
 
 class GrowthKind(enum.Enum):

@@ -24,7 +24,7 @@ import re
 from typing import Collection, Mapping
 
 from .errors import GraphFormatError
-from .graphs import Graph, NodeFunction, index_graph
+from .graphs import Graph, NodeFunction, NodeValues, index_graph
 from .weights import TOP, Weight, parse_weight
 
 __all__ = [
@@ -69,8 +69,8 @@ class _Weights(dict):
         return value
 
 
-def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
-    """Parse the native format; returns the graph and the ceiling (or None)."""
+def parse_graph(text: str) -> tuple[Graph, NodeValues | None]:
+    """Parse the native format; returns the graph and the ceiling (top where unset), or None."""
     index: dict[str, int] = {}  # node name to node index, in declaration order
     ground: dict[str, Weight] = {}
     omega: dict[str, Weight] = {}
@@ -158,7 +158,7 @@ def parse_graph(text: str) -> tuple[Graph, NodeFunction | None]:
         edge_weights=edge_weights.values() if edge_weights else None,
         index=index,
     )
-    ceiling = {node: omega.get(node, TOP) for node in index} if omega else None
+    ceiling = NodeValues(graph, [omega.get(node, TOP) for node in index]) if omega else None
     return graph, ceiling
 
 

@@ -53,28 +53,28 @@ __all__ = [
 ]
 
 
-def node_erosion(graph: Graph) -> NodeFunction:
+def node_erosion(graph: Graph) -> NodeValues:
     """Per-node min of the incident edge weights; isolated nodes get top."""
     weights = graph.require_edge_weights("node_erosion")
     offsets, adj_edge = graph.offsets, graph.adj_edge
-    return {
-        node: min((weights[e] for e in adj_edge[offsets[i] : offsets[i + 1]]), default=TOP)
-        for i, node in enumerate(graph.nodes)
-    }
+    return NodeValues(graph, [
+        min(map(weights.__getitem__, adj_edge[low:high]), default=TOP)
+        for low, high in zip(offsets, offsets[1:])
+    ])
 
 
-def node_closing(graph: Graph) -> NodeFunction:
+def node_closing(graph: Graph) -> NodeValues:
     """Closing on the ground: dilate to the edges, erode back.  That is
     max(ground, lowest neighbor ground), or top for an isolated node."""
     levels = graph.require_ground_values("node_closing")
     offsets, adj_node = graph.offsets, graph.adj_node
-    return dict(zip(graph.nodes, (
+    return NodeValues(graph, [
         max(level, min(map(levels.__getitem__, adj_node[low:high]))) if low < high else TOP
         for level, low, high in zip(levels, offsets, offsets[1:])
-    )))
+    ])
 
 
-def waterfall_flooding(graph: Graph) -> NodeFunction:
+def waterfall_flooding(graph: Graph) -> NodeValues:
     """Highest flooding from which no node can still drain downhill.
 
     Equals the node erosion of the edge weights; every node sits exactly
@@ -92,24 +92,24 @@ class ContractionMap:
     """Correspondence between a graph and its contraction.
 
     ``graph`` is the contracted graph and ``zone_of`` holds, for each node
-    of the original graph (named in ``nodes``), the index of its super-node
-    in ``graph``.  ``blocks`` lists the members of each super-node in
-    declaration order, built on first access.
+    of the ``original`` graph, the index of its super-node in ``graph``.
+    ``blocks`` lists the members of each super-node in declaration order,
+    built on first access.
     """
 
     graph: Graph
-    nodes: tuple[str, ...] = field(repr=False)
+    original: Graph = field(repr=False)
     zone_of: array = field(repr=False)
 
     @cached_property
     def blocks(self) -> dict[str, tuple[str, ...]]:
         reps = self.graph.nodes
-        return dict(zip(reps, group_by_label(self.nodes, self.zone_of, len(reps))))
+        return dict(zip(reps, group_by_label(self.original.nodes, self.zone_of, len(reps))))
 
-    def expand(self, values: Mapping[str, Weight]) -> NodeFunction:
+    def expand(self, values: Mapping[str, Weight]) -> NodeValues:
         """Pull values on the contracted graph back to the original nodes."""
         levels = values_by_index(self.graph, values, "contracted values")
-        return dict(zip(self.nodes, map(levels.__getitem__, self.zone_of)))
+        return NodeValues(self.original, list(map(levels.__getitem__, self.zone_of)))
 
 
 def contract_flat_zones(
@@ -129,7 +129,7 @@ def contract_flat_zones(
     ground = map(graph.ground_values.__getitem__, firsts)
     contracted = index_graph(reps, edge_u, edge_v, ground, weights)
     contracted_omega = None if low is None else dict(zip(reps, low))
-    return contracted, ContractionMap(contracted, graph.nodes, zone_of), contracted_omega
+    return contracted, ContractionMap(contracted, graph, zone_of), contracted_omega
 
 
 def _contract(

@@ -29,7 +29,7 @@ import heapq
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, NodeFunction, NodeValues, find_root, partial_graph
+from .graphs import Graph, NodeValues, find_root, partial_graph
 from .weights import BOTTOM, TOP, Weight
 
 __all__ = [
@@ -67,11 +67,10 @@ def distance_rows(graph: Graph) -> list[list[Weight]]:
     return rows
 
 
-def distance_matrix(graph: Graph) -> dict[str, NodeFunction]:
+def distance_matrix(graph: Graph) -> dict[str, NodeValues]:
     """All-pairs flooding distance by min-max relaxation (Floyd-Warshall),
-    as a row per node, both keyed in node order."""
-    names = graph.nodes
-    return {p: dict(zip(names, row)) for p, row in zip(names, distance_rows(graph))}
+    as a row per node in node order, each row a node function of ``graph``."""
+    return {p: NodeValues(graph, row) for p, row in zip(graph.nodes, distance_rows(graph))}
 
 
 class Funnel(dict):

@@ -51,7 +51,7 @@ def cluster_of(dendro, members):
 
 def test_dendro_fixture_structure(dendro_fixture):
     dendro = dendro_fixture.dendro
-    assert dendro.leaf_names == dendro_fixture.leaves
+    assert dendro.graph.nodes == dendro_fixture.leaves
     assert len(dendro.clusters) == 11 + 8
     root = cluster_of(dendro, dendro_fixture.leaves)
     assert root.diam == 10 and root.father is None
@@ -116,7 +116,7 @@ def layout_members(dendro):
     fills one range (fathers placed before their children), then sort each
     cluster's range."""
     children = dendro.children
-    size = [1] * len(dendro.leaf_names)  # leaves per cluster, from the children arrays
+    size = [1] * len(dendro.graph.nodes)  # leaves per cluster, from the children arrays
     for kids in children[len(size) :]:
         size.append(sum(map(size.__getitem__, kids)))
     start = [-1] * len(size)
@@ -129,11 +129,11 @@ def layout_members(dendro):
         for child in children[cluster]:
             start[child] = offset
             offset += size[child]
-    order = [0] * len(dendro.leaf_names)
-    for leaf in range(len(dendro.leaf_names)):
+    order = [0] * len(dendro.graph.nodes)
+    for leaf in range(len(dendro.graph.nodes)):
         order[start[leaf]] = leaf
     return [
-        tuple(dendro.leaf_names[i] for i in sorted(order[low : low + count]))
+        tuple(dendro.graph.nodes[i] for i in sorted(order[low : low + count]))
         for low, count in zip(start, size)
     ]
 
@@ -325,8 +325,8 @@ def test_cluster_views_match_the_eager_assembly(graph):
     dendro = build_lake_dendrogram(graph)
     assert hash(dendro) == hash(build_lake_dendrogram(graph))
     assert dendro._clusters is None  # hashing reads the arrays, not the views
-    assert dendro == Dendrogram(graph.nodes, groups)
-    assert dendro.leaf_names == graph.nodes
+    assert dendro == Dendrogram(graph, groups)
+    assert dendro.graph.nodes == graph.nodes
     assert dendro.diam == [cluster.diam for cluster in clusters]
     assert dendro.father == [cluster.father for cluster in clusters]
     assert dendro.children == [cluster.children for cluster in clusters]
@@ -335,7 +335,7 @@ def test_cluster_views_match_the_eager_assembly(graph):
     assert dendro.clusters is dendro.clusters
     assert repr(dendro) == f"Dendrogram(leaf_names={graph.nodes!r}, clusters={clusters!r})"
     if groups:
-        assert dendro != Dendrogram(graph.nodes, groups[:-1])
+        assert dendro != Dendrogram(graph, groups[:-1])
 
 
 def test_dendrograms_on_other_leaves_differ():
@@ -368,12 +368,20 @@ def test_dendrogram_flood_needs_every_leaf(dendro_fixture):
     del omega["k"]
     with pytest.raises(PreconditionError) as err:
         dendrogram_flood(dendro_fixture.dendro, omega)
-    assert "missing leaf 'k'" in str(err.value)
+    assert "missing node 'k'" in str(err.value)
 
 
-@pytest.mark.parametrize("route", ["berge", "dijkstra", "prim", "core", "dendrogram"])
-def test_every_route_rejects_a_ceiling_on_an_unknown_node(chain, route):
-    omega = {**chain.omega, "zz": 3}
+CEILING_FAULTS = {  # a change to the chain's ceiling, and the error every route raises
+    "unknown_node": ({"zz": 3}, "omega defined on unknown node 'zz'"),
+    "below_ground": ({"b": 3}, "ceiling below ground at node 'b'"),  # b's ground is 4
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CEILING_FAULTS))
+@pytest.mark.parametrize("route", ["berge", "dijkstra", "prim", "core", "dendrogram", "oracle"])
+def test_every_route_rejects_an_unknown_node_or_a_ceiling_below_the_ground(chain, route, fault):
+    change, message = CEILING_FAULTS[fault]
+    omega = {**chain.omega, **change}
     view = chain.edge_graph
     run = {
         "berge": lambda: berge_flood(view, omega),
@@ -382,8 +390,9 @@ def test_every_route_rejects_a_ceiling_on_an_unknown_node(chain, route):
         "prim": lambda: prim_flood(view, {node: lam for node, lam in omega.items() if lam < TOP}),
         "core": lambda: core_expanding_flood(chain.graph, omega),
         "dendrogram": lambda: dendrogram_flood(build_lake_dendrogram(view), omega),
+        "oracle": lambda: oracle_flood(view, omega),
     }[route]
-    with pytest.raises(PreconditionError, match="omega defined on unknown node 'zz'"):
+    with pytest.raises(PreconditionError, match=message):
         run()
 
 
@@ -396,7 +405,7 @@ def test_dendrogram_flood_matches_the_closed_formula(graph):
         c.index: min(omega[name] for name in dendro.members(c.index)) for c in dendro.clusters
     }
     expected = {}
-    for leaf, probe in zip(dendro.leaf_names, dendro.clusters):  # leaf i is cluster i
+    for leaf, probe in zip(dendro.graph.nodes, dendro.clusters):  # leaf i is cluster i
         best = TOP
         while True:
             best = min(best, max(lowest[probe.index], probe.diam))

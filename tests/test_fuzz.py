@@ -17,6 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 from floodgraph import (
     TOP,
     GraphFormatError,
+    derive_edge_graph,
+    dijkstra_flood,
     marker_segmentation,
     parse_graph,
     parse_node_values,
@@ -194,6 +196,56 @@ def test_cli_segment_exits_as_readme_lists_each_fault(lines, engine, comment):
         return
     expected = marker_segmentation(parse_graph(TWO_PARTS)[0], parse_node_values(text), engine)
     assert list(parse_node_values(out.getvalue()).items()) == list(expected.labels.items())
+
+
+CHAIN_GROUND = {"a": 0, "b": 4, "c": 1}
+ceiling_lines = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c", "zzz"]), st.sampled_from(["0", "2", "4", "inf", "x"])),
+    max_size=4,
+)
+
+
+def _dendro_ceiling_code(lines: list[tuple[str, str]]) -> int:
+    """The exit code README gives for a ceiling file on CHAIN, fault by fault."""
+    nodes = [node for node, _ in lines]
+    if len(set(nodes)) != len(nodes) or "zzz" in nodes or "x" in dict(lines).values():
+        return 2  # a duplicate line, an unknown node or a bad token
+    if any(float(level) < CHAIN_GROUND[node] for node, level in lines):
+        return 1  # a ceiling below the ground
+    return 0
+
+
+@settings(max_examples=60)
+@example([("a", "0"), ("c", "2")])
+@example([("a", "0"), ("zzz", "2")])  # an unknown node
+@example([("c", "2"), ("c", "4")])  # a duplicate line
+@example([("b", "x")])  # a bad token
+@example([("a", "inf"), ("b", "2")])  # below the ground at b
+@given(ceiling_lines)
+def test_cli_dendrogram_routes_exit_as_readme_lists_each_ceiling_fault(lines):
+    """Both dendrogram routes of the CLI, ``dendro --flood`` and ``flood --algo
+    dendro``, read the ceiling by the rule of the other routes."""
+    text = "".join(f"{node} {level}\n" for node, level in lines)
+    expected = _dendro_ceiling_code(lines)
+    with tempfile.TemporaryDirectory() as workdir:
+        graph, ceiling = Path(workdir) / "chain.fg", Path(workdir) / "ceiling.txt"
+        graph.write_text(CHAIN)
+        ceiling.write_text(text)
+        common = ["--graph", str(graph), "--derive-edges", "--ceiling", str(ceiling)]
+        for argv in (["dendro", "--flood", *common], ["flood", "--algo", "dendro", *common]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code == expected, (argv[0], err.getvalue())
+            if code:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                continue
+            view = derive_edge_graph(parse_graph(CHAIN)[0])
+            omega = {**dict.fromkeys(view.nodes, TOP), **parse_node_values(text)}
+            tau_lines = out.getvalue().splitlines()[-len(view.nodes) :]
+            tau = parse_node_values("\n".join(tau_lines))
+            assert list(tau.items()) == list(dijkstra_flood(view, omega).tau.items())
 
 
 # -- reference readers ----------------------------------------------------------

@@ -74,7 +74,7 @@ def members_by_father_chain(dendro):
             continue
         probe = leaf
         while True:
-            members[probe.index].append(dendro.leaf_names[leaf.index])
+            members[probe.index].append(dendro.graph.nodes[leaf.index])
             if probe.father is None:
                 break
             probe = dendro.clusters[probe.father]

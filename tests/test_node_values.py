@@ -14,16 +14,26 @@ from floodgraph import (
     build_graph,
     build_lake_dendrogram,
     contract_close_flood,
+    contract_flat_zones,
     core_expanding_flood,
     dendrogram_flood,
+    derive_edge_graph,
     dijkstra_flood,
+    distance_matrix,
+    flooding_distance_all,
     grid_graph,
     is_edge_flooding,
     is_node_flooding,
     lakes,
     local_flood,
+    marker_segmentation,
+    node_closing,
+    node_erosion,
     oracle_flood,
+    parse_graph,
     prim_flood,
+    serialize_graph,
+    waterfall_flooding,
 )
 from floodgraph.cli import _write_values
 from floodgraph.graphs import NodeValues, ceiling_by_index, values_by_index
@@ -75,6 +85,68 @@ def test_iteration_items_values_and_the_writer_build_no_name_index(tmp_path):
     assert out.read_text() == "0,0 3\n0,1 1\n0,2 2\n1,0 0\n1,1 5\n1,2 inf\n"
     assert graph._index is None
     assert values["1,1"] == 5 and graph._index is not None  # a name read builds it
+
+
+def test_dendrogram_flood_and_the_waterfall_build_no_name_index():
+    graph = strip()
+    view = derive_edge_graph(graph)
+    ceiling = NodeValues(graph, [TOP, 2, TOP, TOP, TOP, 5])  # over the graph the view shares
+    tau = dendrogram_flood(build_lake_dendrogram(view), ceiling)
+    assert tau.levels == dijkstra_flood(view, ceiling).tau.levels
+    assert waterfall_flooding(view).levels == [3, 2, 2, 3, 5, 4]
+    assert graph._index is None and view._index is None
+
+
+def _finite(omega):
+    return {node: level for node, level in omega.items() if level < TOP}
+
+
+def _segmented(graph, view, omega):
+    result = marker_segmentation(view, {"0,0": 1, "1,2": 2})
+    return view, result.tau, result.labels
+
+
+def _expanded(graph, view, omega):
+    contracted, mapping, _ = contract_flat_zones(graph)
+    return graph, mapping.expand({rep: i for i, rep in enumerate(contracted.nodes)})
+
+
+# Each producer of a complete node function, run on a raster with a flat zone:
+# the graph it was given, then every node function it returned.
+PRODUCERS = {
+    "berge_flood": lambda graph, view, omega: (view, berge_flood(view, omega).tau),
+    "dijkstra_flood": lambda graph, view, omega: (view, dijkstra_flood(view, omega).tau),
+    "prim_flood": lambda graph, view, omega: (view, prim_flood(view, _finite(omega)).tau),
+    "core_expanding_flood": lambda graph, view, omega: (
+        graph, core_expanding_flood(graph, omega).tau
+    ),
+    "oracle_flood": lambda graph, view, omega: (view, oracle_flood(view, omega)),
+    "marker_segmentation": _segmented,
+    "flooding_distance_all": lambda graph, view, omega: (view, flooding_distance_all(view, "0,1")),
+    "contract_close_flood": lambda graph, view, omega: (graph, contract_close_flood(graph, omega)),
+    "dendrogram_flood": lambda graph, view, omega: (
+        view, dendrogram_flood(build_lake_dendrogram(view), omega)
+    ),
+    "node_erosion": lambda graph, view, omega: (view, node_erosion(view)),
+    "node_closing": lambda graph, view, omega: (graph, node_closing(graph)),
+    "waterfall_flooding": lambda graph, view, omega: (view, waterfall_flooding(view)),
+    "distance_matrix": lambda graph, view, omega: (view, *distance_matrix(view).values()),
+    "ContractionMap.expand": _expanded,
+    "parse_graph": lambda graph, view, omega: parse_graph(serialize_graph(graph, omega)),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(PRODUCERS))
+def test_every_node_function_the_library_returns_is_node_values_over_its_graph(producer):
+    graph = grid_graph([[3, 1, 1], [0, 5, 4]])  # "0,1" and "0,2" are one flat zone
+    view = derive_edge_graph(graph)
+    omega = dict(zip(graph.nodes, [TOP, 2, TOP, 0, TOP, 5]))
+    given, *results = PRODUCERS[producer](graph, view, omega)
+    assert results
+    for values in results:
+        assert type(values) is NodeValues
+        assert values.graph.nodes is given.nodes
+        assert len(values.levels) == len(given.nodes)
 
 
 def test_the_writer_joins_slices_of_65536_nodes(tmp_path, monkeypatch):
