@@ -13,13 +13,13 @@ flood a node-weighted graph on the zones, by index.  It closes the zone
 ground only at the zones a finite ceiling feeds, the kernel's seeds, and
 weighs the zone edges by the dilation of the zone ground, which is the
 dilation of the closing (dilate, erode, dilate is dilate).  `local_flood`
-answers "how high does the water stand at this one node" by growing
-balls around it instead of flooding everything.
+answers "how high does the water stand at this one node" by a best-first
+search from it in order of flooding distance, which stops at the first
+distance that reaches the best ceiling seen, instead of flooding everything.
 """
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,8 +39,8 @@ from .graphs import (
     values_by_index,
 )
 from .hydro import is_edge_flooding
-from .ultrametric import _best_first_flood
-from .weights import BOTTOM, TOP, Weight, join, meet
+from .ultrametric import Funnel, _best_first_flood
+from .weights import BOTTOM, TOP, Weight, join
 
 __all__ = [
     "ContractionMap",
@@ -215,40 +215,38 @@ def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeValue
 def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:
     """Flooding level at one node without flooding the whole graph.
 
-    Grows the balls around ``node`` one radius at a time; the level is
-    the best ceiling-versus-diameter trade-off over those balls, capped
-    below by the ground.  Stops as soon as the lowest ceiling seen no
-    longer beats the next radius; that early stop is why this keeps its own
-    loop, where a run of the min-max kernel would visit the whole graph.
+    tau_p = f_p v min over q of (omega_q v d(p, q)), d the flooding
+    distance.  A best-first search from ``node`` extracts the nodes in
+    order of d, each q lowering the answer to omega_q v d(p, q).  It stops
+    as soon as the next distance is at or above the answer: every node left
+    is at least that far, so none can lower it.  The search thus visits only
+    the nodes no farther than the answer, and this early stop is why it keeps
+    its own loop, where a run of the min-max kernel would visit the whole graph.
     """
     ground = graph.require_ground_values("local_flood")
     ceiling = ceiling_by_index(graph, omega, "ceiling")
     center = graph.node_index(node)
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    offsets, adj_node = graph.offsets, graph.adj_node
 
-    inside = {center}
-    lake_cap = ceiling[center]
-    diam: Weight = BOTTOM
-    best = lake_cap
-    heap: list[tuple[Weight, int, int]] = []
-
-    def push_edges(q: int) -> None:
-        for slot in range(offsets[q], offsets[q + 1]):
-            r = adj_node[slot]
-            if r not in inside:
-                heapq.heappush(heap, (join(ground[q], ground[r]), adj_edge[slot], r))
-
-    push_edges(center)
-    while lake_cap > diam:  # the heap's least entry is never stale here
-        radius = heap[0][0] if heap else TOP
-        if lake_cap <= radius:
+    best = ceiling[center]
+    level: list[Weight] = [TOP] * len(graph.nodes)
+    level[center] = BOTTOM
+    funnel = Funnel()
+    funnel[BOTTOM].append(center)
+    for lam, bucket in funnel.buckets():  # candidates are never below lam
+        if lam >= best:
             break
-        while heap and (heap[0][0] <= radius or heap[0][2] in inside):
-            _, _, fresh = heapq.heappop(heap)
-            if fresh not in inside:
-                inside.add(fresh)
-                lake_cap = meet(lake_cap, ceiling[fresh])
-                push_edges(fresh)
-        diam = radius
-        best = meet(best, join(lake_cap, diam))
+        for q in bucket:
+            if level[q] != lam:
+                continue
+            cap = ceiling[q]
+            if cap < best:
+                best = cap if cap > lam else lam
+            low = ground[q] if ground[q] > lam else lam
+            for slot in range(offsets[q], offsets[q + 1]):
+                r = adj_node[slot]
+                candidate = ground[r] if ground[r] > low else low
+                if candidate < level[r]:
+                    level[r] = candidate
+                    funnel[candidate].append(r)
     return join(ground[center], best)

@@ -16,6 +16,7 @@ from floodgraph import (
     contract_flat_zones,
     core_expanding_flood,
     flat_zones,
+    grid_graph,
     is_edge_flooding,
     local_flood,
     node_closing,
@@ -24,7 +25,7 @@ from floodgraph import (
     waterfall_flooding,
 )
 
-from floodgraph.graphs import dilation, group_by_label
+from floodgraph.graphs import dilation, group_by_label, index_graph
 
 from strategies import (
     ceiling_above,
@@ -32,6 +33,7 @@ from strategies import (
     ground_of,
     node_graphs,
     rough_edge_graphs,
+    rough_node_flood_instances,
     rough_node_graph,
     rough_node_graphs,
 )
@@ -337,3 +339,41 @@ def test_local_flood_open_sky_far_away(chain):
 def test_local_flood_rejects_low_ceiling(chain):
     with pytest.raises(PreconditionError):
         local_flood(chain.graph, {**chain.omega, "b": 1}, "b")
+
+
+@settings(max_examples=200)
+@given(rough_node_flood_instances())
+def test_local_flood_matches_the_global_flood_on_rough_instances(instance):
+    """Disconnected graphs, parallel edges and infinite grounds and ceilings."""
+    graph, omega = instance
+    tau = core_expanding_flood(graph, omega).tau
+    for node in graph.nodes:
+        assert local_flood(graph, omega, node) == tau[node]
+
+
+class Counting:
+    """A sequence that records every index read from it."""
+
+    def __init__(self, items):
+        self.items, self.read = items, set()
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, index):
+        self.read.add(index)
+        return self.items[index]
+
+
+def test_local_flood_stops_at_its_witness_on_a_plateau():
+    """The neighbour's ceiling meets the plateau's level: the search ends one layer out."""
+    g = grid_graph([[5] * 100 for _ in range(100)])
+    offsets, adj_node, adj_edge = g.incidences()
+    counting = Counting(offsets)
+    graph = index_graph(
+        g.nodes, g.edge_u, g.edge_v, g.ground_values, csr=(counting, adj_node, adj_edge)
+    )
+    omega = dict.fromkeys(graph.nodes, TOP)
+    omega["50,51"] = 5
+    assert local_flood(graph, omega, "50,50") == 5
+    assert len(counting.read) <= 16
