@@ -30,8 +30,8 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, filterfalse
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ConstructionError, GraphFormatError, PreconditionError
 from .formats import (
@@ -56,7 +56,7 @@ from .solvers import (
     prim_flood,
 )
 from .ultrametric import flooding_distance_all, mst
-from .weights import TOP
+from .weights import TOP, Weight
 
 _BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
 # Blanks and comments, then the first line with more, up to its '#' or line break
@@ -130,20 +130,21 @@ def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeValues:
             raise GraphFormatError(f"{path}: ceiling graph has a different node set")
     else:
         values = parse_node_values(text)
-    ceiling = dict.fromkeys(graph.nodes, TOP)
-    ceiling.update(values or {})  # the graph's order, unless a name is no node
-    if len(ceiling) != len(graph.nodes):
-        for node in filterfalse(graph.__contains__, values):
-            raise GraphFormatError(f"{path}: ceiling names unknown node {node!r}")
-    return NodeValues(graph, list(ceiling.values()))
+    return _by_index(path, graph, values or {}, "ceiling", TOP)  # a node left out is at top
 
 
 def _read_tau(args: argparse.Namespace, graph: Graph) -> NodeValues:
-    """The --tau file by node index; a node it misses or names wrongly is a fault of the file."""
+    return _by_index(args.tau, graph, _read_values(args.tau), "tau")
+
+
+def _by_index(
+    path: str, graph: Graph, values: Mapping, what: str, default: Weight | None = None
+) -> NodeValues:
+    """A file's node function by node index; a node it misses or names wrongly is a fault of the file."""
     try:
-        return NodeValues(graph, values_by_index(graph, _read_values(args.tau), "tau"))
+        return NodeValues(graph, values_by_index(graph, values, what, default))
     except PreconditionError as exc:
-        raise GraphFormatError(f"{args.tau}: {exc}") from None
+        raise GraphFormatError(f"{path}: {exc}") from None
 
 
 def edge_view(ingested: Ingested, args: argparse.Namespace, operation: str) -> Graph:
@@ -353,11 +354,8 @@ def cmd_contract(args: argparse.Namespace, ingested: Ingested) -> int:
 
 
 def cmd_localflood(args: argparse.Namespace, ingested: Ingested) -> int:
-    graph = ingested.graph
-    graph.require_ground_values("localflood")
-    omega = resolve_ceiling(args, ingested)
-    graph.node_index(args.node)
-    level = local_flood(graph, omega, args.node)
+    ingested.graph.require_ground_values("localflood")
+    level = local_flood(ingested.graph, resolve_ceiling(args, ingested), args.node)
     _emit(args, [f"{args.node} {level}"])
     return 0
 

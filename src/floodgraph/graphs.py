@@ -34,7 +34,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, filterfalse, product
+from itertools import accumulate, chain, compress, filterfalse, product, repeat
 from operator import lt
 
 from .errors import ConstructionError, GraphFormatError, PreconditionError
@@ -267,22 +267,17 @@ def build_graph(
         edge_u.append(index[u])
         edge_v.append(index[v])
 
-    ground_values = None
+    graph = index_graph(index, edge_u, edge_v, index=index)
     if ground is not None:
-        missing = [node for node in index if node not in ground]
-        if missing:
-            raise ConstructionError(f"ground is missing node {missing[0]!r}")
-        extra = [node for node in ground if node not in index]
-        if extra:
-            raise ConstructionError(f"ground defined on unknown node {extra[0]!r}")
-        ground_values = [ground[node] for node in index]
-        _check_lattice(ground_values, lambda at: f"ground at node {[*index][at]!r}")
-
-    weights = None
+        try:
+            graph.ground_values = tuple(values_by_index(graph, ground, "ground"))
+        except PreconditionError as exc:
+            raise ConstructionError(str(exc)) from None
+        _check_lattice(graph.ground_values, lambda at: f"ground at node {graph.nodes[at]!r}")
     if edge_weights is not None:
-        weights = _edge_weights(edge_weights, len(edge_u))
-        _check_lattice(weights, lambda at: f"edge {at} weight")
-    return index_graph(index, edge_u, edge_v, ground_values, weights, index)
+        graph.edge_weights = _edge_weights(edge_weights, len(edge_u))
+        _check_lattice(graph.edge_weights, lambda at: f"edge {at} weight")
+    return graph
 
 
 def _check_lattice(values: Iterable[Weight], where: Callable[[int], str]) -> None:
@@ -481,18 +476,23 @@ def partial_graph(graph: Graph, edge_ids: Iterable[int]) -> Graph:
     )
 
 
-def values_by_index(graph: Graph, values: Mapping[str, Weight], what: str) -> list[Weight]:
-    """``values`` listed by node index; raise unless it is defined on exactly
-    the graph's nodes.  Both scans come before any value is read, so a mapping
-    that fills in missing keys, such as a ``defaultdict``, is refused too."""
+def values_by_index(
+    graph: Graph, values: Mapping[str, Weight], what: str, default: Weight | None = None
+) -> list[Weight]:
+    """``values`` listed by node index, ``default`` where a node has none; raise
+    if it names a node the graph lacks, or, with no default, misses one.  The
+    count and both scans ask ``in``, and the list is read with ``get``, so a
+    mapping that fills in missing keys, such as a ``defaultdict``, is not filled."""
     if isinstance(values, NodeValues) and values.graph.nodes is graph.nodes:  # no name read
         return list(values.levels)  # a copy: berge lowers its list in place
-    for node in filterfalse(values.__contains__, graph.nodes):
-        raise PreconditionError(f"{what} is missing node {node!r}")
-    if len(values) != len(graph.nodes):
+    known = sum(map(values.__contains__, graph.nodes))
+    if default is None and known != len(graph.nodes):
+        for node in filterfalse(values.__contains__, graph.nodes):
+            raise PreconditionError(f"{what} is missing node {node!r}")
+    if known != len(values):
         for node in filterfalse(graph.__contains__, values):
             raise PreconditionError(f"{what} defined on unknown node {node!r}")
-    return list(map(values.__getitem__, graph.nodes))
+    return list(map(values.get, graph.nodes, repeat(default)))
 
 
 def dilation(graph: Graph, levels: Sequence[Weight]) -> tuple[Weight, ...]:
@@ -504,25 +504,20 @@ def dilation(graph: Graph, levels: Sequence[Weight]) -> tuple[Weight, ...]:
 
 
 def ceiling_by_index(
-    graph: Graph, omega: Mapping[str, Weight], what: str = "omega"
+    graph: Graph, omega: Mapping[str, Weight], what: str = "omega", default: Weight | None = None
 ) -> list[Weight]:
     """The ceiling ``omega`` listed by node index, by ``values_by_index``.
 
     The one ceiling-versus-ground rule of the package: no flooding lies at or
     above the ground under a ceiling below it, so the first such node raises.
     Graphs without ground accept every ceiling."""
-    ceiling = values_by_index(graph, omega, what)
+    ceiling = values_by_index(graph, omega, what, default)
     ground = graph.ground_values
     if ground is not None:
         for node in compress(range(len(ceiling)), map(lt, ceiling, ground)):
-            raise below_ground(graph, node, ceiling[node])
+            name, level, floor = graph.nodes[node], ceiling[node], ground[node]
+            raise PreconditionError(
+                f"ceiling below ground at node {name!r}: omega={level} "
+                f"is below the ground at node {name!r} (f={floor})"
+            )
     return ceiling
-
-
-def below_ground(graph: Graph, node: int, level: Weight) -> PreconditionError:
-    """The error for a ceiling ``level`` below the ground at node index ``node``."""
-    name, floor = graph.nodes[node], graph.ground_values[node]
-    return PreconditionError(
-        f"ceiling below ground at node {name!r}: omega={level} "
-        f"is below the ground at node {name!r} (f={floor})"
-    )

@@ -224,8 +224,8 @@ def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:
     its own loop, where a run of the min-max kernel would visit the whole graph.
     """
     ground = graph.require_ground_values("local_flood")
-    ceiling = ceiling_by_index(graph, omega, "ceiling")
     center = graph.node_index(node)
+    ceiling = ceiling_by_index(graph, omega, "ceiling")
     offsets, adj_node = graph.offsets, graph.adj_node
 
     best = ceiling[center]

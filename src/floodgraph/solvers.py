@@ -33,18 +33,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop
-from itertools import filterfalse, repeat
+from itertools import repeat
 from typing import Mapping
 
 from .errors import PreconditionError
-from .graphs import (
-    Graph,
-    NodeValues,
-    below_ground,
-    ceiling_by_index,
-    index_graph,
-    values_by_index,
-)
+from .graphs import Graph, NodeValues, ceiling_by_index, index_graph, values_by_index
 from .ultrametric import Funnel, _best_first_flood, distance_rows
 from .weights import BOTTOM, TOP, Weight
 
@@ -104,6 +97,7 @@ def augment_with_dummy(graph: Graph, omega: Mapping[str, Weight]) -> tuple[Graph
 
 def oracle_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeValues:
     """tau_q = min over nodes i of omega_i v d(i, q), via the full matrix."""
+    graph.require_edge_weights("oracle_flood")
     ceiling = ceiling_by_index(graph, omega)
     rows = distance_rows(graph)
     tau = [TOP] * len(rows)
@@ -201,19 +195,11 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
     with no source, every node stays at top.
     """
     weights = graph.require_edge_weights("prim_flood")
-    for node in filterfalse(graph.__contains__, sources):
-        raise PreconditionError(f"omega defined on unknown node {node!r}")
-    seeds = [(level, graph.node_index(node)) for node, level in sources.items()]
-    ground = graph.ground_values
-    if ground is not None:  # the rule of ceiling_by_index, on the sources alone
-        below = [node for level, node in seeds if level < ground[node]]
-        if below:
-            node = min(below)
-            raise below_ground(graph, node, sources[graph.nodes[node]])
+    ceiling_by_index(graph, sources, default=TOP)  # a node left out is at top
     tau: list[Weight] = [TOP] * len(graph.nodes)
     funnel = Funnel()
-    for level, node in seeds:
-        funnel[level].append(node)
+    for node, level in sources.items():  # seeded in mapping order
+        funnel[level].append(graph.node_index(node))
     heap = funnel.heap
     offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
     settled = [False] * len(tau)

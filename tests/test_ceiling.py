@@ -13,6 +13,7 @@ import pytest
 
 from floodgraph import (
     TOP,
+    ConstructionError,
     PreconditionError,
     augment_with_dummy,
     berge_flood,
@@ -82,15 +83,34 @@ def test_every_ceiling_entry_point_rejects_a_bad_ceiling(entry, fault):
     assert str(err.value) == expected_error(entry, fault)
 
 
+EDGE_ENTRIES = ["augment_with_dummy", "oracle_flood", "berge_flood", "dijkstra_flood", "prim_flood"]
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+@pytest.mark.parametrize("entry", EDGE_ENTRIES)
+def test_every_edge_route_asks_for_edge_weights_before_it_reads_the_ceiling(entry, fault):
+    graph = build_graph(list(GROUND), EDGES, ground=GROUND)  # no edge weights
+    omega = dict(FAULTS[fault]) if fault else dict.fromkeys(GROUND, TOP)
+    with pytest.raises(PreconditionError) as err:
+        ENTRIES[entry][1](graph, omega)
+    assert str(err.value).startswith(f"{entry} needs an edge-weighted graph;")
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_local_flood_reports_an_unknown_node_before_its_ceiling(fault):
+    graph = build_graph(list(GROUND), EDGES, ground=GROUND)
+    with pytest.raises(ConstructionError, match="^unknown node: 'zz'$"):
+        local_flood(graph, dict(FAULTS[fault]), "zz")
+
+
 CLI_ROUTES = {
     "flood --algo dendro": ["flood", "--algo", "dendro", "--derive-edges"],
     "dendro --flood": ["dendro", "--flood", "--derive-edges"],
 }
 
 
-@pytest.mark.parametrize("fault", FAULTS)
-@pytest.mark.parametrize("route", CLI_ROUTES)
-def test_cli_ceiling_routes_reject_a_bad_ceiling(capsys, tmp_path, route, fault):
+def cli_files(tmp_path, fault):
+    """The graph file of GROUND and EDGES, and a ceiling file with the fault."""
     graph = tmp_path / "g.fg"
     graph.write_text(
         "floodgraph v1\n"
@@ -99,10 +119,25 @@ def test_cli_ceiling_routes_reject_a_bad_ceiling(capsys, tmp_path, route, fault)
     )
     ceiling = tmp_path / "ceiling.txt"
     ceiling.write_text("".join(f"{node} {level}\n" for node, level in FAULTS[fault].items()))
-    code = main([*CLI_ROUTES[route], "--graph", str(graph), "--ceiling", str(ceiling)])
+    return str(graph), str(ceiling)
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("route", CLI_ROUTES)
+def test_cli_ceiling_routes_reject_a_bad_ceiling(capsys, tmp_path, route, fault):
+    graph, ceiling = cli_files(tmp_path, fault)
+    code = main([*CLI_ROUTES[route], "--graph", graph, "--ceiling", ceiling])
     out, err = capsys.readouterr()
     if fault == "below":
         status, message = 1, BELOW
     else:  # the CLI fills a missing node with inf, and rejects an unknown one on reading
-        status, message = 2, f"{ceiling}: ceiling names unknown node 'zz'"
+        status, message = 2, f"{ceiling}: ceiling defined on unknown node 'zz'"
     assert (code, out, err) == (status, "", f"error: {message}\n")
+
+
+def test_cli_localflood_reports_an_unknown_node_before_a_ceiling_below_the_ground(
+    capsys, tmp_path
+):
+    graph, ceiling = cli_files(tmp_path, "below")
+    code = main(["localflood", "--graph", graph, "--ceiling", ceiling, "--node", "zz"])
+    assert (code, *capsys.readouterr()) == (2, "", "error: unknown node: 'zz'\n")

@@ -7,6 +7,8 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -794,7 +796,7 @@ def test_flood_on_a_raster(capsys, strip_pgm, strip_ceiling):
 @pytest.mark.parametrize("algo", [["core"], ["dijkstra", "--derive-edges"], ["berge", "--derive-edges"]])
 def test_a_node_values_ceiling_on_a_raster_builds_no_name_index(capsys, monkeypatch, strip_pgm,
                                                                  strip_ceiling, algo):
-    """The ceiling's names are checked by the length of the merged ceiling, not looked up."""
+    """The ceiling's names are checked by a count of the nodes it holds, not looked up."""
     ingested = []
 
     def keep(*args):
@@ -817,7 +819,7 @@ def test_a_ceiling_on_an_unknown_raster_node_names_it(capsys, tmp_path, strip_pg
         capsys, "flood", "--algo", "core", "--graph", strip_pgm, "--ceiling", str(ceiling)
     )
     assert (code, out) == (2, "")
-    assert err == f"error: {ceiling}: ceiling names unknown node '0,9'\n"
+    assert err == f"error: {ceiling}: ceiling defined on unknown node '0,9'\n"
 
 
 def test_raster_ceiling_must_match_dimensions(capsys, tmp_path, strip_pgm):
@@ -943,6 +945,47 @@ def test_node_names_on_the_command_line_are_read_as_utf8_under_any_locale(tmp_pa
         child = subprocess.run([*command, "--node", b"\xff"], env=env, capture_output=True)
         assert child.returncode == 2 and child.stdout == b"", name
         assert child.stderr.startswith(b"usage: ") and b"Traceback" not in child.stderr, name
+
+
+RASTER_FLOOD = b"0,0 4\n0,1 5\n0,2 5\n1,0 4\n1,1 0\n1,2 6\n2,0 4\n2,1 7\n2,2 8\n"
+RASTER_RUNS = {  # argv: the expected stdout, or its last lines for dendro
+    ("flood", "--algo", "dijkstra", "--derive-edges", "--ceiling", "ceiling.txt"): RASTER_FLOOD,
+    ("flood", "--algo", "dendro", "--derive-edges", "--ceiling", "ceiling.txt"): RASTER_FLOOD,
+    ("dendro", "--derive-edges", "--flood", "--ceiling", "ceiling.txt"): RASTER_FLOOD,
+    ("fldist", "--derive-edges", "--from", "0,0"):
+        b"0,0 -inf\n0,1 5\n0,2 5\n1,0 4\n1,1 4\n1,2 6\n2,0 4\n2,1 7\n2,2 8\n",
+    ("segment", "--derive-edges", "--markers", "markers.txt", "--tau", "--label-pgm", "labels.pgm"):
+        b"0,0 1 4\n0,1 1 5\n0,2 1 5\n1,0 1 4\n1,1 1 0\n1,2 1 6\n2,0 1 4\n2,1 1 7\n2,2 2 0\n",
+    # the single-node query gives each node's line of the global flood
+    **{
+        ("localflood", "--ceiling", "ceiling.txt", "--node", line.split()[0].decode()): line
+        for line in RASTER_FLOOD.splitlines(keepends=True)
+    },
+}
+
+
+def test_raster_commands_write_their_lines_under_any_locale(tmp_path):
+    """flood, fldist, segment and localflood write from slices of node indices, to stdout too,
+    and both dendrogram routes flood the raster as flood does."""
+    (tmp_path / "ground.pgm").write_bytes(b"P2\n3 3\n9\n1 5 2\n4 0 6\n3 7 8\n")
+    (tmp_path / "ceiling.txt").write_bytes(b"1,1 0\n")
+    (tmp_path / "markers.txt").write_bytes(b"1,1 1\n2,2 2\n")
+
+    def child(env, argv):
+        command = [sys.executable, "-m", "floodgraph.cli", argv[0], "--graph", "ground.pgm"]
+        return subprocess.run([*command, *argv[1:]], cwd=tmp_path, env=env, capture_output=True)
+
+    for name, env in locales():
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            children = list(pool.map(partial(child, env), RASTER_RUNS))
+        for (argv, expected), done in zip(RASTER_RUNS.items(), children):
+            stdout = done.stdout
+            if argv[0] == "dendro":  # its cluster lines, then the flood's
+                stdout = b"".join(stdout.splitlines(keepends=True)[-9:])
+            assert (done.returncode, stdout, done.stderr) == (0, expected, b""), (name, argv)
+        labels = (tmp_path / "labels.pgm").read_bytes()
+        assert labels == b"P5\n3 3\n2\n\x01\x01\x01\x01\x01\x01\x01\x01\x02", name
+        (tmp_path / "labels.pgm").unlink()
 
 
 # -- exit codes --------------------------------------------------------------------

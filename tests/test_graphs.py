@@ -18,7 +18,7 @@ from floodgraph import (
     grid_graph,
     partial_graph,
 )
-from floodgraph.graphs import ceiling_by_index, group_by_label, values_by_index
+from floodgraph.graphs import NodeValues, ceiling_by_index, group_by_label, values_by_index
 
 from strategies import edge_graphs, ground_of, rough_flood_instances, rough_node_flood_instances
 
@@ -242,6 +242,42 @@ def test_ceiling_by_index_matches_the_former_checks(instance, fault, rng):
     expected = outcome(reference_ceiling_by_index, graph, omega, what)
     assert outcome(ceiling_by_index, graph, omega, what) == expected
     assert len(omega) == size
+
+
+def reference_fill(graph, values, what):
+    """The former read of a ceiling file: every node at top, then the file's values."""
+    filled = dict.fromkeys(graph.nodes, TOP)
+    filled.update(values)
+    if len(filled) != len(graph.nodes):
+        for node in values:
+            if node not in graph:
+                raise PreconditionError(f"{what} defined on unknown node {node!r}")
+    return list(filled.values())
+
+
+@settings(max_examples=300)
+@given(
+    rough_flood_instances(),
+    st.sampled_from(["partial", "unknown", "other graph", "defaultdict"]),
+    st.randoms(use_true_random=False),
+)
+def test_a_default_fills_in_the_nodes_a_mapping_leaves_out(instance, case, rng):
+    graph, omega = instance
+    items = [(node, level) for node, level in omega.items() if rng.random() < 0.5]
+    rng.shuffle(items)  # the mapping's order is not the graph's
+    if case == "unknown":  # the first in mapping order is reported
+        for name in ("zz", "yy"):
+            items.insert(rng.randint(0, len(items)), (name, rng.choice([BOTTOM, 0, TOP])))
+    values = dict(items)
+    if case == "other graph":  # a graph-file ceiling: its own graph, the same node set
+        names = rng.sample(graph.nodes, len(graph.nodes))
+        values = NodeValues(build_graph(names, []), [omega[node] for node in names])
+    elif case == "defaultdict":  # a node left out is filled by the default, not by the mapping
+        values = defaultdict(int, values)
+    size = len(values)
+    expected = outcome(reference_fill, graph, values, "ceiling")
+    assert outcome(values_by_index, graph, values, "ceiling", TOP) == expected
+    assert len(values) == size
 
 
 # -- properties --------------------------------------------------------------
