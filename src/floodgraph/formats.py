@@ -235,7 +235,13 @@ def read_pgm(data: bytes) -> list[list[int]]:
 
     if magic == b"P2":
         tokens = _PGM_COMMENT.sub(b"", data[header_end:]).split()
-        pixels = [_pgm_int(token, "pixel") for token in tokens[: width * height]]
+        body = tokens[: width * height]
+        try:  # in bulk when every token is digits; else the loop names the first bad one
+            if not b"".join(body).isdigit():
+                raise ValueError
+            pixels = list(map(int, body))
+        except ValueError:
+            pixels = [_pgm_int(token, "pixel") for token in body]
         if len(pixels) < width * height:
             raise GraphFormatError("truncated PGM pixel data")
         if len(tokens) > width * height:  # only blanks and comments may follow

@@ -4,8 +4,9 @@ Five independent routes to the same function, cross-checked in the tests
 (acceptance criterion 3); each keeps its own loop for that reason:
 
 * ``berge_flood``: fixpoint sweeps of tau_p <- tau_p ^ min_q(tau_q v e_pq);
-  a sweep re-evaluates only the nodes with a neighbor that dropped since
-  their last evaluation.
+  each drop pushes its candidate to the neighbors it lowers, and a sweep
+  evaluates only the nodes so queued, in its node order, so each
+  evaluation is a drop.
 * ``dijkstra_flood``: best-first growth from the finite-ceiling nodes; the
   ceiling acts like a virtual reservoir node joined to every node p by a
   pipe at height omega_p, so this is the flooding distance from that
@@ -32,8 +33,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop
-from itertools import repeat
+from heapq import heapify, heappop, heappush
+from itertools import compress, repeat
+from operator import lt
 from typing import Mapping
 
 from .errors import PreconditionError
@@ -115,54 +117,78 @@ def berge_flood(
     """Relaxation sweeps from tau = omega down to the fixpoint.
 
     ``jacobi`` reads the previous sweep's values; ``gauss_seidel`` updates
-    in place, alternating forward and backward node order.  A sweep
-    re-evaluates only the nodes with a neighbor whose level dropped since
-    they were last evaluated (every node, in the first sweep); the update
-    would give the others their own value back, so the tau states match
-    those of full sweeps.  ``stats.sweeps`` counts the sweeps, including the
-    final one that finds no drop; ``stats.relaxations`` counts the drops.
+    in place, alternating forward and backward node order.  After node p's
+    last evaluation, tau_p <= tau_q v e_pq holds for every neighbor q, and
+    only a drop of q can break it.  So each drop of q pushes tau_q v e_pq
+    to the neighbors it lowers and queues each of them once, and a sweep
+    evaluates only queued nodes, in its own node order: every evaluation is
+    a drop.  A node queued ahead of the cursor joins this sweep's heap, one
+    queued behind it the next sweep's; jacobi pushes only after its sweep.
+    The same nodes thus drop in the same sweeps, in the same order, to the
+    same values as under full sweeps, so tau and both counters match:
+    ``stats.sweeps`` counts the sweeps, including the final one that finds
+    no drop, and ``stats.relaxations`` counts the drops.
     """
     weights = graph.require_edge_weights("berge_flood")
-    tau = ceiling_by_index(graph, omega)
+    ceiling = ceiling_by_index(graph, omega)
     if schedule not in ("jacobi", "gauss_seidel"):
         raise PreconditionError(f"unknown berge schedule: {schedule!r}")
     offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
     jacobi = schedule == "jacobi"
-    forward = range(len(tau))
-    backward = forward[::-1]
-    stale = [True] * len(tau)  # a neighbor dropped since the node was evaluated
-    stats = SolverStats()
-    while True:
-        stats.sweeps += 1
-        dropped: list[tuple[int, Weight]] = []  # jacobi: written after the sweep
-        changed = False
-        for p in forward if jacobi or stats.sweeps % 2 else backward:
-            if not stale[p]:
-                continue
-            stale[p] = False
+    tau = ceiling[:]  # a queued node's entry is its pending level
+    for u, v, w in zip(graph.edge_u, graph.edge_v, weights):  # the first sweep's candidates
+        level = ceiling[v] if ceiling[v] > w else w
+        if level < tau[u]:
+            tau[u] = level
+        level = ceiling[u] if ceiling[u] > w else w
+        if level < tau[v]:
+            tau[v] = level
+    queued = list(map(lt, tau, ceiling))
+    heap = list(compress(range(len(tau)), queued))  # sorted, so a heap keyed by index
+    later: list[int] = []  # the next sweep's keys
+    sweeps = relaxations = 0
+    while heap:
+        sweeps += 1
+        if jacobi:  # the whole sweep drops before any of it pushes
+            relaxations += len(heap)
+            for p in heap:
+                queued[p] = False
+            for p, value in zip(heap, [tau[p] for p in heap]):
+                for slot in range(offsets[p], offsets[p + 1]):
+                    q = adj_node[slot]
+                    level = weights[adj_edge[slot]]
+                    if level < value:
+                        level = value
+                    if level < tau[q]:
+                        tau[q] = level
+                        if not queued[q]:
+                            queued[q] = True
+                            later.append(q)
+            heap, later = later, []
+            continue
+        sign = 1 if sweeps % 2 else -1  # this sweep's keys are sign * index
+        while heap:  # each pop is a drop, in this sweep's node order
+            key = heappop(heap)
+            p = sign * key
+            queued[p] = False
             value = tau[p]
+            relaxations += 1
             for slot in range(offsets[p], offsets[p + 1]):
-                level = tau[adj_node[slot]]
-                w = weights[adj_edge[slot]]
-                if w > level:
-                    level = w
+                q = adj_node[slot]
+                level = weights[adj_edge[slot]]
                 if level < value:
-                    value = level
-            if value != tau[p]:
-                changed = True
-                stats.relaxations += 1
-                if jacobi:
-                    dropped.append((p, value))
-                else:
-                    tau[p] = value
-                    for q in adj_node[offsets[p] : offsets[p + 1]]:
-                        stale[q] = True
-        for p, value in dropped:
-            tau[p] = value
-            for q in adj_node[offsets[p] : offsets[p + 1]]:
-                stale[q] = True
-        if not changed:
-            break
+                    level = value
+                if level < tau[q]:
+                    tau[q] = level
+                    if not queued[q]:
+                        queued[q] = True
+                        if sign * q > key:  # ahead of the cursor
+                            heappush(heap, sign * q)
+                        else:
+                            later.append(-sign * q)
+        heap, later = later, heap
+        heapify(heap)
+    stats = SolverStats(relaxations=relaxations, sweeps=sweeps + 1)  # and one that finds no drop
     return SolverResult(tau=NodeValues(graph, tau), stats=stats)
 
 

@@ -50,6 +50,21 @@ def connected_node_graph(rng: random.Random, max_nodes: int = 12, max_ground: in
     return build_graph(names, edges, ground=ground)
 
 
+def shuffled_path(rng: random.Random, n: int) -> tuple[Graph, dict]:
+    """A path p0 - p1 - ... with weights 0..9, its nodes declared in shuffled
+    order, and a ceiling that is 0 at p0 and top elsewhere.
+
+    In a gauss_seidel sweep, Berge's water front moves along the path only
+    as far as one run of the declaration order, so full sweeps take about
+    two thirds of n sweeps; under jacobi it moves one node a sweep."""
+    order = list(range(n))
+    rng.shuffle(order)
+    names = [f"p{i}" for i in order]
+    edges = [(f"p{i}", f"p{i + 1}") for i in range(n - 1)]
+    graph = build_graph(names, edges, edge_weights=[i % 10 for i in range(n - 1)])
+    return graph, {name: 0 if name == "p0" else TOP for name in names}
+
+
 def _rough_skeleton(rng: random.Random, max_nodes: int) -> tuple[list[str], list[tuple[str, str]]]:
     """Random edges, parallel ones allowed, over possibly several components."""
     n = rng.randint(1, max_nodes)

@@ -25,6 +25,9 @@ from floodgraph import (
     serialize_graph,
     write_pgm,
 )
+from floodgraph.cli import main
+
+from strategies import shuffled_path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -142,6 +145,26 @@ def test_raster_segment_peak_holds_labels_and_tau_by_index(tmp_path):
     argv = ["segment", "--derive-edges", "--markers", "markers.txt", "--tau",
             "--label-pgm", "labels.pgm"]
     assert raster_child_peak(tmp_path, *argv) < 112
+
+
+# The sweep counts of full Berge sweeps on shuffled_path(random.Random(3), 20_000),
+# taken from the loop that scanned every node in every sweep.
+SHUFFLED_PATH_SWEEPS = {"gauss_seidel": 13448, "jacobi": 20000}
+
+
+@pytest.mark.parametrize("schedule", sorted(SHUFFLED_PATH_SWEEPS))
+def test_berge_on_a_shuffled_path_is_not_quadratic(tmp_path, capsys, schedule):
+    """Full sweeps would visit 20,000 nodes in each of thousands of sweeps."""
+    graph = tmp_path / "path.fg"
+    graph.write_text(serialize_graph(*shuffled_path(random.Random(3), 20_000)))
+    argv = ["flood", "--algo", "berge", "--schedule", schedule, "--stats", "--graph", str(graph)]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    sweeps = SHUFFLED_PATH_SWEEPS[schedule]
+    assert capsys.readouterr().err == f"stats: extractions=0 relaxations=19999 sweeps={sweeps}\n"
+    assert elapsed < 1.0
 
 
 def test_is_dendrogram_on_a_deep_chain_is_linear():

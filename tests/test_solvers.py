@@ -21,6 +21,7 @@ from floodgraph import (
     derive_edge_graph,
     dijkstra_flood,
     flooding_distance_all,
+    grid_graph,
     is_node_flooding,
     marker_segmentation,
     oracle_flood,
@@ -37,6 +38,7 @@ from strategies import (
     node_graphs,
     random_ceiling,
     rough_flood_instances,
+    shuffled_path,
 )
 from test_funnel import PerItemFunnel
 
@@ -107,9 +109,10 @@ def test_berge_flood_fixpoint_needs_one_sweep(chain):
 def full_sweep_berge(graph, omega, schedule):
     """Berge sweeps that evaluate every node, every sweep: (tau, sweeps, relaxations).
 
-    berge_flood skips the nodes whose neighborhood did not change since
-    their last evaluation; that skipping must leave tau and both counters
-    as they are here.
+    berge_flood evaluates only the nodes that a neighbor's drop lowered,
+    each once per sweep in the sweep's node order, so each of its
+    evaluations is a drop; that must leave tau and both counters as they
+    are here.
     """
     weights = graph.edge_weights
     tau = [omega[node] for node in graph.nodes]
@@ -140,15 +143,49 @@ def full_sweep_berge(graph, omega, schedule):
     return dict(zip(graph.nodes, tau)), sweeps, relaxations
 
 
+def assert_matches_full_sweeps(graph, omega, schedule):
+    result = berge_flood(graph, omega, schedule=schedule)
+    tau, sweeps, relaxations = full_sweep_berge(graph, omega, schedule)
+    assert result.tau == tau
+    assert (result.stats.sweeps, result.stats.relaxations) == (sweeps, relaxations)
+    return sweeps, relaxations
+
+
 @settings(max_examples=300)
 @given(rough_flood_instances())
 def test_berge_flood_matches_full_sweeps(instance):
-    graph, omega = instance
     for schedule in ("gauss_seidel", "jacobi"):
-        result = berge_flood(graph, omega, schedule=schedule)
-        tau, sweeps, relaxations = full_sweep_berge(graph, omega, schedule)
-        assert result.tau == tau
-        assert (result.stats.sweeps, result.stats.relaxations) == (sweeps, relaxations)
+        assert_matches_full_sweeps(*instance, schedule)
+
+
+@settings(max_examples=300)
+@given(rough_flood_instances(max_nodes=40))
+def test_berge_flood_matches_full_sweeps_on_larger_graphs(instance):
+    """Enough nodes and parallel edges for several drops per node and sweep."""
+    for schedule in ("gauss_seidel", "jacobi"):
+        assert_matches_full_sweeps(*instance, schedule)
+
+
+@pytest.mark.parametrize("schedule", ["gauss_seidel", "jacobi"])
+def test_berge_flood_matches_full_sweeps_on_a_shuffled_path(schedule):
+    """Hundreds of sweeps; most drops queue a neighbor behind the cursor."""
+    sweeps, relaxations = assert_matches_full_sweeps(*shuffled_path(random.Random(3), 500), schedule)
+    assert relaxations == 499
+    assert sweeps > 300
+
+
+@pytest.mark.parametrize("schedule", ["gauss_seidel", "jacobi"])
+def test_berge_flood_matches_full_sweeps_on_a_raster(schedule):
+    """A seeded 24x24 derived raster with a sparse ceiling: pushes both ways in every sweep."""
+    rng = random.Random(7)
+    grid = grid_graph([[rng.randint(0, 50) for _ in range(24)] for _ in range(24)])
+    omega = {
+        node: level + rng.randint(0, 5) if rng.random() < 0.1 else TOP
+        for node, level in zip(grid.nodes, grid.ground_values)
+    }
+    sweeps, relaxations = assert_matches_full_sweeps(derive_edge_graph(grid), omega, schedule)
+    assert relaxations > len(grid.nodes)
+    assert sweeps > 3
 
 
 def test_berge_flood_unknown_schedule(chain):
