@@ -54,12 +54,11 @@ def random_instance(rng: random.Random, max_nodes: int, max_weight: int):
 
 
 def flood_all(graph, omega):
-    sources = {n: omega[n] for n in graph.nodes if omega[n] < TOP}
     return {
         "berge/gs": berge_flood(graph, omega).tau,
         "berge/jacobi": berge_flood(graph, omega, schedule="jacobi").tau,
         "dijkstra": dijkstra_flood(graph, omega).tau,
-        "prim": prim_flood(graph, sources).tau,
+        "prim": prim_flood(graph, omega).tau,
         "dendrogram": dendrogram_flood(build_lake_dendrogram(graph), omega),
     }
 

@@ -231,7 +231,7 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> int:
         elif args.algo == "dijkstra":
             result = dijkstra_flood(view, omega)
         elif args.algo == "prim":
-            result = prim_flood(view, {n: level for n, level in omega.items() if level < TOP})
+            result = prim_flood(view, omega)
         else:
             dendrogram = build_lake_dendrogram(view)
             result = SolverResult(dendrogram_flood(dendrogram, omega))

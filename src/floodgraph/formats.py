@@ -24,7 +24,7 @@ import re
 from typing import Collection, Mapping
 
 from .errors import GraphFormatError
-from .graphs import Graph, NodeFunction, NodeValues, index_graph
+from .graphs import Graph, NodeFunction, NodeValues, index_graph, values_by_index
 from .weights import TOP, Weight, parse_weight
 
 __all__ = [
@@ -163,6 +163,8 @@ def parse_graph(text: str) -> tuple[Graph, NodeValues | None]:
 
 
 def serialize_graph(graph: Graph, omega: Mapping[str, Weight] | None = None) -> str:
+    """The graph in the native format, with ``omega=`` where ``omega`` is finite.
+    ``omega`` may leave nodes out, but a node it names that the graph lacks raises."""
     names, ground, weights = graph.nodes, graph.ground_values, graph.edge_weights
     _check_ids_writable(names)
     if ground is None:
@@ -170,9 +172,9 @@ def serialize_graph(graph: Graph, omega: Mapping[str, Weight] | None = None) -> 
     else:
         nodes = [f"node {node} f={level}" for node, level in zip(names, ground)]
     if omega is not None:
-        for index, node in enumerate(names):
-            if node in omega and omega[node] != TOP:
-                nodes[index] += f" omega={omega[node]}"
+        for index, level in enumerate(values_by_index(graph, omega, "omega", TOP)):
+            if level != TOP:
+                nodes[index] += f" omega={level}"
     ends = graph.edge_u, graph.edge_v
     if weights is None:
         edges = [f"edge {names[u]} {names[v]}" for u, v in zip(*ends)]

@@ -412,16 +412,14 @@ def find_root(parent: list[int], node: int) -> int:
     return root
 
 
-def connected_components(graph: Graph, keep: Sequence[bool] | None = None) -> tuple[array, array]:
-    """Components under the edges that ``keep`` flags per edge id (all edges when None).
+def connected_components(graph: Graph, keep: Sequence[bool]) -> tuple[array, array]:
+    """Components under the edges that ``keep`` flags per edge id.
 
     Components are numbered by their smallest node index.  The result is an
     ``array`` holding each node's component number, plus an ``array`` of
     each component's first node; ``group_by_label`` lists the members.
     """
-    ends: Iterable[tuple[int, int]] = zip(graph.edge_u, graph.edge_v)
-    if keep is not None:
-        ends = compress(ends, keep)
+    ends = compress(zip(graph.edge_u, graph.edge_v), keep)
     # Union-find whose root is always the smallest node of its block, so a
     # node's parent comes before it: one pass in node order overwrites each
     # parent by its block's label, reading the label its parent already got.

@@ -153,7 +153,7 @@ def flat_zones(graph: Graph, values: Mapping[str, Weight]) -> tuple[array, array
 def regional_minima(graph: Graph, values: Mapping[str, Weight]) -> list[tuple[str, ...]]:
     """Flat zones of ``values`` whose every outside neighbor is strictly higher."""
     levels = values_by_index(graph, values, "values")
-    label, first = flat_zones(graph, values)
+    label, first = flat_zones(graph, NodeValues(graph, levels))  # values is read once
     minimum = [True] * len(first)
     # an equal neighbor would lie in the zone itself: rule out zones with a lower one
     for u, v in zip(graph.edge_u, graph.edge_v):

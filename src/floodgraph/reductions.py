@@ -29,7 +29,6 @@ from typing import Mapping
 
 from .graphs import (
     Graph,
-    NodeFunction,
     NodeValues,
     ceiling_by_index,
     connected_components,
@@ -115,20 +114,20 @@ class ContractionMap:
 def contract_flat_zones(
     graph: Graph,
     omega: Mapping[str, Weight] | None = None,
-) -> tuple[Graph, ContractionMap, NodeFunction | None]:
+) -> tuple[Graph, ContractionMap, NodeValues | None]:
     """Merge each flat zone of the ground into one super-node.
 
     The super-node id is the zone's first declared member.  Parallel
     edges between two zones collapse to one edge; if the graph carries
     edge weights the lowest one survives.  A ceiling contracts to the
     min over each zone, since a lake covering the zone is capped by the
-    lowest ceiling above it.
+    lowest ceiling above it (a ``NodeValues`` over the contracted graph).
     """
     zone_of, firsts, low, edge_u, edge_v, weights = _contract(graph, omega, "contract_flat_zones")
     reps = tuple(map(graph.nodes.__getitem__, firsts))
     ground = map(graph.ground_values.__getitem__, firsts)
     contracted = index_graph(reps, edge_u, edge_v, ground, weights)
-    contracted_omega = None if low is None else dict(zip(reps, low))
+    contracted_omega = None if low is None else NodeValues(contracted, low)
     return contracted, ContractionMap(contracted, graph, zone_of), contracted_omega
 
 

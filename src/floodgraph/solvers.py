@@ -84,7 +84,7 @@ def augment_with_dummy(graph: Graph, omega: Mapping[str, Weight]) -> tuple[Graph
     weights = graph.require_edge_weights("augment_with_dummy")
     ceiling = ceiling_by_index(graph, omega)
     dummy = "@omega"
-    while dummy in graph:
+    while dummy in graph.nodes:  # a scan: no name index for one probe
         dummy += "+"
     fed = [node for node, level in enumerate(ceiling) if level < TOP]
     reservoir = len(ceiling)
@@ -195,17 +195,15 @@ def berge_flood(
 def dijkstra_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverResult:
     """Best-first flooding: the min-max kernel seeded at the ceiling.
 
-    Every finite-ceiling node is a seed at its ceiling.  To start from fewer
-    seeds, pass the reduced ceiling that is top outside them: on a
-    node-derived graph it gives the same flooding when the seeds touch every
-    regional minimum of omega (``ceiling_minima`` finds such a set).
+    Every finite-ceiling node is a seed at its ceiling, and the ceiling
+    listed by index is the kernel's start list.  To start from fewer seeds,
+    pass the reduced ceiling that is top outside them: on a node-derived
+    graph it gives the same flooding when the seeds touch every regional
+    minimum of omega (``ceiling_minima`` finds such a set).
     """
     weights = graph.require_edge_weights("dijkstra_flood")
-    ceiling = ceiling_by_index(graph, omega)
-    fed = [seed for seed, level in enumerate(ceiling) if level < TOP]
-    tau: list[Weight] = [TOP] * len(ceiling)
-    for seed in fed:
-        tau[seed] = ceiling[seed]
+    tau = ceiling_by_index(graph, omega)  # a fresh list, never the caller's
+    fed = [seed for seed, level in enumerate(tau) if level < TOP]
     extractions, relaxations, levels = _best_first_flood(graph, weights, tau, fed)
     stats = SolverStats(extractions, relaxations, 0, tuple(levels))
     return SolverResult(tau=NodeValues(graph, tau), stats=stats)
@@ -214,23 +212,24 @@ def dijkstra_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverResult:
 def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
     """Tree growth over the lowest boundary edge, scheduled by a funnel.
 
-    Edges enter the funnel at their own weight; a running level lam, raised
-    whenever a higher priority is extracted, turns edge priorities into
-    flooding levels (the level of a popped node is lam itself).  Seeding
-    every finite-ceiling node at its ceiling reproduces dijkstra_flood;
-    with no source, every node stays at top.
+    The finite entries of the ceiling ``sources`` (top at a node it leaves
+    out) are the seeds, in node order.  Edges enter the funnel at their own
+    weight; a running level lam, raised whenever a higher priority is
+    extracted, turns edge priorities into flooding levels (the level of a
+    popped node is lam itself).  This reproduces dijkstra_flood; with no
+    finite source, every node stays at top.
     """
     weights = graph.require_edge_weights("prim_flood")
-    ceiling_by_index(graph, sources, default=TOP)  # a node left out is at top
-    tau: list[Weight] = [TOP] * len(graph.nodes)
+    tau = ceiling_by_index(graph, sources, default=TOP)  # top at a node sources leaves out
     funnel = Funnel()
-    for node, level in sources.items():  # seeded in mapping order
-        funnel[level].append(graph.node_index(node))
+    for node, level in enumerate(tau):  # each seed gets settled: an unsettled node stays top
+        if level < TOP:
+            funnel[level].append(node)
     heap = funnel.heap
     offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
     settled = [False] * len(tau)
     extractions = relaxations = 0
-    lam: Weight = min(sources.values(), default=TOP)
+    lam: Weight = BOTTOM  # the first pop lifts it to the lowest seed
     while heap:  # pushes may go below mu: pop per item
         mu = heap[0]
         bucket = funnel[mu]

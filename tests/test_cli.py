@@ -257,7 +257,7 @@ def test_flood_prim_with_no_finite_ceiling(capsys, monkeypatch, tmp_path, tank_f
         "--stats",
     )
     assert code == 0
-    assert calls == [{}]  # one call, as with a finite ceiling, and no source in it
+    assert calls == [dict.fromkeys(("A", "B", "C", "D", "E", "F"), TOP)]  # the ceiling, all top
     assert all(line.endswith(" inf") for line in out.splitlines())
     assert err == "stats: extractions=0 relaxations=0 sweeps=0\n"
 
@@ -793,23 +793,33 @@ def test_flood_on_a_raster(capsys, strip_pgm, strip_ceiling):
     assert out.splitlines() == ["0,0 0", "0,1 0", "0,2 4", "0,3 2", "0,4 2", "0,5 1"]
 
 
-@pytest.mark.parametrize("algo", [["core"], ["dijkstra", "--derive-edges"], ["berge", "--derive-edges"]])
+@pytest.mark.parametrize("algo", [["core"], *([algo, "--derive-edges"] for algo in
+                                               ("dijkstra", "berge", "prim", "dendro"))])
 def test_a_node_values_ceiling_on_a_raster_builds_no_name_index(capsys, monkeypatch, strip_pgm,
                                                                  strip_ceiling, algo):
-    """The ceiling's names are checked by a count of the nodes it holds, not looked up."""
-    ingested = []
+    """The ceiling's names are checked by a count of the nodes it holds, not looked up,
+    and the route reads it by index: neither the raster nor its edge view builds the
+    name index."""
+    graphs = []
 
-    def keep(*args):
-        ingested.append(ingest_graph(*args))
-        return ingested[-1]
+    def ingest(*args):
+        ingested = ingest_graph(*args)
+        graphs.append(ingested.graph)
+        return ingested
 
-    monkeypatch.setattr("floodgraph.cli.ingest_graph", keep)
+    def derive(graph):
+        graphs.append(derive_edge_graph(graph))
+        return graphs[-1]
+
+    monkeypatch.setattr("floodgraph.cli.ingest_graph", ingest)
+    monkeypatch.setattr("floodgraph.cli.derive_edge_graph", derive)
     code, out, _ = run(
         capsys, "flood", "--algo", *algo, "--graph", strip_pgm, "--ceiling", strip_ceiling
     )
     assert code == 0
     assert out.splitlines() == ["0,0 0", "0,1 0", "0,2 4", "0,3 2", "0,4 2", "0,5 1"]
-    assert ingested[0].graph._index is None
+    assert len(graphs) == len(algo)  # the raster, and the edge view if one is derived
+    assert [graph._index for graph in graphs] == [None] * len(graphs)
 
 
 def test_a_ceiling_on_an_unknown_raster_node_names_it(capsys, tmp_path, strip_pgm):

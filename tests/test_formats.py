@@ -13,6 +13,7 @@ from floodgraph import (
     TOP,
     ConstructionError,
     GraphFormatError,
+    PreconditionError,
     build_graph,
     parse_graph,
     parse_node_values,
@@ -151,6 +152,12 @@ def test_serialize_omits_top_ceiling_entries(chain):
     text = serialize_graph(chain.graph, {**chain.omega, "b": TOP})
     assert "node b f=4\n" in text
     assert "omega=5" not in text
+
+
+def test_serialize_raises_on_an_omega_naming_an_unknown_node(chain):
+    """A ceiling may leave nodes out, but not name one the graph lacks."""
+    with pytest.raises(PreconditionError, match="^omega defined on unknown node 'z'$"):
+        serialize_graph(chain.graph, {**chain.omega, "z": 3})
 
 
 # Weights of the lattice, and values outside it that a writer would print

@@ -329,13 +329,20 @@ def test_kernel_matches_the_per_item_loop(graph, data):
 @settings(max_examples=300)
 @given(rough_flood_instances(), st.data())
 def test_prim_flood_matches_the_per_item_loop(instance, data):
+    """prim seeds the finite entries of its ceiling in node order: the loop's
+    counters on those seeds, and the loop's tau on the sources as drawn."""
     graph, omega = instance
     chosen = data.draw(st.lists(st.sampled_from(graph.nodes), min_size=1, unique=True))
     for sources in ({node: omega[node] for node in chosen}, omega):
         result = prim_flood(graph, sources)
         stats = result.stats
-        expected = per_item_prim_flood(graph, sources)
+        finite = {node: sources[node] for node in graph.nodes if sources.get(node, TOP) < TOP}
+        if finite:
+            expected = per_item_prim_flood(graph, finite)
+        else:
+            expected = dict.fromkeys(graph.nodes, TOP), 0, 0
         assert (result.tau, stats.extractions, stats.relaxations) == expected
+        assert result.tau == per_item_prim_flood(graph, sources)[0]
         assert stats.sweeps == 0 and stats.extraction_levels == ()
 
 

@@ -66,6 +66,8 @@ CASES: list[tuple[str, list[str], int]] = [
     *[(f"tank-flood-{a}", _flood("tank.fg", a, "--ceiling", "tank-ceiling.txt"), 0)
       for a in FLOOD_ALGOS if a != "core"],
     ("tank-flood-core", _flood("tank.fg", "core"), 1),
+    ("tank-flood-prim-stats", _flood("tank.fg", "prim", "--ceiling", "tank-ceiling.txt",
+                                     "--stats"), 0),
     ("tank-segment-tau", ["segment", "--graph", "tank.fg", "--markers", "tank-markers.txt",
                           "--engine", "prim", "--tau"], 0),
     ("tank-fldist", ["fldist", "--graph", "tank.fg", "--from", "D"], 0),
@@ -103,6 +105,8 @@ CASES: list[tuple[str, list[str], int]] = [
       for s in ("gauss_seidel", "jacobi")],
     ("raster64-flood-dijkstra-stats", _flood("raster64.pgm", "dijkstra", "--ceiling",
                                              "raster64-ceiling.txt", "--stats"), 0),
+    ("raster64-flood-prim-stats", _flood("raster64.pgm", "prim", "--ceiling",
+                                         "raster64-ceiling.txt", "--stats"), 0),
     ("raster64-segment", ["segment", "--graph", "raster64.pgm", "--markers",
                           "raster64-markers.txt", "--derive-edges"], 0),
     ("raster64-segment-tau", ["segment", "--graph", "raster64.pgm", "--markers",

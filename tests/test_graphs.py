@@ -127,7 +127,8 @@ def test_grid_graph_rejects_bad_input():
 
 
 def components(graph, keep=None):
-    """The components as name tuples, in order of first node."""
+    """The components as name tuples, in order of first node (under every edge by default)."""
+    keep = [True] * len(graph.edge_u) if keep is None else keep
     label, first = connected_components(graph, keep)
     return group_by_label(graph.nodes, label, len(first))
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from floodgraph import (
     TOP,
     PreconditionError,
+    augment_with_dummy,
     berge_flood,
     build_graph,
     build_lake_dendrogram,
@@ -97,13 +98,25 @@ def test_dendrogram_flood_and_the_waterfall_build_no_name_index():
     assert graph._index is None and view._index is None
 
 
-def _finite(omega):
-    return {node: level for node, level in omega.items() if level < TOP}
+def test_serialize_graph_and_augment_with_dummy_build_no_name_index():
+    graph = strip()
+    view = derive_edge_graph(graph)
+    ceiling = NodeValues(graph, [TOP, 2, TOP, TOP, TOP, 5])
+    text = serialize_graph(graph, ceiling)
+    assert "node 0,1 f=1 omega=2\n" in text and text.count(" omega=") == 2
+    augmented, dummy = augment_with_dummy(view, ceiling)
+    assert augmented.nodes == (*graph.nodes, "@omega") and dummy == "@omega"
+    assert graph._index is None and view._index is None
 
 
 def _segmented(graph, view, omega):
     result = marker_segmentation(view, {"0,0": 1, "1,2": 2})
     return view, result.tau, result.labels
+
+
+def _contracted(graph, view, omega):
+    contracted, _, low = contract_flat_zones(graph, omega)
+    return contracted, low
 
 
 def _expanded(graph, view, omega):
@@ -116,13 +129,14 @@ def _expanded(graph, view, omega):
 PRODUCERS = {
     "berge_flood": lambda graph, view, omega: (view, berge_flood(view, omega).tau),
     "dijkstra_flood": lambda graph, view, omega: (view, dijkstra_flood(view, omega).tau),
-    "prim_flood": lambda graph, view, omega: (view, prim_flood(view, _finite(omega)).tau),
+    "prim_flood": lambda graph, view, omega: (view, prim_flood(view, omega).tau),
     "core_expanding_flood": lambda graph, view, omega: (
         graph, core_expanding_flood(graph, omega).tau
     ),
     "oracle_flood": lambda graph, view, omega: (view, oracle_flood(view, omega)),
     "marker_segmentation": _segmented,
     "flooding_distance_all": lambda graph, view, omega: (view, flooding_distance_all(view, "0,1")),
+    "contract_flat_zones": _contracted,
     "contract_close_flood": lambda graph, view, omega: (graph, contract_close_flood(graph, omega)),
     "dendrogram_flood": lambda graph, view, omega: (
         view, dendrogram_flood(build_lake_dendrogram(view), omega)

@@ -221,7 +221,7 @@ def test_trimmed_functions_keep_their_parameters():
     schedule = inspect.signature(floodgraph.berge_flood).parameters["schedule"]
     assert schedule.default == "gauss_seidel"  # the CLI's spelling, not a second one
     keep = inspect.signature(floodgraph.connected_components).parameters["keep"]
-    assert keep.annotation == "Sequence[bool] | None"  # a flag per edge id, not a function
+    assert keep.annotation == "Sequence[bool]"  # a flag per edge id, not a function
     for name in ("flat_zones", "regional_minima"):
         values = inspect.signature(getattr(floodgraph, name)).parameters["values"]
         assert values.default is inspect.Parameter.empty, name

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from floodgraph import (
+    berge_flood,
     build_graph,
     build_lake_dendrogram,
     contract_flat_zones,
@@ -129,6 +130,7 @@ def raster_child_peak(tmp_path, *argv):
 
 @pytest.mark.parametrize("argv, limit", [
     (["flood", "--algo", "dijkstra", "--derive-edges", "--ceiling", "ceiling.txt"], 85),
+    (["flood", "--algo", "prim", "--derive-edges", "--ceiling", "ceiling.txt"], 85),
     (["fldist", "--derive-edges", "--from", "0,0"], 90),
 ])
 def test_raster_flood_and_fldist_peaks_hold_node_functions_by_index(tmp_path, argv, limit):
@@ -165,6 +167,22 @@ def test_berge_on_a_shuffled_path_is_not_quadratic(tmp_path, capsys, schedule):
     sweeps = SHUFFLED_PATH_SWEEPS[schedule]
     assert capsys.readouterr().err == f"stats: extractions=0 relaxations=19999 sweeps={sweeps}\n"
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("schedule", sorted(SHUFFLED_PATH_SWEEPS))
+def test_berge_on_a_shuffled_path_quadruples_its_time_with_its_size(schedule):
+    """n and 4n nodes, interleaved, best of 3: quasi-linear work reads about 4.5, and
+    full sweeps about 12-16.  A ratio, so the host's speed does not move it."""
+    sizes = (5000, 20_000)
+    instances = [shuffled_path(random.Random(3), n) for n in sizes]
+    best = [float("inf")] * len(sizes)
+    for _ in range(3):
+        for at, (n, (graph, omega)) in enumerate(zip(sizes, instances)):
+            start = time.perf_counter()
+            result = berge_flood(graph, omega, schedule=schedule)
+            best[at] = min(best[at], time.perf_counter() - start)
+            assert result.stats.relaxations == n - 1
+    assert best[1] / best[0] < 8
 
 
 def test_is_dendrogram_on_a_deep_chain_is_linear():
