@@ -19,7 +19,8 @@ declaration order, byte-identical across runs.
 
 Exit codes: 0 success; 1 domain error (a PreconditionError, or an invalid
 flooding in `validate`); 2 misuse, an unreadable file, a GraphFormatError or
-a ConstructionError (an unknown or duplicate node, a --tau file off the nodes).
+a ConstructionError (an unknown or duplicate node, a --tau file off the nodes);
+141, with nothing on stderr, when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -163,26 +164,26 @@ def edge_view(ingested: Ingested, args: argparse.Namespace, operation: str) -> G
     return derive_edge_graph(graph)
 
 
-def _emit(args: argparse.Namespace, lines: Iterable[str]) -> None:
-    """Write lines joined in chunks of about 64 KB, never the whole output at once."""
+# A command's exit code, its output as text chunks (None: it writes none) and its counters
+_Outcome = tuple[int, "Iterable[str] | None", "SolverStats | str | None"]
 
-    def chunks() -> Iterator[str]:
-        chunk: list[str] = []
-        size = 0  # characters in the chunk, newlines aside
-        for line in lines:
-            chunk.append(line)
-            size += len(line)
-            if size >= 65536:
-                yield "\n".join(chunk) + "\n"
-                chunk, size = [], 0
-        if chunk:
+
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    """Lines joined in chunks of about 64 KB, never the whole output at once."""
+    chunk: list[str] = []
+    size = 0  # characters in the chunk, newlines aside
+    for line in lines:
+        chunk.append(line)
+        size += len(line)
+        if size >= 65536:
             yield "\n".join(chunk) + "\n"
+            chunk, size = [], 0
+    if chunk:
+        yield "\n".join(chunk) + "\n"
 
-    _write(args, chunks())
 
-
-def _write_values(args: argparse.Namespace, *columns: NodeValues) -> None:
-    """Write ``<node> <value>[ <value>]`` lines, a value column per node function
+def _values(*columns: NodeValues) -> Iterator[str]:
+    """``<node> <value>[ <value>]`` lines, a value column per node function
     (one or two), each chunk joined from a slice of 65,536 nodes."""
     names = columns[0].graph.nodes
 
@@ -192,7 +193,7 @@ def _write_values(args: argparse.Namespace, *columns: NodeValues) -> None:
             return "".join([f"{n} {v}\n" for n, v in rows])
         return "".join([f"{n} {v} {t}\n" for n, v, t in rows])
 
-    _write(args, map(chunk, range(0, len(names), 65536)))
+    return map(chunk, range(0, len(names), 65536))
 
 
 def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
@@ -209,16 +210,7 @@ def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
         buffer.writelines(chunk.encode("utf-8") for chunk in chunks)
 
 
-def _emit_stats(args: argparse.Namespace, stats: SolverStats | str) -> None:
-    """A solver's counters, or the counts a route makes itself, on stderr."""
-    if args.stats:
-        if isinstance(stats, SolverStats):
-            e, r, s = stats.extractions, stats.relaxations, stats.sweeps
-            stats = f"extractions={e} relaxations={r} sweeps={s}"
-        print(f"stats: {stats}", file=sys.stderr)
-
-
-def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> int:
+def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     graph = ingested.graph
     omega = resolve_ceiling(args, ingested)
     if args.algo == "core":
@@ -241,17 +233,14 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> int:
         report = check(view, result.tau)
         if not report:
             print(f"validate: invalid: {report.violations[0]}", file=sys.stderr)
-            return 1
+            return 1, None, None
         print("validate: valid", file=sys.stderr)
 
-    _emit_stats(
-        args, f"clusters={len(dendrogram.diam)}" if args.algo == "dendro" else result.stats
-    )
-    _write_values(args, result.tau)  # by index, whatever the route
-    return 0
+    stats = f"clusters={len(dendrogram.diam)}" if args.algo == "dendro" else result.stats
+    return 0, _values(result.tau), stats  # by index, whatever the route
 
 
-def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> int:
+def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     view = edge_view(ingested, args, "segmentation")
     markers = _read_values(args.markers)
     if not markers:
@@ -277,27 +266,19 @@ def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> int:
         with open(args.label_pgm, "wb") as handle:
             handle.write(write_pgm(raster))
 
-    _emit_stats(args, result.stats)
-    _write_values(args, *((labels, result.tau) if args.tau else (labels,)))
-    return 0
+    return 0, _values(*((labels, result.tau) if args.tau else (labels,))), result.stats
 
 
-def cmd_fldist(args: argparse.Namespace, ingested: Ingested) -> int:
-    view = edge_view(ingested, args, "fldist")
-    _write_values(args, flooding_distance_all(view, args.source))
-    return 0
+def cmd_fldist(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
+    return 0, _values(flooding_distance_all(edge_view(ingested, args, "fldist"), args.source)), None
 
 
-def cmd_mst(args: argparse.Namespace, ingested: Ingested) -> int:
-    view = edge_view(ingested, args, "mst")
-    tree = mst(view)
-    _write(args, [serialize_graph(tree)])
-    return 0
+def cmd_mst(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
+    return 0, [serialize_graph(mst(edge_view(ingested, args, "mst")))], None
 
 
-def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> int:
-    view = edge_view(ingested, args, "dendro")
-    dendro = build_lake_dendrogram(view)
+def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
+    dendro = build_lake_dendrogram(edge_view(ingested, args, "dendro"))
     # before any output, so a bad ceiling writes nothing
     tau = dendrogram_flood(dendro, resolve_ceiling(args, ingested)) if args.flood else {}
     clusters = (
@@ -306,25 +287,23 @@ def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> int:
         for index, (diam, father, leaves)
         in enumerate(zip(dendro.diam, dendro.father, dendro.all_members()))
     )
-    _emit(args, chain(clusters, (f"{n} {level}" for n, level in tau.items())))
-    return 0
+    return 0, _lines(chain(clusters, (f"{n} {level}" for n, level in tau.items()))), None
 
 
-def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> int:
+def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     graph = ingested.graph
     tau = _read_tau(args, graph)
     names, edge_u, edge_v = graph.nodes, graph.edge_u, graph.edge_v
     part = lakes(graph, tau)
     kinds = LakeKind.REGIONAL_MINIMUM.value, LakeKind.FULL.value
-    _emit(args, (
+    return 0, _lines(
         f"lake {index} level={level} kind={kinds[bool(out)]} nodes={' '.join(block)} exhaust="
         + " ".join(f"{names[edge_u[eid]]}-{names[edge_v[eid]]}" for eid in out)
         for index, (level, block, out) in enumerate(zip(part.levels, part.members, part.exhaust))
-    ))
-    return 0
+    ), None
 
 
-def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> int:
+def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     graph = ingested.graph
     tau = _read_tau(args, graph)
     if graph.edge_weights is not None:
@@ -333,13 +312,11 @@ def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> int:
         graph.require_ground_values("validate")
         report = is_node_flooding(graph, tau)
     if report:
-        _emit(args, ["valid"])
-        return 0
-    _emit(args, ["invalid", *report.violations])
-    return 1
+        return 0, _lines(["valid"]), None
+    return 1, _lines(["invalid", *report.violations]), None
 
 
-def cmd_contract(args: argparse.Namespace, ingested: Ingested) -> int:
+def cmd_contract(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     graph = ingested.graph
     graph.require_ground_values("contract")
     omega: NodeValues | None = None  # no ceiling: none to build or check, no omega= written
@@ -349,15 +326,13 @@ def cmd_contract(args: argparse.Namespace, ingested: Ingested) -> int:
     blocks = "".join(
         f"# block {rep} {' '.join(members)}\n" for rep, members in mapping.blocks.items()
     )
-    _write(args, [serialize_graph(contracted, contracted_omega), blocks])
-    return 0
+    return 0, [serialize_graph(contracted, contracted_omega), blocks], None
 
 
-def cmd_localflood(args: argparse.Namespace, ingested: Ingested) -> int:
+def cmd_localflood(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     ingested.graph.require_ground_values("localflood")
     level = local_flood(ingested.graph, resolve_ceiling(args, ingested), args.node)
-    _emit(args, [f"{args.node} {level}"])
-    return 0
+    return 0, _lines([f"{args.node} {level}"]), None
 
 
 @cache  # built once per process: parsing keeps no state in the parser
@@ -438,8 +413,21 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.run(args, ingest_graph(args.graph, args.connectivity))
+    try:  # a command runs every check before it returns, so a failing one writes nothing
+        code, chunks, stats = args.run(args, ingest_graph(args.graph, args.connectivity))
+        if stats is not None and args.stats:  # a solver's counters, or a route's own counts
+            if isinstance(stats, SolverStats):
+                e, r, s = stats.extractions, stats.relaxations, stats.sweeps
+                stats = f"extractions={e} relaxations={r} sweeps={s}"
+            print(f"stats: {stats}", file=sys.stderr)
+        if chunks is not None:
+            _write(args, chunks)
+        return code
+    except BrokenPipeError:  # the reader closed stdout: stop quietly, as on SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)  # so the flush at exit cannot fail again
+        os.close(devnull)
+        return 141
     except (GraphFormatError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -998,6 +998,20 @@ def test_raster_commands_write_their_lines_under_any_locale(tmp_path):
         (tmp_path / "labels.pgm").unlink()
 
 
+def test_a_closed_stdout_pipe_ends_a_command_quietly():
+    """A reader that stops early (``| head -c 1``) gets the status a shell reports for
+    SIGPIPE, and no error: 367 KB of dendro lines overflow any pipe buffer."""
+    command = [sys.executable, "-m", "floodgraph.cli", "dendro", "--derive-edges"]
+    command += ["--graph", str(GOLDEN / "raster64.pgm")]
+    child = subprocess.Popen(
+        command, env=locales()[0][1], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert len(child.stdout.read(1)) == 1
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert (child.wait(timeout=60), stderr) == (141, b"")
+
+
 # -- exit codes --------------------------------------------------------------------
 
 
@@ -1051,6 +1065,90 @@ def test_dendro_routes_reject_ceiling_below_ground(capsys, tmp_path, chain_file,
     assert code == 1
     assert out == ""
     assert "ceiling below ground at node 'b'" in err
+
+
+# Each command on the chain graph, with inputs that read: a fault row changes one input.
+FAULT_RUNS = {
+    "flood": ["flood", "--algo", "core"],
+    "segment": ["segment", "--derive-edges", "--markers", "markers.txt"],
+    "fldist": ["fldist", "--derive-edges", "--from", "a"],
+    "mst": ["mst", "--derive-edges"],
+    "dendro": ["dendro", "--derive-edges", "--flood"],
+    "lakes": ["lakes", "--tau", "tau.txt"],
+    "validate": ["validate", "--tau", "tau.txt"],
+    "contract": ["contract"],
+    "localflood": ["localflood", "--node", "a"],
+}
+FAULT_FILES = {
+    "graph.fg": CHAIN_FG,
+    "markers.txt": "a 1\ne 2\n",
+    "tau.txt": "".join(f"{line}\n" for line in CHAIN_TAU_LINES),
+}
+HANGING_TAU = "a 0\nb 4\nc 3\nd 2\ne 1\n"  # c at 3 hangs above d at 2
+SENTINEL = b"an earlier report\n"
+CEILING_FAULTS = {  # name: (--ceiling file, its text or None for no file, exit code)
+    "unknown-ceiling-node": ("ceiling.txt", "zz 1\n", 2),
+    "ceiling-below-ground": ("ceiling.txt", "b 1\n", 1),
+    "missing-ceiling-file": ("none.txt", None, 2),
+}
+FAULTS = [  # (id, argv less --graph and -o, files over FAULT_FILES with None for none, code)
+    *[(f"{name}-missing-graph", argv, {"graph.fg": None}, 2) for name, argv in FAULT_RUNS.items()],
+    *[(f"{name}-bad-graph-token", argv, {"graph.fg": "floodgraph v1\nwall a b\n"}, 2)
+      for name, argv in FAULT_RUNS.items()],
+    *[(f"{name}-{fault}", [*FAULT_RUNS[name], "--ceiling", path], {path: text}, code)
+      for name in ("flood", "dendro", "contract", "localflood")
+      for fault, (path, text, code) in CEILING_FAULTS.items()],
+    ("segment-unknown-marker", FAULT_RUNS["segment"], {"markers.txt": "zz 1\n"}, 2),
+    ("segment-duplicate-labels", FAULT_RUNS["segment"], {"markers.txt": "a 1\ne 1\n"}, 1),
+    ("segment-no-markers", FAULT_RUNS["segment"], {"markers.txt": "# none\n"}, 1),
+    ("segment-unreachable-node", FAULT_RUNS["segment"],
+     {"graph.fg": "floodgraph v1\nnode a f=0\nnode e f=1\nnode z f=0\nedge a e\n"}, 1),
+    ("fldist-unknown-from", [*FAULT_RUNS["fldist"], "--from", "zz"], {}, 2),
+    ("localflood-unknown-node", [*FAULT_RUNS["localflood"], "--node", "zz"], {}, 2),
+    *[(f"{name}-tau-{fault}", FAULT_RUNS[name], {"tau.txt": TAU_FAULTS[fault][0]}, 2)
+      for name in ("lakes", "validate") for fault in TAU_FAULTS],
+    ("lakes-tau-no-flooding", FAULT_RUNS["lakes"], {"tau.txt": HANGING_TAU}, 1),
+    ("mst-no-edge-weights", ["mst"], {}, 1),
+    ("fldist-no-edge-weights", ["fldist", "--from", "a"], {}, 1),
+]
+
+
+def fault_run(capsys, monkeypatch, tmp_path, argv, files):
+    """Run ``argv`` in ``tmp_path`` over the fault files, with -o naming a sentinel file."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in {**FAULT_FILES, **files}.items():
+        if text is not None:
+            (tmp_path / name).write_text(text)
+    (tmp_path / "report.txt").write_bytes(SENTINEL)
+    return run(capsys, *argv, "--graph", "graph.fg", "-o", "report.txt")
+
+
+@pytest.mark.parametrize("argv", FAULT_RUNS.values(), ids=FAULT_RUNS)
+def test_each_fault_run_succeeds_on_the_unchanged_inputs(capsys, monkeypatch, tmp_path, argv):
+    assert fault_run(capsys, monkeypatch, tmp_path, argv, {}) == (0, "", "")
+    assert (tmp_path / "report.txt").read_bytes() != SENTINEL
+
+
+@pytest.mark.parametrize(
+    "argv, files, code", [row[1:] for row in FAULTS], ids=[row[0] for row in FAULTS]
+)
+def test_each_fault_exits_with_its_code_and_writes_nothing(
+    capsys, monkeypatch, tmp_path, argv, files, code
+):
+    """One example of each fault in README's exit-code list, for every command that can
+    meet it: one error line, and neither stdout nor the -o file is touched."""
+    outcome, out, err = fault_run(capsys, monkeypatch, tmp_path, argv, files)
+    assert (outcome, out) == (code, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert (tmp_path / "report.txt").read_bytes() == SENTINEL
+
+
+def test_an_invalid_flooding_is_reported_to_the_output_file(capsys, monkeypatch, tmp_path):
+    hanging = {"tau.txt": HANGING_TAU}
+    outcome = fault_run(capsys, monkeypatch, tmp_path, FAULT_RUNS["validate"], hanging)
+    assert outcome == (1, "", "")
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    assert report[0] == "invalid" and len(report) > 1 and "hangs above" in report[1]
 
 
 # -- the parser ------------------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,7 +34,7 @@ from floodgraph import (
     serialize_graph,
     waterfall_flooding,
 )
-from floodgraph.cli import _write_values
+from floodgraph.cli import _values
 from floodgraph.graphs import NodeValues, ceiling_by_index, values_by_index
 
 from strategies import rough_edge_graphs, rough_node_graphs
@@ -73,7 +71,7 @@ def test_items_run_in_node_order_and_names_are_looked_up():
         values["z"]
 
 
-def test_iteration_items_values_and_the_writer_build_no_name_index(tmp_path):
+def test_iteration_items_values_and_the_writer_build_no_name_index():
     graph = strip()
     values = NodeValues(graph, [3, 1, 2, 0, 5, TOP])
     assert list(values) == list(graph.nodes)
@@ -81,9 +79,7 @@ def test_iteration_items_values_and_the_writer_build_no_name_index(tmp_path):
     assert sorted(values.values()) == [0, 1, 2, 3, 5, TOP]
     assert values == NodeValues(graph, list(values.levels))
     assert values == dict(values.items())
-    out = tmp_path / "out.txt"
-    _write_values(argparse.Namespace(output=str(out)), values)
-    assert out.read_text() == "0,0 3\n0,1 1\n0,2 2\n1,0 0\n1,1 5\n1,2 inf\n"
+    assert "".join(_values(values)) == "0,0 3\n0,1 1\n0,2 2\n1,0 0\n1,1 5\n1,2 inf\n"
     assert graph._index is None
     assert values["1,1"] == 5 and graph._index is not None  # a name read builds it
 
@@ -163,19 +159,16 @@ def test_every_node_function_the_library_returns_is_node_values_over_its_graph(p
         assert len(values.levels) == len(given.nodes)
 
 
-def test_the_writer_joins_slices_of_65536_nodes(tmp_path, monkeypatch):
+def test_the_writer_joins_slices_of_65536_nodes():
     """One value column (flood, fldist) or two (segment --tau), equal to the lines
     written by name."""
     graph = grid_graph([[level % 7 for level in range(300)] for _ in range(300)])
     values = NodeValues(graph, list(graph.ground_values))
     more = NodeValues(graph, [TOP if i % 5 else i for i in range(len(graph.nodes))])
-    chunks = []
-    monkeypatch.setattr("floodgraph.cli._write", lambda args, parts: chunks.extend(parts))
-    _write_values(argparse.Namespace(output=None), values)
+    chunks = list(_values(values))
     assert [chunk.count("\n") for chunk in chunks] == [65536, 24464]
     assert "".join(chunks) == "".join(f"{n} {v}\n" for n, v in values.items())
-    chunks.clear()
-    _write_values(argparse.Namespace(output=None), values, more)
+    chunks = list(_values(values, more))
     assert [chunk.count("\n") for chunk in chunks] == [65536, 24464]
     by_name, more_by_name = dict(values.items()), dict(more.items())
     assert "".join(chunks) == "".join(
