@@ -5,7 +5,12 @@ Generates seeded random connected edge-weighted graphs with part-finite
 ceilings, floods each with every solver, and compares against the closed
 formula (min over sources of ceiling-join-distance).  On each instance it
 also checks the single-source flooding distance from every node against
-the all-pairs (Floyd-Warshall) distance matrix.  Prints one summary line;
+the all-pairs (Floyd-Warshall) distance matrix, and segments the graph
+from a few seeded markers with both engines.  The engines must agree, each
+marker must keep its label, and each node must get its least distance to a
+marker by that matrix, floored at zero, the label of a marker at that
+distance, and the least (distance, marker rank) pair its neighbors offer.
+Prints one summary line;
 exits nonzero on the first disagreement, dumping the instance so it can
 be replayed.
 
@@ -27,6 +32,7 @@ from floodgraph import (
     dijkstra_flood,
     distance_matrix,
     flooding_distance_all,
+    marker_segmentation,
     oracle_flood,
     prim_flood,
     serialize_graph,
@@ -63,6 +69,37 @@ def flood_all(graph, omega):
     }
 
 
+def random_markers(rng: random.Random, graph) -> dict[str, int]:
+    """One to four distinct nodes, in a seeded order, with distinct labels."""
+    chosen = rng.sample(graph.nodes, rng.randint(1, min(4, len(graph.nodes))))
+    return dict(zip(chosen, rng.sample(range(1, 100), len(chosen))))
+
+
+def segmentation_faults(graph, matrix, markers: dict[str, int], result) -> list[str]:
+    """What is wrong with a segmentation of a connected graph, by brute force over
+    ``matrix``.  Each marker keeps its label.  Each node's tau is its least distance
+    to a marker, floored at zero, and its label is that of a marker at that distance.
+    Each other node takes the least (distance, marker rank) pair that its neighbors
+    offer, a neighbor p across an edge of weight w offering (d_p v w, rank of p)."""
+    label_of = {label: marker for marker, label in markers.items()}
+    rank_of = {label: rank for rank, label in enumerate(markers.values())}
+    least = {node: min(matrix[marker][node] for marker in markers) for node in graph.nodes}
+    faults = [f"marker {marker} lost its label" for marker, label in markers.items()
+              if result.labels[marker] != label]
+    for node in graph.nodes:
+        label = result.labels[node]
+        if result.tau[node] != max(least[node], 0):
+            faults.append(f"tau at {node} is {result.tau[node]}, not {max(least[node], 0)}")
+        elif matrix[label_of[label]][node] != least[node]:
+            faults.append(f"label {label} at {node} is no closest marker's")
+        elif node not in markers and min(
+            (max(least[p], graph.edge_weights[edge]), rank_of[result.labels[p]])
+            for p, edge in graph.neighbors(node)
+        ) != (least[node], rank_of[label]):
+            faults.append(f"label {label} at {node} is not the least its neighbors offer")
+    return faults
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=2000)
@@ -72,6 +109,7 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
+    marker_rng = random.Random(~args.seed)  # so the instances stay those of the seed
     for index in range(args.count):
         graph, omega = random_instance(rng, args.max_nodes, args.max_weight)
         want = oracle_flood(graph, omega)
@@ -90,9 +128,20 @@ def main() -> int:
                 print(serialize_graph(graph, omega), file=sys.stderr)
                 print(f"want {matrix[source]}\ngot  {got}", file=sys.stderr)
                 return 1
+        markers = random_markers(marker_rng, graph)
+        results = [marker_segmentation(graph, markers, engine=engine)
+                   for engine in ("dijkstra", "prim")]
+        faults = segmentation_faults(graph, matrix, markers, results[0])
+        if results[0].labels != results[1].labels or results[0].tau != results[1].tau:
+            faults.append("the dijkstra and prim engines differ")
+        if faults:
+            print(f"instance {index}: marker_segmentation from {markers}: {faults[0]}",
+                  file=sys.stderr)
+            print(serialize_graph(graph, omega), file=sys.stderr)
+            return 1
     print(
-        f"{args.count} instances, 5 solvers and the distance from every node "
-        "against distance_matrix, 0 disagreements "
+        f"{args.count} instances, 5 solvers, the distance from every node and "
+        "segmentation by both engines against distance_matrix, 0 disagreements "
         f"(seed {args.seed}, n <= {args.max_nodes}, weights <= {args.max_weight})"
     )
     return 0

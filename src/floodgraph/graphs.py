@@ -493,6 +493,21 @@ def values_by_index(
     return list(map(values.get, graph.nodes, repeat(default)))
 
 
+def node_indices(graph: Graph, names: Iterable[str]) -> list[int]:
+    """The index of each of ``names``, in their order; the first unknown one raises.
+
+    Without a built name index, one pass over ``graph.nodes`` looks for the
+    wanted names only, so a few names do not build the index."""
+    names = list(names)
+    index = graph._index
+    if index is None:
+        nodes = graph.nodes
+        index = dict(compress(zip(nodes, range(len(nodes))), map(set(names).__contains__, nodes)))
+    for name in filterfalse(index.__contains__, names):
+        raise ConstructionError(f"unknown node: {name!r}")
+    return list(map(index.__getitem__, names))
+
+
 def dilation(graph: Graph, levels: Sequence[Weight]) -> tuple[Weight, ...]:
     """Per-edge max of the two endpoint levels (levels listed by node index)."""
     return tuple([

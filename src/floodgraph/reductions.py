@@ -35,6 +35,7 @@ from .graphs import (
     dilation,
     group_by_label,
     index_graph,
+    node_indices,
     values_by_index,
 )
 from .hydro import is_edge_flooding
@@ -223,7 +224,7 @@ def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:
     its own loop, where a run of the min-max kernel would visit the whole graph.
     """
     ground = graph.require_ground_values("local_flood")
-    center = graph.node_index(node)
+    (center,) = node_indices(graph, (node,))
     ceiling = ceiling_by_index(graph, omega, "ceiling")
     offsets, adj_node = graph.offsets, graph.adj_node
 

@@ -29,7 +29,7 @@ import heapq
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, NodeValues, find_root, partial_graph
+from .graphs import Graph, NodeValues, find_root, node_indices, partial_graph
 from .weights import BOTTOM, TOP, Weight
 
 __all__ = [
@@ -145,7 +145,7 @@ def _best_first_flood(
 def flooding_distance_all(graph: Graph, source: str) -> NodeValues:
     """Single-source flooding distance: the kernel seeded at the source."""
     weights = graph.require_edge_weights("flooding_distance_all")
-    start = graph.node_index(source)
+    (start,) = node_indices(graph, (source,))
     dist: list[Weight] = [TOP] * len(graph.nodes)
     dist[start] = BOTTOM
     _best_first_flood(graph, weights, dist, (start,))

@@ -822,6 +822,58 @@ def test_a_node_values_ceiling_on_a_raster_builds_no_name_index(capsys, monkeypa
     assert [graph._index for graph in graphs] == [None] * len(graphs)
 
 
+NAMED_NODE_RUNS = {
+    "segment": (["segment", "--derive-edges", "--markers", "{markers}", "--tau"],
+                ["0,0 1 0", "0,1 1 0", "0,2 2 4", "0,3 2 2", "0,4 2 2", "0,5 2 0"]),
+    "fldist": (["fldist", "--derive-edges", "--from", "0,3"],
+               ["0,0 4", "0,1 4", "0,2 4", "0,3 -inf", "0,4 2", "0,5 2"]),
+    "localflood": (["localflood", "--ceiling", "{ceiling}", "--node", "0,3"], ["0,3 2"]),
+}
+
+
+@pytest.mark.parametrize("command", NAMED_NODE_RUNS)
+def test_named_nodes_on_a_raster_build_no_name_index(capsys, monkeypatch, tmp_path, strip_pgm,
+                                                     strip_ceiling, command):
+    """The markers, ``--from`` and ``--node`` are found by one pass over the node
+    names: neither the raster nor its edge view builds the name index."""
+    markers = tmp_path / "markers.txt"
+    markers.write_text("0,5 2\n0,1 1\n")
+    graphs = []
+
+    def ingest(*args):
+        ingested = ingest_graph(*args)
+        graphs.append(ingested.graph)
+        return ingested
+
+    def derive(graph):
+        graphs.append(derive_edge_graph(graph))
+        return graphs[-1]
+
+    monkeypatch.setattr("floodgraph.cli.ingest_graph", ingest)
+    monkeypatch.setattr("floodgraph.cli.derive_edge_graph", derive)
+    argv, expected = NAMED_NODE_RUNS[command]
+    argv = [arg.format(markers=markers, ceiling=strip_ceiling) for arg in argv]
+    code, out, _ = run(capsys, *argv, "--graph", strip_pgm)
+    assert code == 0
+    assert out.splitlines() == expected
+    assert len(graphs) == 1 + ("--derive-edges" in argv)
+    assert [graph._index for graph in graphs] == [None] * len(graphs)
+
+
+@pytest.mark.parametrize("command", NAMED_NODE_RUNS)
+def test_an_unknown_named_node_on_a_raster_is_the_first_given(capsys, tmp_path, strip_pgm,
+                                                              strip_ceiling, command):
+    markers = tmp_path / "markers.txt"
+    markers.write_text("0,5 2\nzz 1\n0,1 3\nyy 4\n")
+    argv, _ = NAMED_NODE_RUNS[command]
+    argv = [
+        "zz" if arg == "0,3" else arg.format(markers=markers, ceiling=strip_ceiling)
+        for arg in argv
+    ]
+    code, out, err = run(capsys, *argv, "--graph", strip_pgm)
+    assert (code, out, err) == (2, "", "error: unknown node: 'zz'\n")
+
+
 def test_a_ceiling_on_an_unknown_raster_node_names_it(capsys, tmp_path, strip_pgm):
     ceiling = tmp_path / "ceiling.txt"
     ceiling.write_text("0,2 5\n0,9 3\n1,0 4\n")

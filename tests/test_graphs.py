@@ -18,7 +18,9 @@ from floodgraph import (
     grid_graph,
     partial_graph,
 )
-from floodgraph.graphs import NodeValues, ceiling_by_index, group_by_label, values_by_index
+from floodgraph.graphs import (
+    NodeValues, ceiling_by_index, group_by_label, node_indices, values_by_index,
+)
 
 from strategies import edge_graphs, ground_of, rough_flood_instances, rough_node_flood_instances
 
@@ -171,6 +173,18 @@ def test_equality_compares_edge_ends_without_naming_them():
     first, second = grid_graph(relief), grid_graph(relief)
     assert first == second and first != grid_graph(relief, 8)
     assert first._edges is None and second._edges is None
+
+
+def test_node_indices_resolve_names_in_order_and_name_the_first_unknown():
+    """With no name index, one pass finds the names and builds none; with one, it is read."""
+    graph = grid_graph([[1, 2, 3]])
+    for index in (None, {"0,0": 0, "0,1": 1, "0,2": 2}):
+        assert node_indices(graph, ["0,2", "0,0"]) == [2, 0]
+        assert node_indices(graph, ()) == []
+        with pytest.raises(ConstructionError, match="^unknown node: 'b'$"):
+            node_indices(graph, ["0,1", "b", "a"])
+        assert graph._index == index
+        graph.node_index("0,0")  # builds the index for the second round
 
 
 def test_values_by_index_takes_exactly_the_graph_nodes(chain):

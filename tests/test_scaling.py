@@ -131,22 +131,25 @@ def raster_child_peak(tmp_path, *argv):
 @pytest.mark.parametrize("argv, limit", [
     (["flood", "--algo", "dijkstra", "--derive-edges", "--ceiling", "ceiling.txt"], 85),
     (["flood", "--algo", "prim", "--derive-edges", "--ceiling", "ceiling.txt"], 85),
-    (["fldist", "--derive-edges", "--from", "0,0"], 90),
+    (["fldist", "--derive-edges", "--from", "0,0"], 81),
+    (["localflood", "--ceiling", "ceiling.txt", "--node", "256,256"], 74),
 ])
 def test_raster_flood_and_fldist_peaks_hold_node_functions_by_index(tmp_path, argv, limit):
     """The ceiling and the result stay lists by node index, written slice by slice:
-    no dict keyed by name over every pixel, no list of every output line."""
+    no dict keyed by name over every pixel, no list of every output line, and no
+    name index built to find the one node ``--from`` or ``--node`` names."""
     pytest.importorskip("resource")
     assert raster_child_peak(tmp_path, *argv) < limit
 
 
 def test_raster_segment_peak_holds_labels_and_tau_by_index(tmp_path):
     """Labels and tau stay lists by node index: the lines are written slice by slice
-    and the PGM rows are slices of the labels, with no dict keyed by name."""
+    and the PGM rows are slices of the labels, with no dict keyed by name, no name
+    index built to find the markers and no tuple per queued node."""
     pytest.importorskip("resource")
     argv = ["segment", "--derive-edges", "--markers", "markers.txt", "--tau",
             "--label-pgm", "labels.pgm"]
-    assert raster_child_peak(tmp_path, *argv) < 112
+    assert raster_child_peak(tmp_path, *argv) < 80
 
 
 # The sweep counts of full Berge sweeps on shuffled_path(random.Random(3), 20_000),

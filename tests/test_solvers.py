@@ -174,18 +174,48 @@ def test_berge_flood_matches_full_sweeps_on_a_shuffled_path(schedule):
     assert sweeps > 300
 
 
-@pytest.mark.parametrize("schedule", ["gauss_seidel", "jacobi"])
-def test_berge_flood_matches_full_sweeps_on_a_raster(schedule):
-    """A seeded 24x24 derived raster with a sparse ceiling: pushes both ways in every sweep."""
-    rng = random.Random(7)
-    grid = grid_graph([[rng.randint(0, 50) for _ in range(24)] for _ in range(24)])
+def seeded_raster_flood(size, seed):
+    """A seeded size x size derived raster, levels 0..50, with a ceiling of
+    ground + 0..5 on about 10% of its pixels."""
+    rng = random.Random(seed)
+    grid = grid_graph([[rng.randint(0, 50) for _ in range(size)] for _ in range(size)])
     omega = {
         node: level + rng.randint(0, 5) if rng.random() < 0.1 else TOP
         for node, level in zip(grid.nodes, grid.ground_values)
     }
-    sweeps, relaxations = assert_matches_full_sweeps(derive_edge_graph(grid), omega, schedule)
-    assert relaxations > len(grid.nodes)
+    return derive_edge_graph(grid), omega
+
+
+@pytest.mark.parametrize("schedule", ["gauss_seidel", "jacobi"])
+def test_berge_flood_matches_full_sweeps_on_a_raster(schedule):
+    """A seeded 24x24 derived raster with a sparse ceiling: pushes both ways in every sweep."""
+    graph, omega = seeded_raster_flood(24, 7)
+    sweeps, relaxations = assert_matches_full_sweeps(graph, omega, schedule)
+    assert relaxations > len(graph.nodes)
     assert sweeps > 3
+
+
+@pytest.mark.parametrize("schedule, seed, counters", [
+    ("gauss_seidel", 8, (8, 402)),
+    ("jacobi", 8, (15, 510)),
+    ("gauss_seidel", 15, (6, 398)),
+    ("jacobi", 15, (13, 467)),
+])
+def test_berge_flood_switches_between_the_flag_scan_and_the_heap(schedule, seed, counters):
+    """On 16x16 a gauss_seidel sweep that starts with over 64 queued nodes scans the
+    flags, and a sparser one pops a heap.  Seed 8 starts its sweeps with 74 and 75
+    queued nodes (a forward and a backward scan), then 18, 9, 8, 3 and 1 (the heap);
+    seed 15 with 63 (the heap), 65 (a backward scan), then 21, 8 and 3 (the heap)."""
+    assert assert_matches_full_sweeps(*seeded_raster_flood(16, seed), schedule) == counters
+
+
+@pytest.mark.parametrize("schedule", ["gauss_seidel", "jacobi"])
+def test_berge_flood_under_an_all_top_ceiling_seeds_nothing(schedule):
+    """A top ceiling offers its neighbors top: no node is queued, one sweep finds no drop."""
+    graph, _ = seeded_raster_flood(16, 8)
+    omega = dict.fromkeys(graph.nodes, TOP)
+    assert berge_flood(graph, omega, schedule=schedule).tau == omega
+    assert assert_matches_full_sweeps(graph, omega, schedule) == (1, 0)
 
 
 def test_berge_flood_unknown_schedule(chain):
