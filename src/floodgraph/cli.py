@@ -31,7 +31,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ConstructionError, GraphFormatError, PreconditionError
@@ -57,7 +57,7 @@ from .solvers import (
     prim_flood,
 )
 from .ultrametric import flooding_distance_all, mst
-from .weights import TOP, Weight
+from .weights import BOTTOM, TOP, Weight
 
 _BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
 # Blanks and comments, then the first line with more, up to its '#' or line break
@@ -279,15 +279,22 @@ def cmd_mst(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
 
 def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     dendro = build_lake_dendrogram(edge_view(ingested, args, "dendro"))
-    # before any output, so a bad ceiling writes nothing
-    tau = dendrogram_flood(dendro, resolve_ceiling(args, ingested)) if args.flood else {}
-    clusters = (
-        f"cluster {index} diam={diam} "
-        f"father={'none' if father is None else father} leaves={' '.join(leaves)}"
-        for index, (diam, father, leaves)
-        in enumerate(zip(dendro.diam, dendro.father, dendro.all_members()))
+    # flooded before any output, so a bad ceiling writes nothing
+    tail = _values(dendrogram_flood(dendro, resolve_ceiling(args, ingested))) if args.flood else ()
+    names, diam, father = dendro.graph.nodes, dendro.diam, dendro.father
+    leaves, bottom = len(names), f" diam={BOTTOM} father="  # every leaf's diam is bottom
+
+    def leaf_chunk(lo: int) -> str:  # a leaf's one member is its own name
+        rows = zip(range(lo, lo + 65536), father[lo : lo + 65536], names[lo : lo + 65536])
+        return "".join([f"cluster {index}{bottom}{'none' if up is None else up} leaves={name}\n"
+                        for index, up, name in rows])
+
+    inner = (
+        f"cluster {index} diam={diam[index]} "
+        f"father={'none' if father[index] is None else father[index]} leaves={' '.join(members)}"
+        for index, members in enumerate(islice(dendro.all_members(), leaves, None), leaves)
     )
-    return 0, _lines(chain(clusters, (f"{n} {level}" for n, level in tau.items()))), None
+    return 0, chain(map(leaf_chunk, range(0, leaves, 65536)), _lines(inner), tail), None
 
 
 def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> _Outcome:

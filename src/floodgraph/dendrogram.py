@@ -1,10 +1,11 @@
 """Dendrograms: nested families of node sets with diameters.
 
 The clusters of the lake dendrogram are the distinct closed balls of the
-flooding distance; merging components in increasing edge-weight order over
-the graph (single linkage) enumerates exactly those balls.  Dominated
-flooding evaluated directly on the tree, and the growth of one lake as the
-water rises, live here too.
+flooding distance; one loop over the Kruskal merges in increasing edge
+weight (single linkage) enumerates exactly those balls, and numbers the
+clusters born at one level in the order of the last merge that touched
+their root.  Dominated flooding evaluated directly on the tree, and the
+growth of one lake as the water rises, live here too.
 
 Cluster indices are topological: every child's index is smaller than its
 father's, leaves come first.  A `Dendrogram` is the parent arrays indexed by
@@ -20,13 +21,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConstructionError
 from .graphs import Graph, NodeValues, ceiling_by_index, index_graph
 from .ultrametric import flooding_distance_all, single_linkage
-from .weights import BOTTOM, TOP, Weight, join, meet
+from .weights import BOTTOM, TOP, Weight
 
 __all__ = [
     "Cluster",
@@ -205,28 +205,38 @@ def build_lake_dendrogram(graph: Graph) -> Dendrogram:
     """Single-linkage merge tree of the graph under its edge weights.
 
     Replays the merges of the shared Kruskal pass (`single_linkage`, the
-    same pass that gives `mst`), grouped by weight level.  All merges at
-    one level collapse into a single cluster, so each cluster is a distinct
-    closed ball with diam = its merge level.  On a disconnected graph the
+    same pass that gives `mst`) in one loop that tracks the weight level.
+    The merges at one level collapse into clusters, each a distinct closed
+    ball with diam = that level, numbered as the level ends in the order of
+    the last merge that touched its root.  On a disconnected graph the
     result is a forest with one summit per component.
     """
     weights = graph.require_edge_weights("build_lake_dendrogram")
     leaves = len(graph.nodes)
     current = list(range(leaves))  # cluster index of each union-find root's block
     groups: list[Group] = []
-    merges = single_linkage(graph, weights)
-    for level, merged in groupby(merges, key=lambda merge: weights[merge[0]]):
-        pending: dict[int, list[int]] = {}
-        for _, root_u, root_v in merged:
-            parts = pending.pop(root_u, None) or [current[root_u]]
-            other = pending.pop(root_v, None) or [current[root_v]]
+    pending: dict[int, list[int]] = {}  # root -> the clusters it merges at this level
+    level = None
+    for edge_id, root_u, root_v in single_linkage(graph, weights):
+        if weights[edge_id] != level:  # number the level's clusters in pending's order
+            for root, parts in pending.items():
+                current[root] = leaves + len(groups)
+                parts.sort()
+                groups.append((level, tuple(parts)))
+            pending, level = {}, weights[edge_id]
+        parts = pending.pop(root_u, None) or [current[root_u]]
+        other = pending.pop(root_v, None)
+        if other is None:  # an absorbed root brings its one cluster
+            parts.append(current[root_v])
+        else:
             if len(parts) < len(other):  # extend the longer list: a star stays linear
                 parts, other = other, parts
             parts += other
-            pending[root_u] = parts
-        for root, parts in pending.items():
-            current[root] = leaves + len(groups)
-            groups.append((level, tuple(sorted(parts))))
+        pending[root_u] = parts  # put back last: pending keeps the order of each root's last merge
+    for root, parts in pending.items():
+        current[root] = leaves + len(groups)
+        parts.sort()
+        groups.append((level, tuple(parts)))
     return Dendrogram(graph, groups)
 
 
@@ -246,9 +256,9 @@ def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> No
     diam, father = dendro.diam, dendro.father
     level: list[Weight] = [TOP] * len(diam)
     for index in range(len(diam) - 1, -1, -1):  # fathers before children
+        value = lowest[index] if lowest[index] >= diam[index] else diam[index]
         up = father[index]
-        cap = TOP if up is None else level[up]
-        level[index] = meet(cap, join(lowest[index], diam[index]))
+        level[index] = level[up] if up is not None and level[up] < value else value
     return NodeValues(dendro.graph, level[:leaves])
 
 

@@ -266,9 +266,9 @@ def read_pgm(data: bytes) -> list[list[int]]:
             pixels = [
                 (raw[i] << 8) | raw[i + 1] for i in range(0, len(raw), 2)
             ]
-    for value in pixels:
-        if not 0 <= value <= maxval:
-            raise GraphFormatError(f"PGM pixel {value} exceeds maxval {maxval}")
+    if max(pixels) > maxval:  # no pixel is negative; name the first one above
+        value = next(value for value in pixels if value > maxval)
+        raise GraphFormatError(f"PGM pixel {value} exceeds maxval {maxval}")
     return [pixels[row * width : (row + 1) * width] for row in range(height)]
 
 

@@ -133,7 +133,9 @@ def berge_flood(
     The same nodes thus drop in the same sweeps, in the same order, to the
     same values as under full sweeps, so tau and both counters match:
     ``stats.sweeps`` counts the sweeps, including the final one that finds
-    no drop, and ``stats.relaxations`` counts the drops.
+    no drop, and ``stats.relaxations`` counts the drops.  Each sweep drops
+    a node at most once and there are at most n sweeps, so the worst case
+    is O(n*m); the other four routes are O(m log m).
     """
     weights = graph.require_edge_weights("berge_flood")
     ceiling = ceiling_by_index(graph, omega)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import groupby
+from itertools import chain, groupby
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +32,10 @@ from floodgraph import (
     oracle_flood,
     prim_flood,
 )
+
+from floodgraph.cli import Ingested, _lines, build_parser, cmd_dendro
+from floodgraph.graphs import NodeValues
+from floodgraph.ultrametric import single_linkage
 
 from strategies import edge_graphs, random_ceiling, rough_edge_graphs
 
@@ -293,6 +297,84 @@ def test_lake_dendrogram_matches_the_union_find_loop(graph):
     dendro = build_lake_dendrogram(graph)
     clusters = [(c.index, c.diam, c.father, c.children) for c in dendro.clusters]
     assert clusters == union_find_lake_clusters(graph)
+
+
+def groupby_lake_dendrogram(graph):
+    """The lake dendrogram by the former replay: Kruskal's merges grouped by
+    level with ``groupby``, each level's clusters numbered in ``pending`` order."""
+    weights = graph.edge_weights
+    leaves = len(graph.nodes)
+    current = list(range(leaves))
+    groups = []
+    for level, merged in groupby(single_linkage(graph, weights), key=lambda merge: weights[merge[0]]):
+        pending = {}
+        for _, root_u, root_v in merged:
+            parts = pending.pop(root_u, None) or [current[root_u]]
+            other = pending.pop(root_v, None) or [current[root_v]]
+            if len(parts) < len(other):
+                parts, other = other, parts
+            parts += other
+            pending[root_u] = parts
+        for root, parts in pending.items():
+            current[root] = leaves + len(groups)
+            groups.append((level, tuple(sorted(parts))))
+    return Dendrogram(graph, groups)
+
+
+def generator_dendro_text(dendro, tau):
+    """The `dendro` report by the former writer: one generated line per cluster,
+    then one per node of the flooding, joined by `_lines`."""
+    clusters = (
+        f"cluster {index} diam={diam} "
+        f"father={'none' if father is None else father} leaves={' '.join(leaves)}"
+        for index, (diam, father, leaves)
+        in enumerate(zip(dendro.diam, dendro.father, dendro.all_members()))
+    )
+    return "".join(_lines(chain(clusters, (f"{n} {level}" for n, level in tau.items()))))
+
+
+def dendro_chunks(graph, omega, *flags):
+    """`cmd_dendro`'s exit code and output chunks on ``graph``, whose ceiling is ``omega``."""
+    args = build_parser().parse_args(["dendro", "--graph", "unused", *flags])
+    code, chunks, _ = cmd_dendro(args, Ingested(graph, NodeValues(graph, omega), None))
+    return code, list(chunks)
+
+
+@settings(max_examples=300)
+@given(rough_edge_graphs(), st.randoms(use_true_random=False), st.booleans())
+def test_bulk_replay_and_report_match_the_former_groupby_and_generators(graph, rng, flood):
+    """Forests, isolated nodes, parallel edges and infinite weights: the one-loop
+    replay numbers every cluster as the groupby replay did, and the report's chunks
+    join into the text the line-by-line writer gave, with and without --flood (whose
+    lines are the graph's flooding by the best-first solver)."""
+    dendro = build_lake_dendrogram(graph)
+    reference = groupby_lake_dendrogram(graph)
+    assert (dendro.diam, dendro.father, dendro.children) == (
+        reference.diam, reference.father, reference.children
+    )
+    omega = [rng.choice([BOTTOM, TOP, *range(8)]) for _ in graph.nodes]
+    code, chunks = dendro_chunks(graph, omega, *(["--flood"] if flood else []))
+    tau = dijkstra_flood(graph, dict(zip(graph.nodes, omega))).tau if flood else {}
+    text = "".join(chunks)
+    assert code == 0
+    assert text == generator_dendro_text(reference, tau)
+    for index, name in enumerate(graph.nodes):  # an isolated node is its own summit
+        if dendro.father[index] is None:
+            assert f"cluster {index} diam=-inf father=none leaves={name}\n" in text
+
+
+def test_leaf_lines_are_written_by_slices_of_65536_leaves():
+    """A 70,000-node path at one level: the leaf lines leave as two chunks of 65,536
+    and 4,464 lines, then the one inner cluster, as the former writer gave them."""
+    names = [f"p{i}" for i in range(70_000)]
+    graph = build_graph(names, list(zip(names, names[1:])), edge_weights=[3] * (len(names) - 1))
+    code, chunks = dendro_chunks(graph, [TOP] * len(names))
+    assert code == 0
+    assert [chunk.count("\n") for chunk in chunks[:2]] == [65536, 4464]
+    assert chunks[0].startswith("cluster 0 diam=-inf father=70000 leaves=p0\n")
+    assert chunks[1].endswith("cluster 69999 diam=-inf father=70000 leaves=p69999\n")
+    assert chunks[2].startswith("cluster 70000 diam=3 father=none leaves=p0 p1 ")
+    assert "".join(chunks) == generator_dendro_text(groupby_lake_dendrogram(graph), {})
 
 
 def eager_assemble(leaf_order, groups):

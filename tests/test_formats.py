@@ -287,6 +287,9 @@ def test_read_pgm_binary_allows_a_comment_before_the_raster():
         (b"P5\n1 1\n255#c\n", "truncated PGM pixel data"),
         (b"P5\n1 1\n65535#c\n\x00", "truncated PGM pixel data"),
         (b"P2\n1 1\n5\n9\n", "exceeds maxval"),
+        # two pixels above the maxval: the first one is named
+        (b"P2\n4 1\n5\n1 7 2 9\n", "PGM pixel 7 exceeds maxval 5"),
+        (b"P5\n3 1\n5\n\x01\x06\x08", "PGM pixel 6 exceeds maxval 5"),
         (b"P2\n1\n", "truncated PGM header"),
         # Header fields and P2 samples are ASCII [0-9]+, as in parse_weight.
         (b"P2\n1_0 1\n3\n" + b"1 " * 10, "bad PGM width: b'1_0'"),

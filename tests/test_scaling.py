@@ -19,6 +19,8 @@ from floodgraph import (
     build_graph,
     build_lake_dendrogram,
     contract_flat_zones,
+    derive_edge_graph,
+    dijkstra_flood,
     flat_zones,
     grid_graph,
     is_dendrogram,
@@ -186,6 +188,42 @@ def test_berge_on_a_shuffled_path_quadruples_its_time_with_its_size(schedule):
             best[at] = min(best[at], time.perf_counter() - start)
             assert result.stats.relaxations == n - 1
     assert best[1] / best[0] < 8
+
+
+def falling_staircase(n):
+    """``shuffled_path(random.Random(3), n)`` with every edge at 0 and the ceiling
+    n - i at p_i.  Every node floods to 1, the ceiling at the far end; under jacobi
+    the water moves one node a sweep, so p_i drops in each of n - 1 - i sweeps."""
+    graph, _ = shuffled_path(random.Random(3), n)
+    names = graph.nodes
+    edges = [(names[u], names[v]) for u, v in zip(graph.edge_u, graph.edge_v)]
+    flat = build_graph(names, edges, edge_weights=[0] * len(edges))
+    return flat, {name: n - int(name[1:]) for name in names}
+
+
+def ramp_raster(side):
+    """An all-zero 4-connected side x side raster under the ceiling 2 * side - (r + c)."""
+    graph = derive_edge_graph(grid_graph([[0] * side for _ in range(side)], 4))
+    return graph, {f"{r},{c}": 2 * side - (r + c) for r in range(side) for c in range(side)}
+
+
+@pytest.mark.parametrize("shape, size, schedule, relaxations, sweeps", [
+    # Jacobi on the staircase: n(n - 1)/2 drops, the O(n * m) worst case reached
+    (falling_staircase, 500, "jacobi", 500 * 499 // 2, 500),
+    # Gauss-Seidel on the staircase: about n^2/6 drops at this seed
+    (falling_staircase, 500, "gauss_seidel", 41443, 329),
+    # Jacobi on the ramp: n(s - 1) drops in 2s - 1 sweeps, the last one finding none
+    (ramp_raster, 32, "jacobi", 32 * 32 * 31, 2 * 32 - 1),
+    (ramp_raster, 32, "gauss_seidel", 2044, 3),
+])
+def test_berge_worst_cases_are_pinned_by_count(shape, size, schedule, relaxations, sweeps):
+    """Berge's counters are those of full sweeps: each sweep drops a node at most once
+    and there are at most n sweeps, so its work is O(n * m), and these shapes reach
+    the quadratic end of that bound, where `dijkstra_flood` stays O(m log m)."""
+    graph, omega = shape(size)
+    result = berge_flood(graph, omega, schedule=schedule)
+    assert (result.stats.relaxations, result.stats.sweeps) == (relaxations, sweeps)
+    assert result.tau == dijkstra_flood(graph, omega).tau
 
 
 def test_is_dendrogram_on_a_deep_chain_is_linear():
