@@ -16,8 +16,10 @@ Prints each op's median time on both sides and their ratio (second side
 over first), then the summed medians: in total, for each op-name prefix
 (the part before ``/``, such as ``tanks`` or ``random``) and for each
 suffix (the part after the last ``/``, printed as ``*/dendro``) that is
-not a number.  Exits 1 when an op fails its check or the sides' outputs
-differ.
+not a number.  Each row ends with the rounds in which the second side was
+faster, such as ``7/7``; a group compares the sum of its ops' times in
+each round.  A ratio below 1 that wins few rounds is noise.  Exits 1 when
+an op fails its check or the sides' outputs differ.
 
 usage: python3 scripts/ab_ops.py BASE CHANGE [--workload hierarchy]
                                  [--seed N] [--rounds N]
@@ -39,6 +41,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr
+from operator import lt
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -53,6 +56,16 @@ def load(checkout: Path, package: str, into: Path) -> Program:
         sys.exit(f"error: no floodgraph package under {checkout}/src")
     shutil.copytree(source, into / package, ignore=shutil.ignore_patterns("__pycache__"))
     return Program(importlib.import_module(package), importlib.import_module(f"{package}.cli"))
+
+
+def row_line(name: str, width: int, members: list[tuple[list[float], list[float]]]) -> str:
+    """The summed medians of ``members``' per-round times on both sides, their
+    ratio, and the rounds in which the summed times of side b were lower."""
+    sum_a, sum_b = (sum(statistics.median(row[side]) for row in members) for side in (0, 1))
+    rounds_a, rounds_b = (list(map(sum, zip(*(row[side] for row in members)))) for side in (0, 1))
+    wins = sum(map(lt, rounds_b, rounds_a))
+    return (f"{name:<{width}}  {sum_a * 1000:9.3f}  {sum_b * 1000:9.3f}  {sum_b / sum_a:.3f}"
+            f"  {wins}/{len(rounds_a)}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,13 +116,13 @@ def main(argv: list[str] | None = None) -> int:
                 if None not in data and data[0] != data[1]:
                     failures.append(f"{pair[0].name}: the two sides' outputs differ")
 
-    rows = {op.name: (statistics.median(a), statistics.median(b)) for op, (a, b) in zip(ops_a, times)}
+    rows = {op.name: pair for op, pair in zip(ops_a, times)}
     width = max(map(len, rows))
     print(f"# {args.workload}, seed {args.seed}, {args.rounds} rounds; a = {args.base}, b = {args.change}")
-    print(f"{'op':<{width}}  {'a ms':>9}  {'b ms':>9}  b/a")
+    print(f"{'op':<{width}}  {'a ms':>9}  {'b ms':>9}  b/a    b wins")
     for name, (a, b) in rows.items():
-        print(f"{name:<{width}}  {a * 1000:9.3f}  {b * 1000:9.3f}  {b / a:.3f}")
-    groups: dict[str, list[tuple[float, float]]] = {"total": list(rows.values())}
+        print(row_line(name, width, [(a, b)]))
+    groups: dict[str, list[tuple[list[float], list[float]]]] = {"total": list(rows.values())}
     for name, row in rows.items():
         groups.setdefault(name.split("/", 1)[0], []).append(row)
     for name, row in rows.items():
@@ -117,8 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         if suffix != name and not suffix.isdigit():  # numbered ops form no kind
             groups.setdefault("*/" + suffix, []).append(row)
     for group, members in groups.items():
-        sum_a, sum_b = (sum(row[side] for row in members) for side in (0, 1))
-        print(f"{group:<{width}}  {sum_a * 1000:9.3f}  {sum_b * 1000:9.3f}  {sum_b / sum_a:.3f}")
+        print(row_line(group, width, members))
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -11,7 +11,6 @@ the inputs, so the output doubles as a quick regression check by eye.
 from __future__ import annotations
 
 from floodgraph import (
-    LakeKind,
     berge_flood,
     build_dendrogram,
     build_graph,
@@ -35,7 +34,7 @@ from floodgraph import (
 
 def kind(exhaust):
     """A lake with an exhaust edge is full; one without is a regional minimum."""
-    return (LakeKind.FULL if exhaust else LakeKind.REGIONAL_MINIMUM).value
+    return "full" if exhaust else "regmin"
 
 
 def show(name, values, order):
@@ -112,10 +111,10 @@ def walk_dendrogram():
         (leaves, 10),
     )
     dendro = build_dendrogram(leaves, groups)
-    for cluster in dendro.clusters:
-        members = dendro.members(cluster.index)
+    for index, diam in enumerate(dendro.diam):
+        members = dendro.members(index)
         if len(members) > 1:
-            print(f"  cluster {''.join(members)} diam={cluster.diam}")
+            print(f"  cluster {''.join(members)} diam={diam}")
     omega = {name: TOP for name in leaves}
     omega["c"] = 6
     omega["h"] = 1

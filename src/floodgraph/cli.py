@@ -44,7 +44,7 @@ from .formats import (
     write_pgm,
 )
 from .graphs import Graph, NodeFunction, NodeValues, grid_graph, values_by_index
-from .hydro import LakeKind, derive_edge_graph, is_edge_flooding, is_node_flooding, lakes
+from .hydro import derive_edge_graph, is_edge_flooding, is_node_flooding, lakes
 from .dendrogram import build_lake_dendrogram, dendrogram_flood
 from .reductions import contract_flat_zones, local_flood
 from .solvers import (
@@ -302,9 +302,9 @@ def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     tau = _read_tau(args, graph)
     names, edge_u, edge_v = graph.nodes, graph.edge_u, graph.edge_v
     part = lakes(graph, tau)
-    kinds = LakeKind.REGIONAL_MINIMUM.value, LakeKind.FULL.value
     return 0, _lines(
-        f"lake {index} level={level} kind={kinds[bool(out)]} nodes={' '.join(block)} exhaust="
+        f"lake {index} level={level} kind={'full' if out else 'regmin'} "
+        f"nodes={' '.join(block)} exhaust="
         + " ".join(f"{names[edge_u[eid]]}-{names[edge_v[eid]]}" for eid in out)
         for index, (level, block, out) in enumerate(zip(part.levels, part.members, part.exhaust))
     ), None

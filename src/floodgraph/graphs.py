@@ -496,13 +496,11 @@ def values_by_index(
 def node_indices(graph: Graph, names: Iterable[str]) -> list[int]:
     """The index of each of ``names``, in their order; the first unknown one raises.
 
-    Without a built name index, one pass over ``graph.nodes`` looks for the
-    wanted names only, so a few names do not build the index."""
+    One pass over ``graph.nodes`` looks for the wanted names only, so a few
+    names neither build nor read the name index: O(n), as is every caller."""
     names = list(names)
-    index = graph._index
-    if index is None:
-        nodes = graph.nodes
-        index = dict(compress(zip(nodes, range(len(nodes))), map(set(names).__contains__, nodes)))
+    nodes = graph.nodes
+    index = dict(compress(zip(nodes, range(len(nodes))), map(set(names).__contains__, nodes)))
     for name in filterfalse(index.__contains__, names):
         raise ConstructionError(f"unknown node: {name!r}")
     return list(map(index.__getitem__, names))

@@ -6,12 +6,12 @@ happens where the higher side sits on dry ground; on an edge-weighted graph
 tau_p <= tau_q v e_pq across every edge (criterion checked both ways).
 
 `lakes` returns a `LakePartition`: the level, the members and the exhaust
-edge ids of each lake, as three lists by lake.
+edge ids of each lake, as three lists by lake.  No kind is stored: a lake
+is full exactly when its exhaust list is not empty, else a regional minimum.
 """
 
 from __future__ import annotations
 
-import enum
 from array import array
 from dataclasses import dataclass
 from typing import Mapping
@@ -28,7 +28,6 @@ from .graphs import (
 from .weights import Weight, join
 
 __all__ = [
-    "LakeKind",
     "LakePartition",
     "ValidationReport",
     "derive_edge_graph",
@@ -88,17 +87,11 @@ def is_edge_flooding(graph: Graph, tau: Mapping[str, Weight]) -> ValidationRepor
     return ValidationReport(tuple(violations))
 
 
-class LakeKind(enum.Enum):
-    REGIONAL_MINIMUM = "regmin"
-    FULL = "full"
-
-
 @dataclass(frozen=True)
 class LakePartition:
     """The lakes of a flooding as ``levels``, ``members`` and ``exhaust`` edge ids by lake.
 
-    A lake with an exhaust edge is `LakeKind.FULL`; one without is a
-    regional minimum."""
+    A lake with an exhaust edge is full; one without is a regional minimum."""
 
     levels: list[Weight]
     members: list[tuple[str, ...]]

@@ -40,7 +40,7 @@ from .graphs import (
 )
 from .hydro import is_edge_flooding
 from .ultrametric import Funnel, _best_first_flood
-from .weights import BOTTOM, TOP, Weight, join
+from .weights import TOP, Weight
 
 __all__ = [
     "ContractionMap",
@@ -215,13 +215,13 @@ def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeValue
 def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:
     """Flooding level at one node without flooding the whole graph.
 
-    tau_p = f_p v min over q of (omega_q v d(p, q)), d the flooding
-    distance.  A best-first search from ``node`` extracts the nodes in
-    order of d, each q lowering the answer to omega_q v d(p, q).  It stops
-    as soon as the next distance is at or above the answer: every node left
-    is at least that far, so none can lower it.  The search thus visits only
-    the nodes no farther than the answer, and this early stop is why it keeps
-    its own loop, where a run of the min-max kernel would visit the whole graph.
+    tau_p = f_p v min over q of (omega_q v d(p, q)), d the flooding distance.
+    A best-first search started at f_p extracts each q once, at its level
+    f_p v d(p, q): q offers a neighbor r the level f_r v lam_q, and levels
+    leave in nondecreasing order, so no entry goes stale.  Each q lowers the
+    answer from omega_p to omega_q v its level, never below f_p, so it needs
+    no final join with f_p.  It stops at the first level at or above the
+    answer: this early stop is why it keeps a loop of its own, not the kernel.
     """
     ground = graph.require_ground_values("local_flood")
     (center,) = node_indices(graph, (node,))
@@ -230,23 +230,20 @@ def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:
 
     best = ceiling[center]
     level: list[Weight] = [TOP] * len(graph.nodes)
-    level[center] = BOTTOM
+    level[center] = ground[center]
     funnel = Funnel()
-    funnel[BOTTOM].append(center)
+    funnel[ground[center]].append(center)
     for lam, bucket in funnel.buckets():  # candidates are never below lam
         if lam >= best:
             break
         for q in bucket:
-            if level[q] != lam:
-                continue
             cap = ceiling[q]
             if cap < best:
                 best = cap if cap > lam else lam
-            low = ground[q] if ground[q] > lam else lam
             for slot in range(offsets[q], offsets[q + 1]):
                 r = adj_node[slot]
-                candidate = ground[r] if ground[r] > low else low
+                candidate = ground[r] if ground[r] > lam else lam
                 if candidate < level[r]:
                     level[r] = candidate
                     funnel[candidate].append(r)
-    return join(ground[center], best)
+    return best

@@ -35,7 +35,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
-from operator import lt
 from typing import Mapping
 
 from .errors import PreconditionError
@@ -109,6 +108,23 @@ def oracle_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeValues:
     return NodeValues(graph, tau)
 
 
+def _push(nodes, tau, queued, offsets, adj_node, adj_edge, weights) -> list[int]:
+    """Jacobi's push: ``nodes`` offer their entry levels; returns the newly queued."""
+    lowered: list[int] = []
+    for p, value in zip(nodes, [tau[p] for p in nodes]):
+        for slot in range(offsets[p], offsets[p + 1]):
+            q = adj_node[slot]
+            level = weights[adj_edge[slot]]
+            if level < value:
+                level = value
+            if level < tau[q]:
+                tau[q] = level
+                if not queued[q]:
+                    queued[q] = True
+                    lowered.append(q)
+    return lowered
+
+
 def berge_flood(
     graph: Graph,
     omega: Mapping[str, Weight],
@@ -119,23 +135,24 @@ def berge_flood(
     ``jacobi`` reads the previous sweep's values; ``gauss_seidel`` updates
     in place, alternating forward and backward node order.  After node p's
     last evaluation, tau_p <= tau_q v e_pq holds for every neighbor q, and
-    only a drop of q can break it.  So each drop of q pushes tau_q v e_pq
-    to the neighbors it lowers and queues each of them once, and a sweep
+    only a drop of q can break it.  So each drop of q pushes tau_q v e_pq to
+    the neighbors it lowers and queues each of them once, and a sweep
     evaluates only queued nodes, in its own node order: every evaluation is
-    a drop.  The first sweep's candidates come from the finite-ceiling
-    nodes alone, as a top ceiling lowers nothing.  A node queued behind the
-    cursor joins the next sweep; jacobi pushes only after its sweep.  A
-    gauss_seidel sweep that starts with over a quarter of the nodes queued
-    scans the live flags in its order, so a node queued ahead of the cursor
-    only sets its flag; a sparser one pops a heap of keys (index, negated
-    backward), so many short sweeps stay linear.  The scan and the heap
-    keep a loop each: one loop fed by either was 3-4% slower on rasters.
-    The same nodes thus drop in the same sweeps, in the same order, to the
-    same values as under full sweeps, so tau and both counters match:
-    ``stats.sweeps`` counts the sweeps, including the final one that finds
-    no drop, and ``stats.relaxations`` counts the drops.  Each sweep drops
-    a node at most once and there are at most n sweeps, so the worst case
-    is O(n*m); the other four routes are O(m log m).
+    a drop.  The first sweep's candidates come from jacobi's push from the
+    finite-ceiling nodes alone (a top ceiling lowers nothing), in push
+    order, which no schedule sees.  A node queued behind the cursor joins
+    the next sweep; jacobi pushes only after its sweep.  A gauss_seidel
+    sweep that starts with over a quarter of the nodes queued scans the live
+    flags in its order, so a node queued ahead of the cursor only sets its
+    flag; a sparser one pops a heap of keys (index, negated backward), so
+    many short sweeps stay linear.  Jacobi's push, the scan and the heap
+    keep a loop each: one loop fed by the scan or the heap was 3-4% slower
+    on rasters.  The same nodes thus drop in the same sweeps, in the same
+    order, to the same values as under full sweeps, so tau and both counters
+    match: ``stats.sweeps`` counts the sweeps, including the final one that
+    finds no drop, and ``stats.relaxations`` counts the drops.  Each sweep
+    drops a node at most once and there are at most n sweeps, so the worst
+    case is O(n*m); the other four routes are O(m log m).
     """
     weights = graph.require_edge_weights("berge_flood")
     ceiling = ceiling_by_index(graph, omega)
@@ -145,17 +162,9 @@ def berge_flood(
     jacobi = schedule == "jacobi"
     count = len(ceiling)
     tau = ceiling[:]  # a queued node's entry is its pending level
-    for u in compress(range(count), map(lt, ceiling, repeat(TOP))):  # the first sweep's candidates
-        value = ceiling[u]  # a top ceiling would offer top, which lowers nothing
-        for slot in range(offsets[u], offsets[u + 1]):
-            q = adj_node[slot]
-            level = weights[adj_edge[slot]]
-            if level < value:
-                level = value
-            if level < tau[q]:
-                tau[q] = level
-    queued = list(map(lt, tau, ceiling))
-    heap = list(compress(range(count), queued))  # this sweep's keys
+    queued = [False] * count
+    arrays = tau, queued, offsets, adj_node, adj_edge, weights
+    heap = _push([u for u, level in enumerate(ceiling) if level < TOP], *arrays)  # sweep 1's keys
     later: list[int] = []  # the next sweep's keys
     sweeps = relaxations = 0
     while heap:
@@ -164,18 +173,7 @@ def berge_flood(
             relaxations += len(heap)
             for p in heap:
                 queued[p] = False
-            for p, value in zip(heap, [tau[p] for p in heap]):
-                for slot in range(offsets[p], offsets[p + 1]):
-                    q = adj_node[slot]
-                    level = weights[adj_edge[slot]]
-                    if level < value:
-                        level = value
-                    if level < tau[q]:
-                        tau[q] = level
-                        if not queued[q]:
-                            queued[q] = True
-                            later.append(q)
-            heap, later = later, []
+            heap = _push(heap, *arrays)
             continue
         sign = 1 if sweeps % 2 else -1  # this sweep's keys are sign * index
         if 4 * len(heap) > count:  # dense: scan the live flags, so a push ahead only sets one

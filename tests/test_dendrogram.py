@@ -426,6 +426,7 @@ def test_dendrograms_on_other_leaves_differ():
     other = build_dendrogram(["x", "y"], [(["x", "y"], 1)])
     assert one != other and hash(one) != hash(other)
     assert repr(one) != repr(other)
+    assert one.__eq__((["a", "b"], 1)) is NotImplemented and one != (["a", "b"], 1)
 
 
 # -- flooding on the tree --------------------------------------------------------------

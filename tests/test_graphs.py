@@ -34,6 +34,9 @@ def test_build_graph_keeps_declaration_order(chain):
     assert graph.edges == (("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"))
     assert graph.node_index("c") == 2
     assert "c" in graph and "z" not in graph
+    assert repr(graph) == "<Graph: 5 nodes, 4 edges>"
+    with pytest.raises(ConstructionError, match="unknown node: 'z'"):
+        graph.node_index("z")
 
 
 def test_neighbors_follow_edge_declaration_order(chain):

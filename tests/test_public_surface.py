@@ -47,7 +47,7 @@ SURFACE = {
         "HEADER", "parse_graph", "parse_node_values", "read_pgm", "serialize_graph", "write_pgm",
     ],
     "hydro": [
-        "LakeKind", "LakePartition", "ValidationReport", "derive_edge_graph", "flat_zones",
+        "LakePartition", "ValidationReport", "derive_edge_graph", "flat_zones",
         "is_edge_flooding", "is_node_flooding", "lakes", "regional_minima",
     ],
     "ultrametric": [
@@ -80,7 +80,7 @@ def test_each_module_lists_the_names_it_defines_and_the_package_exports():
             assert getattr(floodgraph, public) is value
             if inspect.isclass(value) or inspect.isfunction(value):
                 assert value.__module__ == module.__name__, public
-    assert len(declared) == len(set(declared)) == 63
+    assert len(declared) == len(set(declared)) == 62
     assert sorted(floodgraph.__all__) == sorted(declared)
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter, deque
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,9 @@ from floodgraph import (
     waterfall_flooding,
 )
 
+from floodgraph import reductions
 from floodgraph.graphs import dilation, group_by_label, index_graph
+from floodgraph.ultrametric import Funnel
 
 from strategies import (
     ceiling_above,
@@ -349,6 +353,33 @@ def test_local_flood_matches_the_global_flood_on_rough_instances(instance):
     tau = core_expanding_flood(graph, omega).tau
     for node in graph.nodes:
         assert local_flood(graph, omega, node) == tau[node]
+
+
+@settings(max_examples=200)
+@given(rough_node_flood_instances())
+def test_local_flood_pushes_no_node_twice(instance):
+    """q offers r the level f_r v lam_q, and levels leave in nondecreasing
+    order, so a node's first candidate is its least: no entry goes stale."""
+    graph, omega = instance
+    tau = core_expanding_flood(graph, omega).tau
+    pushes: Counter = Counter()
+
+    class Bucket(deque):
+        def append(self, item):
+            pushes[item] += 1
+            super().append(item)
+
+    class CountingFunnel(Funnel):
+        def __missing__(self, priority):
+            super().__missing__(priority)
+            bucket = self[priority] = Bucket()
+            return bucket
+
+    for node in graph.nodes:
+        pushes.clear()
+        with patch.object(reductions, "Funnel", CountingFunnel):
+            assert local_flood(graph, omega, node) == tau[node]
+        assert set(pushes.values()) == {1}, pushes
 
 
 class Counting:
