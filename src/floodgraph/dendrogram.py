@@ -7,21 +7,22 @@ clusters born at one level in the order of the last merge that touched
 their root.  Dominated flooding evaluated directly on the tree, and the
 growth of one lake as the water rises, live here too.
 
-Cluster indices are topological: every child's index is smaller than its
-father's, leaves come first.  A `Dendrogram` is the parent arrays indexed by
-cluster, `diam`, `father` and `children`, over its graph, as in
-Najman, Cousty & Perret, "Playing with Kruskal" (ISMM 2013).  Building,
-flooding and the CLI read the arrays; `all_members()` merges the children's
-sorted leaf runs bottom-up and `members(i)` walks the children down from
-`i`.  `Dendrogram.clusters` holds each cluster's row of the arrays as a
-`Cluster`, built on first access; its leaves are `members(cluster.index)`.
+Cluster indices are topological: every father's index is above its
+children's, leaves come first.  A `Dendrogram` is the parent array of
+Najman, Cousty & Perret, "Playing with Kruskal" (ISMM 2013): `diam` and
+`father` by cluster, over its graph, and nothing else.  Building, flooding
+and the CLI read the arrays, walking `father` upward in index order;
+`all_members()` sorts each cluster's run of leaves and hands it up to its
+father, and `members(i)` scans down from `i` once.  `Dendrogram.clusters`
+builds each cluster's row of the arrays as a `Cluster`, its children
+included, on every access.
 """
 
 from __future__ import annotations
 
-import enum
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ConstructionError
 from .graphs import Graph, NodeValues, ceiling_by_index, index_graph
@@ -31,7 +32,6 @@ from .weights import BOTTOM, TOP, Weight
 __all__ = [
     "Cluster",
     "Dendrogram",
-    "GrowthKind",
     "GrowthStage",
     "build_dendrogram",
     "build_lake_dendrogram",
@@ -39,8 +39,6 @@ __all__ = [
     "is_dendrogram",
     "lake_growth_sequence",
 ]
-
-Group = tuple[Weight, tuple[int, ...]]  # an inner cluster: (diam, children)
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,76 +52,69 @@ class Cluster:
 class Dendrogram:
     """A forest of clusters, held as parent arrays indexed by cluster.
 
-    Leaf ``i`` is cluster ``i``, node ``i`` of ``graph``; ``groups`` are the
-    inner clusters in index order, taken unchecked (`build_dendrogram`
-    validates them).  ``diam``, ``father`` (None for a summit) and
-    ``children`` are lists by cluster, over its graph.  ``clusters`` are
-    views built on first access and kept; ``==`` and ``hash`` read
-    ``graph.nodes`` and the arrays.
+    Leaf ``i`` is cluster ``i``, node ``i`` of ``graph``.  ``diam`` and
+    ``father`` (None for a summit) are lists by cluster, taken unchecked
+    (`build_dendrogram` validates them): every father's index is above its
+    children's.  ``==`` and ``hash`` read ``graph.nodes`` and the arrays.
     """
 
-    __slots__ = ("graph", "diam", "father", "children", "_clusters")
+    __slots__ = ("graph", "diam", "father")
 
-    def __init__(self, graph: Graph, groups: Sequence[Group]) -> None:
-        leaves = len(graph.nodes)
-        self.graph = graph
-        self.diam = [BOTTOM] * leaves + [level for level, _ in groups]
-        self.children = children = [()] * leaves + [kids for _, kids in groups]
-        self.father = father = [None] * len(children)
-        for index in range(leaves, len(children)):
-            for child in children[index]:
-                father[child] = index
-        self._clusters: tuple[Cluster, ...] | None = None
+    def __init__(self, graph: Graph, diam: list[Weight], father: list[int | None]) -> None:
+        self.graph, self.diam, self.father = graph, diam, father
 
     def members(self, index: int) -> tuple[str, ...]:
-        """Leaf names under cluster ``index``, in declaration order."""
-        leaves, below, found = len(self.graph.nodes), [index], []
-        while below:
-            cluster = below.pop()
-            if cluster < leaves:
-                found.append(cluster)
-            else:
-                below += self.children[cluster]
-        return tuple(map(self.graph.nodes.__getitem__, sorted(found)))
+        """Leaf names under cluster ``index``, in declaration order, by one scan
+        down from ``index``: a cluster lies under it when its father does."""
+        father, names = self.father, self.graph.nodes
+        index = range(len(father))[index]  # IndexError past the last cluster
+        inside = {index}
+        for cluster in range(index - 1, -1, -1):
+            if father[cluster] in inside:
+                inside.add(cluster)
+        return tuple(names[cluster] for cluster in sorted(inside) if cluster < len(names))
 
     def all_members(self) -> Iterator[tuple[str, ...]]:
-        """Every cluster's ``members``, in cluster order: an inner cluster sorts
-        its children's sorted runs into one (a merge), and theirs are dropped."""
-        names = self.graph.nodes
+        """Every cluster's ``members``, in cluster order: a cluster sorts the runs
+        its children handed up into one (a merge), and hands that up in turn."""
+        names, father = self.graph.nodes, self.father
         yield from zip(names)  # leaf i is cluster i
         leaves, runs = len(names), {}
-        for index in range(leaves, len(self.children)):
-            run: list[int] = []
-            for child in self.children[index]:
-                if child < leaves:
-                    run.append(child)
-                else:
-                    run += runs.pop(child)
+        for leaf, up in zip(range(leaves), father):
+            if up is not None:
+                runs.setdefault(up, []).append(leaf)
+        for index in range(leaves, len(father)):
+            run = runs.pop(index)
             run.sort()
-            if self.father[index] is not None:
-                runs[index] = run
             yield tuple(map(names.__getitem__, run))
+            up = father[index]
+            if up is not None:
+                runs.setdefault(up, []).extend(run)
 
     @property
     def clusters(self) -> tuple[Cluster, ...]:
-        if self._clusters is None:
-            self._clusters = tuple(map(
-                Cluster, range(len(self.diam)), self.diam, self.father, self.children
-            ))
-        return self._clusters
+        """Each cluster's row of the arrays, built anew on every access."""
+        children: list[list[int]] = [[] for _ in self.father]
+        for child, up in enumerate(self.father):
+            if up is not None:
+                children[up].append(child)
+        return tuple(map(
+            Cluster, range(len(self.diam)), self.diam, self.father, map(tuple, children)
+        ))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.graph.nodes, self.diam, self.father, self.children) == (
-            other.graph.nodes, other.diam, other.father, other.children
+        return (self.graph.nodes, self.diam, self.father) == (
+            other.graph.nodes, other.diam, other.father
         )
 
     def __hash__(self) -> int:
-        return hash((self.graph.nodes, tuple(self.diam), tuple(self.father), tuple(self.children)))
+        return hash((self.graph.nodes, tuple(self.diam), tuple(self.father)))
 
     def __repr__(self) -> str:
-        return f"Dendrogram(leaf_names={self.graph.nodes!r}, clusters={self.clusters!r})"
+        return (f"Dendrogram(leaf_names={self.graph.nodes!r}, "
+                f"diam={self.diam!r}, father={self.father!r})")
 
 
 def is_dendrogram(family: Iterable[Iterable[str]]) -> tuple[bool, tuple | None]:
@@ -161,7 +152,6 @@ def build_dendrogram(
     leaf_index = {name: i for i, name in enumerate(dict.fromkeys(leaves))}
     if len(leaf_index) != len(leaves):
         raise ConstructionError("duplicate leaf name")
-    leaf_order = list(leaf_index)
     normalized: list[tuple[tuple[str, ...], Weight]] = []
     seen: set[frozenset] = set()
     for members, diam in groups:
@@ -185,20 +175,25 @@ def build_dendrogram(
         raise ConstructionError(f"sets {culprit[0]} and {culprit[1]} overlap without nesting")
     normalized.sort(key=lambda item: (len(item[0]), leaf_index[item[0][0]]))
 
-    prepared: list[Group] = []
-    owner = {name: i for i, name in enumerate(leaf_order)}  # smallest cluster so far
-    for members, diam in normalized:
-        prepared.append((diam, tuple(sorted({owner[name] for name in members}))))
-        owner.update(dict.fromkeys(members, len(leaf_order) + len(prepared) - 1))
-    dendro = Dendrogram(index_graph(leaf_order, (), (), index=leaf_index), prepared)
-    for index, (diam, children) in enumerate(prepared, len(leaf_order)):
-        for child in children:
-            if dendro.diam[child] >= diam:
-                raise ConstructionError(
-                    f"diameter must increase strictly: {dendro.members(index)} has {diam}, "
-                    f"contained cluster has {dendro.diam[child]}"
-                )
-    return dendro
+    diam: list[Weight] = [BOTTOM] * len(leaves)
+    father: list[int | None] = [None] * len(leaves)
+    owner = dict(leaf_index)  # smallest cluster so far
+    for members, level in normalized:
+        cluster = len(father)
+        for child in {owner[name] for name in members}:
+            father[child] = cluster
+        owner.update(dict.fromkeys(members, cluster))
+        diam.append(level)
+        father.append(None)
+    crossed = [(up, child) for child, up in enumerate(father)
+               if up is not None and diam[child] >= diam[up]]
+    if crossed:
+        up, child = min(crossed)  # the first by (father, child)
+        raise ConstructionError(
+            f"diameter must increase strictly: {normalized[up - len(leaves)][0]} has {diam[up]}, "
+            f"contained cluster has {diam[child]}"
+        )
+    return Dendrogram(index_graph(leaves, (), (), index=leaf_index), diam, father)
 
 
 def build_lake_dendrogram(graph: Graph) -> Dendrogram:
@@ -213,16 +208,23 @@ def build_lake_dendrogram(graph: Graph) -> Dendrogram:
     """
     weights = graph.require_edge_weights("build_lake_dendrogram")
     leaves = len(graph.nodes)
-    current = list(range(leaves))  # cluster index of each union-find root's block
-    groups: list[Group] = []
+    current = array("i", range(leaves))  # cluster index of each union-find root's block
+    diam: list[Weight] = [BOTTOM] * leaves
+    father: list[int | None] = [None] * leaves
     pending: dict[int, list[int]] = {}  # root -> the clusters it merges at this level
     level = None
+
+    def close_level() -> None:  # number the level's clusters in pending's order
+        for root, parts in pending.items():
+            current[root] = cluster = len(father)  # one int object for all its children
+            for part in parts:
+                father[part] = cluster
+            diam.append(level)
+            father.append(None)
+
     for edge_id, root_u, root_v in single_linkage(graph, weights):
-        if weights[edge_id] != level:  # number the level's clusters in pending's order
-            for root, parts in pending.items():
-                current[root] = leaves + len(groups)
-                parts.sort()
-                groups.append((level, tuple(parts)))
+        if weights[edge_id] != level:
+            close_level()
             pending, level = {}, weights[edge_id]
         parts = pending.pop(root_u, None) or [current[root_u]]
         other = pending.pop(root_v, None)
@@ -233,11 +235,8 @@ def build_lake_dendrogram(graph: Graph) -> Dendrogram:
                 parts, other = other, parts
             parts += other
         pending[root_u] = parts  # put back last: pending keeps the order of each root's last merge
-    for root, parts in pending.items():
-        current[root] = leaves + len(groups)
-        parts.sort()
-        groups.append((level, tuple(parts)))
-    return Dendrogram(graph, groups)
+    close_level()
+    return Dendrogram(graph, diam, father)
 
 
 def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> NodeValues:
@@ -250,10 +249,11 @@ def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> No
     dendrogram's graph by `ceiling_by_index`, as the solvers read it.
     """
     lowest = ceiling_by_index(dendro.graph, omega_leaf)  # a fresh list: extended by cluster
-    leaves = len(lowest)
-    for kids in dendro.children[leaves:]:
-        lowest.append(min(map(lowest.__getitem__, kids)))
-    diam, father = dendro.diam, dendro.father
+    leaves, diam, father = len(lowest), dendro.diam, dendro.father
+    lowest += [TOP] * (len(diam) - leaves)
+    for index, up in enumerate(father):  # children before fathers: lift each lowest ceiling
+        if up is not None and lowest[index] < lowest[up]:
+            lowest[up] = lowest[index]
     level: list[Weight] = [TOP] * len(diam)
     for index in range(len(diam) - 1, -1, -1):  # fathers before children
         value = lowest[index] if lowest[index] >= diam[index] else diam[index]
@@ -262,15 +262,9 @@ def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> No
     return NodeValues(dendro.graph, level[:leaves])
 
 
-class GrowthKind(enum.Enum):
-    REGIONAL_MINIMUM = "regmin"
-    LAKE_ZONE = "lakezone"
-
-
 @dataclass(frozen=True)
 class GrowthStage:
     nodes: tuple[str, ...]
-    kind: GrowthKind
     low: Weight
     high: Weight
 
@@ -279,9 +273,10 @@ def lake_growth_sequence(graph: Graph, node: str) -> tuple[GrowthStage, ...]:
     """How the lake around a node grows as the water level rises.
 
     Alternates regional-minimum stages (the set is a lake for every level
-    strictly inside (low, high)) with lake-zone stages (at level == high
-    the lake jumps to the closed ball at that radius), until the node's
-    whole component is covered or nothing more can be reached.
+    strictly inside (low, high), so low < high) with lake-zone stages (at
+    level == high the lake jumps to the closed ball at that radius, so
+    low == high), until the node's whole component is covered or nothing
+    more can be reached.
 
     One distance pass gives every stage: the lowest edge leaving the ball
     of radius r weighs the next distinct distance above r (an edge to q
@@ -298,8 +293,8 @@ def lake_growth_sequence(graph: Graph, node: str) -> tuple[GrowthStage, ...]:
     stages: list[GrowthStage] = []
     region = ball(BOTTOM)
     for low, spill in zip(radii, radii[1:] or [TOP]):  # one radius: one stage
-        stages.append(GrowthStage(region, GrowthKind.REGIONAL_MINIMUM, low, spill))
+        stages.append(GrowthStage(region, low, spill))
         if spill < TOP:
             region = ball(spill)
-            stages.append(GrowthStage(region, GrowthKind.LAKE_ZONE, spill, spill))
+            stages.append(GrowthStage(region, spill, spill))
     return tuple(stages)

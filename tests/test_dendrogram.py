@@ -15,7 +15,6 @@ from floodgraph import (
     Cluster,
     ConstructionError,
     Dendrogram,
-    GrowthKind,
     GrowthStage,
     PreconditionError,
     berge_flood,
@@ -42,6 +41,16 @@ from strategies import edge_graphs, random_ceiling, rough_edge_graphs
 
 def members_of(dendro, clusters):
     return {dendro.members(c.index) for c in clusters}
+
+
+def parent_arrays(leaves, groups):
+    """(diam, father) by cluster, from the inner clusters' (diam, children) groups."""
+    diam = [BOTTOM] * leaves + [level for level, _ in groups]
+    father = [None] * len(diam)
+    for index, (_, children) in enumerate(groups, leaves):
+        for child in children:
+            father[child] = index
+    return diam, father
 
 
 def cluster_of(dendro, members):
@@ -95,6 +104,12 @@ def test_is_dendrogram_matches_the_pairwise_definition(family):
         first, second = culprit
         assert any(first == a and second in sets[i + 1 :] for i, a in enumerate(sets))
         assert pairwise_culprit([first, second]) == (first, second)
+    if ok:  # the family's sets of two or more, at their sizes as diameters, build a dendrogram
+        groups = {frozenset(members): len(set(members)) for members in family}
+        groups = {members: size for members, size in groups.items() if size > 1}
+        dendro = build_dendrogram("abcdef", groups.items())
+        for index, up in enumerate(dendro.father):  # what the upward loops rely on
+            assert up is None or (up > index and dendro.diam[index] < dendro.diam[up])
 
 
 @given(rough_edge_graphs())
@@ -107,8 +122,8 @@ def test_lake_dendrogram_clusters_form_a_dendrogram(graph):
 @given(rough_edge_graphs())
 def test_all_members_lists_every_cluster_in_declaration_order(graph):
     dendro = build_lake_dendrogram(graph)
-    leaves = [{i} for i in range(len(graph.nodes))]  # by the children arrays, not the layout
-    for kids in dendro.children[len(graph.nodes):]:
+    leaves = [{i} for i in range(len(graph.nodes))]  # by the cluster views, not the layout
+    for kids in [cluster.children for cluster in dendro.clusters][len(graph.nodes):]:
         leaves.append(set().union(*map(leaves.__getitem__, kids)))
     expected = [tuple(graph.nodes[i] for i in sorted(block)) for block in leaves]
     assert list(dendro.all_members()) == expected
@@ -119,8 +134,8 @@ def layout_members(dendro):
     """The former ``all_members``: lay the leaves out so that every cluster
     fills one range (fathers placed before their children), then sort each
     cluster's range."""
-    children = dendro.children
-    size = [1] * len(dendro.graph.nodes)  # leaves per cluster, from the children arrays
+    children = [cluster.children for cluster in dendro.clusters]
+    size = [1] * len(dendro.graph.nodes)  # leaves per cluster, from the children tuples
     for kids in children[len(size) :]:
         size.append(sum(map(size.__getitem__, kids)))
     start = [-1] * len(size)
@@ -242,9 +257,18 @@ def test_cluster_diameters_match_the_metric(graph):
 @given(edge_graphs())
 def test_diam_strictly_increases_upward(graph):
     dendro = build_lake_dendrogram(graph)
-    for cluster in dendro.clusters:
+    clusters = dendro.clusters
+    for cluster in clusters:
         if cluster.father is not None:
-            assert dendro.clusters[cluster.father].diam > cluster.diam
+            assert clusters[cluster.father].diam > cluster.diam
+    for index, up in enumerate(dendro.father):  # what the upward loops rely on
+        assert up is None or (up > index and dendro.diam[index] < dendro.diam[up])
+
+
+def test_members_past_the_last_cluster_raise():
+    dendro = build_lake_dendrogram(build_graph(["p", "q"], [("p", "q")], edge_weights=[5]))
+    with pytest.raises(IndexError):
+        dendro.members(len(dendro.diam))
 
 
 def union_find_lake_clusters(graph):
@@ -318,7 +342,7 @@ def groupby_lake_dendrogram(graph):
         for root, parts in pending.items():
             current[root] = leaves + len(groups)
             groups.append((level, tuple(sorted(parts))))
-    return Dendrogram(graph, groups)
+    return Dendrogram(graph, *parent_arrays(leaves, groups))
 
 
 def generator_dendro_text(dendro, tau):
@@ -349,9 +373,7 @@ def test_bulk_replay_and_report_match_the_former_groupby_and_generators(graph, r
     lines are the graph's flooding by the best-first solver)."""
     dendro = build_lake_dendrogram(graph)
     reference = groupby_lake_dendrogram(graph)
-    assert (dendro.diam, dendro.father, dendro.children) == (
-        reference.diam, reference.father, reference.children
-    )
+    assert (dendro.diam, dendro.father) == (reference.diam, reference.father)
     omega = [rng.choice([BOTTOM, TOP, *range(8)]) for _ in graph.nodes]
     code, chunks = dendro_chunks(graph, omega, *(["--flood"] if flood else []))
     tau = dijkstra_flood(graph, dict(zip(graph.nodes, omega))).tau if flood else {}
@@ -381,7 +403,7 @@ def eager_assemble(leaf_order, groups):
     """Every Cluster built up front, and each one's members, from (diam, children) groups.
 
     This is how a Dendrogram was assembled before it kept parent arrays
-    and built its Cluster views on first access; the views must equal it.
+    and built its Cluster views from them; the views must equal it.
     """
     leaves = len(leaf_order)
     diam = [BOTTOM] * leaves + [level for level, _ in groups]
@@ -405,19 +427,20 @@ def test_cluster_views_match_the_eager_assembly(graph):
     groups = [(diam, kids) for _, diam, _, kids in union_find_lake_clusters(graph)[leaves:]]
     clusters, members = eager_assemble(graph.nodes, groups)
     dendro = build_lake_dendrogram(graph)
+    assert Dendrogram.__slots__ == ("graph", "diam", "father")
     assert hash(dendro) == hash(build_lake_dendrogram(graph))
-    assert dendro._clusters is None  # hashing reads the arrays, not the views
-    assert dendro == Dendrogram(graph, groups)
+    diam, father = parent_arrays(leaves, groups)
+    assert dendro == Dendrogram(graph, diam, father)
     assert dendro.graph.nodes == graph.nodes
     assert dendro.diam == [cluster.diam for cluster in clusters]
     assert dendro.father == [cluster.father for cluster in clusters]
-    assert dendro.children == [cluster.children for cluster in clusters]
     assert [dendro.members(i) for i in range(len(clusters))] == members
     assert dendro.clusters == clusters
-    assert dendro.clusters is dendro.clusters
-    assert repr(dendro) == f"Dendrogram(leaf_names={graph.nodes!r}, clusters={clusters!r})"
+    assert repr(dendro) == (
+        f"Dendrogram(leaf_names={graph.nodes!r}, diam={diam!r}, father={father!r})"
+    )
     if groups:
-        assert dendro != Dendrogram(graph, groups[:-1])
+        assert dendro != Dendrogram(graph, *parent_arrays(leaves, groups[:-1]))
 
 
 def test_dendrograms_on_other_leaves_differ():
@@ -484,17 +507,16 @@ def test_dendrogram_flood_matches_the_closed_formula(graph):
     rng = random.Random(7 * len(graph.nodes) + len(graph.edges))
     omega = random_ceiling(rng, graph)
     dendro = build_lake_dendrogram(graph)
-    lowest = {
-        c.index: min(omega[name] for name in dendro.members(c.index)) for c in dendro.clusters
-    }
+    clusters = dendro.clusters
+    lowest = {c.index: min(omega[name] for name in dendro.members(c.index)) for c in clusters}
     expected = {}
-    for leaf, probe in zip(dendro.graph.nodes, dendro.clusters):  # leaf i is cluster i
+    for leaf, probe in zip(dendro.graph.nodes, clusters):  # leaf i is cluster i
         best = TOP
         while True:
             best = min(best, max(lowest[probe.index], probe.diam))
             if probe.father is None:
                 break
-            probe = dendro.clusters[probe.father]
+            probe = clusters[probe.father]
         expected[leaf] = best
     assert dendrogram_flood(dendro, omega) == expected
     assert expected == oracle_flood(graph, omega)
@@ -505,31 +527,25 @@ def test_dendrogram_flood_matches_the_closed_formula(graph):
 
 def test_lake_growth_from_the_deep_end(chain):
     stages = lake_growth_sequence(chain.edge_graph, "e")
-    summary = [(s.nodes, s.kind, s.low, s.high) for s in stages]
-    assert summary == [
-        (("e",), GrowthKind.REGIONAL_MINIMUM, BOTTOM, 2),
-        (("c", "d", "e"), GrowthKind.LAKE_ZONE, 2, 2),
-        (("c", "d", "e"), GrowthKind.REGIONAL_MINIMUM, 2, 4),
-        (("a", "b", "c", "d", "e"), GrowthKind.LAKE_ZONE, 4, 4),
+    summary = [(s.nodes, s.low, s.high) for s in stages]
+    assert summary == [  # a lake-zone stage has low == high, a regional minimum low < high
+        (("e",), BOTTOM, 2),
+        (("c", "d", "e"), 2, 2),
+        (("c", "d", "e"), 2, 4),
+        (("a", "b", "c", "d", "e"), 4, 4),
     ]
 
 
 def test_lake_growth_from_the_shallow_end(chain):
     stages = lake_growth_sequence(chain.edge_graph, "a")
-    summary = [(s.nodes, s.kind, s.low, s.high) for s in stages]
-    assert summary == [
-        (("a",), GrowthKind.REGIONAL_MINIMUM, BOTTOM, 4),
-        (("a", "b", "c", "d", "e"), GrowthKind.LAKE_ZONE, 4, 4),
-    ]
+    summary = [(s.nodes, s.low, s.high) for s in stages]
+    assert summary == [(("a",), BOTTOM, 4), (("a", "b", "c", "d", "e"), 4, 4)]
 
 
 def test_lake_growth_single_edge():
     graph = build_graph(["p", "q"], [("p", "q")], edge_weights=[5])
     stages = lake_growth_sequence(graph, "p")
-    assert [(s.nodes, s.kind) for s in stages] == [
-        (("p",), GrowthKind.REGIONAL_MINIMUM),
-        (("p", "q"), GrowthKind.LAKE_ZONE),
-    ]
+    assert [(s.nodes, s.low, s.high) for s in stages] == [(("p",), BOTTOM, 5), (("p", "q"), 5, 5)]
 
 
 def test_lake_growth_isolated_node():
@@ -538,8 +554,7 @@ def test_lake_growth_isolated_node():
     assert len(stages) == 1
     only = stages[0]
     assert only.nodes == ("lonely",)
-    assert only.kind is GrowthKind.REGIONAL_MINIMUM
-    assert (only.low, only.high) == (BOTTOM, TOP)
+    assert (only.low, only.high) == (BOTTOM, TOP)  # a regional minimum: low < high
 
 
 def per_stage_lake_growth(graph, node):
@@ -560,14 +575,14 @@ def per_stage_lake_growth(graph, node):
     while True:
         if set(region) == component:
             if not stages:
-                stages.append(GrowthStage(region, GrowthKind.REGIONAL_MINIMUM, floor, TOP))
+                stages.append(GrowthStage(region, floor, TOP))
             break
         spill = lowest_cocycle_weight(set(region))
-        stages.append(GrowthStage(region, GrowthKind.REGIONAL_MINIMUM, floor, spill))
+        stages.append(GrowthStage(region, floor, spill))
         if spill == TOP:
             break
         region = ball(spill)
-        stages.append(GrowthStage(region, GrowthKind.LAKE_ZONE, spill, spill))
+        stages.append(GrowthStage(region, spill, spill))
         floor = spill
     return tuple(stages)
 

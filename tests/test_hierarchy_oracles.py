@@ -68,8 +68,9 @@ dendro_weights = st.one_of(st.integers(min_value=0, max_value=3), st.sampled_fro
 
 def members_by_father_chain(dendro):
     """Cluster index -> the leaves whose father chain reaches it, declaration order."""
-    members = {c.index: [] for c in dendro.clusters}
-    for leaf in dendro.clusters:
+    clusters = dendro.clusters
+    members = {c.index: [] for c in clusters}
+    for leaf in clusters:
         if leaf.children:
             continue
         probe = leaf
@@ -77,7 +78,7 @@ def members_by_father_chain(dendro):
             members[probe.index].append(dendro.graph.nodes[leaf.index])
             if probe.father is None:
                 break
-            probe = dendro.clusters[probe.father]
+            probe = clusters[probe.father]
     return {index: tuple(names) for index, names in members.items()}
 
 
