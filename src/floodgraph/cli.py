@@ -183,15 +183,15 @@ def _lines(lines: Iterable[str]) -> Iterator[str]:
 
 
 def _values(*columns: NodeValues) -> Iterator[str]:
-    """``<node> <value>[ <value>]`` lines, a value column per node function
-    (one or two), each chunk joined from a slice of 65,536 nodes."""
+    """``<node> <value>[ <value>]`` lines, a value column per node function (one or
+    two), in chunks of 65,536 nodes that format each distinct value once."""
     names = columns[0].graph.nodes
 
     def chunk(lo: int) -> str:
-        rows = zip(names[lo : lo + 65536], *[column.levels[lo : lo + 65536] for column in columns])
-        if len(columns) == 1:
-            return "".join([f"{n} {v}\n" for n, v in rows])
-        return "".join([f"{n} {v} {t}\n" for n, v, t in rows])
+        slices = [column.levels[lo : lo + 65536] for column in columns]
+        tokens = [map({v: str(v) for v in set(levels)}.__getitem__, levels) for levels in slices]
+        # weights that compare equal print alike: ints, and the float infinities
+        return "\n".join(map(" ".join, zip(names[lo : lo + 65536], *tokens))) + "\n"
 
     return map(chunk, range(0, len(names), 65536))
 

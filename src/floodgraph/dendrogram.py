@@ -13,9 +13,9 @@ Najman, Cousty & Perret, "Playing with Kruskal" (ISMM 2013): `diam` and
 `father` by cluster, over its graph, and nothing else.  Building, flooding
 and the CLI read the arrays, walking `father` upward in index order;
 `all_members()` sorts each cluster's run of leaves and hands it up to its
-father, and `members(i)` scans down from `i` once.  `Dendrogram.clusters`
-builds each cluster's row of the arrays as a `Cluster`, its children
-included, on every access.
+father, and `members(i)` names leaf `i` or scans down from `i` once.
+`Dendrogram.clusters` builds each cluster's row of the arrays as a
+`Cluster`, its children included, on every access.
 """
 
 from __future__ import annotations
@@ -64,10 +64,12 @@ class Dendrogram:
         self.graph, self.diam, self.father = graph, diam, father
 
     def members(self, index: int) -> tuple[str, ...]:
-        """Leaf names under cluster ``index``, in declaration order, by one scan
-        down from ``index``: a cluster lies under it when its father does."""
+        """Leaf names under cluster ``index``, in declaration order: a leaf's own name,
+        else by one scan down from ``index`` (a cluster lies under it when its father does)."""
         father, names = self.father, self.graph.nodes
         index = range(len(father))[index]  # IndexError past the last cluster
+        if index < len(names):
+            return (names[index],)
         inside = {index}
         for cluster in range(index - 1, -1, -1):
             if father[cluster] in inside:
@@ -86,7 +88,7 @@ class Dendrogram:
         for index in range(leaves, len(father)):
             run = runs.pop(index)
             run.sort()
-            yield tuple(map(names.__getitem__, run))
+            yield tuple([names[leaf] for leaf in run])
             up = father[index]
             if up is not None:
                 runs.setdefault(up, []).extend(run)

@@ -17,9 +17,10 @@ The topology is stored once, as compressed sparse rows (CSR) in stdlib
   edge id), in edge declaration order: in a grid, the neighbors' scan
   order, so ``grid_graph`` writes them from a stencil instead of counting.
 
-A graph given only its edges builds the three incidence arrays and its
-name index on first use, so a graph that is only written out (a
-contraction, a spanning tree) never builds them.  ``ground_values`` and
+A graph builds its three incidence arrays and its name index on first use
+(a grid from the one stencil plan that wrote its edges), so a graph only
+written out (a contraction, a spanning tree) or read edge by edge (a
+dendrogram, lakes) never builds them.  ``ground_values`` and
 ``edge_weights`` are tuples aligned with the node and edge indices.
 ``with_edge_weights`` returns a graph that shares all of the topology and
 carries new edge weights, so deriving edge weights from the ground never
@@ -34,6 +35,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, chain, compress, filterfalse, product, repeat
 from operator import lt
 
@@ -81,9 +83,12 @@ class Graph:
     __hash__ = None  # type: ignore[assignment]
 
     def incidences(self) -> tuple[array, array, array]:
-        """(``offsets``, ``adj_node``, ``adj_edge``), built on first use."""
+        """(``offsets``, ``adj_node``, ``adj_edge``), built on first use: from the
+        edge list, or for a grid from the stencil plan that wrote its edges."""
         if self._incidences is None:
             self._incidences = _csr(len(self.nodes), self.edge_u, self.edge_v)
+        elif callable(self._incidences):
+            self._incidences = self._incidences()
         return self._incidences
 
     offsets = property(lambda self: self.incidences()[0])
@@ -94,8 +99,8 @@ class Graph:
     def edges(self) -> tuple[Edge, ...]:
         """(u, v) name pairs in declaration order, built on first use."""
         if self._edges is None:
-            name = self.nodes.__getitem__
-            self._edges = tuple(zip(map(name, self.edge_u), map(name, self.edge_v)))
+            names = self.nodes
+            self._edges = tuple([(names[u], names[v]) for u, v in zip(self.edge_u, self.edge_v)])
         return self._edges
 
     def _names(self) -> dict[str, int]:
@@ -137,13 +142,12 @@ class Graph:
     def with_edge_weights(self, weights: Iterable[Weight]) -> Graph:
         """This graph with other edge weights; nodes, edges and ground are shared.
 
-        So is the name index if it is built; if not, each graph builds its own.
+        So are the incidences, built here unless a grid's build is pending (the first
+        to ask builds for both), and the name index if built; if not, each builds its own.
         """
         weights = _edge_weights(weights, len(self.edge_u))
-        ends = (self.edge_u, self.edge_v)
-        return index_graph(
-            self.nodes, *ends, self.ground_values, weights, self._index, self.incidences()
-        )
+        ends, csr = (self.edge_u, self.edge_v), self._incidences or self.incidences()
+        return index_graph(self.nodes, *ends, self.ground_values, weights, self._index, csr)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -221,12 +225,13 @@ def index_graph(
     ground_values: Iterable[Weight] | None = None,
     edge_weights: Iterable[Weight] | None = None,
     index: dict[str, int] | None = None,
-    csr: tuple[array, array, array] | None = None,
+    csr: tuple[array, array, array] | Callable[[], tuple[array, array, array]] | None = None,
 ) -> Graph:
     """A graph from distinct names and edges given as node indices (not validated).
 
     Tuples and arrays passed in are shared, not copied, and so are ``index``
-    (name to node index) and ``csr``; either is built on first use when missing.
+    (name to node index) and ``csr``, or a grid's pending build from its stencil
+    plan; either is built on first use when missing.
     """
     graph = object.__new__(Graph)
     graph.nodes = tuple(nodes)
@@ -318,13 +323,13 @@ def _counting(total: int) -> array:
     return count
 
 
-def _grid_topology(height: int, width: int, connectivity: int) -> tuple[tuple[array, ...], ...]:
-    """(``edge_u``, ``edge_v``) and (``offsets``, ``adj_node``, ``adj_edge``) of a grid.
+def _grid_topology(height: int, width: int, connectivity: int) -> tuple[tuple, Callable]:
+    """(``edge_u``, ``edge_v``) of a grid, and its incidences' build, run once for all views.
 
     In a block of one band of rows (first, middle, last) and one of columns
     (first, second, middle, second-last, last), every index and value a pixel
     writes is affine in (r, c): a line of pixels writes each entry with one
-    extended-slice copy from ``count``.
+    extended-slice copy from a counting array, planned once for all five.
     """
     steps = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]  # scan order
     stencil = [(dr, dc) for dr, dc in steps if 0 < abs(dr) + abs(dc) <= connectivity // 4]
@@ -339,22 +344,19 @@ def _grid_topology(height: int, width: int, connectivity: int) -> tuple[tuple[ar
         return total
 
     m = edges_before(n)
-    zeros = array(_INT, [0])
-    edge_u, edge_v, offsets, adj_node, adj_edge = (zeros * k for k in (m, m, n + 1, 2 * m, 2 * m))
-    offsets[n] = 2 * m
 
-    def entries(r: int, c: int) -> list[tuple[array, int, int]]:  # (array, index, value)
+    def entries(r: int, c: int) -> list[tuple[int, int, int]]:  # (target, index, value)
         i = r * width + c
         # Point reflection maps the incidences at nodes < i to the edges declared by nodes >= n - i.
         slot = edges_before(i) + m - edges_before(n - i)
-        out = [(offsets, i, slot)]
+        out = [(2, i, slot)]  # targets: edge_u, edge_v, offsets, adj_node, adj_edge
         for dr, dc in stencil:
             if 0 <= r + dr < height and 0 <= c + dc < width:
                 j = i + dr * width + dc
                 e = edges_before(min(i, j), declares.index((dr, dc) if j > i else (-dr, -dc)))
                 if j > i:
-                    out += [(edge_u, e, i), (edge_v, e, j)]
-                out += [(adj_node, slot, j), (adj_edge, slot, e)]
+                    out += [(0, e, i), (1, e, j)]
+                out += [(3, slot, j), (4, slot, e)]
                 slot += 1
         return out
 
@@ -362,7 +364,7 @@ def _grid_topology(height: int, width: int, connectivity: int) -> tuple[tuple[ar
         ends = sorted({0, size, *(cut for cut in cuts if 0 < cut < size)})
         return [(low, high - low) for low, high in zip(ends, ends[1:])]
 
-    count = _counting(max(n, 2 * m))
+    plan = [(2, n, 0, 1, 1, 2 * m, 0, 1, 1, 1)]  # offsets[n] = 2m, then the blocks' copies
     blocks = product(bands(height, 1, height - 1), bands(width, 1, 2, width - 2, width - 1))
     for (r, tall), (c, wide) in blocks:
         base, down, right = entries(r, c), entries(r + (tall > 1), c), entries(r, c + (wide > 1))
@@ -371,10 +373,25 @@ def _grid_topology(height: int, width: int, connectivity: int) -> tuple[tuple[ar
         for (target, at, value), (_, at1, value1), (_, at2, value2) in zip(base, right, down):
             da, dv = max(at1 - at, 1), max(value1 - value, 1)  # 1 on one-pixel lines
             la, lv, sa, sv = da * (wide - 1) + 1, dv * (wide - 1) + 1, at2 - at, value2 - value
+            plan.append((target, at, sa, la, da, value, sv, lv, dv, tall))
+    return _grid_arrays(plan, {0: m, 1: m}, n), cache(lambda: _grid_incidences(n, m, plan))
+
+
+def _grid_arrays(plan: list[tuple], sizes: dict[int, int], top: int) -> tuple[array, ...]:
+    """The arrays of ``sizes`` (target: length), copied from a count up to ``top``."""
+    arrays = {target: array(_INT, [0]) * size for target, size in sizes.items()}
+    count = _counting(top)
+    for target, at, sa, la, da, value, sv, lv, dv, tall in plan:
+        if target in arrays:
             for k in range(tall):
                 a, v = at + k * sa, value + k * sv
-                target[a : a + la : da] = count[v : v + lv : dv]
-    return (edge_u, edge_v), (offsets, adj_node, adj_edge)
+                arrays[target][a : a + la : da] = count[v : v + lv : dv]
+    return tuple(arrays.values())
+
+
+def _grid_incidences(n: int, m: int, plan: list[tuple]) -> tuple[array, ...]:
+    """A grid's (``offsets``, ``adj_node``, ``adj_edge``), by the plan that wrote its edges."""
+    return _grid_arrays(plan, {2: n + 1, 3: 2 * m, 4: 2 * m}, max(n, 2 * m + 1))
 
 
 def grid_graph(raster: Sequence[Sequence[Weight]], connectivity: int = 4) -> Graph:
@@ -483,6 +500,8 @@ def values_by_index(
     mapping that fills in missing keys, such as a ``defaultdict``, is not filled."""
     if isinstance(values, NodeValues) and values.graph.nodes is graph.nodes:  # no name read
         return list(values.levels)  # a copy: berge lowers its list in place
+    if type(values) is dict and len(values) == len(graph.nodes) and tuple(values) == graph.nodes:
+        return list(values.values())  # keyed by exactly the nodes, in order: no name hashed
     known = sum(map(values.__contains__, graph.nodes))
     if default is None and known != len(graph.nodes):
         for node in filterfalse(values.__contains__, graph.nodes):

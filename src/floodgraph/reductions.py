@@ -124,20 +124,18 @@ def contract_flat_zones(
     min over each zone, since a lake covering the zone is capped by the
     lowest ceiling above it (a ``NodeValues`` over the contracted graph).
     """
-    zone_of, firsts, low, edge_u, edge_v, weights = _contract(graph, omega, "contract_flat_zones")
-    reps = tuple(map(graph.nodes.__getitem__, firsts))
-    ground = map(graph.ground_values.__getitem__, firsts)
-    contracted = index_graph(reps, edge_u, edge_v, ground, weights)
+    zone_of, reps, ground, low, *ends, weights = _contract(graph, omega, "contract_flat_zones")
+    contracted = index_graph(reps, *ends, ground, weights)
     contracted_omega = None if low is None else NodeValues(contracted, low)
     return contracted, ContractionMap(contracted, graph, zone_of), contracted_omega
 
 
 def _contract(
     graph: Graph, omega: Mapping[str, Weight] | None, operation: str
-) -> tuple[array, array, list[Weight] | None, array, array, list | None]:
-    """The contraction by index: ``(zone_of, firsts, low, edge_u, edge_v, weights)``,
-    with each zone's first node, its lowest ceiling (``low`` is None without
-    one) and the zone edges of `_zone_edges`."""
+) -> tuple[array, list[str], list[Weight], list[Weight] | None, array, array, list | None]:
+    """The contraction by index: ``(zone_of, reps, ground, low, edge_u, edge_v, weights)``,
+    with each zone's first node's name and ground, its lowest ceiling (``low`` is None
+    without one) and the zone edges of `_zone_edges`."""
     ground = graph.require_ground_values(operation)
     cross = [ground[u] != ground[v] for u, v in zip(graph.edge_u, graph.edge_v)]
     zone_of, firsts = connected_components(graph, list(map(not_, cross)))
@@ -149,7 +147,9 @@ def _contract(
             if level < low[zone]:
                 low[zone] = level
         del ceiling  # a list by node: not kept through the zone edges' peak
-    return zone_of, firsts, low, *_zone_edges(graph, zone_of, len(firsts), cross)
+    edges = _zone_edges(graph, zone_of, len(firsts), cross)
+    names = graph.nodes  # each zone's first node gives its name and ground
+    return zone_of, [names[i] for i in firsts], [ground[i] for i in firsts], low, *edges
 
 
 def _zone_edges(
@@ -193,11 +193,10 @@ def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeValue
     closing is taken at the seeds alone.  A final cap at the ceiling then
     reproduces the flooding of the original graph exactly.
     """
-    zone_of, firsts, ceiling, edge_u, edge_v, _ = _contract(graph, omega, "contract_close_flood")
-    ground = list(map(graph.ground_values.__getitem__, firsts))
-    contracted = index_graph(map(graph.nodes.__getitem__, firsts), edge_u, edge_v)
+    zone_of, reps, ground, ceiling, *ends, _ = _contract(graph, omega, "contract_close_flood")
+    contracted = index_graph(reps, *ends)
     offsets, adj_node = contracted.offsets, contracted.adj_node
-    chi = [TOP] * len(firsts)  # lowered in place
+    chi = [TOP] * len(reps)  # lowered in place
     fed = [zone for zone, level in enumerate(ceiling) if level < TOP]
     for zone in fed:  # the closing: max(ground, lowest neighbor), top when alone
         around = adj_node[offsets[zone] : offsets[zone + 1]]

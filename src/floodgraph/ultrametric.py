@@ -162,7 +162,7 @@ def single_linkage(graph: Graph, weights: Sequence[Weight]) -> Iterator[tuple[in
     """
     edge_u, edge_v = graph.edge_u, graph.edge_v
     parent = list(range(len(graph.nodes)))
-    for edge_id in sorted(range(len(weights)), key=weights.__getitem__):  # stable: ties by id
+    for edge_id in sorted(range(len(edge_u)), key=list(weights).__getitem__):  # stable: ties by id
         u, v = edge_u[edge_id], edge_v[edge_id]
         root_u, root_v = parent[u], parent[v]  # find_root only below a root's child
         if parent[root_u] != root_u:

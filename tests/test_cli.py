@@ -9,6 +9,7 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from floodgraph import (
     read_pgm,
     write_pgm,
 )
+from floodgraph import graphs
 from floodgraph.cli import _FIRST_LINE, ingest_graph, main, resolve_ceiling
 from floodgraph.formats import HEADER
 
@@ -584,6 +586,37 @@ def test_dendrogram_routes_build_no_cluster_views(capsys, monkeypatch, tmp_path,
     assert code == 0
     assert out.splitlines() == CHAIN_TAU_LINES
     assert err == "stats: clusters=7\n"
+
+
+def test_raster_routes_on_the_edge_list_build_no_grid_incidences(capsys, monkeypatch, tmp_path):
+    """dendro, lakes, contract, mst and validate read a grid's edge list only, and
+    still match their goldens; a solver route builds the incidences."""
+    digests = dict(
+        line.split("  ", 1)[::-1] for line in (GOLDEN / "raster64.sha256").read_text().splitlines()
+    )
+    raster, ceiling = str(GOLDEN / "raster64.pgm"), str(GOLDEN / "raster64-ceiling.txt")
+    tau = tmp_path / "tau.txt"
+    code, out, _ = run(capsys, "flood", "--algo", "core", "--graph", raster, "--ceiling", ceiling)
+    assert sha256(out.encode()).hexdigest() == digests["raster64-flood-core.stdout"]
+    tau.write_bytes(out.encode())
+
+    def refuse(*args):
+        raise AssertionError("the grid incidences were built")
+
+    monkeypatch.setattr(graphs, "_grid_incidences", refuse)
+    cases = {
+        "raster64-dendro-flood": ["dendro", "--derive-edges", "--flood", "--ceiling", ceiling],
+        "raster64-lakes": ["lakes", "--tau", str(tau)],
+        "raster64-contract-ceiling": ["contract", "--ceiling", ceiling],
+        "raster64-mst": ["mst", "--derive-edges"],
+        "raster64-validate": ["validate", "--tau", str(tau)],
+    }
+    for name, argv in cases.items():
+        code, out, err = run(capsys, *argv, "--graph", raster)
+        assert (code, err) == (0, ""), name
+        assert sha256(out.encode()).hexdigest() == digests[f"{name}.stdout"], name
+    with pytest.raises(AssertionError, match="incidences were built"):
+        main(["flood", "--algo", "dijkstra", "--derive-edges", "--graph", raster])
 
 
 def test_dendro_on_two_components_matches_members(capsys, tmp_path):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,7 @@ from floodgraph import (
     mst,
     partial_graph,
 )
+from floodgraph import graphs
 from floodgraph.graphs import _counting, _csr
 
 from strategies import ground_of
@@ -162,8 +164,10 @@ def test_counting_array_matches_range(total):
     assert _counting(total) == array("i", range(total))
 
 
-@given(loose_graphs())
-def test_derived_views_share_the_topology(graph):
+@given(
+    loose_graphs(), st.integers(1, 4), st.integers(1, 4), st.sampled_from([4, 8]), st.booleans()
+)
+def test_derived_views_share_the_topology(graph, height, width, connectivity, view_first):
     for view in (derive_edge_graph(graph), graph.with_edge_weights(graph.edge_weights)):
         for attr in TOPOLOGY:
             assert getattr(view, attr) is getattr(graph, attr), attr
@@ -173,6 +177,17 @@ def test_derived_views_share_the_topology(graph):
     assert derived.edge_weights == tuple(max(ground[u], ground[v]) for u, v in graph.edges)
     with pytest.raises(ConstructionError):
         graph.with_edge_weights([*graph.edge_weights, 0])
+
+    # a grid and its view share the pending build: one run, whichever asks first
+    with mock.patch.object(graphs, "_grid_incidences", wraps=graphs._grid_incidences) as build:
+        grid = grid_graph([[r + c for c in range(width)] for r in range(height)], connectivity)
+        view = derive_edge_graph(grid)
+        assert build.call_count == 0
+        for first in (view, grid) if view_first else (grid, view):
+            first.incidences()
+        assert build.call_count == 1
+    for attr in TOPOLOGY:
+        assert getattr(view, attr) is getattr(grid, attr), attr
 
 
 @given(loose_graphs(), st.randoms(use_true_random=False))

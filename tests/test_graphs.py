@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import filterfalse, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,6 +297,46 @@ def test_a_default_fills_in_the_nodes_a_mapping_leaves_out(instance, case, rng):
     expected = outcome(reference_fill, graph, values, "ceiling")
     assert outcome(values_by_index, graph, values, "ceiling", TOP) == expected
     assert len(values) == size
+
+
+def former_values_by_index(graph, values, what, default=None):
+    """values_by_index before its dict path: every mapping is read by name."""
+    if isinstance(values, NodeValues) and values.graph.nodes is graph.nodes:
+        return list(values.levels)
+    known = sum(map(values.__contains__, graph.nodes))
+    if default is None and known != len(graph.nodes):
+        for node in filterfalse(values.__contains__, graph.nodes):
+            raise PreconditionError(f"{what} is missing node {node!r}")
+    if known != len(values):
+        for node in filterfalse(graph.__contains__, values):
+            raise PreconditionError(f"{what} defined on unknown node {node!r}")
+    return list(map(values.get, graph.nodes, repeat(default)))
+
+
+@settings(max_examples=300)
+@given(
+    rough_flood_instances(),
+    st.sampled_from(["ordered", "shuffled", "partial", "extra key"]),
+    st.booleans(),
+    st.sampled_from([None, TOP]),
+    st.randoms(use_true_random=False),
+)
+def test_values_by_index_matches_the_name_path(instance, case, filling, default, rng):
+    """A dict keyed by exactly the nodes, in order, is listed without a name read;
+    every other mapping gets the result and the error it got by name."""
+    graph, omega = instance
+    items = list(omega.items())
+    if case == "shuffled":
+        rng.shuffle(items)
+    elif case == "partial":
+        del items[rng.randrange(len(items))]
+    elif case == "extra key":
+        items.insert(rng.randint(0, len(items)), ("zz", rng.choice([BOTTOM, 0, TOP])))
+    values = defaultdict(int, items) if filling else dict(items)
+    size = len(values)
+    expected = outcome(former_values_by_index, graph, values, "tau", default)
+    assert outcome(values_by_index, graph, values, "tau", default) == expected
+    assert len(values) == size  # a defaultdict is never filled
 
 
 # -- properties --------------------------------------------------------------
