@@ -18,7 +18,14 @@ its change names the parent) and the digest of ``src/floodgraph``; the Python
 version; ``os.cpu_count()``; and whether bytecode is cached.  Exits 1 when
 any run reports ``correct: false`` or gives no result.
 
+With ``--check``, nothing is written: one traced round of each workload is
+replayed at the seeds of the newest ``BENCH_*.json`` at the repo root, and
+every count metric is compared with that record.  Each difference is printed
+with the counter, both values and the file, and the exit status is then 1.
+Times and ratios are not checked; counts repeat exactly on any host.
+
 usage: python3 scripts/bench_record.py --out BENCH.json
+       python3 scripts/bench_record.py --check
 """
 
 from __future__ import annotations
@@ -79,13 +86,42 @@ def gauge() -> dict:
     return {"median_s": statistics.median(samples), "samples_s": samples}
 
 
+def check(path: Path) -> list[str]:
+    """Replay the record's workloads and seeds; one line per count metric that differs."""
+    record = json.loads(path.read_text())
+    differences = []
+    for workload, seeds in sorted(record["workloads"].items()):
+        for seed, entry in sorted(seeds.items()):
+            replay = counters(workload, int(seed))
+            recorded = {"failed": entry["counters"]["failed"], **entry["counters"]["metrics"]}
+            replayed = {"failed": replay["failed"], **replay["metrics"]}
+            for name in sorted(recorded.keys() | replayed.keys()):
+                if spans.unit_of(name) != "count":
+                    continue
+                old, new = recorded.get(name), replayed.get(name)
+                if old != new:
+                    differences.append(f"{path.name}: {workload} seed {seed}: {name} "
+                                       f"recorded {old}, replayed {new}")
+    return differences
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", type=Path, help="the JSON file to write")
+    mode.add_argument("--check", action="store_true",
+                      help="replay the newest BENCH_*.json's counters and compare them")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(run.SRC))
     run.OUT.mkdir(exist_ok=True)
+    if args.check:
+        path = max(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.partition("_")[2]))
+        differences = check(path)
+        for line in differences:
+            print(line, file=sys.stderr)
+        print(f"# checked {path.name}; {len(differences)} counters differ", file=sys.stderr)
+        return 1 if differences else 0
     runs = [(workload, seed) for workload in sorted(WORKLOADS) for seed in SEEDS]
     before = gauge()
     # every fresh process starts before this one runs a workload: on Linux a child's

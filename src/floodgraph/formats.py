@@ -69,6 +69,11 @@ class _Weights(dict):
         return value
 
 
+# The canonical tokens of the common weights, parsed once at import: a graph
+# text that holds only these never reaches parse_weight.
+_COMMON = {token: parse_weight(token) for token in (*map(str, range(256)), "inf", "-inf")}
+
+
 def parse_graph(text: str) -> tuple[Graph, NodeValues | None]:
     """Parse the native format; returns the graph and the ceiling (top where unset), or None."""
     index: dict[str, int] = {}  # node name to node index, in declaration order
@@ -77,21 +82,24 @@ def parse_graph(text: str) -> tuple[Graph, NodeValues | None]:
     edge_u: list[int] = []
     edge_v: list[int] = []
     edge_weights: dict[int, Weight] = {}
-    weights = _Weights()
+    common, weights = _COMMON, _Weights()  # the common tokens, then this text's others
     # an attribute key to the dict its values fill, keyed by node or edge id
     node_attrs, edge_attrs = {"f": ground, "omega": omega}, {"w": edge_weights}
 
-    lines = enumerate(text.splitlines(), start=1)
-    for lineno, raw in lines:  # the header is the first line not blank or a comment
-        line = raw.partition("#")[0].strip()
+    lines = text.splitlines()
+    if "#" in text:  # cut the comments; without one, every line is read whole
+        lines = [raw.partition("#")[0] for raw in lines]
+    lines = enumerate(lines, start=1)
+    for lineno, line in lines:  # the header is the first line not blank or a comment
+        line = line.strip()
         if line:
             if line != HEADER:
                 raise GraphFormatError(f"line {lineno}: expected header {HEADER!r}")
             break
     else:
         raise GraphFormatError(f"missing header {HEADER!r}")
-    for lineno, raw in lines:
-        tokens = raw.partition("#")[0].split()
+    for lineno, line in lines:
+        tokens = line.split()
         if not tokens:
             continue
         kind = tokens[0]
@@ -109,18 +117,20 @@ def parse_graph(text: str) -> tuple[Graph, NodeValues | None]:
             if len(tokens) < 3:
                 raise GraphFormatError(f"line {lineno}: edge line needs two node ids")
             u, v = tokens[1], tokens[2]
-            if u not in index or v not in index:  # no indexed name contains '='
+            at_u, at_v = index.get(u), index.get(v)
+            if at_u is None or at_v is None:  # no indexed name contains '='
                 for endpoint in (u, v):
                     if "=" in endpoint:
                         raise GraphFormatError(
                             f"line {lineno}: node id may not contain '=': {endpoint!r}"
                         )
-                raise GraphFormatError(f"line {lineno}: unknown node {(v if u in index else u)!r}")
-            if u == v:
+                unknown = u if at_u is None else v
+                raise GraphFormatError(f"line {lineno}: unknown node {unknown!r}")
+            if at_u == at_v:
                 raise GraphFormatError(f"line {lineno}: self-loop on {u!r}")
             allowed, slot, attrs = edge_attrs, len(edge_u), tokens[3:]
-            edge_u.append(index[u])
-            edge_v.append(index[v])
+            edge_u.append(at_u)
+            edge_v.append(at_v)
         else:
             raise GraphFormatError(f"line {lineno}: expected 'node' or 'edge', got {kind!r}")
         for token in attrs:
@@ -131,10 +141,13 @@ def parse_graph(text: str) -> tuple[Graph, NodeValues | None]:
                 raise GraphFormatError(f"line {lineno}: expected one of {expected}, got {token!r}")
             if slot in target:
                 raise GraphFormatError(f"line {lineno}: duplicate attribute {key!r}")
-            try:
-                target[slot] = weights[value]
-            except GraphFormatError as exc:
-                raise GraphFormatError(f"line {lineno}: {exc}") from None
+            level = common.get(value)
+            if level is None:
+                try:
+                    level = weights[value]
+                except GraphFormatError as exc:
+                    raise GraphFormatError(f"line {lineno}: {exc}") from None
+            target[slot] = level
 
     if not index:
         raise GraphFormatError("graph has no nodes")

@@ -61,8 +61,8 @@ _INT = "i"  # typecode of the topology arrays
 class Graph:
     """A validated graph; create one with build_graph or grid_graph.
 
-    ``nodes``, ``edge_u``, ``edge_v``, ``offsets``, ``adj_node``, ``adj_edge``,
-    ``ground_values`` and ``edge_weights`` hold the layout described above.
+    ``nodes``, ``edge_u``, ``edge_v``, ``ground_values``, ``edge_weights`` and
+    ``incidences()`` hold the layout described above.
     """
 
     __slots__ = ("nodes", "edge_u", "edge_v", "ground_values", "edge_weights",
@@ -91,10 +91,6 @@ class Graph:
             self._incidences = self._incidences()
         return self._incidences
 
-    offsets = property(lambda self: self.incidences()[0])
-    adj_node = property(lambda self: self.incidences()[1])
-    adj_edge = property(lambda self: self.incidences()[2])
-
     @property
     def edges(self) -> tuple[Edge, ...]:
         """(u, v) name pairs in declaration order, built on first use."""
@@ -121,9 +117,10 @@ class Graph:
     def neighbors(self, node: str) -> tuple[tuple[str, int], ...]:
         """(neighbor, edge id) pairs in edge declaration order."""
         index = self.node_index(node)
-        low, high = self.offsets[index], self.offsets[index + 1]
-        names = map(self.nodes.__getitem__, self.adj_node[low:high])
-        return tuple(zip(names, self.adj_edge[low:high]))
+        offsets, adj_node, adj_edge = self.incidences()
+        low, high = offsets[index], offsets[index + 1]
+        names = map(self.nodes.__getitem__, adj_node[low:high])
+        return tuple(zip(names, adj_edge[low:high]))
 
     def require_ground_values(self, operation: str) -> tuple[Weight, ...]:
         """The ground listed by node index; raise if the graph has none."""
@@ -150,7 +147,8 @@ class Graph:
         return index_graph(self.nodes, *ends, self.ground_values, weights, self._index, csr)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+# Not frozen: every route builds one, and a frozen __init__ costs about twice as much.
+@dataclass(eq=False, slots=True)
 class NodeValues(Mapping):
     """A read-only node function, ``levels`` aligned with ``graph.nodes``: only
     ``[]`` and ``in`` build the name index.  Two over one ``nodes`` tuple compare
@@ -160,7 +158,8 @@ class NodeValues(Mapping):
     levels: list[Weight]
 
     def __getitem__(self, node: str) -> Weight:
-        return self.levels[self.graph._names()[node]]
+        graph = self.graph
+        return self.levels[(graph._index or graph._names())[node]]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.graph.nodes)
@@ -336,6 +335,7 @@ def _grid_topology(height: int, width: int, connectivity: int) -> tuple[tuple, C
     declares = stencil[len(stencil) // 2 :]  # E, SW, S, SE
     n = height * width
 
+    @cache  # a pixel and its neighbors ask for the same counts
     def edges_before(i: int, k: int = 0) -> int:  # by nodes 0 .. i - 1, then i in declares[:k]
         total = 0
         for t, (dr, dc) in enumerate(declares):

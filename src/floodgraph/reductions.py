@@ -56,7 +56,7 @@ __all__ = [
 def node_erosion(graph: Graph) -> NodeValues:
     """Per-node min of the incident edge weights; isolated nodes get top."""
     weights = graph.require_edge_weights("node_erosion")
-    offsets, adj_edge = graph.offsets, graph.adj_edge
+    offsets, _, adj_edge = graph.incidences()
     return NodeValues(graph, [
         min(map(weights.__getitem__, adj_edge[low:high]), default=TOP)
         for low, high in zip(offsets, offsets[1:])
@@ -67,7 +67,7 @@ def node_closing(graph: Graph) -> NodeValues:
     """Closing on the ground: dilate to the edges, erode back.  That is
     max(ground, lowest neighbor ground), or top for an isolated node."""
     levels = graph.require_ground_values("node_closing")
-    offsets, adj_node = graph.offsets, graph.adj_node
+    offsets, adj_node, _ = graph.incidences()
     return NodeValues(graph, [
         max(level, min(map(levels.__getitem__, adj_node[low:high]))) if low < high else TOP
         for level, low, high in zip(levels, offsets, offsets[1:])
@@ -195,7 +195,7 @@ def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeValue
     """
     zone_of, reps, ground, ceiling, *ends, _ = _contract(graph, omega, "contract_close_flood")
     contracted = index_graph(reps, *ends)
-    offsets, adj_node = contracted.offsets, contracted.adj_node
+    offsets, adj_node, _ = contracted.incidences()
     chi = [TOP] * len(reps)  # lowered in place
     fed = [zone for zone, level in enumerate(ceiling) if level < TOP]
     for zone in fed:  # the closing: max(ground, lowest neighbor), top when alone
@@ -225,7 +225,7 @@ def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:
     ground = graph.require_ground_values("local_flood")
     (center,) = node_indices(graph, (node,))
     ceiling = ceiling_by_index(graph, omega, "ceiling")
-    offsets, adj_node = graph.offsets, graph.adj_node
+    offsets, adj_node, _ = graph.incidences()
 
     best = ceiling[center]
     level: list[Weight] = [TOP] * len(graph.nodes)

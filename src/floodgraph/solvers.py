@@ -66,7 +66,8 @@ class SolverStats:
     extraction_levels: tuple[Weight, ...] = ()
 
 
-@dataclass(frozen=True)
+# Not frozen: every route builds one, and a frozen __init__ costs about twice as much.
+@dataclass(slots=True)
 class SolverResult:
     tau: NodeValues
     labels: NodeValues | None = None
@@ -158,7 +159,7 @@ def berge_flood(
     ceiling = ceiling_by_index(graph, omega)
     if schedule not in ("jacobi", "gauss_seidel"):
         raise PreconditionError(f"unknown berge schedule: {schedule!r}")
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    offsets, adj_node, adj_edge = graph.incidences()
     jacobi = schedule == "jacobi"
     count = len(ceiling)
     tau = ceiling[:]  # a queued node's entry is its pending level
@@ -256,7 +257,7 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
         if level < TOP:
             funnel[level].append(node)
     heap = funnel.heap
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    offsets, adj_node, adj_edge = graph.incidences()
     settled = [False] * len(tau)
     extractions = relaxations = 0
     lam: Weight = BOTTOM  # the first pop lifts it to the lowest seed
@@ -296,7 +297,7 @@ def core_expanding_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverRes
     ceiling = ceiling_by_index(graph, omega)
     total = len(ceiling)
     order = sorted(range(total), key=ceiling.__getitem__)  # stable: ties by index
-    offsets, adj_node = graph.offsets, graph.adj_node
+    offsets, adj_node, _ = graph.incidences()
     tau: list[Weight] = [TOP] * total
     flooded = [False] * total
     wet = 0
@@ -350,7 +351,7 @@ def ceiling_minima(graph: Graph, omega: Mapping[str, Weight]) -> tuple[str, ...]
     ground.
     """
     levels = values_by_index(graph, omega, "omega")
-    offsets, adj_node = graph.offsets, graph.adj_node
+    offsets, adj_node, _ = graph.incidences()
     return tuple(
         graph.nodes[p]
         for p, level in enumerate(levels)
@@ -400,7 +401,7 @@ def marker_segmentation(
     for rank, node in enumerate(ranked):
         best_level[node], best_rank[node] = BOTTOM, rank
         funnel[BOTTOM, rank].append(node)
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    offsets, adj_node, adj_edge = graph.incidences()
     extractions = relaxations = 0
     levels: list[Weight] = []
     # A candidate (w v level, rank) is never below the pair it came from.

@@ -90,7 +90,6 @@ class Funnel(dict):
     __slots__ = ("heap",)
 
     def __init__(self) -> None:
-        super().__init__()
         self.heap: list = []
 
     def __missing__(self, priority) -> deque:
@@ -122,7 +121,7 @@ def _best_first_flood(
     funnel = Funnel()
     for seed in seeds:
         funnel[level[seed]].append(seed)
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    offsets, adj_node, adj_edge = graph.incidences()
     extractions = relaxations = 0
     useful: list[Weight] = []
     for lam, bucket in funnel.buckets():  # candidates are never below lam

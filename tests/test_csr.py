@@ -28,7 +28,7 @@ from floodgraph.graphs import _counting, _csr
 
 from strategies import ground_of
 
-TOPOLOGY = ("nodes", "edge_u", "edge_v", "offsets", "adj_node", "adj_edge", "ground_values")
+TOPOLOGY = ("nodes", "edge_u", "edge_v", "ground_values")  # and the incidences
 
 
 def grid_node(row, col):
@@ -100,9 +100,10 @@ def reference_mst_edges(graph):
 
 def csr_pairs(graph):
     """Per node, its (neighbor index, edge id) incidences read off the arrays."""
+    offsets, adj_node, adj_edge = graph.incidences()
     return [
-        list(zip(graph.adj_node[low:high], graph.adj_edge[low:high]))
-        for low, high in zip(graph.offsets, graph.offsets[1:])
+        list(zip(adj_node[low:high], adj_edge[low:high]))
+        for low, high in zip(offsets, offsets[1:])
     ]
 
 
@@ -111,7 +112,7 @@ def test_neighbors_keep_edge_declaration_order(graph):
     expected = reference_neighbors(graph.nodes, graph.edges)
     for node in graph.nodes:
         assert graph.neighbors(node) == expected[node]
-    assert len(graph.offsets) == len(graph.nodes) + 1
+    assert len(graph.incidences()[0]) == len(graph.nodes) + 1
     for index, pairs in enumerate(csr_pairs(graph)):
         assert [(graph.nodes[j], e) for j, e in pairs] == list(expected[graph.nodes[index]])
     assert [graph.nodes.index(u) for u, _ in graph.edges] == list(graph.edge_u)
@@ -144,6 +145,7 @@ def assert_grid_matches_the_validated_build(height, width, connectivity):
     )
     for attr in TOPOLOGY:
         assert getattr(grid, attr) == getattr(built, attr), attr
+    assert grid.incidences() == built.incidences()
     assert grid == built
 
 
@@ -171,6 +173,7 @@ def test_derived_views_share_the_topology(graph, height, width, connectivity, vi
     for view in (derive_edge_graph(graph), graph.with_edge_weights(graph.edge_weights)):
         for attr in TOPOLOGY:
             assert getattr(view, attr) is getattr(graph, attr), attr
+        assert view.incidences() is graph.incidences()
         assert view._index is graph._index is not None  # one name index for both
     derived = derive_edge_graph(graph)
     ground = ground_of(graph)
@@ -188,6 +191,7 @@ def test_derived_views_share_the_topology(graph, height, width, connectivity, vi
         assert build.call_count == 1
     for attr in TOPOLOGY:
         assert getattr(view, attr) is getattr(grid, attr), attr
+    assert view.incidences() is grid.incidences()
 
 
 @given(loose_graphs(), st.randoms(use_true_random=False))

@@ -17,10 +17,12 @@ from floodgraph import (
     build_graph,
     parse_graph,
     parse_node_values,
+    parse_weight,
     read_pgm,
     serialize_graph,
     write_pgm,
 )
+from floodgraph import formats
 
 from strategies import connected_edge_graph, connected_node_graph, ground_of, random_ceiling
 
@@ -216,6 +218,54 @@ def test_build_graph_refuses_a_value_outside_the_lattice(ground, weights, messag
 
 
 # -- node-value files --------------------------------------------------------
+
+
+def test_the_common_token_table_holds_parse_weights_own_results():
+    tokens = {str(level) for level in range(256)} | {"inf", "-inf"}
+    assert formats._COMMON.keys() == tokens
+    for token, value in formats._COMMON.items():
+        assert value == parse_weight(token) and type(value) is type(parse_weight(token))
+
+
+@pytest.mark.parametrize(
+    "token, expected",
+    [
+        ("007", 7),
+        ("00", 0),
+        ("256", 256),
+        ("99999", 99999),
+        ("-0", "line 2: negative finite weight not allowed: '-0'"),
+        ("+1", "line 2: not a weight: '+1'"),
+        ("\u0663", "line 2: not a weight: '\u0663'"),  # ARABIC-INDIC DIGIT THREE
+        ("Inf", "line 2: not a weight: 'Inf'"),
+    ],
+)
+def test_parse_graph_reads_tokens_outside_the_table_as_parse_weight_does(token, expected):
+    text = f"{HEADER}\nnode a f={token}\n"
+    if isinstance(expected, str):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(text)
+        assert str(err.value) == expected
+    else:
+        graph, _ = parse_graph(text)
+        assert graph.ground_values == (expected,) and type(graph.ground_values[0]) is int
+
+
+def test_parse_graph_parses_only_the_tokens_outside_the_table(monkeypatch):
+    calls = []
+
+    def counted(token):
+        calls.append(token)
+        return parse_weight(token)
+
+    monkeypatch.setattr(formats, "parse_weight", counted)
+    nodes = [f"node n{level} f={level} omega=inf" for level in range(256)]
+    edges = [f"edge n{level} n{level + 1} w=-inf" for level in range(255)]
+    common = "\n".join([HEADER, *nodes, *edges]) + "\n"
+    parse_graph(common)
+    assert calls == []
+    parse_graph(common + "node x f=007\nnode y f=007\n")  # once per text for each other token
+    assert calls == ["007"]
 
 
 def test_parse_node_values():

@@ -163,7 +163,7 @@ def per_item_best_first_flood(graph, weights, level, seeds):
     funnel = PerItemFunnel()
     for seed in seeds:
         funnel.push(level[seed], seed)
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    offsets, adj_node, adj_edge = graph.incidences()
     extractions = relaxations = 0
     useful = []
     while funnel:
@@ -190,7 +190,7 @@ def per_item_prim_flood(graph, sources):
     funnel = PerItemFunnel()
     for node, level in sources.items():
         funnel.push(level, graph.node_index(node))
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    offsets, adj_node, adj_edge = graph.incidences()
     settled = [False] * len(tau)
     extractions = relaxations = 0
     lam = min(sources.values())
@@ -217,7 +217,7 @@ def per_item_core_expanding_flood(graph, omega):
     ceiling = [omega[node] for node in graph.nodes]
     total = len(ceiling)
     order = sorted(range(total), key=ceiling.__getitem__)
-    offsets, adj_node = graph.offsets, graph.adj_node
+    offsets, adj_node, _ = graph.incidences()
     tau = [TOP] * total
     flooded = [False] * total
     wet = extractions = relaxations = 0
@@ -277,7 +277,7 @@ def per_item_marker_segmentation(graph, markers, engine):
     for rank, node in enumerate(ranked):
         best[node] = (BOTTOM, rank)
         funnel.push((BOTTOM, rank), node)
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    offsets, adj_node, adj_edge = graph.incidences()
     extractions = relaxations = 0
     levels = []
     while funnel:

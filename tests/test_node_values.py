@@ -242,3 +242,12 @@ def test_node_solvers_and_validators_agree_on_dict_and_node_values(graph, rng):
     report = is_node_flooding(graph, candidate)
     assert is_node_flooding(graph, as_node_values(graph, candidate)) == report
 
+
+
+def test_a_node_function_is_a_slots_record_with_the_dataclass_repr():
+    graph = build_graph(["a", "b"], [("a", "b")])
+    values = NodeValues(graph, [3, TOP])
+    assert not hasattr(values, "__dict__")
+    assert repr(values) == "NodeValues(graph=<Graph: 2 nodes, 1 edges>, levels=[3, inf])"
+    assert values["b"] == TOP and graph._index is not None  # [] built the name index
+    assert values["a"] == 3  # and reads it as built

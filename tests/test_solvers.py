@@ -13,6 +13,8 @@ from floodgraph import (
     TOP,
     ConstructionError,
     PreconditionError,
+    SolverResult,
+    SolverStats,
     augment_with_dummy,
     berge_flood,
     build_graph,
@@ -116,7 +118,7 @@ def full_sweep_berge(graph, omega, schedule):
     """
     weights = graph.edge_weights
     tau = [omega[node] for node in graph.nodes]
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    offsets, adj_node, adj_edge = graph.incidences()
     jacobi = schedule == "jacobi"
     forward = range(len(tau))
     backward = forward[::-1]
@@ -267,7 +269,7 @@ def funnel_dijkstra(graph, omega, init):
         if ceiling[seed] < TOP:
             tau[seed] = ceiling[seed]
             funnel.push(ceiling[seed], seed)
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    offsets, adj_node, adj_edge = graph.incidences()
     extractions = relaxations = 0
     levels = []
     while funnel:
@@ -462,3 +464,22 @@ def test_producers_agree(instance):
     assert dijkstra_flood(graph, omega).tau == expected
     sources = {node: w for node, w in omega.items() if w != TOP}
     assert prim_flood(graph, sources).tau == expected
+
+
+def test_a_result_is_a_slots_record_that_compares_field_by_field():
+    graph = build_graph(["a", "b"], [("a", "b")], edge_weights=[2])
+    result = prim_flood(graph, {"a": 3})
+    assert not hasattr(result, "__dict__") and not hasattr(result.tau, "__dict__")
+    assert repr(result) == (
+        "SolverResult(tau=NodeValues(graph=<Graph: 2 nodes, 1 edges>, levels=[3, 3]), "
+        "labels=None, stats=SolverStats(extractions=2, relaxations=1, sweeps=0, "
+        "extraction_levels=()))"
+    )
+    assert result == prim_flood(graph, {"a": 3})
+    assert result == SolverResult(result.tau, None, SolverStats(2, 1))
+    assert result != SolverResult(result.tau)  # other stats
+    assert result != SolverResult(result.tau, result.tau, result.stats)  # other labels
+    assert result != (result.tau, None, result.stats)  # not a tuple of its fields
+    fresh = SolverResult(result.tau)
+    assert fresh.labels is None and fresh.stats == SolverStats()
+    assert fresh.stats is not SolverResult(result.tau).stats  # a new record each time

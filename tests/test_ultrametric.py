@@ -55,7 +55,7 @@ def test_distance_matrix_agrees_with_single_source(chain):
 def heapq_distances(graph, source):
     """The former flooding_distance_all: a heapq loop that skips stale pops."""
     weights = graph.edge_weights
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    offsets, adj_node, adj_edge = graph.incidences()
     start = graph.node_index(source)
     dist = [TOP] * len(graph.nodes)
     dist[start] = BOTTOM
@@ -176,7 +176,7 @@ def prim_mst_edges(graph, root=None):
     starts = range(count)
     if root is not None:
         starts = [graph.node_index(root), *starts]
-    offsets, adj_node, adj_edge = graph.offsets, graph.adj_node, graph.adj_edge
+    offsets, adj_node, adj_edge = graph.incidences()
     edge_u, edge_v = graph.edge_u, graph.edge_v
     chosen = []
     visited = [False] * count
