@@ -10,6 +10,10 @@ from a few seeded markers with both engines.  The engines must agree, each
 marker must keep its label, and each node must get its least distance to a
 marker by that matrix, floored at zero, the label of a marker at that
 distance, and the least (distance, marker rank) pair its neighbors offer.
+As many node-weighted instances follow, with a ground drawn from 0..3, so
+that flat zones and parallel edges between two zones occur, and a ceiling
+on or above it: core_expanding_flood, contract_close_flood and local_flood
+at every node must each equal the oracle on the derived edge view.
 Prints one summary line;
 exits nonzero on the first disagreement, dumping the instance so it can
 be replayed.
@@ -28,10 +32,14 @@ from floodgraph import (
     berge_flood,
     build_graph,
     build_lake_dendrogram,
+    contract_close_flood,
+    core_expanding_flood,
     dendrogram_flood,
+    derive_edge_graph,
     dijkstra_flood,
     distance_matrix,
     flooding_distance_all,
+    local_flood,
     marker_segmentation,
     oracle_flood,
     prim_flood,
@@ -40,7 +48,8 @@ from floodgraph import (
 )
 
 
-def random_instance(rng: random.Random, max_nodes: int, max_weight: int):
+def random_skeleton(rng: random.Random, max_nodes: int):
+    """A random spanning tree plus up to n more distinct edges."""
     count = rng.randint(2, max_nodes)
     names = [f"n{i}" for i in range(count)]
     edges = [(names[rng.randrange(i)], names[i]) for i in range(1, count)]
@@ -51,12 +60,34 @@ def random_instance(rng: random.Random, max_nodes: int, max_weight: int):
         if i != j and key not in seen:
             seen.add(key)
             edges.append((names[i], names[j]))
+    return names, edges
+
+
+def random_instance(rng: random.Random, max_nodes: int, max_weight: int):
+    names, edges = random_skeleton(rng, max_nodes)
     weights = [rng.randint(0, max_weight) for _ in edges]
     omega = {
         name: rng.randint(0, max_weight) if rng.random() < 0.5 else TOP
         for name in names
     }
     return build_graph(names, edges, edge_weights=weights), omega
+
+
+def random_node_instance(rng: random.Random, max_nodes: int):
+    """A ground from 0..3 and a ceiling of ground + 0..3 at about half of the nodes."""
+    names, edges = random_skeleton(rng, max_nodes)
+    ground = {name: rng.randint(0, 3) for name in names}
+    omega = {name: level + rng.randint(0, 3) if rng.random() < 0.5 else TOP
+             for name, level in ground.items()}
+    return build_graph(names, edges, ground=ground), omega
+
+
+def node_flood_all(graph, omega):
+    return {
+        "core": core_expanding_flood(graph, omega).tau,
+        "contract_close_flood": contract_close_flood(graph, omega),
+        "local_flood": {node: local_flood(graph, omega, node) for node in graph.nodes},
+    }
 
 
 def flood_all(graph, omega):
@@ -139,9 +170,20 @@ def main() -> int:
                   file=sys.stderr)
             print(serialize_graph(graph, omega), file=sys.stderr)
             return 1
+    node_rng = random.Random(2 * args.seed + 1)
+    for index in range(args.count):
+        graph, omega = random_node_instance(node_rng, args.max_nodes)
+        want = oracle_flood(derive_edge_graph(graph), omega)
+        for name, got in node_flood_all(graph, omega).items():
+            if got != want:
+                print(f"node-weighted instance {index}: {name} disagrees", file=sys.stderr)
+                print(serialize_graph(graph, omega), file=sys.stderr)
+                print(f"want {want}\ngot  {got}", file=sys.stderr)
+                return 1
     print(
         f"{args.count} instances, 5 solvers, the distance from every node and "
-        "segmentation by both engines against distance_matrix, 0 disagreements "
+        "segmentation by both engines against distance_matrix, and as many "
+        "node-weighted instances, 3 node routes against the oracle, 0 disagreements "
         f"(seed {args.seed}, n <= {args.max_nodes}, weights <= {args.max_weight})"
     )
     return 0

@@ -379,8 +379,8 @@ def _grid_topology(height: int, width: int, connectivity: int) -> tuple[tuple, C
 
 def _grid_arrays(plan: list[tuple], sizes: dict[int, int], top: int) -> tuple[array, ...]:
     """The arrays of ``sizes`` (target: length), copied from a count up to ``top``."""
+    count = _counting(top)  # first: its bytearray is freed before the targets exist
     arrays = {target: array(_INT, [0]) * size for target, size in sizes.items()}
-    count = _counting(top)
     for target, at, sa, la, da, value, sv, lv, dv, tall in plan:
         if target in arrays:
             for k in range(tall):

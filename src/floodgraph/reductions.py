@@ -8,14 +8,15 @@ the waterfall level, the lowest flooding a node can keep once water may
 escape through any pipe.
 
 Contraction merges every flat zone of the ground into a single node.
-Flooding commutes with it, which `contract_close_flood` exploits to
-flood a node-weighted graph on the zones, by index.  It closes the zone
-ground only at the zones a finite ceiling feeds, the kernel's seeds, and
-weighs the zone edges by the dilation of the zone ground, which is the
-dilation of the closing (dilate, erode, dilate is dilate).  `local_flood`
-answers "how high does the water stand at this one node" by a best-first
-search from it in order of flooding distance, which stops at the first
-distance that reaches the best ceiling seen, instead of flooding everything.
+Flooding commutes with it, which `contract_close_flood` exploits to flood
+a node-weighted graph on the zones, by index, with no zone graph.  It
+closes the zone ground only at the zones a finite ceiling feeds, its seeds,
+and raises a zone reached at lam to lam v its ground: the dilation of the
+closing, which is the dilation of the zone ground (dilate, erode, dilate is
+dilate).  `local_flood` answers "how high does the water stand at this one
+node" by a best-first search from it in order of flooding distance, which
+stops at the first distance that reaches the best ceiling seen, instead of
+flooding everything.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ from .graphs import (
     NodeValues,
     ceiling_by_index,
     connected_components,
-    dilation,
     group_by_label,
     index_graph,
     node_indices,
     values_by_index,
 )
 from .hydro import is_edge_flooding
-from .ultrametric import Funnel, _best_first_flood
+from .ultrametric import Funnel
 from .weights import TOP, Weight
 
 __all__ = [
@@ -124,32 +124,31 @@ def contract_flat_zones(
     min over each zone, since a lake covering the zone is capped by the
     lowest ceiling above it (a ``NodeValues`` over the contracted graph).
     """
-    zone_of, reps, ground, low, *ends, weights = _contract(graph, omega, "contract_flat_zones")
-    contracted = index_graph(reps, *ends, ground, weights)
+    cross, zone_of, firsts, low = _zones(graph, omega, "contract_flat_zones")
+    *ends, weights = _zone_edges(graph, zone_of, len(firsts), cross)
+    names, ground = graph.nodes, graph.ground_values  # a zone's are its first node's
+    contracted = index_graph([names[i] for i in firsts], *ends, [ground[i] for i in firsts], weights)
     contracted_omega = None if low is None else NodeValues(contracted, low)
     return contracted, ContractionMap(contracted, graph, zone_of), contracted_omega
 
 
-def _contract(
+def _zones(
     graph: Graph, omega: Mapping[str, Weight] | None, operation: str
-) -> tuple[array, list[str], list[Weight], list[Weight] | None, array, array, list | None]:
-    """The contraction by index: ``(zone_of, reps, ground, low, edge_u, edge_v, weights)``,
-    with each zone's first node's name and ground, its lowest ceiling (``low`` is None
-    without one) and the zone edges of `_zone_edges`."""
+) -> tuple[list[bool], array, array, list[Weight] | None]:
+    """The flat zones by index: ``(cross, zone_of, firsts, low)``: the edges whose ends
+    lie in two zones, each node's zone, each zone's first node and lowest finite ceiling
+    (top where it has none; ``low`` is None without a ceiling)."""
     ground = graph.require_ground_values(operation)
     cross = [ground[u] != ground[v] for u, v in zip(graph.edge_u, graph.edge_v)]
     zone_of, firsts = connected_components(graph, list(map(not_, cross)))
     low = None
-    if omega is not None:  # each zone's lowest finite ceiling, top where it has none
+    if omega is not None:
         ceiling = ceiling_by_index(graph, omega, "ceiling")
         low = [TOP] * len(firsts)
         for zone, level in compress(zip(zone_of, ceiling), map(lt, ceiling, repeat(TOP))):
             if level < low[zone]:
                 low[zone] = level
-        del ceiling  # a list by node: not kept through the zone edges' peak
-    edges = _zone_edges(graph, zone_of, len(firsts), cross)
-    names = graph.nodes  # each zone's first node gives its name and ground
-    return zone_of, [names[i] for i in firsts], [ground[i] for i in firsts], low, *edges
+    return cross, zone_of, firsts, low
 
 
 def _zone_edges(
@@ -184,25 +183,40 @@ def _zone_edges(
 def contract_close_flood(graph: Graph, omega: Mapping[str, Weight]) -> NodeValues:
     """Flood a node-weighted graph by contracting, closing, then flooding.
 
-    Flat zones are merged first, and the min-max kernel floods the zone
-    graph in one pass, seeded at each zone's ceiling raised to its closing
-    (the erosion of the dilation of the zone ground).  Its edge weights are
-    the dilation of the closed relief, which is the dilation of the zone
-    ground itself, since dilating, eroding and dilating again is dilating.
-    A zone with no finite ceiling is no seed, whatever its closing, so the
-    closing is taken at the seeds alone.  A final cap at the ceiling then
-    reproduces the flooding of the original graph exactly.
+    Each flat zone lists the zones across its cross edges, once per edge: a
+    parallel edge costs one compare.  A min-max best-first loop over those
+    lists starts at each fed zone's ceiling raised to its closing (the
+    erosion of the dilation of the zone ground) and raises a zone reached at
+    lam to lam v its ground, the dilation of the closed relief.  A zone with
+    no finite ceiling is no seed, whatever its closing.  A final cap at the
+    ceiling then reproduces the flooding of the original graph exactly.  The
+    loop is its own: the kernel reads a graph's incidences; these are lists.
     """
-    zone_of, reps, ground, ceiling, *ends, _ = _contract(graph, omega, "contract_close_flood")
-    contracted = index_graph(reps, *ends)
-    offsets, adj_node, _ = contracted.incidences()
-    chi = [TOP] * len(reps)  # lowered in place
+    cross, zone_of, firsts, ceiling = _zones(graph, omega, "contract_close_flood")
+    ground = list(map(graph.ground_values.__getitem__, firsts))
+    around: list[list[int]] = [[] for _ in firsts]  # each zone's zones across its cross edges
+    zone = zone_of.tolist().__getitem__  # the lists share its ints
+    for zu, zv in zip(*(map(zone, compress(side, cross)) for side in (graph.edge_u, graph.edge_v))):
+        around[zu].append(zv)
+        around[zv].append(zu)
+    del cross  # a list by edge: not kept through the flood
+    chi = [TOP] * len(firsts)  # lowered in place
     fed = [zone for zone, level in enumerate(ceiling) if level < TOP]
+    funnel = Funnel()
     for zone in fed:  # the closing: max(ground, lowest neighbor), top when alone
-        around = adj_node[offsets[zone] : offsets[zone + 1]]
-        closed = max(ground[zone], min(map(ground.__getitem__, around))) if around else TOP
-        chi[zone] = max(ceiling[zone], closed)
-    _best_first_flood(contracted, dilation(contracted, ground), chi, fed)
+        near = around[zone]
+        closed = max(ground[zone], min(map(ground.__getitem__, near))) if near else TOP
+        chi[zone] = level = max(ceiling[zone], closed)
+        funnel[level].append(zone)
+    for lam, bucket in funnel.buckets():  # a zone's level is never below its ground
+        for zone in bucket:
+            if chi[zone] != lam:
+                continue
+            for other in around[zone]:
+                candidate = ground[other] if ground[other] > lam else lam
+                if candidate < chi[other]:
+                    chi[other] = candidate
+                    funnel[candidate].append(other)
     # A minimum whose own ceiling sits below the closing never spills;
     # the final cap hands it back its ceiling.
     for zone in fed:

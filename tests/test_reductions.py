@@ -7,7 +7,7 @@ from collections import Counter, deque
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from floodgraph import (
     BOTTOM,
@@ -295,7 +295,7 @@ def test_contract_close_flood_matches_the_direct_solver(graph):
 @settings(max_examples=200)
 @given(st.randoms(use_true_random=False))
 def test_contract_close_flood_under_a_mostly_open_sky(rng):
-    """Nine ceilings in ten are top: only the other zones seed the kernel."""
+    """Nine ceilings in ten are top: only the other zones seed the flood."""
     graph = rough_node_graph(rng)
     omega = ceiling_above(rng, graph, top_chance=0.9)
     assert contract_close_flood(graph, omega) == core_expanding_flood(graph, omega).tau
@@ -320,6 +320,66 @@ def test_contract_close_flood_caps_every_minimum_below_its_closing(rng):
     omega = dict.fromkeys(graph.nodes, TOP)
     for zone in regional_minima(graph, ground):
         omega[zone[-1]] = ground[zone[-1]]
+    assert contract_close_flood(graph, omega) == core_expanding_flood(graph, omega).tau
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.integers(0, 3), min_size=2, max_size=6),
+    st.integers(2, 6),
+    st.sampled_from((4, 8)),
+    st.randoms(use_true_random=False),
+)
+def test_contract_close_flood_on_terraces(rows, width, connectivity, rng):
+    """Each row is flat, so two unequal adjacent rows are two zones joined by
+    ``width`` parallel cross edges or more, each listed once per edge."""
+    assume(any(a != b for a, b in zip(rows, rows[1:])))
+    graph = grid_graph([[level] * width for level in rows], connectivity)
+    omega = ceiling_above(rng, graph)
+    assert contract_close_flood(graph, omega) == core_expanding_flood(graph, omega).tau
+
+
+@given(node_graphs(max_ground=0), st.randoms(use_true_random=False))
+def test_contract_close_flood_on_one_single_zone(graph, rng):
+    """No cross edge at all: the one zone has no closing and stands at its lowest ceiling."""
+    omega = ceiling_above(rng, graph)
+    tau = contract_close_flood(graph, omega)
+    assert tau == core_expanding_flood(graph, omega).tau
+    assert set(tau.values()) == {min(omega.values())}
+
+
+@given(node_graphs(), st.integers(1, 4), st.integers(0, 5), st.randoms(use_true_random=False))
+def test_contract_close_flood_with_a_zone_that_has_no_cross_edge(graph, size, level, rng):
+    """A flat path of ``size`` nodes, a component of its own beside a connected graph."""
+    lone = [f"z{i}" for i in range(size)]
+    joined = build_graph(
+        [*graph.nodes, *lone],
+        [*graph.edges, *zip(lone, lone[1:])],
+        ground={**ground_of(graph), **dict.fromkeys(lone, level)},
+    )
+    omega = ceiling_above(rng, joined)
+    tau = contract_close_flood(joined, omega)
+    assert tau == core_expanding_flood(joined, omega).tau
+    assert {tau[node] for node in lone} == {min(omega[node] for node in lone)}
+
+
+@given(rough_node_graphs())
+def test_contract_close_flood_under_an_all_top_ceiling(graph):
+    """No zone is fed: nothing is closed or flooded, and every node stays at top."""
+    omega = dict.fromkeys(graph.nodes, TOP)
+    tau = contract_close_flood(graph, omega)
+    assert tau == core_expanding_flood(graph, omega).tau == omega
+
+
+@given(rough_node_graphs(), st.randoms(use_true_random=False))
+def test_contract_close_flood_caps_a_fed_zone_below_its_closing(graph, rng):
+    """The ceiling is the ground at about half of the nodes, so a fed zone whose
+    neighbours all stand higher holds a ceiling below its closing."""
+    ground = ground_of(graph)
+    omega = {node: ground[node] if rng.random() < 0.5 else TOP for node in graph.nodes}
+    zones, _, low = contract_flat_zones(graph, omega)
+    closing = node_closing(zones)
+    assume(any(low[zone] < closing[zone] < TOP for zone in zones.nodes))
     assert contract_close_flood(graph, omega) == core_expanding_flood(graph, omega).tau
 
 
