@@ -111,8 +111,7 @@ def walk_dendrogram():
         (leaves, 10),
     )
     dendro = build_dendrogram(leaves, groups)
-    for index, diam in enumerate(dendro.diam):
-        members = dendro.members(index)
+    for diam, members in zip(dendro.diam, dendro.all_members()):
         if len(members) > 1:
             print(f"  cluster {''.join(members)} diam={diam}")
     omega = {name: TOP for name in leaves}

@@ -2,12 +2,15 @@
 """Standalone cross-check: all flood solvers against the brute-force oracle.
 
 Generates seeded random connected edge-weighted graphs with part-finite
-ceilings, floods each with every solver, and compares against the closed
-formula (min over sources of ceiling-join-distance).  On each instance it
-also checks the single-source flooding distance from every node against
-the all-pairs (Floyd-Warshall) distance matrix, and segments the graph
-from a few seeded markers with both engines.  The engines must agree, each
-marker must keep its label, and each node must get its least distance to a
+ceilings, floods each by six routes (berge by both schedules, dijkstra,
+prim, the lake dendrogram, and the flooding distance from the reservoir
+that augment_with_dummy joins to each finite-ceiling node, read at the
+original nodes), and compares them against the closed formula (min over
+sources of ceiling-join-distance).  On each instance it also checks the
+single-source flooding distance from every node against the all-pairs
+(Floyd-Warshall) distance matrix, and segments the graph from a few
+seeded markers with both engines.  The engines must agree, each marker
+must keep its label, and each node must get its least distance to a
 marker by that matrix, floored at zero, the label of a marker at that
 distance, and the least (distance, marker rank) pair its neighbors offer.
 As many node-weighted instances follow, with a ground drawn from 0..3, so
@@ -29,6 +32,7 @@ import random
 import sys
 
 from floodgraph import (
+    augment_with_dummy,
     berge_flood,
     build_graph,
     build_lake_dendrogram,
@@ -91,12 +95,15 @@ def node_flood_all(graph, omega):
 
 
 def flood_all(graph, omega):
+    augmented, reservoir = augment_with_dummy(graph, omega)
+    from_reservoir = flooding_distance_all(augmented, reservoir)
     return {
         "berge/gs": berge_flood(graph, omega).tau,
         "berge/jacobi": berge_flood(graph, omega, schedule="jacobi").tau,
         "dijkstra": dijkstra_flood(graph, omega).tau,
         "prim": prim_flood(graph, omega).tau,
         "dendrogram": dendrogram_flood(build_lake_dendrogram(graph), omega),
+        "reservoir": {node: from_reservoir[node] for node in graph.nodes},
     }
 
 
@@ -146,7 +153,7 @@ def main() -> int:
         want = oracle_flood(graph, omega)
         for name, got in flood_all(graph, omega).items():
             if got != want:
-                print(f"instance {index}: solver {name} disagrees", file=sys.stderr)
+                print(f"instance {index}: route {name} disagrees", file=sys.stderr)
                 print(serialize_graph(graph, omega), file=sys.stderr)
                 print(f"want {want}\ngot  {got}", file=sys.stderr)
                 return 1
@@ -181,7 +188,7 @@ def main() -> int:
                 print(f"want {want}\ngot  {got}", file=sys.stderr)
                 return 1
     print(
-        f"{args.count} instances, 5 solvers, the distance from every node and "
+        f"{args.count} instances, 6 edge routes, the distance from every node and "
         "segmentation by both engines against distance_matrix, and as many "
         "node-weighted instances, 3 node routes against the oracle, 0 disagreements "
         f"(seed {args.seed}, n <= {args.max_nodes}, weights <= {args.max_weight})"

@@ -4,8 +4,9 @@ The clusters of the lake dendrogram are the distinct closed balls of the
 flooding distance; one loop over the Kruskal merges in increasing edge
 weight (single linkage) enumerates exactly those balls, and numbers the
 clusters born at one level in the order of the last merge that touched
-their root.  Dominated flooding evaluated directly on the tree, and the
-growth of one lake as the water rises, live here too.
+their root.  On finite weights the lakes around one node, as the water
+rises, are the clusters above its leaf, each from its diam on.  Dominated
+flooding evaluated directly on the tree lives here too.
 
 Cluster indices are topological: every father's index is above its
 children's, leaves come first.  A `Dendrogram` is the parent array of
@@ -26,18 +27,16 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import ConstructionError
 from .graphs import Graph, NodeValues, ceiling_by_index, index_graph
-from .ultrametric import flooding_distance_all, single_linkage
+from .ultrametric import single_linkage
 from .weights import BOTTOM, TOP, Weight
 
 __all__ = [
     "Cluster",
     "Dendrogram",
-    "GrowthStage",
     "build_dendrogram",
     "build_lake_dendrogram",
     "dendrogram_flood",
     "is_dendrogram",
-    "lake_growth_sequence",
 ]
 
 
@@ -262,41 +261,3 @@ def dendrogram_flood(dendro: Dendrogram, omega_leaf: Mapping[str, Weight]) -> No
         up = father[index]
         level[index] = level[up] if up is not None and level[up] < value else value
     return NodeValues(dendro.graph, level[:leaves])
-
-
-@dataclass(frozen=True)
-class GrowthStage:
-    nodes: tuple[str, ...]
-    low: Weight
-    high: Weight
-
-
-def lake_growth_sequence(graph: Graph, node: str) -> tuple[GrowthStage, ...]:
-    """How the lake around a node grows as the water level rises.
-
-    Alternates regional-minimum stages (the set is a lake for every level
-    strictly inside (low, high), so low < high) with lake-zone stages (at
-    level == high the lake jumps to the closed ball at that radius, so
-    low == high), until the node's whole component is covered or nothing
-    more can be reached.
-
-    One distance pass gives every stage: the lowest edge leaving the ball
-    of radius r weighs the next distinct distance above r (an edge to q
-    outside weighs at least d(q), and the best chain to q leaves through an
-    edge no higher), so the stages step through the sorted distances.
-    """
-    graph.require_edge_weights("lake_growth_sequence")
-    dist = flooding_distance_all(graph, node)
-
-    def ball(radius: Weight) -> tuple[str, ...]:
-        return tuple(name for name, level in dist.items() if level <= radius)
-
-    radii = sorted(set(dist.values()))  # radii[0] is bottom: the node itself
-    stages: list[GrowthStage] = []
-    region = ball(BOTTOM)
-    for low, spill in zip(radii, radii[1:] or [TOP]):  # one radius: one stage
-        stages.append(GrowthStage(region, low, spill))
-        if spill < TOP:
-            region = ball(spill)
-            stages.append(GrowthStage(region, spill, spill))
-    return tuple(stages)

@@ -2,8 +2,9 @@
 
 `node_erosion` turns edge weights into node values (min of the incident
 edges); with the dilation of node values into edge weights (max of the two
-endpoints, as in `derive_edge_graph`) it forms an adjunction, whose closing
-of the ground is `node_closing`.  The erosion of the edge weights is also
+endpoints, as in `derive_edge_graph`) it forms an adjunction.  Its closing
+of the ground, max(ground, lowest neighbor ground), is the relief
+`contract_close_flood` floods.  The erosion of the edge weights is also
 the waterfall level, the lowest flooding a node can keep once water may
 escape through any pipe.
 
@@ -47,7 +48,6 @@ __all__ = [
     "contract_close_flood",
     "contract_flat_zones",
     "local_flood",
-    "node_closing",
     "node_erosion",
     "waterfall_flooding",
 ]
@@ -60,17 +60,6 @@ def node_erosion(graph: Graph) -> NodeValues:
     return NodeValues(graph, [
         min(map(weights.__getitem__, adj_edge[low:high]), default=TOP)
         for low, high in zip(offsets, offsets[1:])
-    ])
-
-
-def node_closing(graph: Graph) -> NodeValues:
-    """Closing on the ground: dilate to the edges, erode back.  That is
-    max(ground, lowest neighbor ground), or top for an isolated node."""
-    levels = graph.require_ground_values("node_closing")
-    offsets, adj_node, _ = graph.incidences()
-    return NodeValues(graph, [
-        max(level, min(map(levels.__getitem__, adj_node[low:high]))) if low < high else TOP
-        for level, low, high in zip(levels, offsets, offsets[1:])
     ])
 
 

@@ -35,6 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
+from operator import lt
 from typing import Mapping
 
 from .errors import PreconditionError
@@ -296,7 +297,9 @@ def core_expanding_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverRes
     ground = graph.require_ground_values("core_expanding_flood")
     ceiling = ceiling_by_index(graph, omega)
     total = len(ceiling)
-    order = sorted(range(total), key=ceiling.__getitem__)  # stable: ties by index
+    # only a finite ceiling opens a core: once they are spent, lam is top
+    fed = compress(range(total), map(lt, ceiling, repeat(TOP)))
+    order = sorted(fed, key=ceiling.__getitem__)  # stable: ties by index
     offsets, adj_node, _ = graph.incidences()
     tau: list[Weight] = [TOP] * total
     flooded = [False] * total
@@ -306,9 +309,9 @@ def core_expanding_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverRes
     batch: deque[tuple[int, Weight]] = deque()
     extractions = relaxations = pointer = 0
     while wet < total:
-        while pointer < total and flooded[order[pointer]]:
+        while pointer < len(order) and flooded[order[pointer]]:
             pointer += 1
-        lam = ceiling[order[pointer]] if pointer < total else TOP
+        lam = ceiling[order[pointer]] if pointer < len(order) else TOP
         mu = heap[0] if heap else TOP
         if lam == TOP and mu == TOP:
             break  # the rest stays dry under an open sky: tau is top there

@@ -1119,6 +1119,14 @@ def test_argparse_errors_exit_2(capsys, chain_file):
     assert run(capsys)[0] == 2
 
 
+def test_an_edge_route_without_weights_or_ground_exits_1(capsys, tmp_path):
+    bare = tmp_path / "bare.fg"
+    bare.write_text("floodgraph v1\nnode a\nnode b\nedge a b\n")
+    code, out, err = run(capsys, "mst", "--graph", str(bare), "--derive-edges")
+    assert (code, out) == (1, "")
+    assert err == "error: mst needs edge weights and the input carries none\n"
+
+
 def test_domain_errors_exit_1(capsys, tmp_path, chain_file):
     low = tmp_path / "low.txt"
     low.write_text("a 0\nb 1\nc 0\nd 0\ne 0\n")

@@ -15,7 +15,6 @@ from floodgraph import (
     Cluster,
     ConstructionError,
     Dendrogram,
-    GrowthStage,
     PreconditionError,
     berge_flood,
     build_dendrogram,
@@ -27,7 +26,6 @@ from floodgraph import (
     distance_matrix,
     flooding_distance_all,
     is_dendrogram,
-    lake_growth_sequence,
     oracle_flood,
     prim_flood,
 )
@@ -525,40 +523,9 @@ def test_dendrogram_flood_matches_the_closed_formula(graph):
 # -- lake growth ------------------------------------------------------------------------
 
 
-def test_lake_growth_from_the_deep_end(chain):
-    stages = lake_growth_sequence(chain.edge_graph, "e")
-    summary = [(s.nodes, s.low, s.high) for s in stages]
-    assert summary == [  # a lake-zone stage has low == high, a regional minimum low < high
-        (("e",), BOTTOM, 2),
-        (("c", "d", "e"), 2, 2),
-        (("c", "d", "e"), 2, 4),
-        (("a", "b", "c", "d", "e"), 4, 4),
-    ]
-
-
-def test_lake_growth_from_the_shallow_end(chain):
-    stages = lake_growth_sequence(chain.edge_graph, "a")
-    summary = [(s.nodes, s.low, s.high) for s in stages]
-    assert summary == [(("a",), BOTTOM, 4), (("a", "b", "c", "d", "e"), 4, 4)]
-
-
-def test_lake_growth_single_edge():
-    graph = build_graph(["p", "q"], [("p", "q")], edge_weights=[5])
-    stages = lake_growth_sequence(graph, "p")
-    assert [(s.nodes, s.low, s.high) for s in stages] == [(("p",), BOTTOM, 5), (("p", "q"), 5, 5)]
-
-
-def test_lake_growth_isolated_node():
-    graph = build_graph(["lonely", "u", "v"], [("u", "v")], edge_weights=[1])
-    stages = lake_growth_sequence(graph, "lonely")
-    assert len(stages) == 1
-    only = stages[0]
-    assert only.nodes == ("lonely",)
-    assert (only.low, only.high) == (BOTTOM, TOP)  # a regional minimum: low < high
-
-
 def per_stage_lake_growth(graph, node):
-    """The former lake_growth_sequence: a ball and a lowest cocycle edge per stage."""
+    """The lakes around ``node`` as the water rises, each with the level it opens at:
+    a closed ball of the flooding distance, grown over the lowest edge leaving it."""
     dist = flooding_distance_all(graph, node)
 
     def ball(radius):
@@ -568,27 +535,32 @@ def per_stage_lake_growth(graph, node):
         ends = zip(graph.edges, graph.edge_weights)
         return min((w for (u, v), w in ends if (u in inside) != (v in inside)), default=TOP)
 
-    component = set(ball(TOP))
-    stages = []
-    region = ball(BOTTOM)
-    floor = BOTTOM
-    while True:
-        if set(region) == component:
-            if not stages:
-                stages.append(GrowthStage(region, floor, TOP))
-            break
-        spill = lowest_cocycle_weight(set(region))
-        stages.append(GrowthStage(region, floor, spill))
-        if spill == TOP:
-            break
-        region = ball(spill)
-        stages.append(GrowthStage(region, spill, spill))
-        floor = spill
-    return tuple(stages)
+    stages = [(ball(BOTTOM), BOTTOM)]
+    while (spill := lowest_cocycle_weight(set(stages[-1][0]))) < TOP:
+        stages.append((ball(spill), spill))
+    return stages
+
+
+def clusters_above(dendro, leaf):
+    """The members and diam of leaf ``leaf``'s cluster and of each cluster above it."""
+    path = [leaf]
+    while dendro.father[path[-1]] is not None:
+        path.append(dendro.father[path[-1]])
+    return [(dendro.members(cluster), dendro.diam[cluster]) for cluster in path]
+
+
+def test_the_lakes_around_a_chain_node_are_the_clusters_above_its_leaf(chain):
+    dendro = build_lake_dendrogram(chain.edge_graph)
+    lakes_of_e = [(("e",), BOTTOM), (("c", "d", "e"), 2), (("a", "b", "c", "d", "e"), 4)]
+    assert per_stage_lake_growth(chain.edge_graph, "e") == lakes_of_e
+    assert clusters_above(dendro, chain.edge_graph.nodes.index("e")) == lakes_of_e
 
 
 @settings(max_examples=300)
 @given(rough_edge_graphs())
-def test_lake_growth_matches_the_per_stage_loop(graph):
-    for node in graph.nodes:
-        assert lake_growth_sequence(graph, node) == per_stage_lake_growth(graph, node)
+def test_the_lakes_around_a_node_are_the_clusters_above_its_leaf(graph):
+    """On finite weights, parallel edges and components without an edge included."""
+    graph = graph.with_edge_weights([min(max(w, 0), 9) for w in graph.edge_weights])
+    dendro = build_lake_dendrogram(graph)
+    for leaf, node in enumerate(graph.nodes):
+        assert clusters_above(dendro, leaf) == per_stage_lake_growth(graph, node)

@@ -26,7 +26,6 @@ from floodgraph import (
     dijkstra_flood,
     flooding_distance_all,
     grid_graph,
-    lake_growth_sequence,
     marker_segmentation,
     prim_flood,
 )
@@ -389,7 +388,6 @@ def _queue_routes():
         "segment_dijkstra": lambda: marker_segmentation(edges, markers),
         "segment_prim": lambda: marker_segmentation(edges, markers, engine="prim"),
         "contract_close_flood": lambda: contract_close_flood(graph, omega),
-        "lake_growth_sequence": lambda: lake_growth_sequence(edges, nodes[12]),
     }
 
 

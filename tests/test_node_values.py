@@ -26,7 +26,6 @@ from floodgraph import (
     lakes,
     local_flood,
     marker_segmentation,
-    node_closing,
     node_erosion,
     oracle_flood,
     parse_graph,
@@ -138,7 +137,6 @@ PRODUCERS = {
         view, dendrogram_flood(build_lake_dendrogram(view), omega)
     ),
     "node_erosion": lambda graph, view, omega: (view, node_erosion(view)),
-    "node_closing": lambda graph, view, omega: (graph, node_closing(graph)),
     "waterfall_flooding": lambda graph, view, omega: (view, waterfall_flooding(view)),
     "distance_matrix": lambda graph, view, omega: (view, *distance_matrix(view).values()),
     "ContractionMap.expand": _expanded,

@@ -24,16 +24,6 @@ CALLERS = [
     ROOT / "tests" / "conftest.py",
 ]
 
-# Public names no caller needs, kept because each is a construction of the paper.
-CONSTRUCTIONS = {
-    # the reservoir node: the dominated flooding is the flooding distance from it
-    "augment_with_dummy",
-    # a lake's growth as the water level rises
-    "lake_growth_sequence",
-    # the closing εδ of the ground, the relief `contract_close_flood` floods
-    "node_closing",
-}
-
 SURFACE = {
     "errors": ["ConstructionError", "FloodgraphError", "GraphFormatError", "PreconditionError"],
     "weights": [
@@ -59,12 +49,12 @@ SURFACE = {
         "prim_flood",
     ],
     "dendrogram": [
-        "Cluster", "Dendrogram", "GrowthStage", "build_dendrogram",
-        "build_lake_dendrogram", "dendrogram_flood", "is_dendrogram", "lake_growth_sequence",
+        "Cluster", "Dendrogram", "build_dendrogram", "build_lake_dendrogram", "dendrogram_flood",
+        "is_dendrogram",
     ],
     "reductions": [
         "ContractionMap", "contract_close_flood", "contract_flat_zones", "local_flood",
-        "node_closing", "node_erosion", "waterfall_flooding",
+        "node_erosion", "waterfall_flooding",
     ],
 }
 
@@ -80,7 +70,7 @@ def test_each_module_lists_the_names_it_defines_and_the_package_exports():
             assert getattr(floodgraph, public) is value
             if inspect.isclass(value) or inspect.isfunction(value):
                 assert value.__module__ == module.__name__, public
-    assert len(declared) == len(set(declared)) == 61
+    assert len(declared) == len(set(declared)) == 58
     assert sorted(floodgraph.__all__) == sorted(declared)
 
 
@@ -134,9 +124,9 @@ def called_names(path: Path) -> set[str]:
     return names
 
 
-def test_every_public_name_has_a_caller_or_is_a_construction():
+def test_every_public_name_has_a_caller():
     called = set().union(*map(called_names, CALLERS))
-    assert set(floodgraph.__all__) - called == CONSTRUCTIONS
+    assert sorted(set(floodgraph.__all__) - called) == []
 
 
 def attribute_names(path: Path) -> set[str]:
@@ -207,7 +197,6 @@ PARAMETERS = {
     "dijkstra_flood": ("graph", "omega"),
     "flat_zones": ("graph", "values"),
     "marker_segmentation": ("graph", "markers", "engine"),
-    "node_closing": ("graph",),
     "node_erosion": ("graph",),
     "prim_flood": ("graph", "sources"),
     "regional_minima": ("graph", "values"),

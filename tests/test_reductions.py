@@ -21,7 +21,6 @@ from floodgraph import (
     grid_graph,
     is_edge_flooding,
     local_flood,
-    node_closing,
     node_erosion,
     regional_minima,
     waterfall_flooding,
@@ -36,7 +35,6 @@ from strategies import (
     edge_graphs,
     ground_of,
     node_graphs,
-    rough_edge_graphs,
     rough_node_flood_instances,
     rough_node_graph,
     rough_node_graphs,
@@ -55,6 +53,12 @@ def edge_opening(graph):
     return dilation(graph, levels(graph, node_erosion(graph)))
 
 
+def reference_node_closing(graph):
+    """Closing on the ground, the relief ``contract_close_flood`` floods: dilate to
+    the edges, erode back."""
+    return node_erosion(graph.with_edge_weights(dilation(graph, graph.ground_values)))
+
+
 def test_edge_dilation_chain(chain):
     assert dilation(chain.graph, chain.graph.ground_values) == (4, 4, 2, 2)
     assert dilation(chain.graph, levels(chain.graph, chain.omega)) == (5, 5, 3, 3)
@@ -70,7 +74,7 @@ def test_node_erosion_isolated_node_gets_top():
 
 
 def test_closing_and_opening_chain(chain):
-    assert node_closing(chain.graph) == {"a": 4, "b": 4, "c": 2, "d": 2, "e": 2}
+    assert reference_node_closing(chain.graph) == {"a": 4, "b": 4, "c": 2, "d": 2, "e": 2}
     assert edge_opening(chain.edge_graph) == (4, 4, 2, 2)
 
 
@@ -91,48 +95,17 @@ def test_closing_dilates_like_the_ground(graph, lone):
     eroding and dilating again is dilating), an isolated node included."""
     ground = {**ground_of(graph), "lone": lone}
     graph = build_graph([*graph.nodes, "lone"], graph.edges, ground=ground)
-    closed = node_closing(graph)
+    closed = reference_node_closing(graph)
     assert closed["lone"] == TOP
     assert dilation(graph, levels(graph, closed)) == dilation(graph, graph.ground_values)
 
 
 @given(node_graphs())
 def test_closing_is_extensive_and_idempotent(graph):
-    closed = node_closing(graph)
+    closed = reference_node_closing(graph)
     ground = ground_of(graph)
     assert all(closed[n] >= ground[n] for n in graph.nodes)
-    assert node_closing(build_graph(graph.nodes, graph.edges, ground=closed)) == closed
-
-
-def reference_node_closing(graph):
-    """The former node_closing: dilate to the edges, erode back."""
-    ground = graph.require_ground_values("node_closing")
-    return node_erosion(graph.with_edge_weights(dilation(graph, ground)))
-
-
-def closing_outcome(closing, graph):
-    try:
-        closed = closing(graph)
-    except PreconditionError as exc:
-        return type(exc), str(exc)
-    return list(closed.items())  # the node order too
-
-
-@settings(max_examples=300)
-@given(st.one_of(rough_node_graphs(), rough_edge_graphs()), st.randoms(use_true_random=False))
-def test_node_closing_matches_the_adjunction(graph, rng):
-    values = {node: rng.choice([BOTTOM, TOP, *range(6)]) for node in graph.nodes}
-    for relief in (graph, build_graph(graph.nodes, graph.edges, ground=values)):
-        assert closing_outcome(node_closing, relief) == closing_outcome(
-            reference_node_closing, relief
-        )
-
-
-def test_node_closing_without_a_ground_names_itself():
-    graph = build_graph(["a", "b"], [("a", "b")], edge_weights=[3])
-    with pytest.raises(PreconditionError) as err:
-        node_closing(graph)
-    assert str(err.value) == "node_closing needs a node-weighted graph (ground values)"
+    assert reference_node_closing(build_graph(graph.nodes, graph.edges, ground=closed)) == closed
 
 
 @given(edge_graphs())
@@ -305,7 +278,7 @@ def test_contract_close_flood_caps_a_minimum_below_its_closing():
     graph = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")], ground={"a": 0, "b": 0, "c": 5})
     omega = {"a": 2, "b": TOP, "c": TOP}
     zones, _, _ = contract_flat_zones(graph)
-    assert node_closing(zones) == {"a": 5, "c": 5} and omega["a"] < 5  # the cap sets "a"
+    assert reference_node_closing(zones) == {"a": 5, "c": 5} and omega["a"] < 5  # the cap sets "a"
     assert contract_close_flood(graph, omega) == {"a": 2, "b": 2, "c": 5}
     assert core_expanding_flood(graph, omega).tau == {"a": 2, "b": 2, "c": 5}
 
@@ -378,7 +351,7 @@ def test_contract_close_flood_caps_a_fed_zone_below_its_closing(graph, rng):
     ground = ground_of(graph)
     omega = {node: ground[node] if rng.random() < 0.5 else TOP for node in graph.nodes}
     zones, _, low = contract_flat_zones(graph, omega)
-    closing = node_closing(zones)
+    closing = reference_node_closing(zones)
     assume(any(low[zone] < closing[zone] < TOP for zone in zones.nodes))
     assert contract_close_flood(graph, omega) == core_expanding_flood(graph, omega).tau
 

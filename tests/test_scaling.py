@@ -27,7 +27,6 @@ from floodgraph import (
     flat_zones,
     grid_graph,
     is_dendrogram,
-    lake_growth_sequence,
     serialize_graph,
     write_pgm,
 )
@@ -285,14 +284,27 @@ def test_checkerboard_flat_zones_are_fast():
     assert elapsed < 1.0
 
 
-def test_deep_path_lake_growth_is_one_distance_pass():
-    """From the low end of an increasing path every edge opens a new stage."""
-    path = increasing_path(2000)
-    start = time.perf_counter()
-    stages = lake_growth_sequence(path, path.nodes[0])
-    elapsed = time.perf_counter() - start
-    assert len(stages) == 2 * 1999
-    assert elapsed < 2.0
+def test_core_expanding_flood_peak_sorts_only_the_fed_nodes():
+    """The raster recipe of ``raster_child_peak`` at 256x256: only the finite-ceiling
+    nodes, about one in ten, are sorted into core order.  The grid's incidences are
+    built before the trace, so the peak is core's own (about 99 B/node when every
+    node was sorted)."""
+    size = 256
+    rng = random.Random(1)
+    grid = grid_graph([[rng.randint(0, 50) for _ in range(size)] for _ in range(size)])
+    omega = {
+        node: level + rng.randint(0, 5) if rng.random() < 0.1 else TOP
+        for node, level in zip(grid.nodes, grid.ground_values)
+    }
+    grid.incidences()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        core_expanding_flood(grid, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (size * size) < 80
 
 
 @pytest.mark.parametrize("connectivity,limit", [(4, 300), (8, 350)])
