@@ -549,11 +549,34 @@ def clusters_above(dendro, leaf):
     return [(dendro.members(cluster), dendro.diam[cluster]) for cluster in path]
 
 
-def test_the_lakes_around_a_chain_node_are_the_clusters_above_its_leaf(chain):
+def test_lake_growth_from_the_deep_end(chain):
     dendro = build_lake_dendrogram(chain.edge_graph)
     lakes_of_e = [(("e",), BOTTOM), (("c", "d", "e"), 2), (("a", "b", "c", "d", "e"), 4)]
     assert per_stage_lake_growth(chain.edge_graph, "e") == lakes_of_e
     assert clusters_above(dendro, chain.edge_graph.nodes.index("e")) == lakes_of_e
+
+
+def test_lake_growth_from_the_shallow_end(chain):
+    dendro = build_lake_dendrogram(chain.edge_graph)
+    lakes_of_a = [(("a",), BOTTOM), (("a", "b", "c", "d", "e"), 4)]
+    assert per_stage_lake_growth(chain.edge_graph, "a") == lakes_of_a
+    assert clusters_above(dendro, chain.edge_graph.nodes.index("a")) == lakes_of_a
+
+
+def test_lake_growth_single_edge():
+    graph = build_graph(["p", "q"], [("p", "q")], edge_weights=[5])
+    lakes_of_p = [(("p",), BOTTOM), (("p", "q"), 5)]
+    assert per_stage_lake_growth(graph, "p") == lakes_of_p
+    assert clusters_above(build_lake_dendrogram(graph), 0) == lakes_of_p
+
+
+def test_lake_growth_isolated_node():
+    """A node without an edge is its own lake at every level: its leaf is a root."""
+    graph = build_graph(["lonely", "u", "v"], [("u", "v")], edge_weights=[1])
+    dendro = build_lake_dendrogram(graph)
+    assert dendro.father[0] is None
+    assert per_stage_lake_growth(graph, "lonely") == [(("lonely",), BOTTOM)]
+    assert clusters_above(dendro, 0) == [(("lonely",), BOTTOM)]
 
 
 @settings(max_examples=300)

@@ -58,6 +58,25 @@ def test_deep_path_dendrogram_memory_is_linear():
     assert peak / n < 400
 
 
+def test_deep_path_lake_growth_is_one_dendrogram_build():
+    """From the low end of an increasing path every edge opens a new lake: the
+    clusters above its leaf, read off one build and one pass over the members."""
+    n = 2000
+    path = increasing_path(n)
+    start = time.perf_counter()
+    dendro = build_lake_dendrogram(path)
+    chain = [0]
+    while dendro.father[chain[-1]] is not None:
+        chain.append(dendro.father[chain[-1]])
+    on_chain = set(chain)
+    lakes = [members for cluster, members in enumerate(dendro.all_members()) if cluster in on_chain]
+    elapsed = time.perf_counter() - start
+    assert [dendro.diam[cluster] for cluster in chain[1:]] == list(range(n - 1))
+    assert [len(members) for members in lakes] == list(range(1, n + 1))
+    assert lakes[-1] == path.nodes
+    assert elapsed < 2.0
+
+
 # sha256 of `floodgraph dendro` on the 6,000-node increasing path, as the
 # command wrote it when it still joined its whole output into one string
 DEEP_PATH_DENDRO_SHA256 = "acf0c72d7dc6ed51dfe0f161da959a13e5598290127d8213fe2ebf6da712287c"

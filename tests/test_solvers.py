@@ -60,6 +60,19 @@ def test_augment_with_dummy_chain(chain):
     assert {node: dist[node] for node in chain.edge_graph.nodes} == chain.tau
 
 
+@settings(max_examples=300)
+@given(rough_flood_instances())
+def test_the_reservoir_distance_is_the_highest_flooding(instance):
+    """The flooding distance from the reservoir, read at the original nodes, is the
+    flooding under the ceiling: infinite weights, bottom ceilings and components
+    without a pipe included."""
+    graph, omega = instance
+    augmented, reservoir = augment_with_dummy(graph, omega)
+    from_reservoir = flooding_distance_all(augmented, reservoir)
+    expected = oracle_flood(graph, omega)
+    assert {node: from_reservoir[node] for node in graph.nodes} == expected
+
+
 def test_augment_skips_top_ceilings_and_dodges_name_collisions():
     graph = build_graph(["@omega", "x"], [("@omega", "x")], edge_weights=[3])
     augmented, dummy = augment_with_dummy(graph, {"@omega": TOP, "x": 2})
