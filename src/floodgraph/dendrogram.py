@@ -14,9 +14,8 @@ Najman, Cousty & Perret, "Playing with Kruskal" (ISMM 2013): `diam` and
 `father` by cluster, over its graph, and nothing else.  Building, flooding
 and the CLI read the arrays, walking `father` upward in index order;
 `all_members()` sorts each cluster's run of leaves and hands it up to its
-father, and `members(i)` names leaf `i` or scans down from `i` once.
-`Dendrogram.clusters` builds each cluster's row of the arrays as a
-`Cluster`, its children included, on every access.
+father.  `Dendrogram.clusters` builds each cluster's row of the arrays as
+a `Cluster`, its children included, on every access.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ class Dendrogram:
     Leaf ``i`` is cluster ``i``, node ``i`` of ``graph``.  ``diam`` and
     ``father`` (None for a summit) are lists by cluster, taken unchecked
     (`build_dendrogram` validates them): every father's index is above its
-    children's.  ``==`` and ``hash`` read ``graph.nodes`` and the arrays.
+    children's.
     """
 
     __slots__ = ("graph", "diam", "father")
@@ -62,22 +61,9 @@ class Dendrogram:
     def __init__(self, graph: Graph, diam: list[Weight], father: list[int | None]) -> None:
         self.graph, self.diam, self.father = graph, diam, father
 
-    def members(self, index: int) -> tuple[str, ...]:
-        """Leaf names under cluster ``index``, in declaration order: a leaf's own name,
-        else by one scan down from ``index`` (a cluster lies under it when its father does)."""
-        father, names = self.father, self.graph.nodes
-        index = range(len(father))[index]  # IndexError past the last cluster
-        if index < len(names):
-            return (names[index],)
-        inside = {index}
-        for cluster in range(index - 1, -1, -1):
-            if father[cluster] in inside:
-                inside.add(cluster)
-        return tuple(names[cluster] for cluster in sorted(inside) if cluster < len(names))
-
     def all_members(self) -> Iterator[tuple[str, ...]]:
-        """Every cluster's ``members``, in cluster order: a cluster sorts the runs
-        its children handed up into one (a merge), and hands that up in turn."""
+        """Every cluster's leaf names in declaration order, in cluster order: a cluster
+        sorts the runs its children handed up into one (a merge), and hands that up in turn."""
         names, father = self.graph.nodes, self.father
         yield from zip(names)  # leaf i is cluster i
         leaves, runs = len(names), {}
@@ -102,16 +88,6 @@ class Dendrogram:
         return tuple(map(
             Cluster, range(len(self.diam)), self.diam, self.father, map(tuple, children)
         ))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.graph.nodes, self.diam, self.father) == (
-            other.graph.nodes, other.diam, other.father
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.graph.nodes, tuple(self.diam), tuple(self.father)))
 
     def __repr__(self) -> str:
         return (f"Dendrogram(leaf_names={self.graph.nodes!r}, "

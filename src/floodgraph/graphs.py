@@ -74,14 +74,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"<Graph: {len(self.nodes)} nodes, {len(self.edge_u)} edges>"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and all(
-            getattr(self, attr) == getattr(other, attr)
-            for attr in ("nodes", "edge_u", "edge_v", "ground_values", "edge_weights")
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
     def incidences(self) -> tuple[array, array, array]:
         """(``offsets``, ``adj_node``, ``adj_edge``), built on first use: from the
         edge list, or for a grid from the stencil plan that wrote its edges."""

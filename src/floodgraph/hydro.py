@@ -97,9 +97,6 @@ class LakePartition:
     members: list[tuple[str, ...]]
     exhaust: list[list[int]]
 
-    def __hash__(self) -> int:  # part of what == compares, which is enough
-        return hash((tuple(self.levels), tuple(self.members)))
-
 
 def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
     """Partition nodes into lakes of a valid flooding and classify them.

@@ -1,12 +1,11 @@
 """Weight adjunctions, flat-zone contraction, and localized flooding.
 
-`node_erosion` turns edge weights into node values (min of the incident
-edges); with the dilation of node values into edge weights (max of the two
-endpoints, as in `derive_edge_graph`) it forms an adjunction.  Its closing
-of the ground, max(ground, lowest neighbor ground), is the relief
-`contract_close_flood` floods.  The erosion of the edge weights is also
-the waterfall level, the lowest flooding a node can keep once water may
-escape through any pipe.
+`waterfall_flooding` is the node erosion of the edge weights (min of the
+incident edges): the waterfall level, the lowest flooding a node can keep
+once water may escape through any pipe.  With the dilation of node values
+into edge weights (max of the two endpoints, as in `derive_edge_graph`)
+the erosion forms an adjunction.  Its closing of the ground, max(ground,
+lowest neighbor ground), is the relief `contract_close_flood` floods.
 
 Contraction merges every flat zone of the ground into a single node.
 Flooding commutes with it, which `contract_close_flood` exploits to flood
@@ -48,29 +47,23 @@ __all__ = [
     "contract_close_flood",
     "contract_flat_zones",
     "local_flood",
-    "node_erosion",
     "waterfall_flooding",
 ]
-
-
-def node_erosion(graph: Graph) -> NodeValues:
-    """Per-node min of the incident edge weights; isolated nodes get top."""
-    weights = graph.require_edge_weights("node_erosion")
-    offsets, _, adj_edge = graph.incidences()
-    return NodeValues(graph, [
-        min(map(weights.__getitem__, adj_edge[low:high]), default=TOP)
-        for low, high in zip(offsets, offsets[1:])
-    ])
 
 
 def waterfall_flooding(graph: Graph) -> NodeValues:
     """Highest flooding from which no node can still drain downhill.
 
-    Equals the node erosion of the edge weights; every node sits exactly
-    at its lowest escape pipe, so the result is always a valid flooding.
+    The node erosion of the edge weights: every node sits exactly at its
+    lowest escape pipe (an isolated node at top), so the result is always
+    a valid flooding.
     """
-    graph.require_edge_weights("waterfall_flooding")
-    level = node_erosion(graph)
+    weights = graph.require_edge_weights("waterfall_flooding")
+    offsets, _, adj_edge = graph.incidences()
+    level = NodeValues(graph, [
+        min(map(weights.__getitem__, adj_edge[low:high]), default=TOP)
+        for low, high in zip(offsets, offsets[1:])
+    ])
     report = is_edge_flooding(graph, level)
     assert report, report.violations
     return level

@@ -104,6 +104,11 @@ def ground_of(graph: Graph) -> dict:
     return dict(zip(graph.nodes, graph.ground_values))
 
 
+def graph_arrays(graph: Graph) -> tuple:
+    """What a graph holds: its nodes, edge ends, ground and edge weights."""
+    return graph.nodes, graph.edge_u, graph.edge_v, graph.ground_values, graph.edge_weights
+
+
 def ceiling_above(rng: random.Random, graph: Graph, slack: int = 6, top_chance: float = 0.4) -> dict:
     """A ceiling that sits on or above the ground everywhere."""
     graph.require_ground_values("ceiling_above")

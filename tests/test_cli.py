@@ -632,8 +632,8 @@ def test_dendro_on_two_components_matches_members(capsys, tmp_path):
     expected = [
         f"cluster {index} diam={dendro.diam[index]} "
         f"father={'none' if dendro.father[index] is None else dendro.father[index]} "
-        f"leaves={' '.join(dendro.members(index))}"
-        for index in range(len(dendro.diam))
+        f"leaves={' '.join(members)}"
+        for index, members in enumerate(dendro.all_members())
     ]
     code, out, _ = run(capsys, "dendro", "--graph", str(path))
     assert code == 0

@@ -90,6 +90,9 @@ CASES: list[tuple[str, list[str], int]] = [
                                 "strip-ceiling.txt"], 0),
     ("strip-localflood", ["localflood", "--graph", "strip.pgm", "--ceiling",
                           "strip-ceiling.txt", "--node", "0,3"], 0),
+    # zones: a ground and edge weights, two flat zones joined by two cross edges
+    # (w=7, then w=5), and a ceiling on three of the four nodes
+    ("zones-contract", ["contract", "--graph", "zones.fg"], 0),
     # dendro: edge-weighted tree realizing the eleven-leaf dendrogram
     ("dendro-dendro", ["dendro", "--graph", "dendro.fg"], 0),
     ("dendro-dendro-flood", ["dendro", "--graph", "dendro.fg", "--flood", "--ceiling",

@@ -172,13 +172,6 @@ def test_partial_graph(chain):
             partial_graph(graph, ids)
 
 
-def test_equality_compares_edge_ends_without_naming_them():
-    relief = [[1, 2], [3, 4]]
-    first, second = grid_graph(relief), grid_graph(relief)
-    assert first == second and first != grid_graph(relief, 8)
-    assert first._edges is None and second._edges is None
-
-
 def test_node_indices_resolve_names_in_order_and_name_the_first_unknown():
     """With no name index, one pass finds the names and builds none; with one, it is read."""
     graph = grid_graph([[1, 2, 3]])

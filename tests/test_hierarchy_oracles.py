@@ -86,6 +86,6 @@ def members_by_father_chain(dendro):
 def test_dendrogram_members_match_set_references(graph):
     dendro = build_lake_dendrogram(graph)
     expected = members_by_father_chain(dendro)
-    for cluster in dendro.clusters:
-        assert dendro.members(cluster.index) == expected[cluster.index]
+    for cluster, members in zip(dendro.clusters, dendro.all_members()):
+        assert members == expected[cluster.index]
         assert list(cluster.children) == sorted(cluster.children)

@@ -180,9 +180,9 @@ def test_lakes_partition_every_node_of_a_raster():
     assert len(part.levels) == len(part.members) == len(part.exhaust)
 
 
-def test_lake_partitions_compare_and_hash_by_their_lakes(tank):
+def test_lake_partitions_compare_by_their_lakes(tank):
     one, two = lakes(tank.graph, tank.tau), lakes(tank.graph, dict(tank.tau))
-    assert one == two and hash(one) == hash(two)
+    assert one == two
     assert (one.levels, one.members, one.exhaust) == (two.levels, two.members, two.exhaust)
     assert one != lakes(tank.graph, {node: 3 for node in tank.graph.nodes})
     assert repr(one) == (

@@ -26,7 +26,6 @@ from floodgraph import (
     lakes,
     local_flood,
     marker_segmentation,
-    node_erosion,
     oracle_flood,
     parse_graph,
     prim_flood,
@@ -136,7 +135,6 @@ PRODUCERS = {
     "dendrogram_flood": lambda graph, view, omega: (
         view, dendrogram_flood(build_lake_dendrogram(view), omega)
     ),
-    "node_erosion": lambda graph, view, omega: (view, node_erosion(view)),
     "waterfall_flooding": lambda graph, view, omega: (view, waterfall_flooding(view)),
     "distance_matrix": lambda graph, view, omega: (view, *distance_matrix(view).values()),
     "ContractionMap.expand": _expanded,

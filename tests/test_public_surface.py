@@ -54,7 +54,7 @@ SURFACE = {
     ],
     "reductions": [
         "ContractionMap", "contract_close_flood", "contract_flat_zones", "local_flood",
-        "node_erosion", "waterfall_flooding",
+        "waterfall_flooding",
     ],
 }
 
@@ -70,8 +70,32 @@ def test_each_module_lists_the_names_it_defines_and_the_package_exports():
             assert getattr(floodgraph, public) is value
             if inspect.isclass(value) or inspect.isfunction(value):
                 assert value.__module__ == module.__name__, public
-    assert len(declared) == len(set(declared)) == 58
+    assert len(declared) == len(set(declared)) == 57
     assert sorted(floodgraph.__all__) == sorted(declared)
+
+
+def public_classes() -> dict[str, type]:
+    """The public classes the package defines, by name."""
+    values = {name: getattr(floodgraph, name) for name in floodgraph.__all__}
+    return {
+        name: value for name, value in values.items()
+        if inspect.isclass(value) and value.__module__.startswith("floodgraph.")
+    }
+
+
+def fields_of(cls: type) -> set[str]:
+    return {field.name for field in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+
+
+def methods_of(cls: type) -> set[str]:
+    """The public methods, properties and cached_properties a class defines;
+    dunders and dataclass fields are not among them."""
+    fields = fields_of(cls)
+    return {
+        member for member, value in vars(cls).items()
+        if not member.startswith("_") and member not in fields
+        and (inspect.isfunction(value) or isinstance(value, (property, cached_property)))
+    }
 
 
 def test_no_public_name_is_a_second_spelling():
@@ -79,13 +103,21 @@ def test_no_public_name_is_a_second_spelling():
     public method of a public class, already carries: one spelling per result."""
     carriers: dict[int, list[str]] = {}
     for name in floodgraph.__all__:
-        value = getattr(floodgraph, name)
-        carriers.setdefault(id(value), []).append(name)
-        if inspect.isclass(value) and value.__module__.startswith("floodgraph."):
-            for member, method in vars(value).items():
-                if inspect.isfunction(method) and not member.startswith("_"):
-                    carriers.setdefault(id(method), []).append(f"{name}.{member}")
+        carriers.setdefault(id(getattr(floodgraph, name)), []).append(name)
+    for name, cls in public_classes().items():
+        for member in methods_of(cls):
+            if inspect.isfunction(method := vars(cls)[member]):
+                carriers.setdefault(id(method), []).append(f"{name}.{member}")
     assert [names for names in carriers.values() if len(names) > 1] == []
+
+
+def test_graph_and_dendrogram_hold_only_their_arrays():
+    """Tests compare a graph's or a dendrogram's arrays: neither class defines
+    an equality or a hash, and a dendrogram lists its clusters' leaves only
+    through ``all_members()``."""
+    for cls in (floodgraph.Graph, floodgraph.Dendrogram):
+        assert not {"__eq__", "__hash__"} & set(vars(cls)), cls.__name__
+    assert "members" not in vars(floodgraph.Dendrogram)
 
 
 # Python 3.12 and later (PEP 701) split an f-string into tokens, with the NAME
@@ -144,21 +176,28 @@ def test_every_public_member_has_a_caller():
     """Each method, property and cached_property of a public class is read as
     ``.name`` by a caller; dunders and dataclass fields are exempt."""
     called = set().union(*map(attribute_names, CALLERS))
-    members = set()
-    for name in floodgraph.__all__:
-        cls = getattr(floodgraph, name)
-        if not (inspect.isclass(cls) and cls.__module__.startswith("floodgraph.")):
-            continue
-        fields = set()
-        if dataclasses.is_dataclass(cls):
-            fields = {field.name for field in dataclasses.fields(cls)}
-        for member, value in vars(cls).items():
-            if member.startswith("_") or member in fields:
-                continue
-            if inspect.isfunction(value) or isinstance(value, (property, cached_property)):
-                members.add(f"{name}.{member}")
+    members = {
+        f"{name}.{member}" for name, cls in public_classes().items() for member in methods_of(cls)
+    }
     assert members
     assert sorted(member for member in members if member.split(".")[1] not in called) == []
+
+
+def test_no_public_member_is_a_namesake():
+    """The caller census matches ``.name`` reads by name alone, so no public
+    method or property may share its name with a field, slot, method or
+    property of another public class, whose readers would count as its own."""
+    classes = public_classes()
+    attributes = {
+        name: fields_of(cls) | set(vars(cls).get("__slots__", ())) | methods_of(cls)
+        for name, cls in classes.items()
+    }
+    assert sorted(
+        f"{name}.{member}"
+        for name, cls in classes.items()
+        for member in methods_of(cls)
+        if any(member in names for other, names in attributes.items() if other != name)
+    ) == []
 
 
 def test_every_public_slot_is_read():
@@ -166,16 +205,11 @@ def test_every_public_slot_is_read():
     dataclass is read as ``.name`` by a caller: state that no caller reads
     is not built."""
     called = set().union(*map(attribute_names, CALLERS))
-    slots = set()
-    for name in floodgraph.__all__:
-        cls = getattr(floodgraph, name)
-        if inspect.isclass(cls) and cls.__module__.startswith("floodgraph."):
-            if not dataclasses.is_dataclass(cls):
-                slots |= {
-                    f"{name}.{slot}"
-                    for slot in vars(cls).get("__slots__", ())
-                    if not slot.startswith("_")
-                }
+    slots = {
+        f"{name}.{slot}"
+        for name, cls in public_classes().items() if not dataclasses.is_dataclass(cls)
+        for slot in vars(cls).get("__slots__", ()) if not slot.startswith("_")
+    }
     assert "Dendrogram.diam" in slots
     assert sorted(slot for slot in slots if slot.split(".")[1] not in called) == []
 
@@ -197,9 +231,9 @@ PARAMETERS = {
     "dijkstra_flood": ("graph", "omega"),
     "flat_zones": ("graph", "values"),
     "marker_segmentation": ("graph", "markers", "engine"),
-    "node_erosion": ("graph",),
     "prim_flood": ("graph", "sources"),
     "regional_minima": ("graph", "values"),
+    "waterfall_flooding": ("graph",),
     "write_pgm": ("raster",),
 }
 

@@ -21,4 +21,4 @@ def test_readme_quick_start_gives_the_values_in_its_comments():
     assert names["d_ae"] == 4
     hierarchy = names["hierarchy"]
     (summit,) = [i for i, up in enumerate(hierarchy.father) if up is None]
-    assert hierarchy.members(summit) == tuple("abcde")
+    assert list(hierarchy.all_members())[summit] == tuple("abcde")

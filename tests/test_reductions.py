@@ -21,7 +21,6 @@ from floodgraph import (
     grid_graph,
     is_edge_flooding,
     local_flood,
-    node_erosion,
     regional_minima,
     waterfall_flooding,
 )
@@ -50,27 +49,18 @@ def levels(graph, values):
 
 def edge_opening(graph):
     """Opening on edge weights: erode to the nodes, dilate back."""
-    return dilation(graph, levels(graph, node_erosion(graph)))
+    return dilation(graph, levels(graph, waterfall_flooding(graph)))
 
 
 def reference_node_closing(graph):
     """Closing on the ground, the relief ``contract_close_flood`` floods: dilate to
     the edges, erode back."""
-    return node_erosion(graph.with_edge_weights(dilation(graph, graph.ground_values)))
+    return waterfall_flooding(graph.with_edge_weights(dilation(graph, graph.ground_values)))
 
 
 def test_edge_dilation_chain(chain):
     assert dilation(chain.graph, chain.graph.ground_values) == (4, 4, 2, 2)
     assert dilation(chain.graph, levels(chain.graph, chain.omega)) == (5, 5, 3, 3)
-
-
-def test_node_erosion_chain(chain):
-    assert node_erosion(chain.edge_graph) == {"a": 4, "b": 4, "c": 2, "d": 2, "e": 2}
-
-
-def test_node_erosion_isolated_node_gets_top():
-    graph = build_graph(["a", "b", "c"], [("a", "b")], edge_weights=[3])
-    assert node_erosion(graph) == {"a": 3, "b": 3, "c": TOP}
 
 
 def test_closing_and_opening_chain(chain):
@@ -83,7 +73,7 @@ def test_dilation_erosion_adjunction(graph, rng):
     values = {node: rng.randrange(8) for node in graph.nodes}
     weights = tuple(rng.randrange(8) for _ in graph.edges)
     dilated = dilation(graph, levels(graph, values))
-    eroded = node_erosion(graph.with_edge_weights(weights))
+    eroded = waterfall_flooding(graph.with_edge_weights(weights))
     below = all(dilated[i] <= weights[i] for i in range(len(graph.edges)))
     under = all(values[n] <= eroded[n] for n in graph.nodes)
     assert below == under
@@ -127,6 +117,20 @@ def test_waterfall_fixtures(chain, tank):
 def test_waterfall_single_edge():
     graph = build_graph(["p", "q"], [("p", "q")], edge_weights=[7])
     assert waterfall_flooding(graph) == {"p": 7, "q": 7}
+
+
+def test_waterfall_isolated_node_gets_top():
+    graph = build_graph(["a", "b", "c"], [("a", "b")], edge_weights=[3])
+    assert waterfall_flooding(graph) == {"a": 3, "b": 3, "c": TOP}
+
+
+@given(edge_graphs())
+def test_waterfall_is_the_node_erosion(graph):
+    """Each node's lowest incident edge weight, read off the named edge list."""
+    lowest = dict.fromkeys(graph.nodes, TOP)
+    for (u, v), weight in zip(graph.edges, graph.edge_weights):
+        lowest[u], lowest[v] = min(lowest[u], weight), min(lowest[v], weight)
+    assert waterfall_flooding(graph) == lowest
 
 
 @given(edge_graphs(), st.randoms(use_true_random=False))

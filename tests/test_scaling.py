@@ -287,7 +287,8 @@ def test_star_lake_dendrogram_is_linear():
     dendro = build_lake_dendrogram(star)
     elapsed = time.perf_counter() - start
     assert len(dendro.diam) == len(leaves) + 2
-    assert len(dendro.members(len(dendro.diam) - 1)) == len(leaves) + 1  # the summit
+    *_, summit = dendro.all_members()
+    assert len(summit) == len(leaves) + 1
     assert elapsed < 1.0
 
 
