@@ -20,9 +20,10 @@ any run reports ``correct: false`` or gives no result.
 
 With ``--check``, nothing is written: one traced round of each workload is
 replayed at the seeds of the newest ``BENCH_*.json`` at the repo root, and
-every count metric is compared with that record.  Each difference is printed
-with the counter, both values and the file, and the exit status is then 1.
-Times and ratios are not checked; counts repeat exactly on any host.
+every count and ratio metric is compared with that record.  Each difference
+is printed with the counter, both values and the file, and the exit status is
+then 1.  Counts repeat exactly on any host, and so do the ratios, which are
+quotients of counts; times and bytes per node are not checked.
 
 usage: python3 scripts/bench_record.py --out BENCH.json
        python3 scripts/bench_record.py --check
@@ -86,8 +87,13 @@ def gauge() -> dict:
     return {"median_s": statistics.median(samples), "samples_s": samples}
 
 
+def newest() -> Path:
+    """The ``BENCH_<n>.json`` at the repo root with the largest ``n``."""
+    return max(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.partition("_")[2]))
+
+
 def check(path: Path) -> list[str]:
-    """Replay the record's workloads and seeds; one line per count metric that differs."""
+    """Replay the record's workloads and seeds; one line per count or ratio metric that differs."""
     record = json.loads(path.read_text())
     differences = []
     for workload, seeds in sorted(record["workloads"].items()):
@@ -96,7 +102,7 @@ def check(path: Path) -> list[str]:
             recorded = {"failed": entry["counters"]["failed"], **entry["counters"]["metrics"]}
             replayed = {"failed": replay["failed"], **replay["metrics"]}
             for name in sorted(recorded.keys() | replayed.keys()):
-                if spans.unit_of(name) != "count":
+                if spans.unit_of(name) not in ("count", "ratio"):
                     continue
                 old, new = recorded.get(name), replayed.get(name)
                 if old != new:
@@ -116,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(run.SRC))
     run.OUT.mkdir(exist_ok=True)
     if args.check:
-        path = max(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.partition("_")[2]))
+        path = newest()
         differences = check(path)
         for line in differences:
             print(line, file=sys.stderr)

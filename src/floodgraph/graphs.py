@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
 from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
 from functools import cache
@@ -49,7 +48,6 @@ __all__ = [
     "build_graph",
     "connected_components",
     "grid_graph",
-    "partial_graph",
 ]
 
 NodeFunction = dict[str, Weight]
@@ -462,27 +460,6 @@ def group_by_label(items: Iterable, label: Sequence[int], count: int) -> list[tu
     return list(map(tuple, groups))
 
 
-def partial_graph(graph: Graph, edge_ids: Iterable[int]) -> Graph:
-    """Same nodes, restricted edge set (ids into ``graph.edges``).
-
-    Shares the node names, their index and the ground with ``graph``.
-    """
-    keep_ids = sorted(set(edge_ids))
-    # sorted, so the smallest id and the first at or past the end are the only suspects
-    for edge_id in keep_ids[:1] + keep_ids[bisect_left(keep_ids, len(graph.edge_u)):][:1]:
-        if not 0 <= edge_id < len(graph.edge_u):
-            raise ConstructionError(f"unknown edge id: {edge_id}")
-    weights = graph.edge_weights
-    return index_graph(
-        graph.nodes,
-        [graph.edge_u[e] for e in keep_ids],
-        [graph.edge_v[e] for e in keep_ids],
-        graph.ground_values,
-        None if weights is None else [weights[e] for e in keep_ids],
-        graph._index,
-    )
-
-
 def values_by_index(
     graph: Graph, values: Mapping[str, Weight], what: str, default: Weight | None = None
 ) -> list[Weight]:
@@ -491,7 +468,9 @@ def values_by_index(
     count and both scans ask ``in``, and the list is read with ``get``, so a
     mapping that fills in missing keys, such as a ``defaultdict``, is not filled."""
     if isinstance(values, NodeValues) and values.graph.nodes is graph.nodes:  # no name read
-        return list(values.levels)  # a copy: berge lowers its list in place
+        # a copy, since each route lowers its fresh list in place: dijkstra's,
+        # prim's and Berge's tau, and dendrogram_flood's lowest
+        return list(values.levels)
     if type(values) is dict and len(values) == len(graph.nodes) and tuple(values) == graph.nodes:
         return list(values.values())  # keyed by exactly the nodes, in order: no name hashed
     known = sum(map(values.__contains__, graph.nodes))

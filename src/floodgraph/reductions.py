@@ -69,14 +69,14 @@ def waterfall_flooding(graph: Graph) -> NodeValues:
     return level
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContractionMap:
     """Correspondence between a graph and its contraction.
 
     ``graph`` is the contracted graph and ``zone_of`` holds, for each node
     of the ``original`` graph, the index of its super-node in ``graph``.
     ``blocks`` lists the members of each super-node in declaration order,
-    built on first access.
+    built on first access.  Maps compare and hash by identity.
     """
 
     graph: Graph

@@ -157,16 +157,15 @@ def berge_flood(
     case is O(n*m); the other four routes are O(m log m).
     """
     weights = graph.require_edge_weights("berge_flood")
-    ceiling = ceiling_by_index(graph, omega)
+    tau = ceiling_by_index(graph, omega)  # a fresh list; a queued node's entry is its pending level
     if schedule not in ("jacobi", "gauss_seidel"):
         raise PreconditionError(f"unknown berge schedule: {schedule!r}")
     offsets, adj_node, adj_edge = graph.incidences()
     jacobi = schedule == "jacobi"
-    count = len(ceiling)
-    tau = ceiling[:]  # a queued node's entry is its pending level
+    count = len(tau)
     queued = [False] * count
     arrays = tau, queued, offsets, adj_node, adj_edge, weights
-    heap = _push([u for u, level in enumerate(ceiling) if level < TOP], *arrays)  # sweep 1's keys
+    heap = _push([u for u, level in enumerate(tau) if level < TOP], *arrays)  # sweep 1's keys
     later: list[int] = []  # the next sweep's keys
     sweeps = relaxations = 0
     while heap:

@@ -29,7 +29,7 @@ import heapq
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, NodeValues, find_root, node_indices, partial_graph
+from .graphs import Graph, NodeValues, find_root, index_graph, node_indices
 from .weights import BOTTOM, TOP, Weight
 
 __all__ = [
@@ -179,8 +179,11 @@ def mst(graph: Graph) -> Graph:
     Edges are taken in increasing ``(weight, edge id)`` order, so equal
     weights go in declaration order.  Those keys are all distinct, so the
     minimum spanning forest under them is unique: Kruskal, or Prim grown
-    from any node, ends with the same edges.  Node set and weights are
-    retained, and the tree lists its edges by edge id.
+    from any node, ends with the same edges.  The tree lists its edges by
+    edge id and shares the nodes, their name index and the ground with ``graph``.
     """
     weights = graph.require_edge_weights("mst")
-    return partial_graph(graph, [edge_id for edge_id, _, _ in single_linkage(graph, weights)])
+    # a set of small ints iterates almost in order, so sorting it is near linear
+    ids = sorted({edge_id for edge_id, _, _ in single_linkage(graph, weights)})
+    u, v, w = ([column[e] for e in ids] for column in (graph.edge_u, graph.edge_v, weights))
+    return index_graph(graph.nodes, u, v, graph.ground_values, w, graph._index)

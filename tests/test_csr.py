@@ -21,7 +21,6 @@ from floodgraph import (
     derive_edge_graph,
     grid_graph,
     mst,
-    partial_graph,
 )
 from floodgraph import graphs
 from floodgraph.graphs import _counting, _csr
@@ -194,21 +193,21 @@ def test_derived_views_share_the_topology(graph, height, width, connectivity, vi
     assert view.incidences() is grid.incidences()
 
 
-@given(loose_graphs(), st.randoms(use_true_random=False))
-def test_mst_and_partial_graph_match_the_name_based_build(graph, rng):
-    ids = [e for e in range(len(graph.edges)) if rng.random() < 0.5]
-    part = partial_graph(graph, ids + ids[:1])
+@given(loose_graphs())
+def test_mst_matches_the_name_based_build(graph):
+    """The tree holds Prim's edges in id order and shares the nodes, index and ground."""
+    ids = reference_mst_edges(graph)
+    tree = mst(graph)
     expected = build_graph(
         graph.nodes,
         [graph.edges[e] for e in ids],
         ground=ground_of(graph),
         edge_weights=[graph.edge_weights[e] for e in ids],
     )
-    assert graph_arrays(part) == graph_arrays(expected)
-    assert csr_pairs(part) == csr_pairs(expected)
-    tree = mst(graph)
-    assert tree.edges == tuple(graph.edges[e] for e in reference_mst_edges(graph))
-    assert tree.edge_weights == tuple(graph.edge_weights[e] for e in reference_mst_edges(graph))
+    assert graph_arrays(tree) == graph_arrays(expected)
+    assert csr_pairs(tree) == csr_pairs(expected)
+    for attr in ("nodes", "_index", "ground_values"):
+        assert getattr(tree, attr) is getattr(graph, attr), attr
 
 
 def test_empty_graph_has_its_own_message():

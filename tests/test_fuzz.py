@@ -17,9 +17,12 @@ from hypothesis import example, given, settings, strategies as st
 from floodgraph import (
     TOP,
     GraphFormatError,
+    contract_flat_zones,
     derive_edge_graph,
     dijkstra_flood,
+    grid_graph,
     marker_segmentation,
+    mst,
     parse_graph,
     parse_node_values,
     parse_weight,
@@ -28,6 +31,8 @@ from floodgraph import (
 from floodgraph.cli import main
 from floodgraph.formats import _PGM_COMMENT, HEADER, _pgm_int
 from floodgraph.graphs import index_graph
+
+from strategies import graph_arrays
 
 # int() accepts at most 4300 digits by default (sys.get_int_max_str_digits)
 digit_runs = st.sampled_from([1, 2, 20, 4300, 4301, 5000]).map(lambda k: "9" * k)
@@ -78,6 +83,24 @@ pgm_bytes = st.one_of(
 )
 graph_inputs = st.one_of(graph_texts.map(str.encode), pgm_bytes, st.binary())
 
+
+@st.composite
+def accepted_graph_files(draw) -> bytes:
+    """Graph files the reader accepts, on the nodes ``names`` draws and one more:
+    a ground with flat zones, parallel edges, and sometimes edge weights and omega."""
+    nodes = ["a", "b", "c", "d"][: draw(st.integers(1, 4))]
+    level = st.sampled_from(["0", "1", "inf"])
+    lines = [HEADER]
+    for node in nodes:
+        omega = draw(st.sampled_from(["", " omega=1", " omega=inf"]))
+        lines.append(f"node {node} f={draw(level)}{omega}")
+    weighted = draw(st.booleans())
+    ends = st.permutations(nodes).map(lambda order: order[:2])
+    for u, v in draw(st.lists(ends, max_size=5)) if len(nodes) > 1 else ():
+        lines.append(f"edge {u} {v}" + (f" w={draw(level)}" if weighted else ""))
+    return "\n".join(lines).encode()
+
+
 CHAIN = "floodgraph v1\nnode a f=0\nnode b f=4\nnode c f=1\nedge a b\nedge b c\n"
 LONG = "1" * 5000
 
@@ -100,11 +123,30 @@ def _graph_rejected(data: bytes) -> bool:
     return _rejects(parse_graph, text)
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _read_graph(data: bytes):
+    """The graph and file ceiling the CLI reads from ``data``, which it accepts."""
+    if data[:2] in (b"P2", b"P5"):
+        return grid_graph(read_pgm(data)), None
+    return parse_graph(data.decode("utf-8"))
+
+
+def _written(graph) -> tuple:
+    """``graph_arrays`` as a file holds them: a graph with no edge has no edge weights."""
+    *arrays, weights = graph_arrays(graph)
+    return (*arrays, weights or None)
+
+
+def _assert_one_error_line(code: int, out: str, err: str) -> None:
+    assert code in (1, 2), (code, err)
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @settings(max_examples=200)
@@ -138,17 +180,75 @@ def test_cli_exits_2_without_a_traceback_on_rejected_input(data, ceiling_text):
         chain.write_text(CHAIN)
         ceiling.write_bytes(ceiling_text.encode("utf-8"))
 
-        code, err = _run(["flood", "--algo", "dijkstra", "--derive-edges", "--graph", str(graph)])
+        code, _, err = _run(["flood", "--algo", "dijkstra", "--derive-edges", "--graph", str(graph)])
         if _graph_rejected(data):
             assert code == 2 and err.startswith("error: "), err
         assert code in (0, 1, 2)
 
-        code, err = _run(
+        code, _, err = _run(
             ["flood", "--algo", "core", "--graph", str(chain), "--ceiling", str(ceiling)]
         )
         if _rejects(parse_node_values, ceiling_text):
             assert code == 2 and err.startswith("error: "), err
         assert code in (0, 1, 2)
+
+
+@settings(max_examples=100)
+@example(CHAIN.encode(), True)
+@example(CHAIN.encode(), False)  # no edge weights, none derived
+@example(b"P2 2 2 9 1 5 3 2", True)
+@given(st.one_of(graph_inputs, accepted_graph_files()), st.booleans())
+def test_cli_mst_writes_the_tree_or_one_error_line(data, derive):
+    with tempfile.TemporaryDirectory() as workdir:
+        graph = Path(workdir) / "graph"
+        graph.write_bytes(data)
+        code, out, err = _run(["mst", "--graph", str(graph), *["--derive-edges"][:derive]])
+    if _graph_rejected(data):
+        assert code == 2, err
+    if code:
+        _assert_one_error_line(code, out, err)
+        return
+    parsed, _ = _read_graph(data)
+    view = parsed if parsed.edge_weights is not None else derive_edge_graph(parsed)
+    tree, ceiling = parse_graph(out)
+    assert (graph_arrays(tree), ceiling) == (_written(mst(view)), None)
+
+
+@settings(max_examples=100)
+@example(CHAIN.encode(), "a 0\nb 4\n")
+@example(CHAIN.encode(), "c 0\n")  # below the ground
+@example(CHAIN.encode(), None)
+@example(b"floodgraph v1\nnode a f=1 omega=3\nnode b f=1\nnode c f=2\nedge a b\nedge b c", None)
+@example(b"P2 3 1 9 1 1 2", "0,1 5\n0,2 2\n")
+@given(st.one_of(graph_inputs, accepted_graph_files()), st.one_of(st.none(), value_texts))
+def test_cli_contract_writes_the_contraction_or_one_error_line(data, ceiling_text):
+    with tempfile.TemporaryDirectory() as workdir:
+        graph, ceiling = Path(workdir) / "graph", Path(workdir) / "ceiling"
+        graph.write_bytes(data)
+        argv = ["contract", "--graph", str(graph)]
+        if ceiling_text is not None:
+            ceiling.write_bytes(ceiling_text.encode("utf-8"))
+            argv += ["--ceiling", str(ceiling)]
+        code, out, err = _run(argv)
+    if _graph_rejected(data):
+        assert code == 2, err
+    elif _read_graph(data)[0].ground_values is not None and ceiling_text is not None:
+        if _rejects(parse_node_values, ceiling_text):  # read once the ground is there
+            assert code == 2, err
+    if code:
+        _assert_one_error_line(code, out, err)
+        return
+    parsed, omega = _read_graph(data)
+    if ceiling_text is not None:
+        omega = {**dict.fromkeys(parsed.nodes, TOP), **parse_node_values(ceiling_text)}
+    contracted, mapping, contracted_omega = contract_flat_zones(parsed, omega)
+    written, ceiling_read = parse_graph(out)
+    assert graph_arrays(written) == _written(contracted)
+    finite = contracted_omega is not None and any(level < TOP for level in contracted_omega.levels)
+    expected_ceiling = list(contracted_omega.items()) if finite else None
+    assert (None if ceiling_read is None else list(ceiling_read.items())) == expected_ceiling
+    blocks = [line.split()[2:] for line in out.splitlines() if line.startswith("# block ")]
+    assert {rep: tuple(members) for rep, *members in blocks} == mapping.blocks
 
 
 # Two components, {a, b, c} and {d}: d needs a marker of its own.

@@ -17,7 +17,6 @@ from floodgraph import (
     build_graph,
     connected_components,
     grid_graph,
-    partial_graph,
 )
 from floodgraph.graphs import (
     NodeValues, ceiling_by_index, group_by_label, node_indices, values_by_index,
@@ -155,21 +154,6 @@ def test_connected_components_filters(chain):
         ("b",),
         ("c", "d", "e"),
     ]
-
-
-def test_partial_graph(chain):
-    graph = chain.edge_graph
-    empty = partial_graph(graph, [])
-    assert empty.nodes == graph.nodes
-    assert empty.edges == ()
-
-    kept = partial_graph(graph, [2, 0])
-    assert kept.edges == (("a", "b"), ("c", "d"))
-    assert kept.edge_weights == (4, 2)
-    # the message names the id the sorted ids first fail on, at either end
-    for ids, unknown in (([99], 99), ([0, 99, 4, 3], 4), ([2, -2, 99, -1], -2)):
-        with pytest.raises(ConstructionError, match=f"^unknown edge id: {unknown}$"):
-            partial_graph(graph, ids)
 
 
 def test_node_indices_resolve_names_in_order_and_name_the_first_unknown():

@@ -194,6 +194,15 @@ def test_expand_round_trip(strip):
         mapping.expand({"0,0": 1})
 
 
+def test_contraction_maps_hash_and_equal_only_themselves(strip):
+    """Two contractions of one graph hold equal data, yet are two maps."""
+    _, mapping, _ = contract_flat_zones(strip.graph)
+    _, again, _ = contract_flat_zones(strip.graph)
+    assert mapping.blocks == again.blocks
+    assert mapping == mapping and mapping != again
+    assert len({mapping, again, mapping}) == 2
+
+
 def eager_contraction(graph, omega):
     """The contraction built by hand on names: zone pairs as name tuples,
     each node's zone and the ``blocks`` as eager dicts."""
