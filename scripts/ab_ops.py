@@ -16,10 +16,12 @@ Prints each op's median time on both sides and their ratio (second side
 over first), then the summed medians: in total, for each op-name prefix
 (the part before ``/``, such as ``tanks`` or ``random``) and for each
 suffix (the part after the last ``/``, printed as ``*/dendro``) that is
-not a number.  Each row ends with the rounds in which the second side was
-faster, such as ``7/7``; a group compares the sum of its ops' times in
-each round.  A ratio below 1 that wins few rounds is noise.  Exits 1 when
-an op fails its check or the sides' outputs differ.
+not a number.  Each row then gives the first side's spread: the distance
+between the quartiles of its per-round times, as a share of their median.
+It ends with the rounds in which the second side was faster, such as
+``7/7``; a group sums its ops' times in each round.  A ratio within that
+spread of 1, or one that wins few rounds, is noise.  Exits 1 when an op
+fails its check or the sides' outputs differ.
 
 usage: python3 scripts/ab_ops.py BASE CHANGE [--workload hierarchy]
                                  [--seed N] [--rounds N]
@@ -60,12 +62,17 @@ def load(checkout: Path, package: str, into: Path) -> Program:
 
 def row_line(name: str, width: int, members: list[tuple[list[float], list[float]]]) -> str:
     """The summed medians of ``members``' per-round times on both sides, their
-    ratio, and the rounds in which the summed times of side b were lower."""
+    ratio, the quartile distance of side a's summed times per round over their
+    median, and the rounds in which the summed times of side b were lower."""
     sum_a, sum_b = (sum(statistics.median(row[side]) for row in members) for side in (0, 1))
     rounds_a, rounds_b = (list(map(sum, zip(*(row[side] for row in members)))) for side in (0, 1))
     wins = sum(map(lt, rounds_b, rounds_a))
+    quartiles = rounds_a * 3  # one round: its one time is every quartile
+    if len(rounds_a) > 1:
+        quartiles = statistics.quantiles(rounds_a, method="inclusive")
+    spread = (quartiles[2] - quartiles[0]) / statistics.median(rounds_a)
     return (f"{name:<{width}}  {sum_a * 1000:9.3f}  {sum_b * 1000:9.3f}  {sum_b / sum_a:.3f}"
-            f"  {wins}/{len(rounds_a)}")
+            f"  {spread:8.3f}  {wins}/{len(rounds_a)}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     rows = {op.name: pair for op, pair in zip(ops_a, times)}
     width = max(map(len, rows))
     print(f"# {args.workload}, seed {args.seed}, {args.rounds} rounds; a = {args.base}, b = {args.change}")
-    print(f"{'op':<{width}}  {'a ms':>9}  {'b ms':>9}  b/a    b wins")
+    print(f"{'op':<{width}}  {'a ms':>9}  {'b ms':>9}  b/a    a spread  b wins")
     for name, (a, b) in rows.items():
         print(row_line(name, width, [(a, b)]))
     groups: dict[str, list[tuple[list[float], list[float]]]] = {"total": list(rows.values())}

@@ -17,15 +17,14 @@ The topology is stored once, as compressed sparse rows (CSR) in stdlib
   edge id), in edge declaration order: in a grid, the neighbors' scan
   order, so ``grid_graph`` writes them from a stencil instead of counting.
 
-A graph builds its three incidence arrays and its name index on first use
-(a grid from the one stencil plan that wrote its edges), so a graph only
-written out (a contraction, a spanning tree) or read edge by edge (a
-dendrogram, lakes) never builds them.  ``ground_values`` and
-``edge_weights`` are tuples aligned with the node and edge indices.
-``with_edge_weights`` returns a graph that shares all of the topology and
-carries new edge weights, so deriving edge weights from the ground never
-rebuilds the graph.  The name-keyed views ``edges`` and ``neighbors()`` are
-built on demand for callers that use names.
+Every graph holds its incidences in a one-item list, shared with each view
+``with_edge_weights`` makes: a pending build (the CSR of the edge list, or a
+grid's from the stencil plan that wrote its edges) until the first
+``incidences()`` call puts the three arrays in its place.  So deriving edge
+weights builds nothing, and a graph only written out (a contraction, a
+spanning tree) or read edge by edge (a dendrogram, lakes) never builds them.
+``ground_values`` and ``edge_weights`` are tuples aligned with the node and
+edge indices; the name index, ``edges`` and ``neighbors()`` are built on use.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import sys
 from array import array
 from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate, chain, compress, filterfalse, product, repeat
 from operator import lt
 
@@ -73,13 +72,12 @@ class Graph:
         return f"<Graph: {len(self.nodes)} nodes, {len(self.edge_u)} edges>"
 
     def incidences(self) -> tuple[array, array, array]:
-        """(``offsets``, ``adj_node``, ``adj_edge``), built on first use: from the
-        edge list, or for a grid from the stencil plan that wrote its edges."""
-        if self._incidences is None:
-            self._incidences = _csr(len(self.nodes), self.edge_u, self.edge_v)
-        elif callable(self._incidences):
-            self._incidences = self._incidences()
-        return self._incidences
+        """(``offsets``, ``adj_node``, ``adj_edge``): the item of the list this graph
+        shares with its views, which the first call turns from a build into arrays."""
+        shared = self._incidences
+        if callable(shared[0]):
+            shared[0] = shared[0]()
+        return shared[0]
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -127,14 +125,13 @@ class Graph:
         return self.edge_weights
 
     def with_edge_weights(self, weights: Iterable[Weight]) -> Graph:
-        """This graph with other edge weights; nodes, edges and ground are shared.
-
-        So are the incidences, built here unless a grid's build is pending (the first
-        to ask builds for both), and the name index if built; if not, each builds its own.
+        """This graph with other edge weights, building nothing: nodes, edges, ground
+        and the incidences' list (built or pending) are shared, and so is the name
+        index if built; if not, each builds its own.
         """
         weights = _edge_weights(weights, len(self.edge_u))
-        ends, csr = (self.edge_u, self.edge_v), self._incidences or self.incidences()
-        return index_graph(self.nodes, *ends, self.ground_values, weights, self._index, csr)
+        ends, shared = (self.edge_u, self.edge_v), self._incidences
+        return index_graph(self.nodes, *ends, self.ground_values, weights, self._index, shared)
 
 
 # Not frozen: every route builds one, and a frozen __init__ costs about twice as much.
@@ -214,13 +211,13 @@ def index_graph(
     ground_values: Iterable[Weight] | None = None,
     edge_weights: Iterable[Weight] | None = None,
     index: dict[str, int] | None = None,
-    csr: tuple[array, array, array] | Callable[[], tuple[array, array, array]] | None = None,
+    csr: list[tuple[array, array, array] | partial] | None = None,
 ) -> Graph:
     """A graph from distinct names and edges given as node indices (not validated).
 
     Tuples and arrays passed in are shared, not copied, and so are ``index``
-    (name to node index) and ``csr``, or a grid's pending build from its stencil
-    plan; either is built on first use when missing.
+    (name to node index) and ``csr``, another graph's incidence list; when
+    missing, the index is built on first use and the list holds the edges' CSR build.
     """
     graph = object.__new__(Graph)
     graph.nodes = tuple(nodes)
@@ -228,7 +225,7 @@ def index_graph(
     graph.edge_u, graph.edge_v = (
         ends if isinstance(ends, array) else array(_INT, ends) for ends in (edge_u, edge_v)
     )
-    graph._incidences = csr
+    graph._incidences = csr or [partial(_csr, len(graph.nodes), graph.edge_u, graph.edge_v)]
     graph.ground_values = None if ground_values is None else tuple(ground_values)
     graph.edge_weights = None if edge_weights is None else tuple(edge_weights)
     graph._edges = None
@@ -312,8 +309,8 @@ def _counting(total: int) -> array:
     return count
 
 
-def _grid_topology(height: int, width: int, connectivity: int) -> tuple[tuple, Callable]:
-    """(``edge_u``, ``edge_v``) of a grid, and its incidences' build, run once for all views.
+def _grid_topology(height: int, width: int, connectivity: int) -> tuple[tuple, partial]:
+    """(``edge_u``, ``edge_v``) of a grid, and the pending build its incidence list holds.
 
     In a block of one band of rows (first, middle, last) and one of columns
     (first, second, middle, second-last, last), every index and value a pixel
@@ -364,7 +361,7 @@ def _grid_topology(height: int, width: int, connectivity: int) -> tuple[tuple, C
             da, dv = max(at1 - at, 1), max(value1 - value, 1)  # 1 on one-pixel lines
             la, lv, sa, sv = da * (wide - 1) + 1, dv * (wide - 1) + 1, at2 - at, value2 - value
             plan.append((target, at, sa, la, da, value, sv, lv, dv, tall))
-    return _grid_arrays(plan, {0: m, 1: m}, n), cache(lambda: _grid_incidences(n, m, plan))
+    return _grid_arrays(plan, {0: m, 1: m}, n), partial(_grid_incidences, n, m, plan)
 
 
 def _grid_arrays(plan: list[tuple], sizes: dict[int, int], top: int) -> tuple[array, ...]:
@@ -403,10 +400,10 @@ def grid_graph(raster: Sequence[Sequence[Weight]], connectivity: int = 4) -> Gra
     if any(len(row) != width for row in raster):
         raise ConstructionError("raster rows must all have the same width")
 
-    ends, csr = _grid_topology(height, width, connectivity)
+    ends, build = _grid_topology(height, width, connectivity)
     columns = [f",{c}" for c in range(width)]  # pixel (r, c) is named "r,c"
     nodes = [row + column for row in map(str, range(height)) for column in columns]
-    return index_graph(nodes, *ends, chain.from_iterable(raster), csr=csr)
+    return index_graph(nodes, *ends, chain.from_iterable(raster), csr=[build])
 
 
 def find_root(parent: list[int], node: int) -> int:

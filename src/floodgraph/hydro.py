@@ -158,7 +158,7 @@ def regional_minima(graph: Graph, values: Mapping[str, Weight]) -> list[tuple[st
 def derive_edge_graph(graph: Graph) -> Graph:
     """Give each edge the max of its endpoint grounds; keep the ground.
 
-    The result shares the topology of ``graph`` (see ``with_edge_weights``).
+    The view shares all the topology of ``graph``, pending incidences too: it builds nothing.
     """
     ground = graph.require_ground_values("derive_edge_graph")
     return graph.with_edge_weights(dilation(graph, ground))

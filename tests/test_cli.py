@@ -619,6 +619,29 @@ def test_raster_routes_on_the_edge_list_build_no_grid_incidences(capsys, monkeyp
         main(["flood", "--algo", "dijkstra", "--derive-edges", "--graph", raster])
 
 
+def test_text_routes_on_the_edge_list_build_no_csr(capsys, monkeypatch):
+    """mst, dendro and lakes read a text graph's edge list only, through a derived
+    view too, and still match their goldens; a solver route builds the CSR."""
+
+    def refuse(*args):
+        raise AssertionError("the CSR was built")
+
+    monkeypatch.setattr(graphs, "_csr", refuse)
+    chain, tau = str(GOLDEN / "chain.fg"), str(GOLDEN / "chain-tau.txt")
+    cases = {
+        "chain-mst": ["mst", "--derive-edges"],
+        "chain-dendro": ["dendro", "--derive-edges"],
+        "chain-dendro-flood": ["dendro", "--derive-edges", "--flood"],
+        "chain-lakes": ["lakes", "--tau", tau],
+    }
+    for name, argv in cases.items():
+        code, out, err = run(capsys, *argv, "--graph", chain)
+        assert (code, err) == (0, ""), name
+        assert out.encode() == (GOLDEN / "expected" / f"{name}.stdout").read_bytes(), name
+    with pytest.raises(AssertionError, match="CSR was built"):
+        main(["flood", "--algo", "dijkstra", "--derive-edges", "--graph", chain])
+
+
 def test_dendro_on_two_components_matches_members(capsys, tmp_path):
     """Two summits, and clusters whose leaves are declared out of merge order."""
     path = tmp_path / "two.fg"

@@ -180,17 +180,23 @@ def test_derived_views_share_the_topology(graph, height, width, connectivity, vi
     with pytest.raises(ConstructionError):
         graph.with_edge_weights([*graph.edge_weights, 0])
 
-    # a grid and its view share the pending build: one run, whichever asks first
-    with mock.patch.object(graphs, "_grid_incidences", wraps=graphs._grid_incidences) as build:
+    # a graph and its view share the pending build: one run, whichever asks first
+    with (
+        mock.patch.object(graphs, "_csr", wraps=graphs._csr) as csr,
+        mock.patch.object(graphs, "_grid_incidences", wraps=graphs._grid_incidences) as build,
+    ):
+        text = build_graph(graph.nodes, graph.edges, ground_of(graph), graph.edge_weights)
         grid = grid_graph([[r + c for c in range(width)] for r in range(height)], connectivity)
-        view = derive_edge_graph(grid)
-        assert build.call_count == 0
-        for first in (view, grid) if view_first else (grid, view):
-            first.incidences()
-        assert build.call_count == 1
-    for attr in TOPOLOGY:
-        assert getattr(view, attr) is getattr(grid, attr), attr
-    assert view.incidences() is grid.incidences()
+        for source, counted in ((text, csr), (grid, build)):
+            view = derive_edge_graph(source)
+            assert counted.call_count == 0
+            for first in (view, source) if view_first else (source, view):
+                first.incidences()
+            assert counted.call_count == 1
+            for attr in TOPOLOGY:
+                assert getattr(view, attr) is getattr(source, attr), attr
+            assert view.incidences() is source.incidences()
+    assert text.incidences() == graph.incidences()
 
 
 @given(loose_graphs())

@@ -448,7 +448,7 @@ def test_local_flood_stops_at_its_witness_on_a_plateau():
     offsets, adj_node, adj_edge = g.incidences()
     counting = Counting(offsets)
     graph = index_graph(
-        g.nodes, g.edge_u, g.edge_v, g.ground_values, csr=(counting, adj_node, adj_edge)
+        g.nodes, g.edge_u, g.edge_v, g.ground_values, csr=[(counting, adj_node, adj_edge)]
     )
     omega = dict.fromkeys(graph.nodes, TOP)
     omega["50,51"] = 5
