@@ -154,7 +154,7 @@ def main() -> int:
         for name, got in flood_all(graph, omega).items():
             if got != want:
                 print(f"instance {index}: route {name} disagrees", file=sys.stderr)
-                print(serialize_graph(graph, omega), file=sys.stderr)
+                print("".join(serialize_graph(graph, omega)), file=sys.stderr)
                 print(f"want {want}\ngot  {got}", file=sys.stderr)
                 return 1
         matrix = distance_matrix(graph)
@@ -163,7 +163,7 @@ def main() -> int:
             if got != matrix[source]:
                 print(f"instance {index}: flooding_distance_all from {source} "
                       "disagrees with distance_matrix", file=sys.stderr)
-                print(serialize_graph(graph, omega), file=sys.stderr)
+                print("".join(serialize_graph(graph, omega)), file=sys.stderr)
                 print(f"want {matrix[source]}\ngot  {got}", file=sys.stderr)
                 return 1
         markers = random_markers(marker_rng, graph)
@@ -175,7 +175,7 @@ def main() -> int:
         if faults:
             print(f"instance {index}: marker_segmentation from {markers}: {faults[0]}",
                   file=sys.stderr)
-            print(serialize_graph(graph, omega), file=sys.stderr)
+            print("".join(serialize_graph(graph, omega)), file=sys.stderr)
             return 1
     node_rng = random.Random(2 * args.seed + 1)
     for index in range(args.count):
@@ -184,7 +184,7 @@ def main() -> int:
         for name, got in node_flood_all(graph, omega).items():
             if got != want:
                 print(f"node-weighted instance {index}: {name} disagrees", file=sys.stderr)
-                print(serialize_graph(graph, omega), file=sys.stderr)
+                print("".join(serialize_graph(graph, omega)), file=sys.stderr)
                 print(f"want {want}\ngot  {got}", file=sys.stderr)
                 return 1
     print(

@@ -29,10 +29,10 @@ import argparse
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice
-from typing import Iterable, Iterator, Mapping
 
 from .errors import ConstructionError, GraphFormatError, PreconditionError
 from .formats import (
@@ -274,7 +274,7 @@ def cmd_fldist(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
 
 
 def cmd_mst(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
-    return 0, [serialize_graph(mst(edge_view(ingested, args, "mst")))], None
+    return 0, serialize_graph(mst(edge_view(ingested, args, "mst"))), None
 
 
 def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
@@ -330,10 +330,8 @@ def cmd_contract(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     if args.ceiling is not None or ingested.file_omega is not None:
         omega = resolve_ceiling(args, ingested)
     contracted, mapping, contracted_omega = contract_flat_zones(graph, omega)
-    blocks = "".join(
-        f"# block {rep} {' '.join(members)}\n" for rep, members in mapping.blocks.items()
-    )
-    return 0, [serialize_graph(contracted, contracted_omega), blocks], None
+    blocks = (f"# block {rep} {' '.join(members)}" for rep, members in mapping.blocks.items())
+    return 0, chain(serialize_graph(contracted, contracted_omega), _lines(blocks)), None
 
 
 def cmd_localflood(args: argparse.Namespace, ingested: Ingested) -> _Outcome:

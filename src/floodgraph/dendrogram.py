@@ -21,8 +21,8 @@ a `Cluster`, its children included, on every access.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
 
 from .errors import ConstructionError
 from .graphs import Graph, NodeValues, ceiling_by_index, index_graph

@@ -13,15 +13,18 @@ same goes for edge ``w`` weights.  ``omega`` (the flooding ceiling) may be
 partial; nodes without one default to the top value.  Weights are
 non-negative integers or the tokens ``inf`` / ``-inf``.
 
-Node values (flooding results, markers) use one ``<node> <value>`` pair per
-line.  Rasters are read as PGM, plain (P2) or binary (P5), and written as
-P5, with 16-bit big-endian samples when maxval exceeds 255.
+`serialize_graph` writes it as text chunks of at most 65,536 node or edge
+lines, once every check has passed.  Node values (flooding results,
+markers) use one ``<node> <value>`` pair per line.  Rasters are read as PGM,
+plain (P2) or binary (P5), and written as P5, with 16-bit big-endian
+samples when maxval exceeds 255.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Collection, Mapping
+from collections.abc import Collection, Iterator, Mapping
+from itertools import chain
 
 from .errors import GraphFormatError
 from .graphs import Graph, NodeFunction, NodeValues, index_graph, values_by_index
@@ -47,8 +50,8 @@ def _check_ids_writable(names: Collection[str]) -> None:
 
     The readers split lines on whitespace with ``str.split``, which also
     splits at every line break of ``str.splitlines``, cut comments at ``#``
-    and split attributes at ``=``.  The check scans the joined ids once, not
-    each id in Python.
+    and split attributes at ``=``.  The check scans the ids joined, a slice of
+    them at a time, not each id in Python.
     """
 
     def unreadable(text: str) -> bool:
@@ -175,25 +178,35 @@ def parse_graph(text: str) -> tuple[Graph, NodeValues | None]:
     return graph, ceiling
 
 
-def serialize_graph(graph: Graph, omega: Mapping[str, Weight] | None = None) -> str:
-    """The graph in the native format, with ``omega=`` where ``omega`` is finite.
-    ``omega`` may leave nodes out, but a node it names that the graph lacks raises."""
-    names, ground, weights = graph.nodes, graph.ground_values, graph.edge_weights
-    _check_ids_writable(names)
-    if ground is None:
-        nodes = [f"node {node}" for node in names]
-    else:
-        nodes = [f"node {node} f={level}" for node, level in zip(names, ground)]
-    if omega is not None:
-        for index, level in enumerate(values_by_index(graph, omega, "omega", TOP)):
-            if level != TOP:
-                nodes[index] += f" omega={level}"
-    ends = graph.edge_u, graph.edge_v
-    if weights is None:
-        edges = [f"edge {names[u]} {names[v]}" for u, v in zip(*ends)]
-    else:
-        edges = [f"edge {names[u]} {names[v]} w={w}" for u, v, w in zip(*ends, weights)]
-    return "\n".join([HEADER, *nodes, *edges]) + "\n"
+def serialize_graph(graph: Graph, omega: Mapping[str, Weight] | None = None) -> Iterator[str]:
+    """The graph in the native format, with ``omega=`` where ``omega`` is finite, as text
+    chunks: the header, then the nodes and the edges by slices of 65,536.  ``omega`` may
+    leave nodes out, but a node it names that the graph lacks raises; every check runs
+    before the chunks are returned."""
+    names, ground, weights, edge_u, edge_v = (
+        graph.nodes, graph.ground_values, graph.edge_weights, graph.edge_u, graph.edge_v)
+    for lo in range(0, len(names), 65536):
+        _check_ids_writable(names[lo : lo + 65536])
+    levels = None if omega is None else values_by_index(graph, omega, "omega", TOP)
+
+    def nodes(lo: int) -> str:
+        span = slice(lo, lo + 65536)
+        lines = [f"node {node}\n" for node in names[span]] if ground is None else [
+            f"node {node} f={level}\n" for node, level in zip(names[span], ground[span])]
+        if levels is not None:  # omega= where the ceiling is finite
+            lines = [line if level == TOP else f"{line[:-1]} omega={level}\n"
+                     for line, level in zip(lines, levels[span])]
+        return "".join(lines)
+
+    def edges(lo: int) -> str:
+        ends = edge_u[lo : lo + 65536], edge_v[lo : lo + 65536]
+        if weights is None:
+            return "".join([f"edge {names[u]} {names[v]}\n" for u, v in zip(*ends)])
+        return "".join([f"edge {names[u]} {names[v]} w={w}\n"
+                        for u, v, w in zip(*ends, weights[lo : lo + 65536])])
+
+    return chain([HEADER + "\n"], map(nodes, range(0, len(names), 65536)),
+                 map(edges, range(0, len(edge_u), 65536)))
 
 
 def parse_node_values(text: str) -> NodeFunction:

@@ -13,8 +13,8 @@ is full exactly when its exhaust list is not empty, else a regional minimum.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import PreconditionError
 from .graphs import (

@@ -22,11 +22,11 @@ flooding everything.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count, repeat
 from operator import eq, lt, not_
-from typing import Mapping
 
 from .graphs import (
     Graph,

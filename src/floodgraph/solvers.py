@@ -32,11 +32,11 @@ and core (new cores below the least priority) pop per item inline.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
 from operator import lt
-from typing import Mapping
 
 from .errors import PreconditionError
 from .graphs import Graph, NodeValues, ceiling_by_index, index_graph, node_indices, values_by_index

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import compress
 
 from .graphs import Graph, NodeValues, find_root, index_graph, node_indices
 from .weights import BOTTOM, TOP, Weight
@@ -183,7 +184,8 @@ def mst(graph: Graph) -> Graph:
     edge id and shares the nodes, their name index and the ground with ``graph``.
     """
     weights = graph.require_edge_weights("mst")
-    # a set of small ints iterates almost in order, so sorting it is near linear
-    ids = sorted({edge_id for edge_id, _, _ in single_linkage(graph, weights)})
-    u, v, w = ([column[e] for e in ids] for column in (graph.edge_u, graph.edge_v, weights))
+    kept = bytearray(len(weights))  # a flag by edge id, so the tree keeps the id order
+    for edge_id, _, _ in single_linkage(graph, weights):
+        kept[edge_id] = 1
+    u, v, w = (compress(column, kept) for column in (graph.edge_u, graph.edge_v, weights))
     return index_graph(graph.nodes, u, v, graph.ground_values, w, graph._index)

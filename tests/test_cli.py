@@ -1046,6 +1046,15 @@ def test_non_ascii_names_are_written_as_utf8_under_any_locale(tmp_path):
         assert report.read_bytes() == expected, name
 
 
+def test_the_cli_imports_no_typing_module():
+    """The annotations name their types through ``collections.abc``, which the interpreter
+    loads anyway, so a CLI call does not pay for importing ``typing``."""
+    probe = "import sys, floodgraph.cli; print('typing' in sys.modules)"
+    child = subprocess.run([sys.executable, "-S", "-c", probe], env=locales()[0][1],
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "False\n"
+
+
 def test_node_names_on_the_command_line_are_read_as_utf8_under_any_locale(tmp_path):
     graph = utf8_graph(tmp_path)
     runs = {
@@ -1106,10 +1115,13 @@ def test_raster_commands_write_their_lines_under_any_locale(tmp_path):
         (tmp_path / "labels.pgm").unlink()
 
 
-def test_a_closed_stdout_pipe_ends_a_command_quietly():
+@pytest.mark.parametrize("argv", [["dendro", "--derive-edges"], ["mst", "--derive-edges"],
+                                  ["contract"]], ids=["dendro", "mst", "contract"])
+def test_a_closed_stdout_pipe_ends_a_command_quietly(argv):
     """A reader that stops early (``| head -c 1``) gets the status a shell reports for
-    SIGPIPE, and no error: 367 KB of dendro lines overflow any pipe buffer."""
-    command = [sys.executable, "-m", "floodgraph.cli", "dendro", "--derive-edges"]
+    SIGPIPE, and no error: 367 KB of dendro lines, the 145 KB tree and the 240 KB
+    contraction each overflow any pipe buffer, written chunk by chunk."""
+    command = [sys.executable, "-m", "floodgraph.cli", *argv]
     command += ["--graph", str(GOLDEN / "raster64.pgm")]
     child = subprocess.Popen(
         command, env=locales()[0][1], stdout=subprocess.PIPE, stderr=subprocess.PIPE

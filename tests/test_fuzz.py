@@ -20,7 +20,12 @@ from floodgraph import (
     contract_flat_zones,
     derive_edge_graph,
     dijkstra_flood,
+    flooding_distance_all,
     grid_graph,
+    is_edge_flooding,
+    is_node_flooding,
+    lakes,
+    local_flood,
     marker_segmentation,
     mst,
     parse_graph,
@@ -249,6 +254,193 @@ def test_cli_contract_writes_the_contraction_or_one_error_line(data, ceiling_tex
     assert (None if ceiling_read is None else list(ceiling_read.items())) == expected_ceiling
     blocks = [line.split()[2:] for line in out.splitlines() if line.startswith("# block ")]
     assert {rep: tuple(members) for rep, *members in blocks} == mapping.blocks
+
+
+@st.composite
+def accepted_rasters(draw) -> bytes:
+    """Plain PGMs the reader accepts: 1 to 3 rows and columns of levels 0..2."""
+    height, width = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pixels = draw(st.lists(st.sampled_from("012"), min_size=height * width,
+                           max_size=height * width))
+    return f"P2 {width} {height} 2 {' '.join(pixels)}".encode()
+
+
+# The graph files of the query commands, a third of them from each source (one_of
+# would draw graph_inputs's four branches and the two accepted sources alike)
+query_graphs = st.sampled_from(
+    [graph_inputs, accepted_graph_files(), accepted_rasters()]).flatmap(lambda inputs: inputs)
+# Node names for --from and --node: those of the text graphs and of the rasters,
+# an unknown one and the empty one
+query_nodes = st.sampled_from(["a", "b", "d", "0,0", "0,1", "1,0", "zzz", ""])
+# A --tau file: free text; one token per node of the graph (None leaves it out) with,
+# on True, a line on an unknown node as well; or None, for a flooding of the graph
+# (a third of the cases each)
+tau_specs = st.sampled_from([
+    value_texts,
+    st.tuples(st.lists(st.sampled_from(["0", "1", "2", "inf"] * 6 + ["x", None]),
+                       min_size=9, max_size=9), st.sampled_from([False] * 3 + [True])),
+    st.none(),
+]).flatmap(lambda specs: specs)
+
+
+def _tau_text(spec, graph) -> str:
+    """The --tau file that ``spec`` makes for ``graph`` (None: a graph the reader refused).
+    The flooding is dijkstra's under a ceiling at the ground, or at 0 without one."""
+    if isinstance(spec, str):
+        return spec
+    nodes = () if graph is None else graph.nodes
+    if spec is not None:
+        tokens, extra = spec
+        lines = [f"{node} {token}\n" for node, token in zip(nodes, tokens) if token is not None]
+        return "".join(lines) + ("zzz 1\n" if extra else "")
+    if graph is None or graph.edge_weights is None and graph.ground_values is None:
+        return ""
+    view = graph if graph.edge_weights is not None else derive_edge_graph(graph)
+    ceiling = dict(zip(nodes, graph.ground_values or [0] * len(nodes)))
+    return "".join(f"{node} {level}\n" for node, level in dijkstra_flood(view, ceiling).tau.items())
+
+
+def _run_on_files(files: dict[str, bytes | None], argv: list[str]) -> tuple[int, str, str]:
+    """Run the CLI with each named file written to a scratch directory (None: no file);
+    a ``{name}`` in ``argv`` becomes that file's path."""
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = {name: str(Path(workdir) / name) for name in files}
+        for name, data in files.items():
+            if data is not None:
+                Path(paths[name]).write_bytes(data)
+        return _run([arg.format(**paths) for arg in argv])
+
+
+def _checked_tau(data: bytes, spec):
+    """The graph, its --tau text, and what a reader of that text makes of it: None where
+    the graph, the text or its coverage of the nodes is rejected, which must exit 2."""
+    graph = None if _graph_rejected(data) else _read_graph(data)[0]
+    text = _tau_text(spec, graph)
+    if graph is None or _rejects(parse_node_values, text):
+        return graph, text, None
+    tau = parse_node_values(text)
+    return graph, text, tau if set(tau) == set(graph.nodes) else None
+
+
+@settings(max_examples=100)
+@example(CHAIN.encode(), "a", True)
+@example(CHAIN.encode(), "zzz", True)  # an unknown source
+@example(CHAIN.encode(), "a", False)  # no edge weights, none derived
+@example(b"P2 2 2 9 1 5 3 2", "1,0", True)
+@given(query_graphs, query_nodes, st.booleans())
+def test_cli_fldist_writes_the_distances_or_one_error_line(data, source, derive):
+    argv = ["fldist", "--graph", "{graph}", "--from", source, *["--derive-edges"][:derive]]
+    code, out, err = _run_on_files({"graph": data}, argv)
+    assert code in (0, 1, 2), err
+    if _graph_rejected(data):
+        assert code == 2, err
+    if code:
+        _assert_one_error_line(code, out, err)
+        return
+    parsed, _ = _read_graph(data)
+    view = parsed if parsed.edge_weights is not None else derive_edge_graph(parsed)
+    expected = flooding_distance_all(view, source)
+    assert list(parse_node_values(out).items()) == list(expected.items())
+
+
+@settings(max_examples=100)
+@example(CHAIN.encode(), (["0", "4", "1", "inf"], False))  # not a flooding
+@example(CHAIN.encode(), (["4", "4", "4", "inf"], False))
+@example(CHAIN.encode(), (["4", None, "4", "4"], False))  # a node left out
+@example(CHAIN.encode(), (["4", "4", "4", "4"], True))  # an unknown node
+@example(b"floodgraph v1\nnode a\nnode b\nedge a b w=2", (["1", "1", "x", "1"], False))
+@example(b"floodgraph v1\nnode a\nnode b", (["1", "1", "1", "1"], False))  # nothing to derive
+@example(b"P2 2 2 9 1 5 3 2", (["5", "5", "3", "3"], False))
+@given(query_graphs, tau_specs)
+def test_cli_lakes_writes_the_partition_or_one_error_line(data, spec):
+    graph, text, tau = _checked_tau(data, spec)
+    code, out, err = _run_on_files(
+        {"graph": data, "tau": text.encode("utf-8")}, ["lakes", "--graph", "{graph}", "--tau", "{tau}"])
+    assert code in (0, 1, 2), err
+    if tau is None:
+        assert code == 2, err
+    if code:
+        _assert_one_error_line(code, out, err)
+        return
+    part = lakes(graph, tau)
+    names, edge_u, edge_v = graph.nodes, graph.edge_u, graph.edge_v
+    read = []
+    for line in out.splitlines():
+        head, _, exhaust = line.partition(" exhaust=")
+        head, _, members = head.partition(" nodes=")
+        word, index, level, kind = head.split()
+        assert (word, level[:6], kind[:5]) == ("lake", "level=", "kind=")
+        ends = [tuple(pair.split("-")) for pair in exhaust.split()]
+        read.append((int(index), parse_weight(level[6:]), kind[5:], tuple(members.split()), ends))
+    assert read == [
+        (index, level, "full" if out else "regmin", block,
+         [(names[edge_u[edge]], names[edge_v[edge]]) for edge in out])
+        for index, (level, block, out) in enumerate(zip(part.levels, part.members, part.exhaust))
+    ]
+
+
+@settings(max_examples=100)
+@example(CHAIN.encode(), (["0", "4", "1", "1"], False))
+@example(CHAIN.encode(), (["0", "4", "2", "1"], False))  # c hangs above a, b's ground
+@example(CHAIN.encode(), (["0", "4", "x", "1"], False))  # a bad token
+@example(b"floodgraph v1\nnode a\nnode b\nedge a b w=2", (["1", "3", "1", "1"], False))
+@example(b"floodgraph v1\nnode a\nnode b\nedge a b", (["1", "1", "1", "1"], False))
+@example(b"P2 2 2 9 1 5 3 2", (["1", "5", "3", "2"], True))  # an unknown node
+@given(query_graphs, tau_specs)
+def test_cli_validate_writes_the_report_or_one_error_line(data, spec):
+    """A report that finds violations exits 1 as well, on stdout with nothing on stderr."""
+    graph, text, tau = _checked_tau(data, spec)
+    code, out, err = _run_on_files(
+        {"graph": data, "tau": text.encode("utf-8")},
+        ["validate", "--graph", "{graph}", "--tau", "{tau}"])
+    assert code in (0, 1, 2), err
+    if tau is None:
+        assert code == 2, err
+    if code and not out:
+        _assert_one_error_line(code, out, err)
+        assert code == 2 or graph.edge_weights is None and graph.ground_values is None
+        return
+    check = is_edge_flooding if graph.edge_weights is not None else is_node_flooding
+    report = check(graph, tau)
+    expected = ["valid"] if report else ["invalid", *report.violations]
+    assert (code, out.splitlines(), err) == (0 if report else 1, expected, "")
+
+
+@settings(max_examples=100)
+@example(CHAIN.encode(), "a 2\nb 4\n", "c")
+@example(CHAIN.encode(), "a 2\nb 4\n", "zzz")  # an unknown node
+@example(CHAIN.encode(), "b 3\n", "b")  # below the ground
+@example(CHAIN.encode(), "q 3\n", "a")  # a ceiling on an unknown node
+@example(CHAIN.encode(), "a x\n", "a")  # a bad token
+@example(b"floodgraph v1\nnode a f=1 omega=3\nnode b f=1\nnode c f=2\nedge a b\nedge b c", None, "c")
+@example(b"floodgraph v1\nnode a\nnode b\nedge a b w=1", None, "a")  # no ground
+@example(b"P2 3 1 9 1 1 2", "0,1 5\n0,2 2\n", "0,0")
+@given(query_graphs, st.one_of(st.none(), value_texts), query_nodes)
+def test_cli_localflood_writes_the_level_or_one_error_line(data, ceiling_text, node):
+    argv = ["localflood", "--graph", "{graph}", "--node", node]
+    if ceiling_text is not None:
+        argv += ["--ceiling", "{ceiling}"]
+    files = {"graph": data, "ceiling": None if ceiling_text is None else ceiling_text.encode()}
+    code, out, err = _run_on_files(files, argv)
+    assert code in (0, 1, 2), err
+    if _graph_rejected(data):
+        assert code == 2, err
+    elif _read_graph(data)[0].ground_values is not None:
+        graph = _read_graph(data)[0]
+        if ceiling_text is not None and _rejects(parse_node_values, ceiling_text):
+            assert code == 2, err  # read once the ground is there
+        elif ceiling_text is not None and not set(parse_node_values(ceiling_text)) <= set(graph.nodes):
+            assert code == 2, err
+        elif node not in graph.nodes:
+            assert code == 2, err
+    if code:
+        _assert_one_error_line(code, out, err)
+        return
+    parsed, omega = _read_graph(data)
+    if ceiling_text is not None:
+        omega = parse_node_values(ceiling_text)
+    omega = {**dict.fromkeys(parsed.nodes, TOP), **(omega or {})}
+    assert list(parse_node_values(out).items()) == [(node, local_flood(parsed, omega, node))]
 
 
 # Two components, {a, b, c} and {d}: d needs a marker of its own.

@@ -96,7 +96,7 @@ def test_serialize_graph_and_augment_with_dummy_build_no_name_index():
     graph = strip()
     view = derive_edge_graph(graph)
     ceiling = NodeValues(graph, [TOP, 2, TOP, TOP, TOP, 5])
-    text = serialize_graph(graph, ceiling)
+    text = "".join(serialize_graph(graph, ceiling))
     assert "node 0,1 f=1 omega=2\n" in text and text.count(" omega=") == 2
     augmented, dummy = augment_with_dummy(view, ceiling)
     assert augmented.nodes == (*graph.nodes, "@omega") and dummy == "@omega"
@@ -138,7 +138,7 @@ PRODUCERS = {
     "waterfall_flooding": lambda graph, view, omega: (view, waterfall_flooding(view)),
     "distance_matrix": lambda graph, view, omega: (view, *distance_matrix(view).values()),
     "ContractionMap.expand": _expanded,
-    "parse_graph": lambda graph, view, omega: parse_graph(serialize_graph(graph, omega)),
+    "parse_graph": lambda graph, view, omega: parse_graph("".join(serialize_graph(graph, omega))),
 }
 
 

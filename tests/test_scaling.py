@@ -16,6 +16,8 @@ import pytest
 
 from floodgraph import (
     TOP,
+    GraphFormatError,
+    PreconditionError,
     berge_flood,
     build_graph,
     build_lake_dendrogram,
@@ -31,6 +33,8 @@ from floodgraph import (
     write_pgm,
 )
 from floodgraph.cli import main
+from floodgraph.formats import HEADER
+from floodgraph.graphs import index_graph, values_by_index
 
 from strategies import shuffled_path
 
@@ -105,7 +109,7 @@ def test_deep_path_dendro_output_streams(tmp_path):
     """102 MB of `dendro` lines leave the process in chunks, never held whole."""
     pytest.importorskip("resource")
     graph = tmp_path / "path.fg"
-    graph.write_text(serialize_graph(increasing_path(6000)))
+    graph.write_text("".join(serialize_graph(increasing_path(6000))))
     child = subprocess.Popen(
         [sys.executable, "-c", CLI_CHILD, "dendro", "--graph", str(graph)],
         stdout=subprocess.PIPE,
@@ -183,6 +187,74 @@ def test_raster_segment_peak_holds_labels_and_tau_by_index(tmp_path):
     assert raster_child_peak(tmp_path, *argv) < 80
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (["mst", "--derive-edges"], 95),
+    (["contract", "--ceiling", "ceiling.txt"], 145),
+])
+def test_raster_tree_and_contraction_peaks_write_the_graph_text_by_slices(tmp_path, argv, limit):
+    """The graph text leaves in chunks of 65,536 node or edge lines, never as one list
+    of every line beside the whole text, and the tree is gathered by one flag per edge."""
+    pytest.importorskip("resource")
+    assert raster_child_peak(tmp_path, *argv) < limit
+
+
+def reference_serialize_graph(graph, omega=None):
+    """The writer as it was when it joined every line into one string."""
+    names, ground, weights = graph.nodes, graph.ground_values, graph.edge_weights
+    if ground is None:
+        nodes = [f"node {node}" for node in names]
+    else:
+        nodes = [f"node {node} f={level}" for node, level in zip(names, ground)]
+    if omega is not None:
+        for index, level in enumerate(values_by_index(graph, omega, "omega", TOP)):
+            if level != TOP:
+                nodes[index] += f" omega={level}"
+    ends = graph.edge_u, graph.edge_v
+    if weights is None:
+        edges = [f"edge {names[u]} {names[v]}" for u, v in zip(*ends)]
+    else:
+        edges = [f"edge {names[u]} {names[v]} w={w}" for u, v, w in zip(*ends, weights)]
+    return "\n".join([HEADER, *nodes, *edges]) + "\n"
+
+
+def chunked_grid():
+    """A 257x257 grid: 66,049 nodes and 131,584 edges, past one and two chunks."""
+    rng = random.Random(4)
+    grid = grid_graph([[rng.randint(0, 50) for _ in range(257)] for _ in range(257)])
+    omega = {node: level + 1 for node, level in zip(grid.nodes, grid.ground_values)
+             if rng.random() < 0.1}
+    return grid, omega
+
+
+@pytest.mark.parametrize("form", ["ground", "ground and weights", "weights"])
+def test_serialize_graph_chunks_join_to_the_one_string_writer(form):
+    grid, omega = chunked_grid()
+    view = derive_edge_graph(grid)
+    graph = {
+        "ground": grid,
+        "ground and weights": view,
+        "weights": index_graph(grid.nodes, grid.edge_u, grid.edge_v, None, view.edge_weights),
+    }[form]
+    assert (len(graph.nodes), len(graph.edge_u)) == (66049, 131584)
+    for ceiling in (omega, None):
+        chunks = list(serialize_graph(graph, ceiling))
+        assert len(chunks) == 1 + 2 + 3 and all(chunk.endswith("\n") for chunk in chunks)
+        assert "".join(chunks) == reference_serialize_graph(graph, ceiling), ceiling is None
+
+
+def test_serialize_graph_checks_every_slice_before_the_first_chunk():
+    """An id that cannot be written, or an unknown omega node, in no first slice still
+    raises at the call, before any chunk is made."""
+    grid, omega = chunked_grid()
+    names = list(grid.nodes)
+    names[66000] = "a#b"
+    bad = index_graph(names, grid.edge_u, grid.edge_v, grid.ground_values)
+    with pytest.raises(GraphFormatError, match="cannot write node id 'a#b'"):
+        serialize_graph(bad)
+    with pytest.raises(PreconditionError, match="omega defined on unknown node 'z'"):
+        serialize_graph(grid, {**omega, "z": 3})
+
+
 # The sweep counts of full Berge sweeps on shuffled_path(random.Random(3), 20_000),
 # taken from the loop that scanned every node in every sweep.
 SHUFFLED_PATH_SWEEPS = {"gauss_seidel": 13448, "jacobi": 20000}
@@ -192,7 +264,7 @@ SHUFFLED_PATH_SWEEPS = {"gauss_seidel": 13448, "jacobi": 20000}
 def test_berge_on_a_shuffled_path_is_not_quadratic(tmp_path, capsys, schedule):
     """Full sweeps would visit 20,000 nodes in each of thousands of sweeps."""
     graph = tmp_path / "path.fg"
-    graph.write_text(serialize_graph(*shuffled_path(random.Random(3), 20_000)))
+    graph.write_text("".join(serialize_graph(*shuffled_path(random.Random(3), 20_000))))
     argv = ["flood", "--algo", "berge", "--schedule", schedule, "--stats", "--graph", str(graph)]
     start = time.perf_counter()
     code = main(argv)
