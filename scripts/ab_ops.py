@@ -18,9 +18,15 @@ over first), then the summed medians: in total, for each op-name prefix
 suffix (the part after the last ``/``, printed as ``*/dendro``) that is
 not a number.  Each row then gives the first side's spread: the distance
 between the quartiles of its per-round times, as a share of their median.
-It ends with the rounds in which the second side was faster, such as
-``7/7``; a group sums its ops' times in each round.  A ratio within that
-spread of 1, or one that wins few rounds, is noise.  Exits 1 when an op
+That spread describes single rounds, so it does not shrink as rounds are
+added.  The next column does: the 5% and 95% quantiles of the ratio over
+1,000 resamplings of the rounds with replacement (a bootstrap seeded by
+the row's name, so a rerun prints the same interval).  A ratio whose
+interval excludes 1 is resolved; one whose interval holds 1 is noise.  With
+few rounds the interval is too narrow, and even with many a 90% interval
+leaves 1 out by chance in about one row of ten.  The
+row ends with the rounds in which the second side was faster, such as
+``7/7``; a group sums its ops' times in each round.  Exits 1 when an op
 fails its check or the sides' outputs differ.
 
 usage: python3 scripts/ab_ops.py BASE CHANGE [--workload hierarchy]
@@ -60,10 +66,27 @@ def load(checkout: Path, package: str, into: Path) -> Program:
     return Program(importlib.import_module(package), importlib.import_module(f"{package}.cli"))
 
 
+def ratio(members: list[tuple[list[float], list[float]]], rounds: list[int]) -> float:
+    """Side b's summed medians over side a's, of ``members``' times in ``rounds``."""
+    sum_a, sum_b = (sum(statistics.median([row[side][i] for i in rounds]) for row in members)
+                    for side in (0, 1))
+    return sum_b / sum_a
+
+
+def interval(name: str, members: list[tuple[list[float], list[float]]]) -> tuple[float, float]:
+    """The 5% and 95% quantiles of the ratio over 1,000 resamplings of the rounds,
+    drawn with replacement by a generator seeded with the row's ``name``."""
+    rng, count = random.Random(name), len(members[0][0])
+    ratios = [ratio(members, rng.choices(range(count), k=count)) for _ in range(1000)]
+    cuts = statistics.quantiles(ratios, n=20, method="inclusive")
+    return cuts[0], cuts[-1]
+
+
 def row_line(name: str, width: int, members: list[tuple[list[float], list[float]]]) -> str:
     """The summed medians of ``members``' per-round times on both sides, their
     ratio, the quartile distance of side a's summed times per round over their
-    median, and the rounds in which the summed times of side b were lower."""
+    median, the ratio's bootstrap interval, and the rounds in which the summed
+    times of side b were lower."""
     sum_a, sum_b = (sum(statistics.median(row[side]) for row in members) for side in (0, 1))
     rounds_a, rounds_b = (list(map(sum, zip(*(row[side] for row in members)))) for side in (0, 1))
     wins = sum(map(lt, rounds_b, rounds_a))
@@ -71,8 +94,9 @@ def row_line(name: str, width: int, members: list[tuple[list[float], list[float]
     if len(rounds_a) > 1:
         quartiles = statistics.quantiles(rounds_a, method="inclusive")
     spread = (quartiles[2] - quartiles[0]) / statistics.median(rounds_a)
+    low, high = interval(name, members)
     return (f"{name:<{width}}  {sum_a * 1000:9.3f}  {sum_b * 1000:9.3f}  {sum_b / sum_a:.3f}"
-            f"  {spread:8.3f}  {wins}/{len(rounds_a)}")
+            f"  {spread:8.3f}  {low:.3f}-{high:.3f}  {wins}/{len(rounds_a)}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     rows = {op.name: pair for op, pair in zip(ops_a, times)}
     width = max(map(len, rows))
     print(f"# {args.workload}, seed {args.seed}, {args.rounds} rounds; a = {args.base}, b = {args.change}")
-    print(f"{'op':<{width}}  {'a ms':>9}  {'b ms':>9}  b/a    a spread  b wins")
+    print(f"{'op':<{width}}  {'a ms':>9}  {'b ms':>9}  b/a    a spread  b/a 5-95%    b wins")
     for name, (a, b) in rows.items():
         print(row_line(name, width, [(a, b)]))
     groups: dict[str, list[tuple[list[float], list[float]]]] = {"total": list(rows.values())}

@@ -29,7 +29,7 @@ import argparse
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice
@@ -43,7 +43,7 @@ from .formats import (
     serialize_graph,
     write_pgm,
 )
-from .graphs import Graph, NodeFunction, NodeValues, grid_graph, values_by_index
+from .graphs import Graph, NodeValues, grid_graph, values_by_index
 from .hydro import derive_edge_graph, is_edge_flooding, is_node_flooding, lakes
 from .dendrogram import build_lake_dendrogram, dendrogram_flood
 from .reductions import contract_flat_zones, local_flood
@@ -57,7 +57,7 @@ from .solvers import (
     prim_flood,
 )
 from .ultrametric import flooding_distance_all, mst
-from .weights import BOTTOM, TOP, Weight
+from .weights import BOTTOM, TOP
 
 _BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
 # Blanks and comments, then the first line with more, up to its '#' or line break
@@ -83,8 +83,8 @@ def _decode(data: bytes, path: str) -> str:
         raise GraphFormatError(f"{path}: not UTF-8 text and not a PGM raster") from exc
 
 
-def _read_values(path: str) -> NodeFunction:
-    return parse_node_values(_decode(_read_bytes(path), path))
+def _read_text(path: str) -> str:
+    return _decode(_read_bytes(path), path)
 
 
 def _utf8_name(arg: str) -> str:
@@ -125,25 +125,23 @@ def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeValues:
             )
         return NodeValues(graph, [value for row in rows for value in row])
     text = _decode(data, path)
-    if _FIRST_LINE.match(text)[1].rstrip() == HEADER:
-        other, values = parse_graph(text)
-        if set(other.nodes) != set(graph.nodes):  # in any order
-            raise GraphFormatError(f"{path}: ceiling graph has a different node set")
-    else:
-        values = parse_node_values(text)
-    return _by_index(path, graph, values or {}, "ceiling", TOP)  # a node left out is at top
+    if _FIRST_LINE.match(text)[1].rstrip() != HEADER:  # a node left out is at top
+        return _of_file(path, parse_node_values, text, graph, "ceiling", TOP)
+    other, values = parse_graph(text)
+    if set(other.nodes) != set(graph.nodes):  # in any order
+        raise GraphFormatError(f"{path}: ceiling graph has a different node set")
+    return NodeValues(graph, _of_file(path, values_by_index, graph, values or {}, "ceiling", TOP))
 
 
 def _read_tau(args: argparse.Namespace, graph: Graph) -> NodeValues:
-    return _by_index(args.tau, graph, _read_values(args.tau), "tau")
+    return _of_file(args.tau, parse_node_values, _read_text(args.tau), graph, "tau")
 
 
-def _by_index(
-    path: str, graph: Graph, values: Mapping, what: str, default: Weight | None = None
-) -> NodeValues:
-    """A file's node function by node index; a node it misses or names wrongly is a fault of the file."""
+def _of_file(path: str, read: Callable, *args):
+    """``read(*args)``, a file's node function by node index: a node it misses or
+    names wrongly is a fault of the file."""
     try:
-        return NodeValues(graph, values_by_index(graph, values, what, default))
+        return read(*args)
     except PreconditionError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
 
@@ -242,7 +240,7 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
 
 def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     view = edge_view(ingested, args, "segmentation")
-    markers = _read_values(args.markers)
+    markers = parse_node_values(_read_text(args.markers))
     if not markers:
         raise PreconditionError(f"{args.markers}: no markers found")
     result = marker_segmentation(view, markers, engine=args.engine)

@@ -15,7 +15,9 @@ non-negative integers or the tokens ``inf`` / ``-inf``.
 
 `serialize_graph` writes it as text chunks of at most 65,536 node or edge
 lines, once every check has passed.  Node values (flooding results,
-markers) use one ``<node> <value>`` pair per line.  Rasters are read as PGM,
+markers, ceilings) use one ``<node> <value>`` pair per line, in any order;
+read against a graph, lines in node order are placed by index, with no
+name table.  Rasters are read as PGM,
 plain (P2) or binary (P5), and written as P5, with 16-bit big-endian
 samples when maxval exceeds 255.
 """
@@ -23,7 +25,7 @@ samples when maxval exceeds 255.
 from __future__ import annotations
 
 import re
-from collections.abc import Collection, Iterator, Mapping
+from collections.abc import Collection, Iterator, Mapping, Sequence
 from itertools import chain
 
 from .errors import GraphFormatError
@@ -209,8 +211,50 @@ def serialize_graph(graph: Graph, omega: Mapping[str, Weight] | None = None) -> 
                  map(edges, range(0, len(edge_u), 65536)))
 
 
-def parse_node_values(text: str) -> NodeFunction:
-    """Parse ``<node> <value>`` lines (markers, floodings, ceilings)."""
+def parse_node_values(
+    text: str, graph: Graph | None = None, what: str = "values", default: Weight | None = None
+) -> NodeFunction | NodeValues:
+    """Parse ``<node> <value>`` lines (markers, floodings, ceilings), in any order.
+
+    Without ``graph``, a dict in file order.  With it, a ``NodeValues`` over
+    ``graph``, ``default`` at each node the file leaves out; a node left out with
+    no default, or one the graph lacks, raises ``values_by_index``'s error for
+    ``what``.  Lines in node order are placed by index as they are read, with no
+    name table; at the first line that cannot be placed so, the whole text is
+    read by name, so every error is the one that reading gives.
+    """
+    if graph is None:
+        return _values_by_name(text)
+    levels = _in_node_order(text, graph.nodes, default)
+    if levels is None:
+        levels = values_by_index(graph, _values_by_name(text), what, default)
+    return NodeValues(graph, levels)
+
+
+def _in_node_order(text: str, nodes: Sequence[str], default: Weight | None) -> list[Weight] | None:
+    """The values of ``<node> <value>`` lines by node index, while the lines follow
+    ``nodes``: each in turn with no default, else skipping some.  None at the first
+    line that does not, or that is malformed."""
+    levels = [default] * len(nodes)
+    weights, find, at = _Weights(_COMMON), nodes.index, 0
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.partition("#")[0] for raw in lines]
+    try:
+        for node, token in filter(None, map(str.split, lines)):  # ValueError unless 2 tokens
+            if nodes[at] != node:  # IndexError past the last node
+                if default is None:  # a node left out, or out of order
+                    return None
+                at = find(node, at)  # ValueError unless a later node
+            levels[at] = weights[token]
+            at += 1
+    except (ValueError, IndexError, GraphFormatError):
+        return None
+    return levels if default is not None or at == len(nodes) else None
+
+
+def _values_by_name(text: str) -> NodeFunction:
+    """``<node> <value>`` lines as a dict in file order; the first bad line raises."""
     values: NodeFunction = {}
     weights = _Weights()
     for lineno, raw in enumerate(text.splitlines(), start=1):

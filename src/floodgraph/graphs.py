@@ -464,7 +464,8 @@ def values_by_index(
     if it names a node the graph lacks, or, with no default, misses one.  The
     count and both scans ask ``in``, and the list is read with ``get``, so a
     mapping that fills in missing keys, such as a ``defaultdict``, is not filled."""
-    if isinstance(values, NodeValues) and values.graph.nodes is graph.nodes:  # no name read
+    if isinstance(values, NodeValues) and (  # over the same nodes in order: no name read
+            values.graph.nodes is graph.nodes or values.graph.nodes == graph.nodes):
         # a copy, since each route lowers its fresh list in place: dijkstra's,
         # prim's and Berge's tau, and dendrogram_flood's lowest
         return list(values.levels)

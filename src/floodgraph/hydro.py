@@ -113,8 +113,12 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
         raise PreconditionError(f"tau is not a valid flooding: {report.violations[0]}")
     weights = view.edge_weights
     ends = view.edge_u, view.edge_v, weights
+    # the flags, then the lists the members are grouped in, are freed before the
+    # exhaust lists are made, so no two of them are alive at once
     inside = [levels[u] == levels[v] and e <= levels[u] for u, v, e in zip(*ends)]
     label, first = connected_components(view, inside)
+    del inside
+    members = group_by_label(view.nodes, label, len(first))
     # Edge ids come in order and the drop is strict, so each edge is the
     # exhaust of at most one lake and every list comes out sorted.
     exhaust: list[list[int]] = [[] for _ in first]
@@ -125,7 +129,6 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
                 exhaust[label[v]].append(edge_id)
         elif b < a and e == a:
             exhaust[label[u]].append(edge_id)
-    members = group_by_label(view.nodes, label, len(first))
     return LakePartition(list(map(levels.__getitem__, first)), members, exhaust)
 
 

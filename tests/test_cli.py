@@ -30,6 +30,7 @@ from floodgraph import (
     parse_graph,
     parse_node_values,
     read_pgm,
+    serialize_graph,
     write_pgm,
 )
 from floodgraph import graphs
@@ -640,6 +641,48 @@ def test_text_routes_on_the_edge_list_build_no_csr(capsys, monkeypatch):
         assert out.encode() == (GOLDEN / "expected" / f"{name}.stdout").read_bytes(), name
     with pytest.raises(AssertionError, match="CSR was built"):
         main(["flood", "--algo", "dijkstra", "--derive-edges", "--graph", chain])
+
+
+def test_a_ceiling_graph_in_node_order_is_listed_by_index(capsys, monkeypatch, tmp_path):
+    """A --ceiling graph file that declares the nodes in the input's order is copied
+    by index: no name index is built and no ceiling value is read by name, and the
+    output is the golden one of the same ceiling as a node-values file."""
+    cases = {
+        "tank-flood-dijkstra": ("tank.fg", ["flood", "--algo", "dijkstra"]),
+        "strip-flood-dijkstra": ("strip.pgm", ["flood", "--algo", "dijkstra", "--derive-edges"]),
+        "strip-localflood": ("strip.pgm", ["localflood", "--node", "0,3"]),
+    }
+    files = {}
+    for name, ceiling in (("tank.fg", "tank-ceiling.txt"), ("strip.pgm", "strip-ceiling.txt")):
+        graph = ingest_graph(str(GOLDEN / name), 4).graph
+        omega = parse_node_values((GOLDEN / ceiling).read_text())
+        files[name] = tmp_path / f"{name}-ceiling.fg"
+        files[name].write_text("".join(serialize_graph(graph, omega)))
+
+    def refuse(*args):
+        raise AssertionError("a name was looked up")
+
+    monkeypatch.setattr(graphs.Graph, "_names", refuse)
+    monkeypatch.setattr(graphs.NodeValues, "__getitem__", refuse)
+    for golden, (name, argv) in cases.items():
+        code, out, err = run(capsys, *argv, "--graph", str(GOLDEN / name), "--ceiling", str(files[name]))
+        assert (code, err) == (0, ""), golden
+        assert out.encode() == (GOLDEN / "expected" / f"{golden}.stdout").read_bytes(), golden
+
+
+def test_a_tau_in_reverse_order_gives_the_same_reports(capsys, tmp_path):
+    """validate and lakes read a tau in node order by index and one in any other order
+    by name, with the same outcome: the twin of CI's check on the installed script."""
+    code, tau, _ = run(capsys, "flood", "--algo", "core", "--graph", str(GOLDEN / "raster64.pgm"))
+    assert code == 0
+    forward, backward = tmp_path / "tau.txt", tmp_path / "tau-reversed.txt"
+    forward.write_text(tau)
+    backward.write_text("".join(reversed(tau.splitlines(keepends=True))))
+    for command in ("validate", "lakes"):
+        outputs = [run(capsys, command, "--graph", str(GOLDEN / "raster64.pgm"), "--tau", str(path))
+                   for path in (forward, backward)]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0, command
+        assert outputs[0][1].startswith("valid\n" if command == "validate" else "lake 0 "), command
 
 
 def test_dendro_on_two_components_matches_members(capsys, tmp_path):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
+from itertools import filterfalse, repeat
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from floodgraph import (
     BOTTOM,
@@ -23,6 +25,7 @@ from floodgraph import (
     write_pgm,
 )
 from floodgraph import formats
+from floodgraph.cli import _BREAKS
 
 from strategies import connected_edge_graph, connected_node_graph, ground_of, random_ceiling
 
@@ -298,6 +301,125 @@ def test_node_values_messages_quote_the_line_without_its_comment():
     with pytest.raises(GraphFormatError) as err:
         parse_node_values("a 1\n\n  b 1 2 \t# three tokens\n")
     assert str(err.value) == "line 3: expected '<node> <value>', got 'b 1 2'"
+
+
+def reference_parse_node_values(text):
+    """The dict parser that every node-values file went through before the by-index
+    reader, kept verbatim as the reference."""
+    values = {}
+    weights = formats._Weights()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0]
+        tokens = line.split()
+        if len(tokens) != 2:
+            if not tokens:  # a blank line or a comment
+                continue
+            line = line.strip()
+            raise GraphFormatError(f"line {lineno}: expected '<node> <value>', got {line!r}")
+        node, raw_value = tokens
+        if node in values:
+            raise GraphFormatError(f"line {lineno}: duplicate node {node!r}")
+        try:
+            values[node] = weights[raw_value]
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from None
+    return values
+
+
+def reference_values_by_index(graph, values, what, default=None):
+    """``values_by_index`` as the dict parser's output met it, kept verbatim."""
+    if type(values) is dict and len(values) == len(graph.nodes) and tuple(values) == graph.nodes:
+        return list(values.values())  # keyed by exactly the nodes, in order: no name hashed
+    known = sum(map(values.__contains__, graph.nodes))
+    if default is None and known != len(graph.nodes):
+        for node in filterfalse(values.__contains__, graph.nodes):
+            raise PreconditionError(f"{what} is missing node {node!r}")
+    if known != len(values):
+        for node in filterfalse(graph.__contains__, values):
+            raise PreconditionError(f"{what} defined on unknown node {node!r}")
+    return list(map(values.get, graph.nodes, repeat(default)))
+
+
+def _outcome(read, *args):
+    """The levels a read returns, or the class and message of what it raises."""
+    try:
+        return read(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is part of the outcome
+        return type(exc), str(exc)
+
+
+# Every line break of cli._BREAKS, one character each, and the two-character "\r\n"
+BREAKS = [chr(code) for code in range(0x2030) if re.fullmatch(f"[{_BREAKS}]", chr(code))] + ["\r\n"]
+TOKENS = [*map(str, range(8)), "07", "inf", "-inf"]
+FAULTS = ["07x", "-3", "1.5", "", "x y"]  # a bad weight; '' and 'x y' change the token count
+
+
+@st.composite
+def node_value_texts(draw):
+    """A graph of 1..8 nodes whose names share letters, and a node-values text over it:
+    dense or sparse, in node order, shuffled or with one line moved, and perhaps a
+    repeated, unknown or malformed line, blank and '#' lines, and any line break."""
+    names = draw(st.lists(st.text("ab,é", min_size=1, max_size=3), min_size=1, max_size=8,
+                          unique=True))
+    graph = build_graph(names, [])
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    dense = draw(st.booleans())
+    lines = [f"{name} {rng.choice(TOKENS)}" for name in names if dense or rng.random() < 0.5]
+    order = draw(st.sampled_from(["node", "shuffled", "moved"]))
+    if order == "shuffled":
+        rng.shuffle(lines)
+    elif order == "moved" and lines:
+        lines.insert(rng.randrange(len(lines)), lines.pop(rng.randrange(len(lines))))
+    for fault in draw(st.lists(st.sampled_from(["repeat", "unknown", "malformed", "weight"]),
+                               max_size=2)):
+        at = rng.randrange(len(lines) + 1)
+        if fault == "repeat" and lines:
+            lines.insert(at, f"{rng.choice(lines).split()[0]} {rng.choice(TOKENS)}")
+        elif fault == "unknown":
+            lines.insert(at, f"{rng.choice(names)}a {rng.choice(TOKENS)}")
+        elif fault == "malformed":
+            lines.insert(at, rng.choice(["a", "a 1 2", "a=1"]))
+        elif fault == "weight":
+            lines.insert(at, f"{rng.choice(names)} {rng.choice(FAULTS)}".rstrip())
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "# note", "\t#"]))
+    if lines and draw(st.booleans()):
+        at = rng.randrange(len(lines))
+        lines[at] += " # trailing"
+    breaks = draw(st.lists(st.sampled_from(BREAKS), min_size=1, max_size=3))
+    text = "".join(line + rng.choice(breaks) for line in lines)
+    return graph, text if draw(st.booleans()) else text.rstrip("".join(BREAKS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(node_value_texts())
+def test_parse_node_values_by_index_matches_the_dict_parser(instance):
+    """Given the graph, the reader returns the levels that the dict parser and
+    values_by_index gave, or raises the same class with the same message: for a tau
+    (no default) and a ceiling (top where left out); without it, the same dict."""
+    graph, text = instance
+    assert _outcome(lambda: list(parse_node_values(text).items())) == _outcome(
+        lambda: list(reference_parse_node_values(text).items()))
+    for what, default in (("tau", None), ("ceiling", TOP)):
+        expected = _outcome(
+            lambda: reference_values_by_index(graph, reference_parse_node_values(text), what, default))
+        assert _outcome(lambda: parse_node_values(text, graph, what, default).levels) == expected
+
+
+def test_parse_node_values_by_index_reads_node_order_with_no_name_index(monkeypatch):
+    """Lines in node order, dense or sparse, are placed without the name index; a line
+    out of order falls back to the dict parser, and its result is the same."""
+    graph = build_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    with monkeypatch.context() as patch:
+        patch.setattr(type(graph), "_names", lambda self: pytest.fail("the name index was built"))
+        assert parse_node_values("a 1\nb 2\r\n\nc inf\nd 0 # last\n", graph, "tau").levels == [
+            1, 2, TOP, 0]
+        assert parse_node_values("b 2\nd 3\n", graph, "ceiling", TOP).levels == [TOP, 2, TOP, 3]
+    assert parse_node_values("d 3\nb 2\n", graph, "ceiling", TOP).levels == [TOP, 2, TOP, 3]
+    with pytest.raises(PreconditionError, match="^tau is missing node 'c'$"):
+        parse_node_values("a 1\nb 2\nd 0\n", graph, "tau")
+    with pytest.raises(GraphFormatError, match="^line 3: duplicate node 'b'$"):
+        parse_node_values("a 1\nb 2\nb 2\n", graph, "ceiling", TOP)
 
 
 # -- PGM ---------------------------------------------------------------------

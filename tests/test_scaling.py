@@ -198,6 +198,17 @@ def test_raster_tree_and_contraction_peaks_write_the_graph_text_by_slices(tmp_pa
     assert raster_child_peak(tmp_path, *argv) < limit
 
 
+@pytest.mark.parametrize("command, limit", [("validate", 76), ("lakes", 100)])
+def test_raster_tau_reads_place_each_line_by_node_index(tmp_path, command, limit):
+    """A tau that ``flood`` wrote lists the nodes in their order, so each line is placed
+    by index as it is read, with no dict keyed by name over every pixel; and ``lakes``
+    frees the lists its members are grouped in before it makes the exhaust lists."""
+    pytest.importorskip("resource")
+    flood = ["flood", "--algo", "dijkstra", "--derive-edges", "--ceiling", "ceiling.txt"]
+    raster_child_peak(tmp_path, *flood, "-o", "tau.txt")
+    assert raster_child_peak(tmp_path, command, "--tau", "tau.txt") < limit
+
+
 def reference_serialize_graph(graph, omega=None):
     """The writer as it was when it joined every line into one string."""
     names, ground, weights = graph.nodes, graph.ground_values, graph.edge_weights
