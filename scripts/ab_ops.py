@@ -10,7 +10,9 @@ side that goes first alternates from op to op and from round to round.
 Each output is checked untimed, and the two sides' outputs must be
 byte-identical.  A drift in the host's speed thus falls on both sides
 alike, which per-layer ``self_s`` figures taken in separate runs cannot
-promise.
+promise.  The collector is off while the rounds run and collects once at
+the start of each round, outside every timed call, so no op is charged a
+pause for the other side's garbage: the times leave out collector pauses.
 
 Prints each op's median time on both sides and their ratio (second side
 over first), then the summed medians: in total, for each op-name prefix
@@ -40,6 +42,7 @@ with itself.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import io
 import random
@@ -126,26 +129,31 @@ def main(argv: list[str] | None = None) -> int:
         times: list[tuple[list[float], list[float]]] = [([], []) for _ in ops_a]
         failures: list[str] = []
         captured = io.StringIO()
-        for round_index in range(-1, args.rounds):  # round -1 warms up, untimed
-            for index, pair in enumerate(zip(ops_a, ops_b)):
-                order = (0, 1) if (round_index + index) % 2 == 0 else (1, 0)
-                data: list[bytes | None] = [None, None]
-                for side in order:
-                    op = pair[side]
-                    with redirect_stderr(captured):
-                        start = time.perf_counter()
-                        result = op.run()
-                        elapsed = time.perf_counter() - start
-                    if round_index >= 0:
-                        times[index][side].append(elapsed)
-                    try:
-                        data[side] = op.check(result)
-                    except Mismatch as exc:
-                        failures.append(f"{op.name} on side {'ab'[side]}: {exc}")
-                    captured.seek(0)
-                    captured.truncate()
-                if None not in data and data[0] != data[1]:
-                    failures.append(f"{pair[0].name}: the two sides' outputs differ")
+        gc.disable()  # a pause would charge one side's garbage to whichever op runs next
+        try:
+            for round_index in range(-1, args.rounds):  # round -1 warms up, untimed
+                gc.collect()  # once a round, outside every timed call
+                for index, pair in enumerate(zip(ops_a, ops_b)):
+                    order = (0, 1) if (round_index + index) % 2 == 0 else (1, 0)
+                    data: list[bytes | None] = [None, None]
+                    for side in order:
+                        op = pair[side]
+                        with redirect_stderr(captured):
+                            start = time.perf_counter()
+                            result = op.run()
+                            elapsed = time.perf_counter() - start
+                        if round_index >= 0:
+                            times[index][side].append(elapsed)
+                        try:
+                            data[side] = op.check(result)
+                        except Mismatch as exc:
+                            failures.append(f"{op.name} on side {'ab'[side]}: {exc}")
+                        captured.seek(0)
+                        captured.truncate()
+                    if None not in data and data[0] != data[1]:
+                        failures.append(f"{pair[0].name}: the two sides' outputs differ")
+        finally:
+            gc.enable()
 
     rows = {op.name: pair for op, pair in zip(ops_a, times)}
     width = max(map(len, rows))

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice
@@ -37,6 +36,8 @@ from itertools import chain, islice
 from .errors import ConstructionError, GraphFormatError, PreconditionError
 from .formats import (
     HEADER,
+    _FIRST_LINE,
+    _values,
     parse_graph,
     parse_node_values,
     read_pgm,
@@ -57,11 +58,7 @@ from .solvers import (
     prim_flood,
 )
 from .ultrametric import flooding_distance_all, mst
-from .weights import BOTTOM, TOP
-
-_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
-# Blanks and comments, then the first line with more, up to its '#' or line break
-_FIRST_LINE = re.compile(rf"(?:\s|#[^{_BREAKS}]*)*([^#{_BREAKS}]*)")
+from .weights import BOTTOM, TOP, Weight
 
 
 @dataclass(frozen=True)
@@ -126,22 +123,19 @@ def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeValues:
         return NodeValues(graph, [value for row in rows for value in row])
     text = _decode(data, path)
     if _FIRST_LINE.match(text)[1].rstrip() != HEADER:  # a node left out is at top
-        return _of_file(path, parse_node_values, text, graph, "ceiling", TOP)
+        return _node_values(path, text, graph, "ceiling", TOP)
     other, values = parse_graph(text)
-    if set(other.nodes) != set(graph.nodes):  # in any order
+    if set(other.nodes) != set(graph.nodes):  # in any order, so every name is known
         raise GraphFormatError(f"{path}: ceiling graph has a different node set")
-    return NodeValues(graph, _of_file(path, values_by_index, graph, values or {}, "ceiling", TOP))
+    return NodeValues(graph, values_by_index(graph, values or {}, "ceiling", TOP))
 
 
-def _read_tau(args: argparse.Namespace, graph: Graph) -> NodeValues:
-    return _of_file(args.tau, parse_node_values, _read_text(args.tau), graph, "tau")
-
-
-def _of_file(path: str, read: Callable, *args):
-    """``read(*args)``, a file's node function by node index: a node it misses or
-    names wrongly is a fault of the file."""
+def _node_values(
+    path: str, text: str, graph: Graph, what: str, default: Weight | None = None
+) -> NodeValues:
+    """A node-values file read against ``graph``: a node it misses or names wrongly is its fault."""
     try:
-        return read(*args)
+        return parse_node_values(text, graph, what, default)
     except PreconditionError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
 
@@ -178,20 +172,6 @@ def _lines(lines: Iterable[str]) -> Iterator[str]:
             chunk, size = [], 0
     if chunk:
         yield "\n".join(chunk) + "\n"
-
-
-def _values(*columns: NodeValues) -> Iterator[str]:
-    """``<node> <value>[ <value>]`` lines, a value column per node function (one or
-    two), in chunks of 65,536 nodes that format each distinct value once."""
-    names = columns[0].graph.nodes
-
-    def chunk(lo: int) -> str:
-        slices = [column.levels[lo : lo + 65536] for column in columns]
-        tokens = [map({v: str(v) for v in set(levels)}.__getitem__, levels) for levels in slices]
-        # weights that compare equal print alike: ints, and the float infinities
-        return "\n".join(map(" ".join, zip(names[lo : lo + 65536], *tokens))) + "\n"
-
-    return map(chunk, range(0, len(names), 65536))
 
 
 def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
@@ -297,7 +277,7 @@ def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
 
 def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     graph = ingested.graph
-    tau = _read_tau(args, graph)
+    tau = _node_values(args.tau, _read_text(args.tau), graph, "tau")
     names, edge_u, edge_v = graph.nodes, graph.edge_u, graph.edge_v
     part = lakes(graph, tau)
     return 0, _lines(
@@ -310,7 +290,7 @@ def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
 
 def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     graph = ingested.graph
-    tau = _read_tau(args, graph)
+    tau = _node_values(args.tau, _read_text(args.tau), graph, "tau")
     if graph.edge_weights is not None:
         report = is_edge_flooding(graph, tau)
     else:

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 HEADER = "floodgraph v1"
+_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
+# Blanks and comments, then the first line with more, up to its '#' or line break
+_FIRST_LINE = re.compile(rf"(?:\s|#[^{_BREAKS}]*)*([^#{_BREAKS}]*)")
 _PGM_COMMENT = re.compile(rb"#[^\r\n]*")
 # Blanks and comments, then a header token (empty only at the end of the data).
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
@@ -74,6 +77,12 @@ class _Weights(dict):
         return value
 
 
+def _split(text: str) -> list[str]:
+    """The lines of ``text`` as ``str.splitlines`` breaks them, each cut at its first '#'."""
+    lines = text.splitlines()  # without a '#', every line is read whole
+    return [line.partition("#")[0] for line in lines] if "#" in text else lines
+
+
 # The canonical tokens of the common weights, parsed once at import: a graph
 # text that holds only these never reaches parse_weight.
 _COMMON = {token: parse_weight(token) for token in (*map(str, range(256)), "inf", "-inf")}
@@ -91,10 +100,7 @@ def parse_graph(text: str) -> tuple[Graph, NodeValues | None]:
     # an attribute key to the dict its values fill, keyed by node or edge id
     node_attrs, edge_attrs = {"f": ground, "omega": omega}, {"w": edge_weights}
 
-    lines = text.splitlines()
-    if "#" in text:  # cut the comments; without one, every line is read whole
-        lines = [raw.partition("#")[0] for raw in lines]
-    lines = enumerate(lines, start=1)
+    lines = enumerate(_split(text), start=1)
     for lineno, line in lines:  # the header is the first line not blank or a comment
         line = line.strip()
         if line:
@@ -211,6 +217,21 @@ def serialize_graph(graph: Graph, omega: Mapping[str, Weight] | None = None) -> 
                  map(edges, range(0, len(edge_u), 65536)))
 
 
+def _values(*columns: NodeValues) -> Iterator[str]:
+    """``<node> <value>[ <value>]`` lines in node order, as `parse_node_values` places
+    them by index: a value column per node function (one or two), in chunks of
+    65,536 nodes that format each distinct value once."""
+    names = columns[0].graph.nodes
+
+    def chunk(lo: int) -> str:
+        slices = [column.levels[lo : lo + 65536] for column in columns]
+        tokens = [map({v: str(v) for v in set(levels)}.__getitem__, levels) for levels in slices]
+        # weights that compare equal print alike: ints, and the float infinities
+        return "\n".join(map(" ".join, zip(names[lo : lo + 65536], *tokens))) + "\n"
+
+    return map(chunk, range(0, len(names), 65536))
+
+
 def parse_node_values(
     text: str, graph: Graph | None = None, what: str = "values", default: Weight | None = None
 ) -> NodeFunction | NodeValues:
@@ -237,11 +258,8 @@ def _in_node_order(text: str, nodes: Sequence[str], default: Weight | None) -> l
     line that does not, or that is malformed."""
     levels = [default] * len(nodes)
     weights, find, at = _Weights(_COMMON), nodes.index, 0
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [raw.partition("#")[0] for raw in lines]
     try:
-        for node, token in filter(None, map(str.split, lines)):  # ValueError unless 2 tokens
+        for node, token in filter(None, map(str.split, _split(text))):  # ValueError unless 2 tokens
             if nodes[at] != node:  # IndexError past the last node
                 if default is None:  # a node left out, or out of order
                     return None
@@ -257,8 +275,7 @@ def _values_by_name(text: str) -> NodeFunction:
     """``<node> <value>`` lines as a dict in file order; the first bad line raises."""
     values: NodeFunction = {}
     weights = _Weights()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0]
+    for lineno, line in enumerate(_split(text), start=1):
         tokens = line.split()
         if len(tokens) != 2:
             if not tokens:  # a blank line or a comment

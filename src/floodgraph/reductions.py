@@ -220,8 +220,8 @@ def local_flood(graph: Graph, omega: Mapping[str, Weight], node: str) -> Weight:
     """
     ground = graph.require_ground_values("local_flood")
     (center,) = node_indices(graph, (node,))
+    offsets, adj_node, _ = graph.incidences()  # built before the ceiling list exists
     ceiling = ceiling_by_index(graph, omega, "ceiling")
-    offsets, adj_node, _ = graph.incidences()
 
     best = ceiling[center]
     level: list[Weight] = [TOP] * len(graph.nodes)

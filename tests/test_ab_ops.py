@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import random
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,3 +44,23 @@ def test_the_interval_is_seeded_by_the_row_and_printed_in_its_line():
     assert f"  {low:.3f}-{high:.3f}  " in ab_ops.row_line("*/lakes", 8, members)
     one = [([0.010], [0.009])]
     assert ab_ops.interval("op", one) == pytest.approx((0.9, 0.9))  # one round, in every resample
+
+
+def test_the_ops_run_with_the_collector_off_and_main_turns_it_back_on(monkeypatch, capsys):
+    seen = []
+
+    def run():
+        seen.append(gc.isenabled())
+        return b"out"
+
+    def build(program, rng, workdir):
+        return [SimpleNamespace(name="fake/op", run=run, check=lambda result: result)]
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts its temporary packages first
+    monkeypatch.setattr(ab_ops, "load", lambda checkout, package, into: None)
+    monkeypatch.setitem(ab_ops.WORKLOADS, "fake", SimpleNamespace(build=build))
+    assert gc.isenabled()
+    assert ab_ops.main([str(ROOT), str(ROOT), "--workload", "fake", "--rounds", "2"]) == 0
+    assert seen == [False] * 6  # a warm-up round and two timed ones, on both sides
+    assert gc.isenabled()
+    assert "fake/op" in capsys.readouterr().out

@@ -34,8 +34,8 @@ from floodgraph import (
     write_pgm,
 )
 from floodgraph import graphs
-from floodgraph.cli import _FIRST_LINE, ingest_graph, main, resolve_ceiling
-from floodgraph.formats import HEADER
+from floodgraph.cli import ingest_graph, main, resolve_ceiling
+from floodgraph.formats import HEADER, _FIRST_LINE
 
 from strategies import ground_of
 

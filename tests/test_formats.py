@@ -25,7 +25,7 @@ from floodgraph import (
     write_pgm,
 )
 from floodgraph import formats
-from floodgraph.cli import _BREAKS
+from floodgraph.formats import _BREAKS
 
 from strategies import connected_edge_graph, connected_node_graph, ground_of, random_ceiling
 
@@ -348,7 +348,7 @@ def _outcome(read, *args):
         return type(exc), str(exc)
 
 
-# Every line break of cli._BREAKS, one character each, and the two-character "\r\n"
+# Every line break of formats._BREAKS, one character each, and the two-character "\r\n"
 BREAKS = [chr(code) for code in range(0x2030) if re.fullmatch(f"[{_BREAKS}]", chr(code))] + ["\r\n"]
 TOKENS = [*map(str, range(8)), "07", "inf", "-inf"]
 FAULTS = ["07x", "-3", "1.5", "", "x y"]  # a bad weight; '' and 'x y' change the token count

@@ -32,7 +32,7 @@ from floodgraph import (
     serialize_graph,
     waterfall_flooding,
 )
-from floodgraph.cli import _values
+from floodgraph.formats import _values
 from floodgraph.graphs import NodeValues, ceiling_by_index, values_by_index
 
 from strategies import rough_edge_graphs, rough_node_graphs
