@@ -15,6 +15,8 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import lt
 
 from .errors import PreconditionError
 from .graphs import (
@@ -105,30 +107,38 @@ def lakes(graph: Graph, tau: Mapping[str, Weight]) -> LakePartition:
     a lake with an exhaust edge (edge at exactly the lake level leading to a
     strictly lower node) is full, otherwise it is a regional minimum.
     Node-weighted graphs are classified on their derived edge view.
+    One pass over the edges flags both kinds of edge.  It raises exactly where
+    ``validate``'s validator reports invalid, with that validator's first violation.
     """
     view = graph if graph.edge_weights is not None else derive_edge_graph(graph)
     levels = values_by_index(view, tau, "tau")
-    report = is_edge_flooding(view, NodeValues(view, levels))
-    if not report:
-        raise PreconditionError(f"tau is not a valid flooding: {report.violations[0]}")
-    weights = view.edge_weights
-    ends = view.edge_u, view.edge_v, weights
-    # the flags, then the lists the members are grouped in, are freed before the
-    # exhaust lists are made, so no two of them are alive at once
-    inside = [levels[u] == levels[v] and e <= levels[u] for u, v, e in zip(*ends)]
-    label, first = connected_components(view, inside)
-    del inside
-    members = group_by_label(view.nodes, label, len(first))
-    # Edge ids come in order and the drop is strict, so each edge is the
-    # exhaust of at most one lake and every list comes out sorted.
-    exhaust: list[list[int]] = [[] for _ in first]
-    for edge_id, (u, v, e) in enumerate(zip(*ends)):
+    edge_u, edge_v = view.edge_u, view.edge_v
+    inside, outlet = bytearray(len(edge_u)), bytearray(len(edge_u))
+    check = None
+    for edge_id, u, v, e in zip(count(), edge_u, edge_v, view.edge_weights):
         a, b = levels[u], levels[v]
-        if a < b:
-            if e == b:
-                exhaust[label[v]].append(edge_id)
-        elif b < a and e == a:
-            exhaust[label[u]].append(edge_id)
+        if a == b:
+            if e <= a:
+                inside[edge_id] = 1
+        elif a > e or b > e:  # the higher end stands above the edge: no flooding
+            check = is_edge_flooding
+            break
+        elif a == e or b == e:  # the higher end stands at the edge, so it drains
+            outlet[edge_id] = 1
+    # the view cannot see a node below its ground, which a node flooding also rules out
+    if check is None and graph.edge_weights is None and any(map(lt, levels, view.ground_values)):
+        check = is_node_flooding
+    if check is not None:  # only a refused tau pays for the validator's wording
+        report = check(view, NodeValues(view, levels))
+        raise PreconditionError(f"tau is not a valid flooding: {report.violations[0]}")
+    label, first = connected_components(view, inside)
+    members = group_by_label(view.nodes, label, len(first))
+    # Edge ids come in order and the drop is strict, so each edge is the exhaust
+    # of its higher end's lake only and every list comes out sorted.
+    exhaust: list[list[int]] = [[] for _ in first]
+    for edge_id in compress(count(), outlet):
+        u, v = edge_u[edge_id], edge_v[edge_id]
+        exhaust[label[u] if levels[u] > levels[v] else label[v]].append(edge_id)
     return LakePartition(list(map(levels.__getitem__, first)), members, exhaust)
 
 

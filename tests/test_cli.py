@@ -744,6 +744,23 @@ def test_lakes_report(capsys, tank_file, tank_tau_file):
     ]
 
 
+@pytest.mark.parametrize("graph, tau, golden", [
+    ("tank.fg", "tank-bad-tau.txt", "tank-lakes-invalid"),
+    ("chain.fg", "chain-low-tau.txt", "chain-lakes-below-ground"),
+])
+def test_lakes_exit_1_where_validate_does(capsys, graph, tau, golden):
+    """lakes refuses a tau that validate finds invalid, naming validate's first
+    violation, a node below its ground too: the twin of CI's check on the installed script."""
+    files = ["--graph", str(GOLDEN / graph), "--tau", str(GOLDEN / tau)]
+    code, out, _ = run(capsys, "validate", *files)
+    assert code == 1
+    first = out.splitlines()[1]
+    code, out, err = run(capsys, "lakes", *files)
+    assert (code, out) == (1, "")
+    assert err == f"error: tau is not a valid flooding: {first}\n"
+    assert err.encode() == (GOLDEN / "expected" / f"{golden}.stderr").read_bytes()
+
+
 def test_validate_valid_and_invalid(capsys, tmp_path, tank_file, tank_tau_file):
     code, out, _ = run(capsys, "validate", "--graph", tank_file, "--tau", tank_tau_file)
     assert code == 0

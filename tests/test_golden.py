@@ -60,6 +60,7 @@ CASES: list[tuple[str, list[str], int]] = [
     ("chain-dendro-flood", ["dendro", "--graph", "chain.fg", "--derive-edges", "--flood"], 0),
     ("chain-lakes", ["lakes", "--graph", "chain.fg", "--tau", "chain-tau.txt"], 0),
     ("chain-validate", ["validate", "--graph", "chain.fg", "--tau", "chain-tau.txt"], 0),
+    ("chain-lakes-below-ground", ["lakes", "--graph", "chain.fg", "--tau", "chain-low-tau.txt"], 1),
     ("chain-contract", ["contract", "--graph", "chain.fg"], 0),
     ("chain-localflood", ["localflood", "--graph", "chain.fg", "--node", "c"], 0),
     # tank: edge-weighted line of tanks
@@ -77,6 +78,7 @@ CASES: list[tuple[str, list[str], int]] = [
     ("tank-lakes", ["lakes", "--graph", "tank.fg", "--tau", "tank-tau.txt"], 0),
     ("tank-validate", ["validate", "--graph", "tank.fg", "--tau", "tank-tau.txt"], 0),
     ("tank-validate-invalid", ["validate", "--graph", "tank.fg", "--tau", "tank-bad-tau.txt"], 1),
+    ("tank-lakes-invalid", ["lakes", "--graph", "tank.fg", "--tau", "tank-bad-tau.txt"], 1),
     # strip: 1x6 plain PGM whose flat-zone contraction is the chain
     *[(f"strip-flood-{a}", _flood("strip.pgm", a, "--ceiling", "strip-ceiling.txt"), 0)
       for a in FLOOD_ALGOS],

@@ -25,7 +25,8 @@ from floodgraph import (
     lakes,
     regional_minima,
 )
-from floodgraph.graphs import group_by_label
+from floodgraph.graphs import NodeValues, connected_components, group_by_label, values_by_index
+from floodgraph.hydro import LakePartition
 
 from strategies import (
     ceiling_above,
@@ -115,6 +116,14 @@ def two_way_edge_check(graph, tau):
 _LEVELS = [BOTTOM, TOP, *range(8)]
 
 
+def dijkstra_tau(graph, omega):
+    return dijkstra_flood(graph, omega).tau
+
+
+def core_tau(graph, omega):
+    return core_expanding_flood(graph, omega).tau
+
+
 @st.composite
 def broken_floodings(draw, instances, flood):
     """A valid flooding with one endpoint of one edge, the ``u`` or the ``v`` one, reset."""
@@ -129,7 +138,7 @@ def broken_floodings(draw, instances, flood):
 
 @settings(max_examples=300)
 @given(
-    broken_floodings(rough_flood_instances(), lambda graph, omega: dijkstra_flood(graph, omega).tau),
+    broken_floodings(rough_flood_instances(), dijkstra_tau),
     st.randoms(use_true_random=False),
 )
 def test_edge_check_matches_the_two_way_loop(instance, rng):
@@ -141,9 +150,7 @@ def test_edge_check_matches_the_two_way_loop(instance, rng):
 
 @settings(max_examples=300)
 @given(
-    broken_floodings(
-        rough_node_flood_instances(), lambda graph, omega: core_expanding_flood(graph, omega).tau
-    ),
+    broken_floodings(rough_node_flood_instances(), core_tau),
     st.randoms(use_true_random=False),
 )
 def test_node_check_matches_the_two_way_loop(instance, rng):
@@ -208,7 +215,75 @@ def test_chain_lakes_on_the_derived_edge_view(chain):
 def test_lakes_reject_invalid_water(tank):
     with pytest.raises(PreconditionError) as err:
         lakes(tank.graph, {**tank.tau, "D": 4})
-    assert "not a valid flooding" in str(err.value)
+    assert str(err.value) == "tau is not a valid flooding: edge (C,D): tau_D=4 exceeds tau_C v e = 3"
+
+
+def reference_lakes(graph, tau):
+    """`lakes` as three passes over the edges: validate, flag the lake edges, find the exhausts."""
+    view = graph if graph.edge_weights is not None else derive_edge_graph(graph)
+    levels = values_by_index(view, tau, "tau")
+    report = is_edge_flooding(view, NodeValues(view, levels))
+    if not report:
+        raise PreconditionError(f"tau is not a valid flooding: {report.violations[0]}")
+    weights = view.edge_weights
+    ends = view.edge_u, view.edge_v, weights
+    # the flags, then the lists the members are grouped in, are freed before the
+    # exhaust lists are made, so no two of them are alive at once
+    inside = [levels[u] == levels[v] and e <= levels[u] for u, v, e in zip(*ends)]
+    label, first = connected_components(view, inside)
+    del inside
+    members = group_by_label(view.nodes, label, len(first))
+    # Edge ids come in order and the drop is strict, so each edge is the
+    # exhaust of at most one lake and every list comes out sorted.
+    exhaust: list[list[int]] = [[] for _ in first]
+    for edge_id, (u, v, e) in enumerate(zip(*ends)):
+        a, b = levels[u], levels[v]
+        if a < b:
+            if e == b:
+                exhaust[label[v]].append(edge_id)
+        elif b < a and e == a:
+            exhaust[label[u]].append(edge_id)
+    return LakePartition(list(map(levels.__getitem__, first)), members, exhaust)
+
+
+def outcome(function, graph, tau):
+    """What ``function`` returns, or the message of the PreconditionError it raises."""
+    try:
+        return function(graph, tau)
+    except PreconditionError as err:
+        return str(err)
+
+
+def lake_cases():
+    """Valid floodings of rough edge and node graphs, and the same with one node reset."""
+    return st.one_of(*(
+        st.one_of(instances.map(lambda pair, flood=flood: (pair[0], dict(flood(*pair)))),
+                  broken_floodings(instances, flood))
+        for instances, flood in ((rough_flood_instances(), dijkstra_tau),
+                                 (rough_node_flood_instances(), core_tau))
+    ))
+
+
+@settings(max_examples=400)
+@given(lake_cases())
+def test_lakes_match_the_three_pass_reference(case):
+    """One pass gives the reference's partition or message; only a node below its
+    ground, which the reference let through, now gets the node check's first violation."""
+    graph, tau = case
+    expected = outcome(reference_lakes, graph, tau)
+    if isinstance(expected, LakePartition) and graph.edge_weights is None:
+        report = is_node_flooding(graph, tau)
+        if not report:
+            expected = f"tau is not a valid flooding: {report.violations[0]}"
+    assert outcome(lakes, graph, tau) == expected
+
+
+@settings(max_examples=400)
+@given(lake_cases())
+def test_lakes_raise_exactly_where_validate_reports_invalid(case):
+    graph, tau = case
+    check = is_edge_flooding if graph.edge_weights is not None else is_node_flooding
+    assert isinstance(outcome(lakes, graph, tau), str) == (not check(graph, tau))
 
 
 # -- flat zones and regional minima -------------------------------------------
