@@ -256,6 +256,8 @@ def cmd_mst(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
 
 
 def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
+    if args.ceiling is not None and not args.flood:  # misuse: the file would go unread
+        raise argparse.ArgumentError(None, "dendro reads --ceiling only with --flood")
     dendro = build_lake_dendrogram(edge_view(ingested, args, "dendro"))
     # flooded before any output, so a bad ceiling writes nothing
     tail = _values(dendrogram_flood(dendro, resolve_ceiling(args, ingested))) if args.flood else ()
@@ -411,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, 1)  # so the flush at exit cannot fail again
         os.close(devnull)
         return 141
-    except (GraphFormatError, ConstructionError, OSError) as exc:
+    except (argparse.ArgumentError, GraphFormatError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:

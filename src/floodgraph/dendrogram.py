@@ -14,18 +14,17 @@ Najman, Cousty & Perret, "Playing with Kruskal" (ISMM 2013): `diam` and
 `father` by cluster, over its graph, and nothing else.  Building, flooding
 and the CLI read the arrays, walking `father` upward in index order;
 `all_members()` sorts each cluster's run of leaves and hands it up to its
-father.  `Dendrogram.clusters` builds each cluster's row of the arrays as
-a `Cluster`, its children included, on every access.
+father.  `Dendrogram.clusters` gives each cluster's row of the arrays as a
+`Cluster`, with no children.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .errors import ConstructionError
-from .graphs import Graph, NodeValues, ceiling_by_index, index_graph
+from .graphs import Graph, NodeValues, _counting, ceiling_by_index, index_graph
 from .ultrametric import single_linkage
 from .weights import BOTTOM, TOP, Weight
 
@@ -44,7 +43,6 @@ class Cluster:
     index: int
     diam: Weight
     father: int | None
-    children: tuple[int, ...]
 
 
 class Dendrogram:
@@ -81,13 +79,7 @@ class Dendrogram:
     @property
     def clusters(self) -> tuple[Cluster, ...]:
         """Each cluster's row of the arrays, built anew on every access."""
-        children: list[list[int]] = [[] for _ in self.father]
-        for child, up in enumerate(self.father):
-            if up is not None:
-                children[up].append(child)
-        return tuple(map(
-            Cluster, range(len(self.diam)), self.diam, self.father, map(tuple, children)
-        ))
+        return tuple(map(Cluster, range(len(self.diam)), self.diam, self.father))
 
     def __repr__(self) -> str:
         return (f"Dendrogram(leaf_names={self.graph.nodes!r}, "
@@ -185,9 +177,9 @@ def build_lake_dendrogram(graph: Graph) -> Dendrogram:
     """
     weights = graph.require_edge_weights("build_lake_dendrogram")
     leaves = len(graph.nodes)
-    current = array("i", range(leaves))  # cluster index of each union-find root's block
     diam: list[Weight] = [BOTTOM] * leaves
     father: list[int | None] = [None] * leaves
+    current = _counting(leaves)  # cluster index of each union-find root's block
     pending: dict[int, list[int]] = {}  # root -> the clusters it merges at this level
     level = None
 

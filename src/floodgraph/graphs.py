@@ -300,7 +300,8 @@ def _counting(total: int) -> array:
     for plane in range(size):
         if run >= total:
             break  # the higher bytes stay zero
-        cycle = b"".join(bytes((j,)) * run for j in range(min(256, -(-total // run))))
+        values = range(min(256, -(-total // run)))
+        cycle = bytes(values) if run == 1 else b"".join(bytes((j,)) * run for j in values)
         at = plane if sys.byteorder == "little" else size - 1 - plane
         raw[at::size] = memoryview(cycle * -(-total // len(cycle)))[:total]
         run *= 256

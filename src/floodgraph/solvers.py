@@ -32,7 +32,7 @@ and core (new cores below the least priority) pop per item inline.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
@@ -64,7 +64,7 @@ class SolverStats:
     extractions: int = 0
     relaxations: int = 0
     sweeps: int = 0
-    extraction_levels: tuple[Weight, ...] = ()
+    extraction_levels: Sequence[Weight] = ()
 
 
 # Not frozen: every route builds one, and a frozen __init__ costs about twice as much.
@@ -236,7 +236,7 @@ def dijkstra_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverResult:
     tau = ceiling_by_index(graph, omega)  # a fresh list, never the caller's
     fed = [seed for seed, level in enumerate(tau) if level < TOP]
     extractions, relaxations, levels = _best_first_flood(graph, weights, tau, fed)
-    stats = SolverStats(extractions, relaxations, 0, tuple(levels))
+    stats = SolverStats(extractions, relaxations, 0, levels)
     return SolverResult(tau=NodeValues(graph, tau), stats=stats)
 
 
@@ -429,5 +429,5 @@ def marker_segmentation(
                     best_level[neighbor], best_rank[neighbor] = w, rank
                 funnel[w, rank].append(neighbor)
                 relaxations += 1
-    stats = SolverStats(extractions, relaxations, 0, tuple(levels))
+    stats = SolverStats(extractions, relaxations, 0, levels)
     return SolverResult(NodeValues(graph, tau), NodeValues(graph, labels), stats)

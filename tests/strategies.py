@@ -109,6 +109,15 @@ def graph_arrays(graph: Graph) -> tuple:
     return graph.nodes, graph.edge_u, graph.edge_v, graph.ground_values, graph.edge_weights
 
 
+def children_of(dendro) -> list[tuple[int, ...]]:
+    """Each cluster's children, in index order, by inverting the ``father`` array."""
+    children: list[list[int]] = [[] for _ in dendro.father]
+    for child, up in enumerate(dendro.father):
+        if up is not None:
+            children[up].append(child)
+    return list(map(tuple, children))
+
+
 def ceiling_above(rng: random.Random, graph: Graph, slack: int = 6, top_chance: float = 0.4) -> dict:
     """A ceiling that sits on or above the ground everywhere."""
     graph.require_ground_values("ceiling_above")

@@ -1255,6 +1255,15 @@ def test_dendro_routes_reject_ceiling_below_ground(capsys, tmp_path, chain_file,
     assert "ceiling below ground at node 'b'" in err
 
 
+def test_dendro_refuses_a_ceiling_without_flood(capsys, tmp_path):
+    """dendro reads a ceiling only to flood, so --ceiling without --flood is misuse, refused
+    without opening the file: the twin of CI's check on the installed script."""
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "dendro", "--graph", str(GOLDEN / "tank.fg"), "--ceiling", str(missing))
+    assert (code, out) == (2, "")
+    assert err.encode() == (GOLDEN / "expected" / "tank-dendro-ceiling-no-flood.stderr").read_bytes()
+
+
 # Each command on the chain graph, with inputs that read: a fault row changes one input.
 FAULT_RUNS = {
     "flood": ["flood", "--algo", "core"],
@@ -1273,6 +1282,7 @@ FAULT_FILES = {
     "tau.txt": "".join(f"{line}\n" for line in CHAIN_TAU_LINES),
 }
 HANGING_TAU = "a 0\nb 4\nc 3\nd 2\ne 1\n"  # c at 3 hangs above d at 2
+BARE_CHAIN = "floodgraph v1\n" + "".join(f"node {n}\n" for n in "abcde") + "edge a b\nedge d e\n"
 SENTINEL = b"an earlier report\n"
 CEILING_FAULTS = {  # name: (--ceiling file, its text or None for no file, exit code)
     "unknown-ceiling-node": ("ceiling.txt", "zz 1\n", 2),
@@ -1286,6 +1296,8 @@ FAULTS = [  # (id, argv less --graph and -o, files over FAULT_FILES with None fo
     *[(f"{name}-{fault}", [*FAULT_RUNS[name], "--ceiling", path], {path: text}, code)
       for name in ("flood", "dendro", "contract", "localflood")
       for fault, (path, text, code) in CEILING_FAULTS.items()],
+    ("dendro-ceiling-without-flood", ["dendro", "--derive-edges", "--ceiling", "none.txt"],
+     {"none.txt": None}, 2),
     ("segment-unknown-marker", FAULT_RUNS["segment"], {"markers.txt": "zz 1\n"}, 2),
     ("segment-duplicate-labels", FAULT_RUNS["segment"], {"markers.txt": "a 1\ne 1\n"}, 1),
     ("segment-no-markers", FAULT_RUNS["segment"], {"markers.txt": "# none\n"}, 1),
@@ -1298,6 +1310,11 @@ FAULTS = [  # (id, argv less --graph and -o, files over FAULT_FILES with None fo
     ("lakes-tau-no-flooding", FAULT_RUNS["lakes"], {"tau.txt": HANGING_TAU}, 1),
     ("mst-no-edge-weights", ["mst"], {}, 1),
     ("fldist-no-edge-weights", ["fldist", "--from", "a"], {}, 1),
+    *[(f"{name}-no-ground", FAULT_RUNS[name], {"graph.fg": BARE_CHAIN}, 1)
+      for name in ("flood", "lakes", "validate", "contract", "localflood")],
+    ("segment-label-pgm-not-raster", [*FAULT_RUNS["segment"], "--label-pgm", "labels.pgm"], {}, 1),
+    ("segment-label-pgm-out-of-range", [*FAULT_RUNS["segment"], "--label-pgm", "labels.pgm"],
+     {"graph.fg": "P2 2 1 9 1 2\n", "markers.txt": "0,0 65536\n"}, 1),
 ]
 
 

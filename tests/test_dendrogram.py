@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import chain, groupby
 
@@ -34,12 +35,12 @@ from floodgraph.cli import Ingested, _lines, build_parser, cmd_dendro
 from floodgraph.graphs import NodeValues
 from floodgraph.ultrametric import single_linkage
 
-from strategies import edge_graphs, random_ceiling, rough_edge_graphs
+from strategies import children_of, edge_graphs, random_ceiling, rough_edge_graphs
 
 
-def members_of(dendro, clusters):
+def members_of(dendro, indices):
     members = list(dendro.all_members())
-    return {members[c.index] for c in clusters}
+    return {members[index] for index in indices}
 
 
 def parent_arrays(leaves, groups):
@@ -58,10 +59,14 @@ def arrays(dendro):
 
 
 def cluster_of(dendro, members):
-    """The cluster holding exactly ``members``."""
-    pairs = zip(dendro.clusters, dendro.all_members())
-    (found,) = (c for c, names in pairs if set(names) == set(members))
+    """The index of the cluster holding exactly ``members``."""
+    (found,) = (i for i, names in enumerate(dendro.all_members()) if set(names) == set(members))
     return found
+
+
+def inner_diameters(dendro):
+    """The diam of every cluster of two leaves or more, by its members."""
+    return {members: d for members, d in zip(dendro.all_members(), dendro.diam) if len(members) > 1}
 
 
 # -- structure and construction ------------------------------------------------
@@ -70,14 +75,14 @@ def cluster_of(dendro, members):
 def test_dendro_fixture_structure(dendro_fixture):
     dendro = dendro_fixture.dendro
     assert dendro.graph.nodes == dendro_fixture.leaves
-    assert len(dendro.clusters) == 11 + 8
+    assert len(dendro.diam) == 11 + 8
     root = cluster_of(dendro, dendro_fixture.leaves)
-    assert root.diam == 10 and root.father is None
-    assert [i for i, up in enumerate(dendro.father) if up is None] == [root.index]
-    inner = cluster_of(dendro, ["b", "c", "d", "e"])
-    assert inner.diam == 4
-    assert cluster_of(dendro, ["g"]).children == ()
-    assert cluster_of(dendro, ["g"]).diam == BOTTOM
+    assert dendro.diam[root] == 10 and dendro.father[root] is None
+    assert [i for i, up in enumerate(dendro.father) if up is None] == [root]
+    assert dendro.diam[cluster_of(dendro, ["b", "c", "d", "e"])] == 4
+    leaf = cluster_of(dendro, ["g"])
+    assert children_of(dendro)[leaf] == ()
+    assert dendro.diam[leaf] == BOTTOM
 
 
 def test_is_dendrogram():
@@ -127,8 +132,8 @@ def test_lake_dendrogram_clusters_form_a_dendrogram(graph):
 @given(rough_edge_graphs())
 def test_all_members_lists_every_cluster_in_declaration_order(graph):
     dendro = build_lake_dendrogram(graph)
-    leaves = [{i} for i in range(len(graph.nodes))]  # by the cluster views, not the layout
-    for kids in [cluster.children for cluster in dendro.clusters][len(graph.nodes):]:
+    leaves = [{i} for i in range(len(graph.nodes))]  # by the children, not the layout
+    for kids in children_of(dendro)[len(graph.nodes):]:
         leaves.append(set().union(*map(leaves.__getitem__, kids)))
     expected = [tuple(graph.nodes[i] for i in sorted(block)) for block in leaves]
     assert list(dendro.all_members()) == expected
@@ -138,7 +143,7 @@ def layout_members(dendro):
     """The former ``all_members``: lay the leaves out so that every cluster
     fills one range (fathers placed before their children), then sort each
     cluster's range."""
-    children = [cluster.children for cluster in dendro.clusters]
+    children = children_of(dendro)
     size = [1] * len(dendro.graph.nodes)  # leaves per cluster, from the children tuples
     for kids in children[len(size) :]:
         size.append(sum(map(size.__getitem__, kids)))
@@ -218,24 +223,20 @@ def test_build_dendrogram_reads_iterators_once():
 
 def test_chain_lake_dendrogram(chain):
     dendro = build_lake_dendrogram(chain.edge_graph)
-    pairs = zip(dendro.clusters, dendro.all_members())
-    grouped = {members: c.diam for c, members in pairs if c.children}
-    assert grouped == {("c", "d", "e"): 2, ("a", "b", "c", "d", "e"): 4}
+    assert inner_diameters(dendro) == {("c", "d", "e"): 2, ("a", "b", "c", "d", "e"): 4}
 
 
 def test_single_edge_lake_dendrogram():
     graph = build_graph(["p", "q"], [("p", "q")], edge_weights=[5])
     dendro = build_lake_dendrogram(graph)
-    assert members_of(dendro, dendro.clusters) == {("p",), ("q",), ("p", "q")}
-    assert cluster_of(dendro, ("p", "q")).diam == 5
+    assert set(dendro.all_members()) == {("p",), ("q",), ("p", "q")}
+    assert dendro.diam[cluster_of(dendro, ("p", "q"))] == 5
 
 
 def test_realizing_tree_reproduces_the_fixture(dendro_fixture):
     rebuilt = build_lake_dendrogram(dendro_fixture.tree)
     expected = {tuple(m): d for m, d in dendro_fixture.groups}
-    pairs = zip(rebuilt.clusters, rebuilt.all_members())
-    actual = {members: c.diam for c, members in pairs if c.children}
-    assert actual == expected
+    assert inner_diameters(rebuilt) == expected
 
 
 def test_disconnected_graph_grows_a_forest():
@@ -243,7 +244,7 @@ def test_disconnected_graph_grows_a_forest():
         ["a", "b", "c", "d"], [("a", "b"), ("c", "d")], edge_weights=[1, 2]
     )
     dendro = build_lake_dendrogram(graph)
-    summits = [c for c in dendro.clusters if c.father is None]
+    summits = [index for index, up in enumerate(dendro.father) if up is None]
     assert members_of(dendro, summits) == {("a", "b"), ("c", "d")}
 
 
@@ -252,18 +253,14 @@ def test_cluster_diameters_match_the_metric(graph):
     # A cluster is a closed ball, so every min-max chain between two members stays inside it.
     dendro = build_lake_dendrogram(graph)
     table = distance_matrix(graph)
-    for cluster, members in zip(dendro.clusters, dendro.all_members()):
+    for diam, members in zip(dendro.diam, dendro.all_members()):
         if len(members) > 1:
-            assert max(table[p][q] for p in members for q in members) == cluster.diam
+            assert max(table[p][q] for p in members for q in members) == diam
 
 
 @given(edge_graphs())
 def test_diam_strictly_increases_upward(graph):
     dendro = build_lake_dendrogram(graph)
-    clusters = dendro.clusters
-    for cluster in clusters:
-        if cluster.father is not None:
-            assert clusters[cluster.father].diam > cluster.diam
     for index, up in enumerate(dendro.father):  # what the upward loops rely on
         assert up is None or (up > index and dendro.diam[index] < dendro.diam[up])
 
@@ -316,8 +313,8 @@ def union_find_lake_clusters(graph):
 @given(rough_edge_graphs())
 def test_lake_dendrogram_matches_the_union_find_loop(graph):
     dendro = build_lake_dendrogram(graph)
-    clusters = [(c.index, c.diam, c.father, c.children) for c in dendro.clusters]
-    assert clusters == union_find_lake_clusters(graph)
+    rows = zip(range(len(dendro.diam)), dendro.diam, dendro.father, children_of(dendro))
+    assert list(rows) == union_find_lake_clusters(graph)
 
 
 def groupby_lake_dendrogram(graph):
@@ -400,7 +397,8 @@ def eager_assemble(leaf_order, groups):
     """Every Cluster built up front, and each one's members, from (diam, children) groups.
 
     This is how a Dendrogram was assembled before it kept parent arrays
-    and built its Cluster views from them; the views must equal it.
+    and built its Cluster views from them; the views, each cluster's row of
+    the arrays, must equal it.
     """
     leaves = len(leaf_order)
     diam = [BOTTOM] * leaves + [level for level, _ in groups]
@@ -412,7 +410,7 @@ def eager_assemble(leaf_order, groups):
         for child in children[index]:
             father[child] = index
     clusters = tuple(
-        Cluster(i, diam[i], father[i], children[i]) for i in range(len(children))
+        Cluster(i, diam[i], father[i]) for i in range(len(children))
     )
     rank = {name: i for i, name in enumerate(leaf_order)}
     return clusters, [tuple(sorted(names, key=rank.__getitem__)) for names in members]
@@ -425,6 +423,7 @@ def test_cluster_views_match_the_eager_assembly(graph):
     clusters, members = eager_assemble(graph.nodes, groups)
     dendro = build_lake_dendrogram(graph)
     assert Dendrogram.__slots__ == ("graph", "diam", "father")
+    assert [field.name for field in dataclasses.fields(Cluster)] == ["index", "diam", "father"]
     diam, father = parent_arrays(leaves, groups)
     assert arrays(dendro) == (graph.nodes, diam, father)
     assert dendro.diam == [cluster.diam for cluster in clusters]
@@ -499,19 +498,13 @@ def test_dendrogram_flood_matches_the_closed_formula(graph):
     rng = random.Random(7 * len(graph.nodes) + len(graph.edges))
     omega = random_ceiling(rng, graph)
     dendro = build_lake_dendrogram(graph)
-    clusters = dendro.clusters
-    lowest = {
-        c.index: min(map(omega.__getitem__, members))
-        for c, members in zip(clusters, dendro.all_members())
-    }
+    lowest = [min(map(omega.__getitem__, members)) for members in dendro.all_members()]
     expected = {}
-    for leaf, probe in zip(dendro.graph.nodes, clusters):  # leaf i is cluster i
+    for probe, leaf in enumerate(dendro.graph.nodes):  # leaf i is cluster i
         best = TOP
-        while True:
-            best = min(best, max(lowest[probe.index], probe.diam))
-            if probe.father is None:
-                break
-            probe = clusters[probe.father]
+        while probe is not None:
+            best = min(best, max(lowest[probe], dendro.diam[probe]))
+            probe = dendro.father[probe]
         expected[leaf] = best
     assert dendrogram_flood(dendro, omega) == expected
     assert expected == oracle_flood(graph, omega)

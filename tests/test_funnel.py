@@ -301,7 +301,7 @@ def per_item_marker_segmentation(graph, markers, engine):
     names = graph.nodes
     labels = {names[node]: label_of[rank_of[node]] for node in reached}
     levels_out = {names[node]: max(0, tau[node]) for node in reached}
-    return labels, levels_out, extractions, relaxations, tuple(levels)
+    return labels, levels_out, extractions, relaxations, levels
 
 
 def _counters(result):

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from floodgraph import (
     TOP,
     GraphFormatError,
+    build_lake_dendrogram,
     contract_flat_zones,
     derive_edge_graph,
     dijkstra_flood,
@@ -217,6 +218,31 @@ def test_cli_mst_writes_the_tree_or_one_error_line(data, derive):
     view = parsed if parsed.edge_weights is not None else derive_edge_graph(parsed)
     tree, ceiling = parse_graph(out)
     assert (graph_arrays(tree), ceiling) == (_written(mst(view)), None)
+
+
+@settings(max_examples=100)
+@example(CHAIN.encode(), True)
+@example(CHAIN.encode(), False)  # no edge weights, none derived
+@example(b"P2 2 2 9 1 5 3 2", True)
+@example(b"floodgraph v1\nnode a\nnode b\nnode c\nedge a b w=1", False)  # a forest
+@given(st.one_of(graph_inputs, accepted_graph_files()), st.booleans())
+def test_cli_dendro_writes_the_clusters_or_one_error_line(data, derive):
+    with tempfile.TemporaryDirectory() as workdir:
+        graph = Path(workdir) / "graph"
+        graph.write_bytes(data)
+        code, out, err = _run(["dendro", "--graph", str(graph), *["--derive-edges"][:derive]])
+    assert code in (0, 1, 2), err
+    if _graph_rejected(data):
+        assert code == 2, err
+    if code:
+        _assert_one_error_line(code, out, err)
+        return
+    parsed, _ = _read_graph(data)
+    dendro = build_lake_dendrogram(parsed if parsed.edge_weights is not None else derive_edge_graph(parsed))
+    assert out.splitlines() == [
+        f"cluster {index} diam={diam} father={'none' if up is None else up} leaves={' '.join(members)}"
+        for index, (diam, up, members) in enumerate(zip(dendro.diam, dendro.father, dendro.all_members()))
+    ]
 
 
 @settings(max_examples=100)

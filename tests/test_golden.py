@@ -75,6 +75,8 @@ CASES: list[tuple[str, list[str], int]] = [
     ("tank-mst", ["mst", "--graph", "tank.fg"], 0),
     ("tank-dendro-flood", ["dendro", "--graph", "tank.fg", "--flood", "--ceiling",
                            "tank-ceiling.txt"], 0),
+    ("tank-dendro-ceiling-no-flood", ["dendro", "--graph", "tank.fg", "--ceiling",
+                                      "tank-ceiling.txt"], 2),
     ("tank-lakes", ["lakes", "--graph", "tank.fg", "--tau", "tank-tau.txt"], 0),
     ("tank-validate", ["validate", "--graph", "tank.fg", "--tau", "tank-tau.txt"], 0),
     ("tank-validate-invalid", ["validate", "--graph", "tank.fg", "--tau", "tank-bad-tau.txt"], 1),

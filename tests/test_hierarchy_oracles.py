@@ -68,17 +68,11 @@ dendro_weights = st.one_of(st.integers(min_value=0, max_value=3), st.sampled_fro
 
 def members_by_father_chain(dendro):
     """Cluster index -> the leaves whose father chain reaches it, declaration order."""
-    clusters = dendro.clusters
-    members = {c.index: [] for c in clusters}
-    for leaf in clusters:
-        if leaf.children:
-            continue
-        probe = leaf
-        while True:
-            members[probe.index].append(dendro.graph.nodes[leaf.index])
-            if probe.father is None:
-                break
-            probe = clusters[probe.father]
+    members = {index: [] for index in range(len(dendro.father))}
+    for probe, name in enumerate(dendro.graph.nodes):  # leaf i is cluster i
+        while probe is not None:
+            members[probe].append(name)
+            probe = dendro.father[probe]
     return {index: tuple(names) for index, names in members.items()}
 
 
@@ -86,6 +80,4 @@ def members_by_father_chain(dendro):
 def test_dendrogram_members_match_set_references(graph):
     dendro = build_lake_dendrogram(graph)
     expected = members_by_father_chain(dendro)
-    for cluster, members in zip(dendro.clusters, dendro.all_members()):
-        assert members == expected[cluster.index]
-        assert list(cluster.children) == sorted(cluster.children)
+    assert dict(enumerate(dendro.all_members())) == expected

@@ -58,7 +58,7 @@ def test_deep_path_dendrogram_memory_is_linear():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(dendro.clusters) == 2 * n - 1
+    assert len(dendro.diam) == 2 * n - 1
     assert peak / n < 400
 
 

@@ -241,7 +241,7 @@ def test_berge_flood_unknown_schedule(chain):
 def test_dijkstra_flood_chain_levels(chain):
     result = dijkstra_flood(chain.edge_graph, chain.omega)
     assert result.tau == chain.tau
-    assert result.stats.extraction_levels == (0, 1, 2, 2, 4)
+    assert result.stats.extraction_levels == [0, 1, 2, 2, 4]
 
 
 def test_dijkstra_flood_reduced_init_set(chain):
@@ -299,7 +299,7 @@ def funnel_dijkstra(graph, omega, init):
                 tau[neighbor] = candidate
                 funnel.push(candidate, neighbor)
                 relaxations += 1
-    return dict(zip(graph.nodes, tau)), extractions, relaxations, tuple(levels)
+    return dict(zip(graph.nodes, tau)), extractions, relaxations, levels
 
 
 @settings(max_examples=300)
