@@ -140,20 +140,25 @@ def _node_values(
         raise GraphFormatError(f"{path}: {exc}") from None
 
 
-def edge_view(ingested: Ingested, args: argparse.Namespace, operation: str) -> Graph:
-    graph = ingested.graph
-    if graph.edge_weights is not None:
-        return graph
-    if graph.ground_values is None:
-        raise PreconditionError(
-            f"{operation} needs edge weights and the input carries none"
-        )
-    if not args.derive_edges:
-        raise PreconditionError(
-            f"{operation} needs edge weights; pass --derive-edges to compute "
-            "them from the ground"
-        )
-    return derive_edge_graph(graph)
+def edge_view(graph: Graph) -> Graph:
+    """The graph with edge weights: its own, or derived from its ground (check_need ran)."""
+    return graph if graph.edge_weights is not None else derive_edge_graph(graph)
+
+
+def check_need(args: argparse.Namespace, graph: Graph) -> None:
+    """Refuse a graph without the need build_parser declares: a "ground", "edges" (which
+    --derive-edges may make from a ground) or "either" (the edge weights, else the ground)."""
+    need, subject = args.need, args.command
+    if isinstance(need, dict):  # flood: the need follows --algo
+        need, subject = need[args.algo], f"the {args.algo} algorithm"
+    if need == "edges" and graph.edge_weights is None:
+        if graph.ground_values is None:
+            raise PreconditionError(f"{subject} needs edge weights and the input carries none")
+        if not args.derive_edges:
+            raise PreconditionError(f"{subject} needs edge weights; pass --derive-edges to "
+                                    "compute them from the ground")
+    elif need == "ground" or need == "either" and graph.edge_weights is None:
+        graph.require_ground_values(subject)
 
 
 # A command's exit code, its output as text chunks (None: it writes none) and its counters
@@ -192,10 +197,9 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     graph = ingested.graph
     omega = resolve_ceiling(args, ingested)
     if args.algo == "core":
-        graph.require_ground_values("the core algorithm")
         view, result = graph, core_expanding_flood(graph, omega)
     else:
-        view = edge_view(ingested, args, f"the {args.algo} algorithm")
+        view = edge_view(graph)
         if args.algo == "berge":
             result = berge_flood(view, omega, schedule=args.schedule)
         elif args.algo == "dijkstra":
@@ -219,7 +223,7 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
 
 
 def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
-    view = edge_view(ingested, args, "segmentation")
+    view = edge_view(ingested.graph)
     markers = parse_node_values(_read_text(args.markers))
     if not markers:
         raise PreconditionError(f"{args.markers}: no markers found")
@@ -248,17 +252,17 @@ def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
 
 
 def cmd_fldist(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
-    return 0, _values(flooding_distance_all(edge_view(ingested, args, "fldist"), args.source)), None
+    return 0, _values(flooding_distance_all(edge_view(ingested.graph), args.source)), None
 
 
 def cmd_mst(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
-    return 0, serialize_graph(mst(edge_view(ingested, args, "mst"))), None
+    return 0, serialize_graph(mst(edge_view(ingested.graph))), None
 
 
 def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     if args.ceiling is not None and not args.flood:  # misuse: the file would go unread
         raise argparse.ArgumentError(None, "dendro reads --ceiling only with --flood")
-    dendro = build_lake_dendrogram(edge_view(ingested, args, "dendro"))
+    dendro = build_lake_dendrogram(edge_view(ingested.graph))
     # flooded before any output, so a bad ceiling writes nothing
     tail = _values(dendrogram_flood(dendro, resolve_ceiling(args, ingested))) if args.flood else ()
     names, diam, father = dendro.graph.nodes, dendro.diam, dendro.father
@@ -293,11 +297,8 @@ def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
 def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     graph = ingested.graph
     tau = _node_values(args.tau, _read_text(args.tau), graph, "tau")
-    if graph.edge_weights is not None:
-        report = is_edge_flooding(graph, tau)
-    else:
-        graph.require_ground_values("validate")
-        report = is_node_flooding(graph, tau)
+    check = is_edge_flooding if graph.edge_weights is not None else is_node_flooding
+    report = check(graph, tau)
     if report:
         return 0, _lines(["valid"]), None
     return 1, _lines(["invalid", *report.violations]), None
@@ -305,7 +306,6 @@ def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
 
 def cmd_contract(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     graph = ingested.graph
-    graph.require_ground_values("contract")
     omega: NodeValues | None = None  # no ceiling: none to build or check, no omega= written
     if args.ceiling is not None or ingested.file_omega is not None:
         omega = resolve_ceiling(args, ingested)
@@ -315,7 +315,6 @@ def cmd_contract(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
 
 
 def cmd_localflood(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
-    ingested.graph.require_ground_values("localflood")
     level = local_flood(ingested.graph, resolve_ceiling(args, ingested), args.node)
     return 0, _lines([f"{args.node} {level}"]), None
 
@@ -352,19 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
     stats = shared("--stats", action="store_true", help="counters on stderr")
     tau = shared("--tau", required=True, help='file of "node tau" lines')
 
-    def command(name: str, run, description: str, *parents: argparse.ArgumentParser):
+    def command(run, need, description: str, *parents: argparse.ArgumentParser):
+        name = run.__name__.removeprefix("cmd_")
         sub = commands.add_parser(name, help=description, parents=[graph, *parents])
-        sub.set_defaults(run=run)
+        sub.set_defaults(run=run, need=need)
         return sub
 
-    flood = command(
-        "flood", cmd_flood, "dominated flooding under a ceiling", derive, ceiling, stats
-    )
-    flood.add_argument(
-        "--algo",
-        required=True,
-        choices=("berge", "dijkstra", "prim", "core", "dendro"),
-    )
+    algos = {"berge": "edges", "dijkstra": "edges", "prim": "edges", "core": "ground",
+             "dendro": "edges"}
+    flood = command(cmd_flood, algos, "dominated flooding under a ceiling", derive, ceiling, stats)
+    flood.add_argument("--algo", required=True, choices=tuple(algos))
     flood.add_argument(
         "--schedule",
         choices=("gauss_seidel", "jacobi"),
@@ -373,21 +369,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flood.add_argument("--validate-after", action="store_true")
 
-    segment = command("segment", cmd_segment, "marker-based segmentation", derive, stats)
+    segment = command(cmd_segment, "edges", "marker-based segmentation", derive, stats)
     segment.add_argument("--markers", required=True, help='file of "node label" lines')
     segment.add_argument("--engine", choices=("dijkstra", "prim"), default="dijkstra")
     segment.add_argument("--tau", action="store_true", help="also print the distance to the marker")
     segment.add_argument("--label-pgm", help="write labels as a PGM raster here")
 
-    fldist = command("fldist", cmd_fldist, "flooding distances from one node", derive)
+    fldist = command(cmd_fldist, "edges", "flooding distances from one node", derive)
     fldist.add_argument("--from", dest="source", required=True, metavar="NODE", type=_utf8_name)
-    command("mst", cmd_mst, "minimum spanning tree of the edge weights", derive)
-    dendro = command("dendro", cmd_dendro, "lake dendrogram of the edge weights", derive, ceiling)
+    command(cmd_mst, "edges", "minimum spanning tree of the edge weights", derive)
+    dendro = command(cmd_dendro, "edges", "lake dendrogram of the edge weights", derive, ceiling)
     dendro.add_argument("--flood", action="store_true", help="also flood on the dendrogram")
-    command("lakes", cmd_lakes, "lake partition of a flooding", tau)
-    command("validate", cmd_validate, "check a flooding", tau)
-    command("contract", cmd_contract, "contract flat zones", ceiling)
-    localflood = command("localflood", cmd_localflood, "flooding level at a single node", ceiling)
+    command(cmd_lakes, "either", "lake partition of a flooding", tau)
+    command(cmd_validate, "either", "check a flooding", tau)
+    command(cmd_contract, "ground", "contract flat zones", ceiling)
+    localflood = command(cmd_localflood, "ground", "flooding level at a single node", ceiling)
     localflood.add_argument("--node", required=True, type=_utf8_name)
     return parser
 
@@ -399,7 +395,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:  # a command runs every check before it returns, so a failing one writes nothing
-        code, chunks, stats = args.run(args, ingest_graph(args.graph, args.connectivity))
+        ingested = ingest_graph(args.graph, args.connectivity)
+        check_need(args, ingested.graph)  # before any other file is read
+        code, chunks, stats = args.run(args, ingested)
         if stats is not None and args.stats:  # a solver's counters, or a route's own counts
             if isinstance(stats, SolverStats):
                 e, r, s = stats.extractions, stats.relaxations, stats.sweeps

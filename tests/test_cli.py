@@ -1356,6 +1356,81 @@ def test_an_invalid_flooding_is_reported_to_the_output_file(capsys, monkeypatch,
     assert report[0] == "invalid" and len(report) > 1 and "hangs above" in report[1]
 
 
+# -- what each command needs of the graph ----------------------------------------------
+
+NEEDS = {  # as build_parser declares them, flood's by --algo
+    "flood": {"berge": "edges", "dijkstra": "edges", "prim": "edges", "core": "ground",
+              "dendro": "edges"},
+    "segment": "edges",
+    "fldist": "edges",
+    "mst": "edges",
+    "dendro": "edges",
+    "lakes": "either",
+    "validate": "either",
+    "contract": "ground",
+    "localflood": "ground",
+}
+NEED_RUNS = {  # id: (the subject of its message, its need, a run of FAULT_RUNS' kind)
+    **{f"flood-{algo}": (f"the {algo} algorithm", need, ["flood", "--algo", algo, "--derive-edges"])
+       for algo, need in NEEDS["flood"].items()},
+    **{name: (name, need, FAULT_RUNS[name]) for name, need in NEEDS.items() if name != "flood"},
+}
+LACKING = {  # each need's message ending on a graph with neither ground nor edge weights
+    "ground": "a node-weighted graph (ground values)",
+    "either": "a node-weighted graph (ground values)",
+    "edges": "edge weights and the input carries none",
+}
+NEED_FAULTS = [  # (id, argv, files over FAULT_FILES, the one error line)
+    *[(f"{key}-bare-graph", argv, {"graph.fg": BARE_CHAIN}, f"{subject} needs {LACKING[need]}")
+      for key, (subject, need, argv) in NEED_RUNS.items()],
+    *[(f"{key}-no-derive", [arg for arg in argv if arg != "--derive-edges"], {},
+       f"{subject} needs edge weights; pass --derive-edges to compute them from the ground")
+      for key, (subject, need, argv) in NEED_RUNS.items() if need == "edges"],
+]
+
+
+def test_each_command_declares_its_need():
+    """Every subcommand, and every --algo of flood, is in the table that main checks."""
+    from floodgraph import cli
+
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: sub.get_default("need") for name, sub in commands.choices.items()} == NEEDS
+    (algo,) = (a for a in commands.choices["flood"]._actions if a.dest == "algo")
+    assert tuple(algo.choices) == tuple(NEEDS["flood"])
+
+
+@pytest.mark.parametrize(
+    "argv, files, line", [row[1:] for row in NEED_FAULTS], ids=[row[0] for row in NEED_FAULTS]
+)
+def test_a_graph_without_the_need_exits_1_naming_the_command(
+    capsys, monkeypatch, tmp_path, argv, files, line
+):
+    assert fault_run(capsys, monkeypatch, tmp_path, argv, files) == (1, "", f"error: {line}\n")
+    assert (tmp_path / "report.txt").read_bytes() == SENTINEL
+
+
+UNREAD_FILES = {  # a run of NEED_RUNS: the option naming a file it reads after the graph
+    "flood-core": ["--ceiling", "none.txt"],
+    "flood-dijkstra": ["--ceiling", "none.txt"],
+    "dendro": ["--ceiling", "none.txt"],
+    "contract": ["--ceiling", "none.txt"],
+    "localflood": ["--ceiling", "none.txt"],
+    "lakes": [],  # its --tau names tau.txt
+    "validate": [],
+    "segment": [],  # its --markers names markers.txt
+}
+
+
+@pytest.mark.parametrize("key", UNREAD_FILES)
+def test_the_need_is_checked_before_any_other_file_is_read(capsys, monkeypatch, tmp_path, key):
+    subject, need, argv = NEED_RUNS[key]
+    argv, missing = [*argv, *UNREAD_FILES[key]], {"tau.txt": None, "markers.txt": None}
+    assert fault_run(capsys, monkeypatch, tmp_path, argv, missing)[0] == 2  # the chain reads it
+    outcome = fault_run(capsys, monkeypatch, tmp_path, argv, {**missing, "graph.fg": BARE_CHAIN})
+    assert outcome == (1, "", f"error: {subject} needs {LACKING[need]}\n")
+
+
 # -- the parser ------------------------------------------------------------------------
 
 _STORE, _TRUE, _HELP = argparse._StoreAction, argparse._StoreTrueAction, argparse._HelpAction

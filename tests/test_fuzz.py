@@ -337,6 +337,11 @@ def _run_on_files(files: dict[str, bytes | None], argv: list[str]) -> tuple[int,
         return _run([arg.format(**paths) for arg in argv])
 
 
+def _bare(graph) -> bool:
+    """A graph that was read and carries neither a ground nor edge weights."""
+    return graph is not None and graph.edge_weights is None and graph.ground_values is None
+
+
 def _checked_tau(data: bytes, spec):
     """The graph, its --tau text, and what a reader of that text makes of it: None where
     the graph, the text or its coverage of the nodes is rejected, which must exit 2."""
@@ -383,7 +388,9 @@ def test_cli_lakes_writes_the_partition_or_one_error_line(data, spec):
     code, out, err = _run_on_files(
         {"graph": data, "tau": text.encode("utf-8")}, ["lakes", "--graph", "{graph}", "--tau", "{tau}"])
     assert code in (0, 1, 2), err
-    if tau is None:
+    if _bare(graph):  # the need is checked before the --tau file is read
+        assert (code, err) == (1, "error: lakes needs a node-weighted graph (ground values)\n")
+    elif tau is None:
         assert code == 2, err
     if code:
         _assert_one_error_line(code, out, err)
@@ -420,7 +427,9 @@ def test_cli_validate_writes_the_report_or_one_error_line(data, spec):
         {"graph": data, "tau": text.encode("utf-8")},
         ["validate", "--graph", "{graph}", "--tau", "{tau}"])
     assert code in (0, 1, 2), err
-    if tau is None:
+    if _bare(graph):  # the need is checked before the --tau file is read
+        assert (code, err) == (1, "error: validate needs a node-weighted graph (ground values)\n")
+    elif tau is None:
         assert code == 2, err
     if code and not out:
         _assert_one_error_line(code, out, err)
