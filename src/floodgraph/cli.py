@@ -18,9 +18,11 @@ graph file carrying omega attributes.  Output is plain text in node
 declaration order, byte-identical across runs.
 
 Exit codes: 0 success; 1 domain error (a PreconditionError, or an invalid
-flooding in `validate`); 2 misuse, an unreadable file, a GraphFormatError or
-a ConstructionError (an unknown or duplicate node, a --tau file off the nodes);
-141, with nothing on stderr, when the reader closes stdout early.
+flooding in `validate`); 2 misuse, an unwritable output, a GraphFormatError or
+a ConstructionError (an unknown node); 141, with nothing on stderr, when the
+reader closes stdout early.  Every fault found in an input file as it is read,
+whether missing, malformed or off the graph's nodes, exits 2 as
+``error: <path>: ...``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import argparse
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice
@@ -36,6 +39,7 @@ from itertools import chain, islice
 from .errors import ConstructionError, GraphFormatError, PreconditionError
 from .formats import (
     HEADER,
+    _CHUNK,
     _FIRST_LINE,
     _values,
     parse_graph,
@@ -58,7 +62,7 @@ from .solvers import (
     prim_flood,
 )
 from .ultrametric import flooding_distance_all, mst
-from .weights import BOTTOM, TOP, Weight
+from .weights import BOTTOM, TOP
 
 
 @dataclass(frozen=True)
@@ -68,20 +72,23 @@ class Ingested:
     raster_shape: tuple[int, int] | None
 
 
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()
-
-
-def _decode(data: bytes, path: str) -> str:
+@contextmanager
+def _reading(path: str, raster: bool = False) -> Iterator[bytes | str]:
+    """The content of an input file: its bytes when ``raster`` (the option takes a PGM)
+    and it starts with a PGM magic, else its UTF-8 text.  A fault found in the file, as
+    it is opened or as the caller parses the content, is raised as ``<path>: <fault>``."""
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"{path}: not UTF-8 text and not a PGM raster") from exc
-
-
-def _read_text(path: str) -> str:
-    return _decode(_read_bytes(path), path)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        content = data if raster and data[:2] in (b"P2", b"P5") else data.decode("utf-8")
+    except OSError as exc:  # missing, a directory or unreadable
+        raise GraphFormatError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise GraphFormatError(f"{path}: not UTF-8 text and not a PGM raster") from None
+    try:
+        yield content
+    except (GraphFormatError, PreconditionError) as exc:  # found as the caller parses it
+        raise GraphFormatError(f"{path}: {exc}") from None
 
 
 def _utf8_name(arg: str) -> str:
@@ -90,54 +97,35 @@ def _utf8_name(arg: str) -> str:
 
 
 def ingest_graph(path: str, connectivity: int) -> Ingested:
-    data = _read_bytes(path)
-    if data[:2] in (b"P2", b"P5"):
-        raster = read_pgm(data)
-        return Ingested(
-            graph=grid_graph(raster, connectivity),
-            file_omega=None,
-            raster_shape=(len(raster), len(raster[0])),
-        )
-    graph, omega = parse_graph(_decode(data, path))
-    return Ingested(graph=graph, file_omega=omega, raster_shape=None)
+    with _reading(path, raster=True) as content:
+        if isinstance(content, bytes):
+            raster = read_pgm(content)
+            return Ingested(grid_graph(raster, connectivity), None, (len(raster), len(raster[0])))
+        return Ingested(*parse_graph(content), raster_shape=None)
 
 
 def resolve_ceiling(args: argparse.Namespace, ingested: Ingested) -> NodeValues:
     """Ceiling precedence: --ceiling file, then graph-file omega, then top."""
-    graph, path = ingested.graph, args.ceiling
-    if path is None:
+    graph, shape = ingested.graph, ingested.raster_shape
+    if args.ceiling is None:
         if ingested.file_omega is not None:  # complete, over the graph
             return ingested.file_omega
         return NodeValues(graph, [TOP] * len(graph.nodes))
-    data = _read_bytes(path)
-    if data[:2] in (b"P2", b"P5"):
-        if ingested.raster_shape is None:
-            raise GraphFormatError(f"{path}: raster ceiling requires a raster graph input")
-        rows = read_pgm(data)
-        shape = (len(rows), len(rows[0]))
-        if shape != ingested.raster_shape:
-            raise GraphFormatError(
-                f"{path}: ceiling is {shape[0]}x{shape[1]} but the ground is "
-                f"{ingested.raster_shape[0]}x{ingested.raster_shape[1]}"
-            )
-        return NodeValues(graph, [value for row in rows for value in row])
-    text = _decode(data, path)
-    if _FIRST_LINE.match(text)[1].rstrip() != HEADER:  # a node left out is at top
-        return _node_values(path, text, graph, "ceiling", TOP)
-    other, values = parse_graph(text)
-    if set(other.nodes) != set(graph.nodes):  # in any order, so every name is known
-        raise GraphFormatError(f"{path}: ceiling graph has a different node set")
-    return NodeValues(graph, values_by_index(graph, values or {}, "ceiling", TOP))
-
-
-def _node_values(
-    path: str, text: str, graph: Graph, what: str, default: Weight | None = None
-) -> NodeValues:
-    """A node-values file read against ``graph``: a node it misses or names wrongly is its fault."""
-    try:
-        return parse_node_values(text, graph, what, default)
-    except PreconditionError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from None
+    with _reading(args.ceiling, raster=True) as content:
+        if isinstance(content, bytes):
+            if shape is None:
+                raise GraphFormatError("raster ceiling requires a raster graph input")
+            rows = read_pgm(content)
+            if (len(rows), len(rows[0])) != shape:
+                raise GraphFormatError(f"ceiling is {len(rows)}x{len(rows[0])} but the ground "
+                                       f"is {shape[0]}x{shape[1]}")
+            return NodeValues(graph, [value for row in rows for value in row])
+        if _FIRST_LINE.match(content)[1].rstrip() != HEADER:  # a node left out is at top
+            return parse_node_values(content, graph, "ceiling", TOP)
+        other, values = parse_graph(content)
+        if set(other.nodes) != set(graph.nodes):  # in any order, so every name is known
+            raise GraphFormatError("ceiling graph has a different node set")
+        return NodeValues(graph, values_by_index(graph, values or {}, "ceiling", TOP))
 
 
 def edge_view(graph: Graph) -> Graph:
@@ -172,7 +160,7 @@ def _lines(lines: Iterable[str]) -> Iterator[str]:
     for line in lines:
         chunk.append(line)
         size += len(line)
-        if size >= 65536:
+        if size >= _CHUNK:
             yield "\n".join(chunk) + "\n"
             chunk, size = [], 0
     if chunk:
@@ -224,7 +212,8 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
 
 def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     view = edge_view(ingested.graph)
-    markers = parse_node_values(_read_text(args.markers))
+    with _reading(args.markers) as text:
+        markers = parse_node_values(text)
     if not markers:
         raise PreconditionError(f"{args.markers}: no markers found")
     result = marker_segmentation(view, markers, engine=args.engine)
@@ -269,7 +258,7 @@ def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     leaves, bottom = len(names), f" diam={BOTTOM} father="  # every leaf's diam is bottom
 
     def leaf_chunk(lo: int) -> str:  # a leaf's one member is its own name
-        rows = zip(range(lo, lo + 65536), father[lo : lo + 65536], names[lo : lo + 65536])
+        rows = zip(range(lo, lo + _CHUNK), father[lo : lo + _CHUNK], names[lo : lo + _CHUNK])
         return "".join([f"cluster {index}{bottom}{'none' if up is None else up} leaves={name}\n"
                         for index, up, name in rows])
 
@@ -278,12 +267,13 @@ def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
         f"father={'none' if father[index] is None else father[index]} leaves={' '.join(members)}"
         for index, members in enumerate(islice(dendro.all_members(), leaves, None), leaves)
     )
-    return 0, chain(map(leaf_chunk, range(0, leaves, 65536)), _lines(inner), tail), None
+    return 0, chain(map(leaf_chunk, range(0, leaves, _CHUNK)), _lines(inner), tail), None
 
 
 def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     graph = ingested.graph
-    tau = _node_values(args.tau, _read_text(args.tau), graph, "tau")
+    with _reading(args.tau) as text:
+        tau = parse_node_values(text, graph, "tau")
     names, edge_u, edge_v = graph.nodes, graph.edge_u, graph.edge_v
     part = lakes(graph, tau)
     return 0, _lines(
@@ -296,7 +286,8 @@ def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
 
 def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     graph = ingested.graph
-    tau = _node_values(args.tau, _read_text(args.tau), graph, "tau")
+    with _reading(args.tau) as text:
+        tau = parse_node_values(text, graph, "tau")
     check = is_edge_flooding if graph.edge_weights is not None else is_node_flooding
     report = check(graph, tau)
     if report:

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 HEADER = "floodgraph v1"
+_CHUNK = 65536  # the writers' chunk: at most this many lines, or about this many characters
 _BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
 # Blanks and comments, then the first line with more, up to its '#' or line break
 _FIRST_LINE = re.compile(rf"(?:\s|#[^{_BREAKS}]*)*([^#{_BREAKS}]*)")
@@ -193,12 +194,12 @@ def serialize_graph(graph: Graph, omega: Mapping[str, Weight] | None = None) -> 
     before the chunks are returned."""
     names, ground, weights, edge_u, edge_v = (
         graph.nodes, graph.ground_values, graph.edge_weights, graph.edge_u, graph.edge_v)
-    for lo in range(0, len(names), 65536):
-        _check_ids_writable(names[lo : lo + 65536])
+    for lo in range(0, len(names), _CHUNK):
+        _check_ids_writable(names[lo : lo + _CHUNK])
     levels = None if omega is None else values_by_index(graph, omega, "omega", TOP)
 
     def nodes(lo: int) -> str:
-        span = slice(lo, lo + 65536)
+        span = slice(lo, lo + _CHUNK)
         lines = [f"node {node}\n" for node in names[span]] if ground is None else [
             f"node {node} f={level}\n" for node, level in zip(names[span], ground[span])]
         if levels is not None:  # omega= where the ceiling is finite
@@ -207,14 +208,14 @@ def serialize_graph(graph: Graph, omega: Mapping[str, Weight] | None = None) -> 
         return "".join(lines)
 
     def edges(lo: int) -> str:
-        ends = edge_u[lo : lo + 65536], edge_v[lo : lo + 65536]
+        ends = edge_u[lo : lo + _CHUNK], edge_v[lo : lo + _CHUNK]
         if weights is None:
             return "".join([f"edge {names[u]} {names[v]}\n" for u, v in zip(*ends)])
         return "".join([f"edge {names[u]} {names[v]} w={w}\n"
-                        for u, v, w in zip(*ends, weights[lo : lo + 65536])])
+                        for u, v, w in zip(*ends, weights[lo : lo + _CHUNK])])
 
-    return chain([HEADER + "\n"], map(nodes, range(0, len(names), 65536)),
-                 map(edges, range(0, len(edge_u), 65536)))
+    return chain([HEADER + "\n"], map(nodes, range(0, len(names), _CHUNK)),
+                 map(edges, range(0, len(edge_u), _CHUNK)))
 
 
 def _values(*columns: NodeValues) -> Iterator[str]:
@@ -224,12 +225,12 @@ def _values(*columns: NodeValues) -> Iterator[str]:
     names = columns[0].graph.nodes
 
     def chunk(lo: int) -> str:
-        slices = [column.levels[lo : lo + 65536] for column in columns]
+        slices = [column.levels[lo : lo + _CHUNK] for column in columns]
         tokens = [map({v: str(v) for v in set(levels)}.__getitem__, levels) for levels in slices]
         # weights that compare equal print alike: ints, and the float infinities
-        return "\n".join(map(" ".join, zip(names[lo : lo + 65536], *tokens))) + "\n"
+        return "\n".join(map(" ".join, zip(names[lo : lo + _CHUNK], *tokens))) + "\n"
 
-    return map(chunk, range(0, len(names), 65536))
+    return map(chunk, range(0, len(names), _CHUNK))
 
 
 def parse_node_values(

@@ -1284,46 +1284,68 @@ FAULT_FILES = {
 HANGING_TAU = "a 0\nb 4\nc 3\nd 2\ne 1\n"  # c at 3 hangs above d at 2
 BARE_CHAIN = "floodgraph v1\n" + "".join(f"node {n}\n" for n in "abcde") + "edge a b\nedge d e\n"
 SENTINEL = b"an earlier report\n"
-CEILING_FAULTS = {  # name: (--ceiling file, its text or None for no file, exit code)
-    "unknown-ceiling-node": ("ceiling.txt", "zz 1\n", 2),
-    "ceiling-below-ground": ("ceiling.txt", "b 1\n", 1),
-    "missing-ceiling-file": ("none.txt", None, 2),
+RASTER_1X2 = "P2 2 1 9 1 2\n"  # a PGM ground of one row of two pixels
+CEILING_FAULTS = {  # name: (--ceiling file, files over FAULT_FILES with None for none, code)
+    "unknown-ceiling-node": ("ceiling.txt", {"ceiling.txt": "zz 1\n"}, 2),
+    "bad-ceiling-token": ("ceiling.txt", {"ceiling.txt": "a 1\nb x\n"}, 2),
+    "bad-ceiling-graph-token": ("ceiling.fg", {"ceiling.fg": "floodgraph v1\nnode a omega=x\n"}, 2),
+    "ceiling-graph-other-nodes": ("ceiling.fg", {"ceiling.fg": "floodgraph v1\nnode a\n"}, 2),
+    "ceiling-pgm-not-raster": ("ceiling.pgm", {"ceiling.pgm": "P2 1 1 9 5\n"}, 2),
+    "ceiling-pgm-other-shape": ("ceiling.pgm",
+                                {"ceiling.pgm": "P2 1 1 9 5\n", "graph.fg": RASTER_1X2}, 2),
+    "ceiling-below-ground": ("ceiling.txt", {"ceiling.txt": "b 1\n"}, 1),
+    "missing-ceiling-file": ("none.txt", {"none.txt": None}, 2),
 }
-FAULTS = [  # (id, argv less --graph and -o, files over FAULT_FILES with None for none, code)
-    *[(f"{name}-missing-graph", argv, {"graph.fg": None}, 2) for name, argv in FAULT_RUNS.items()],
-    *[(f"{name}-bad-graph-token", argv, {"graph.fg": "floodgraph v1\nwall a b\n"}, 2)
+# (id, argv less --graph and -o, files over FAULT_FILES (text, bytes or None for none), code,
+# the file at fault: the one error line starts with "error: <its path>: "; None for no file)
+FAULTS = [
+    *[(f"{name}-missing-graph", argv, {"graph.fg": None}, 2, "graph.fg")
       for name, argv in FAULT_RUNS.items()],
-    *[(f"{name}-{fault}", [*FAULT_RUNS[name], "--ceiling", path], {path: text}, code)
+    *[(f"{name}-bad-graph-token", argv, {"graph.fg": "floodgraph v1\nwall a b\n"}, 2, "graph.fg")
+      for name, argv in FAULT_RUNS.items()],
+    *[(f"{name}-truncated-pgm-graph", argv, {"graph.fg": "P2 2 2 9 1 2 3\n"}, 2, "graph.fg")
+      for name, argv in FAULT_RUNS.items()],
+    ("flood-graph-not-utf8", FAULT_RUNS["flood"], {"graph.fg": b"floodgraph v1\nnode \xff\n"}, 2,
+     "graph.fg"),
+    # a ceiling fault of code 2 is in the file; one of code 1 is the ceiling's, against the ground
+    *[(f"{name}-{fault}", [*FAULT_RUNS[name], "--ceiling", path], files, code,
+       path if code == 2 else None)
       for name in ("flood", "dendro", "contract", "localflood")
-      for fault, (path, text, code) in CEILING_FAULTS.items()],
+      for fault, (path, files, code) in CEILING_FAULTS.items()],
     ("dendro-ceiling-without-flood", ["dendro", "--derive-edges", "--ceiling", "none.txt"],
-     {"none.txt": None}, 2),
-    ("segment-unknown-marker", FAULT_RUNS["segment"], {"markers.txt": "zz 1\n"}, 2),
-    ("segment-duplicate-labels", FAULT_RUNS["segment"], {"markers.txt": "a 1\ne 1\n"}, 1),
-    ("segment-no-markers", FAULT_RUNS["segment"], {"markers.txt": "# none\n"}, 1),
+     {"none.txt": None}, 2, None),
+    ("segment-bad-marker-token", FAULT_RUNS["segment"], {"markers.txt": "a 1\ne x\n"}, 2,
+     "markers.txt"),
+    ("segment-unknown-marker", FAULT_RUNS["segment"], {"markers.txt": "zz 1\n"}, 2, None),
+    ("segment-duplicate-labels", FAULT_RUNS["segment"], {"markers.txt": "a 1\ne 1\n"}, 1, None),
+    ("segment-no-markers", FAULT_RUNS["segment"], {"markers.txt": "# none\n"}, 1, "markers.txt"),
     ("segment-unreachable-node", FAULT_RUNS["segment"],
-     {"graph.fg": "floodgraph v1\nnode a f=0\nnode e f=1\nnode z f=0\nedge a e\n"}, 1),
-    ("fldist-unknown-from", [*FAULT_RUNS["fldist"], "--from", "zz"], {}, 2),
-    ("localflood-unknown-node", [*FAULT_RUNS["localflood"], "--node", "zz"], {}, 2),
-    *[(f"{name}-tau-{fault}", FAULT_RUNS[name], {"tau.txt": TAU_FAULTS[fault][0]}, 2)
+     {"graph.fg": "floodgraph v1\nnode a f=0\nnode e f=1\nnode z f=0\nedge a e\n"}, 1, None),
+    ("fldist-unknown-from", [*FAULT_RUNS["fldist"], "--from", "zz"], {}, 2, None),
+    ("localflood-unknown-node", [*FAULT_RUNS["localflood"], "--node", "zz"], {}, 2, None),
+    *[(f"{name}-tau-{fault}", FAULT_RUNS[name], {"tau.txt": TAU_FAULTS[fault][0]}, 2, "tau.txt")
       for name in ("lakes", "validate") for fault in TAU_FAULTS],
-    ("lakes-tau-no-flooding", FAULT_RUNS["lakes"], {"tau.txt": HANGING_TAU}, 1),
-    ("mst-no-edge-weights", ["mst"], {}, 1),
-    ("fldist-no-edge-weights", ["fldist", "--from", "a"], {}, 1),
-    *[(f"{name}-no-ground", FAULT_RUNS[name], {"graph.fg": BARE_CHAIN}, 1)
+    *[(f"{name}-tau-bad-token", FAULT_RUNS[name], {"tau.txt": "a 0\nb x\n"}, 2, "tau.txt")
+      for name in ("lakes", "validate")],
+    ("validate-tau-not-utf8", FAULT_RUNS["validate"], {"tau.txt": b"a \xff\n"}, 2, "tau.txt"),
+    ("lakes-tau-no-flooding", FAULT_RUNS["lakes"], {"tau.txt": HANGING_TAU}, 1, None),
+    ("mst-no-edge-weights", ["mst"], {}, 1, None),
+    ("fldist-no-edge-weights", ["fldist", "--from", "a"], {}, 1, None),
+    *[(f"{name}-no-ground", FAULT_RUNS[name], {"graph.fg": BARE_CHAIN}, 1, None)
       for name in ("flood", "lakes", "validate", "contract", "localflood")],
-    ("segment-label-pgm-not-raster", [*FAULT_RUNS["segment"], "--label-pgm", "labels.pgm"], {}, 1),
+    ("segment-label-pgm-not-raster", [*FAULT_RUNS["segment"], "--label-pgm", "labels.pgm"], {}, 1,
+     None),
     ("segment-label-pgm-out-of-range", [*FAULT_RUNS["segment"], "--label-pgm", "labels.pgm"],
-     {"graph.fg": "P2 2 1 9 1 2\n", "markers.txt": "0,0 65536\n"}, 1),
+     {"graph.fg": RASTER_1X2, "markers.txt": "0,0 65536\n"}, 1, None),
 ]
 
 
 def fault_run(capsys, monkeypatch, tmp_path, argv, files):
     """Run ``argv`` in ``tmp_path`` over the fault files, with -o naming a sentinel file."""
     monkeypatch.chdir(tmp_path)
-    for name, text in {**FAULT_FILES, **files}.items():
-        if text is not None:
-            (tmp_path / name).write_text(text)
+    for name, content in {**FAULT_FILES, **files}.items():
+        if content is not None:  # text is written as UTF-8
+            (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
     (tmp_path / "report.txt").write_bytes(SENTINEL)
     return run(capsys, *argv, "--graph", "graph.fg", "-o", "report.txt")
 
@@ -1335,16 +1357,19 @@ def test_each_fault_run_succeeds_on_the_unchanged_inputs(capsys, monkeypatch, tm
 
 
 @pytest.mark.parametrize(
-    "argv, files, code", [row[1:] for row in FAULTS], ids=[row[0] for row in FAULTS]
+    "argv, files, code, culprit", [row[1:] for row in FAULTS], ids=[row[0] for row in FAULTS]
 )
 def test_each_fault_exits_with_its_code_and_writes_nothing(
-    capsys, monkeypatch, tmp_path, argv, files, code
+    capsys, monkeypatch, tmp_path, argv, files, code, culprit
 ):
     """One example of each fault in README's exit-code list, for every command that can
-    meet it: one error line, and neither stdout nor the -o file is touched."""
+    meet it: one error line, which names the file at fault first and once, and neither
+    stdout nor the -o file is touched."""
     outcome, out, err = fault_run(capsys, monkeypatch, tmp_path, argv, files)
     assert (outcome, out) == (code, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    if culprit is not None:
+        assert err.startswith(f"error: {culprit}: ") and err.count(culprit) == 1, err
     assert (tmp_path / "report.txt").read_bytes() == SENTINEL
 
 
