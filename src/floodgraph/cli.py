@@ -20,9 +20,9 @@ declaration order, byte-identical across runs.
 Exit codes: 0 success; 1 domain error (a PreconditionError, or an invalid
 flooding in `validate`); 2 misuse, an unwritable output, a GraphFormatError or
 a ConstructionError (an unknown node); 141, with nothing on stderr, when the
-reader closes stdout early.  Every fault found in an input file as it is read,
-whether missing, malformed or off the graph's nodes, exits 2 as
-``error: <path>: ...``.
+reader closes stdout early.  Every fault in an input file (missing, malformed
+or off the graph's nodes, a marker too) or an output file (`-o`, `--label-pgm`)
+exits 2 as ``error: <path>: ...``.
 """
 
 from __future__ import annotations
@@ -75,14 +75,12 @@ class Ingested:
 @contextmanager
 def _reading(path: str, raster: bool = False) -> Iterator[bytes | str]:
     """The content of an input file: its bytes when ``raster`` (the option takes a PGM)
-    and it starts with a PGM magic, else its UTF-8 text.  A fault found in the file, as
-    it is opened or as the caller parses the content, is raised as ``<path>: <fault>``."""
+    and it starts with a PGM magic, else its UTF-8 text.  A fault found as it is decoded
+    or parsed is raised as ``<path>: <fault>``; an OSError carries the path itself."""
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
         content = data if raster and data[:2] in (b"P2", b"P5") else data.decode("utf-8")
-    except OSError as exc:  # missing, a directory or unreadable
-        raise GraphFormatError(f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise GraphFormatError(f"{path}: not UTF-8 text and not a PGM raster") from None
     try:
@@ -133,9 +131,10 @@ def edge_view(graph: Graph) -> Graph:
     return graph if graph.edge_weights is not None else derive_edge_graph(graph)
 
 
-def check_need(args: argparse.Namespace, graph: Graph) -> None:
-    """Refuse a graph without the need build_parser declares: a "ground", "edges" (which
-    --derive-edges may make from a ground) or "either" (the edge weights, else the ground)."""
+def check_need(args: argparse.Namespace, graph: Graph) -> Graph:
+    """The graph the command works on, once one without the need build_parser declares is
+    refused: "ground", "either" (the edge weights, else the ground) or "edges", met by the
+    edge view (which --derive-edges may make from a ground)."""
     need, subject = args.need, args.command
     if isinstance(need, dict):  # flood: the need follows --algo
         need, subject = need[args.algo], f"the {args.algo} algorithm"
@@ -147,6 +146,7 @@ def check_need(args: argparse.Namespace, graph: Graph) -> None:
                                     "compute them from the ground")
     elif need == "ground" or need == "either" and graph.edge_weights is None:
         graph.require_ground_values(subject)
+    return edge_view(graph) if need == "edges" else graph
 
 
 # A command's exit code, its output as text chunks (None: it writes none) and its counters
@@ -181,26 +181,23 @@ def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
         buffer.writelines(chunk.encode("utf-8") for chunk in chunks)
 
 
-def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
-    graph = ingested.graph
+def cmd_flood(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
     omega = resolve_ceiling(args, ingested)
     if args.algo == "core":
-        view, result = graph, core_expanding_flood(graph, omega)
+        result = core_expanding_flood(graph, omega)
+    elif args.algo == "berge":
+        result = berge_flood(graph, omega, schedule=args.schedule)
+    elif args.algo == "dijkstra":
+        result = dijkstra_flood(graph, omega)
+    elif args.algo == "prim":
+        result = prim_flood(graph, omega)
     else:
-        view = edge_view(graph)
-        if args.algo == "berge":
-            result = berge_flood(view, omega, schedule=args.schedule)
-        elif args.algo == "dijkstra":
-            result = dijkstra_flood(view, omega)
-        elif args.algo == "prim":
-            result = prim_flood(view, omega)
-        else:
-            dendrogram = build_lake_dendrogram(view)
-            result = SolverResult(dendrogram_flood(dendrogram, omega))
+        dendrogram = build_lake_dendrogram(graph)
+        result = SolverResult(dendrogram_flood(dendrogram, omega))
 
     if args.validate_after:
         check = is_node_flooding if args.algo == "core" else is_edge_flooding
-        report = check(view, result.tau)
+        report = check(graph, result.tau)
         if not report:
             print(f"validate: invalid: {report.violations[0]}", file=sys.stderr)
             return 1, None, None
@@ -210,17 +207,19 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     return 0, _values(result.tau), stats  # by index, whatever the route
 
 
-def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
-    view = edge_view(ingested.graph)
+def cmd_segment(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
     with _reading(args.markers) as text:
         markers = parse_node_values(text)
     if not markers:
         raise PreconditionError(f"{args.markers}: no markers found")
-    result = marker_segmentation(view, markers, engine=args.engine)
+    try:
+        result = marker_segmentation(graph, markers, engine=args.engine)
+    except ConstructionError as exc:  # the one it raises: a marker off the graph
+        raise ConstructionError(f"{args.markers}: {exc}") from None
     labels = result.labels
     assert labels is not None
     if None in labels.levels:  # None marks a node that no marker reaches
-        node = view.nodes[labels.levels.index(None)]
+        node = graph.nodes[labels.levels.index(None)]
         raise PreconditionError(f"node {node!r} is unreachable from every marker")
 
     if args.label_pgm:
@@ -240,18 +239,18 @@ def cmd_segment(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     return 0, _values(*((labels, result.tau) if args.tau else (labels,))), result.stats
 
 
-def cmd_fldist(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
-    return 0, _values(flooding_distance_all(edge_view(ingested.graph), args.source)), None
+def cmd_fldist(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
+    return 0, _values(flooding_distance_all(graph, args.source)), None
 
 
-def cmd_mst(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
-    return 0, serialize_graph(mst(edge_view(ingested.graph))), None
+def cmd_mst(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
+    return 0, serialize_graph(mst(graph)), None
 
 
-def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
+def cmd_dendro(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
     if args.ceiling is not None and not args.flood:  # misuse: the file would go unread
         raise argparse.ArgumentError(None, "dendro reads --ceiling only with --flood")
-    dendro = build_lake_dendrogram(edge_view(ingested.graph))
+    dendro = build_lake_dendrogram(graph)
     # flooded before any output, so a bad ceiling writes nothing
     tail = _values(dendrogram_flood(dendro, resolve_ceiling(args, ingested))) if args.flood else ()
     names, diam, father = dendro.graph.nodes, dendro.diam, dendro.father
@@ -270,8 +269,7 @@ def cmd_dendro(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     return 0, chain(map(leaf_chunk, range(0, leaves, _CHUNK)), _lines(inner), tail), None
 
 
-def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
-    graph = ingested.graph
+def cmd_lakes(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
     with _reading(args.tau) as text:
         tau = parse_node_values(text, graph, "tau")
     names, edge_u, edge_v = graph.nodes, graph.edge_u, graph.edge_v
@@ -284,8 +282,7 @@ def cmd_lakes(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     ), None
 
 
-def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
-    graph = ingested.graph
+def cmd_validate(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
     with _reading(args.tau) as text:
         tau = parse_node_values(text, graph, "tau")
     check = is_edge_flooding if graph.edge_weights is not None else is_node_flooding
@@ -295,8 +292,7 @@ def cmd_validate(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     return 1, _lines(["invalid", *report.violations]), None
 
 
-def cmd_contract(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
-    graph = ingested.graph
+def cmd_contract(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
     omega: NodeValues | None = None  # no ceiling: none to build or check, no omega= written
     if args.ceiling is not None or ingested.file_omega is not None:
         omega = resolve_ceiling(args, ingested)
@@ -305,8 +301,8 @@ def cmd_contract(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
     return 0, chain(serialize_graph(contracted, contracted_omega), _lines(blocks)), None
 
 
-def cmd_localflood(args: argparse.Namespace, ingested: Ingested) -> _Outcome:
-    level = local_flood(ingested.graph, resolve_ceiling(args, ingested), args.node)
+def cmd_localflood(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
+    level = local_flood(graph, resolve_ceiling(args, ingested), args.node)
     return 0, _lines([f"{args.node} {level}"]), None
 
 
@@ -387,8 +383,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:  # a command runs every check before it returns, so a failing one writes nothing
         ingested = ingest_graph(args.graph, args.connectivity)
-        check_need(args, ingested.graph)  # before any other file is read
-        code, chunks, stats = args.run(args, ingested)
+        # the graph the command works on, checked before any other file is read
+        code, chunks, stats = args.run(args, ingested, check_need(args, ingested.graph))
         if stats is not None and args.stats:  # a solver's counters, or a route's own counts
             if isinstance(stats, SolverStats):
                 e, r, s = stats.extractions, stats.relaxations, stats.sweeps
@@ -403,7 +399,8 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return 141
     except (argparse.ArgumentError, GraphFormatError, ConstructionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        named = isinstance(exc, OSError) and exc.filename is not None  # a file, read or written
+        print(f"error: {f'{exc.filename}: {exc.strerror}' if named else exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,14 +14,13 @@ Najman, Cousty & Perret, "Playing with Kruskal" (ISMM 2013): `diam` and
 `father` by cluster, over its graph, and nothing else.  Building, flooding
 and the CLI read the arrays, walking `father` upward in index order;
 `all_members()` sorts each cluster's run of leaves and hands it up to its
-father.  `Dendrogram.clusters` gives each cluster's row of the arrays as a
-`Cluster`, with no children.
+father.  `Dendrogram.clusters` is the range of cluster indices, and a
+cluster's row is its `diam` and `father`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 
 from .errors import ConstructionError
 from .graphs import Graph, NodeValues, _counting, ceiling_by_index, index_graph
@@ -29,20 +28,12 @@ from .ultrametric import single_linkage
 from .weights import BOTTOM, TOP, Weight
 
 __all__ = [
-    "Cluster",
     "Dendrogram",
     "build_dendrogram",
     "build_lake_dendrogram",
     "dendrogram_flood",
     "is_dendrogram",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class Cluster:
-    index: int
-    diam: Weight
-    father: int | None
 
 
 class Dendrogram:
@@ -77,9 +68,9 @@ class Dendrogram:
                 runs.setdefault(up, []).extend(run)
 
     @property
-    def clusters(self) -> tuple[Cluster, ...]:
-        """Each cluster's row of the arrays, built anew on every access."""
-        return tuple(map(Cluster, range(len(self.diam)), self.diam, self.father))
+    def clusters(self) -> range:
+        """The cluster indices, leaves first: cluster ``i``'s row is ``diam[i]``, ``father[i]``."""
+        return range(len(self.diam))
 
     def __repr__(self) -> str:
         return (f"Dendrogram(leaf_names={self.graph.nodes!r}, "

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from floodgraph import (
     TOP,
-    Cluster,
     build_lake_dendrogram,
     core_expanding_flood,
     dendrogram_flood,
@@ -373,7 +372,7 @@ def test_segment_rejects_unknown_marker(capsys, tmp_path, chain_file):
         capsys, "segment", "--graph", chain_file, "--markers", str(markers), "--derive-edges"
     )
     assert code == 2
-    assert err == "error: unknown node: 'zzz'\n"
+    assert err == f"error: {markers}: unknown node: 'zzz'\n"
 
 
 def test_segment_rejects_a_markers_file_without_markers(capsys, tmp_path, chain_file):
@@ -562,19 +561,13 @@ def test_dendro_flood(capsys, tmp_path, tank_file):
     assert out.splitlines()[-6:] == ["A 5", "B 5", "C 1", "D 3", "E 3", "F 6"]
 
 
-def test_dendrogram_routes_build_no_cluster_views(capsys, monkeypatch, tmp_path, chain_file, tank_file):
-    """Building, flooding and both dendrogram commands read the parent arrays only."""
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a Cluster view was built")
-
-    monkeypatch.setattr(Cluster, "__init__", refuse)
+def test_dendrogram_routes_build_no_cluster_views(capsys, tmp_path, chain_file, tank_file):
+    """Building, flooding and both dendrogram commands read the parent arrays, the only
+    form of a cluster there is."""
     graph, _ = parse_graph(Path(tank_file).read_text())
     dendro = build_lake_dendrogram(graph)
     omega = {node: 1 if node == "C" else 7 for node in graph.nodes}
     assert dendrogram_flood(dendro, omega) == dijkstra_flood(graph, omega).tau
-    with pytest.raises(AssertionError, match="view was built"):
-        dendro.clusters  # the patch does bite
 
     ceiling = tmp_path / "ceiling.txt"
     ceiling.write_text("C 1\n")
@@ -987,7 +980,8 @@ def test_an_unknown_named_node_on_a_raster_is_the_first_given(capsys, tmp_path, 
         for arg in argv
     ]
     code, out, err = run(capsys, *argv, "--graph", strip_pgm)
-    assert (code, out, err) == (2, "", "error: unknown node: 'zz'\n")
+    culprit = f"{markers}: " if command == "segment" else ""  # the others read it from argv
+    assert (code, out, err) == (2, "", f"error: {culprit}unknown node: 'zz'\n")
 
 
 def test_a_ceiling_on_an_unknown_raster_node_names_it(capsys, tmp_path, strip_pgm):
@@ -1285,6 +1279,7 @@ HANGING_TAU = "a 0\nb 4\nc 3\nd 2\ne 1\n"  # c at 3 hangs above d at 2
 BARE_CHAIN = "floodgraph v1\n" + "".join(f"node {n}\n" for n in "abcde") + "edge a b\nedge d e\n"
 SENTINEL = b"an earlier report\n"
 RASTER_1X2 = "P2 2 1 9 1 2\n"  # a PGM ground of one row of two pixels
+NO_DIR = "nodir"  # a directory that no fault run makes
 CEILING_FAULTS = {  # name: (--ceiling file, files over FAULT_FILES with None for none, code)
     "unknown-ceiling-node": ("ceiling.txt", {"ceiling.txt": "zz 1\n"}, 2),
     "bad-ceiling-token": ("ceiling.txt", {"ceiling.txt": "a 1\nb x\n"}, 2),
@@ -1316,7 +1311,8 @@ FAULTS = [
      {"none.txt": None}, 2, None),
     ("segment-bad-marker-token", FAULT_RUNS["segment"], {"markers.txt": "a 1\ne x\n"}, 2,
      "markers.txt"),
-    ("segment-unknown-marker", FAULT_RUNS["segment"], {"markers.txt": "zz 1\n"}, 2, None),
+    ("segment-unknown-marker", FAULT_RUNS["segment"], {"markers.txt": "zz 1\n"}, 2,
+     "markers.txt"),
     ("segment-duplicate-labels", FAULT_RUNS["segment"], {"markers.txt": "a 1\ne 1\n"}, 1, None),
     ("segment-no-markers", FAULT_RUNS["segment"], {"markers.txt": "# none\n"}, 1, "markers.txt"),
     ("segment-unreachable-node", FAULT_RUNS["segment"],
@@ -1337,17 +1333,23 @@ FAULTS = [
      None),
     ("segment-label-pgm-out-of-range", [*FAULT_RUNS["segment"], "--label-pgm", "labels.pgm"],
      {"graph.fg": RASTER_1X2, "markers.txt": "0,0 65536\n"}, 1, None),
+    # an output file is named as an input is, here in a directory that does not exist
+    *[(f"{name}-output-in-missing-dir", [*argv, "-o", f"{NO_DIR}/out.txt"], {}, 2,
+       f"{NO_DIR}/out.txt") for name, argv in FAULT_RUNS.items()],
+    ("segment-label-pgm-in-missing-dir", [*FAULT_RUNS["segment"], "--label-pgm", f"{NO_DIR}/x.pgm"],
+     {"graph.fg": RASTER_1X2, "markers.txt": "0,0 1\n"}, 2, f"{NO_DIR}/x.pgm"),
 ]
 
 
 def fault_run(capsys, monkeypatch, tmp_path, argv, files):
-    """Run ``argv`` in ``tmp_path`` over the fault files, with -o naming a sentinel file."""
+    """Run ``argv`` in ``tmp_path`` over the fault files, with -o naming a sentinel file
+    unless ``argv`` names its own."""
     monkeypatch.chdir(tmp_path)
     for name, content in {**FAULT_FILES, **files}.items():
         if content is not None:  # text is written as UTF-8
             (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
     (tmp_path / "report.txt").write_bytes(SENTINEL)
-    return run(capsys, *argv, "--graph", "graph.fg", "-o", "report.txt")
+    return run(capsys, argv[0], "--graph", "graph.fg", "-o", "report.txt", *argv[1:])
 
 
 @pytest.mark.parametrize("argv", FAULT_RUNS.values(), ids=FAULT_RUNS)
@@ -1370,6 +1372,8 @@ def test_each_fault_exits_with_its_code_and_writes_nothing(
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     if culprit is not None:
         assert err.startswith(f"error: {culprit}: ") and err.count(culprit) == 1, err
+    if culprit is not None and culprit.startswith(f"{NO_DIR}/"):
+        assert err == f"error: {culprit}: No such file or directory\n"
     assert (tmp_path / "report.txt").read_bytes() == SENTINEL
 
 
@@ -1454,6 +1458,21 @@ def test_the_need_is_checked_before_any_other_file_is_read(capsys, monkeypatch, 
     assert fault_run(capsys, monkeypatch, tmp_path, argv, missing)[0] == 2  # the chain reads it
     outcome = fault_run(capsys, monkeypatch, tmp_path, argv, {**missing, "graph.fg": BARE_CHAIN})
     assert outcome == (1, "", f"error: {subject} needs {LACKING[need]}\n")
+
+
+@pytest.mark.parametrize("key", NEED_RUNS)
+def test_the_edge_view_is_taken_once_for_an_edges_need_and_never_otherwise(
+    capsys, monkeypatch, tmp_path, key
+):
+    """main takes the view through cli.edge_view, the call the benchmark counts."""
+    from floodgraph import cli
+
+    _, need, argv = NEED_RUNS[key]
+    views = []
+    edge_view = cli.edge_view
+    monkeypatch.setattr(cli, "edge_view", lambda graph: views.append(graph) or edge_view(graph))
+    assert fault_run(capsys, monkeypatch, tmp_path, argv, {}) == (0, "", "")
+    assert len(views) == (need == "edges")
 
 
 # -- the parser ------------------------------------------------------------------------

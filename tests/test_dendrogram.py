@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from itertools import chain, groupby
 
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from floodgraph import (
     BOTTOM,
     TOP,
-    Cluster,
     ConstructionError,
     Dendrogram,
     PreconditionError,
@@ -354,7 +352,7 @@ def generator_dendro_text(dendro, tau):
 def dendro_chunks(graph, omega, *flags):
     """`cmd_dendro`'s exit code and output chunks on ``graph``, whose ceiling is ``omega``."""
     args = build_parser().parse_args(["dendro", "--graph", "unused", *flags])
-    code, chunks, _ = cmd_dendro(args, Ingested(graph, NodeValues(graph, omega), None))
+    code, chunks, _ = cmd_dendro(args, Ingested(graph, NodeValues(graph, omega), None), graph)
     return code, list(chunks)
 
 
@@ -394,11 +392,11 @@ def test_leaf_lines_are_written_by_slices_of_65536_leaves():
 
 
 def eager_assemble(leaf_order, groups):
-    """Every Cluster built up front, and each one's members, from (diam, children) groups.
+    """Every cluster's row, (diam, father), and members built up front from (diam,
+    children) groups.
 
-    This is how a Dendrogram was assembled before it kept parent arrays
-    and built its Cluster views from them; the views, each cluster's row of
-    the arrays, must equal it.
+    This is how a Dendrogram was assembled before it kept parent arrays;
+    each cluster's row of the arrays must equal it.
     """
     leaves = len(leaf_order)
     diam = [BOTTOM] * leaves + [level for level, _ in groups]
@@ -409,27 +407,23 @@ def eager_assemble(leaf_order, groups):
         members.append(set().union(*(members[child] for child in children[index])))
         for child in children[index]:
             father[child] = index
-    clusters = tuple(
-        Cluster(i, diam[i], father[i]) for i in range(len(children))
-    )
     rank = {name: i for i, name in enumerate(leaf_order)}
-    return clusters, [tuple(sorted(names, key=rank.__getitem__)) for names in members]
+    ordered = [tuple(sorted(names, key=rank.__getitem__)) for names in members]
+    return list(zip(diam, father)), ordered
 
 
 @given(rough_edge_graphs())
 def test_cluster_views_match_the_eager_assembly(graph):
     leaves = len(graph.nodes)
     groups = [(diam, kids) for _, diam, _, kids in union_find_lake_clusters(graph)[leaves:]]
-    clusters, members = eager_assemble(graph.nodes, groups)
+    rows, members = eager_assemble(graph.nodes, groups)
     dendro = build_lake_dendrogram(graph)
     assert Dendrogram.__slots__ == ("graph", "diam", "father")
-    assert [field.name for field in dataclasses.fields(Cluster)] == ["index", "diam", "father"]
     diam, father = parent_arrays(leaves, groups)
     assert arrays(dendro) == (graph.nodes, diam, father)
-    assert dendro.diam == [cluster.diam for cluster in clusters]
-    assert dendro.father == [cluster.father for cluster in clusters]
+    assert dendro.clusters == range(len(diam))
+    assert [(dendro.diam[i], dendro.father[i]) for i in dendro.clusters] == rows
     assert list(dendro.all_members()) == members
-    assert dendro.clusters == clusters
     assert repr(dendro) == (
         f"Dendrogram(leaf_names={graph.nodes!r}, diam={diam!r}, father={father!r})"
     )
