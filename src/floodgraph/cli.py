@@ -21,17 +21,21 @@ Exit codes: 0 success; 1 domain error (a PreconditionError, or an invalid
 flooding in `validate`); 2 misuse, an unwritable output, a GraphFormatError or
 a ConstructionError (an unknown node); 141, with nothing on stderr, when the
 reader closes stdout early.  Every fault in an input file (missing, malformed
-or off the graph's nodes, a marker too) or an output file (`-o`, `--label-pgm`)
-exits 2 as ``error: <path>: ...``.
+or off the graph's nodes, a marker too) or an output file (`-o`, `--label-pgm`;
+one that cannot be opened, or a full disk) exits 2 as ``error: <path>: ...``.
+`main` alone writes the outputs: a run that cannot open one of them leaves
+every file as it was, while a fault partway through a write leaves what was
+written.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice
@@ -149,8 +153,9 @@ def check_need(args: argparse.Namespace, graph: Graph) -> Graph:
     return edge_view(graph) if need == "edges" else graph
 
 
-# A command's exit code, its output as text chunks (None: it writes none) and its counters
-_Outcome = tuple[int, "Iterable[str] | None", "SolverStats | str | None"]
+# A command's exit code, its report as text chunks (None: it writes none), its counters and
+# the files to write beside the report, each path to its bytes
+_Outcome = tuple[int, "Iterable[str] | None", "SolverStats | str | None", "dict[str, bytes]"]
 
 
 def _lines(lines: Iterable[str]) -> Iterator[str]:
@@ -167,11 +172,43 @@ def _lines(lines: Iterable[str]) -> Iterator[str]:
         yield "\n".join(chunk) + "\n"
 
 
-def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
-    """Write UTF-8 text whatever the locale: input node names are UTF-8 too."""
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(chunks)
+def _write(outputs: dict[str | None, Iterable[str] | bytes]) -> None:
+    """Write each output, a file by its path or stdout under None: text chunks as UTF-8
+    whatever the locale (input node names are UTF-8 too), or bytes.  Every file is opened
+    before any is truncated, so a run that cannot open one leaves every file as it was (one
+    it made is removed); the files are written first, stdout last, and an OSError raised as
+    a file is opened, written or closed carries the file's path."""
+    opened = []  # (path, handle, made by this run), each opened without truncating
+    try:
+        for path in filter(None, outputs):
+            try:
+                opened.append((path, open(path, "xb"), True))
+            except FileExistsError:
+                opened.append((path, open(path, "ab"), False))
+    except OSError:
+        for path, handle, made in opened:
+            handle.close()
+            if made:
+                os.remove(path)
+        raise
+    with ExitStack() as stack:  # closes the files left unwritten when one faults
+        for _, handle, _ in opened:
+            stack.enter_context(handle)
+        for path, handle, made in opened:
+            content = outputs[path]
+            try:
+                with handle:  # closed in the try: a full disk may fault as the buffer flushes
+                    if not made and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                        handle.truncate(0)  # an earlier file, never a device like /dev/null
+                    if isinstance(content, bytes):
+                        handle.write(content)
+                    else:
+                        handle.writelines(chunk.encode("utf-8") for chunk in content)
+            except OSError as exc:
+                exc.filename = path
+                raise
+    chunks = outputs.get(None)
+    if chunks is None:
         return
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:  # a text-only stream, such as io.StringIO
@@ -200,11 +237,11 @@ def cmd_flood(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Ou
         report = check(graph, result.tau)
         if not report:
             print(f"validate: invalid: {report.violations[0]}", file=sys.stderr)
-            return 1, None, None
+            return 1, None, None, {}
         print("validate: valid", file=sys.stderr)
 
     stats = f"clusters={len(dendrogram.diam)}" if args.algo == "dendro" else result.stats
-    return 0, _values(result.tau), stats  # by index, whatever the route
+    return 0, _values(result.tau), stats, {}  # by index, whatever the route
 
 
 def cmd_segment(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
@@ -222,6 +259,7 @@ def cmd_segment(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _
         node = graph.nodes[labels.levels.index(None)]
         raise PreconditionError(f"node {node!r} is unreachable from every marker")
 
+    files = {}
     if args.label_pgm:
         if ingested.raster_shape is None:
             raise PreconditionError("--label-pgm requires a raster graph input")
@@ -233,18 +271,17 @@ def cmd_segment(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _
                 )
         flat = labels.levels  # node i is pixel divmod(i, width)
         raster = [flat[start : start + width] for start in range(0, len(flat), width)]
-        with open(args.label_pgm, "wb") as handle:
-            handle.write(write_pgm(raster))
+        files[args.label_pgm] = write_pgm(raster)
 
-    return 0, _values(*((labels, result.tau) if args.tau else (labels,))), result.stats
+    return 0, _values(*((labels, result.tau) if args.tau else (labels,))), result.stats, files
 
 
 def cmd_fldist(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
-    return 0, _values(flooding_distance_all(graph, args.source)), None
+    return 0, _values(flooding_distance_all(graph, args.source)), None, {}
 
 
 def cmd_mst(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
-    return 0, serialize_graph(mst(graph)), None
+    return 0, serialize_graph(mst(graph)), None, {}
 
 
 def cmd_dendro(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
@@ -266,7 +303,7 @@ def cmd_dendro(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _O
         f"father={'none' if father[index] is None else father[index]} leaves={' '.join(members)}"
         for index, members in enumerate(islice(dendro.all_members(), leaves, None), leaves)
     )
-    return 0, chain(map(leaf_chunk, range(0, leaves, _CHUNK)), _lines(inner), tail), None
+    return 0, chain(map(leaf_chunk, range(0, leaves, _CHUNK)), _lines(inner), tail), None, {}
 
 
 def cmd_lakes(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
@@ -279,7 +316,7 @@ def cmd_lakes(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Ou
         f"nodes={' '.join(block)} exhaust="
         + " ".join(f"{names[edge_u[eid]]}-{names[edge_v[eid]]}" for eid in out)
         for index, (level, block, out) in enumerate(zip(part.levels, part.members, part.exhaust))
-    ), None
+    ), None, {}
 
 
 def cmd_validate(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
@@ -288,8 +325,8 @@ def cmd_validate(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> 
     check = is_edge_flooding if graph.edge_weights is not None else is_node_flooding
     report = check(graph, tau)
     if report:
-        return 0, _lines(["valid"]), None
-    return 1, _lines(["invalid", *report.violations]), None
+        return 0, _lines(["valid"]), None, {}
+    return 1, _lines(["invalid", *report.violations]), None, {}
 
 
 def cmd_contract(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
@@ -298,12 +335,12 @@ def cmd_contract(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> 
         omega = resolve_ceiling(args, ingested)
     contracted, mapping, contracted_omega = contract_flat_zones(graph, omega)
     blocks = (f"# block {rep} {' '.join(members)}" for rep, members in mapping.blocks.items())
-    return 0, chain(serialize_graph(contracted, contracted_omega), _lines(blocks)), None
+    return 0, chain(serialize_graph(contracted, contracted_omega), _lines(blocks)), None, {}
 
 
 def cmd_localflood(args: argparse.Namespace, ingested: Ingested, graph: Graph) -> _Outcome:
     level = local_flood(graph, resolve_ceiling(args, ingested), args.node)
-    return 0, _lines([f"{args.node} {level}"]), None
+    return 0, _lines([f"{args.node} {level}"]), None, {}
 
 
 @cache  # built once per process: parsing keeps no state in the parser
@@ -381,17 +418,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:  # a command runs every check before it returns, so a failing one writes nothing
+    # a command runs every check before it returns and opens no output, so a failing one writes
+    # nothing; an output that cannot be opened leaves every file as it was (_write opens them
+    # all before it truncates any), while a fault partway through a write leaves what was written
+    try:
         ingested = ingest_graph(args.graph, args.connectivity)
         # the graph the command works on, checked before any other file is read
-        code, chunks, stats = args.run(args, ingested, check_need(args, ingested.graph))
+        code, chunks, stats, files = args.run(args, ingested, check_need(args, ingested.graph))
         if stats is not None and args.stats:  # a solver's counters, or a route's own counts
             if isinstance(stats, SolverStats):
                 e, r, s = stats.extractions, stats.relaxations, stats.sweeps
                 stats = f"extractions={e} relaxations={r} sweeps={s}"
             print(f"stats: {stats}", file=sys.stderr)
-        if chunks is not None:
-            _write(args, chunks)
+        if chunks is not None:  # the report to -o or stdout, after the files beside it
+            _write({**files, args.output or None: chunks})
         return code
     except BrokenPipeError:  # the reader closed stdout: stop quietly, as on SIGPIPE
         devnull = os.open(os.devnull, os.O_WRONLY)

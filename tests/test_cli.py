@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tokenize
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from hashlib import sha256
@@ -37,6 +38,7 @@ from floodgraph.cli import ingest_graph, main, resolve_ceiling
 from floodgraph.formats import HEADER, _FIRST_LINE
 
 from strategies import ground_of
+from test_public_surface import code_tokens
 
 
 CHAIN_FG = """\
@@ -491,6 +493,7 @@ def test_fldist_unknown_source(capsys, chain_file):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src" / "floodgraph"
 
 
 def read_back(capsys, *argv):
@@ -1280,6 +1283,7 @@ BARE_CHAIN = "floodgraph v1\n" + "".join(f"node {n}\n" for n in "abcde") + "edge
 SENTINEL = b"an earlier report\n"
 RASTER_1X2 = "P2 2 1 9 1 2\n"  # a PGM ground of one row of two pixels
 NO_DIR = "nodir"  # a directory that no fault run makes
+FULL = "/dev/full"  # a device that takes no byte: every write to it faults as on a full disk
 CEILING_FAULTS = {  # name: (--ceiling file, files over FAULT_FILES with None for none, code)
     "unknown-ceiling-node": ("ceiling.txt", {"ceiling.txt": "zz 1\n"}, 2),
     "bad-ceiling-token": ("ceiling.txt", {"ceiling.txt": "a 1\nb x\n"}, 2),
@@ -1338,6 +1342,11 @@ FAULTS = [
        f"{NO_DIR}/out.txt") for name, argv in FAULT_RUNS.items()],
     ("segment-label-pgm-in-missing-dir", [*FAULT_RUNS["segment"], "--label-pgm", f"{NO_DIR}/x.pgm"],
      {"graph.fg": RASTER_1X2, "markers.txt": "0,0 1\n"}, 2, f"{NO_DIR}/x.pgm"),
+    # an output that opens but cannot be written, as on a full disk, is named the same way
+    *[(f"{name}-output-on-full-disk", [*argv, "-o", FULL], {}, 2, FULL)
+      for name, argv in FAULT_RUNS.items()],
+    ("segment-label-pgm-on-full-disk", [*FAULT_RUNS["segment"], "--label-pgm", FULL],
+     {"graph.fg": RASTER_1X2, "markers.txt": "0,0 1\n"}, 2, FULL),
 ]
 
 
@@ -1367,6 +1376,8 @@ def test_each_fault_exits_with_its_code_and_writes_nothing(
     """One example of each fault in README's exit-code list, for every command that can
     meet it: one error line, which names the file at fault first and once, and neither
     stdout nor the -o file is touched."""
+    if culprit == FULL and not os.path.exists(FULL):
+        pytest.skip(f"{FULL} does not exist here")
     outcome, out, err = fault_run(capsys, monkeypatch, tmp_path, argv, files)
     assert (outcome, out) == (code, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
@@ -1374,7 +1385,80 @@ def test_each_fault_exits_with_its_code_and_writes_nothing(
         assert err.startswith(f"error: {culprit}: ") and err.count(culprit) == 1, err
     if culprit is not None and culprit.startswith(f"{NO_DIR}/"):
         assert err == f"error: {culprit}: No such file or directory\n"
+    if culprit == FULL:
+        assert err == f"error: {FULL}: No space left on device\n"
     assert (tmp_path / "report.txt").read_bytes() == SENTINEL
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("missing", ["report", "labels"])
+def test_an_output_that_cannot_be_opened_leaves_every_file_as_it_was(
+    capsys, monkeypatch, tmp_path, missing, existing
+):
+    """segment's label raster and report are both opened before either is truncated: when
+    one lies in a missing directory, the other is neither made nor changed, whichever comes
+    first.  Once both can be opened, each is replaced whole, a longer earlier file too."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.pgm").write_text(RASTER_1X2)
+    (tmp_path / "markers.txt").write_text("0,0 1\n")
+    outputs = {"report": "out.txt", "labels": "labels.pgm"}
+    if existing:  # an earlier file, longer than the output, at each output's path
+        for path in outputs.values():
+            (tmp_path / path).write_bytes(SENTINEL * 4)
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    argv = ["segment", "--graph", "graph.pgm", "--derive-edges", "--markers", "markers.txt"]
+    culprit = f"{NO_DIR}/{outputs[missing]}"
+    paths = {**outputs, missing: culprit}
+    outcome = run(capsys, *argv, "--label-pgm", paths["labels"], "-o", paths["report"])
+    assert outcome == (2, "", f"error: {culprit}: No such file or directory\n")
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    assert run(capsys, *argv, "--label-pgm", "labels.pgm", "-o", "out.txt") == (0, "", "")
+    assert (tmp_path / "out.txt").read_bytes() == b"0,0 1\n0,1 1\n"
+    assert (tmp_path / "labels.pgm").read_bytes() == b"P5\n2 1\n1\n\x01\x01"
+
+
+def test_an_output_that_is_no_regular_file_is_written_as_it_is(capsys, tmp_path):
+    """An output that is a device is opened without truncating it, which it would refuse."""
+    graph = tmp_path / "graph.pgm"
+    graph.write_text(RASTER_1X2)
+    (tmp_path / "markers.txt").write_text("0,0 1\n")
+    argv = ["segment", "--graph", str(graph), "--derive-edges", "--markers"]
+    argv += [str(tmp_path / "markers.txt"), "--label-pgm", os.devnull, "-o", os.devnull]
+    assert run(capsys, *argv) == (0, "", "")
+
+
+def open_calls(path: Path) -> set[tuple[str | None, str, str | None]]:
+    """Where a file's code names ``open``: (the top-level function it is in, ``os.open`` or
+    ``open`` as spelled, and what the latest ``except`` clause before it in that function
+    catches)."""
+    tokens = code_tokens(path)
+    calls = set()
+    function = handler = None
+    for index, token in enumerate(tokens):
+        if token.type != tokenize.NAME:
+            continue
+        if token.start[1] == 0:  # a top-level statement: a def names its function
+            function = handler = None
+        elif tokens[index - 1].string == "def" and tokens[index - 1].start[1] == 0:
+            function = token.string
+        elif token.string == "except":
+            handler = tokens[index + 1].string
+        elif token.string == "open":
+            owner = tokens[index - 2].string if tokens[index - 1].string == "." else None
+            calls.add((function, f"{owner}.open" if owner else "open", handler))
+    return calls
+
+
+def test_only_the_reader_and_the_writer_open_a_file():
+    """A census of cli.py: ``open`` is called only by ``_reading``, which reads every input,
+    and ``_write``, which writes every output, and ``os.open`` only where ``main`` ends a run
+    whose reader closed stdout; so no command opens a file of its own."""
+    calls = open_calls(SRC / "cli.py")
+    assert {(function, name) for function, name, _ in calls} == {
+        ("_reading", "open"), ("_write", "open"), ("main", "os.open")
+    }
+    assert {handler for function, _, handler in calls if function == "main"} == {"BrokenPipeError"}
 
 
 def test_an_invalid_flooding_is_reported_to_the_output_file(capsys, monkeypatch, tmp_path):

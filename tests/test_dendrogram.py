@@ -352,7 +352,9 @@ def generator_dendro_text(dendro, tau):
 def dendro_chunks(graph, omega, *flags):
     """`cmd_dendro`'s exit code and output chunks on ``graph``, whose ceiling is ``omega``."""
     args = build_parser().parse_args(["dendro", "--graph", "unused", *flags])
-    code, chunks, _ = cmd_dendro(args, Ingested(graph, NodeValues(graph, omega), None), graph)
+    ingested = Ingested(graph, NodeValues(graph, omega), None)
+    code, chunks, _, files = cmd_dendro(args, ingested, graph)
+    assert files == {}  # it writes no file beside its report
     return code, list(chunks)
 
 
