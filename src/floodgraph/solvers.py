@@ -23,10 +23,11 @@ priorities are (level, marker rank) pairs, and a kernel keyed by tuples
 would make every other caller build and compare pairs too.
 ``ceiling_minima`` finds a cheap superset of the ceiling's regional minima.
 
-All but berge and the oracle push into the ``Funnel`` by subscript.  The
-kernel and ``marker_segmentation`` never push below the priority they
-extract, so they drain whole buckets; prim (edge weights below its level)
-and core (new cores below the least priority) pop per item inline.
+All but berge and the oracle push into the ``Funnel`` by subscript and
+take whole buckets.  The kernel and ``marker_segmentation`` drain
+``buckets()``.  Prim and core pop theirs inline: prim's edge weights may
+open a bucket below its level, and core compares its next core with the
+least priority between buckets.
 """
 
 from __future__ import annotations
@@ -245,9 +246,9 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
 
     The finite entries of the ceiling ``sources`` (top at a node it leaves
     out) are the seeds, in node order.  Edges enter the funnel at their own
-    weight; a running level lam, raised whenever a higher priority is
-    extracted, turns edge priorities into flooding levels (the level of a
-    popped node is lam itself).  This reproduces dijkstra_flood; with no
+    weight; a running level lam, raised whenever a higher bucket is taken,
+    turns edge priorities into flooding levels (the level of a settled
+    node is lam itself).  This reproduces dijkstra_flood; with no
     finite source, every node stays at top.
     """
     weights = graph.require_edge_weights("prim_flood")
@@ -259,28 +260,25 @@ def prim_flood(graph: Graph, sources: Mapping[str, Weight]) -> SolverResult:
     heap = funnel.heap
     offsets, adj_node, adj_edge = graph.incidences()
     settled = [False] * len(tau)
-    extractions = relaxations = 0
+    seeds = len(tau) - tau.count(TOP)  # each later push is a relaxation, extracted once
+    extractions = 0
     lam: Weight = BOTTOM  # the first pop lifts it to the lowest seed
-    while heap:  # pushes may go below mu: pop per item
-        mu = heap[0]
-        bucket = funnel[mu]
-        node = bucket.popleft()
-        if not bucket:
-            del funnel[mu]
-            heappop(heap)
-        extractions += 1
+    while heap:  # a push below mu opens a lower bucket, taken next before lam can rise
+        mu = heappop(heap)
+        bucket = funnel.pop(mu)
+        extractions += len(bucket)
         if mu > lam:
             lam = mu
-        if settled[node]:
-            continue
-        settled[node] = True
-        tau[node] = lam
-        for slot in range(offsets[node], offsets[node + 1]):
-            neighbor = adj_node[slot]
-            if not settled[neighbor]:
-                funnel[weights[adj_edge[slot]]].append(neighbor)
-                relaxations += 1
-    stats = SolverStats(extractions, relaxations)
+        for node in bucket:
+            if settled[node]:
+                continue
+            settled[node] = True
+            tau[node] = lam
+            for slot in range(offsets[node], offsets[node + 1]):
+                neighbor = adj_node[slot]
+                if not settled[neighbor]:
+                    funnel[weights[adj_edge[slot]]].append(neighbor)
+    stats = SolverStats(extractions, extractions - seeds)
     return SolverResult(tau=NodeValues(graph, tau), stats=stats)
 
 
@@ -314,33 +312,32 @@ def core_expanding_flood(graph: Graph, omega: Mapping[str, Weight]) -> SolverRes
         mu = heap[0] if heap else TOP
         if lam == TOP and mu == TOP:
             break  # the rest stays dry under an open sky: tau is top there
-        extractions += 1
         if lam < mu:
-            batch.append((order[pointer], lam))
-        else:  # pushes may go below mu: pop per item
-            bucket = funnel[mu]
-            node = bucket.popleft()
-            if not bucket:
-                del funnel[mu]
-                heappop(heap)
-            if not flooded[node]:
-                batch.append((node, mu))
-        while batch:  # settle the new core and the dry land it reaches
-            p, at = batch.popleft()
-            if flooded[p]:
-                continue
-            flooded[p] = True
-            wet += 1
-            tau[p] = at
-            for slot in range(offsets[p], offsets[p + 1]):
-                q = adj_node[slot]
-                if flooded[q]:
+            entries = ((order[pointer], lam),)
+        else:  # the whole bucket: no push goes below mu, and lam never falls
+            heappop(heap)
+            entries = zip(funnel.pop(mu), repeat(mu))
+        for entry in entries:
+            if wet == total:
+                break  # every node is wet: the rest of the bucket is not extracted
+            extractions += 1
+            batch.append(entry)
+            while batch:  # settle the entry and the dry land it reaches
+                p, at = batch.popleft()
+                if flooded[p]:
                     continue
-                if ground[q] >= at:
-                    batch.append((q, ground[q]))
-                else:
-                    funnel[at].append(q)
-                    relaxations += 1
+                flooded[p] = True
+                wet += 1
+                tau[p] = at
+                for slot in range(offsets[p], offsets[p + 1]):
+                    q = adj_node[slot]
+                    if flooded[q]:
+                        continue
+                    if ground[q] >= at:
+                        batch.append((q, ground[q]))
+                    else:
+                        funnel[at].append(q)
+                        relaxations += 1
     return SolverResult(NodeValues(graph, tau), stats=SolverStats(extractions, relaxations))
 
 

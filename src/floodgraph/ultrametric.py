@@ -83,8 +83,9 @@ class Funnel(dict):
     which opens its bucket and enters ``p`` into the heap.  No bucket stays
     empty, so ``heap[0]`` is the least priority.  Entries sharing a priority
     leave in insertion order; callers discard stale entries on extraction.
-    Loops that may push below the priority they extract pop per item
-    inline from ``heap[0]``'s bucket; the others drain ``buckets()``.
+    Every loop takes whole buckets.  Prim and core pop theirs inline: prim's
+    priorities are edge weights under a running level, and core opens a
+    core between buckets.  The others drain ``buckets()``.
     ``len()`` counts the priorities that have a bucket, not the items.
     """
 

@@ -1180,13 +1180,13 @@ def test_a_closed_stdout_pipe_ends_a_command_quietly(argv):
     contraction each overflow any pipe buffer, written chunk by chunk."""
     command = [sys.executable, "-m", "floodgraph.cli", *argv]
     command += ["--graph", str(GOLDEN / "raster64.pgm")]
-    child = subprocess.Popen(
+    with subprocess.Popen(
         command, env=locales()[0][1], stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
-    assert len(child.stdout.read(1)) == 1
-    child.stdout.close()
-    stderr = child.stderr.read()
-    assert (child.wait(timeout=60), stderr) == (141, b"")
+    ) as child:  # closes the stderr pipe too
+        assert len(child.stdout.read(1)) == 1
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert (child.wait(timeout=60), stderr) == (141, b"")
 
 
 # -- exit codes --------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """The hierarchical queue and the best-first loops that run on it.
 
-The loops push by subscript and pop inline or by whole buckets.  The
-per-item loops below, one ``push`` and one ``pop`` call per queued node on
-the ``PerItemFunnel`` defined here, are the references they are compared
-with: tau (or labels and tau) and all counters, ``extraction_levels`` in
-order where the loop fills them.
+The loops push by subscript and take whole buckets.  Prim and core pop
+theirs inline, since prim's priorities are edge weights under its running
+level and core opens cores between buckets; the others drain ``buckets()``.
+The per-item loops below, one ``push`` and one ``pop`` call per queued
+node on the ``PerItemFunnel`` defined here, are the references they are
+compared with: tau (or labels and tau) and all counters,
+``extraction_levels`` in order where the loop fills them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import heapq
 import random
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -369,7 +372,7 @@ def test_marker_segmentation_matches_the_per_item_loop(graph, data):
         assert [*_counters(result)] == counters
 
 
-# -- structural guard: no Funnel method call per queued node -------------------
+# -- structural guards: no Funnel method call and no pop per queued node -------
 
 
 def _queue_routes():
@@ -396,3 +399,26 @@ def test_best_first_loops_call_no_funnel_method():
     assert not {"push", "pop", "min_priority", "__len__"} & vars(Funnel).keys()
     for route in _queue_routes().values():
         route()
+
+
+class CountingDeque(deque):
+    """A bucket that counts the ``popleft`` calls made on every bucket."""
+
+    pops = 0
+
+    def popleft(self):
+        CountingDeque.pops += 1
+        return super().popleft()
+
+
+@pytest.mark.parametrize("name", sorted(_queue_routes()))
+def test_best_first_loops_take_whole_buckets(name, monkeypatch):
+    """Every bucket comes from the name ``deque`` in ``ultrametric`` (core's
+    own ``batch`` deque does not), and no loop pops one item off a bucket."""
+    monkeypatch.setattr("floodgraph.ultrametric.deque", CountingDeque)
+    monkeypatch.setattr(CountingDeque, "pops", 0)
+    funnel = Funnel()
+    funnel[0].append("a")
+    assert type(funnel[0]) is CountingDeque  # the patch reaches every new bucket
+    _queue_routes()[name]()
+    assert CountingDeque.pops == 0
